@@ -1,7 +1,8 @@
 """Command-line surface: validate, check-embed, min-dim, scan.
 
 Exit codes: 0 positive result, 1 negative, 2 invalid input metric,
-3 IO/parse error, 4 undetermined, 5 internal criterion disagreement
+3 IO/parse error (for ``scan`` also a config whose sampler cannot serve
+the requested ladder), 4 undetermined, 5 internal criterion disagreement
 (the two determinant engines are cross-oracles and must agree).
 
 Every JSON output embeds the run configuration including the seed;
@@ -66,6 +67,8 @@ def _render_text(payload: dict, indent: str = "") -> str:
 
 def _parse_scales(text: str) -> list[float]:
     r0, q, count = text.split(":")
+    if int(count) < 2:
+        raise ValueError(f"a scan needs at least 2 rungs, got {count}")
     return scale_ladder(float(r0), float(q), int(count))
 
 
@@ -176,8 +179,14 @@ def cmd_scan(args) -> int:
               args.format, args.out)
         return EXIT_IO
     scales = _parse_scales(args.scales)
-    report = transfer_check(space, args.dim, budget=args.samples * len(scales) * 2 * (args.dim + 2),
-                            scales=scales, seed=args.seed, tol_det=args.tol_det)
+    try:
+        report = transfer_check(space, args.dim, budget=args.samples * len(scales) * 2 * (args.dim + 2),
+                                scales=scales, seed=args.seed, tol_det=args.tol_det)
+    except (ValueError, RuntimeError) as exc:
+        # typed scan failures: a sampler that cannot serve the ladder, or --dim < 1
+        _emit({"command": "scan", "config": _config_dict(args, space=cfg), "error": f"cannot scan: {exc}",
+               "exit_code": EXIT_IO}, args.format, args.out)
+        return EXIT_IO
     code = {"consistent-with-embeddable": EXIT_YES, "refuted": EXIT_NO,
             "inconclusive": EXIT_UNDETERMINED}[report.verdict]
     payload = {"command": "scan", "config": _config_dict(args, space=cfg),
@@ -227,6 +236,22 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return value
+
+
+def _scales_arg(text: str) -> str:
+    """Check an r0:q:count ladder at parse time; the config echoes the text."""
+    try:
+        _parse_scales(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected r0:q:count ({exc})")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="metricembed",
                                      description="Euclidean embeddability of metric spaces "
@@ -241,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol-metric", dest="tol_metric", type=_positive_float, default=None)
         p.add_argument("--seed", type=int, default=0)
         if scan:
-            p.add_argument("--scales", default="0.5:0.5:12", help="ladder as r0:q:count")
-            p.add_argument("--samples", type=int, default=128, help="samples per scale rung")
+            p.add_argument("--scales", type=_scales_arg, default="0.5:0.5:12", help="ladder as r0:q:count")
+            p.add_argument("--samples", type=_positive_int, default=128, help="samples per scale rung")
             p.add_argument("--depth", type=int, default=64)
 
     p = sub.add_parser("validate", help="validate a distance matrix file")

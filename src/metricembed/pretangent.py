@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -425,6 +425,95 @@ def _fit_trend(scales: np.ndarray, magnitudes: np.ndarray, floor: float) -> floa
     return float(slope)
 
 
+def _scan_pass(space: MarkedSpace, k: int, condition: str, modes: Sequence[str], sampler,
+               scales: list[float], samples_per_scale: int, seed: int, tol_det: float) -> list[ScanReport]:
+    """One sampled pass at order k, reported once per mode.
+
+    Each (k+1)-tuple is drawn once, seeded with spawn key (i,) for sample
+    index i on every rung, and the functional of every mode is evaluated
+    on its delta-normalized distance matrix (a tuple at p gives 0).
+    Extremes, witnesses, trend and verdict follow ``liminf_scan``.
+    """
+    if len(scales) < 2 or any(b >= a for a, b in zip(scales, scales[1:])) or scales[-1] <= 0:
+        raise ValueError("scales must be strictly decreasing positive values")
+    if samples_per_scale < 1:
+        raise EmptySampleError("samples_per_scale must be >= 1")
+    evaluators = [(cm_functional if mode == "theta" else sch_functional)(k).evaluator for mode in modes]
+    values = np.zeros((len(modes), len(scales), samples_per_scale))
+    draws: list[list[tuple]] = []
+    for j, s in enumerate(scales):
+        draws.append([])
+        for i in range(samples_per_scale):
+            t = sampler(s, k, np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+            if len(t) != k + 1:
+                raise ArityMismatchError(f"sampler returned {len(t)} points for k = {k}")
+            delta = delta_scale(space, t)
+            if delta > 0:
+                if not (s / 4 <= delta <= 2 * s):
+                    raise SamplerScaleMismatchError(
+                        f"sampler delta {delta!r} off requested scale {s!r} by more than 2x"
+                    )
+                normalized = space.matrix(t) / delta
+                for e, evaluate in enumerate(evaluators):
+                    values[e, j, i] = evaluate(normalized)
+            draws[j].append(t)
+
+    def witness(v: np.ndarray, flat_index: int) -> ScanWitness:
+        # the earliest rung, then the earliest sample, holding the extreme
+        j, i = np.unravel_index(flat_index, v.shape)
+        return ScanWitness(int(j), scales[j], float(v[j, i]), draws[j][i])
+
+    tail = slice(len(scales) // 2, None)
+    floor = INSTABILITY_FACTOR * tol_det
+    rungs = np.arange(len(scales))
+    reports = []
+    for mode, v in zip(modes, values):
+        infs, sups = v[rungs, v.argmin(axis=1)], v[rungs, v.argmax(axis=1)]
+        running_liminf = float(np.min(infs[tail]))
+        running_limsup = float(np.max(sups[tail]))
+        magnitudes = np.maximum(np.abs(infs), np.abs(sups))
+        trend = _fit_trend(np.array(scales), magnitudes, floor)
+
+        if condition == "sign":
+            if running_liminf >= -SIGN_TOL:
+                verdict = "supports"
+            elif float(np.max(infs[tail])) <= -REFUTE_LEVEL:
+                verdict = "refutes"
+            else:
+                verdict = "inconclusive"
+        else:
+            at_floor = bool(np.all(magnitudes <= floor))
+            decays = (
+                math.isinf(trend)
+                or (trend > DECAY_EXPONENT_MIN and magnitudes[-1] <= DECAY_DROP * float(np.max(magnitudes)))
+            )
+            if at_floor or decays:
+                verdict = "supports"
+            elif float(np.min(magnitudes[tail])) >= REFUTE_LEVEL and trend <= FLAT_EXPONENT_MAX:
+                verdict = "refutes"
+            else:
+                verdict = "inconclusive"
+
+        reports.append(ScanReport(
+            k=k,
+            mode=mode,
+            condition=condition,
+            scales=tuple(scales),
+            per_scale_inf=tuple(infs.tolist()),
+            per_scale_sup=tuple(sups.tolist()),
+            running_liminf=running_liminf,
+            running_limsup=running_limsup,
+            trend=trend,
+            verdict=verdict,
+            samples_per_scale=samples_per_scale,
+            seed=seed,
+            tol_det=tol_det,
+            witness_inf=witness(v, int(np.argmin(v))),
+            witness_sup=witness(v, int(np.argmax(v))),
+        ))
+    return reports
+
+
 def liminf_scan(
     space: MarkedSpace,
     k: int,
@@ -458,87 +547,10 @@ def liminf_scan(
         raise ValueError(f"unknown condition {condition!r}")
     if mode not in ("theta", "s"):
         raise ValueError(f"unknown mode {mode!r}")
+    scales = [float(s) for s in (scale_ladder() if scales is None else scales)]
     if sampler is None:
         sampler = space.sampler
-    if scales is None:
-        scales = scale_ladder()
-    scales = [float(s) for s in scales]
-    if len(scales) < 2 or any(b >= a for a, b in zip(scales, scales[1:])) or scales[-1] <= 0:
-        raise ValueError("scales must be strictly decreasing positive values")
-    if samples_per_scale < 1:
-        raise EmptySampleError("samples_per_scale must be >= 1")
-    functional = theta if mode == "theta" else s_functional
-
-    inf_list: list[float] = []
-    sup_list: list[float] = []
-    witness_inf: ScanWitness | None = None
-    witness_sup: ScanWitness | None = None
-    for j, s in enumerate(scales):
-        values = np.empty(samples_per_scale)
-        tuples: list[tuple] = []
-        for i in range(samples_per_scale):
-            t = sampler(s, k, np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-            delta = delta_scale(space, t)
-            if delta > 0 and not (s / 4 <= delta <= 2 * s):
-                raise SamplerScaleMismatchError(
-                    f"sampler delta {delta!r} off requested scale {s!r} by more than 2x"
-                )
-            values[i] = functional(space, t)
-            tuples.append(t)
-        lo, hi = int(np.argmin(values)), int(np.argmax(values))
-        inf_list.append(float(values[lo]))
-        sup_list.append(float(values[hi]))
-        if witness_inf is None or values[lo] < witness_inf.value:
-            witness_inf = ScanWitness(j, s, float(values[lo]), tuples[lo])
-        if witness_sup is None or values[hi] > witness_sup.value:
-            witness_sup = ScanWitness(j, s, float(values[hi]), tuples[hi])
-
-    infs = np.array(inf_list)
-    sups = np.array(sup_list)
-    tail = slice(len(scales) // 2, None)
-    running_liminf = float(np.min(infs[tail]))
-    running_limsup = float(np.max(sups[tail]))
-    magnitudes = np.maximum(np.abs(infs), np.abs(sups))
-    floor = INSTABILITY_FACTOR * tol_det
-    trend = _fit_trend(np.array(scales), magnitudes, floor)
-
-    if condition == "sign":
-        if running_liminf >= -SIGN_TOL:
-            verdict = "supports"
-        elif float(np.max(infs[tail])) <= -REFUTE_LEVEL:
-            verdict = "refutes"
-        else:
-            verdict = "inconclusive"
-    else:
-        at_floor = bool(np.all(magnitudes <= floor))
-        decays = (
-            math.isinf(trend)
-            or (trend > DECAY_EXPONENT_MIN and magnitudes[-1] <= DECAY_DROP * float(np.max(magnitudes)))
-        )
-        if at_floor or decays:
-            verdict = "supports"
-        elif float(np.min(magnitudes[tail])) >= REFUTE_LEVEL and trend <= FLAT_EXPONENT_MAX:
-            verdict = "refutes"
-        else:
-            verdict = "inconclusive"
-
-    return ScanReport(
-        k=k,
-        mode=mode,
-        condition=condition,
-        scales=tuple(scales),
-        per_scale_inf=tuple(inf_list),
-        per_scale_sup=tuple(sup_list),
-        running_liminf=running_liminf,
-        running_limsup=running_limsup,
-        trend=trend,
-        verdict=verdict,
-        samples_per_scale=samples_per_scale,
-        seed=seed,
-        tol_det=tol_det,
-        witness_inf=witness_inf,
-        witness_sup=witness_sup,
-    )
+    return _scan_pass(space, k, condition, (mode,), sampler, scales, samples_per_scale, seed, tol_det)[0]
 
 
 @dataclass(frozen=True)
@@ -562,48 +574,41 @@ class TransferReport:
 def transfer_check(
     space: MarkedSpace,
     n: int,
-    sampler=None,
     budget: int | None = None,
     scales: Sequence[float] | None = None,
     seed: int = 0,
     tol_det: float = DEFAULT_TOL_DET,
-    modes: Sequence[str] = ("theta", "s"),
 ) -> TransferReport:
     """Scan the embeddability conditions for all rescaled limit spaces at p.
 
     Runs sign scans for k = 1..n and vanishing scans for k = n+1, n+2, in
     both functional modes (the two determinant engines cross-check each
-    other). Refuted as soon as any scan refutes; consistent only when all
+    other). Both modes are read off the same draws: one sampled pass per
+    k evaluates Theta and S on each tuple's normalized matrix. ``budget``
+    counts functional evaluations, two per drawn tuple; ``scans`` lists
+    every Theta scan, then every S scan. Refuted as soon as any scan
+    refutes (``witness_scan`` is the first); consistent only when all
     scans support. The equality conditions are checked two-sided (liminf
     and limsup both pinned to 0) in both modes.
     """
     if n < 1:
         raise DimensionOutOfRangeError(f"target dimension must be >= 1, got {n}")
-    if scales is None:
-        scales = scale_ladder()
+    scales = [float(s) for s in (scale_ladder() if scales is None else scales)]
     jobs = [(k, "sign") for k in range(1, n + 1)] + [(k, "vanishing") for k in (n + 1, n + 2)]
-    n_scans = len(jobs) * len(modes)
-    if budget is None:
-        samples = 128
-    else:
-        samples = max(8, budget // (n_scans * len(scales)))
+    samples = 128 if budget is None else max(8, budget // (2 * len(jobs) * len(scales)))
 
-    scans: list[ScanReport] = []
-    witness: int | None = None
-    verdict = "consistent-with-embeddable"
-    for mode in modes:
-        for k, condition in jobs:
-            report = liminf_scan(
-                space, k, sampler=sampler, scales=scales, samples_per_scale=samples,
-                mode=mode, condition=condition, seed=seed, tol_det=tol_det,
-            )
-            scans.append(report)
-            if report.verdict == "refutes" and witness is None:
-                witness = len(scans) - 1
-                verdict = "refuted"
-            elif report.verdict == "inconclusive" and verdict != "refuted":
-                verdict = "inconclusive"
-    return TransferReport(n=n, verdict=verdict, scans=tuple(scans), witness_scan=witness)
+    passes = [_scan_pass(space, k, condition, ("theta", "s"), space.sampler, scales, samples, seed, tol_det)
+              for k, condition in jobs]
+    scans = tuple(theta for theta, _ in passes) + tuple(s for _, s in passes)
+
+    witness = next((i for i, scan in enumerate(scans) if scan.verdict == "refutes"), None)
+    if witness is not None:
+        verdict = "refuted"
+    elif any(scan.verdict == "inconclusive" for scan in scans):
+        verdict = "inconclusive"
+    else:
+        verdict = "consistent-with-embeddable"
+    return TransferReport(n=n, verdict=verdict, scans=scans, witness_scan=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -704,20 +709,14 @@ def blumenthal_sequence_scan(
         cond_i.append((k, float(np.min(vals)), float(np.max(vals))))
 
     if probes is None:
-        battery = build_probe_battery(space, r)
-        probes = list(combinations(battery, 2))
-        probe_names = {id(seq): f"probe{i}" for i, seq in enumerate(battery)}
-    else:
-        probe_names = {}
-        for pair in probes:
-            for seq in pair:
-                probe_names.setdefault(id(seq), f"probe{len(probe_names)}")
-
+        probes = list(combinations(build_probe_battery(space, r), 2))
+    # probes are named and tried singly in order of first appearance
+    probe_names: dict[int, str] = {}
     singles: list[PointSequence] = []
-    for pair in probes:
-        for seq in pair:
-            if all(seq is not s for s in singles):
-                singles.append(seq)
+    for seq in chain.from_iterable(probes):
+        if id(seq) not in probe_names:
+            probe_names[id(seq)] = f"probe{len(singles)}"
+            singles.append(seq)
 
     band = INSTABILITY_FACTOR * tol_det
     cond_ii: list[tuple[int, str, float, float]] = []

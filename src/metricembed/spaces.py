@@ -51,9 +51,6 @@ class MarkedSpace:
                 dm[i, j] = dm[j, i] = self.metric(points[i], points[j])
         return dm
 
-    def dist_to_p(self, points: Sequence) -> np.ndarray:
-        return np.array([self.metric(x, self.p) for x in points])
-
 
 def _euclid(a, b) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))

@@ -182,3 +182,22 @@ class TestScan:
     def test_nonpositive_tolerance_rejected(self, eq_file):
         with pytest.raises(SystemExit):
             main(["check-embed", eq_file, "--dim", "2", "--tol-det", "0"])
+
+    @pytest.mark.parametrize("flag", [["--scales", "junk"], ["--scales", "0.5:2:3"], ["--scales", "0.5:0.5:1"],
+                                      ["--scales", "0:0.5:4"], ["--samples", "0"], ["--samples", "-3"]])
+    def test_bad_ladder_or_samples_rejected(self, circle_cfg, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", circle_cfg, "--dim", "1"] + flag)
+        assert exc.value.code == 2
+        assert f"argument {flag[0]}" in capsys.readouterr().err
+
+    def test_sampler_cannot_serve_ladder_exit_3(self, tmp_path, capsys):
+        # a depth-3 tree resolves distances down to 2^-2 only, so the
+        # default ladder's rung 0.125 has no tuples to draw
+        cfg = tmp_path / "shallow.json"
+        cfg.write_text(json.dumps({"type": "ultrametric", "depth": 3, "arity": 2}))
+        assert main(["scan", str(cfg), "--dim", "1", "--samples", "8"]) == 3
+        out = json.loads(capsys.readouterr().out)
+        assert out["exit_code"] == 3
+        assert "below tree resolution" in out["error"]
+        assert out["config"]["space"]["depth"] == 3

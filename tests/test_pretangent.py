@@ -11,6 +11,7 @@ Derived values used below:
   limits are exactly 1, 1, sqrt(2).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -397,6 +398,29 @@ class TestTransferCheck:
         assert len(vanishing) == 4  # k = 3, 4 in both functional modes
         for s in vanishing:
             assert max(max(map(abs, s.per_scale_sup)), max(map(abs, s.per_scale_inf))) <= 1e-7
+        # scans[i] (Theta) and scans[i + n + 2] (S) read the same draws;
+        # Sch = (-1)^(k+1) D_k, so their extremes agree to rounding, judged
+        # against a unit floor as in the cross-engine acceptance criterion
+        assert [s.mode for s in rep.scans] == ["theta"] * 4 + ["s"] * 4
+        for th, sc in zip(rep.scans[:4], rep.scans[4:]):
+            assert (th.k, th.condition, th.samples_per_scale) == (sc.k, sc.condition, sc.samples_per_scale)
+            for a, b in zip(th.per_scale_inf + th.per_scale_sup, sc.per_scale_inf + sc.per_scale_sup):
+                assert abs(a - b) / max(abs(a), abs(b), 1.0) <= 1e-9
+
+    def test_each_tuple_drawn_once(self):
+        sp = plane((0.3, 0.4))
+        keys = []
+
+        def counting(scale, k, seed):
+            keys.append((scale, k, tuple(seed.spawn_key)))
+            return sp.sampler(scale, k, seed)
+
+        n, scales, samples = 2, scale_ladder(0.5, 0.5, 6), 8
+        rep = transfer_check(dataclasses.replace(sp, sampler=counting), n,
+                             budget=2 * (n + 2) * len(scales) * samples, scales=scales, seed=1)
+        assert all(s.samples_per_scale == samples for s in rep.scans)
+        assert len(keys) == (n + 2) * len(scales) * samples
+        assert len(set(keys)) == len(keys)
 
     def test_plane_refuted_at_1_with_witness(self):
         rep = transfer_check(plane(), 1, budget=4096, seed=0)
@@ -468,6 +492,10 @@ class TestBlumenthalScan:
         assert tails[1][0] == pytest.approx(2.0, abs=1e-9)
         assert tails[2][0] == pytest.approx(4.0, abs=1e-9)
         assert all(hi <= 1e-7 for _, _, _, hi in rep.condition_ii)
+        singles = [f"probe{i}" for i in range(4)]
+        pairs = [f"probe{i}+probe{j}" for i in range(4) for j in range(i + 1, 4)]
+        assert [label for _, label, _, _ in rep.condition_ii] == singles + pairs
+        assert [order for order, _, _, _ in rep.condition_ii] == [3] * 4 + [4] * 6
 
     def test_single_axis_supports_n1(self):
         r = NormalizingSequence.geometric(0.5, 0.5)
