@@ -3,7 +3,8 @@
 Exit codes: 0 positive result, 1 negative, 2 invalid input metric,
 3 IO/parse error (for ``scan`` also a config whose sampler cannot serve
 the requested ladder), 4 undetermined, 5 internal criterion disagreement
-(the two determinant engines are cross-oracles and must agree).
+(the two determinant engines are cross-oracles and must agree, and a
+``--realize`` factorization must accept what a decider accepted).
 
 Every JSON output embeds the run configuration including the seed;
 identical configurations produce byte-identical output.
@@ -25,7 +26,7 @@ from .embeddability import (
     realize_coordinates,
     schoenberg_check,
 )
-from .errors import MetricViolationError
+from .errors import MetricViolationError, NotEmbeddableError, RankExceedsRequestedError
 from .metric import load_space
 from .pretangent import scale_ladder, transfer_check
 from .spaces import marked_space_from_config
@@ -139,7 +140,9 @@ def cmd_check_embed(args) -> int:
             primary = v
     result = primary.to_json_dict()
     if args.realize and primary.embeddable == "yes":
-        real = realize_coordinates(space, args.dim)
+        real = _realize(space, args.dim, args, config)
+        if real is None:
+            return EXIT_DISAGREEMENT
         result["residual"] = real.max_residual
         result["coordinates"] = real.coords.tolist()
         result["achieved_dim"] = real.m
@@ -149,19 +152,33 @@ def cmd_check_embed(args) -> int:
     return code
 
 
+def _realize(space, n: int, args, config: dict):
+    """Coordinates for a space a decider accepted; None after emitting the
+    exit-5 payload when the factorization refuses them."""
+    try:
+        return realize_coordinates(space, n, tol_det=args.tol_det)
+    except (NotEmbeddableError, RankExceedsRequestedError) as exc:
+        _emit({"command": args.command, "config": config,
+               "error": f"criterion disagreement: realization failed: {exc}",
+               "exit_code": EXIT_DISAGREEMENT}, args.format, args.out)
+        return None
+
+
 def cmd_min_dim(args) -> int:
     space, err = _load(args.input, args.tol_metric)
     if err:
         code, msg = err
         _emit({"command": "min-dim", "error": msg, "exit_code": code}, args.format, args.out)
         return code
-    res = min_embedding_dimension(space)
+    res = min_embedding_dimension(space, tol_det=args.tol_det)
     result = {"feasible": res.feasible, "m": res.dim, "base_point": res.base,
-              "psd": {"psd": res.psd.psd, "rank": res.psd.rank, "mode": res.psd.mode,
+              "psd": {"psd": res.psd.psd, "rank": res.psd.rank,
                       "witness_subset": list(res.psd.witness_subset) if res.psd.witness_subset else None,
                       "witness_value": res.psd.witness_value}}
     if args.realize and res.feasible and res.dim and res.dim >= 1:
-        real = realize_coordinates(space, res.dim)
+        real = _realize(space, res.dim, args, _config_dict(args))
+        if real is None:
+            return EXIT_DISAGREEMENT
         result["coordinates"] = real.coords.tolist()
         result["residual"] = real.max_residual
     code = EXIT_YES if res.feasible else EXIT_NO

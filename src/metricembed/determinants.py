@@ -1,4 +1,5 @@
-"""Cayley-Menger and Schoenberg determinant engines.
+"""Cayley-Menger and Schoenberg determinant engines, the zero rule, and
+the pivoted factorization of the base-point form.
 
 Two independent determinant routes over the same distance data:
 
@@ -12,37 +13,45 @@ The two agree as ``Sch = (-1)^(k+1) D_k`` for arbitrary symmetric
 zero-diagonal data; the test suite verifies that identity by brute force
 rather than assuming it, and the embeddability module keeps both routes
 alive as mutual cross-checks.
+
+Every finite decision asks one question of a determinant: does it count
+as zero? :func:`within_band` is the only answer. ``psd_check`` factors a
+whole tau matrix with diagonal pivoting and asks that question of each
+pivot and each leftover Schur entry, so its rank, witness and pivot order
+follow the same rule as the determinant engines.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
-from .errors import MinorModeTooLargeError, NotSymmetricError, TupleTooShortError
+from .errors import NotSymmetricError, TupleTooShortError
 from .metric import FiniteMetricSpace, submatrix
 
-#: Relative tolerance for calling a determinant zero. The zero band for a
-#: determinant of an order-m matrix with largest |entry| a is
-#: ``tol_det * max(1, a)**m`` (determinants scale like entry^order, so an
-#: absolute threshold would be meaningless).
+#: Tolerance of the zero rule. A determinant of a (k+1)-point tuple counts
+#: as zero when, divided by the tuple's own largest distance to the power
+#: 2k, it lies within ``tol_det``. That quotient is the determinant taken
+#: after dividing the tuple's distances by the largest one, the degree-0
+#: form ``theta`` uses, so a verdict does not depend on the unit of
+#: distance and the finite and infinitesimal layers give ``tol_det`` one
+#: meaning.
 DEFAULT_TOL_DET = 1e-8
 
-#: all-minors PSD checking is exponential in the order; hard refusal above.
-MINOR_MODE_MAX_ORDER = 20
 
+def within_band(det, sq_max, k: int, tol_det: float = DEFAULT_TOL_DET):
+    """Whether the determinant of a (k+1)-point tuple counts as zero.
 
-def zero_band(matrix: np.ndarray, tol_det: float = DEFAULT_TOL_DET) -> float:
-    """Width of the "counts as zero" band for ``det(matrix)``."""
-    m = matrix.shape[0]
-    if m == 0:
-        return tol_det
-    a = float(np.max(np.abs(matrix)))
-    return tol_det * max(1.0, a) ** m
+    ``det`` is its Cayley-Menger or Schoenberg determinant and ``sq_max``
+    its largest squared distance; both may be arrays over a stack of
+    tuples. The test is ``|det| / sq_max**k <= tol_det``, written without
+    the division so that a tuple of coincident points (``sq_max = 0``)
+    counts as zero exactly when its determinant is.
+    """
+    return np.abs(det) <= tol_det * np.power(sq_max, k)
 
 
 @dataclass(frozen=True)
@@ -138,62 +147,116 @@ def sch_determinant(space: FiniteMetricSpace, t: Sequence[int]) -> float:
     return sch_value(submatrix(space, t))
 
 
+
+
 @dataclass(frozen=True)
 class PsdReport:
-    """Outcome of a positive-semidefiniteness check."""
+    """Outcome of the pivoted factorization of a symmetric matrix."""
 
     psd: bool
+    #: accepted pivots: the rank when ``psd``, else the count taken before
+    #: the violation was found
     rank: int
-    mode: str
-    #: violating principal-minor index subset (all-minors mode) or None
+    #: sorted row subset of a violating principal minor, or None
     witness_subset: tuple[int, ...] | None = None
-    #: value of the violating minor / the most negative eigenvalue
+    #: determinant of that principal minor
     witness_value: float | None = None
+    #: accepted pivot rows in the order taken
+    pivots: tuple[int, ...] = ()
+    #: (order x rank) factor F over the accepted pivots; the matrix is
+    #: F F^T up to the zero rule when ``psd``
+    factor: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.factor is not None:
+            f = np.asarray(self.factor, dtype=float)
+            f.flags.writeable = False
+            object.__setattr__(self, "factor", f)
 
 
-def psd_check(
-    m: np.ndarray,
-    mode: str | None = None,
-    tol: float = 1e-9,
-) -> PsdReport:
-    """Decide positive semidefiniteness and rank of a symmetric matrix.
+def psd_check(m: np.ndarray, tol_det: float = DEFAULT_TOL_DET) -> PsdReport:
+    """Decide positive semidefiniteness and rank by diagonal-pivoted Cholesky.
 
-    ``mode="all-minors"`` checks every principal minor (the classical
-    criterion; exhaustive, refused above order 20), ``mode="spectral"``
-    checks the smallest eigenvalue against ``-tol * ||m||``. Default is
-    all-minors up to order 8, spectral above. Rank is always counted
-    spectrally: eigenvalues above ``tol * ||m||``.
+    ``m`` is read as the tau matrix of a tuple (base, row 0, row 1, ...),
+    whose squared distances it determines: ``d^2(base, i) = m_ii / 2`` and
+    ``d^2(i, j) = (m_ii + m_jj) / 2 - m_ij``. A pivot or a Schur entry of
+    the rows B taken so far stands for a principal minor of ``m``, the
+    Schoenberg determinant of a tuple, and :func:`within_band` judges it on
+    that tuple's own largest distance:
+
+    * each step takes the largest diagonal Schur entry S_cc whose minor
+      ``det m[B+c] = det m[B] * S_cc`` is outside the band; an entry whose
+      minor is outside the band and negative is a violation. Pivoting on
+      the largest S_cc grows the largest-volume simplex greedily (Higham
+      1990; Blumenthal 1953).
+    * once no pivot is left, the Schur complement must vanish: every
+      single S_yy and every pair ``S_yy S_zz - S_yz^2``, the latter
+      judged on the tuple (base, B, y, z).
+
+    The report carries the accepted pivots (their count is the rank), the
+    factor and, for a matrix that is not PSD, the violating minor.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSymmetricError(f"matrix must be square, got shape {m.shape}")
     n = m.shape[0]
-    if n == 0:
-        return PsdReport(psd=True, rank=0, mode=mode or "spectral")
-    scale = float(np.max(np.abs(m)))
-    if float(np.max(np.abs(m - m.T))) > tol * max(1.0, scale):
+    if np.max(np.abs(m - m.T), initial=0.0) > tol_det * np.max(np.abs(m), initial=0.0):
         raise NotSymmetricError("matrix is not symmetric")
-    if mode is None:
-        mode = "all-minors" if n <= 8 else "spectral"
-    if mode not in ("all-minors", "spectral"):
-        raise ValueError(f"unknown psd mode {mode!r}")
+    diag = np.diag(m)
+    sq = np.abs((diag[:, None] + diag[None, :]) / 2.0 - m)
+    # largest squared distance from each row to the base and the pivots taken
+    reach = np.abs(diag) / 2.0
+    scale = max(np.max(sq, initial=0.0), np.max(reach, initial=0.0))
+    if scale == 0.0:
+        # every recovered distance vanishes only for the zero matrix
+        return PsdReport(psd=True, rank=0, factor=np.zeros((n, 0)))
+    # work relative to the largest distance, so that no step depends on the unit
+    s = (m + m.T) / (2.0 * scale)
+    sq /= scale
+    reach /= scale
+    rest = np.arange(n)
+    pivots: list[int] = []
+    cols: list[np.ndarray] = []
+    det = 1.0  # det s[B]
+    taken = 0.0  # largest squared distance within (base, B)
 
-    eigs = np.linalg.eigvalsh((m + m.T) / 2.0)
-    norm = float(np.max(np.abs(eigs))) if n else 0.0
-    rank = int(np.sum(eigs > tol * max(norm, 1e-300)))
+    def finish(rows=None, value=None) -> PsdReport:
+        factor = np.stack(cols, axis=1) * math.sqrt(scale) if cols else np.zeros((n, 0))
+        subset = None if rows is None else tuple(sorted(int(r) for r in rows))
+        return PsdReport(psd=rows is None, rank=len(pivots), witness_subset=subset,
+                         witness_value=None if value is None else float(value),
+                         pivots=tuple(pivots), factor=factor)
 
-    if mode == "spectral":
-        lam_min = float(eigs[0])
-        psd = lam_min >= -tol * norm
-        return PsdReport(psd=psd, rank=rank, mode=mode, witness_value=None if psd else lam_min)
+    while rest.size:
+        k = len(pivots) + 1
+        d = s[rest, rest]
+        minors = det * d
+        live = ~within_band(minors, np.maximum(taken, reach[rest]), k, tol_det)
+        if np.any(live & (d < 0)):
+            j = int(np.argmin(np.where(live, d, np.inf)))
+            return finish(pivots + [rest[j]], minors[j] * scale**k)
+        if not np.any(live):
+            break
+        j = int(np.argmax(np.where(live, d, -np.inf)))
+        c = int(rest[j])
+        col = s[:, c] / math.sqrt(d[j])
+        s -= np.outer(col, col)
+        det *= d[j]
+        taken = max(taken, reach[c])
+        reach = np.maximum(reach, sq[c])
+        pivots.append(c)
+        cols.append(col)
+        rest = np.delete(rest, j)
 
-    if n > MINOR_MODE_MAX_ORDER:
-        raise MinorModeTooLargeError(f"all-minors mode refused for order {n} > {MINOR_MODE_MAX_ORDER}")
-    for size in range(1, n + 1):
-        band = tol * max(1.0, scale) ** size
-        for subset in combinations(range(n), size):
-            ix = np.asarray(subset)
-            minor = float(np.linalg.det(m[np.ix_(ix, ix)]))
-            if minor < -band:
-                return PsdReport(psd=False, rank=rank, mode=mode, witness_subset=subset, witness_value=minor)
-    return PsdReport(psd=True, rank=rank, mode=mode)
+    if rest.size > 1:
+        k = len(pivots) + 2
+        block = s[np.ix_(rest, rest)]
+        d = np.diag(block)
+        minors = det * (d[:, None] * d[None, :] - block * block)
+        r = reach[rest]
+        pair_sq = np.maximum(np.maximum(taken, sq[np.ix_(rest, rest)]), np.maximum(r[:, None], r[None, :]))
+        bad = np.triu(~within_band(minors, pair_sq, k, tol_det) & (minors < 0), 1)
+        if np.any(bad):
+            y, z = np.unravel_index(int(np.argmin(np.where(bad, minors, np.inf))), bad.shape)
+            return finish(pivots + [rest[y], rest[z]], minors[y, z] * scale**k)
+    return finish()

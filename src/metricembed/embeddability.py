@@ -6,15 +6,19 @@ Three decision routes over the same space:
   (k+1)-tuples with k <= n, plus ``D_k = 0`` for k = n+1, n+2. Subsets of
   at most n+3 points suffice, so enumeration stops there.
 * ``schoenberg_check``: the same tuple ranges with ``Sch >= 0`` / ``= 0``,
-  evaluated for every choice of base point within each subset.
-* ``blumenthal_basis_search``: hunts for n+1 points with strictly positive
-  signed determinants at every prefix order, then verifies that adding any
-  one or two further points keeps the order n+1 / n+2 determinants at zero.
-  Success pins the minimal embedding dimension to exactly n.
+  each tuple evaluated once with its first point as the base (the value
+  does not depend on the base).
+* ``blumenthal_basis_search``: n+1 points with strictly positive signed
+  determinants at every prefix order such that adding any one or two
+  further points keeps the order n+1 / n+2 determinants at zero. Success
+  pins the minimal embedding dimension to exactly n.
 
-``min_embedding_dimension`` and ``realize_coordinates`` use the base-point
-quadratic form: PSD rank gives the dimension, spectral factorization of
-tau/2 gives coordinates.
+Both engines judge each tuple by :func:`~metricembed.determinants.within_band`.
+``blumenthal_basis_search``, ``min_embedding_dimension`` and
+``realize_coordinates`` read one diagonal-pivoted factorization of the
+base-point form tau (``psd_check``), which applies the same rule: its rank
+is the minimal dimension, its pivot order the basis, its factor the
+coordinates.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
 
 import numpy as np
 
@@ -31,6 +34,7 @@ from .determinants import (
     PsdReport,
     psd_check,
     tau_from_matrix,
+    within_band,
 )
 from .errors import (
     DimensionOutOfRangeError,
@@ -112,7 +116,6 @@ class MinDimResult:
     dim: int | None
     psd: PsdReport
     base: int
-    verified: EmbedVerdict | None = None
 
 
 def _subsets(n_points: int, size: int, seed: int, budget: int) -> tuple[np.ndarray, bool]:
@@ -125,36 +128,35 @@ def _subsets(n_points: int, size: int, seed: int, budget: int) -> tuple[np.ndarr
     return combos, False
 
 
-def _cm_batch(sq: np.ndarray, combos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Signed CM determinants and zero bands for a stack of index tuples."""
+def _normalized(sq: np.ndarray, combos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared-distance submatrices of a stack of index tuples, each divided
+    by its own largest entry, and those largest entries."""
     sub = sq[combos[:, :, None], combos[:, None, :]]
+    scale = sub.reshape(len(combos), -1).max(axis=1)
+    return sub / scale[:, None, None], scale
+
+
+def _cm_batch(sq: np.ndarray, combos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed CM determinants and largest squared distances of index tuples."""
+    sub, scale = _normalized(sq, combos)
     c, s = combos.shape
     b = np.ones((c, s + 1, s + 1))
     b[:, 0, 0] = 0.0
     b[:, 1:, 1:] = sub
-    dets = np.linalg.det(b)
     k = s - 1
-    signed = (-1.0) ** (k + 1) * dets
-    max_entry = np.maximum(1.0, sub.reshape(c, -1).max(axis=1))
-    return signed, max_entry ** (s + 1)
+    return (-1.0) ** (k + 1) * np.linalg.det(b) * scale**k, scale
 
 
-def _sch_batch(sq: np.ndarray, combos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sch determinants for every base choice within each index tuple.
+def _sch_batch(sq: np.ndarray, combos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sch determinants, base = first index, and largest squared distances.
 
-    Returns (values, band_scale, tuples) where tuples[i] is the rolled
-    index tuple whose first entry is the base. The zero band mirrors the
-    Cayley-Menger one: the two determinants carry the same magnitude, and
-    sharing the band keeps the two criteria's tolerance semantics aligned.
+    The value does not depend on the base (it equals the signed CM
+    determinant), so each tuple is evaluated once.
     """
-    c, s = combos.shape
-    rolled = np.concatenate([np.roll(combos, -r, axis=1) for r in range(s)], axis=0)
-    sub = sq[rolled[:, :, None], rolled[:, None, :]]
+    sub, scale = _normalized(sq, combos)
     s0 = sub[:, 0, 1:]
     tau = s0[:, :, None] + s0[:, None, :] - sub[:, 1:, 1:]
-    dets = np.linalg.det(tau)
-    max_entry = np.maximum(1.0, sub.reshape(sub.shape[0], -1).max(axis=1))
-    return dets, max_entry ** (s + 1), rolled
+    return np.linalg.det(tau) * scale ** (combos.shape[1] - 1), scale
 
 
 def _scan_criterion(
@@ -179,30 +181,29 @@ def _scan_criterion(
         exhaustive = exhaustive and exact
         if combos.size == 0:
             return None
-        if engine == "menger":
-            signed, scale = _cm_batch(sq, combos)
-            return signed, tol_det * scale, combos
-        values, scale, rolled = _sch_batch(sq, combos)
-        return values, tol_det * scale, rolled
+        values, scale = (_cm_batch if engine == "menger" else _sch_batch)(sq, combos)
+        return values, within_band(values, scale, size - 1, tol_det), combos
+
+    def witness(tuples, i, value, kind):
+        t = tuple(int(x) for x in tuples[i])
+        return Witness(t, len(t) - 1, float(value), kind, base=t[0] if engine == "schoenberg" else None)
 
     # Sign conditions for k = 1 .. n (tuple sizes 2 .. n+1).
     for size in range(2, min(n + 1, npts) + 1):
         out = evaluate(size)
         if out is None:
             continue
-        values, bands, tuples = out
-        hard = values < -bands
+        values, zero, tuples = out
+        negative = values < 0
+        hard = negative & ~zero
         if np.any(hard):
             i = int(np.argmax(hard))
-            w = Witness(tuple(int(x) for x in tuples[i]), size - 1, float(values[i]), "sign",
-                        base=int(tuples[i][0]) if engine == "schoenberg" else None)
-            return EmbedVerdict("no", n, engine, w, exhaustive, borderline, tol_det)
-        soft = values < 0
-        if np.any(soft):
-            borderline += int(np.sum(soft))
+            return EmbedVerdict("no", n, engine, witness(tuples, i, values[i], "sign"), exhaustive, borderline,
+                                tol_det)
+        if np.any(negative):
+            borderline += int(np.sum(negative))
             i = int(np.argmin(values))
-            worst_borderline = Witness(tuple(int(x) for x in tuples[i]), size - 1, float(values[i]), "sign",
-                                       base=int(tuples[i][0]) if engine == "schoenberg" else None)
+            worst_borderline = witness(tuples, i, values[i], "sign")
 
     # Vanishing conditions at orders k = n+1 and n+2 (sizes n+2, n+3).
     for size in (n + 2, n + 3):
@@ -211,16 +212,14 @@ def _scan_criterion(
         out = evaluate(size)
         if out is None:
             continue
-        values, bands, tuples = out
-        hard = np.abs(values) > bands
-        if np.any(hard):
-            i = int(np.argmax(hard))
+        values, zero, tuples = out
+        if not np.all(zero):
+            i = int(np.argmin(zero))
             # report the raw determinant that failed to vanish (the menger
             # engine computes the embeddability-signed variant internally)
-            raw = float(values[i] * (-1.0) ** size) if engine == "menger" else float(values[i])
-            w = Witness(tuple(int(x) for x in tuples[i]), size - 1, raw, "vanishing",
-                        base=int(tuples[i][0]) if engine == "schoenberg" else None)
-            return EmbedVerdict("no", n, engine, w, exhaustive, borderline, tol_det)
+            raw = values[i] * (-1.0) ** size if engine == "menger" else values[i]
+            return EmbedVerdict("no", n, engine, witness(tuples, i, raw, "vanishing"), exhaustive, borderline,
+                                tol_det)
 
     if borderline:
         return EmbedVerdict("undetermined", n, engine, worst_borderline, exhaustive, borderline, tol_det)
@@ -265,85 +264,45 @@ def full_tau(space: FiniteMetricSpace, base: int | None = None) -> tuple[np.ndar
     return tau_from_matrix(dm), base, order
 
 
-def min_embedding_dimension(space: FiniteMetricSpace, tol: float = 1e-9) -> MinDimResult:
-    """Minimal E^m admitting the space, via PSD rank of the full tau matrix."""
+def min_embedding_dimension(space: FiniteMetricSpace, tol_det: float = DEFAULT_TOL_DET) -> MinDimResult:
+    """Minimal E^m admitting the space: the rank of the pivoted factorization
+    of the full tau matrix, or infeasibility with its violating minor."""
     if space.n_points == 0:
         raise ValueError("empty space")
     if space.n_points == 1:
-        return MinDimResult(True, 0, PsdReport(psd=True, rank=0, mode="spectral"), base=0)
+        return MinDimResult(True, 0, psd_check(np.zeros((0, 0))), base=0)
     tau, base, _ = full_tau(space)
-    report = psd_check(tau, tol=tol)
-    if not report.psd:
-        return MinDimResult(False, None, report, base)
-    m = report.rank
-    verified = schoenberg_check(space, max(m, 1))
-    if verified.embeddable == "no":
-        return MinDimResult(False, None, report, base, verified)
-    return MinDimResult(True, m, report, base, verified)
+    report = psd_check(tau, tol_det)
+    return MinDimResult(report.psd, report.rank if report.psd else None, report, base)
 
 
-def realize_coordinates(
-    space: FiniteMetricSpace,
-    n: int,
-    tol: float = 1e-9,
-    check: EmbedVerdict | None = None,
-) -> Realization:
+def realize_coordinates(space: FiniteMetricSpace, n: int, tol_det: float = DEFAULT_TOL_DET) -> Realization:
     """Coordinates in R^m (m <= n) reproducing the distance matrix.
 
-    Factors tau/2 spectrally, discarding eigenvalues below ``tol * ||G||``.
-    Point 0 ends up at the origin. ``check`` may carry a precomputed
-    schoenberg verdict; otherwise one is run (and "no" raises).
+    Read off the factor of tau = 2 G: point 0 ends up at the origin.
+    Raises when tau is not PSD or its rank exceeds ``n``.
     """
     if n < 1:
         raise DimensionOutOfRangeError(f"target dimension must be >= 1, got {n}")
     npts = space.n_points
     if npts == 1:
         return Realization(coords=np.zeros((1, 0)), m=0, max_residual=0.0)
-    if check is None:
-        check = schoenberg_check(space, n)
-    if check.embeddable == "no":
-        raise NotEmbeddableError(f"space is not embeddable in E^{n}: witness {check.witness}")
+    tau, _, order = full_tau(space)
+    report = psd_check(tau, tol_det)
+    if not report.psd:
+        raise NotEmbeddableError(f"space is not embeddable in E^{n}: tau minor on rows {report.witness_subset} "
+                                 f"is {report.witness_value}")
+    if report.rank > n:
+        raise RankExceedsRequestedError(f"gram rank {report.rank} exceeds requested dimension {n}")
 
-    tau, base, order = full_tau(space)
-    gram = tau / 2.0
-    eigs, vecs = np.linalg.eigh(gram)
-    norm = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    keep = eigs > tol * max(norm, 1e-300)
-    m = int(np.sum(keep))
-    if m > n:
-        raise RankExceedsRequestedError(f"gram rank {m} exceeds requested dimension {n}")
-    rest = vecs[:, keep] * np.sqrt(eigs[keep])
-
-    coords = np.zeros((npts, m))
-    for row, point in enumerate(order[1:]):
-        coords[point] = rest[row]
+    coords = np.zeros((npts, report.rank))
+    coords[order[1:]] = report.factor / math.sqrt(2.0)
     coords = coords - coords[0]
 
     diff = coords[:, None, :] - coords[None, :, :]
     realized = np.sqrt(np.sum(diff * diff, axis=-1))
     residual = float(np.max(np.abs(realized - space.dist)))
-    return Realization(coords=coords, m=m, max_residual=residual)
-
-
-def _signed_cm_of(sq: np.ndarray, idx: Sequence[int]) -> tuple[float, float]:
-    """Signed CM determinant and zero band for one index tuple."""
-    combos = np.asarray([list(idx)], dtype=int)
-    signed, scale = _cm_batch(sq, combos)
-    return float(signed[0]), float(scale[0])
-
-
-def _verify_vanishing(sq: np.ndarray, basis: Sequence[int], npts: int, tol_det: float) -> bool:
-    """D at orders n+1 and n+2 must vanish for every extension of the basis."""
-    rest = [i for i in range(npts) if i not in set(basis)]
-    for y in rest:
-        signed, scale = _signed_cm_of(sq, list(basis) + [y])
-        if abs(signed) > tol_det * scale:
-            return False
-    for y, z in combinations(rest, 2):
-        signed, scale = _signed_cm_of(sq, list(basis) + [y, z])
-        if abs(signed) > tol_det * scale:
-            return False
-    return True
+    return Realization(coords=coords, m=report.rank, max_residual=residual)
 
 
 def blumenthal_basis_search(
@@ -351,52 +310,20 @@ def blumenthal_basis_search(
     n: int,
     tol_det: float = DEFAULT_TOL_DET,
 ) -> tuple[int, ...] | None:
-    """Search for n+1 points witnessing embeddability with rank exactly n.
+    """n+1 points witnessing embeddability with rank exactly n, or None.
 
-    Greedy growth by the largest signed determinant, falling back to
-    exhaustive (n+1)-subset enumeration for spaces of at most 16 points.
-    Returns None when no basis exists (including when the space has fewer
-    than n+1 points, where the required points cannot exist at all).
+    The base of the factorization followed by its n pivots: every prefix
+    has a determinant outside the zero band, and the factorization's
+    vanishing Schur complement is the vanishing of every order n+1 / n+2
+    determinant on the basis extended by one or two points. Succeeds
+    exactly when tau is PSD of rank n.
     """
     if n < 1:
         raise DimensionOutOfRangeError(f"target dimension must be >= 1, got {n}")
-    npts = space.n_points
-    if npts < n + 1:
+    if space.n_points < n + 1:
         return None
-    sq = space.dist * space.dist
-
-    def grow_greedy() -> tuple[int, ...] | None:
-        pairs = np.array(list(combinations(range(npts), 2)), dtype=int)
-        signed, scale = _cm_batch(sq, pairs)
-        best = int(np.argmax(signed))
-        if signed[best] <= tol_det * scale[best]:
-            return None
-        current = [int(pairs[best][0]), int(pairs[best][1])]
-        while len(current) < n + 1:
-            cands = [i for i in range(npts) if i not in current]
-            if not cands:
-                return None
-            combos = np.array([current + [c] for c in cands], dtype=int)
-            signed, scale = _cm_batch(sq, combos)
-            best = int(np.argmax(signed))
-            if signed[best] <= tol_det * scale[best]:
-                return None
-            current.append(cands[best])
-        return tuple(current)
-
-    basis = grow_greedy()
-    if basis is not None and _verify_vanishing(sq, basis, npts, tol_det):
-        return basis
-
-    if npts > 16:
+    tau, base, order = full_tau(space)
+    report = psd_check(tau, tol_det)
+    if not (report.psd and report.rank == n):
         return None
-    for combo in combinations(range(npts), n + 1):
-        ok = True
-        for k in range(1, n + 1):
-            signed, scale = _signed_cm_of(sq, combo[: k + 1])
-            if signed <= tol_det * scale:
-                ok = False
-                break
-        if ok and _verify_vanishing(sq, combo, npts, tol_det):
-            return combo
-    return None
+    return (base,) + tuple(order[1 + p] for p in report.pivots)

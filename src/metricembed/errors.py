@@ -52,10 +52,6 @@ class NotSymmetricError(ValueError):
     """Matrix argument expected to be symmetric."""
 
 
-class MinorModeTooLargeError(ValueError):
-    """all-minors PSD mode is exponential; refused above order 20."""
-
-
 class DimensionOutOfRangeError(ValueError):
     """Target dimension n must be >= 1."""
 

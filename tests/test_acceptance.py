@@ -39,6 +39,7 @@ from metricembed import (
     validate_metric,
     NormalizingSequence,
 )
+from metricembed.determinants import within_band
 from metricembed.spaces import perturbed_euclidean_space
 
 from conftest import affine_rank, cloud_space, random_cloud
@@ -335,3 +336,104 @@ def test_criterion_10_ultrametric_determination():
     assert min(values) == 0.0 or min(values) > 0  # exact, no tolerance involved
     report(10, f"ultra-triangle functional >= 0 exactly on 1000 sampled triples "
                f"(min {min(values)})")
+
+
+LAMBDAS = (1e-6, 1e-3, 1.0, 1e3, 1e6)
+TETRAHEDRON = validate_metric(np.ones((4, 4)) - np.eye(4))
+CYCLE4 = validate_metric([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]])
+
+
+def _signed_cm_stack(sq: np.ndarray, tuples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed CM determinants and their zero-rule verdicts for index tuples."""
+    c, s = tuples.shape
+    sub = sq[tuples[:, :, None], tuples[:, None, :]]
+    b = np.ones((c, s + 1, s + 1))
+    b[:, 0, 0] = 0.0
+    b[:, 1:, 1:] = sub
+    signed = (-1.0) ** s * np.linalg.det(b)
+    return signed, within_band(signed, sub.reshape(c, -1).max(axis=1), s - 1, TOL_DET)
+
+
+def _blumenthal_oracle(space, n: int) -> bool:
+    """Brute force: some (n+1)-subset has positive signed determinants at
+    every prefix order, and every one- or two-point extension vanishes."""
+    npts = space.n_points
+    if npts < n + 1:
+        return False
+    sq = space.dist * space.dist
+    subsets = np.array(list(combinations(range(npts), n + 1)))
+    ok = np.ones(len(subsets), dtype=bool)
+    for size in range(2, n + 2):
+        signed, zero = _signed_cm_stack(sq, subsets[:, :size])
+        ok &= (signed > 0) & ~zero
+    for basis in subsets[ok]:
+        rest = [i for i in range(npts) if i not in set(basis)]
+        singles = [list(basis) + [y] for y in rest]
+        pairs = [list(basis) + [y, z] for y, z in combinations(rest, 2)]
+        if all(np.all(_signed_cm_stack(sq, np.array(e))[1]) for e in (singles, pairs) if e):
+            return True
+    return False
+
+
+def _criterion_11_spaces() -> list[tuple[str, object, int | None]]:
+    """(name, space, minimal dimension or None) for the scale-invariance
+    suite; every space has at most 10 points, small enough for the
+    brute-force Blumenthal oracle."""
+    spaces = [("star", STAR, None), ("tetrahedron", TETRAHEDRON, 3), ("cycle4", CYCLE4, None)]
+    rng = np.random.default_rng(1111)
+    for i in range(20):
+        rank = 1 + i % 4
+        n_pts = int(rng.integers(rank + 2, 11))
+        flat = random_cloud(rng, n_pts, rank)
+        q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+        pts = np.hstack([flat, np.zeros((n_pts, 5 - rank))]) @ q.T
+        spaces.append((f"cloud{i}", cloud_space(pts), affine_rank(pts)))
+    return spaces
+
+
+def test_criterion_11_scale_invariance():
+    start = time.perf_counter()
+    checks = 0
+    for name, unit_space, rank in _criterion_11_spaces():
+        dims = range(1, 4) if rank is None else range(1, rank + 2)
+        reference = None
+        for lam in LAMBDAS:
+            sp = scale_metric(unit_space, lam)
+            md = min_embedding_dimension(sp, tol_det=TOL_DET)
+            assert md.feasible == (rank is not None), (name, lam)
+            assert md.dim == rank, (name, lam, md.dim)
+            verdicts = []
+            for n in dims:
+                mv = menger_check(sp, n, tol_det=TOL_DET).embeddable
+                sv = schoenberg_check(sp, n, tol_det=TOL_DET).embeddable
+                basis = blumenthal_basis_search(sp, n, tol_det=TOL_DET)
+                expected = "yes" if rank is not None and n >= rank else "no"
+                # a determined verdict is the right one; n = rank + 1 may sit
+                # in the band (borderline), which downgrades to undetermined
+                assert {mv, sv} - {"undetermined"} <= {expected}, (name, lam, n, mv, sv)
+                assert (basis is not None) == (n == rank), (name, lam, n, basis)
+                assert (basis is not None) == _blumenthal_oracle(sp, n), (name, lam, n)
+                if rank is not None and n > rank:
+                    # every (rank+2)-tuple is flat, so its sign condition reads
+                    # rounding noise, and a noise value below zero is borderline
+                    # at any scale: only the factorization's answer is compared
+                    mv = sv = None
+                verdicts.append((mv, sv, basis is not None))
+                checks += 1
+            signature = (md.feasible, md.dim, verdicts)
+            reference = reference or signature
+            assert signature == reference, (name, lam, signature, reference)
+            if rank is None:
+                continue
+            real = realize_coordinates(sp, rank, tol_det=TOL_DET)
+            assert real.m == rank
+            assert real.max_residual <= 1e-7 * float(np.max(sp.dist)), (name, lam, real.max_residual)
+            # Schoenberg confirms min-dim: it accepts m and rejects m - 1
+            assert schoenberg_check(sp, rank, tol_det=TOL_DET).embeddable == "yes", (name, lam)
+            if rank >= 2:
+                assert schoenberg_check(sp, rank - 1, tol_det=TOL_DET).embeddable == "no", (name, lam)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 60.0, elapsed
+    report(11, f"star, tetrahedron, 4-cycle and 20 SVD-ranked clouds at lambda = 1e-6 .. 1e6: "
+               f"menger, schoenberg, blumenthal (= brute-force oracle) and min-dim scale-invariant "
+               f"over {checks} checks; residual <= 1e-7 max d; {elapsed:.1f}s")

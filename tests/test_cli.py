@@ -1,10 +1,16 @@
 """CLI surface: exit codes, formats, determinism."""
 
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from metricembed import cli
 from metricembed.cli import main
+from metricembed.errors import NotEmbeddableError, RankExceedsRequestedError
 
 EQ = {"labels": ["a", "b", "c"], "distances": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}
 STAR = [[0, 1, 1, 1], [1, 0, 2, 2], [1, 2, 0, 2], [1, 2, 2, 0]]
@@ -101,6 +107,40 @@ class TestMinDim:
         assert main(["min-dim", str(path)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["result"]["m"] == 1
+
+    def test_tol_det_reaches_factorization(self, tmp_path, capsys):
+        # a tetrahedron of height 1e-3: its volume is outside the default
+        # band and inside a band of 1e-3, for min-dim and for realization
+        pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.3, 0.3, 1e-3]])
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps({"labels": list("abcd"),
+                                    "distances": np.linalg.norm(pts[:, None] - pts[None], axis=-1).tolist()}))
+        for tol, m in (("1e-8", 3), ("1e-3", 2)):
+            assert main(["min-dim", str(path), "--realize", "--tol-det", tol]) == 0
+            out = json.loads(capsys.readouterr().out)["result"]
+            assert out["m"] == m and len(out["coordinates"][0]) == m, tol
+            assert main(["check-embed", str(path), "--dim", "3", "--realize", "--tol-det", tol]) == 0
+            assert json.loads(capsys.readouterr().out)["result"]["achieved_dim"] == m, tol
+
+
+class TestRealizeRefused:
+    """A decider accepted the space but the factorization refuses its
+    coordinates: the two routes disagree, which is exit 5 with a JSON
+    error. Both routes apply the same zero rule to the same tuples, so no
+    exhaustively decided input reaches this; the refusal is injected."""
+
+    @pytest.mark.parametrize("error", [NotEmbeddableError, RankExceedsRequestedError])
+    @pytest.mark.parametrize("argv", [["check-embed", "--dim", "2", "--realize"], ["min-dim", "--realize"]])
+    def test_exit_5_with_json(self, eq_file, argv, error, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise error("refused")
+
+        monkeypatch.setattr(cli, "realize_coordinates", refuse)
+        assert main([argv[0], eq_file] + argv[1:]) == 5
+        out = json.loads(capsys.readouterr().out)
+        assert out["exit_code"] == 5
+        assert "refused" in out["error"]
+        assert "result" not in out
 
 
 class TestUndetermined:
@@ -201,3 +241,15 @@ class TestScan:
         assert out["exit_code"] == 3
         assert "below tree resolution" in out["error"]
         assert out["config"]["space"]["depth"] == 3
+
+
+def test_traced_layer_functions_resolve():
+    # the benchmark's tracer wraps these package attributes by name; a
+    # rename must fail here rather than silently drop a per-layer metric
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.LAYER_FUNCTIONS
+    for module, attr in tracer.LAYER_FUNCTIONS:
+        assert callable(getattr(importlib.import_module(f"metricembed.{module}"), attr)), (module, attr)

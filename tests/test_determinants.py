@@ -10,6 +10,8 @@ Expected values are hand-derived:
 * coplanar quadruples (unit square) have zero 3-simplex volume: D_3 = 0.
 """
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,8 +28,8 @@ from metricembed import (
     tau_matrix,
     validate_metric,
 )
-from metricembed.determinants import zero_band, bordered_matrix
-from metricembed.errors import MinorModeTooLargeError, NotSymmetricError, TupleTooShortError
+from metricembed.determinants import within_band
+from metricembed.errors import NotSymmetricError, TupleTooShortError
 from metricembed.spaces import perturbed_euclidean_space
 
 
@@ -49,8 +51,10 @@ class TestCayleyMenger:
 
     def test_unit_square_coplanar(self, unit_square):
         cm = cm_determinant(unit_square, (0, 1, 2, 3))
-        band = zero_band(bordered_matrix(unit_square.dist))
-        assert abs(cm.value) <= band
+        assert within_band(cm.value, np.max(unit_square.dist) ** 2, 3)
+        # a regular tetrahedron of the same size is not flat
+        tet = validate_metric(np.ones((4, 4)) - np.eye(4))
+        assert not within_band(cm_determinant(tet, (0, 1, 2, 3)).value, 1.0, 3)
 
     def test_signed_value_parity(self):
         # signed_value = (-1)^(k+1) * value by definition
@@ -75,9 +79,9 @@ class TestCayleyMenger:
         sp = perturbed_euclidean_space(5, seed=2)
         for t in [(0, 0, 1), (0, 1, 1, 2), (3, 2, 3)]:
             cm = cm_determinant(sp, t)
-            band = zero_band(bordered_matrix(sp.dist), 1e-12)
-            assert abs(cm.value) <= band
-            assert abs(sch_determinant(sp, t)) <= band
+            sq_max = float(np.max(sp.dist[np.ix_(t, t)])) ** 2
+            assert within_band(cm.value, sq_max, len(t) - 1, 1e-12)
+            assert within_band(sch_determinant(sp, t), sq_max, len(t) - 1, 1e-12)
 
 
 class TestVolume:
@@ -134,6 +138,20 @@ class TestCrossEngine:
             sch = sch_value(m)
             assert sch == pytest.approx(cm.signed_value, rel=1e-8, abs=1e-10)
 
+    def test_sch_independent_of_base(self):
+        # Sch is evaluated with one base per tuple; verify by brute force
+        # that every rotation of the tuple (every base) gives the same value
+        rng = np.random.default_rng(43)
+        for _ in range(2000):
+            n = int(rng.integers(2, 7))
+            m = rng.uniform(0.02, 2.0, size=(n, n))
+            m = (m + m.T) / 2
+            np.fill_diagonal(m, 0.0)
+            first = sch_value(m)
+            for r in range(1, n):
+                order = np.roll(np.arange(n), -r)
+                assert sch_value(m[np.ix_(order, order)]) == pytest.approx(first, rel=1e-8)
+
 
 class TestHomogeneity:
     @settings(max_examples=60, deadline=None)
@@ -160,33 +178,36 @@ class TestPsd:
 
     def test_indefinite_with_witness(self):
         m = np.array([[1.0, 2.0], [2.0, 1.0]])
-        rep = psd_check(m, mode="spectral")
+        rep = psd_check(m)
         assert not rep.psd
-        assert rep.witness_value == pytest.approx(-1.0)
-        rep2 = psd_check(m, mode="all-minors")
-        assert not rep2.psd
-        assert rep2.witness_subset == (0, 1)
-        assert rep2.witness_value == pytest.approx(-3.0)
+        assert rep.witness_subset == (0, 1)
+        assert rep.witness_value == pytest.approx(-3.0)
 
     def test_modes_agree_on_small_integer_matrices(self):
+        # the pivoted factorization against the classical criterion: a
+        # symmetric matrix is PSD iff every principal minor is >= 0
         rng = np.random.default_rng(9)
         for _ in range(300):
             n = int(rng.integers(1, 7))
             m = rng.integers(-2, 3, size=(n, n)).astype(float)
             m = (m + m.T) / 2
-            a = psd_check(m, mode="all-minors")
-            b = psd_check(m, mode="spectral")
-            assert a.psd == b.psd, m
-            assert a.rank == b.rank
+            rep = psd_check(m)
+            assert rep.psd == _all_minors_psd(m), m
+            if rep.psd:
+                assert rep.rank == np.linalg.matrix_rank(m), m
+            else:
+                ix = np.asarray(rep.witness_subset)
+                assert rep.witness_value == pytest.approx(np.linalg.det(m[np.ix_(ix, ix)]))
+                assert rep.witness_value < 0
 
     def test_not_symmetric(self):
         with pytest.raises(NotSymmetricError):
             psd_check(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
-    def test_minor_mode_refused_above_20(self):
-        with pytest.raises(MinorModeTooLargeError):
-            psd_check(np.eye(21), mode="all-minors")
 
-    def test_default_mode_switches_at_order_8(self):
-        assert psd_check(np.eye(8)).mode == "all-minors"
-        assert psd_check(np.eye(9)).mode == "spectral"
+def _all_minors_psd(m: np.ndarray) -> bool:
+    """Brute-force oracle: no principal minor is negative. The matrices hold
+    halves of integers, so a nonzero minor of order <= 6 is at least 2^-6."""
+    n = m.shape[0]
+    return all(np.linalg.det(m[np.ix_(s, s)]) > -1e-9
+               for size in range(1, n + 1) for s in map(list, combinations(range(n), size)))

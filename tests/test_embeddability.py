@@ -134,14 +134,11 @@ class TestRealize:
             realize_coordinates(star_k13, 3)
 
     def test_rank_exceeds_requested(self):
-        # bypass the criterion check with a precomputed verdict: the Gram
-        # factorization itself must still refuse to squeeze rank 3 into R^2
-        from metricembed import EmbedVerdict
+        # the factorization itself refuses to squeeze rank 3 into R^2
         from metricembed.errors import RankExceedsRequestedError
         tet = validate_metric(np.ones((4, 4)) - np.eye(4))
-        fake_yes = EmbedVerdict("yes", 2, "schoenberg")
         with pytest.raises(RankExceedsRequestedError):
-            realize_coordinates(tet, 2, check=fake_yes)
+            realize_coordinates(tet, 2)
 
 
 class TestRoundTrip:
