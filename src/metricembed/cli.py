@@ -2,11 +2,14 @@
 
 Exit codes: 0 positive result, 1 negative, 2 invalid input metric,
 3 IO/parse error (for ``scan`` also a config whose sampler cannot serve
-the requested ladder), 4 undetermined, 5 internal criterion disagreement
-(the two determinant engines are cross-oracles and must agree, and a
-``--realize`` factorization must accept what a decider accepted).
+the requested ladder), 4 undetermined (a determinant engine does not
+confirm the factorization's witness tuple, or a scan is inconclusive),
+5 internal criterion disagreement (the two determinant engines are
+cross-oracles and must agree, and a ``--realize`` factorization must
+accept what a decider accepted).
 
-Every JSON output embeds the run configuration including the seed;
+Every JSON output embeds the run configuration; the finite commands are
+deterministic, and ``scan`` is deterministic for a fixed ``--seed``, so
 identical configurations produce byte-identical output.
 """
 
@@ -94,14 +97,6 @@ def cmd_validate(args) -> int:
     return EXIT_YES
 
 
-def _run_criterion(space, criterion: str, n: int, tol_det: float, seed: int):
-    if criterion == "menger":
-        return menger_check(space, n, tol_det=tol_det, seed=seed)
-    if criterion == "schoenberg":
-        return schoenberg_check(space, n, tol_det=tol_det, seed=seed)
-    raise ValueError(criterion)
-
-
 def cmd_check_embed(args) -> int:
     space, err = _load(args.input, args.tol_metric)
     if err:
@@ -123,7 +118,8 @@ def cmd_check_embed(args) -> int:
         return code
 
     criteria = ["menger", "schoenberg"] if args.criterion == "all" else [args.criterion]
-    verdicts = {c: _run_criterion(space, c, args.dim, args.tol_det, args.seed) for c in criteria}
+    deciders = {"menger": menger_check, "schoenberg": schoenberg_check}
+    verdicts = {c: deciders[c](space, args.dim, tol_det=args.tol_det) for c in criteria}
     if args.criterion == "all":
         answers = {v.embeddable for v in verdicts.values() if v.embeddable != "undetermined"}
         if len(answers) > 1:
@@ -188,12 +184,19 @@ def cmd_min_dim(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    # with --out DIR (no suffix), one JSON file per scan plus the aggregate,
+    # or the error payload, in DIR/transfer.<ext>
+    outdir = Path(args.out) if args.out and Path(args.out).suffix == "" else None
+    out = args.out
+    if outdir is not None:
+        outdir.mkdir(parents=True, exist_ok=True)
+        out = str(outdir / f"transfer.{'json' if args.format == 'json' else 'txt'}")
     try:
         cfg = json.loads(Path(args.space).read_text(encoding="utf-8"))
         space = marked_space_from_config(cfg)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         _emit({"command": "scan", "error": f"cannot build space: {exc}", "exit_code": EXIT_IO},
-              args.format, args.out)
+              args.format, out)
         return EXIT_IO
     scales = _parse_scales(args.scales)
     try:
@@ -202,25 +205,19 @@ def cmd_scan(args) -> int:
     except (ValueError, RuntimeError) as exc:
         # typed scan failures: a sampler that cannot serve the ladder, or --dim < 1
         _emit({"command": "scan", "config": _config_dict(args, space=cfg), "error": f"cannot scan: {exc}",
-               "exit_code": EXIT_IO}, args.format, args.out)
+               "exit_code": EXIT_IO}, args.format, out)
         return EXIT_IO
     code = {"consistent-with-embeddable": EXIT_YES, "refuted": EXIT_NO,
             "inconclusive": EXIT_UNDETERMINED}[report.verdict]
     payload = {"command": "scan", "config": _config_dict(args, space=cfg),
                "result": report.to_json_dict(space.point_repr), "exit_code": code}
-    if args.out and Path(args.out).suffix == "":
-        # a directory: one JSON file per scan plus the aggregate
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
+    if outdir is not None:
         for scan in report.scans:
             name = f"scan_k{scan.k}_{scan.mode}.json"
             (outdir / name).write_text(
                 json.dumps(scan.to_json_dict(space.point_repr), sort_keys=True, indent=2) + "\n",
                 encoding="utf-8")
-        ext = "json" if args.format == "json" else "txt"
-        _emit(payload, args.format, str(outdir / f"transfer.{ext}"))
-        return code
-    _emit(payload, args.format, args.out)
+    _emit(payload, args.format, out)
     return code
 
 
@@ -233,7 +230,6 @@ def _config_dict(args, space=None) -> dict:
         "tol_metric": getattr(args, "tol_metric", None),
         "scales": getattr(args, "scales", None),
         "samples": getattr(args, "samples", None),
-        "depth": getattr(args, "depth", None),
         "seed": getattr(args, "seed", None),
         "format": args.format,
         "version": __version__,
@@ -281,11 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--tol-det", dest="tol_det", type=_positive_float, default=DEFAULT_TOL_DET)
         p.add_argument("--tol-metric", dest="tol_metric", type=_positive_float, default=None)
-        p.add_argument("--seed", type=int, default=0)
         if scan:
+            p.add_argument("--seed", type=int, default=0)
             p.add_argument("--scales", type=_scales_arg, default="0.5:0.5:12", help="ladder as r0:q:count")
             p.add_argument("--samples", type=_positive_int, default=128, help="samples per scale rung")
-            p.add_argument("--depth", type=int, default=64)
 
     p = sub.add_parser("validate", help="validate a distance matrix file")
     p.add_argument("input")

@@ -119,13 +119,22 @@ def validate_metric(raw, tol: float | None = None) -> FiniteMetricSpace:
         i, j = np.unravel_index(int(np.argmin(off)), off.shape)
         raise CoincidentPointsError(f"d[{i}][{j}] = 0 for distinct points", (int(i), int(j)))
 
-    # Worst triangle violation: max over k of d[i,j] - (d[i,k] + d[k,j]).
+    # Worst triangle violation: max over k of d[i,j] - (d[i,k] + d[j,k]),
+    # one row i at a time so that memory stays O(n^2); a later row replaces
+    # the offender only when strictly worse, which keeps the first maximum
+    # in (i, k, j) order.
     if n > 2:
-        sums = d[:, :, None] + d.T[None, :, :]  # sums[i,k,j] = d[i,k] + d[k,j]
-        slack = d[:, None, :] - sums  # slack[i,k,j] > 0 means violation via k
-        worst = float(np.max(slack))
+        dt = np.ascontiguousarray(d.T)
+        slack = np.empty((n, n))  # slack[k,j] > 0 means violation via k
+        worst, offender = -np.inf, None
+        for i in range(n):
+            np.add(d[i][:, None], dt, out=slack)
+            np.subtract(d[i][None, :], slack, out=slack)
+            flat = int(np.argmax(slack))
+            if slack.flat[flat] > worst:
+                worst, offender = float(slack.flat[flat]), (i, *divmod(flat, n))
         if worst > tol:
-            i, k, j = np.unravel_index(int(np.argmax(slack)), slack.shape)
+            i, k, j = offender
             raise TriangleViolationError(
                 f"triangle violation d[{i}][{j}] > d[{i}][{k}] + d[{k}][{j}] by {worst!r}",
                 (int(i), int(j), int(k)),

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import math
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from metricembed import validate_metric
+from metricembed.determinants import DEFAULT_TOL_DET, within_band
+
+#: Most tuples :func:`enumerated_verdict` evaluates before refusing an input.
+ORACLE_TUPLE_BUDGET = 100_000
 
 
 @pytest.fixture
@@ -56,3 +63,67 @@ def affine_rank(points: np.ndarray, tol: float = 1e-9) -> int:
     if sv.size == 0 or sv[0] == 0:
         return 0
     return int(np.sum(sv > tol * sv[0]))
+
+
+def _normalized_stack(sq: np.ndarray, tuples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared-distance submatrices of index tuples, each divided by its own
+    largest entry, and those largest entries."""
+    sub = sq[tuples[:, :, None], tuples[:, None, :]]
+    scale = sub.reshape(len(tuples), -1).max(axis=1)
+    return sub / scale[:, None, None], scale
+
+
+def _signed_cm_stack(sq: np.ndarray, tuples: np.ndarray,
+                     tol_det: float = DEFAULT_TOL_DET) -> tuple[np.ndarray, np.ndarray]:
+    """Signed CM determinants ``(-1)^(k+1) D_k`` of index tuples and their
+    zero-rule verdicts."""
+    sub, scale = _normalized_stack(sq, tuples)
+    c, s = tuples.shape
+    b = np.ones((c, s + 1, s + 1))
+    b[:, 0, 0] = 0.0
+    b[:, 1:, 1:] = sub
+    k = s - 1
+    signed = (-1.0) ** (k + 1) * np.linalg.det(b) * scale**k
+    return signed, within_band(signed, scale, k, tol_det)
+
+
+def _sch_stack(sq: np.ndarray, tuples: np.ndarray,
+               tol_det: float = DEFAULT_TOL_DET) -> tuple[np.ndarray, np.ndarray]:
+    """Schoenberg determinants of index tuples, base = first index, and
+    their zero-rule verdicts."""
+    sub, scale = _normalized_stack(sq, tuples)
+    s0 = sub[:, 0, 1:]
+    tau = s0[:, :, None] + s0[:, None, :] - sub[:, 1:, 1:]
+    k = tuples.shape[1] - 1
+    values = np.linalg.det(tau) * scale**k
+    return values, within_band(values, scale, k, tol_det)
+
+
+def enumerated_verdict(space, n: int, engine: str, tol_det: float = DEFAULT_TOL_DET) -> str:
+    """Reference verdict of the Menger or Schoenberg criterion by enumeration.
+
+    Evaluates the engine's determinant on every tuple of 2 .. n+3 distinct
+    points: ``no`` when a sign condition (k <= n) is negative outside the
+    zero band or a vanishing condition (orders n+1, n+2) is outside it;
+    otherwise ``undetermined`` when some sign value is negative inside the
+    band, which the oracle declines to read as zero, else ``yes``. Refuses
+    inputs with more than ``ORACLE_TUPLE_BUDGET`` tuples.
+    """
+    npts = space.n_points
+    sizes = range(2, min(n + 3, npts) + 1)
+    count = sum(math.comb(npts, size) for size in sizes)
+    if count > ORACLE_TUPLE_BUDGET:
+        raise ValueError(f"{count} tuples exceed the oracle budget of {ORACLE_TUPLE_BUDGET}")
+    stack = {"menger": _signed_cm_stack, "schoenberg": _sch_stack}[engine]
+    sq = space.dist * space.dist
+    borderline = False
+    for size in sizes:
+        values, zero = stack(sq, np.array(list(combinations(range(npts), size))), tol_det)
+        if size > n + 1:
+            if not np.all(zero):
+                return "no"
+        elif np.any((values < 0) & ~zero):
+            return "no"
+        else:
+            borderline = borderline or bool(np.any(values < 0))
+    return "undetermined" if borderline else "yes"

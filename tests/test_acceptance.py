@@ -39,10 +39,9 @@ from metricembed import (
     validate_metric,
     NormalizingSequence,
 )
-from metricembed.determinants import within_band
 from metricembed.spaces import perturbed_euclidean_space
 
-from conftest import affine_rank, cloud_space, random_cloud
+from conftest import _signed_cm_stack, affine_rank, cloud_space, enumerated_verdict, random_cloud
 
 TOL_DET = 1e-8
 ZERO_BAND = 10 * TOL_DET
@@ -124,13 +123,19 @@ def test_criterion_2_cross_engine_identity():
 
 def test_criterion_3_criterion_agreement():
     start = time.perf_counter()
-    cases = undetermined = 0
+    cases = undetermined = compared = 0
     for trial in range(500):
         sp = perturbed_euclidean_space(int(4 + trial % 4), seed=10_000 + trial, perturbation=0.15)
         for n in range(1, 6):
             cases += 1
             a = menger_check(sp, n, tol_det=TOL_DET).embeddable
             b = schoenberg_check(sp, n, tol_det=TOL_DET).embeddable
+            # each decider equals the enumeration oracle wherever it is determined
+            for engine, got in (("menger", a), ("schoenberg", b)):
+                expected = enumerated_verdict(sp, n, engine, TOL_DET)
+                if expected != "undetermined":
+                    compared += 1
+                    assert got == expected, (trial, n, engine, got, expected)
             if "undetermined" in (a, b):
                 undetermined += 1
                 continue
@@ -139,7 +144,8 @@ def test_criterion_3_criterion_agreement():
     assert undetermined / cases < 0.02, undetermined
     assert elapsed < 60.0, elapsed
     report(3, f"menger and schoenberg agree on {cases} cases "
-              f"({undetermined} undetermined = {100 * undetermined / cases:.2f}%), {elapsed:.1f}s")
+              f"({undetermined} undetermined = {100 * undetermined / cases:.2f}%) and equal the "
+              f"enumeration oracle on {compared} determined checks, {elapsed:.1f}s")
 
 
 def test_criterion_4_round_trip():
@@ -343,17 +349,6 @@ TETRAHEDRON = validate_metric(np.ones((4, 4)) - np.eye(4))
 CYCLE4 = validate_metric([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]])
 
 
-def _signed_cm_stack(sq: np.ndarray, tuples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Signed CM determinants and their zero-rule verdicts for index tuples."""
-    c, s = tuples.shape
-    sub = sq[tuples[:, :, None], tuples[:, None, :]]
-    b = np.ones((c, s + 1, s + 1))
-    b[:, 0, 0] = 0.0
-    b[:, 1:, 1:] = sub
-    signed = (-1.0) ** s * np.linalg.det(b)
-    return signed, within_band(signed, sub.reshape(c, -1).max(axis=1), s - 1, TOL_DET)
-
-
 def _blumenthal_oracle(space, n: int) -> bool:
     """Brute force: some (n+1)-subset has positive signed determinants at
     every prefix order, and every one- or two-point extension vanishes."""
@@ -364,13 +359,13 @@ def _blumenthal_oracle(space, n: int) -> bool:
     subsets = np.array(list(combinations(range(npts), n + 1)))
     ok = np.ones(len(subsets), dtype=bool)
     for size in range(2, n + 2):
-        signed, zero = _signed_cm_stack(sq, subsets[:, :size])
+        signed, zero = _signed_cm_stack(sq, subsets[:, :size], TOL_DET)
         ok &= (signed > 0) & ~zero
     for basis in subsets[ok]:
         rest = [i for i in range(npts) if i not in set(basis)]
         singles = [list(basis) + [y] for y in rest]
         pairs = [list(basis) + [y, z] for y, z in combinations(rest, 2)]
-        if all(np.all(_signed_cm_stack(sq, np.array(e))[1]) for e in (singles, pairs) if e):
+        if all(np.all(_signed_cm_stack(sq, np.array(e), TOL_DET)[1]) for e in (singles, pairs) if e):
             return True
     return False
 
@@ -408,16 +403,9 @@ def test_criterion_11_scale_invariance():
                 sv = schoenberg_check(sp, n, tol_det=TOL_DET).embeddable
                 basis = blumenthal_basis_search(sp, n, tol_det=TOL_DET)
                 expected = "yes" if rank is not None and n >= rank else "no"
-                # a determined verdict is the right one; n = rank + 1 may sit
-                # in the band (borderline), which downgrades to undetermined
-                assert {mv, sv} - {"undetermined"} <= {expected}, (name, lam, n, mv, sv)
+                assert mv == sv == expected, (name, lam, n, mv, sv)
                 assert (basis is not None) == (n == rank), (name, lam, n, basis)
                 assert (basis is not None) == _blumenthal_oracle(sp, n), (name, lam, n)
-                if rank is not None and n > rank:
-                    # every (rank+2)-tuple is flat, so its sign condition reads
-                    # rounding noise, and a noise value below zero is borderline
-                    # at any scale: only the factorization's answer is compared
-                    mv = sv = None
                 verdicts.append((mv, sv, basis is not None))
                 checks += 1
             signature = (md.feasible, md.dim, verdicts)

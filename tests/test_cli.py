@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metricembed import cli
+from metricembed import cli, embeddability
 from metricembed.cli import main
+from metricembed.determinants import CMValue
 from metricembed.errors import NotEmbeddableError, RankExceedsRequestedError
 
 EQ = {"labels": ["a", "b", "c"], "distances": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}
@@ -126,8 +127,8 @@ class TestMinDim:
 class TestRealizeRefused:
     """A decider accepted the space but the factorization refuses its
     coordinates: the two routes disagree, which is exit 5 with a JSON
-    error. Both routes apply the same zero rule to the same tuples, so no
-    exhaustively decided input reaches this; the refusal is injected."""
+    error. Both routes read the same factorization of tau, so no input
+    reaches this; the refusal is injected."""
 
     @pytest.mark.parametrize("error", [NotEmbeddableError, RankExceedsRequestedError])
     @pytest.mark.parametrize("argv", [["check-embed", "--dim", "2", "--realize"], ["min-dim", "--realize"]])
@@ -144,17 +145,33 @@ class TestRealizeRefused:
 
 
 class TestUndetermined:
-    def test_borderline_space_exit_4(self, tmp_path, capsys):
-        # triangle slack of 1e-13: valid as a metric, but the signed
-        # determinant lands minutely negative inside the zero band
+    def test_borderline_space_exit_4(self, tmp_path, star_file, monkeypatch, capsys):
+        # triangle slack of 1e-13: valid as a metric, and its minutely
+        # negative signed determinant lies inside the zero band, so it is
+        # zero and the triangle embeds
         eps = 1e-13
         path = tmp_path / "border.json"
         path.write_text(json.dumps({"labels": ["a", "b", "c"],
                                     "distances": [[0, 1, 2 + eps], [1, 0, 1], [2 + eps, 1, 0]]}))
-        assert main(["check-embed", str(path), "--dim", "2"]) == 4
+        assert main(["check-embed", str(path), "--dim", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["borderline_count"] == 0
+
+        # engines whose determinant on the factorization's witness lands in
+        # the band do not confirm it: undetermined, exit 4
+        monkeypatch.setattr(embeddability, "cm_determinant", lambda space, t: CMValue(len(t) - 1, 0.0))
+        monkeypatch.setattr(embeddability, "sch_determinant", lambda space, t: 0.0)
+        assert main(["check-embed", star_file, "--dim", "3"]) == 4
         out = json.loads(capsys.readouterr().out)
         assert out["result"]["verdict"] == "undetermined"
-        assert out["result"]["borderline_count"] >= 1
+        assert out["result"]["borderline_count"] == 1
+        assert out["result"]["witness_tuple"] == [0, 1, 2, 3]
+
+    def test_seed_only_on_scan(self, eq_file, capsys):
+        # nothing in the finite path is random
+        with pytest.raises(SystemExit) as exc:
+            main(["check-embed", eq_file, "--dim", "2", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
 
 class TestScan:
@@ -241,6 +258,17 @@ class TestScan:
         assert out["exit_code"] == 3
         assert "below tree resolution" in out["error"]
         assert out["config"]["space"]["depth"] == 3
+        assert "depth" not in out["config"]
+
+    def test_sampler_failure_into_existing_out_directory(self, tmp_path):
+        cfg = tmp_path / "shallow.json"
+        cfg.write_text(json.dumps({"type": "ultrametric", "depth": 3, "arity": 2}))
+        outdir = tmp_path / "reports"
+        outdir.mkdir()
+        assert main(["scan", str(cfg), "--dim", "1", "--samples", "8", "--out", str(outdir)]) == 3
+        out = json.loads((outdir / "transfer.json").read_text())
+        assert out["exit_code"] == 3
+        assert "below tree resolution" in out["error"]
 
 
 def test_traced_layer_functions_resolve():

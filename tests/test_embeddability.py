@@ -5,16 +5,18 @@ import pytest
 
 from metricembed import (
     blumenthal_basis_search,
+    cm_determinant,
     menger_check,
     min_embedding_dimension,
     realize_coordinates,
     schoenberg_check,
     validate_metric,
 )
+from metricembed.determinants import within_band
 from metricembed.errors import DimensionOutOfRangeError, NotEmbeddableError
 from metricembed.spaces import perturbed_euclidean_space
 
-from conftest import affine_rank, cloud_space, random_cloud
+from conftest import affine_rank, cloud_space, enumerated_verdict, random_cloud
 
 
 class TestMenger:
@@ -49,16 +51,17 @@ class TestMenger:
                     assert got == "yes", (seed, n)
                 prev = got
 
-    def test_borderline_downgrades_to_undetermined(self):
+    def test_borderline_negative_counts_as_zero(self):
         # d(0,2) exceeds d(0,1)+d(1,2) by an amount inside both the metric
         # tolerance and the determinant zero band: the signed determinant
-        # comes out minutely negative, which must not read as a rejection
+        # comes out minutely negative, and a value inside the band is zero
         eps = 1e-13
         sp = validate_metric([[0, 1, 2 + eps], [1, 0, 1], [2 + eps, 1, 0]])
-        v = menger_check(sp, 2)
-        assert v.embeddable == "undetermined"
-        assert v.borderline_count == 1
-        assert v.witness is not None  # worst borderline reported
+        for check in (menger_check, schoenberg_check):
+            v = check(sp, 2)
+            assert v.embeddable == "yes", check
+            assert v.borderline_count == 0
+            assert v.witness is None
 
 
 class TestSchoenberg:
@@ -79,11 +82,20 @@ class TestSchoenberg:
             for n in range(1, 6):
                 a = menger_check(sp, n).embeddable
                 b = schoenberg_check(sp, n).embeddable
+                for engine, got in (("menger", a), ("schoenberg", b)):
+                    expected = enumerated_verdict(sp, n, engine)
+                    assert expected == "undetermined" or got == expected, (seed, n, engine, got, expected)
                 if "undetermined" in (a, b):
                     undetermined += 1
                     continue
                 assert a == b, (seed, n, a, b)
         assert undetermined <= 6  # < 2% of 300 cases
+
+    def test_oracle_refuses_over_budget(self):
+        # 30 points at n = 3: C(30, 2) + ... + C(30, 6) tuples exceed the budget
+        sp = cloud_space(random_cloud(np.random.default_rng(2), 30, 3, min_distance=0.05))
+        with pytest.raises(ValueError, match="oracle budget"):
+            enumerated_verdict(sp, 3, "menger")
 
 
 class TestMinDimension:
@@ -210,10 +222,24 @@ class TestVerdictShape:
         for key in ("criterion", "n", "verdict", "witness_tuple", "witness_value", "residual"):
             assert key in d
 
-    def test_sampling_mode_declares_non_exhaustive(self):
+    def test_thirty_points_decided_exactly(self):
+        # beyond any enumeration budget, the factorization decides exactly:
+        # a full-rank cloud in E^3 embeds at n = 3, and at n = 2 each engine
+        # confirms an order-3 witness that fails to vanish
         rng = np.random.default_rng(2)
         pts = random_cloud(rng, 30, 3, min_distance=0.05)
         sp = cloud_space(pts)
-        v = menger_check(sp, 3, sample_budget=200)
-        assert not v.exhaustive
-        assert v.embeddable == "yes"
+        for check in (menger_check, schoenberg_check):
+            v = check(sp, 3)
+            assert v.embeddable == "yes" and v.witness is None, check
+            v = check(sp, 2)
+            assert v.embeddable == "no", check
+            w = v.witness
+            assert w.kind == "vanishing" and w.k == 3 and len(w.indices) == 4
+            assert v.to_json_dict()["witness_kind"] == "vanishing(order 3)"
+            assert "exhaustive" not in v.to_json_dict()
+            cm = cm_determinant(sp, w.indices)
+            # Menger reports raw D_3 for a vanishing witness, Schoenberg (-1)^(k+1) D_3
+            assert w.value == pytest.approx(cm.value if check is menger_check else cm.signed_value, rel=1e-6)
+            sq_max = float(np.max(sp.dist[np.ix_(w.indices, w.indices)])) ** 2
+            assert not within_band(w.value, sq_max, 3)

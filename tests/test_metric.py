@@ -1,6 +1,7 @@
 """Metric validation, submatrices, rescaling, file parsing."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,47 @@ def test_triangle_violation_reports_indices():
     with pytest.raises(TriangleViolationError) as err:
         validate_metric([[0, 1, 3], [1, 0, 1], [3, 1, 0]])
     assert err.value.indices == (0, 2, 1)
+
+
+def _full_cube_offender(d: np.ndarray) -> tuple[tuple[int, int, int], float]:
+    """Worst triangle offender (i, j, k) from the whole n^3 slack cube."""
+    slack = d[:, None, :] - (d[:, :, None] + d.T[None, :, :])
+    i, k, j = np.unravel_index(int(np.argmax(slack)), slack.shape)
+    return (int(i), int(j), int(k)), float(np.max(slack))
+
+
+def test_triangle_offender_matches_full_cube():
+    # rounded entries create ties (the first maximum in (i, k, j) order is
+    # reported); asymmetry inside the tolerance tells d[j,k] from d[k,j]
+    rng = np.random.default_rng(5)
+    checked = 0
+    for trial in range(200):
+        n = int(rng.integers(3, 12))
+        a = rng.uniform(0.1, 1.0, size=(n, n))
+        d = np.round(a + a.T, 1) if trial % 2 else a + a.T + rng.uniform(0, 1e-12, size=(n, n))
+        np.fill_diagonal(d, 0.0)
+        expected, worst = _full_cube_offender(d)
+        if worst <= 1e-9:
+            continue
+        with pytest.raises(TriangleViolationError) as err:
+            validate_metric(d, tol=1e-9)
+        assert err.value.indices == expected, trial
+        checked += 1
+    assert checked >= 100
+
+
+def test_triangle_check_memory_is_quadratic():
+    # the n^3 slack cube alone would take 8 GB at N = 1000
+    pts = np.random.default_rng(7).uniform(size=(1000, 3))
+    d = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
+    tracemalloc.start()
+    try:
+        sp = validate_metric(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sp.n_points == 1000
+    assert peak < 200 * 2**20, peak
 
 
 def test_asymmetry_detected():
