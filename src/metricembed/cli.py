@@ -4,9 +4,8 @@ Exit codes: 0 positive result, 1 negative, 2 invalid input metric,
 3 IO/parse error (for ``scan`` also a config whose sampler cannot serve
 the requested ladder), 4 undetermined (a determinant engine does not
 confirm the factorization's witness tuple, or a scan is inconclusive),
-5 internal criterion disagreement (the two determinant engines are
-cross-oracles and must agree, and a ``--realize`` factorization must
-accept what a decider accepted).
+5 internal disagreement (a ``--realize`` factorization refuses what a
+decider accepted).
 
 Every JSON output embeds the run configuration; the finite commands are
 deterministic, and ``scan`` is deterministic for a fixed ``--seed``, so
@@ -24,6 +23,7 @@ from . import __version__
 from .determinants import DEFAULT_TOL_DET
 from .embeddability import (
     blumenthal_basis_search,
+    engine_verdict,
     menger_check,
     min_embedding_dimension,
     realize_coordinates,
@@ -117,23 +117,13 @@ def cmd_check_embed(args) -> int:
         _emit(payload, args.format, args.out)
         return code
 
-    criteria = ["menger", "schoenberg"] if args.criterion == "all" else [args.criterion]
-    deciders = {"menger": menger_check, "schoenberg": schoenberg_check}
-    verdicts = {c: deciders[c](space, args.dim, tol_det=args.tol_det) for c in criteria}
+    decide = schoenberg_check if args.criterion == "schoenberg" else menger_check
+    verdicts = [decide(space, args.dim, tol_det=args.tol_det)]
     if args.criterion == "all":
-        answers = {v.embeddable for v in verdicts.values() if v.embeddable != "undetermined"}
-        if len(answers) > 1:
-            dump = {c: v.to_json_dict() for c, v in verdicts.items()}
-            _emit({"command": "check-embed", "config": config, "error": "criterion disagreement",
-                   "diagnostics": dump, "exit_code": EXIT_DISAGREEMENT}, args.format, args.out)
-            return EXIT_DISAGREEMENT
-    primary = verdicts[criteria[0]]
-    for v in verdicts.values():
-        if v.embeddable == "no":
-            primary = v
-            break
-        if v.embeddable == "undetermined":
-            primary = v
+        # the Schoenberg determinant on the same witness tuple
+        w = verdicts[0].witness
+        verdicts.append(engine_verdict(space, args.dim, "schoenberg", w and w.indices, tol_det=args.tol_det))
+    primary = next((v for v in verdicts if v.embeddable == "no"), verdicts[0])
     result = primary.to_json_dict()
     if args.realize and primary.embeddable == "yes":
         real = _realize(space, args.dim, args, config)

@@ -60,7 +60,7 @@ class TestMenger:
         for check in (menger_check, schoenberg_check):
             v = check(sp, 2)
             assert v.embeddable == "yes", check
-            assert v.borderline_count == 0
+            assert v.to_json_dict()["borderline_count"] == 0
             assert v.witness is None
 
 
@@ -96,6 +96,86 @@ class TestSchoenberg:
         sp = cloud_space(random_cloud(np.random.default_rng(2), 30, 3, min_distance=0.05))
         with pytest.raises(ValueError, match="oracle budget"):
             enumerated_verdict(sp, 3, "menger")
+
+
+def _square_with_tetrahedron(edge: float, apex=(0.0, 0.0, 1.0)):
+    """A unit square with a tetrahedron of the given edge at its centre,
+    whose fourth point is ``edge * apex`` off the centre (by default a
+    right corner, off the square's plane by ``edge``)."""
+    corners = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
+    tet = np.array([0.5, 0.5, 0.0]) + edge * np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], apex])
+    return cloud_space(np.vstack([corners, tet]))
+
+
+def _square_with_star(edge: float):
+    """A unit square, its centre c, and three leaves at ``edge`` from c and
+    2 * edge from one another, each as far from the corners as c is: a
+    K_{1,3} star of scale ``edge`` that no Euclidean space holds."""
+    pts = np.array([[0, 0], [1, 0], [0, 1], [1, 1], [0.5, 0.5]])
+    d = np.sqrt(np.sum((pts[:, None] - pts[None]) ** 2, axis=-1))
+    m = np.full((8, 8), 2 * edge)
+    m[:5, :5] = d
+    m[5:, :5] = d[4]
+    m[:5, 5:] = d[:, 4:5]
+    m[5:, 4] = m[4, 5:] = edge
+    np.fill_diagonal(m, 0.0)
+    return validate_metric(m)
+
+
+def _line_with_triangle(edge: float):
+    """Two points a unit apart with an equilateral triangle of the given
+    edge between them."""
+    tri = np.array([0.5, 0.0]) + edge * np.array([[0, 0], [1, 0], [0.5, np.sqrt(3) / 2]])
+    return cloud_space(np.vstack([[[0.0, 0.0], [1.0, 0.0]], tri]))
+
+
+class TestMultiScale:
+    """A feature far smaller than the space is judged on its own scale,
+    as the enumeration oracle judges every tuple on its own."""
+
+    RATIOS = [1e-2, 1e-4, 1e-5, 1e-6, 1e-8]
+
+    @pytest.mark.parametrize("edge", RATIOS)
+    def test_tiny_tetrahedron_leaves_the_plane(self, edge):
+        sp = _square_with_tetrahedron(edge)
+        for n in (1, 2, 3):
+            for check, engine in ((menger_check, "menger"), (schoenberg_check, "schoenberg")):
+                got = check(sp, n).embeddable
+                expected = enumerated_verdict(sp, n, engine)
+                assert expected == "undetermined" or got == expected, (edge, n, engine, got, expected)
+        v = menger_check(sp, 2)
+        assert v.embeddable == "no" and v.witness.kind == "vanishing" and v.witness.k == 3
+        assert menger_check(sp, 3).embeddable == schoenberg_check(sp, 3).embeddable == "yes"
+
+    @pytest.mark.parametrize("edge,lift", [(1e-3, 1e-3), (1e-4, 3e-3)])
+    def test_thin_tetrahedron_judged_on_its_own_scale(self, edge, lift):
+        # the apex is lift * edge off the plane: D_3 over its own scale is
+        # about lift^2, 1e-6 .. 1e-5, outside the 1e-8 band but far inside
+        # it on the square's scale
+        sp = _square_with_tetrahedron(edge, apex=(1 / 3, 1 / 3, lift))
+        for check, engine in ((menger_check, "menger"), (schoenberg_check, "schoenberg")):
+            assert enumerated_verdict(sp, 2, engine) == "no", engine
+            assert check(sp, 2).embeddable == "no", engine
+
+    @pytest.mark.parametrize("edge", RATIOS)
+    def test_tiny_triangle_leaves_the_line(self, edge):
+        # at the smallest edges only a ball of exactly three points, the
+        # triangle alone, shows it
+        sp = _line_with_triangle(edge)
+        for check, engine in ((menger_check, "menger"), (schoenberg_check, "schoenberg")):
+            assert enumerated_verdict(sp, 1, engine) == "no", (edge, engine)
+            v = check(sp, 1)
+            assert v.embeddable == "no" and v.witness.k == 2, (edge, engine)
+            assert check(sp, 2).embeddable == "yes", (edge, engine)
+
+    @pytest.mark.parametrize("edge", RATIOS[:4])
+    def test_tiny_star_is_not_euclidean(self, edge):
+        sp = _square_with_star(edge)
+        for n in (1, 2, 3):
+            for check, engine in ((menger_check, "menger"), (schoenberg_check, "schoenberg")):
+                assert enumerated_verdict(sp, n, engine) == "no", (edge, n, engine)
+                assert check(sp, n).embeddable == "no", (edge, n, engine)
+        assert menger_check(sp, 3).witness.indices == (4, 5, 6, 7)
 
 
 class TestMinDimension:
