@@ -1,8 +1,9 @@
 """Command-line surface: validate, check-embed, min-dim, scan.
 
-Exit codes: 0 positive result, 1 negative, 2 invalid input metric,
-3 IO/parse error (for ``scan`` also a config whose sampler cannot serve
-the requested ladder), 4 undetermined (a determinant engine does not
+Exit codes: 0 positive result, 1 negative, 2 invalid input metric or
+argument, 3 IO/parse error (also a failed ``--out`` write, reported on
+stdout; for ``scan`` also a config whose sampler cannot serve the
+requested ladder), 4 undetermined (a determinant engine does not
 confirm the factorization's witness tuple, or a scan is inconclusive),
 5 internal disagreement (a ``--realize`` factorization refuses what a
 decider accepted).
@@ -81,7 +82,7 @@ def _load(path: str, tol: float | None):
         return load_space(path, tol=tol), None
     except MetricViolationError as exc:
         return None, (EXIT_INVALID_METRIC, f"invalid metric: {exc} (indices {exc.indices})")
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         return None, (EXIT_IO, f"cannot read space: {exc}")
 
 
@@ -184,7 +185,7 @@ def cmd_scan(args) -> int:
     try:
         cfg = json.loads(Path(args.space).read_text(encoding="utf-8"))
         space = marked_space_from_config(cfg)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         _emit({"command": "scan", "error": f"cannot build space: {exc}", "exit_code": EXIT_IO},
               args.format, out)
         return EXIT_IO
@@ -193,7 +194,7 @@ def cmd_scan(args) -> int:
         report = transfer_check(space, args.dim, budget=args.samples * len(scales) * 2 * (args.dim + 2),
                                 scales=scales, seed=args.seed, tol_det=args.tol_det)
     except (ValueError, RuntimeError) as exc:
-        # typed scan failures: a sampler that cannot serve the ladder, or --dim < 1
+        # typed scan failures: a sampler that cannot serve the ladder
         _emit({"command": "scan", "config": _config_dict(args, space=cfg), "error": f"cannot scan: {exc}",
                "exit_code": EXIT_IO}, args.format, out)
         return EXIT_IO
@@ -279,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-embed", help="decide isometric embeddability into E^n")
     p.add_argument("input")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_positive_int, required=True)
     p.add_argument("--criterion", choices=["menger", "schoenberg", "blumenthal", "all"], default="all")
     p.add_argument("--realize", action="store_true", help="emit coordinates on a yes verdict")
     common(p)
@@ -293,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="transfer-principle scans on a configured marked space")
     p.add_argument("space", help="space config JSON file")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_positive_int, required=True)
     common(p, scan=True)
     p.set_defaults(func=cmd_scan)
 
@@ -302,7 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        # every input is read under its own handler, so this is a failed --out write
+        _emit({"command": args.command, "error": f"cannot write output: {exc}", "exit_code": EXIT_IO},
+              args.format, None)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

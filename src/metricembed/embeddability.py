@@ -1,24 +1,24 @@
 """Isometric embeddability of finite metric spaces into E^n.
 
 Every finite decision reads one diagonal-pivoted factorization of the
-base-point form tau (``psd_check``). By Schoenberg's theorem the space
-embeds in E^n iff tau is PSD of rank <= n, whichever point is the base:
+base-point form tau (``psd_check``) on each part of the space
+(:func:`_parts`). By Schoenberg's theorem a space embeds in E^n iff tau is
+PSD of rank <= n, so the minimal dimension m is the largest rank of a
+part, and there is none when a part is not PSD. Every question reads m:
 
-* ``menger_check`` / ``schoenberg_check``: ``yes`` iff tau is PSD of rank
-  <= n, and so is the tau of every neighbourhood the factorization judged
-  on a scale far above its own. Otherwise the failing factorization names
-  one tuple of at most n+3 points that breaks a sign condition
-  ``(-1)^(k+1) D_k >= 0`` (k <= n) or a vanishing condition (orders n+1,
-  n+2), and each engine evaluates its own determinant (bordered
-  Cayley-Menger, or Schoenberg ``det tau``) on that tuple as a
-  cross-check: ``no`` when it confirms, ``undetermined`` when its value
-  falls inside the zero band.
-* ``min_embedding_dimension``: the rank, or the violating minor, of the
-  factorization over all points.
-* ``realize_coordinates``: coordinates from the factor.
-* ``blumenthal_basis_search``: the base followed by the n pivots, when tau
-  is PSD of rank exactly n; every prefix determinant is positive and every
-  one- or two-point extension vanishes.
+* ``menger_check`` / ``schoenberg_check``: ``yes`` iff m <= n. Otherwise
+  the first failing part names one tuple of at most n+3 points that breaks
+  a sign condition ``(-1)^(k+1) D_k >= 0`` (k <= n) or a vanishing
+  condition (orders n+1, n+2), and each engine evaluates its own
+  determinant (bordered Cayley-Menger, or Schoenberg ``det tau``) on that
+  tuple as a cross-check: ``no`` when it confirms, ``undetermined`` when
+  its value falls inside the zero band.
+* ``min_embedding_dimension``: m, or the first non-PSD part's witness.
+* ``blumenthal_basis_search``: when m == n, the base followed by the n
+  pivots of the first part of rank n; every prefix determinant is positive
+  and every one- or two-point extension vanishes.
+* ``realize_coordinates``: refuses iff there is no m or m > n; a feature
+  below the band of the factor over all points is realized flat.
 
 Every determinant is judged by :func:`~metricembed.determinants.within_band`,
 and a value inside the band is zero, which satisfies ``>= 0``.
@@ -27,7 +27,7 @@ and a value inside the band is zero, which satisfies ``>= 0``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -101,7 +101,9 @@ class Realization:
 
 @dataclass(frozen=True)
 class MinDimResult:
-    """Minimal embedding dimension, or infeasibility with a PSD witness."""
+    """Minimal embedding dimension, or infeasibility with a PSD witness:
+    the report of the part that decided, its ``witness_subset`` mapped to
+    point indices with its base point ``base`` included."""
 
     feasible: bool
     dim: int | None
@@ -176,24 +178,41 @@ def _neighbourhoods(dist: np.ndarray, report: PsdReport, order: list[int], tol_d
         r2 /= 4.0
 
 
-def _violating_tuple(space: FiniteMetricSpace, n: int, tol_det: float) -> tuple[int, ...] | None:
-    """A tuple of at most n+3 points on which E^n fails, or None.
+def _parts(space: FiniteMetricSpace, tol_det: float):
+    """The factorizations every finite question reads, as (points, report,
+    base, order) with ``base`` and ``order`` indexing ``points``: first the
+    one over all points, then, when it is PSD, one of each ball of
+    :func:`_neighbourhoods` on its own."""
+    report, base, order = _factorization(space.dist, tol_det)
+    yield np.arange(space.n_points), report, base, order
+    if report.psd:
+        for ball in _neighbourhoods(space.dist, report, order, tol_det):
+            yield (ball, *_factorization(space.dist[np.ix_(ball, ball)], tol_det))
 
-    The factorization over all points names one when tau is not PSD of rank
-    <= n. Otherwise each ball of :func:`_neighbourhoods` is factored on its
-    own, and the first one that fails names it.
-    """
+
+def _violating_tuple(space: FiniteMetricSpace, n: int, tol_det: float) -> tuple[int, ...] | None:
+    """A tuple of at most n+3 points on which E^n fails, named by the first
+    part that is not PSD of rank <= n, or None."""
     if n < 1:
         raise DimensionOutOfRangeError(f"target dimension must be >= 1, got {n}")
-    report, base, order = _factorization(space.dist, tol_det)
-    t = _factored_witness(report, base, order, n)
-    if t is not None:
-        return t
-    for ball in _neighbourhoods(space.dist, report, order, tol_det):
-        t = _factored_witness(*_factorization(space.dist[np.ix_(ball, ball)], tol_det), n)
+    for points, report, base, order in _parts(space, tol_det):
+        t = _factored_witness(report, base, order, n)
         if t is not None:
-            return tuple(int(ball[i]) for i in t)
+            return tuple(int(points[i]) for i in t)
     return None
+
+
+def _decision(space: FiniteMetricSpace, tol_det: float):
+    """(min-dim's result, the part that decided it: the first that is not
+    PSD, else the first of largest rank, and the part over all points)."""
+    parts = list(_parts(space, tol_det))
+    decider = next((p for p in parts if not p[1].psd), None) or max(parts, key=lambda p: p[1].rank)
+    points, report, base, order = decider
+    if not report.psd:
+        t = _factored_witness(report, base, order, report.rank)
+        report = replace(report, witness_subset=tuple(int(points[i]) for i in t))
+    res = MinDimResult(report.psd, report.rank if report.psd else None, report, int(points[base]))
+    return res, decider, parts[0]
 
 
 def engine_verdict(space: FiniteMetricSpace, n: int, engine: str, t: tuple[int, ...] | None,
@@ -230,33 +249,31 @@ def schoenberg_check(space: FiniteMetricSpace, n: int, tol_det: float = DEFAULT_
 
 
 def min_embedding_dimension(space: FiniteMetricSpace, tol_det: float = DEFAULT_TOL_DET) -> MinDimResult:
-    """Minimal E^m admitting the space: the rank of the pivoted factorization
-    of the full tau matrix, or infeasibility with its violating minor."""
-    report, base, _ = _factorization(space.dist, tol_det)
-    return MinDimResult(report.psd, report.rank if report.psd else None, report, base)
+    """Minimal E^m admitting the space: the largest rank of a part, or
+    infeasibility with the violating tuple of the first part not PSD."""
+    return _decision(space, tol_det)[0]
 
 
 def realize_coordinates(space: FiniteMetricSpace, n: int, tol_det: float = DEFAULT_TOL_DET) -> Realization:
     """Coordinates in R^m (m <= n) reproducing the distance matrix.
 
-    Read off the factor of tau = 2 G: point 0 ends up at the origin.
-    Raises when tau is not PSD or its rank exceeds ``n``.
+    Read off the factor of tau = 2 G over all points, point 0 at the origin;
+    raises when min-dim is infeasible or exceeds ``n``.
     """
     if n < 1:
         raise DimensionOutOfRangeError(f"target dimension must be >= 1, got {n}")
-    report, _, order = _factorization(space.dist, tol_det)
-    if not report.psd:
-        raise NotEmbeddableError(f"space is not embeddable in E^{n}: tau minor on rows {report.witness_subset} "
-                                 f"is {report.witness_value}")
-    if report.rank > n:
-        raise RankExceedsRequestedError(f"gram rank {report.rank} exceeds requested dimension {n}")
+    res, _, (_, report, _, order) = _decision(space, tol_det)
+    if not res.feasible:
+        raise NotEmbeddableError(f"space is not embeddable in E^{n}: tau minor on points {res.psd.witness_subset} "
+                                 f"is {res.psd.witness_value}")
+    if res.dim > n:
+        raise RankExceedsRequestedError(f"minimal dimension {res.dim} exceeds requested dimension {n}")
 
     coords = _coordinates(report, order)
     coords = coords - coords[0]
-
-    diff = coords[:, None, :] - coords[None, :, :]
-    realized = np.sqrt(np.sum(diff * diff, axis=-1))
-    residual = float(np.max(np.abs(realized - space.dist)))
+    # one row at a time, so that memory stays O(n^2)
+    residual = max(float(np.max(np.abs(np.sqrt(np.sum((c - coords) ** 2, axis=-1)) - row)))
+                   for c, row in zip(coords, space.dist))
     return Realization(coords=coords, m=report.rank, max_residual=residual)
 
 
@@ -267,17 +284,15 @@ def blumenthal_basis_search(
 ) -> tuple[int, ...] | None:
     """n+1 points witnessing embeddability with rank exactly n, or None.
 
-    The base of the factorization followed by its n pivots: every prefix
-    has a determinant outside the zero band, and the factorization's
+    The base of the first part of rank n followed by its n pivots: every
+    prefix has a determinant outside the zero band, and the factorization's
     vanishing Schur complement is the vanishing of every order n+1 / n+2
     determinant on the basis extended by one or two points. Succeeds
-    exactly when tau is PSD of rank n.
+    exactly when min-dim is n.
     """
     if n < 1:
         raise DimensionOutOfRangeError(f"target dimension must be >= 1, got {n}")
-    if space.n_points < n + 1:
+    res, (points, report, base, order), _ = _decision(space, tol_det)
+    if res.dim != n:
         return None
-    report, base, order = _factorization(space.dist, tol_det)
-    if not (report.psd and report.rank == n):
-        return None
-    return (base,) + tuple(order[1 + p] for p in report.pivots)
+    return tuple(int(points[i]) for i in [base] + [order[1 + p] for p in report.pivots])

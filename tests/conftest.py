@@ -65,6 +65,21 @@ def affine_rank(points: np.ndarray, tol: float = 1e-9) -> int:
     return int(np.sum(sv > tol * sv[0]))
 
 
+def square_with_star(edge: float):
+    """A unit square, its centre c, and three leaves at ``edge`` from c and
+    2 * edge from one another, each as far from the corners as c is: a
+    K_{1,3} star of scale ``edge`` that no Euclidean space holds."""
+    pts = np.array([[0, 0], [1, 0], [0, 1], [1, 1], [0.5, 0.5]])
+    d = np.sqrt(np.sum((pts[:, None] - pts[None]) ** 2, axis=-1))
+    m = np.full((8, 8), 2 * edge)
+    m[:5, :5] = d
+    m[5:, :5] = d[4]
+    m[:5, 5:] = d[:, 4:5]
+    m[5:, 4] = m[4, 5:] = edge
+    np.fill_diagonal(m, 0.0)
+    return validate_metric(m)
+
+
 def _normalized_stack(sq: np.ndarray, tuples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Squared-distance submatrices of index tuples, each divided by its own
     largest entry, and those largest entries."""

@@ -13,6 +13,8 @@ from metricembed.cli import main
 from metricembed.determinants import CMValue
 from metricembed.errors import NotEmbeddableError, RankExceedsRequestedError
 
+from conftest import square_with_star
+
 EQ = {"labels": ["a", "b", "c"], "distances": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}
 STAR = [[0, 1, 1, 1], [1, 0, 2, 2], [1, 2, 0, 2], [1, 2, 2, 0]]
 
@@ -61,6 +63,12 @@ class TestValidate:
     def test_missing_file_exit_3(self, capsys):
         assert main(["validate", "/nonexistent/sp.json"]) == 3
 
+    def test_labels_not_a_list_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps({"labels": 5, "distances": [[0, 1], [1, 0]]}))
+        assert main(["validate", str(path)]) == 3
+        assert json.loads(capsys.readouterr().out)["exit_code"] == 3
+
 
 class TestCheckEmbed:
     def test_yes_exit_0(self, eq_file, capsys):
@@ -89,6 +97,12 @@ class TestCheckEmbed:
         text = capsys.readouterr().out
         assert "verdict: yes" in text
 
+    def test_dim_below_one_rejected(self, eq_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check-embed", eq_file, "--dim", "0"])
+        assert exc.value.code == 2
+        assert "argument --dim" in capsys.readouterr().err
+
 
 class TestMinDim:
     def test_equilateral(self, eq_file, capsys):
@@ -101,6 +115,19 @@ class TestMinDim:
         out = json.loads(capsys.readouterr().out)
         assert out["result"]["feasible"] is False
         assert out["result"]["psd"]["witness_subset"] is not None
+
+    def test_tiny_star_infeasible(self, tmp_path, capsys):
+        # a unit square with a K_{1,3} of scale 1e-6 at its centre embeds in
+        # no E^n, as check-embed says at every n
+        path = tmp_path / "square_star.json"
+        path.write_text(json.dumps({"labels": [f"x{i}" for i in range(8)],
+                                    "distances": square_with_star(1e-6).dist.tolist()}))
+        assert main(["min-dim", str(path), "--realize"]) == 1
+        out = json.loads(capsys.readouterr().out)["result"]
+        assert out["feasible"] is False and "coordinates" not in out
+        assert out["psd"]["witness_subset"] == [4, 5, 6, 7] and out["base_point"] == 4
+        assert main(["check-embed", str(path), "--dim", "3"]) == 1
+        assert json.loads(capsys.readouterr().out)["result"]["witness_tuple"] == [4, 5, 6, 7]
 
     def test_pair(self, tmp_path, capsys):
         path = tmp_path / "pair.csv"
@@ -217,6 +244,14 @@ class TestScan:
         cfg.write_text(json.dumps({"type": "unknown"}))
         assert main(["scan", str(cfg), "--dim", "1"]) == 3
 
+    def test_mistyped_config_exit_3(self, tmp_path, capsys):
+        # a region given as a bare string rather than an object
+        cfg = tmp_path / "mistyped.json"
+        cfg.write_text(json.dumps({"type": "euclidean", "dim": 2, "p": [0, 0], "region": "cube"}))
+        assert main(["scan", str(cfg), "--dim", "1"]) == 3
+        out = json.loads(capsys.readouterr().out)
+        assert out["exit_code"] == 3 and "cannot build space" in out["error"]
+
     def test_custom_scales_flag(self, circle_cfg, capsys):
         assert main(["scan", circle_cfg, "--dim", "1", "--samples", "8",
                      "--scales", "0.4:0.5:6"]) == 0
@@ -241,7 +276,7 @@ class TestScan:
             main(["check-embed", eq_file, "--dim", "2", "--tol-det", "0"])
 
     @pytest.mark.parametrize("flag", [["--scales", "junk"], ["--scales", "0.5:2:3"], ["--scales", "0.5:0.5:1"],
-                                      ["--scales", "0:0.5:4"], ["--samples", "0"], ["--samples", "-3"]])
+                                      ["--scales", "0:0.5:4"], ["--samples", "0"], ["--samples", "-3"], ["--dim", "0"]])
     def test_bad_ladder_or_samples_rejected(self, circle_cfg, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["scan", circle_cfg, "--dim", "1"] + flag)
@@ -269,6 +304,17 @@ class TestScan:
         out = json.loads((outdir / "transfer.json").read_text())
         assert out["exit_code"] == 3
         assert "below tree resolution" in out["error"]
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["check-embed", "--dim", "1"], ["min-dim"],
+                                  ["scan", "--dim", "1", "--samples", "8"]])
+def test_failed_out_write_exit_3(argv, eq_file, circle_cfg, tmp_path, capsys):
+    # --out names a file in a directory that does not exist
+    inp = circle_cfg if argv[0] == "scan" else eq_file
+    assert main([argv[0], inp] + argv[1:] + ["--out", str(tmp_path / "missing" / "x.json")]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out["command"] == argv[0] and out["exit_code"] == 3
+    assert "cannot write output" in out["error"]
 
 
 def test_traced_layer_functions_resolve():

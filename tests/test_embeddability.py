@@ -1,5 +1,7 @@
 """Embeddability criteria, dimension search, realization, basis search."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,17 @@ from metricembed import (
     validate_metric,
 )
 from metricembed.determinants import within_band
-from metricembed.errors import DimensionOutOfRangeError, NotEmbeddableError
+from metricembed.errors import DimensionOutOfRangeError, NotEmbeddableError, RankExceedsRequestedError
 from metricembed.spaces import perturbed_euclidean_space
 
-from conftest import affine_rank, cloud_space, enumerated_verdict, random_cloud
+from conftest import (
+    _signed_cm_stack,
+    affine_rank,
+    cloud_space,
+    enumerated_verdict,
+    random_cloud,
+    square_with_star,
+)
 
 
 class TestMenger:
@@ -107,21 +116,6 @@ def _square_with_tetrahedron(edge: float, apex=(0.0, 0.0, 1.0)):
     return cloud_space(np.vstack([corners, tet]))
 
 
-def _square_with_star(edge: float):
-    """A unit square, its centre c, and three leaves at ``edge`` from c and
-    2 * edge from one another, each as far from the corners as c is: a
-    K_{1,3} star of scale ``edge`` that no Euclidean space holds."""
-    pts = np.array([[0, 0], [1, 0], [0, 1], [1, 1], [0.5, 0.5]])
-    d = np.sqrt(np.sum((pts[:, None] - pts[None]) ** 2, axis=-1))
-    m = np.full((8, 8), 2 * edge)
-    m[:5, :5] = d
-    m[5:, :5] = d[4]
-    m[:5, 5:] = d[:, 4:5]
-    m[5:, 4] = m[4, 5:] = edge
-    np.fill_diagonal(m, 0.0)
-    return validate_metric(m)
-
-
 def _line_with_triangle(edge: float):
     """Two points a unit apart with an equilateral triangle of the given
     edge between them."""
@@ -129,11 +123,32 @@ def _line_with_triangle(edge: float):
     return cloud_space(np.vstack([[[0.0, 0.0], [1.0, 0.0]], tri]))
 
 
+def _is_blumenthal_basis(space, basis) -> bool:
+    """Brute force for one basis: every prefix has a positive signed
+    determinant outside the zero band, and every one- or two-point
+    extension lies inside it."""
+    sq = space.dist * space.dist
+    b = np.array([basis])
+    if not all(bool(signed[0] > 0 and not zero[0])
+               for signed, zero in (_signed_cm_stack(sq, b[:, :size]) for size in range(2, len(basis) + 1))):
+        return False
+    rest = [i for i in range(space.n_points) if i not in basis]
+    extensions = ([list(basis) + [y] for y in rest],
+                  [list(basis) + [y, z] for i, y in enumerate(rest) for z in rest[i + 1:]])
+    return all(np.all(_signed_cm_stack(sq, np.array(e))[1]) for e in extensions if e)
+
+
 class TestMultiScale:
     """A feature far smaller than the space is judged on its own scale,
     as the enumeration oracle judges every tuple on its own."""
 
     RATIOS = [1e-2, 1e-4, 1e-5, 1e-6, 1e-8]
+    #: (builder, arguments) of every space below, for the agreement tests
+    FAMILIES = ([pytest.param(_square_with_tetrahedron, (e,), id=f"tetrahedron-{e:g}") for e in RATIOS]
+                + [pytest.param(_square_with_tetrahedron, (e, (1 / 3, 1 / 3, lift)), id=f"thin-{e:g}")
+                   for e, lift in ((1e-3, 1e-3), (1e-4, 3e-3))]
+                + [pytest.param(_line_with_triangle, (e,), id=f"triangle-{e:g}") for e in RATIOS]
+                + [pytest.param(square_with_star, (e,), id=f"star-{e:g}") for e in RATIOS[:4]])
 
     @pytest.mark.parametrize("edge", RATIOS)
     def test_tiny_tetrahedron_leaves_the_plane(self, edge):
@@ -170,12 +185,44 @@ class TestMultiScale:
 
     @pytest.mark.parametrize("edge", RATIOS[:4])
     def test_tiny_star_is_not_euclidean(self, edge):
-        sp = _square_with_star(edge)
+        sp = square_with_star(edge)
         for n in (1, 2, 3):
             for check, engine in ((menger_check, "menger"), (schoenberg_check, "schoenberg")):
                 assert enumerated_verdict(sp, n, engine) == "no", (edge, n, engine)
                 assert check(sp, n).embeddable == "no", (edge, n, engine)
         assert menger_check(sp, 3).witness.indices == (4, 5, 6, 7)
+
+    @staticmethod
+    def _check_embed_dim(sp):
+        """The least n in 1..4 at which check-embed answers yes, or None."""
+        return next((n for n in range(1, 5) if menger_check(sp, n).embeddable == "yes"), None)
+
+    @pytest.mark.parametrize("build,args", FAMILIES)
+    def test_min_dim_agrees(self, build, args):
+        sp = build(*args)
+        res = min_embedding_dimension(sp)
+        for n in range(1, 5):
+            assert (menger_check(sp, n).embeddable == "yes") == (res.feasible and res.dim <= n), (args, n)
+
+    @pytest.mark.parametrize("build,args", FAMILIES)
+    def test_blumenthal_basis_agrees(self, build, args):
+        sp = build(*args)
+        m = self._check_embed_dim(sp)
+        for n in range(1, 5):
+            basis = blumenthal_basis_search(sp, n)
+            assert (basis is not None) == (m == n), (args, n, basis)
+            assert basis is None or _is_blumenthal_basis(sp, basis), (args, n, basis)
+
+    @pytest.mark.parametrize("build,args", FAMILIES)
+    def test_realize_refusal_agrees(self, build, args):
+        sp = build(*args)
+        m = self._check_embed_dim(sp)
+        for n in range(1, 5):
+            if m is None or m > n:
+                with pytest.raises(NotEmbeddableError if m is None else RankExceedsRequestedError):
+                    realize_coordinates(sp, n)
+            else:
+                assert realize_coordinates(sp, n).coords.shape[1] <= n
 
 
 class TestMinDimension:
@@ -225,9 +272,41 @@ class TestRealize:
         with pytest.raises(NotEmbeddableError):
             realize_coordinates(star_k13, 3)
 
+    def test_sub_band_feature_realized_flat(self):
+        # the factor over all points reads a tetrahedron of edge 1e-5 as
+        # flat; min-dim is 3, and the residual shows the flattening
+        sp = _square_with_tetrahedron(1e-5)
+        assert min_embedding_dimension(sp).dim == 3
+        real = realize_coordinates(sp, 3)
+        assert real.m == 2
+        assert 5e-6 < real.max_residual < 2e-5
+
+    def test_residual_row_by_row(self):
+        rng = np.random.default_rng(7)
+        for trial in range(5):
+            sp = cloud_space(random_cloud(rng, 8 + 2 * trial, 2 + trial % 3))
+            real = realize_coordinates(sp, 4)
+            diff = real.coords[:, None, :] - real.coords[None, :, :]
+            assert real.max_residual == float(np.max(np.abs(np.sqrt(np.sum(diff * diff, axis=-1)) - sp.dist)))
+
+    def test_bounded_memory(self):
+        # the residual of a 1000-point rank-12 cloud needs no N x N x m tensor
+        x = np.random.default_rng(5).normal(size=(1000, 12))
+        norms = np.sum(x * x, axis=1)
+        d = np.sqrt(np.maximum(norms[:, None] + norms[None, :] - 2.0 * x @ x.T, 0.0))
+        np.fill_diagonal(d, 0.0)
+        sp = validate_metric(d)
+        tracemalloc.start()
+        try:
+            real = realize_coordinates(sp, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert real.m == 12 and real.max_residual < 1e-9
+        assert peak < 120e6, peak
+
     def test_rank_exceeds_requested(self):
         # the factorization itself refuses to squeeze rank 3 into R^2
-        from metricembed.errors import RankExceedsRequestedError
         tet = validate_metric(np.ones((4, 4)) - np.eye(4))
         with pytest.raises(RankExceedsRequestedError):
             realize_coordinates(tet, 2)
