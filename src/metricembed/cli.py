@@ -4,9 +4,11 @@ Exit codes: 0 positive result, 1 negative, 2 invalid input metric or
 argument, 3 IO/parse error (also a failed ``--out`` write, reported on
 stdout; for ``scan`` also a config whose sampler cannot serve the
 requested ladder), 4 undetermined (a determinant engine does not
-confirm the factorization's witness tuple, or a scan is inconclusive),
-5 internal disagreement (a ``--realize`` factorization refuses what a
-decider accepted).
+confirm the factorization's witness tuple, or a scan is inconclusive).
+
+``check-embed`` and ``min-dim`` factor each part of the space once: every
+engine, the Blumenthal basis and ``--realize`` read the same decision,
+which accepts a realization exactly when it accepts the space.
 
 Every JSON output embeds the run configuration; the finite commands are
 deterministic, and ``scan`` is deterministic for a fixed ``--seed``, so
@@ -24,13 +26,12 @@ from . import __version__
 from .determinants import DEFAULT_TOL_DET
 from .embeddability import (
     blumenthal_basis_search,
-    engine_verdict,
     menger_check,
     min_embedding_dimension,
     realize_coordinates,
     schoenberg_check,
 )
-from .errors import MetricViolationError, NotEmbeddableError, RankExceedsRequestedError
+from .errors import MetricViolationError
 from .metric import load_space
 from .pretangent import scale_ladder, transfer_check
 from .spaces import marked_space_from_config
@@ -40,7 +41,6 @@ EXIT_NO = 1
 EXIT_INVALID_METRIC = 2
 EXIT_IO = 3
 EXIT_UNDETERMINED = 4
-EXIT_DISAGREEMENT = 5
 
 
 def _emit(payload: dict, fmt: str, out: str | None) -> None:
@@ -108,47 +108,24 @@ def cmd_check_embed(args) -> int:
 
     if args.criterion == "blumenthal":
         basis = blumenthal_basis_search(space, args.dim, tol_det=args.tol_det)
-        verdict = "yes" if basis is not None else "no"
-        payload = {"command": "check-embed", "config": config,
-                   "result": {"criterion": "blumenthal", "n": args.dim, "verdict": verdict,
-                              "witness_tuple": list(basis) if basis else None,
-                              "witness_value": None, "residual": None}}
+        result = {"criterion": "blumenthal", "n": args.dim, "verdict": "yes" if basis is not None else "no",
+                  "witness_tuple": list(basis) if basis else None, "witness_value": None, "residual": None}
         code = EXIT_YES if basis is not None else EXIT_NO
-        payload["exit_code"] = code
-        _emit(payload, args.format, args.out)
-        return code
-
-    decide = schoenberg_check if args.criterion == "schoenberg" else menger_check
-    verdicts = [decide(space, args.dim, tol_det=args.tol_det)]
-    if args.criterion == "all":
-        # the Schoenberg determinant on the same witness tuple
-        w = verdicts[0].witness
-        verdicts.append(engine_verdict(space, args.dim, "schoenberg", w and w.indices, tol_det=args.tol_det))
-    primary = next((v for v in verdicts if v.embeddable == "no"), verdicts[0])
-    result = primary.to_json_dict()
-    if args.realize and primary.embeddable == "yes":
-        real = _realize(space, args.dim, args, config)
-        if real is None:
-            return EXIT_DISAGREEMENT
+    else:
+        checks = {"menger": [menger_check], "schoenberg": [schoenberg_check],
+                  "all": [menger_check, schoenberg_check]}[args.criterion]
+        verdicts = [check(space, args.dim, tol_det=args.tol_det) for check in checks]
+        primary = next((v for v in verdicts if v.embeddable == "no"), verdicts[0])
+        result = primary.to_json_dict()
+        code = {"yes": EXIT_YES, "no": EXIT_NO, "undetermined": EXIT_UNDETERMINED}[primary.embeddable]
+    if args.realize and code == EXIT_YES:
+        real = realize_coordinates(space, args.dim, tol_det=args.tol_det)
         result["residual"] = real.max_residual
         result["coordinates"] = real.coords.tolist()
         result["achieved_dim"] = real.m
-    code = {"yes": EXIT_YES, "no": EXIT_NO, "undetermined": EXIT_UNDETERMINED}[primary.embeddable]
     payload = {"command": "check-embed", "config": config, "result": result, "exit_code": code}
     _emit(payload, args.format, args.out)
     return code
-
-
-def _realize(space, n: int, args, config: dict):
-    """Coordinates for a space a decider accepted; None after emitting the
-    exit-5 payload when the factorization refuses them."""
-    try:
-        return realize_coordinates(space, n, tol_det=args.tol_det)
-    except (NotEmbeddableError, RankExceedsRequestedError) as exc:
-        _emit({"command": args.command, "config": config,
-               "error": f"criterion disagreement: realization failed: {exc}",
-               "exit_code": EXIT_DISAGREEMENT}, args.format, args.out)
-        return None
 
 
 def cmd_min_dim(args) -> int:
@@ -162,10 +139,8 @@ def cmd_min_dim(args) -> int:
               "psd": {"psd": res.psd.psd, "rank": res.psd.rank,
                       "witness_subset": list(res.psd.witness_subset) if res.psd.witness_subset else None,
                       "witness_value": res.psd.witness_value}}
-    if args.realize and res.feasible and res.dim and res.dim >= 1:
-        real = _realize(space, res.dim, args, _config_dict(args))
-        if real is None:
-            return EXIT_DISAGREEMENT
+    if args.realize and res.feasible and res.dim >= 1:
+        real = realize_coordinates(space, res.dim, tol_det=args.tol_det)
         result["coordinates"] = real.coords.tolist()
         result["residual"] = real.max_residual
     code = EXIT_YES if res.feasible else EXIT_NO

@@ -67,19 +67,6 @@ class CMValue:
         return float((-1.0) ** (self.k + 1) * self.value)
 
 
-@dataclass(frozen=True)
-class TauMatrix:
-    """Matrix of the base-point quadratic form for a tuple with base x0."""
-
-    base: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        e.flags.writeable = False
-        object.__setattr__(self, "entries", e)
-
-
 def bordered_matrix(dm: np.ndarray) -> np.ndarray:
     """(k+2)x(k+2) bordered matrix of squared distances for a (k+1)-tuple."""
     dm = np.asarray(dm, dtype=float)
@@ -106,17 +93,6 @@ def cm_determinant(space: FiniteMetricSpace, t: Sequence[int]) -> CMValue:
     return cm_value(submatrix(space, t))
 
 
-def simplex_volume_sq(space: FiniteMetricSpace, t: Sequence[int]) -> float:
-    """Squared k-simplex volume ``(-1)^(k+1) D_k / (2^k (k!)^2)``.
-
-    Returned raw (possibly negative): a negative value is the caller's
-    signal that the distance data is not Euclidean-realizable.
-    """
-    cm = cm_determinant(space, t)
-    k = cm.k
-    return cm.signed_value / (2.0**k * float(math.factorial(k)) ** 2)
-
-
 def tau_from_matrix(dm: np.ndarray) -> np.ndarray:
     """tau matrix (k x k) of a (k+1)x(k+1) distance matrix, base = row 0."""
     dm = np.asarray(dm, dtype=float)
@@ -125,13 +101,6 @@ def tau_from_matrix(dm: np.ndarray) -> np.ndarray:
     sq = dm * dm
     s0 = sq[0, 1:]
     return s0[:, None] + s0[None, :] - sq[1:, 1:]
-
-
-def tau_matrix(space: FiniteMetricSpace, t: Sequence[int]) -> TauMatrix:
-    """tau matrix for a tuple whose first entry is the base point."""
-    if len(t) < 2:
-        raise TupleTooShortError(f"tuple of {len(t)} points; need >= 2")
-    return TauMatrix(base=int(t[0]), entries=tau_from_matrix(submatrix(space, t)))
 
 
 def sch_value(dm: np.ndarray) -> float:

@@ -4,7 +4,8 @@ Every finite decision reads one diagonal-pivoted factorization of the
 base-point form tau (``psd_check``) on each part of the space
 (:func:`_parts`). By Schoenberg's theorem a space embeds in E^n iff tau is
 PSD of rank <= n, so the minimal dimension m is the largest rank of a
-part, and there is none when a part is not PSD. Every question reads m:
+part, and there is none when a part is not PSD. One ``_Decision`` per
+space factors every part once and answers every question from m:
 
 * ``menger_check`` / ``schoenberg_check``: ``yes`` iff m <= n. Otherwise
   the first failing part names one tuple of at most n+3 points that breaks
@@ -17,8 +18,9 @@ part, and there is none when a part is not PSD. Every question reads m:
 * ``blumenthal_basis_search``: when m == n, the base followed by the n
   pivots of the first part of rank n; every prefix determinant is positive
   and every one- or two-point extension vanishes.
-* ``realize_coordinates``: refuses iff there is no m or m > n; a feature
-  below the band of the factor over all points is realized flat.
+* ``realize_coordinates``: refuses iff there is no m or m > n; otherwise
+  m coordinates per point, from the factor over all points continued past
+  its band when a smaller part has a larger rank.
 
 Every determinant is judged by :func:`~metricembed.determinants.within_band`,
 and a value inside the band is zero, which satisfies ``>= 0``.
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -125,10 +128,10 @@ def _factorization(dist: np.ndarray, tol_det: float) -> tuple[PsdReport, int, li
     return psd_check(tau_from_matrix(dist[np.ix_(ix, ix)]), tol_det), base, order
 
 
-def _coordinates(report: PsdReport, order: list[int]) -> np.ndarray:
-    """Point coordinates read off the factor of tau = 2 G, base at the origin."""
-    x = np.zeros((len(order), report.rank))
-    x[order[1:]] = report.factor / math.sqrt(2.0)
+def _coordinates(factor: np.ndarray, order: list[int]) -> np.ndarray:
+    """Point coordinates read off a factor of tau = 2 G, base at the origin."""
+    x = np.zeros((len(order), factor.shape[1]))
+    x[order[1:]] = factor / math.sqrt(2.0)
     return x
 
 
@@ -157,7 +160,7 @@ def _neighbourhoods(dist: np.ndarray, report: PsdReport, order: list[int], tol_d
     if npts < 4:
         return
     sq = dist * dist
-    x = _coordinates(report, order)
+    x = _coordinates(report.factor, order)
     gram = x @ x.T
     norms = np.diag(gram)
     rho = np.abs(sq - (norms[:, None] + norms[None, :] - 2.0 * gram))
@@ -190,39 +193,106 @@ def _parts(space: FiniteMetricSpace, tol_det: float):
             yield (ball, *_factorization(space.dist[np.ix_(ball, ball)], tol_det))
 
 
-def _violating_tuple(space: FiniteMetricSpace, n: int, tol_det: float) -> tuple[int, ...] | None:
-    """A tuple of at most n+3 points on which E^n fails, named by the first
-    part that is not PSD of rank <= n, or None."""
+def _check_target(n: int) -> None:
+    """Refuse a target dimension below 1."""
     if n < 1:
         raise DimensionOutOfRangeError(f"target dimension must be >= 1, got {n}")
-    for points, report, base, order in _parts(space, tol_det):
-        t = _factored_witness(report, base, order, n)
-        if t is not None:
-            return tuple(int(points[i]) for i in t)
-    return None
 
 
-def _decision(space: FiniteMetricSpace, tol_det: float):
-    """(min-dim's result, the part that decided it: the first that is not
-    PSD, else the first of largest rank, and the part over all points)."""
-    parts = list(_parts(space, tol_det))
+@dataclass(frozen=True)
+class _Decision:
+    """Every finite answer for one space at one ``tol_det``, read off one
+    round of :func:`_parts`."""
+
+    space: FiniteMetricSpace
+    tol_det: float
+    #: every part, as :func:`_parts` yields them
+    parts: tuple
+    #: the part that decided: the first that is not PSD, else the first of
+    #: largest rank
+    decider: tuple
+    #: m, or infeasibility with the decider's violating tuple
+    result: MinDimResult
+
+    def witness(self, n: int) -> tuple[int, ...] | None:
+        """A tuple of at most n+3 points on which E^n fails, named by the
+        first part that is not PSD of rank <= n, or None."""
+        _check_target(n)
+        for points, report, base, order in self.parts:
+            t = _factored_witness(report, base, order, n)
+            if t is not None:
+                return tuple(int(points[i]) for i in t)
+        return None
+
+    def basis(self, n: int) -> tuple[int, ...] | None:
+        """The decider's base and pivots when m == n, else None."""
+        _check_target(n)
+        if self.result.dim != n:
+            return None
+        points, report, base, order = self.decider
+        return tuple(int(points[i]) for i in [base] + [order[1 + p] for p in report.pivots])
+
+    @cached_property
+    def realization(self) -> Realization:
+        """Coordinates in R^m of a feasible space, point 0 at the origin.
+
+        The factor over all points has the rank of its own band; a part of
+        higher rank is a feature below it. Diagonal-pivoted Cholesky steps
+        on what that factor leaves of tau, past the band, add the missing
+        columns, stopping early only where nothing positive is left.
+        """
+        _, report, _, order = self.parts[0]
+        m = self.result.dim
+        factor = np.zeros((len(order) - 1, m))
+        factor[:, :report.rank] = report.factor
+        if report.rank < m:
+            ix = np.asarray(order)
+            rest = tau_from_matrix(self.space.dist[np.ix_(ix, ix)]) - report.factor @ report.factor.T
+            for c in range(report.rank, m):
+                j = int(np.argmax(np.diag(rest)))
+                if rest[j, j] <= 0.0:
+                    break
+                factor[:, c] = rest[:, j] / math.sqrt(rest[j, j])
+                rest -= np.outer(factor[:, c], factor[:, c])
+        coords = _coordinates(factor, order)
+        coords = coords - coords[0]
+        # one row at a time, so that memory stays O(n^2)
+        residual = max(float(np.max(np.abs(np.sqrt(np.sum((c - coords) ** 2, axis=-1)) - row)))
+                       for c, row in zip(coords, self.space.dist))
+        return Realization(coords=coords, m=m, max_residual=residual)
+
+
+#: The last decision made. ``FiniteMetricSpace`` is frozen and its ``dist``
+#: read-only, so a decision keyed on the space object cannot go stale, and
+#: holding the space keeps its identity from being reused.
+_last: _Decision | None = None
+
+
+def _decide(space: FiniteMetricSpace, tol_det: float) -> _Decision:
+    """The decision for ``space``, factored once while it is the last one asked."""
+    global _last
+    last = _last  # read once: another thread may replace it
+    if last is not None and last.space is space and last.tol_det == tol_det:
+        return last
+    parts = tuple(_parts(space, tol_det))
     decider = next((p for p in parts if not p[1].psd), None) or max(parts, key=lambda p: p[1].rank)
     points, report, base, order = decider
     if not report.psd:
         t = _factored_witness(report, base, order, report.rank)
         report = replace(report, witness_subset=tuple(int(points[i]) for i in t))
-    res = MinDimResult(report.psd, report.rank if report.psd else None, report, int(points[base]))
-    return res, decider, parts[0]
+    result = MinDimResult(report.psd, report.rank if report.psd else None, report, int(points[base]))
+    _last = decision = _Decision(space, tol_det, parts, decider, result)
+    return decision
 
 
-def engine_verdict(space: FiniteMetricSpace, n: int, engine: str, t: tuple[int, ...] | None,
-                   tol_det: float = DEFAULT_TOL_DET) -> EmbedVerdict:
-    """One engine's verdict on the tuple :func:`_violating_tuple` names:
-    ``yes`` when there is none, else ``no`` when the engine's determinant on
-    it (Menger: signed ``D_k`` for a sign condition, raw ``D_k`` for a
-    vanishing one; Schoenberg: ``det tau`` based at its first point)
-    confirms the violation, and ``undetermined`` when that value lies inside
-    the zero band (or, for a sign condition, is not negative)."""
+def _engine_verdict(space: FiniteMetricSpace, n: int, engine: str, tol_det: float) -> EmbedVerdict:
+    """One engine's verdict on the decision's witness for E^n: ``yes`` when
+    there is none, else ``no`` when the engine's determinant on it (Menger:
+    signed ``D_k`` for a sign condition, raw ``D_k`` for a vanishing one;
+    Schoenberg: ``det tau`` based at its first point) confirms the
+    violation, and ``undetermined`` when that value lies inside the zero
+    band (or, for a sign condition, is not negative)."""
+    t = _decide(space, tol_det).witness(n)
     if t is None:
         return EmbedVerdict("yes", n, engine, tol_det=tol_det)
     k = len(t) - 1
@@ -240,41 +310,33 @@ def engine_verdict(space: FiniteMetricSpace, n: int, engine: str, t: tuple[int, 
 
 def menger_check(space: FiniteMetricSpace, n: int, tol_det: float = DEFAULT_TOL_DET) -> EmbedVerdict:
     """Cayley-Menger embeddability test against E^n."""
-    return engine_verdict(space, n, "menger", _violating_tuple(space, n, tol_det), tol_det)
+    return _engine_verdict(space, n, "menger", tol_det)
 
 
 def schoenberg_check(space: FiniteMetricSpace, n: int, tol_det: float = DEFAULT_TOL_DET) -> EmbedVerdict:
     """Schoenberg-determinant embeddability test against E^n."""
-    return engine_verdict(space, n, "schoenberg", _violating_tuple(space, n, tol_det), tol_det)
+    return _engine_verdict(space, n, "schoenberg", tol_det)
 
 
 def min_embedding_dimension(space: FiniteMetricSpace, tol_det: float = DEFAULT_TOL_DET) -> MinDimResult:
     """Minimal E^m admitting the space: the largest rank of a part, or
     infeasibility with the violating tuple of the first part not PSD."""
-    return _decision(space, tol_det)[0]
+    return _decide(space, tol_det).result
 
 
 def realize_coordinates(space: FiniteMetricSpace, n: int, tol_det: float = DEFAULT_TOL_DET) -> Realization:
-    """Coordinates in R^m (m <= n) reproducing the distance matrix.
-
-    Read off the factor of tau = 2 G over all points, point 0 at the origin;
-    raises when min-dim is infeasible or exceeds ``n``.
-    """
-    if n < 1:
-        raise DimensionOutOfRangeError(f"target dimension must be >= 1, got {n}")
-    res, _, (_, report, _, order) = _decision(space, tol_det)
+    """Coordinates in R^m reproducing the distance matrix, m the minimal
+    dimension, point 0 at the origin; raises when min-dim is infeasible or
+    exceeds ``n``."""
+    _check_target(n)
+    decision = _decide(space, tol_det)
+    res = decision.result
     if not res.feasible:
         raise NotEmbeddableError(f"space is not embeddable in E^{n}: tau minor on points {res.psd.witness_subset} "
                                  f"is {res.psd.witness_value}")
     if res.dim > n:
         raise RankExceedsRequestedError(f"minimal dimension {res.dim} exceeds requested dimension {n}")
-
-    coords = _coordinates(report, order)
-    coords = coords - coords[0]
-    # one row at a time, so that memory stays O(n^2)
-    residual = max(float(np.max(np.abs(np.sqrt(np.sum((c - coords) ** 2, axis=-1)) - row)))
-                   for c, row in zip(coords, space.dist))
-    return Realization(coords=coords, m=report.rank, max_residual=residual)
+    return decision.realization
 
 
 def blumenthal_basis_search(
@@ -290,9 +352,4 @@ def blumenthal_basis_search(
     determinant on the basis extended by one or two points. Succeeds
     exactly when min-dim is n.
     """
-    if n < 1:
-        raise DimensionOutOfRangeError(f"target dimension must be >= 1, got {n}")
-    res, (points, report, base, order), _ = _decision(space, tol_det)
-    if res.dim != n:
-        return None
-    return tuple(int(points[i]) for i in [base] + [order[1 + p] for p in report.pivots])
+    return _decide(space, tol_det).basis(n)

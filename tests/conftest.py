@@ -65,6 +65,22 @@ def affine_rank(points: np.ndarray, tol: float = 1e-9) -> int:
     return int(np.sum(sv > tol * sv[0]))
 
 
+def square_with_tetrahedron(edge: float, apex=(0.0, 0.0, 1.0)):
+    """A unit square with a tetrahedron of the given edge at its centre,
+    whose fourth point is ``edge * apex`` off the centre (by default a
+    right corner, off the square's plane by ``edge``)."""
+    corners = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
+    tet = np.array([0.5, 0.5, 0.0]) + edge * np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], apex])
+    return cloud_space(np.vstack([corners, tet]))
+
+
+def line_with_triangle(edge: float):
+    """Two points a unit apart with an equilateral triangle of the given
+    edge between them."""
+    tri = np.array([0.5, 0.0]) + edge * np.array([[0, 0], [1, 0], [0.5, np.sqrt(3) / 2]])
+    return cloud_space(np.vstack([[[0.0, 0.0], [1.0, 0.0]], tri]))
+
+
 def square_with_star(edge: float):
     """A unit square, its centre c, and three leaves at ``edge`` from c and
     2 * edge from one another, each as far from the corners as c is: a

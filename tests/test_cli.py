@@ -8,12 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metricembed import cli, embeddability
+from metricembed import embeddability, validate_metric
 from metricembed.cli import main
-from metricembed.determinants import CMValue
-from metricembed.errors import NotEmbeddableError, RankExceedsRequestedError
+from metricembed.determinants import DEFAULT_TOL_DET, CMValue
 
-from conftest import square_with_star
+from conftest import square_with_star, square_with_tetrahedron
 
 EQ = {"labels": ["a", "b", "c"], "distances": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}
 STAR = [[0, 1, 1, 1], [1, 0, 2, 2], [1, 2, 0, 2], [1, 2, 2, 0]]
@@ -92,6 +91,17 @@ class TestCheckEmbed:
         assert out["result"]["residual"] < 1e-9
         assert len(out["result"]["coordinates"]) == 3
 
+    def test_blumenthal_realize(self, eq_file, capsys):
+        assert main(["check-embed", eq_file, "--dim", "2", "--criterion", "blumenthal", "--realize"]) == 0
+        out = json.loads(capsys.readouterr().out)["result"]
+        assert out["verdict"] == "yes" and out["witness_tuple"] == [0, 1, 2]
+        assert out["achieved_dim"] == 2 and len(out["coordinates"]) == 3
+        assert out["residual"] < 1e-9
+        # no coordinates on a no
+        assert main(["check-embed", eq_file, "--dim", "1", "--criterion", "blumenthal", "--realize"]) == 1
+        out = json.loads(capsys.readouterr().out)["result"]
+        assert "coordinates" not in out and out["residual"] is None
+
     def test_text_format(self, eq_file, capsys):
         assert main(["check-embed", eq_file, "--dim", "2", "--format", "text"]) == 0
         text = capsys.readouterr().out
@@ -151,24 +161,32 @@ class TestMinDim:
             assert json.loads(capsys.readouterr().out)["result"]["achieved_dim"] == m, tol
 
 
-class TestRealizeRefused:
-    """A decider accepted the space but the factorization refuses its
-    coordinates: the two routes disagree, which is exit 5 with a JSON
-    error. Both routes read the same factorization of tau, so no input
-    reaches this; the refusal is injected."""
+class TestOneDecision:
+    """Every finite command factors each part of the space exactly once,
+    whichever engines, basis and realization it reads."""
 
-    @pytest.mark.parametrize("error", [NotEmbeddableError, RankExceedsRequestedError])
-    @pytest.mark.parametrize("argv", [["check-embed", "--dim", "2", "--realize"], ["min-dim", "--realize"]])
-    def test_exit_5_with_json(self, eq_file, argv, error, monkeypatch, capsys):
-        def refuse(*args, **kwargs):
-            raise error("refused")
+    SPACES = [pytest.param(lambda: validate_metric(EQ["distances"]), 2, id="triangle"),
+              pytest.param(lambda: square_with_tetrahedron(1e-5), 3, id="tetrahedron-1e-05"),
+              pytest.param(lambda: square_with_star(1e-6), 3, id="star-1e-06")]
+    COMMANDS = ([["check-embed", "--criterion", c] + r
+                 for c in ("menger", "schoenberg", "blumenthal", "all") for r in ([], ["--realize"])]
+                + [["min-dim"], ["min-dim", "--realize"]])
 
-        monkeypatch.setattr(cli, "realize_coordinates", refuse)
-        assert main([argv[0], eq_file] + argv[1:]) == 5
-        out = json.loads(capsys.readouterr().out)
-        assert out["exit_code"] == 5
-        assert "refused" in out["error"]
-        assert "result" not in out
+    @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+    @pytest.mark.parametrize("build,n", SPACES)
+    def test_one_factorization_per_part(self, build, n, argv, tmp_path, monkeypatch, capsys):
+        space = build()
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"labels": list(space.labels), "distances": space.dist.tolist()}))
+        parts = len(list(embeddability._parts(space, DEFAULT_TOL_DET)))
+        calls = []
+        factor = embeddability.psd_check
+        monkeypatch.setattr(embeddability, "psd_check", lambda *a, **k: calls.append(1) or factor(*a, **k))
+        dim = ["--dim", str(n)] if argv[0] == "check-embed" else []
+        code = main([argv[0], str(path)] + dim + argv[1:])
+        assert code in (0, 1)
+        assert len(calls) == parts
+        assert json.loads(capsys.readouterr().out)["exit_code"] == code
 
 
 class TestUndetermined:

@@ -10,6 +10,7 @@ Expected values are hand-derived:
 * coplanar quadruples (unit square) have zero 3-simplex volume: D_3 = 0.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -24,11 +25,10 @@ from metricembed import (
     scale_metric,
     sch_determinant,
     sch_value,
-    simplex_volume_sq,
-    tau_matrix,
+    submatrix,
     validate_metric,
 )
-from metricembed.determinants import within_band
+from metricembed.determinants import tau_from_matrix, within_band
 from metricembed.errors import NotSymmetricError, TupleTooShortError
 from metricembed.spaces import perturbed_euclidean_space
 
@@ -84,6 +84,17 @@ class TestCayleyMenger:
             assert within_band(sch_determinant(sp, t), sq_max, len(t) - 1, 1e-12)
 
 
+def simplex_volume_sq(space, t):
+    """Squared k-simplex volume ``(-1)^(k+1) D_k / (2^k (k!)^2)``, raw."""
+    cm = cm_determinant(space, t)
+    return cm.signed_value / (2.0**cm.k * float(math.factorial(cm.k)) ** 2)
+
+
+def tau(space, t):
+    """tau matrix of a tuple whose first entry is the base point."""
+    return tau_from_matrix(submatrix(space, t))
+
+
 class TestVolume:
     def test_segment_length_squared(self):
         assert simplex_volume_sq(pair(2.0), (0, 1)) == pytest.approx(4.0, rel=1e-12)
@@ -101,27 +112,24 @@ class TestVolume:
 
 class TestTauAndSch:
     def test_pair(self):
-        tm = tau_matrix(pair(1.0), (0, 1))
-        assert tm.entries.tolist() == [[2.0]]
+        assert tau(pair(1.0), (0, 1)).tolist() == [[2.0]]
         assert sch_determinant(pair(1.0), (0, 1)) == pytest.approx(2.0)
 
     def test_equilateral(self, equilateral):
-        tm = tau_matrix(equilateral, (0, 1, 2))
-        assert tm.entries.tolist() == [[2.0, 1.0], [1.0, 2.0]]
-        assert tm.base == 0
+        assert tau(equilateral, (0, 1, 2)).tolist() == [[2.0, 1.0], [1.0, 2.0]]
         assert sch_determinant(equilateral, (0, 1, 2)) == pytest.approx(3.0)
 
     def test_base_duplicate_zero_row(self, equilateral):
         # a point equal to the base makes its tau row and column vanish
-        tm = tau_matrix(equilateral, (0, 0, 1))
-        assert np.allclose(tm.entries[0, :], 0.0)
-        assert np.allclose(tm.entries[:, 0], 0.0)
+        tm = tau(equilateral, (0, 0, 1))
+        assert np.allclose(tm[0, :], 0.0)
+        assert np.allclose(tm[:, 0], 0.0)
 
     def test_symmetry(self):
         sp = perturbed_euclidean_space(6, seed=5)
-        tm = tau_matrix(sp, (2, 0, 1, 3, 4))
-        assert np.allclose(tm.entries, tm.entries.T)
-        assert np.allclose(np.diag(tm.entries), 2.0 * sp.dist[2, [0, 1, 3, 4]] ** 2)
+        tm = tau(sp, (2, 0, 1, 3, 4))
+        assert np.allclose(tm, tm.T)
+        assert np.allclose(np.diag(tm), 2.0 * sp.dist[2, [0, 1, 3, 4]] ** 2)
 
 
 class TestCrossEngine:

@@ -1,5 +1,7 @@
 """Embeddability criteria, dimension search, realization, basis search."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -23,8 +25,10 @@ from conftest import (
     affine_rank,
     cloud_space,
     enumerated_verdict,
+    line_with_triangle,
     random_cloud,
     square_with_star,
+    square_with_tetrahedron,
 )
 
 
@@ -107,22 +111,6 @@ class TestSchoenberg:
             enumerated_verdict(sp, 3, "menger")
 
 
-def _square_with_tetrahedron(edge: float, apex=(0.0, 0.0, 1.0)):
-    """A unit square with a tetrahedron of the given edge at its centre,
-    whose fourth point is ``edge * apex`` off the centre (by default a
-    right corner, off the square's plane by ``edge``)."""
-    corners = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
-    tet = np.array([0.5, 0.5, 0.0]) + edge * np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], apex])
-    return cloud_space(np.vstack([corners, tet]))
-
-
-def _line_with_triangle(edge: float):
-    """Two points a unit apart with an equilateral triangle of the given
-    edge between them."""
-    tri = np.array([0.5, 0.0]) + edge * np.array([[0, 0], [1, 0], [0.5, np.sqrt(3) / 2]])
-    return cloud_space(np.vstack([[[0.0, 0.0], [1.0, 0.0]], tri]))
-
-
 def _is_blumenthal_basis(space, basis) -> bool:
     """Brute force for one basis: every prefix has a positive signed
     determinant outside the zero band, and every one- or two-point
@@ -144,15 +132,15 @@ class TestMultiScale:
 
     RATIOS = [1e-2, 1e-4, 1e-5, 1e-6, 1e-8]
     #: (builder, arguments) of every space below, for the agreement tests
-    FAMILIES = ([pytest.param(_square_with_tetrahedron, (e,), id=f"tetrahedron-{e:g}") for e in RATIOS]
-                + [pytest.param(_square_with_tetrahedron, (e, (1 / 3, 1 / 3, lift)), id=f"thin-{e:g}")
+    FAMILIES = ([pytest.param(square_with_tetrahedron, (e,), id=f"tetrahedron-{e:g}") for e in RATIOS]
+                + [pytest.param(square_with_tetrahedron, (e, (1 / 3, 1 / 3, lift)), id=f"thin-{e:g}")
                    for e, lift in ((1e-3, 1e-3), (1e-4, 3e-3))]
-                + [pytest.param(_line_with_triangle, (e,), id=f"triangle-{e:g}") for e in RATIOS]
+                + [pytest.param(line_with_triangle, (e,), id=f"triangle-{e:g}") for e in RATIOS]
                 + [pytest.param(square_with_star, (e,), id=f"star-{e:g}") for e in RATIOS[:4]])
 
     @pytest.mark.parametrize("edge", RATIOS)
     def test_tiny_tetrahedron_leaves_the_plane(self, edge):
-        sp = _square_with_tetrahedron(edge)
+        sp = square_with_tetrahedron(edge)
         for n in (1, 2, 3):
             for check, engine in ((menger_check, "menger"), (schoenberg_check, "schoenberg")):
                 got = check(sp, n).embeddable
@@ -167,7 +155,7 @@ class TestMultiScale:
         # the apex is lift * edge off the plane: D_3 over its own scale is
         # about lift^2, 1e-6 .. 1e-5, outside the 1e-8 band but far inside
         # it on the square's scale
-        sp = _square_with_tetrahedron(edge, apex=(1 / 3, 1 / 3, lift))
+        sp = square_with_tetrahedron(edge, apex=(1 / 3, 1 / 3, lift))
         for check, engine in ((menger_check, "menger"), (schoenberg_check, "schoenberg")):
             assert enumerated_verdict(sp, 2, engine) == "no", engine
             assert check(sp, 2).embeddable == "no", engine
@@ -176,7 +164,7 @@ class TestMultiScale:
     def test_tiny_triangle_leaves_the_line(self, edge):
         # at the smallest edges only a ball of exactly three points, the
         # triangle alone, shows it
-        sp = _line_with_triangle(edge)
+        sp = line_with_triangle(edge)
         for check, engine in ((menger_check, "menger"), (schoenberg_check, "schoenberg")):
             assert enumerated_verdict(sp, 1, engine) == "no", (edge, engine)
             v = check(sp, 1)
@@ -272,14 +260,17 @@ class TestRealize:
         with pytest.raises(NotEmbeddableError):
             realize_coordinates(star_k13, 3)
 
-    def test_sub_band_feature_realized_flat(self):
-        # the factor over all points reads a tetrahedron of edge 1e-5 as
-        # flat; min-dim is 3, and the residual shows the flattening
-        sp = _square_with_tetrahedron(1e-5)
-        assert min_embedding_dimension(sp).dim == 3
-        real = realize_coordinates(sp, 3)
-        assert real.m == 2
-        assert 5e-6 < real.max_residual < 2e-5
+    @pytest.mark.parametrize("build,m", [pytest.param(square_with_tetrahedron, 3, id="square_with_tetrahedron"),
+                                         pytest.param(line_with_triangle, 2, id="line_with_triangle")])
+    @pytest.mark.parametrize("edge", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+    def test_sub_band_feature_realized_at_min_dim(self, build, m, edge):
+        # the factor over all points reads a feature of edge <= 1e-5 as flat;
+        # the realization continues it up to min-dim's m columns
+        sp = build(edge)
+        assert min_embedding_dimension(sp).dim == m
+        real = realize_coordinates(sp, m)
+        assert real.m == m == real.coords.shape[1]
+        assert real.max_residual <= 1e-3 * edge
 
     def test_residual_row_by_row(self):
         rng = np.random.default_rng(7)
@@ -310,6 +301,36 @@ class TestRealize:
         tet = validate_metric(np.ones((4, 4)) - np.eye(4))
         with pytest.raises(RankExceedsRequestedError):
             realize_coordinates(tet, 2)
+
+
+class TestSharedDecision:
+    def test_threads_read_their_own_space(self):
+        # the readers share one memoized decision; threads that interleave
+        # on different spaces must each get the answers of their own
+        rng = np.random.default_rng(11)
+        spaces = [cloud_space(random_cloud(rng, 8, rank)) for rank in (1, 2, 3, 4)]
+        expected = [(min_embedding_dimension(sp).dim, realize_coordinates(sp, 4).coords.shape) for sp in spaces]
+        wrong = []
+
+        def work(i):
+            sp = spaces[i]
+            for _ in range(200):
+                got = (min_embedding_dimension(sp).dim, realize_coordinates(sp, 4).coords.shape)
+                if got != expected[i] or blumenthal_basis_search(sp, got[0]) is None:
+                    wrong.append((i, got))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i % 4,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong, wrong[:3]
 
 
 class TestRoundTrip:
