@@ -164,10 +164,9 @@ def cmd_scan(args) -> int:
         _emit({"command": "scan", "error": f"cannot build space: {exc}", "exit_code": EXIT_IO},
               args.format, out)
         return EXIT_IO
-    scales = _parse_scales(args.scales)
     try:
-        report = transfer_check(space, args.dim, budget=args.samples * len(scales) * 2 * (args.dim + 2),
-                                scales=scales, seed=args.seed, tol_det=args.tol_det)
+        report = transfer_check(space, args.dim, samples_per_scale=args.samples,
+                                scales=_parse_scales(args.scales), seed=args.seed, tol_det=args.tol_det)
     except (ValueError, RuntimeError) as exc:
         # typed scan failures: a sampler that cannot serve the ladder
         _emit({"command": "scan", "config": _config_dict(args, space=cfg), "error": f"cannot scan: {exc}",

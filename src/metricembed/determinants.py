@@ -37,8 +37,8 @@ from .metric import FiniteMetricSpace, submatrix
 #: 2k, it lies within ``tol_det``. That quotient is the determinant taken
 #: after dividing the tuple's distances by the largest one, the degree-0
 #: form ``theta`` uses, so a verdict does not depend on the unit of
-#: distance and the finite and infinitesimal layers give ``tol_det`` one
-#: meaning.
+#: distance. The scans judge the delta-normalized Theta and S against one
+#: noise floor, ``10 * tol_det``, for sign, vanishing and positivity.
 DEFAULT_TOL_DET = 1e-8
 
 

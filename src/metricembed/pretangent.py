@@ -52,14 +52,14 @@ from .spaces import MarkedSpace
 STABILITY_WINDOW = 0.5
 INSTABILITY_FACTOR = 10.0
 
-#: Scan verdict thresholds. Sign conditions support when the running
-#: liminf stays above -SIGN_TOL and refute when every tail rung's infimum
-#: sits below -REFUTE_LEVEL. Vanishing conditions support either at the
-#: numerical noise floor (10 * tol_det) or through a fitted decay with
-#: exponent above DECAY_EXPONENT_MIN and a tail magnitude down by
-#: DECAY_DROP; they refute when tail magnitudes stay above REFUTE_LEVEL
-#: with no decay trend.
-SIGN_TOL = 1e-6
+#: Scan verdict thresholds. A delta-normalized Theta/S value within the
+#: noise floor NOISE_FLOOR_FACTOR * tol_det of 0 is zero: sign conditions
+#: support when the running liminf stays above -floor and refute when
+#: every tail rung's infimum sits below -REFUTE_LEVEL. Vanishing conditions
+#: support either at the floor or through a fitted decay with exponent
+#: above DECAY_EXPONENT_MIN and a tail magnitude down by DECAY_DROP; they
+#: refute when tail magnitudes stay above REFUTE_LEVEL with no decay trend.
+NOISE_FLOOR_FACTOR = 10.0
 REFUTE_LEVEL = 1e-3
 DECAY_EXPONENT_MIN = 0.5
 FLAT_EXPONENT_MAX = 0.1
@@ -173,15 +173,19 @@ def ultra_triangle_functional() -> HomogeneousFunctional:
     return HomogeneousFunctional(name="ultra_triangle", arity=3, degree=1, evaluator=evaluate)
 
 
+def _normalized(space: MarkedSpace, t: Sequence) -> tuple[float, np.ndarray | None]:
+    """delta and the delta-normalized distance matrix (None at the all-p tuple)."""
+    delta = delta_scale(space, t)
+    return delta, (space.matrix(t) / delta if delta > 0 else None)
+
+
 def star_transform(f: HomogeneousFunctional, space: MarkedSpace, t: Sequence) -> float:
     """f evaluated on the delta-normalized distance matrix; 0 at the all-p
     tuple. Normalized entries are bounded by 2 via the triangle inequality."""
     if len(t) != f.arity:
         raise ArityMismatchError(f"functional {f.name} has arity {f.arity}, tuple has {len(t)}")
-    delta = delta_scale(space, t)
-    if delta == 0.0:
-        return 0.0
-    return float(f.evaluator(space.matrix(t) / delta))
+    _, normalized = _normalized(space, t)
+    return 0.0 if normalized is None else float(f.evaluator(normalized))
 
 
 def theta(space: MarkedSpace, t: Sequence) -> float:
@@ -425,8 +429,8 @@ def _fit_trend(scales: np.ndarray, magnitudes: np.ndarray, floor: float) -> floa
     return float(slope)
 
 
-def _scan_pass(space: MarkedSpace, k: int, condition: str, modes: Sequence[str], sampler,
-               scales: list[float], samples_per_scale: int, seed: int, tol_det: float) -> list[ScanReport]:
+def _scan_pass(space: MarkedSpace, k: int, condition: str, modes: Sequence[str], scales,
+               samples_per_scale: int, seed: int, tol_det: float) -> list[ScanReport]:
     """One sampled pass at order k, reported once per mode.
 
     Each (k+1)-tuple is drawn once, seeded with spawn key (i,) for sample
@@ -434,6 +438,7 @@ def _scan_pass(space: MarkedSpace, k: int, condition: str, modes: Sequence[str],
     on its delta-normalized distance matrix (a tuple at p gives 0).
     Extremes, witnesses, trend and verdict follow ``liminf_scan``.
     """
+    scales = [float(s) for s in (scale_ladder() if scales is None else scales)]
     if len(scales) < 2 or any(b >= a for a, b in zip(scales, scales[1:])) or scales[-1] <= 0:
         raise ValueError("scales must be strictly decreasing positive values")
     if samples_per_scale < 1:
@@ -444,16 +449,15 @@ def _scan_pass(space: MarkedSpace, k: int, condition: str, modes: Sequence[str],
     for j, s in enumerate(scales):
         draws.append([])
         for i in range(samples_per_scale):
-            t = sampler(s, k, np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+            t = space.sampler(s, k, np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
             if len(t) != k + 1:
                 raise ArityMismatchError(f"sampler returned {len(t)} points for k = {k}")
-            delta = delta_scale(space, t)
-            if delta > 0:
+            delta, normalized = _normalized(space, t)
+            if normalized is not None:
                 if not (s / 4 <= delta <= 2 * s):
                     raise SamplerScaleMismatchError(
                         f"sampler delta {delta!r} off requested scale {s!r} by more than 2x"
                     )
-                normalized = space.matrix(t) / delta
                 for e, evaluate in enumerate(evaluators):
                     values[e, j, i] = evaluate(normalized)
             draws[j].append(t)
@@ -464,7 +468,7 @@ def _scan_pass(space: MarkedSpace, k: int, condition: str, modes: Sequence[str],
         return ScanWitness(int(j), scales[j], float(v[j, i]), draws[j][i])
 
     tail = slice(len(scales) // 2, None)
-    floor = INSTABILITY_FACTOR * tol_det
+    floor = NOISE_FLOOR_FACTOR * tol_det
     rungs = np.arange(len(scales))
     reports = []
     for mode, v in zip(modes, values):
@@ -475,7 +479,7 @@ def _scan_pass(space: MarkedSpace, k: int, condition: str, modes: Sequence[str],
         trend = _fit_trend(np.array(scales), magnitudes, floor)
 
         if condition == "sign":
-            if running_liminf >= -SIGN_TOL:
+            if running_liminf >= -floor:
                 verdict = "supports"
             elif float(np.max(infs[tail])) <= -REFUTE_LEVEL:
                 verdict = "refutes"
@@ -517,7 +521,6 @@ def _scan_pass(space: MarkedSpace, k: int, condition: str, modes: Sequence[str],
 def liminf_scan(
     space: MarkedSpace,
     k: int,
-    sampler=None,
     scales: Sequence[float] | None = None,
     samples_per_scale: int = 128,
     mode: str = "theta",
@@ -535,9 +538,9 @@ def liminf_scan(
     instead of sampling noise. The verdict judges ``condition``:
 
     * "sign": liminf >= 0 expected. Supports when the tail liminf stays
-      above -1e-6; refutes when every tail rung's infimum is below -1e-3.
+      above -10*tol_det; refutes when every tail rung's infimum is < -1e-3.
     * "vanishing": limit = 0 expected. Supports at the noise floor
-      (everything within 10*tol_det) or with decay exponent > 0.5 and a
+      (everything within 10 * tol_det) or with decay exponent > 0.5 and a
       10x tail drop; refutes when tail magnitudes exceed 1e-3 with a flat
       trend (exponent <= 0.1).
     """
@@ -547,10 +550,7 @@ def liminf_scan(
         raise ValueError(f"unknown condition {condition!r}")
     if mode not in ("theta", "s"):
         raise ValueError(f"unknown mode {mode!r}")
-    scales = [float(s) for s in (scale_ladder() if scales is None else scales)]
-    if sampler is None:
-        sampler = space.sampler
-    return _scan_pass(space, k, condition, (mode,), sampler, scales, samples_per_scale, seed, tol_det)[0]
+    return _scan_pass(space, k, condition, (mode,), scales, samples_per_scale, seed, tol_det)[0]
 
 
 @dataclass(frozen=True)
@@ -574,7 +574,7 @@ class TransferReport:
 def transfer_check(
     space: MarkedSpace,
     n: int,
-    budget: int | None = None,
+    samples_per_scale: int = 128,
     scales: Sequence[float] | None = None,
     seed: int = 0,
     tol_det: float = DEFAULT_TOL_DET,
@@ -584,20 +584,17 @@ def transfer_check(
     Runs sign scans for k = 1..n and vanishing scans for k = n+1, n+2, in
     both functional modes (the two determinant engines cross-check each
     other). Both modes are read off the same draws: one sampled pass per
-    k evaluates Theta and S on each tuple's normalized matrix. ``budget``
-    counts functional evaluations, two per drawn tuple; ``scans`` lists
-    every Theta scan, then every S scan. Refuted as soon as any scan
+    k draws ``samples_per_scale`` tuples per rung and evaluates Theta and
+    S on each tuple's normalized matrix; ``scans`` lists every Theta
+    scan, then every S scan. Refuted as soon as any scan
     refutes (``witness_scan`` is the first); consistent only when all
     scans support. The equality conditions are checked two-sided (liminf
     and limsup both pinned to 0) in both modes.
     """
     if n < 1:
         raise DimensionOutOfRangeError(f"target dimension must be >= 1, got {n}")
-    scales = [float(s) for s in (scale_ladder() if scales is None else scales)]
     jobs = [(k, "sign") for k in range(1, n + 1)] + [(k, "vanishing") for k in (n + 1, n + 2)]
-    samples = 128 if budget is None else max(8, budget // (2 * len(jobs) * len(scales)))
-
-    passes = [_scan_pass(space, k, condition, ("theta", "s"), space.sampler, scales, samples, seed, tol_det)
+    passes = [_scan_pass(space, k, condition, ("theta", "s"), scales, samples_per_scale, seed, tol_det)
               for k, condition in jobs]
     scans = tuple(theta for theta, _ in passes) + tuple(s for _, s in passes)
 
@@ -674,16 +671,15 @@ def blumenthal_sequence_scan(
     r: NormalizingSequence | None = None,
     depth: int = 64,
     tol_det: float = DEFAULT_TOL_DET,
-    pos_tol: float = 1e-9,
     tangent_assumed: bool = True,
 ) -> BlumenthalReport:
     """Test n+1 point sequences as witnesses of a limit space of exact
     dimension n.
 
     Condition (i): for k = 1..n the tail of Theta_{k+1} over the first
-    k+1 sequences must stay strictly positive. Condition (ii): appending
-    one probe (order n+1) or a probe pair (order n+2) must drive the
-    functional to zero. Probes default to the axis/diagonal/super-slow
+    k+1 sequences must stay above the noise floor 10 * tol_det.
+    Condition (ii): appending one probe (order n+1) or a probe pair
+    (order n+2) must drive the functional within that floor. Probes default to the axis/diagonal/super-slow
     battery on cube regions. Sequences must converge to p
     (NonconvergentSequenceError otherwise); the tangency hypothesis of
     the forward direction is recorded as a flag, never verified.
@@ -718,7 +714,7 @@ def blumenthal_sequence_scan(
             probe_names[id(seq)] = f"probe{len(singles)}"
             singles.append(seq)
 
-    band = INSTABILITY_FACTOR * tol_det
+    floor = NOISE_FLOOR_FACTOR * tol_det
     cond_ii: list[tuple[int, str, float, float]] = []
     for seq in singles:
         vals = [abs(theta(space, tuple(x(m) for x in x_seqs) + (seq(m),))) for m in tail]
@@ -728,11 +724,11 @@ def blumenthal_sequence_scan(
         label = f"{probe_names[id(y)]}+{probe_names[id(u)]}"
         cond_ii.append((n + 2, label, float(np.min(vals)), float(np.max(vals))))
 
-    i_ok = all(tmin > pos_tol for _, tmin, _ in cond_i)
-    ii_ok = all(tmax <= band for _, _, _, tmax in cond_ii)
+    i_ok = all(tmin > floor for _, tmin, _ in cond_i)
+    ii_ok = all(tmax <= floor for _, _, _, tmax in cond_ii)
     if i_ok and ii_ok:
         verdict = "supports"
-    elif any(tmax <= pos_tol for _, _, tmax in cond_i) or any(tmin > band for _, _, tmin, _ in cond_ii):
+    elif any(tmax <= floor for _, _, tmax in cond_i) or any(tmin > floor for _, _, tmin, _ in cond_ii):
         verdict = "refutes"
     else:
         verdict = "inconclusive"

@@ -218,11 +218,14 @@ def make_snowflake(alpha: float, base_dim: int, p, region=None) -> MarkedSpace:
 def make_ultrametric(depth: int, arity: int, p=None) -> MarkedSpace:
     """Leaves of a rooted (depth, arity) tree with distance 2^-(LCA depth).
 
-    Addresses are digit tuples of length ``depth``; the ultra-triangle
-    inequality holds exactly by construction.
+    Addresses are digit tuples of length ``depth`` (at most 1075, so every
+    leaf distance is a positive double); the ultra-triangle inequality
+    holds exactly by construction.
     """
     if depth < 2 or arity < 2:
         raise ValueError("depth and arity must both be >= 2")
+    if depth > 1075:
+        raise ValueError(f"depth {depth} > 1075: distinct leaves would sit at distance 0.0")
     if p is None:
         p = (0,) * depth
     p = tuple(int(d) for d in p)
@@ -254,8 +257,9 @@ def make_ultrametric(depth: int, arity: int, p=None) -> MarkedSpace:
             return head + tail
 
         pts = [leaf_at(level)]  # anchor at distance exactly 2^-level
+        # past level + 53 shared digits a leaf equals p to double precision
         for _ in range(k):
-            pts.append(leaf_at(int(rng.integers(level, depth + 1))))
+            pts.append(leaf_at(int(rng.integers(level, min(depth, level + 53) + 1))))
         rng.shuffle(pts)
         return tuple(pts)
 

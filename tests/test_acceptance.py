@@ -244,7 +244,7 @@ def test_criterion_6_exact_vanishing_conservation():
 
     verdicts = []
     for seed in range(20):
-        rep = transfer_check(plane, 2, budget=8 * 12 * 32, seed=seed, tol_det=TOL_DET)
+        rep = transfer_check(plane, 2, samples_per_scale=32, seed=seed, tol_det=TOL_DET)
         verdicts.append(rep.verdict)
     assert all(v == "consistent-with-embeddable" for v in verdicts), verdicts
     report(6, "frozen E^2 subsets: Theta_4 = Theta_5 = 0 within 10*tol_det at every "
@@ -282,7 +282,7 @@ def test_criterion_7_circle_decay():
     assert sups[-1] <= 1e-3
     assert rep.verdict == "supports"
 
-    tc = transfer_check(circle, 1, budget=6 * 12 * 64, seed=7, tol_det=TOL_DET)
+    tc = transfer_check(circle, 1, samples_per_scale=64, seed=7, tol_det=TOL_DET)
     assert tc.verdict == "consistent-with-embeddable"
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, elapsed
@@ -298,7 +298,7 @@ def test_criterion_8_refutation_path():
         t = (np.array([eps, 0.0]), np.array([0.0, eps]), np.array([eps, eps]))
         assert theta(grid, t) == pytest.approx(1.0, rel=1e-9)
 
-    tc = transfer_check(grid, 1, budget=6 * 12 * 96, seed=8, tol_det=TOL_DET)
+    tc = transfer_check(grid, 1, samples_per_scale=96, seed=8, tol_det=TOL_DET)
     assert tc.verdict == "refuted"
     witness = tc.scans[tc.witness_scan]
     assert witness.k == 2 and witness.condition == "vanishing"

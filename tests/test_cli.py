@@ -270,6 +270,12 @@ class TestScan:
         out = json.loads(capsys.readouterr().out)
         assert out["exit_code"] == 3 and "cannot build space" in out["error"]
 
+    def test_samples_run_as_given(self, circle_cfg, capsys):
+        main(["scan", circle_cfg, "--dim", "1", "--samples", "3"])
+        out = json.loads(capsys.readouterr().out)
+        assert out["config"]["samples"] == 3
+        assert [s["samples_per_scale"] for s in out["result"]["scans"]] == [3] * 6
+
     def test_custom_scales_flag(self, circle_cfg, capsys):
         assert main(["scan", circle_cfg, "--dim", "1", "--samples", "8",
                      "--scales", "0.4:0.5:6"]) == 0
@@ -312,6 +318,13 @@ class TestScan:
         assert "below tree resolution" in out["error"]
         assert out["config"]["space"]["depth"] == 3
         assert "depth" not in out["config"]
+
+    def test_too_deep_ultrametric_exit_3(self, tmp_path, capsys):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text(json.dumps({"type": "ultrametric", "depth": 1076, "arity": 2}))
+        assert main(["scan", str(cfg), "--dim", "1", "--samples", "8"]) == 3
+        out = json.loads(capsys.readouterr().out)
+        assert out["exit_code"] == 3 and "cannot build space" in out["error"]
 
     def test_sampler_failure_into_existing_out_directory(self, tmp_path):
         cfg = tmp_path / "shallow.json"

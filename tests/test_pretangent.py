@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metricembed import (
+    MarkedSpace,
     NormalizingSequence,
     as_marked,
     blumenthal_sequence_scan,
@@ -47,6 +48,7 @@ from metricembed.errors import (
     ArityMismatchError,
     DegenerateNormalizerError,
     DimensionOutOfRangeError,
+    EmptySampleError,
     MergeInconsistencyError,
     NonconvergentSequenceError,
     NonpositiveExponentError,
@@ -67,6 +69,22 @@ def segment():
 
 def circle():
     return make_euclidean_subset(2, {"kind": "sphere-surface", "center": [0, 0], "radius": 1.0}, [1, 0])
+
+
+def stretched_triple(stretch=1.5e-8):
+    # at every scale s the sampler draws (p, a, b) with sides s, s and
+    # 2s(1 + stretch): normalized sides 1, 1, c = 2(1 + stretch) give
+    # Theta_3 = (2 + c) c^2 (2 - c) ~ -32 * stretch = -4.8e-7
+    p = ("p", 0.0)
+
+    def metric(x, y):
+        if x == y:
+            return 0.0
+        if p in (x, y):
+            return max(x[1], y[1])
+        return (x[1] + y[1]) * (1.0 + stretch)
+
+    return MarkedSpace(metric=metric, p=p, sampler=lambda scale, k, seed: (p, ("a", scale), ("b", scale)))
 
 
 def diametral_marked():
@@ -380,19 +398,30 @@ class TestLiminfScan:
 
     def test_sampler_scale_mismatch(self):
         sp = plane()
-        bad = lambda scale, k, seed: sp.sample(min(0.5, scale * 8), k, seed)
+        bad = dataclasses.replace(sp, sampler=lambda scale, k, seed: sp.sample(min(0.5, scale * 8), k, seed))
         with pytest.raises(SamplerScaleMismatchError):
-            liminf_scan(sp, 1, sampler=bad, scales=[0.01, 0.005], samples_per_scale=4)
+            liminf_scan(bad, 1, scales=[0.01, 0.005], samples_per_scale=4)
 
     def test_empty_sample(self):
-        from metricembed.errors import EmptySampleError
         with pytest.raises(EmptySampleError):
             liminf_scan(plane(), 1, samples_per_scale=0)
+        with pytest.raises(EmptySampleError):
+            transfer_check(plane(), 1, samples_per_scale=0)
+
+    @pytest.mark.parametrize("mode", ["theta", "s"])
+    def test_sign_threshold_follows_tol_det(self, mode):
+        # Theta_3 = -4.8e-7 lies below -1e-7 (the floor at the default
+        # tol_det 1e-8) and above -1e-6 (the floor at tol_det 1e-7)
+        rep = liminf_scan(stretched_triple(), 2, samples_per_scale=2, mode=mode)
+        assert rep.running_liminf == pytest.approx(-4.8e-7, rel=1e-3)
+        assert rep.verdict == "inconclusive"
+        assert liminf_scan(stretched_triple(), 2, samples_per_scale=2, mode=mode,
+                           tol_det=1e-7).verdict == "supports"
 
 
 class TestTransferCheck:
     def test_plane_consistent_at_2(self):
-        rep = transfer_check(plane(), 2, budget=4096, seed=0)
+        rep = transfer_check(plane(), 2, samples_per_scale=42, seed=0)
         assert rep.verdict == "consistent-with-embeddable"
         vanishing = [s for s in rep.scans if s.condition == "vanishing"]
         assert len(vanishing) == 4  # k = 3, 4 in both functional modes
@@ -417,13 +446,13 @@ class TestTransferCheck:
 
         n, scales, samples = 2, scale_ladder(0.5, 0.5, 6), 8
         rep = transfer_check(dataclasses.replace(sp, sampler=counting), n,
-                             budget=2 * (n + 2) * len(scales) * samples, scales=scales, seed=1)
+                             samples_per_scale=samples, scales=scales, seed=1)
         assert all(s.samples_per_scale == samples for s in rep.scans)
         assert len(keys) == (n + 2) * len(scales) * samples
         assert len(set(keys)) == len(keys)
 
     def test_plane_refuted_at_1_with_witness(self):
-        rep = transfer_check(plane(), 1, budget=4096, seed=0)
+        rep = transfer_check(plane(), 1, samples_per_scale=56, seed=0)
         assert rep.verdict == "refuted"
         scan = rep.scans[rep.witness_scan]
         assert scan.k == 2 and scan.condition == "vanishing"
@@ -434,13 +463,13 @@ class TestTransferCheck:
         # survives the snap to grid points
         grid = make_euclidean_subset(
             2, {"kind": "cube", "low": [0, 0], "high": [1, 1], "pitch": 2.0**-14}, [0, 0])
-        rep = transfer_check(grid, 2, budget=8 * 12 * 24, seed=4)
+        rep = transfer_check(grid, 2, samples_per_scale=24, seed=4)
         assert rep.verdict == "consistent-with-embeddable"
 
     def test_one_point_space_consistent(self):
         one = make_euclidean_subset(2, {"kind": "cube", "low": [0, 0], "high": [0, 0]}, [0, 0])
         for n in (1, 2, 3):
-            rep = transfer_check(one, n, budget=512, seed=0)
+            rep = transfer_check(one, n, samples_per_scale=8, seed=0)
             assert rep.verdict == "consistent-with-embeddable"
             for s in rep.scans:
                 assert set(s.per_scale_inf) == {0.0} and set(s.per_scale_sup) == {0.0}
@@ -450,11 +479,11 @@ class TestTransferCheck:
         for seed, p in [(0, [0.0]), (1, [0.5])]:
             rep = transfer_check(
                 make_euclidean_subset(1, {"kind": "cube", "low": [0.0], "high": [1.0]}, p),
-                1, budget=2048, seed=seed)
+                1, samples_per_scale=28, seed=seed)
             assert rep.verdict != "refuted"
         for seed, p in [(5, (0.3, 0.3)), (6, (0.0, 1.0)), (7, (0.9, 0.1))]:
-            assert transfer_check(plane(p), 2, budget=2048, seed=seed).verdict != "refuted"
-        rep = transfer_check(circle(), 2, budget=2048, seed=8)
+            assert transfer_check(plane(p), 2, samples_per_scale=21, seed=seed).verdict != "refuted"
+        rep = transfer_check(circle(), 2, samples_per_scale=21, seed=8)
         assert rep.verdict != "refuted"
 
     def test_snowflake_refutes_vanishing(self):
@@ -466,10 +495,17 @@ class TestTransferCheck:
         rep = liminf_scan(snow, 2, samples_per_scale=64, condition="vanishing", seed=3)
         assert rep.verdict == "refutes"
         assert abs(rep.trend) < 0.1
-        tc = transfer_check(snow, 1, budget=6 * 12 * 48, seed=3)
+        tc = transfer_check(snow, 1, samples_per_scale=48, seed=3)
         assert tc.verdict == "refuted"
         sign = liminf_scan(snow, 1, samples_per_scale=64, condition="sign", seed=3)
         assert sign.verdict == "supports"
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_deep_ultrametric_refuted_at_1(self, seed):
+        # p and leaves in the two other branches at one level form an
+        # equilateral triple, which no limit space in E^1 holds
+        rep = transfer_check(make_ultrametric(120, 3), 1, samples_per_scale=32, seed=seed)
+        assert rep.verdict == "refuted"
 
     def test_dimension_out_of_range(self):
         with pytest.raises(DimensionOutOfRangeError):
@@ -527,6 +563,20 @@ class TestBlumenthalScan:
         d20 = np.linalg.norm(slow(20) - sp.p)
         assert d20 < 1e-2
         assert d20 / r(20) > 1e2
+
+    def test_positivity_inside_floor_not_positive(self):
+        # x2 leaves x1's axis at angle phi with 4 sin^2(phi) = 1e-8: the tail
+        # Theta_3 = 1e-8 lies inside the floor 10 * tol_det = 1e-7
+        r = NormalizingSequence.geometric(0.5, 0.5)
+        sp = plane()
+        phi = math.asin(5e-5)
+        x1 = lambda m: np.array([r(m), 0.0])
+        x2 = lambda m: r(m) * np.array([math.cos(phi), math.sin(phi)])
+        seqs = [constant_sequence(sp.p), x1, x2]
+        rep = blumenthal_sequence_scan(sp, seqs, r=r)
+        assert rep.condition_i[1][1] == pytest.approx(1e-8, rel=1e-6)
+        assert rep.verdict == "refutes"
+        assert blumenthal_sequence_scan(sp, seqs, r=r, tol_det=1e-10).verdict == "supports"
 
     def test_battery_requires_cube_region(self):
         with pytest.raises(ValueError):

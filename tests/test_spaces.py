@@ -132,6 +132,22 @@ class TestUltrametric:
         with pytest.raises(ValueError):
             sp.sample(1e-3, 2, 0)
 
+    def test_depth_limit(self):
+        # beyond depth 1075 distinct leaves can sit at 2^-1075 == 0.0
+        with pytest.raises(ValueError, match="1075"):
+            make_ultrametric(1076, 2)
+        sp = make_ultrametric(1075, 2)
+        assert sp.metric(sp.p, sp.p[:-1] + (1,)) == 2.0**-1074 > 0.0
+
+    def test_deep_draws_stay_resolvable(self):
+        # at level j no drawn leaf shares more than j + 53 digits with p,
+        # so none collapses onto p against the anchor at 2^-j
+        sp = make_ultrametric(400, 3)
+        for j in (1, 6, 12):
+            for seed in range(20):
+                for x in sp.sample(2.0**-j, 4, seed):
+                    assert x != sp.p and sp.metric(x, sp.p) >= 2.0 ** -(j + 53)
+
 
 class TestFreeze:
     def test_segment_freeze(self):
