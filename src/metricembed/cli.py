@@ -33,7 +33,7 @@ from .embeddability import (
 )
 from .errors import MetricViolationError
 from .metric import load_space
-from .pretangent import scale_ladder, transfer_check
+from .pretangent import SAMPLER_VERSION, scale_ladder, transfer_check
 from .spaces import marked_space_from_config
 
 EXIT_YES = 0
@@ -199,6 +199,8 @@ def _config_dict(args, space=None) -> dict:
         "format": args.format,
         "version": __version__,
     }
+    if args.command == "scan":
+        cfg["sampler_version"] = SAMPLER_VERSION
     if space is not None:
         cfg["space"] = space
     inp = getattr(args, "input", None) or getattr(args, "space", None)

@@ -68,12 +68,13 @@ class CMValue:
 
 
 def bordered_matrix(dm: np.ndarray) -> np.ndarray:
-    """(k+2)x(k+2) bordered matrix of squared distances for a (k+1)-tuple."""
+    """(k+2)x(k+2) bordered matrix of squared distances for a (k+1)-tuple;
+    a stack of distance matrices gives the stack of bordered matrices."""
     dm = np.asarray(dm, dtype=float)
-    n = dm.shape[0] + 1
-    b = np.ones((n, n))
-    b[0, 0] = 0.0
-    b[1:, 1:] = dm * dm
+    n = dm.shape[-1] + 1
+    b = np.ones(dm.shape[:-2] + (n, n))
+    b[..., 0, 0] = 0.0
+    b[..., 1:, 1:] = dm * dm
     return b
 
 
@@ -94,13 +95,14 @@ def cm_determinant(space: FiniteMetricSpace, t: Sequence[int]) -> CMValue:
 
 
 def tau_from_matrix(dm: np.ndarray) -> np.ndarray:
-    """tau matrix (k x k) of a (k+1)x(k+1) distance matrix, base = row 0."""
+    """tau matrix (k x k) of a (k+1)x(k+1) distance matrix, base = row 0;
+    a stack of distance matrices gives the stack of tau matrices."""
     dm = np.asarray(dm, dtype=float)
-    if dm.shape[0] < 2:
+    if dm.shape[-1] < 2:
         raise TupleTooShortError("tau matrix needs at least 2 points")
     sq = dm * dm
-    s0 = sq[0, 1:]
-    return s0[:, None] + s0[None, :] - sq[1:, 1:]
+    s0 = sq[..., 0, 1:]
+    return s0[..., :, None] + s0[..., None, :] - sq[..., 1:, 1:]
 
 
 def sch_value(dm: np.ndarray) -> float:

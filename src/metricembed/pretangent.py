@@ -17,8 +17,10 @@ tuples shrinking toward ``p`` on a geometric scale ladder;
 ``blumenthal_sequence_scan`` tests the sequence-wise conditions for the
 existence of a limit space of exact dimension n.
 
-Scans sample; they can refute (persistent violation) or support, never
-prove. All scans are deterministic for a fixed seed.
+Scans sample: per rung they draw one cloud near ``p`` and evaluate index
+tuples into it with stacked determinants. They can refute (persistent
+violation) or support, never prove. All scans are deterministic for a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -64,6 +66,11 @@ REFUTE_LEVEL = 1e-3
 DECAY_EXPONENT_MIN = 0.5
 FLAT_EXPONENT_MAX = 0.1
 DECAY_DROP = 0.1
+
+#: Version of the scans' random stream, echoed in the ``scan`` config:
+#: version 1 drew every tuple on its own; version 2 draws one cloud per
+#: rung and takes index tuples into it.
+SAMPLER_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -141,25 +148,49 @@ class HomogeneousFunctional:
     evaluator: Callable[[np.ndarray], float]
 
 
+def _determinants(sub: np.ndarray, mode: str) -> np.ndarray:
+    """Signed Cayley-Menger (mode "theta") or Schoenberg (mode "s")
+    determinants of a stack of (k+1)-point distance matrices.
+
+    Neither depends on the order of the points, so each matrix is read from
+    the point nearest its tuple's centroid (the least sum of squared
+    distances): as the Schoenberg base and the first row of the bordered
+    matrix it keeps the entries short, and the rounding small against the
+    volume of a thin simplex. On a triple with two points 2e-3 of the
+    diameter apart, a far base costs three orders of magnitude in relative
+    error.
+    """
+    count, size = sub.shape[0], sub.shape[-1]
+    base = np.argmin(np.sum(sub * sub, axis=-1), axis=-1)
+    rows = np.arange(count)
+    order = np.tile(np.arange(size), (count, 1))
+    # swap each base with the first point
+    order[rows, base] = 0
+    order[rows, 0] = base
+    sub = sub[rows[:, None, None], order[:, :, None], order[:, None, :]]
+    if mode == "theta":
+        return (-1.0) ** size * np.linalg.det(bordered_matrix(sub))
+    return np.linalg.det(tau_from_matrix(sub))
+
+
 def cm_functional(k: int) -> HomogeneousFunctional:
     """Signed Cayley-Menger determinant of a (k+1)-point distance matrix."""
     if k < 1:
         raise TupleTooShortError("cm functional needs k >= 1")
-    sign = (-1.0) ** (k + 1)
 
     def evaluate(dm: np.ndarray) -> float:
-        return float(sign * np.linalg.det(bordered_matrix(dm)))
+        return float(_determinants(np.asarray(dm, dtype=float)[None], "theta")[0])
 
     return HomogeneousFunctional(name=f"signed_cm_{k}", arity=k + 1, degree=2 * k, evaluator=evaluate)
 
 
 def sch_functional(k: int) -> HomogeneousFunctional:
-    """Schoenberg determinant of a (k+1)-point distance matrix (base = 0)."""
+    """Schoenberg determinant of a (k+1)-point distance matrix."""
     if k < 1:
         raise TupleTooShortError("sch functional needs k >= 1")
 
     def evaluate(dm: np.ndarray) -> float:
-        return float(np.linalg.det(tau_from_matrix(dm)))
+        return float(_determinants(np.asarray(dm, dtype=float)[None], "s")[0])
 
     return HomogeneousFunctional(name=f"sch_{k}", arity=k + 1, degree=2 * k, evaluator=evaluate)
 
@@ -173,19 +204,27 @@ def ultra_triangle_functional() -> HomogeneousFunctional:
     return HomogeneousFunctional(name="ultra_triangle", arity=3, degree=1, evaluator=evaluate)
 
 
-def _normalized(space: MarkedSpace, t: Sequence) -> tuple[float, np.ndarray | None]:
-    """delta and the delta-normalized distance matrix (None at the all-p tuple)."""
-    delta = delta_scale(space, t)
-    return delta, (space.matrix(t) / delta if delta > 0 else None)
-
-
 def star_transform(f: HomogeneousFunctional, space: MarkedSpace, t: Sequence) -> float:
     """f evaluated on the delta-normalized distance matrix; 0 at the all-p
     tuple. Normalized entries are bounded by 2 via the triangle inequality."""
     if len(t) != f.arity:
         raise ArityMismatchError(f"functional {f.name} has arity {f.arity}, tuple has {len(t)}")
-    _, normalized = _normalized(space, t)
-    return 0.0 if normalized is None else float(f.evaluator(normalized))
+    delta = delta_scale(space, t)
+    return float(f.evaluator(space.matrix(t) / delta)) if delta > 0 else 0.0
+
+
+def _functionals(sub: np.ndarray, delta: np.ndarray, modes: Sequence[str]) -> np.ndarray:
+    """Theta or S of a stack of (k+1)-tuples, one stacked determinant per mode.
+
+    ``sub`` holds the tuples' distance matrices and ``delta`` their largest
+    distances to p; each matrix is divided by its own delta, and a tuple at
+    p gives 0. Returns an array of shape (len(modes), len(sub)).
+    """
+    at_p = delta == 0
+    sub = sub / np.where(at_p, 1.0, delta)[:, None, None]
+    out = np.array([_determinants(sub, mode) for mode in modes])
+    out[:, at_p] = 0.0
+    return out
 
 
 def theta(space: MarkedSpace, t: Sequence) -> float:
@@ -429,49 +468,79 @@ def _fit_trend(scales: np.ndarray, magnitudes: np.ndarray, floor: float) -> floa
     return float(slope)
 
 
-def _scan_pass(space: MarkedSpace, k: int, condition: str, modes: Sequence[str], scales,
-               samples_per_scale: int, seed: int, tol_det: float) -> list[ScanReport]:
-    """One sampled pass at order k, reported once per mode.
+def _index_tuples(rng: np.random.Generator, anchors: np.ndarray, size: int, k: int,
+                  count: int) -> np.ndarray:
+    """``count`` index tuples into a cloud of ``size`` points: an anchor,
+    then k distinct other indices."""
+    first = rng.choice(anchors, size=count)
+    keys = rng.random((count, size))
+    keys[np.arange(count), first] = np.inf
+    return np.column_stack([first, np.argsort(keys, axis=1)[:, :k]])
 
-    Each (k+1)-tuple is drawn once, seeded with spawn key (i,) for sample
-    index i on every rung, and the functional of every mode is evaluated
-    on its delta-normalized distance matrix (a tuple at p gives 0).
-    Extremes, witnesses, trend and verdict follow ``liminf_scan``.
+
+def _scan_pass(space: MarkedSpace, jobs: Sequence[tuple[int, str]], modes: Sequence[str], scales,
+               samples_per_scale: int, seed: int, tol_det: float) -> tuple[list[list[ScanReport]], float]:
+    """One sampled pass over the ladder for every (k, condition) in ``jobs``.
+
+    Per rung, one sampler call draws a cloud of 2 * samples_per_scale +
+    k_max + 1 points and one distance matrix covers the cloud and p; the
+    cloud's delta must lie within [s/4, 2s]. Each order k takes
+    ``samples_per_scale`` index tuples into the cloud, each an anchor at
+    distance >= s/2 from p (the farthest points, if the cloud falls short
+    of s/2) and k distinct other points, and reads every mode off one
+    stacked determinant. The cloud and the index tuples come from the same
+    seed on every rung, which pins the trend fit down to the geometry
+    instead of sampling noise.
+
+    Returns, per mode, one report per job, and the largest
+    ``|Theta - S| / max(|Theta|, |S|, 1)`` over every tuple (0.0 unless
+    both modes run).
     """
     scales = [float(s) for s in (scale_ladder() if scales is None else scales)]
     if len(scales) < 2 or any(b >= a for a, b in zip(scales, scales[1:])) or scales[-1] <= 0:
         raise ValueError("scales must be strictly decreasing positive values")
     if samples_per_scale < 1:
         raise EmptySampleError("samples_per_scale must be >= 1")
-    evaluators = [(cm_functional if mode == "theta" else sch_functional)(k).evaluator for mode in modes]
-    values = np.zeros((len(modes), len(scales), samples_per_scale))
-    draws: list[list[tuple]] = []
+    size = 2 * samples_per_scale + max(k for k, _ in jobs) + 1
+    cloud_seed = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
+    tuple_seed = np.random.SeedSequence(entropy=seed, spawn_key=(1,))
+    values = np.zeros((len(modes), len(jobs), len(scales), samples_per_scale))
+    # (mode, job, "inf" | "sup") -> the earliest rung, then the earliest
+    # tuple, holding the extreme
+    witnesses: dict[tuple[int, int, str], ScanWitness] = {}
+    discrepancy = 0.0
     for j, s in enumerate(scales):
-        draws.append([])
-        for i in range(samples_per_scale):
-            t = space.sampler(s, k, np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-            if len(t) != k + 1:
-                raise ArityMismatchError(f"sampler returned {len(t)} points for k = {k}")
-            delta, normalized = _normalized(space, t)
-            if normalized is not None:
-                if not (s / 4 <= delta <= 2 * s):
-                    raise SamplerScaleMismatchError(
-                        f"sampler delta {delta!r} off requested scale {s!r} by more than 2x"
-                    )
-                for e, evaluate in enumerate(evaluators):
-                    values[e, j, i] = evaluate(normalized)
-            draws[j].append(t)
-
-    def witness(v: np.ndarray, flat_index: int) -> ScanWitness:
-        # the earliest rung, then the earliest sample, holding the extreme
-        j, i = np.unravel_index(flat_index, v.shape)
-        return ScanWitness(int(j), scales[j], float(v[j, i]), draws[j][i])
+        cloud = tuple(space.sampler(s, size - 1, cloud_seed))
+        if len(cloud) != size:
+            raise ArityMismatchError(f"sampler returned {len(cloud)} points for a cloud of {size}")
+        dm = space.matrix((space.p,) + cloud)
+        to_p, dm = dm[0, 1:], dm[1:, 1:]
+        delta = float(np.max(to_p))
+        if delta > 0 and not s / 4 <= delta <= 2 * s:
+            raise SamplerScaleMismatchError(f"sampler delta {delta!r} off requested scale {s!r} by more than 2x")
+        anchors = np.flatnonzero(to_p >= min(s / 2, delta))
+        rng = np.random.default_rng(tuple_seed)
+        for q, (k, _) in enumerate(jobs):
+            idx = _index_tuples(rng, anchors, size, k, samples_per_scale)
+            v = _functionals(dm[idx[:, :, None], idx[:, None, :]], to_p[idx].max(axis=1), modes)
+            values[:, q, j] = v
+            if len(modes) == 2:
+                spread = np.maximum(np.maximum(np.abs(v[0]), np.abs(v[1])), 1.0)
+                discrepancy = max(discrepancy, float(np.max(np.abs(v[0] - v[1]) / spread)))
+            for e in range(len(modes)):
+                for side, i, beats in (("inf", np.argmin(v[e]), np.less), ("sup", np.argmax(v[e]), np.greater)):
+                    best = witnesses.get((e, q, side))
+                    if best is None or beats(v[e, i], best.value):
+                        points = tuple(cloud[c] for c in idx[i])
+                        witnesses[e, q, side] = ScanWitness(j, s, float(v[e, i]), points)
 
     tail = slice(len(scales) // 2, None)
     floor = NOISE_FLOOR_FACTOR * tol_det
     rungs = np.arange(len(scales))
-    reports = []
-    for mode, v in zip(modes, values):
+
+    def report(e: int, q: int) -> ScanReport:
+        k, condition = jobs[q]
+        v = values[e, q]
         infs, sups = v[rungs, v.argmin(axis=1)], v[rungs, v.argmax(axis=1)]
         running_liminf = float(np.min(infs[tail]))
         running_limsup = float(np.max(sups[tail]))
@@ -498,9 +567,9 @@ def _scan_pass(space: MarkedSpace, k: int, condition: str, modes: Sequence[str],
             else:
                 verdict = "inconclusive"
 
-        reports.append(ScanReport(
+        return ScanReport(
             k=k,
-            mode=mode,
+            mode=modes[e],
             condition=condition,
             scales=tuple(scales),
             per_scale_inf=tuple(infs.tolist()),
@@ -512,10 +581,11 @@ def _scan_pass(space: MarkedSpace, k: int, condition: str, modes: Sequence[str],
             samples_per_scale=samples_per_scale,
             seed=seed,
             tol_det=tol_det,
-            witness_inf=witness(v, int(np.argmin(v))),
-            witness_sup=witness(v, int(np.argmax(v))),
-        ))
-    return reports
+            witness_inf=witnesses[e, q, "inf"],
+            witness_sup=witnesses[e, q, "sup"],
+        )
+
+    return [[report(e, q) for q in range(len(jobs))] for e in range(len(modes))], discrepancy
 
 
 def liminf_scan(
@@ -530,12 +600,14 @@ def liminf_scan(
 ) -> ScanReport:
     """Estimate liminf/limsup of Theta_{k+1} or S_{k+1} as tuples shrink to p.
 
-    Per rung of a decreasing scale ladder, the sampler draws (k+1)-tuples
-    with delta in [scale/2, scale] (an all-p tuple contributes 0); the
-    report records per-scale infima/suprema, the tail-window liminf and
-    limsup, and a fitted decay exponent. Sample shapes reuse the same
-    seeds across rungs, which pins the trend fit down to the geometry
-    instead of sampling noise. The verdict judges ``condition``:
+    Per rung of a decreasing scale ladder, the sampler draws one cloud of
+    2 * samples_per_scale + k + 1 points and the scan takes
+    ``samples_per_scale`` (k+1)-tuples from it, each with delta in
+    [scale/2, scale] (an all-p tuple contributes 0); the report records
+    per-scale infima/suprema, the tail-window liminf and limsup, and a
+    fitted decay exponent. Cloud and tuples reuse the same seed across
+    rungs, which pins the trend fit down to the geometry instead of
+    sampling noise. The verdict judges ``condition``:
 
     * "sign": liminf >= 0 expected. Supports when the tail liminf stays
       above -10*tol_det; refutes when every tail rung's infimum is < -1e-3.
@@ -550,7 +622,7 @@ def liminf_scan(
         raise ValueError(f"unknown condition {condition!r}")
     if mode not in ("theta", "s"):
         raise ValueError(f"unknown mode {mode!r}")
-    return _scan_pass(space, k, condition, (mode,), scales, samples_per_scale, seed, tol_det)[0]
+    return _scan_pass(space, [(k, condition)], (mode,), scales, samples_per_scale, seed, tol_det)[0][0][0]
 
 
 @dataclass(frozen=True)
@@ -561,12 +633,16 @@ class TransferReport:
     verdict: str  # "consistent-with-embeddable" | "refuted" | "inconclusive"
     scans: tuple[ScanReport, ...]
     witness_scan: int | None = None
+    #: largest |Theta - S| / max(|Theta|, |S|, 1) over every evaluated
+    #: tuple: Sch = (-1)^(k+1) D_k, so this reads rounding only
+    max_mode_discrepancy: float = 0.0
 
     def to_json_dict(self, point_repr=lambda x: x) -> dict:
         return {
             "n": self.n,
             "verdict": self.verdict,
             "witness_scan": self.witness_scan,
+            "max_mode_discrepancy": self.max_mode_discrepancy,
             "scans": [s.to_json_dict(point_repr) for s in self.scans],
         }
 
@@ -583,9 +659,9 @@ def transfer_check(
 
     Runs sign scans for k = 1..n and vanishing scans for k = n+1, n+2, in
     both functional modes (the two determinant engines cross-check each
-    other). Both modes are read off the same draws: one sampled pass per
-    k draws ``samples_per_scale`` tuples per rung and evaluates Theta and
-    S on each tuple's normalized matrix; ``scans`` lists every Theta
+    other). One sampled pass draws one cloud per rung for every order;
+    each order takes ``samples_per_scale`` index tuples into it, and both
+    modes are read off the same tuples; ``scans`` lists every Theta
     scan, then every S scan. Refuted as soon as any scan
     refutes (``witness_scan`` is the first); consistent only when all
     scans support. The equality conditions are checked two-sided (liminf
@@ -594,9 +670,8 @@ def transfer_check(
     if n < 1:
         raise DimensionOutOfRangeError(f"target dimension must be >= 1, got {n}")
     jobs = [(k, "sign") for k in range(1, n + 1)] + [(k, "vanishing") for k in (n + 1, n + 2)]
-    passes = [_scan_pass(space, k, condition, ("theta", "s"), scales, samples_per_scale, seed, tol_det)
-              for k, condition in jobs]
-    scans = tuple(theta for theta, _ in passes) + tuple(s for _, s in passes)
+    by_mode, discrepancy = _scan_pass(space, jobs, ("theta", "s"), scales, samples_per_scale, seed, tol_det)
+    scans = tuple(chain.from_iterable(by_mode))
 
     witness = next((i for i, scan in enumerate(scans) if scan.verdict == "refutes"), None)
     if witness is not None:
@@ -605,7 +680,8 @@ def transfer_check(
         verdict = "inconclusive"
     else:
         verdict = "consistent-with-embeddable"
-    return TransferReport(n=n, verdict=verdict, scans=scans, witness_scan=witness)
+    return TransferReport(n=n, verdict=verdict, scans=scans, witness_scan=witness,
+                          max_mode_discrepancy=discrepancy)
 
 
 # ---------------------------------------------------------------------------
@@ -698,31 +774,41 @@ def blumenthal_sequence_scan(
         if top > 0 and float(np.max(dists[int(depth * 0.75):])) > 0.05 * top:
             raise NonconvergentSequenceError(f"sequence {idx} does not converge to p")
 
-    tail = range(depth // 2, depth)
-    cond_i: list[tuple[int, float, float]] = []
-    for k in range(1, n + 1):
-        vals = [theta(space, tuple(x_seqs[i](m) for i in range(k + 1))) for m in tail]
-        cond_i.append((k, float(np.min(vals)), float(np.max(vals))))
-
     if probes is None:
         probes = list(combinations(build_probe_battery(space, r), 2))
     # probes are named and tried singly in order of first appearance
-    probe_names: dict[int, str] = {}
+    probe_index: dict[int, int] = {}
     singles: list[PointSequence] = []
     for seq in chain.from_iterable(probes):
-        if id(seq) not in probe_names:
-            probe_names[id(seq)] = f"probe{len(singles)}"
+        if id(seq) not in probe_index:
+            probe_index[id(seq)] = len(singles)
             singles.append(seq)
+
+    # one distance matrix per tail index over (p, x_0..x_n, probes); each
+    # condition is one stacked determinant over the tail
+    tail = range(depth // 2, depth)
+    mats = np.stack([space.matrix([space.p] + [x(m) for x in x_seqs] + [y(m) for y in singles])
+                     for m in tail])
+    xs = list(range(1, n + 2))
+
+    def tail_theta(cols: list[int]) -> np.ndarray:
+        ix = np.asarray(cols)
+        return _functionals(mats[:, ix[:, None], ix[None, :]], mats[:, 0, ix].max(axis=1), ("theta",))[0]
+
+    cond_i: list[tuple[int, float, float]] = []
+    for k in range(1, n + 1):
+        vals = tail_theta(xs[:k + 1])
+        cond_i.append((k, float(np.min(vals)), float(np.max(vals))))
 
     floor = NOISE_FLOOR_FACTOR * tol_det
     cond_ii: list[tuple[int, str, float, float]] = []
-    for seq in singles:
-        vals = [abs(theta(space, tuple(x(m) for x in x_seqs) + (seq(m),))) for m in tail]
-        cond_ii.append((n + 1, probe_names[id(seq)], float(np.min(vals)), float(np.max(vals))))
+    for g in range(len(singles)):
+        vals = np.abs(tail_theta(xs + [n + 2 + g]))
+        cond_ii.append((n + 1, f"probe{g}", float(np.min(vals)), float(np.max(vals))))
     for y, u in probes:
-        vals = [abs(theta(space, tuple(x(m) for x in x_seqs) + (y(m), u(m)))) for m in tail]
-        label = f"{probe_names[id(y)]}+{probe_names[id(u)]}"
-        cond_ii.append((n + 2, label, float(np.min(vals)), float(np.max(vals))))
+        gy, gu = probe_index[id(y)], probe_index[id(u)]
+        vals = np.abs(tail_theta(xs + [n + 2 + gy, n + 2 + gu]))
+        cond_ii.append((n + 2, f"probe{gy}+probe{gu}", float(np.min(vals)), float(np.max(vals))))
 
     i_ok = all(tmin > floor for _, tmin, _ in cond_i)
     ii_ok = all(tmax <= floor for _, _, _, tmax in cond_ii)

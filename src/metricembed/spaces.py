@@ -1,10 +1,14 @@
-"""Marked metric spaces backed by functions, and their tuple samplers.
+"""Marked metric spaces backed by functions, and their cloud samplers.
 
 A :class:`MarkedSpace` carries a metric function over an abstract point
-carrier, a marked point ``p``, and a seeded sampler producing tuples whose
+carrier, a marked point ``p``, and a seeded sampler drawing clouds whose
 largest distance to ``p`` lands inside ``[scale/2, scale]``. Carriers are
 coordinate vectors (Euclidean, snowflake) or tree addresses (ultrametric);
 nothing is materialized until :func:`freeze` builds a finite space.
+
+Every built-in carrier draws a whole cloud with a few numpy calls and
+computes its distance matrix in one batched call (``pairwise``); only a
+user-supplied ``metric`` without ``pairwise`` is evaluated pair by pair.
 """
 
 from __future__ import annotations
@@ -30,20 +34,29 @@ def _rng(seed) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class MarkedSpace:
-    """A metric space with a marked point and a scale-targeted sampler."""
+    """A metric space with a marked point and a scale-targeted sampler.
+
+    ``sampler(scale, k, seed)`` returns k+1 points with delta in
+    [scale/2, scale]; a cloud is one call with a large k. ``pairwise``,
+    when given, maps a sequence of points to their distance matrix in one
+    batched call and must agree with ``metric``.
+    """
 
     metric: Callable[[Any, Any], float]
     p: Any
     sampler: Callable[[float, int, Any], tuple]
     description: dict = field(default_factory=dict)
     point_repr: Callable[[Any], Any] = staticmethod(lambda x: x)
+    pairwise: Callable[[Sequence], np.ndarray] | None = None
 
     def sample(self, scale: float, k: int, seed=0) -> tuple:
         """A (k+1)-tuple of points with delta in [scale/2, scale]."""
         return self.sampler(float(scale), int(k), seed)
 
     def matrix(self, points: Sequence) -> np.ndarray:
-        """Pairwise distance matrix of a tuple of carrier points."""
+        """Pairwise distance matrix of a sequence of carrier points."""
+        if self.pairwise is not None:
+            return self.pairwise(points)
         n = len(points)
         dm = np.zeros((n, n))
         for i in range(n):
@@ -56,25 +69,36 @@ def _euclid(a, b) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
 
 
-def _ball_point(rng: np.random.Generator, center: np.ndarray, radius: float) -> np.ndarray:
-    dim = center.shape[0]
-    v = rng.normal(size=dim)
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        v = np.ones(dim)
-        norm = np.linalg.norm(v)
-    r = radius * rng.uniform() ** (1.0 / dim)
-    return center + (r / norm) * v
+def _euclid_matrix(points) -> np.ndarray:
+    x = np.asarray(points, dtype=float)
+    diff = x[:, None, :] - x[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=-1))
 
 
-def _rejection_tuple(draw_one, p, metric, scale: float, k: int, rng) -> tuple:
-    """Draw k+1 points until the max distance to p lands in [scale/2, scale]."""
-    for _ in range(_MAX_TRIES):
-        pts = [draw_one(rng) for _ in range(k + 1)]
-        delta = max(metric(x, p) for x in pts)
-        if scale / 2 <= delta <= scale:
-            return tuple(pts)
-    raise RuntimeError(f"sampler failed to hit delta in [{scale / 2}, {scale}] after {_MAX_TRIES} tries")
+def _accepted(rng, count: int, propose, scale: float, inner: float = 0.0) -> np.ndarray:
+    """``count`` proposed points at distance in [inner, scale] from p.
+
+    ``propose(rng, size, attempt)`` returns candidate points and their
+    distances to p. A candidate outside the band is dropped on its own;
+    the rest of its batch is kept.
+    """
+    kept, have = [], 0
+    for attempt in range(_MAX_TRIES):
+        pts, d = propose(rng, 2 * count + 8, attempt)
+        pts = pts[(d >= inner) & (d <= scale)]
+        kept.append(pts)
+        have += len(pts)
+        if have >= count:
+            return np.concatenate(kept)[:count]
+    raise RuntimeError(f"sampler failed to draw {count} points at distance in [{inner}, {scale}] "
+                       f"after {_MAX_TRIES} batches")
+
+
+def _cloud(rng, k: int, propose, scale: float) -> tuple:
+    """k+1 points within ``scale`` of p; the first, the anchor, lies at
+    distance >= scale/2, so delta lands in [scale/2, scale]."""
+    anchor = _accepted(rng, 1, propose, scale, scale / 2)
+    return tuple(np.concatenate([anchor, _accepted(rng, k, propose, scale)]))
 
 
 @dataclass(frozen=True)
@@ -103,6 +127,15 @@ def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
         raise ValueError(f"marked point must have {dim} coordinates")
     kind = region["kind"]
 
+    def to_p(x: np.ndarray) -> np.ndarray:
+        diff = x - p
+        return np.sqrt(np.sum(diff * diff, axis=1))
+
+    def space(sample, region_desc: dict) -> MarkedSpace:
+        desc = {"type": "euclidean", "dim": dim, "region": region_desc, "p": p.tolist()}
+        return MarkedSpace(metric=_euclid, p=p, sampler=sample, description=desc,
+                           point_repr=lambda x: np.asarray(x).tolist(), pairwise=_euclid_matrix)
+
     if kind == "cube":
         low = np.asarray(region.get("low", np.zeros(dim)), dtype=float)
         high = np.asarray(region.get("high", np.ones(dim)), dtype=float)
@@ -116,23 +149,23 @@ def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
         def sample(scale, k, seed=0):
             if degenerate:
                 return (p.copy(),) * (k + 1)
-            rng = _rng(seed)
 
-            def draw(rng):
-                for _ in range(_MAX_TRIES):
-                    x = _ball_point(rng, p, scale)
-                    if np.all(x >= low) and np.all(x <= high):
-                        if pitch is not None:
-                            x = low + np.round((x - low) / pitch) * pitch
-                        return x
-                raise RuntimeError("cube sampler: region/ball intersection too thin")
+            def propose(rng, size, attempt):
+                # uniform in the ball B(p, scale), kept inside the cube, then
+                # snapped to the grid (which may carry a point past scale)
+                v = rng.normal(size=(size, dim))
+                r = scale * rng.uniform(size=size) ** (1.0 / dim)
+                norm = np.linalg.norm(v, axis=1)
+                live = norm > 0
+                x = p + v[live] * (r[live] / norm[live])[:, None]
+                x = x[np.all((x >= low) & (x <= high), axis=1)]
+                if pitch is not None:
+                    x = low + np.round((x - low) / pitch) * pitch
+                return x, to_p(x)
 
-            return _rejection_tuple(draw, p, _euclid, scale, k, rng)
+            return _cloud(_rng(seed), k, propose, scale)
 
-        desc = {"type": "euclidean", "dim": dim, "region": {"kind": kind, "low": low.tolist(),
-                "high": high.tolist(), "pitch": pitch}, "p": p.tolist()}
-        return MarkedSpace(metric=_euclid, p=p, sampler=sample, description=desc,
-                           point_repr=lambda x: np.asarray(x).tolist())
+        return space(sample, {"kind": kind, "low": low.tolist(), "high": high.tolist(), "pitch": pitch})
 
     if kind == "sphere-surface":
         center = np.asarray(region.get("center", np.zeros(dim)), dtype=float)
@@ -144,26 +177,22 @@ def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
         u = (p - center) / radius
 
         def sample(scale, k, seed=0):
-            rng = _rng(seed)
             phi_max = 2.0 * math.asin(min(scale, 2.0 * radius) / (2.0 * radius))
 
-            def draw(rng):
-                w = rng.normal(size=dim)
-                w -= np.dot(w, u) * u
-                norm = np.linalg.norm(w)
-                if norm == 0:
-                    w = np.roll(u, 1) - np.dot(np.roll(u, 1), u) * u
-                    norm = np.linalg.norm(w)
-                w /= norm
-                phi = rng.uniform(0.0, phi_max)
-                return center + radius * (math.cos(phi) * u + math.sin(phi) * w)
+            def propose(rng, size, attempt):
+                # a unit tangent direction at p and a geodesic angle up to phi_max
+                w = rng.normal(size=(size, dim))
+                w -= np.outer(w @ u, u)
+                phi = rng.uniform(0.0, phi_max, size=size)
+                norm = np.linalg.norm(w, axis=1)
+                live = norm > 0
+                w, phi = w[live] / norm[live, None], phi[live]
+                x = center + radius * (np.outer(np.cos(phi), u) + np.sin(phi)[:, None] * w)
+                return x, to_p(x)
 
-            return _rejection_tuple(draw, p, _euclid, scale, k, rng)
+            return _cloud(_rng(seed), k, propose, scale)
 
-        desc = {"type": "euclidean", "dim": dim, "region": {"kind": kind, "center": center.tolist(),
-                "radius": radius}, "p": p.tolist()}
-        return MarkedSpace(metric=_euclid, p=p, sampler=sample, description=desc,
-                           point_repr=lambda x: np.asarray(x).tolist())
+        return space(sample, {"kind": kind, "center": center.tolist(), "radius": radius})
 
     if kind == "curve":
         spec: CurveSpec = region["spec"]
@@ -172,21 +201,17 @@ def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
             raise MarkedPointOutsideRegionError("p must equal fn(t0)")
 
         def sample(scale, k, seed=0):
-            rng = _rng(seed)
-            width = scale / spec.lipschitz
-            for _ in range(_MAX_TRIES):
-                def draw(rng, width=width):
-                    t = np.clip(spec.t0 + rng.uniform(-width, width), spec.t_min, spec.t_max)
-                    return np.asarray(spec.fn(t), dtype=float)
-                try:
-                    return _rejection_tuple(draw, p, _euclid, scale, k, rng)
-                except RuntimeError:
-                    width = min(width * 2.0, spec.t_max - spec.t_min)
-            raise RuntimeError("curve sampler: could not reach requested scale")
+            def propose(rng, size, attempt):
+                # parameters within scale / lipschitz of t0 stay within scale;
+                # each batch that falls short doubles the window
+                width = min(scale / spec.lipschitz * 2.0**attempt, spec.t_max - spec.t_min)
+                ts = np.clip(spec.t0 + rng.uniform(-width, width, size=size), spec.t_min, spec.t_max)
+                x = np.array([np.asarray(spec.fn(t), dtype=float) for t in ts]).reshape(size, dim)
+                return x, to_p(x)
 
-        desc = {"type": "euclidean", "dim": dim, "region": {"kind": kind}, "p": p.tolist()}
-        return MarkedSpace(metric=_euclid, p=p, sampler=sample, description=desc,
-                           point_repr=lambda x: np.asarray(x).tolist())
+            return _cloud(_rng(seed), k, propose, scale)
+
+        return space(sample, {"kind": kind})
 
     raise ValueError(f"unknown region kind {kind!r}")
 
@@ -212,7 +237,8 @@ def make_snowflake(alpha: float, base_dim: int, p, region=None) -> MarkedSpace:
     desc = {"type": "snowflake", "alpha": alpha, "dim": base_dim,
             "region": base.description["region"], "p": base.description["p"]}
     return MarkedSpace(metric=metric, p=base.p, sampler=sample, description=desc,
-                       point_repr=lambda x: np.asarray(x).tolist())
+                       point_repr=lambda x: np.asarray(x).tolist(),
+                       pairwise=lambda points: _euclid_matrix(points) ** alpha)
 
 
 def make_ultrametric(depth: int, arity: int, p=None) -> MarkedSpace:
@@ -231,6 +257,7 @@ def make_ultrametric(depth: int, arity: int, p=None) -> MarkedSpace:
     p = tuple(int(d) for d in p)
     if len(p) != depth or any(not 0 <= d < arity for d in p):
         raise MarkedPointOutsideRegionError(f"marked leaf {p} not in the tree")
+    p_digits = np.array(p)
 
     def metric(a, b) -> float:
         if a == b:
@@ -242,30 +269,44 @@ def make_ultrametric(depth: int, arity: int, p=None) -> MarkedSpace:
             common += 1
         return 2.0 ** (-common)
 
+    def pairwise(points) -> np.ndarray:
+        # in lexicographic order, the common prefix of two leaves is the
+        # shortest common prefix of the neighbouring pairs between them
+        n = len(points)
+        if n < 2:
+            return np.zeros((n, n))
+        digits = np.array(points).reshape(n, depth)
+        order = np.lexsort(digits.T[::-1])
+        ranked = digits[order]
+        differ = ranked[1:] != ranked[:-1]
+        lcp = np.where(differ.any(axis=1), differ.argmax(axis=1), depth)
+        later = np.arange(n - 1)[None, :] >= np.arange(n - 1)[:, None]
+        common = np.full((n, n), depth)
+        common[:-1, 1:] = np.minimum.accumulate(np.where(later, lcp[None, :], depth), axis=1)
+        common = np.minimum(common, common.T)
+        dist = np.empty((n, n))
+        dist[np.ix_(order, order)] = np.where(common < depth, np.ldexp(1.0, -common), 0.0)
+        return dist
+
     def sample(scale, k, seed=0):
         rng = _rng(seed)
         level = math.ceil(-math.log2(scale)) if scale < 1.0 else 0
         if level > depth - 1:
             raise ValueError(f"scale {scale} below tree resolution 2^-{depth - 1}")
-
-        def leaf_at(prefix_len: int):
-            if prefix_len >= depth:
-                return p
-            digit = int(rng.integers(1, arity))
-            head = p[:prefix_len] + ((p[prefix_len] + digit) % arity,)
-            tail = tuple(int(rng.integers(0, arity)) for _ in range(depth - prefix_len - 1))
-            return head + tail
-
-        pts = [leaf_at(level)]  # anchor at distance exactly 2^-level
-        # past level + 53 shared digits a leaf equals p to double precision
-        for _ in range(k):
-            pts.append(leaf_at(int(rng.integers(level, min(depth, level + 53) + 1))))
-        rng.shuffle(pts)
-        return tuple(pts)
+        # each leaf leaves p's branch at depth `split` (the anchor at
+        # `level`, so at distance exactly 2^-level); past level + 53 shared
+        # digits a leaf equals p to double precision
+        split = np.concatenate(([level], rng.integers(level, min(depth, level + 53) + 1, size=k)))
+        digits = rng.integers(0, arity, size=(k + 1, depth))
+        digits = np.where(np.arange(depth) < split[:, None], p_digits, digits)
+        off = np.flatnonzero(split < depth)
+        turn = rng.integers(1, arity, size=off.size)
+        digits[off, split[off]] = (p_digits[split[off]] + turn) % arity
+        return tuple(map(tuple, digits.tolist()))
 
     desc = {"type": "ultrametric", "depth": depth, "arity": arity, "p": list(p)}
     return MarkedSpace(metric=metric, p=p, sampler=sample, description=desc,
-                       point_repr=lambda x: ".".join(str(d) for d in x))
+                       point_repr=lambda x: ".".join(str(d) for d in x), pairwise=pairwise)
 
 
 def freeze(space: MarkedSpace, scale: float, count: int, seed=0) -> tuple[FiniteMetricSpace, int]:
@@ -310,9 +351,13 @@ def as_marked(space: FiniteMetricSpace, index: int) -> MarkedSpace:
         rng.shuffle(pts)
         return tuple(pts)
 
+    def pairwise(points) -> np.ndarray:
+        ix = np.asarray(points, dtype=int)
+        return space.dist[np.ix_(ix, ix)]
+
     desc = {"type": "finite", "n_points": n, "p": index}
     return MarkedSpace(metric=metric, p=index, sampler=sample, description=desc,
-                       point_repr=lambda i: space.labels[int(i)])
+                       point_repr=lambda i: space.labels[int(i)], pairwise=pairwise)
 
 
 def perturbed_euclidean_space(

@@ -3,6 +3,9 @@
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -230,6 +233,25 @@ class TestScan:
         payload = json.loads(a)
         assert payload["result"]["verdict"] == "consistent-with-embeddable"
         assert payload["config"]["seed"] == 11
+
+    def test_stdout_byte_identical_at_fixed_seed(self, tmp_path):
+        # two interpreters with different hash seeds print the same bytes
+        cfg = tmp_path / "square.json"
+        cfg.write_text(json.dumps({"type": "euclidean", "dim": 2, "p": [0.45, 0.55],
+                                   "region": {"kind": "cube", "low": [0, 0], "high": [1, 1]}}))
+        code = "import sys; from metricembed.cli import main; sys.exit(main(sys.argv[1:]))"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        runs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+            done = subprocess.run([sys.executable, "-c", code, "scan", str(cfg), "--dim", "1",
+                                   "--samples", "16", "--seed", "5"], capture_output=True, env=env)
+            assert done.returncode == 1, done.stderr
+            runs.append(done.stdout)
+        assert runs[0] == runs[1]
+        out = json.loads(runs[0])
+        assert out["config"]["sampler_version"] == 2
+        assert 0.0 <= out["result"]["max_mode_discrepancy"] <= 1e-9
 
     def test_refutation_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "plane.json"

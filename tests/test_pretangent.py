@@ -56,6 +56,7 @@ from metricembed.errors import (
     TupleTooShortError,
     UnstableInputError,
 )
+from metricembed import pretangent
 from metricembed.pretangent import PseudometricMatrix, StabilityVerdict
 
 
@@ -72,9 +73,11 @@ def circle():
 
 
 def stretched_triple(stretch=1.5e-8):
-    # at every scale s the sampler draws (p, a, b) with sides s, s and
-    # 2s(1 + stretch): normalized sides 1, 1, c = 2(1 + stretch) give
-    # Theta_3 = (2 + c) c^2 (2 - c) ~ -32 * stretch = -4.8e-7
+    # at every scale s the sampler draws p and k points at distance s from
+    # it, each pair of them 2s(1 + stretch) apart. A triple (p, a, b) has
+    # normalized sides 1, 1, c = 2(1 + stretch), so
+    # Theta_3 = (2 + c) c^2 (2 - c) ~ -32 * stretch = -4.8e-7; a triple
+    # off p is equilateral with side c, so Theta_3 = 3 c^4 > 0
     p = ("p", 0.0)
 
     def metric(x, y):
@@ -84,7 +87,8 @@ def stretched_triple(stretch=1.5e-8):
             return max(x[1], y[1])
         return (x[1] + y[1]) * (1.0 + stretch)
 
-    return MarkedSpace(metric=metric, p=p, sampler=lambda scale, k, seed: (p, ("a", scale), ("b", scale)))
+    return MarkedSpace(metric=metric, p=p,
+                       sampler=lambda scale, k, seed: (p,) + tuple((i, scale) for i in range(k)))
 
 
 def diametral_marked():
@@ -436,20 +440,48 @@ class TestTransferCheck:
             for a, b in zip(th.per_scale_inf + th.per_scale_sup, sc.per_scale_inf + sc.per_scale_sup):
                 assert abs(a - b) / max(abs(a), abs(b), 1.0) <= 1e-9
 
-    def test_each_tuple_drawn_once(self):
+    def test_one_sampler_call_per_rung(self):
+        # one cloud per rung serves every order and both modes: one sampler
+        # call per rung, for 2 * samples + n + 3 points, with the same seed
         sp = plane((0.3, 0.4))
-        keys = []
+        calls = []
 
         def counting(scale, k, seed):
-            keys.append((scale, k, tuple(seed.spawn_key)))
+            calls.append((scale, k, seed.entropy, tuple(seed.spawn_key)))
             return sp.sampler(scale, k, seed)
 
         n, scales, samples = 2, scale_ladder(0.5, 0.5, 6), 8
         rep = transfer_check(dataclasses.replace(sp, sampler=counting), n,
                              samples_per_scale=samples, scales=scales, seed=1)
         assert all(s.samples_per_scale == samples for s in rep.scans)
-        assert len(keys) == (n + 2) * len(scales) * samples
-        assert len(set(keys)) == len(keys)
+        assert [scale for scale, *_ in calls] == scales
+        assert {tuple(rest) for _, *rest in calls} == {(2 * samples + n + 2, 1, (0,))}
+
+    @pytest.mark.parametrize("make", [plane, circle, lambda: make_ultrametric(40, 3)])
+    def test_index_tuples_distinct_and_in_band(self, make, monkeypatch):
+        # every tuple is an anchor plus k distinct other cloud points, and
+        # the anchor puts its delta in [s/2, s]
+        sp = make()
+        clouds, tuples = [], []
+        draw = pretangent._index_tuples
+
+        def recording_sampler(scale, k, seed):
+            clouds.append((scale, sp.sampler(scale, k, seed)))
+            return clouds[-1][1]
+
+        def recording_tuples(rng, anchors, size, k, count):
+            tuples.append((len(clouds) - 1, draw(rng, anchors, size, k, count)))
+            return tuples[-1][1]
+
+        monkeypatch.setattr(pretangent, "_index_tuples", recording_tuples)
+        transfer_check(dataclasses.replace(sp, sampler=recording_sampler), 2, samples_per_scale=16, seed=3)
+        assert len(tuples) == 12 * 4
+        for rung, idx in tuples:
+            scale, cloud = clouds[rung]
+            to_p = sp.matrix((sp.p,) + tuple(cloud))[0, 1:]
+            assert all(len(set(t)) == len(t) for t in idx.tolist())
+            delta = to_p[idx].max(axis=1)
+            assert np.all((scale / 2 <= delta) & (delta <= scale)), (scale, delta.min(), delta.max())
 
     def test_plane_refuted_at_1_with_witness(self):
         rep = transfer_check(plane(), 1, samples_per_scale=56, seed=0)

@@ -1,5 +1,7 @@
 """Marked spaces: sampler contracts, freezing, construction errors."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,58 @@ def test_sampler_reproducible_under_seed(name):
     b = space.sample(0.2, 3, 42)
     for x, y in zip(a, b):
         assert space.metric(x, y) == 0.0
+
+
+def _curve():
+    spec = CurveSpec(fn=lambda t: np.array([np.cos(t), np.sin(t)]), t0=0.0,
+                     t_min=-3.0, t_max=3.0, lipschitz=1.0)
+    return make_euclidean_subset(2, {"kind": "curve", "spec": spec}, [1.0, 0.0])
+
+
+def _grid():
+    return make_euclidean_subset(2, {"kind": "cube", "low": [0, 0], "high": [1, 1], "pitch": 2.0**-14},
+                                 [0.5, 0.5])
+
+
+#: every built-in carrier, with the scales its clouds are drawn at
+CARRIERS = {
+    **{name: (make, (0.4, 0.013)) for name, make in ALL_SPACES.items()},
+    "curve": (_curve, (0.4, 0.013)),
+    "grid": (_grid, (0.05, 2.0**-12)),
+    # deep leaves share hundreds of digits; at 2^-1074 some equal p
+    "deep-ultrametric": (lambda: make_ultrametric(1075, 3), (0.4, 2.0**-600, 2.0**-1074)),
+    "finite": (lambda: as_marked(perturbed_euclidean_space(12, seed=2), 0), (1.0,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CARRIERS))
+def test_batched_matrix_equals_scalar_metric(name):
+    make, scales = CARRIERS[name]
+    space = make()
+    scalar = dataclasses.replace(space, pairwise=None)
+    assert space.pairwise is not None
+    for scale in scales:
+        if name == "finite":
+            scale = float(np.max(space.matrix(range(12))[0]))
+        for seed in range(3):
+            pts = (space.p,) + space.sample(scale, 40, seed)
+            batched, looped = space.matrix(pts), scalar.matrix(pts)
+            if "ultrametric" in name or name == "finite":
+                assert np.array_equal(batched, looped), (name, scale, seed)
+            else:
+                assert np.max(np.abs(batched - looped)) <= 1e-15 * np.max(looped), (name, scale, seed)
+
+
+def test_pitched_grid_serves_large_clouds():
+    # a point snapped past the scale is dropped on its own: redrawing the
+    # whole cloud until all 256 snapped points stay within scale would fail
+    grid = _grid()
+    scale = 2.0**-12
+    for seed in range(10):
+        cloud = grid.sample(scale, 255, seed)
+        assert len(cloud) == 256
+        to_p = grid.matrix((grid.p,) + cloud)[0, 1:]
+        assert scale / 2 <= to_p.max() <= scale, (seed, to_p.max())
 
 
 def test_marked_point_outside_region():
