@@ -72,6 +72,14 @@ DECAY_DROP = 0.1
 #: rung and takes index tuples into it.
 SAMPLER_VERSION = 2
 
+#: A rung's cloud holds min(2 * samples_per_scale, CLOUD_CAP) + k_max + 1
+#: points, so its distance matrix stays bounded however many tuples a
+#: scan takes; up to 1024 samples per scale the cap never binds.
+CLOUD_CAP = 2048
+
+#: Rows of sort keys drawn at once when taking index tuples into a cloud.
+KEY_BLOCK = 256
+
 
 # ---------------------------------------------------------------------------
 # Normalizing and point sequences
@@ -120,32 +128,23 @@ def marked_family(space: MarkedSpace, *seqs: PointSequence) -> tuple[PointSequen
 # Scales and functionals
 
 
+def _with_p(space: MarkedSpace, t: Sequence) -> np.ndarray:
+    """Distance matrix of (p,) + t: row 0 holds the distances to p."""
+    if len(t) == 0:
+        raise ValueError("a scale needs a nonempty tuple")
+    return space.matrix((space.p,) + tuple(t))
+
+
 def delta_scale(space: MarkedSpace, t: Sequence) -> float:
     """Largest distance from the tuple's points to the marked point."""
-    if len(t) == 0:
-        raise ValueError("delta_scale needs a nonempty tuple")
-    return float(max(space.metric(x, space.p) for x in t))
+    return float(np.max(_with_p(space, t)[0, 1:]))
 
 
 def epsilon_scale(space: MarkedSpace, t: Sequence, s: float) -> float:
     """s-norm of the distances to p; within a factor n^(1/s) of delta."""
     if not s > 0:
         raise NonpositiveExponentError(f"exponent must be > 0, got {s}")
-    if len(t) == 0:
-        raise ValueError("epsilon_scale needs a nonempty tuple")
-    d = np.array([space.metric(x, space.p) for x in t])
-    return float(np.sum(d**s) ** (1.0 / s))
-
-
-@dataclass(frozen=True)
-class HomogeneousFunctional:
-    """Continuous functional on distance matrices, homogeneous of positive
-    degree: f(lam * m) = lam**degree * f(m)."""
-
-    name: str
-    arity: int
-    degree: float
-    evaluator: Callable[[np.ndarray], float]
+    return float(np.sum(_with_p(space, t)[0, 1:] ** s) ** (1.0 / s))
 
 
 def _determinants(sub: np.ndarray, mode: str) -> np.ndarray:
@@ -173,46 +172,6 @@ def _determinants(sub: np.ndarray, mode: str) -> np.ndarray:
     return np.linalg.det(tau_from_matrix(sub))
 
 
-def cm_functional(k: int) -> HomogeneousFunctional:
-    """Signed Cayley-Menger determinant of a (k+1)-point distance matrix."""
-    if k < 1:
-        raise TupleTooShortError("cm functional needs k >= 1")
-
-    def evaluate(dm: np.ndarray) -> float:
-        return float(_determinants(np.asarray(dm, dtype=float)[None], "theta")[0])
-
-    return HomogeneousFunctional(name=f"signed_cm_{k}", arity=k + 1, degree=2 * k, evaluator=evaluate)
-
-
-def sch_functional(k: int) -> HomogeneousFunctional:
-    """Schoenberg determinant of a (k+1)-point distance matrix."""
-    if k < 1:
-        raise TupleTooShortError("sch functional needs k >= 1")
-
-    def evaluate(dm: np.ndarray) -> float:
-        return float(_determinants(np.asarray(dm, dtype=float)[None], "s")[0])
-
-    return HomogeneousFunctional(name=f"sch_{k}", arity=k + 1, degree=2 * k, evaluator=evaluate)
-
-
-def ultra_triangle_functional() -> HomogeneousFunctional:
-    """max(t13, t32) - t12: nonnegative exactly on ultrametric triples."""
-
-    def evaluate(dm: np.ndarray) -> float:
-        return float(max(dm[0, 2], dm[2, 1]) - dm[0, 1])
-
-    return HomogeneousFunctional(name="ultra_triangle", arity=3, degree=1, evaluator=evaluate)
-
-
-def star_transform(f: HomogeneousFunctional, space: MarkedSpace, t: Sequence) -> float:
-    """f evaluated on the delta-normalized distance matrix; 0 at the all-p
-    tuple. Normalized entries are bounded by 2 via the triangle inequality."""
-    if len(t) != f.arity:
-        raise ArityMismatchError(f"functional {f.name} has arity {f.arity}, tuple has {len(t)}")
-    delta = delta_scale(space, t)
-    return float(f.evaluator(space.matrix(t) / delta)) if delta > 0 else 0.0
-
-
 def _functionals(sub: np.ndarray, delta: np.ndarray, modes: Sequence[str]) -> np.ndarray:
     """Theta or S of a stack of (k+1)-tuples, one stacked determinant per mode.
 
@@ -227,18 +186,27 @@ def _functionals(sub: np.ndarray, delta: np.ndarray, modes: Sequence[str]) -> np
     return out
 
 
+def _tuple_functional(space: MarkedSpace, t: Sequence, mode: str) -> float:
+    """The scan's evaluator on a stack of one tuple: one distance matrix
+    over (p,) + t, delta read off its row 0."""
+    dm = _with_p(space, t)[None]
+    return float(_functionals(dm[:, 1:, 1:], dm[:, 0, 1:].max(axis=1), (mode,))[0, 0])
+
+
 def theta(space: MarkedSpace, t: Sequence) -> float:
-    """Normalized signed Cayley-Menger functional of a (k+1)-tuple."""
+    """Normalized signed Cayley-Menger functional of a (k+1)-tuple; 0 at
+    the all-p tuple."""
     if len(t) < 2:
         raise TupleTooShortError(f"theta needs >= 2 points, got {len(t)}")
-    return star_transform(cm_functional(len(t) - 1), space, t)
+    return _tuple_functional(space, t, "theta")
 
 
 def s_functional(space: MarkedSpace, t: Sequence) -> float:
-    """Normalized Schoenberg functional of a (k+1)-tuple."""
+    """Normalized Schoenberg functional of a (k+1)-tuple; 0 at the all-p
+    tuple."""
     if len(t) < 2:
         raise TupleTooShortError(f"s_functional needs >= 2 points, got {len(t)}")
-    return star_transform(sch_functional(len(t) - 1), space, t)
+    return _tuple_functional(space, t, "s")
 
 
 # ---------------------------------------------------------------------------
@@ -471,20 +439,24 @@ def _fit_trend(scales: np.ndarray, magnitudes: np.ndarray, floor: float) -> floa
 def _index_tuples(rng: np.random.Generator, anchors: np.ndarray, size: int, k: int,
                   count: int) -> np.ndarray:
     """``count`` index tuples into a cloud of ``size`` points: an anchor,
-    then k distinct other indices."""
-    first = rng.choice(anchors, size=count)
-    keys = rng.random((count, size))
-    keys[np.arange(count), first] = np.inf
-    return np.column_stack([first, np.argsort(keys, axis=1)[:, :k]])
+    then k distinct other indices. The sort keys are drawn KEY_BLOCK rows
+    at a time, which reads the same stream as one (count, size) draw."""
+    idx = np.empty((count, k + 1), dtype=np.intp)
+    idx[:, 0] = rng.choice(anchors, size=count)
+    for lo in range(0, count, KEY_BLOCK):
+        keys = rng.random((min(KEY_BLOCK, count - lo), size))
+        keys[np.arange(len(keys)), idx[lo:lo + KEY_BLOCK, 0]] = np.inf
+        idx[lo:lo + KEY_BLOCK, 1:] = np.argsort(keys, axis=1)[:, :k]
+    return idx
 
 
 def _scan_pass(space: MarkedSpace, jobs: Sequence[tuple[int, str]], modes: Sequence[str], scales,
                samples_per_scale: int, seed: int, tol_det: float) -> tuple[list[list[ScanReport]], float]:
     """One sampled pass over the ladder for every (k, condition) in ``jobs``.
 
-    Per rung, one sampler call draws a cloud of 2 * samples_per_scale +
-    k_max + 1 points and one distance matrix covers the cloud and p; the
-    cloud's delta must lie within [s/4, 2s]. Each order k takes
+    Per rung, one sampler call draws a cloud of min(2 * samples_per_scale,
+    CLOUD_CAP) + k_max + 1 points and one distance matrix covers the cloud
+    and p; the cloud's delta must lie within [s/4, 2s]. Each order k takes
     ``samples_per_scale`` index tuples into the cloud, each an anchor at
     distance >= s/2 from p (the farthest points, if the cloud falls short
     of s/2) and k distinct other points, and reads every mode off one
@@ -501,7 +473,7 @@ def _scan_pass(space: MarkedSpace, jobs: Sequence[tuple[int, str]], modes: Seque
         raise ValueError("scales must be strictly decreasing positive values")
     if samples_per_scale < 1:
         raise EmptySampleError("samples_per_scale must be >= 1")
-    size = 2 * samples_per_scale + max(k for k, _ in jobs) + 1
+    size = min(2 * samples_per_scale, CLOUD_CAP) + max(k for k, _ in jobs) + 1
     cloud_seed = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
     tuple_seed = np.random.SeedSequence(entropy=seed, spawn_key=(1,))
     values = np.zeros((len(modes), len(jobs), len(scales), samples_per_scale))
@@ -601,7 +573,7 @@ def liminf_scan(
     """Estimate liminf/limsup of Theta_{k+1} or S_{k+1} as tuples shrink to p.
 
     Per rung of a decreasing scale ladder, the sampler draws one cloud of
-    2 * samples_per_scale + k + 1 points and the scan takes
+    min(2 * samples_per_scale, CLOUD_CAP) + k + 1 points and the scan takes
     ``samples_per_scale`` (k+1)-tuples from it, each with delta in
     [scale/2, scale] (an all-p tuple contributes 0); the report records
     per-scale infima/suprema, the tail-window liminf and limsup, and a

@@ -35,7 +35,6 @@ from metricembed import (
     schoenberg_check,
     theta,
     transfer_check,
-    ultra_triangle_functional,
     validate_metric,
     NormalizingSequence,
 )
@@ -332,12 +331,13 @@ def test_criterion_9_blumenthal_sequence_scan():
 
 def test_criterion_10_ultrametric_determination():
     sp = make_ultrametric(7, 3)
-    f = ultra_triangle_functional()
     values = []
     for seed in range(1000):
         scale = [0.6, 0.3, 0.12, 0.05][seed % 4]
         t = sp.sample(scale, 2, seed)
-        values.append(f.evaluator(sp.matrix(t)))
+        dm = sp.matrix(t)
+        # the ultra-triangle functional max(d02, d21) - d01
+        values.append(max(dm[0, 2], dm[2, 1]) - dm[0, 1])
     assert all(v >= 0.0 for v in values)
     assert min(values) == 0.0 or min(values) > 0  # exact, no tolerance involved
     report(10, f"ultra-triangle functional >= 0 exactly on 1000 sampled triples "

@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -252,6 +253,28 @@ class TestScan:
         out = json.loads(runs[0])
         assert out["config"]["sampler_version"] == 2
         assert 0.0 <= out["result"]["max_mode_discrepancy"] <= 1e-9
+
+    def test_large_samples_within_memory_cap(self, tmp_path):
+        # the cloud stops growing at CLOUD_CAP points: 8000 samples per
+        # scale fit under a 3 GiB address-space cap and still print JSON
+        cfg = tmp_path / "plane.json"
+        cfg.write_text(json.dumps({"type": "euclidean", "dim": 2,
+                                   "region": {"kind": "cube", "low": [0, 0], "high": [1, 1]},
+                                   "p": [0, 0]}))
+        code = "import sys; from metricembed.cli import main; sys.exit(main(sys.argv[1:]))"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        cap = 3 * 1024**3
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        done = subprocess.run([sys.executable, "-c", code, "scan", str(cfg), "--dim", "1",
+                               "--samples", "8000", "--scales", "0.5:0.5:2"],
+                              capture_output=True, env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit)
+        assert done.returncode == 1, done.stderr[-2000:]
+        out = json.loads(done.stdout)
+        assert out["result"]["verdict"] == "refuted"
+        assert {s["samples_per_scale"] for s in out["result"]["scans"]} == {8000}
 
     def test_refutation_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "plane.json"

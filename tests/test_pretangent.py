@@ -25,23 +25,20 @@ from metricembed import (
     as_marked,
     blumenthal_sequence_scan,
     build_probe_battery,
-    cm_functional,
     constant_sequence,
     delta_scale,
     epsilon_scale,
     liminf_scan,
     make_euclidean_subset,
+    make_snowflake,
     make_ultrametric,
     metric_identification,
     mutual_stability,
     pseudometric_matrix,
     s_functional,
     scale_ladder,
-    sch_functional,
-    star_transform,
     theta,
     transfer_check,
-    ultra_triangle_functional,
     validate_metric,
 )
 from metricembed.errors import (
@@ -128,48 +125,16 @@ class TestScales:
         assert eps <= n ** (1.0 / s) * delta * (1 + 1e-12)
 
 
-class TestStarTransform:
-    def test_all_p_is_zero(self):
-        sp = plane()
-        f = cm_functional(2)
-        assert star_transform(f, sp, (np.zeros(2),) * 3) == 0.0
-
-    def test_pair_value(self):
-        # both points at distance 1 from p, distance 1 apart: normalized
-        # matrix has unit entries, so the functional sees D_1 = 2
-        sp = diametral_marked()
-        tri = as_marked(validate_metric([[0, 1, 1], [1, 0, 1], [1, 1, 0]]), 0)
-        assert star_transform(cm_functional(1), tri, (1, 2)) == pytest.approx(2.0)
-
-    def test_linearity_in_functional(self):
-        sp = plane()
-        f = cm_functional(2)
-        from metricembed import HomogeneousFunctional
-        doubled = HomogeneousFunctional("2f", f.arity, f.degree, lambda m: 2.0 * f.evaluator(m))
-        t = sp.sample(0.2, 2, 5)
-        assert star_transform(doubled, sp, t) == pytest.approx(2.0 * star_transform(f, sp, t))
-
-    def test_arity_mismatch(self):
-        with pytest.raises(ArityMismatchError):
-            star_transform(cm_functional(2), plane(), (np.zeros(2), np.zeros(2)))
-
-    def test_homogeneous_invariant(self):
-        rng = np.random.default_rng(12)
-        for f in (cm_functional(1), cm_functional(3), sch_functional(2), ultra_triangle_functional()):
-            for _ in range(20):
-                m = rng.uniform(0.05, 1.5, size=(f.arity, f.arity))
-                m = (m + m.T) / 2
-                np.fill_diagonal(m, 0.0)
-                lam = float(rng.uniform(0.1, 10))
-                assert f.evaluator(lam * m) == pytest.approx(
-                    lam**f.degree * f.evaluator(m), rel=1e-9, abs=1e-12)
-
-
 class TestThetaAndS:
     def test_diametral_pair(self):
         sp = diametral_marked()
         assert theta(sp, (1, 2)) == pytest.approx(8.0)
         assert s_functional(sp, (1, 2)) == pytest.approx(8.0)
+        # both points at distance 1 from p and 1 apart: the normalized
+        # matrix has unit entries, so D_1 = 2
+        tri = as_marked(validate_metric([[0, 1, 1], [1, 0, 1], [1, 1, 0]]), 0)
+        assert theta(tri, (1, 2)) == pytest.approx(2.0)
+        assert s_functional(tri, (1, 2)) == pytest.approx(2.0)
 
     def test_epsilon_square_triple(self):
         sp = plane()
@@ -180,8 +145,9 @@ class TestThetaAndS:
 
     def test_all_p_tuple(self):
         sp = plane()
-        assert theta(sp, (np.zeros(2), np.zeros(2))) == 0.0
-        assert s_functional(sp, (np.zeros(2), np.zeros(2))) == 0.0
+        for k in (1, 2):
+            assert theta(sp, (np.zeros(2),) * (k + 1)) == 0.0
+            assert s_functional(sp, (np.zeros(2),) * (k + 1)) == 0.0
 
     def test_too_short(self):
         with pytest.raises(TupleTooShortError):
@@ -203,7 +169,8 @@ class TestThetaAndS:
         base = (np.array([0.1, 0.0]), np.array([0.0, 0.1]), np.array([0.07, 0.09]))
         lam = 37.0
         scaled = tuple(lam * x for x in base)
-        assert theta(sp_big, scaled) == pytest.approx(theta(sp_small, base), rel=1e-9)
+        for functional in (theta, s_functional):
+            assert functional(sp_big, scaled) == pytest.approx(functional(sp_small, base), rel=1e-9)
 
     def test_normalized_entries_bounded_and_hadamard(self):
         # entries of m/delta never exceed 2; |Theta| obeys the Hadamard
@@ -406,6 +373,13 @@ class TestLiminfScan:
         with pytest.raises(SamplerScaleMismatchError):
             liminf_scan(bad, 1, scales=[0.01, 0.005], samples_per_scale=4)
 
+    def test_sampler_arity_mismatch(self):
+        # a sampler asked for k more points must return k + 1 in all
+        sp = plane()
+        short = dataclasses.replace(sp, sampler=lambda scale, k, seed: sp.sample(scale, k, seed)[:-1])
+        with pytest.raises(ArityMismatchError):
+            liminf_scan(short, 2, samples_per_scale=4)
+
     def test_empty_sample(self):
         with pytest.raises(EmptySampleError):
             liminf_scan(plane(), 1, samples_per_scale=0)
@@ -483,6 +457,29 @@ class TestTransferCheck:
             delta = to_p[idx].max(axis=1)
             assert np.all((scale / 2 <= delta) & (delta <= scale)), (scale, delta.min(), delta.max())
 
+    def test_index_tuple_blocks_read_one_stream(self):
+        # sort keys drawn in row blocks give the tuples of one (count, size)
+        # draw, so the cap on key memory leaves the scan stream unchanged
+        anchors, size, k, count = np.arange(5, 40), 40, 3, 2 * pretangent.KEY_BLOCK + 7
+        got = pretangent._index_tuples(np.random.default_rng(4), anchors, size, k, count)
+        rng = np.random.default_rng(4)
+        first = rng.choice(anchors, size=count)
+        keys = rng.random((count, size))
+        keys[np.arange(count), first] = np.inf
+        assert np.array_equal(got, np.column_stack([first, np.argsort(keys, axis=1)[:, :k]]))
+
+    @pytest.mark.parametrize("make", [plane, circle, lambda: make_ultrametric(40, 3),
+                                      lambda: make_snowflake(0.5, 1, [0.0])])
+    def test_scan_witnesses_reproduce(self, make):
+        # theta and s_functional are the scan's own evaluator: each
+        # witness tuple gives back its recorded value exactly
+        sp = make()
+        functional = {"theta": theta, "s": s_functional}
+        for seed in range(5):
+            for scan in transfer_check(sp, 2, samples_per_scale=16, seed=seed).scans:
+                for w in (scan.witness_inf, scan.witness_sup):
+                    assert functional[scan.mode](sp, w.points) == w.value, (seed, scan.k, scan.mode)
+
     def test_plane_refuted_at_1_with_witness(self):
         rep = transfer_check(plane(), 1, samples_per_scale=56, seed=0)
         assert rep.verdict == "refuted"
@@ -522,7 +519,6 @@ class TestTransferCheck:
         # the snowflaked line is exactly self-similar, so its normalized
         # functionals are scale-invariant: Theta_3 stays bounded away from
         # zero at every rung and the vanishing condition is refuted
-        from metricembed import make_snowflake
         snow = make_snowflake(0.5, 1, [0.0])
         rep = liminf_scan(snow, 2, samples_per_scale=64, condition="vanishing", seed=3)
         assert rep.verdict == "refutes"
@@ -613,12 +609,3 @@ class TestBlumenthalScan:
     def test_battery_requires_cube_region(self):
         with pytest.raises(ValueError):
             build_probe_battery(circle(), NormalizingSequence.geometric())
-
-
-class TestUltraFunctional:
-    def test_nonnegative_on_sampled_triples(self):
-        sp = make_ultrametric(6, 3)
-        f = ultra_triangle_functional()
-        for seed in range(200):
-            t = sp.sample(0.3, 2, seed)
-            assert f.evaluator(sp.matrix(t)) >= 0.0
