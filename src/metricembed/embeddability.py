@@ -48,7 +48,7 @@ from .errors import (
     NotEmbeddableError,
     RankExceedsRequestedError,
 )
-from .metric import FiniteMetricSpace, submatrix
+from .metric import FiniteMetricSpace, euclidean_matrix, submatrix
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,6 @@ class Witness:
     value: float
     #: "sign" for the k <= n conditions, "vanishing" for orders n+1 / n+2
     kind: str
-    base: int | None = None
 
 
 @dataclass(frozen=True)
@@ -256,9 +255,9 @@ class _Decision:
                 rest -= np.outer(factor[:, c], factor[:, c])
         coords = _coordinates(factor, order)
         coords = coords - coords[0]
-        # one row at a time, so that memory stays O(n^2)
-        residual = max(float(np.max(np.abs(np.sqrt(np.sum((c - coords) ** 2, axis=-1)) - row)))
-                       for c, row in zip(coords, self.space.dist))
+        error = euclidean_matrix(coords)
+        np.subtract(error, self.space.dist, out=error)
+        residual = float(np.max(np.abs(error, out=error)))
         return Realization(coords=coords, m=m, max_residual=residual)
 
 
@@ -302,7 +301,7 @@ def _engine_verdict(space: FiniteMetricSpace, n: int, engine: str, tol_det: floa
     else:
         cm = cm_determinant(space, t)
         value = cm.signed_value if kind == "sign" else cm.value
-    witness = Witness(t, k, value, kind, base=t[0] if engine == "schoenberg" else None)
+    witness = Witness(t, k, value, kind)
     sq_max = float(np.max(submatrix(space, t))) ** 2
     confirmed = not within_band(value, sq_max, k, tol_det) and (kind == "vanishing" or value < 0)
     return EmbedVerdict("no" if confirmed else "undetermined", n, engine, witness, tol_det=tol_det)

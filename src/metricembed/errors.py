@@ -69,7 +69,7 @@ class NonpositiveExponentError(ValueError):
 
 
 class ArityMismatchError(ValueError):
-    """Functional arity does not match the tuple length."""
+    """A sampler returned a cloud of the wrong size."""
 
 
 class DegenerateNormalizerError(ArithmeticError):

@@ -148,6 +148,26 @@ def validate_metric(raw, tol: float | None = None) -> FiniteMetricSpace:
     return FiniteMetricSpace(labels=tuple(str(x) for x in labels), dist=sym, tol=float(tol))
 
 
+def euclidean_matrix(points) -> np.ndarray:
+    """Euclidean distance matrix of N points given as coordinate rows.
+
+    Squared differences are summed one coordinate at a time into one N x N
+    buffer, so at most two N x N arrays are live. Below 8 coordinates this
+    adds in the order ``np.sum`` over the last axis does, so it equals the
+    (N, N, d) broadcast formula bit for bit; from 8 up they differ by at
+    most one ulp per sum.
+    """
+    x = np.asarray(points, dtype=float)
+    n = x.shape[0]
+    out = np.zeros((n, n))
+    diff = np.empty((n, n))
+    for col in x.T:
+        np.subtract(col[:, None], col[None, :], out=diff)
+        np.multiply(diff, diff, out=diff)
+        out += diff
+    return np.sqrt(out, out=out)
+
+
 def submatrix(space: FiniteMetricSpace, t: Sequence[int]) -> np.ndarray:
     """Distance submatrix for a tuple of point indices (repeats allowed)."""
     idx = _check_tuple(space, t)

@@ -80,6 +80,9 @@ CLOUD_CAP = 2048
 #: Rows of sort keys drawn at once when taking index tuples into a cloud.
 KEY_BLOCK = 256
 
+#: The functional modes every scan pass evaluates, in report order.
+MODES = ("theta", "s")
+
 
 # ---------------------------------------------------------------------------
 # Normalizing and point sequences
@@ -90,13 +93,12 @@ class NormalizingSequence:
     """Positive reals strictly decreasing to zero, indexed from 0."""
 
     fn: Callable[[int], float]
-    label: str = "custom"
 
     @classmethod
     def geometric(cls, r0: float = 0.5, q: float = 0.5) -> "NormalizingSequence":
         if not (r0 > 0 and 0 < q < 1):
             raise ValueError("need r0 > 0 and 0 < q < 1")
-        return cls(fn=lambda m: r0 * q**m, label=f"geometric(r0={r0}, q={q})")
+        return cls(fn=lambda m: r0 * q**m)
 
     def __call__(self, m: int) -> float:
         r = float(self.fn(m))
@@ -122,6 +124,13 @@ def constant_sequence(point) -> PointSequence:
 def marked_family(space: MarkedSpace, *seqs: PointSequence) -> tuple[PointSequence, ...]:
     """Family with the constant-p sequence structurally at index 0."""
     return (constant_sequence(space.p),) + tuple(seqs)
+
+
+def _sequence_stack(space: MarkedSpace, family: Sequence[PointSequence], depth: int) -> np.ndarray:
+    """Distances within a family at every index: a (depth, F, F) stack, one
+    ``space.matrix`` call per index, so each sequence is evaluated once per
+    index."""
+    return np.stack([space.matrix([seq(m) for seq in family]) for m in range(depth)])
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +236,20 @@ class StabilityVerdict:
         return self.status == "stable"
 
 
+def _stability(ratios: np.ndarray, depth: int, tol: float) -> StabilityVerdict:
+    """The stability rule of :func:`mutual_stability` on one ratio series."""
+    half = ratios[int(depth * STABILITY_WINDOW):]
+    quarter = ratios[int(depth * 0.75):]
+    osc_half = float(np.max(half) - np.min(half))
+    osc_quarter = float(np.max(quarter) - np.min(quarter))
+    if osc_half <= tol:
+        return StabilityVerdict("stable", float(np.mean(half)), depth, osc_half)
+    persistent = osc_quarter > INSTABILITY_FACTOR * tol and osc_quarter >= 0.5 * osc_half
+    if osc_half > INSTABILITY_FACTOR * tol and persistent:
+        return StabilityVerdict("unstable", None, depth, osc_half)
+    return StabilityVerdict("undetermined", None, depth, osc_half)
+
+
 def mutual_stability(
     space: MarkedSpace,
     x: PointSequence,
@@ -242,26 +265,14 @@ def mutual_stability(
     *persistently*: the last-quarter window must also exceed it without
     shrinking below half of the last-half amplitude (slowly convergent
     ratios shrink on deeper windows, genuine oscillation does not).
-    Everything else is undetermined.
+    Everything else is undetermined. This is the two-sequence case of
+    :func:`pseudometric_matrix`.
 
     Depth is limited by double precision: points at index m must stay
     resolvable against p (with q = 0.5 and p away from the origin, prefer
     depth <= 40 or a slower normalizer).
     """
-    if depth < 16:
-        raise ValueError(f"depth must be >= 16, got {depth}")
-    rv = r.values(depth)
-    ratios = np.array([space.metric(x(m), y(m)) for m in range(depth)]) / rv
-    half = ratios[int(depth * STABILITY_WINDOW):]
-    quarter = ratios[int(depth * 0.75):]
-    osc_half = float(np.max(half) - np.min(half))
-    osc_quarter = float(np.max(quarter) - np.min(quarter))
-    if osc_half <= tol:
-        return StabilityVerdict("stable", float(np.mean(half)), depth, osc_half)
-    persistent = osc_quarter > INSTABILITY_FACTOR * tol and osc_quarter >= 0.5 * osc_half
-    if osc_half > INSTABILITY_FACTOR * tol and persistent:
-        return StabilityVerdict("unstable", None, depth, osc_half)
-    return StabilityVerdict("undetermined", None, depth, osc_half)
+    return pseudometric_matrix(space, (x, y), r, depth, tol).verdicts[0][1]
 
 
 @dataclass(frozen=True)
@@ -289,16 +300,19 @@ def pseudometric_matrix(
     tol: float = 1e-3,
 ) -> PseudometricMatrix:
     """Pairwise mutual-stability verdicts; family[0] is the constant-p
-    sequence by convention."""
+    sequence by convention. Every pair is judged off one distance stack."""
     if not family:
         raise ValueError("family must be nonempty")
+    if depth < 16:
+        raise ValueError(f"depth must be >= 16, got {depth}")
     n = len(family)
+    rv = r.values(depth)
+    ratios = _sequence_stack(space, family, depth) / rv[:, None, None]
     grid: list[list[StabilityVerdict]] = [[None] * n for _ in range(n)]  # type: ignore[list-item]
     for i in range(n):
         grid[i][i] = StabilityVerdict("stable", 0.0, depth, 0.0)
         for j in range(i + 1, n):
-            v = mutual_stability(space, family[i], family[j], r, depth, tol)
-            grid[i][j] = grid[j][i] = v
+            grid[i][j] = grid[j][i] = _stability(ratios[:, i, j], depth, tol)
     return PseudometricMatrix(tuple(tuple(row) for row in grid))
 
 
@@ -450,8 +464,8 @@ def _index_tuples(rng: np.random.Generator, anchors: np.ndarray, size: int, k: i
     return idx
 
 
-def _scan_pass(space: MarkedSpace, jobs: Sequence[tuple[int, str]], modes: Sequence[str], scales,
-               samples_per_scale: int, seed: int, tol_det: float) -> tuple[list[list[ScanReport]], float]:
+def _scan_pass(space: MarkedSpace, jobs: Sequence[tuple[int, str]], scales, samples_per_scale: int,
+               seed: int, tol_det: float) -> tuple[list[list[ScanReport]], float]:
     """One sampled pass over the ladder for every (k, condition) in ``jobs``.
 
     Per rung, one sampler call draws a cloud of min(2 * samples_per_scale,
@@ -459,14 +473,13 @@ def _scan_pass(space: MarkedSpace, jobs: Sequence[tuple[int, str]], modes: Seque
     and p; the cloud's delta must lie within [s/4, 2s]. Each order k takes
     ``samples_per_scale`` index tuples into the cloud, each an anchor at
     distance >= s/2 from p (the farthest points, if the cloud falls short
-    of s/2) and k distinct other points, and reads every mode off one
-    stacked determinant. The cloud and the index tuples come from the same
-    seed on every rung, which pins the trend fit down to the geometry
+    of s/2) and k distinct other points, and reads Theta and S off one
+    stacked determinant each. The cloud and the index tuples come from the
+    same seed on every rung, which pins the trend fit down to the geometry
     instead of sampling noise.
 
-    Returns, per mode, one report per job, and the largest
-    ``|Theta - S| / max(|Theta|, |S|, 1)`` over every tuple (0.0 unless
-    both modes run).
+    Returns, per mode of MODES, one report per job, and the largest
+    ``|Theta - S| / max(|Theta|, |S|, 1)`` over every tuple.
     """
     scales = [float(s) for s in (scale_ladder() if scales is None else scales)]
     if len(scales) < 2 or any(b >= a for a, b in zip(scales, scales[1:])) or scales[-1] <= 0:
@@ -476,11 +489,10 @@ def _scan_pass(space: MarkedSpace, jobs: Sequence[tuple[int, str]], modes: Seque
     size = min(2 * samples_per_scale, CLOUD_CAP) + max(k for k, _ in jobs) + 1
     cloud_seed = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
     tuple_seed = np.random.SeedSequence(entropy=seed, spawn_key=(1,))
-    values = np.zeros((len(modes), len(jobs), len(scales), samples_per_scale))
+    values = np.zeros((len(MODES), len(jobs), len(scales), samples_per_scale))
     # (mode, job, "inf" | "sup") -> the earliest rung, then the earliest
     # tuple, holding the extreme
     witnesses: dict[tuple[int, int, str], ScanWitness] = {}
-    discrepancy = 0.0
     for j, s in enumerate(scales):
         cloud = tuple(space.sampler(s, size - 1, cloud_seed))
         if len(cloud) != size:
@@ -494,18 +506,17 @@ def _scan_pass(space: MarkedSpace, jobs: Sequence[tuple[int, str]], modes: Seque
         rng = np.random.default_rng(tuple_seed)
         for q, (k, _) in enumerate(jobs):
             idx = _index_tuples(rng, anchors, size, k, samples_per_scale)
-            v = _functionals(dm[idx[:, :, None], idx[:, None, :]], to_p[idx].max(axis=1), modes)
+            v = _functionals(dm[idx[:, :, None], idx[:, None, :]], to_p[idx].max(axis=1), MODES)
             values[:, q, j] = v
-            if len(modes) == 2:
-                spread = np.maximum(np.maximum(np.abs(v[0]), np.abs(v[1])), 1.0)
-                discrepancy = max(discrepancy, float(np.max(np.abs(v[0] - v[1]) / spread)))
-            for e in range(len(modes)):
+            for e in range(len(MODES)):
                 for side, i, beats in (("inf", np.argmin(v[e]), np.less), ("sup", np.argmax(v[e]), np.greater)):
                     best = witnesses.get((e, q, side))
                     if best is None or beats(v[e, i], best.value):
                         points = tuple(cloud[c] for c in idx[i])
                         witnesses[e, q, side] = ScanWitness(j, s, float(v[e, i]), points)
 
+    spread = np.maximum(np.maximum(np.abs(values[0]), np.abs(values[1])), 1.0)
+    discrepancy = float(np.max(np.abs(values[0] - values[1]) / spread))
     tail = slice(len(scales) // 2, None)
     floor = NOISE_FLOOR_FACTOR * tol_det
     rungs = np.arange(len(scales))
@@ -541,7 +552,7 @@ def _scan_pass(space: MarkedSpace, jobs: Sequence[tuple[int, str]], modes: Seque
 
         return ScanReport(
             k=k,
-            mode=modes[e],
+            mode=MODES[e],
             condition=condition,
             scales=tuple(scales),
             per_scale_inf=tuple(infs.tolist()),
@@ -557,7 +568,7 @@ def _scan_pass(space: MarkedSpace, jobs: Sequence[tuple[int, str]], modes: Seque
             witness_sup=witnesses[e, q, "sup"],
         )
 
-    return [[report(e, q) for q in range(len(jobs))] for e in range(len(modes))], discrepancy
+    return [[report(e, q) for q in range(len(jobs))] for e in range(len(MODES))], discrepancy
 
 
 def liminf_scan(
@@ -592,9 +603,9 @@ def liminf_scan(
         raise TupleTooShortError(f"scan needs k >= 1, got {k}")
     if condition not in ("sign", "vanishing"):
         raise ValueError(f"unknown condition {condition!r}")
-    if mode not in ("theta", "s"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    return _scan_pass(space, [(k, condition)], (mode,), scales, samples_per_scale, seed, tol_det)[0][0][0]
+    return _scan_pass(space, [(k, condition)], scales, samples_per_scale, seed, tol_det)[0][MODES.index(mode)][0]
 
 
 @dataclass(frozen=True)
@@ -642,7 +653,7 @@ def transfer_check(
     if n < 1:
         raise DimensionOutOfRangeError(f"target dimension must be >= 1, got {n}")
     jobs = [(k, "sign") for k in range(1, n + 1)] + [(k, "vanishing") for k in (n + 1, n + 2)]
-    by_mode, discrepancy = _scan_pass(space, jobs, ("theta", "s"), scales, samples_per_scale, seed, tol_det)
+    by_mode, discrepancy = _scan_pass(space, jobs, scales, samples_per_scale, seed, tol_det)
     scans = tuple(chain.from_iterable(by_mode))
 
     witness = next((i for i, scan in enumerate(scans) if scan.verdict == "refutes"), None)
@@ -719,7 +730,6 @@ def blumenthal_sequence_scan(
     r: NormalizingSequence | None = None,
     depth: int = 64,
     tol_det: float = DEFAULT_TOL_DET,
-    tangent_assumed: bool = True,
 ) -> BlumenthalReport:
     """Test n+1 point sequences as witnesses of a limit space of exact
     dimension n.
@@ -727,10 +737,14 @@ def blumenthal_sequence_scan(
     Condition (i): for k = 1..n the tail of Theta_{k+1} over the first
     k+1 sequences must stay above the noise floor 10 * tol_det.
     Condition (ii): appending one probe (order n+1) or a probe pair
-    (order n+2) must drive the functional within that floor. Probes default to the axis/diagonal/super-slow
-    battery on cube regions. Sequences must converge to p
-    (NonconvergentSequenceError otherwise); the tangency hypothesis of
-    the forward direction is recorded as a flag, never verified.
+    (order n+2) must drive the functional within that floor. Probes
+    default to the axis/diagonal/super-slow battery on cube regions; on
+    any other space they must be passed, and the battery's ValueError
+    comes before NonconvergentSequenceError. Sequences must
+    converge to p (NonconvergentSequenceError otherwise); the tangency
+    hypothesis of the forward direction is recorded in the report as
+    ``tangent_assumed``, never verified. Convergence (row 0) and both
+    conditions read one distance stack over (p, x_0..x_n, probes).
     """
     n = len(x_seqs) - 1
     if n < 1:
@@ -739,12 +753,6 @@ def blumenthal_sequence_scan(
         raise ValueError(f"depth must be >= 16, got {depth}")
     if r is None:
         r = NormalizingSequence.geometric()
-
-    for idx, seq in enumerate(x_seqs):
-        dists = np.array([space.metric(seq(m), space.p) for m in range(depth)])
-        top = float(np.max(dists))
-        if top > 0 and float(np.max(dists[int(depth * 0.75):])) > 0.05 * top:
-            raise NonconvergentSequenceError(f"sequence {idx} does not converge to p")
 
     if probes is None:
         probes = list(combinations(build_probe_battery(space, r), 2))
@@ -756,11 +764,14 @@ def blumenthal_sequence_scan(
             probe_index[id(seq)] = len(singles)
             singles.append(seq)
 
-    # one distance matrix per tail index over (p, x_0..x_n, probes); each
-    # condition is one stacked determinant over the tail
-    tail = range(depth // 2, depth)
-    mats = np.stack([space.matrix([space.p] + [x(m) for x in x_seqs] + [y(m) for y in singles])
-                     for m in tail])
+    stack = _sequence_stack(space, marked_family(space, *x_seqs, *singles), depth)
+    for idx in range(n + 1):
+        dists = stack[:, 0, 1 + idx]
+        top = float(np.max(dists))
+        if top > 0 and float(np.max(dists[int(depth * 0.75):])) > 0.05 * top:
+            raise NonconvergentSequenceError(f"sequence {idx} does not converge to p")
+
+    mats = stack[depth // 2:]
     xs = list(range(1, n + 2))
 
     def tail_theta(cols: list[int]) -> np.ndarray:
@@ -796,5 +807,4 @@ def blumenthal_sequence_scan(
         condition_i=tuple(cond_i),
         condition_ii=tuple(cond_ii),
         verdict=verdict,
-        tangent_assumed=tangent_assumed,
     )

@@ -23,7 +23,7 @@ from .errors import (
     AlphaOutOfRangeError,
     MarkedPointOutsideRegionError,
 )
-from .metric import FiniteMetricSpace, validate_metric
+from .metric import FiniteMetricSpace, euclidean_matrix, validate_metric
 
 _MAX_TRIES = 500
 
@@ -67,12 +67,6 @@ class MarkedSpace:
 
 def _euclid(a, b) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
-
-
-def _euclid_matrix(points) -> np.ndarray:
-    x = np.asarray(points, dtype=float)
-    diff = x[:, None, :] - x[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=-1))
 
 
 def _accepted(rng, count: int, propose, scale: float, inner: float = 0.0) -> np.ndarray:
@@ -134,7 +128,7 @@ def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
     def space(sample, region_desc: dict) -> MarkedSpace:
         desc = {"type": "euclidean", "dim": dim, "region": region_desc, "p": p.tolist()}
         return MarkedSpace(metric=_euclid, p=p, sampler=sample, description=desc,
-                           point_repr=lambda x: np.asarray(x).tolist(), pairwise=_euclid_matrix)
+                           point_repr=lambda x: np.asarray(x).tolist(), pairwise=euclidean_matrix)
 
     if kind == "cube":
         low = np.asarray(region.get("low", np.zeros(dim)), dtype=float)
@@ -238,7 +232,7 @@ def make_snowflake(alpha: float, base_dim: int, p, region=None) -> MarkedSpace:
             "region": base.description["region"], "p": base.description["p"]}
     return MarkedSpace(metric=metric, p=base.p, sampler=sample, description=desc,
                        point_repr=lambda x: np.asarray(x).tolist(),
-                       pairwise=lambda points: _euclid_matrix(points) ** alpha)
+                       pairwise=lambda points: euclidean_matrix(points) ** alpha)
 
 
 def make_ultrametric(depth: int, arity: int, p=None) -> MarkedSpace:
@@ -373,8 +367,7 @@ def perturbed_euclidean_space(
     for _ in range(_MAX_TRIES):
         d = dim if dim is not None else int(rng.integers(1, 5))
         pts = rng.uniform(0.0, 1.0, size=(n_points, d))
-        diff = pts[:, None, :] - pts[None, :, :]
-        dm = np.sqrt(np.sum(diff * diff, axis=-1))
+        dm = euclidean_matrix(pts)
         noise = rng.uniform(-perturbation, perturbation, size=dm.shape)
         noise = (noise + noise.T) / 2.0
         dm = dm * (1.0 + noise)

@@ -74,6 +74,24 @@ def test_triangle_check_memory_is_quadratic():
     assert peak < 200 * 2**20, peak
 
 
+def test_euclidean_matrix_matches_broadcast_formula():
+    # summing one coordinate at a time adds in np.sum's order below 8
+    # coordinates; from 8 up the sums may differ in the last bit
+    from metricembed.metric import euclidean_matrix
+
+    for dim in range(1, 13):
+        for seed in range(20):
+            rng = np.random.default_rng([dim, seed])
+            x = rng.normal(size=(int(rng.integers(2, 40)), dim)) * 10.0 ** rng.uniform(-3, 3)
+            diff = x[:, None, :] - x[None, :, :]
+            ref = np.sqrt(np.sum(diff * diff, axis=-1))
+            got = euclidean_matrix(x)
+            if dim < 8:
+                assert np.array_equal(got, ref), (dim, seed)
+            else:
+                assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(ref), (dim, seed)
+
+
 def test_asymmetry_detected():
     with pytest.raises(AsymmetricError) as err:
         validate_metric([[0, 1], [1.1, 0]], tol=1e-12)

@@ -609,3 +609,49 @@ class TestBlumenthalScan:
     def test_battery_requires_cube_region(self):
         with pytest.raises(ValueError):
             build_probe_battery(circle(), NormalizingSequence.geometric())
+
+
+class TestSequenceDistances:
+    """Sequence tests read every distance off one ``matrix`` call per index."""
+
+    DEPTH = 24
+
+    def _setup(self):
+        scalar_calls = []
+        sp = dataclasses.replace(plane(), metric=lambda a, b: scalar_calls.append((a, b)) or 0.0)
+        r = NormalizingSequence.geometric(0.5, 0.5)
+        reads = {}
+
+        def counted(name, seq):
+            def read(m):
+                reads[name] = reads.get(name, 0) + 1
+                return seq(m)
+            return read
+
+        x1 = counted("x1", lambda m: np.array([r(m), 0.0]))
+        x2 = counted("x2", lambda m: np.array([0.0, r(m)]))
+        p = counted("p", constant_sequence(sp.p))
+        return sp, r, scalar_calls, reads, counted, (p, x1, x2)
+
+    def test_pseudometric_matrix(self):
+        sp, r, scalar_calls, reads, _, family = self._setup()
+        pm = pseudometric_matrix(sp, family, r, depth=self.DEPTH)
+        assert pm.all_stable
+        assert scalar_calls == []
+        assert reads == {"p": self.DEPTH, "x1": self.DEPTH, "x2": self.DEPTH}
+
+    def test_mutual_stability(self):
+        sp, r, scalar_calls, reads, _, (_, x1, x2) = self._setup()
+        v = mutual_stability(sp, x1, x2, r, depth=self.DEPTH)
+        assert v.limit == pytest.approx(math.sqrt(2.0))
+        assert scalar_calls == []
+        assert reads == {"x1": self.DEPTH, "x2": self.DEPTH}
+
+    def test_blumenthal_sequence_scan(self):
+        sp, r, scalar_calls, reads, counted, family = self._setup()
+        y = counted("y", lambda m: np.array([r(m), r(m)]))
+        u = counted("u", lambda m: np.array([2.0 * r(m), 0.0]))
+        rep = blumenthal_sequence_scan(sp, family, probes=[(y, u)], r=r, depth=self.DEPTH)
+        assert rep.verdict == "supports"
+        assert scalar_calls == []
+        assert reads == {name: self.DEPTH for name in ("p", "x1", "x2", "y", "u")}

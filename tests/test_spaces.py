@@ -1,6 +1,7 @@
 """Marked spaces: sampler contracts, freezing, construction errors."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +101,21 @@ def test_batched_matrix_equals_scalar_metric(name):
                 assert np.array_equal(batched, looped), (name, scale, seed)
             else:
                 assert np.max(np.abs(batched - looped)) <= 1e-15 * np.max(looped), (name, scale, seed)
+
+
+def test_cloud_matrix_holds_two_results_at_most():
+    # a capped scan cloud: the distance matrix is built in one N x N
+    # buffer plus one scratch array, with no (N, N, d) temporaries
+    space = plane()
+    cloud = (space.p,) + space.sample(0.5, 2050, 0)
+    tracemalloc.start()
+    try:
+        dm = space.matrix(cloud)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dm.shape == (2052, 2052)
+    assert peak <= 2.5 * dm.nbytes, peak
 
 
 def test_pitched_grid_serves_large_clouds():
