@@ -6,9 +6,13 @@ stdout; for ``scan`` also a config whose sampler cannot serve the
 requested ladder), 4 undetermined (a determinant engine does not
 confirm the factorization's witness tuple, or a scan is inconclusive).
 
-``check-embed`` and ``min-dim`` factor each part of the space once: every
-engine, the Blumenthal basis and ``--realize`` read the same decision,
-which accepts a realization exactly when it accepts the space.
+``validate``, ``check-embed`` and ``min-dim`` factor each part of the
+space once: every engine, the Blumenthal basis and ``--realize`` read the
+same decision, which accepts a realization exactly when it accepts the
+space. Its realization also certifies the triangle inequality in
+O(N^2 m); the O(N^3) triangle check runs only where it cannot
+(``embeddability.triangles_certified``). Only ``scan`` imports the scan
+layer (``pretangent``, ``spaces``).
 
 Every JSON output embeds the run configuration; the finite commands are
 deterministic, and ``scan`` is deterministic for a fixed ``--seed``, so
@@ -20,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -30,17 +35,30 @@ from .embeddability import (
     min_embedding_dimension,
     realize_coordinates,
     schoenberg_check,
+    triangles_certified,
 )
 from .errors import MetricViolationError
 from .metric import load_space
-from .pretangent import SAMPLER_VERSION, scale_ladder, transfer_check
-from .spaces import marked_space_from_config
 
 EXIT_YES = 0
 EXIT_NO = 1
 EXIT_INVALID_METRIC = 2
 EXIT_IO = 3
 EXIT_UNDETERMINED = 4
+
+
+def marked_space_from_config(cfg: dict):
+    """``spaces.marked_space_from_config``, imported on first use."""
+    from .spaces import marked_space_from_config
+
+    return marked_space_from_config(cfg)
+
+
+def transfer_check(space, n: int, **kwargs):
+    """``pretangent.transfer_check``, imported on first use."""
+    from .pretangent import transfer_check
+
+    return transfer_check(space, n, **kwargs)
 
 
 def _emit(payload: dict, fmt: str, out: str | None) -> None:
@@ -71,15 +89,17 @@ def _render_text(payload: dict, indent: str = "") -> str:
 
 
 def _parse_scales(text: str) -> list[float]:
+    from .pretangent import scale_ladder
+
     r0, q, count = text.split(":")
     if int(count) < 2:
         raise ValueError(f"a scan needs at least 2 rungs, got {count}")
     return scale_ladder(float(r0), float(q), int(count))
 
 
-def _load(path: str, tol: float | None):
+def _load(path: str, tol: float | None, tol_det: float):
     try:
-        return load_space(path, tol=tol), None
+        return load_space(path, tol=tol, certificate=partial(triangles_certified, tol_det=tol_det)), None
     except MetricViolationError as exc:
         return None, (EXIT_INVALID_METRIC, f"invalid metric: {exc} (indices {exc.indices})")
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
@@ -87,7 +107,7 @@ def _load(path: str, tol: float | None):
 
 
 def cmd_validate(args) -> int:
-    space, err = _load(args.input, args.tol_metric)
+    space, err = _load(args.input, args.tol_metric, args.tol_det)
     if err:
         code, msg = err
         _emit({"command": "validate", "input": args.input, "ok": False, "error": msg,
@@ -99,7 +119,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_check_embed(args) -> int:
-    space, err = _load(args.input, args.tol_metric)
+    space, err = _load(args.input, args.tol_metric, args.tol_det)
     if err:
         code, msg = err
         _emit({"command": "check-embed", "error": msg, "exit_code": code}, args.format, args.out)
@@ -129,7 +149,7 @@ def cmd_check_embed(args) -> int:
 
 
 def cmd_min_dim(args) -> int:
-    space, err = _load(args.input, args.tol_metric)
+    space, err = _load(args.input, args.tol_metric, args.tol_det)
     if err:
         code, msg = err
         _emit({"command": "min-dim", "error": msg, "exit_code": code}, args.format, args.out)
@@ -200,6 +220,8 @@ def _config_dict(args, space=None) -> dict:
         "version": __version__,
     }
     if args.command == "scan":
+        from .pretangent import SAMPLER_VERSION
+
         cfg["sampler_version"] = SAMPLER_VERSION
     if space is not None:
         cfg["space"] = space

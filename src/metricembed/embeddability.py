@@ -307,6 +307,36 @@ def _engine_verdict(space: FiniteMetricSpace, n: int, engine: str, tol_det: floa
     return EmbedVerdict("no" if confirmed else "undetermined", n, engine, witness, tol_det=tol_det)
 
 
+#: Smallest and largest distances a certificate trusts. Between them every
+#: squared distance, and every sum of a few, is a normal float: the
+#: decision's sums of squares cannot overflow, and the realized distances
+#: keep the relative rounding the allowance assumes.
+CERTIFIABLE_RANGE = (math.sqrt(np.finfo(float).tiny / np.finfo(float).eps), math.sqrt(np.finfo(float).max) / 4.0)
+
+
+def triangles_certified(space: FiniteMetricSpace, tol_det: float = DEFAULT_TOL_DET) -> bool:
+    """True when the decision's realization proves every triangle holds
+    within ``space.tol`` (a ``certificate`` for ``validate_metric``).
+
+    Coordinates e reproducing d within r give d_ij <= e_ij + r <= e_ik +
+    e_kj + r <= d_ik + d_kj + 3r. Rounding in the realized distances (at
+    most (m/2 + 2) eps relative) and in the triangle check's own sums adds
+    less than ``4 (m + 3) eps max d``. False, without deciding, when a
+    distance lies outside :data:`CERTIFIABLE_RANGE`; False for an
+    infeasible space, or when the bound exceeds ``space.tol`` or is not
+    finite.
+    """
+    low, high = CERTIFIABLE_RANGE
+    largest = float(np.max(space.dist, initial=0.0))
+    if largest > high or float(np.min(space.dist[space.dist > 0], initial=np.inf)) < low:
+        return False
+    decision = _decide(space, tol_det)
+    if not decision.result.feasible:
+        return False
+    allowance = 4.0 * (decision.result.dim + 3) * np.finfo(float).eps * largest
+    return bool(3.0 * decision.realization.max_residual + allowance <= space.tol)
+
+
 def menger_check(space: FiniteMetricSpace, n: int, tol_det: float = DEFAULT_TOL_DET) -> EmbedVerdict:
     """Cayley-Menger embeddability test against E^n."""
     return _engine_verdict(space, n, "menger", tol_det)

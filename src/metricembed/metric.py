@@ -71,21 +71,30 @@ def _check_tuple(space: FiniteMetricSpace, t: Sequence[int]) -> tuple[int, ...]:
     return idx
 
 
-def validate_metric(raw, tol: float | None = None) -> FiniteMetricSpace:
+def validate_metric(raw, tol: float | None = None, certificate=None) -> FiniteMetricSpace:
     """Validate a square matrix as a metric and wrap it in a space.
 
     Axioms are checked in order (diagonal, nonnegativity, symmetry,
     distinctness, triangle inequality); the first violated axiom is
-    reported with the indices of its *worst* offender. ``tol`` is an
-    absolute slack; when omitted it defaults to 1e-9 relative to the
-    largest entry. Labels default to ``x0..x{n-1}``; pass a dict
-    ``{"labels": ..., "distances": ...}`` to keep labels.
+    reported with the indices of its *worst* offender. Every O(N^2) check,
+    the label count included, comes before the O(N^3) triangle check.
+    ``tol`` is an absolute slack; when omitted it defaults to 1e-9
+    relative to the largest entry. Labels default to ``x0..x{n-1}``; pass
+    a dict ``{"labels": ..., "distances": ...}`` to keep labels.
+
+    ``certificate``, when given, is called with a space of three points or
+    more once every O(N^2) check has passed. The triangle check is skipped
+    when the input is exactly symmetric (so the space holds it bit for
+    bit) and the call returns True, which it may only do on a proof that
+    no triangle is violated by more than ``tol``; it runs as without a
+    certificate otherwise.
     """
     labels = None
     if isinstance(raw, dict):
         labels = raw.get("labels")
         raw = raw["distances"]
     d = np.asarray(raw, dtype=float)
+    del raw  # frees the caller's nested lists when this held the last reference
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {d.shape}")
     if not np.all(np.isfinite(d)):
@@ -113,39 +122,49 @@ def validate_metric(raw, tol: float | None = None) -> FiniteMetricSpace:
             f"asymmetry |d[{i}][{j}] - d[{j}][{i}]| = {asym[i, j]!r} exceeds tol {tol!r}",
             (int(i), int(j)),
         )
+    del asym  # no N x N temporary outlives its check
 
     off = d + np.diag(np.full(n, np.inf))
     if n > 1 and np.min(off) <= 0:
         i, j = np.unravel_index(int(np.argmin(off)), off.shape)
         raise CoincidentPointsError(f"d[{i}][{j}] = 0 for distinct points", (int(i), int(j)))
-
-    # Worst triangle violation: max over k of d[i,j] - (d[i,k] + d[j,k]),
-    # one row i at a time so that memory stays O(n^2); a later row replaces
-    # the offender only when strictly worse, which keeps the first maximum
-    # in (i, k, j) order.
-    if n > 2:
-        dt = np.ascontiguousarray(d.T)
-        slack = np.empty((n, n))  # slack[k,j] > 0 means violation via k
-        worst, offender = -np.inf, None
-        for i in range(n):
-            np.add(d[i][:, None], dt, out=slack)
-            np.subtract(d[i][None, :], slack, out=slack)
-            flat = int(np.argmax(slack))
-            if slack.flat[flat] > worst:
-                worst, offender = float(slack.flat[flat]), (i, *divmod(flat, n))
-        if worst > tol:
-            i, k, j = offender
-            raise TriangleViolationError(
-                f"triangle violation d[{i}][{j}] > d[{i}][{k}] + d[{k}][{j}] by {worst!r}",
-                (int(i), int(j), int(k)),
-            )
+    del off
 
     if labels is None:
         labels = [f"x{i}" for i in range(n)]
     if len(labels) != n:
         raise ValueError(f"{len(labels)} labels for {n} points")
     sym = (d + d.T) / 2.0
-    return FiniteMetricSpace(labels=tuple(str(x) for x in labels), dist=sym, tol=float(tol))
+    space = FiniteMetricSpace(labels=tuple(str(x) for x in labels), dist=sym, tol=float(tol))
+    if n > 2 and (certificate is None or not np.array_equal(sym, d) or not certificate(space)):
+        _check_triangles(d, tol)
+    return space
+
+
+def _check_triangles(d: np.ndarray, tol: float) -> None:
+    """Raise on the worst triangle violation beyond ``tol``, if any.
+
+    The worst is the max over k of d[i,j] - (d[i,k] + d[k,j]), taken one
+    row i at a time so that memory stays O(n^2); a later row replaces the
+    offender only when strictly worse, which keeps the first maximum in
+    (i, k, j) order.
+    """
+    n = d.shape[0]
+    dt = np.ascontiguousarray(d.T)
+    slack = np.empty((n, n))  # slack[k,j] > 0 means violation via k
+    worst, offender = -np.inf, None
+    for i in range(n):
+        np.add(d[i][:, None], dt, out=slack)
+        np.subtract(d[i][None, :], slack, out=slack)
+        flat = int(np.argmax(slack))
+        if slack.flat[flat] > worst:
+            worst, offender = float(slack.flat[flat]), (i, *divmod(flat, n))
+    if worst > tol:
+        i, k, j = offender
+        raise TriangleViolationError(
+            f"triangle violation d[{i}][{j}] > d[{i}][{k}] + d[{k}][{j}] by {worst!r}",
+            (int(i), int(j), int(k)),
+        )
 
 
 def euclidean_matrix(points) -> np.ndarray:
@@ -182,20 +201,31 @@ def scale_metric(space: FiniteMetricSpace, lam: float) -> FiniteMetricSpace:
     return FiniteMetricSpace(labels=space.labels, dist=space.dist * float(lam), tol=space.tol * float(lam))
 
 
-def load_space(path: str, tol: float | None = None) -> FiniteMetricSpace:
-    """Load a space from a ``.json`` or ``.csv`` file and validate it.
+def load_space(path: str, tol: float | None = None, certificate=None) -> FiniteMetricSpace:
+    """Load a space from a ``.json`` or ``.csv`` file and validate it
+    (``tol`` and ``certificate`` as in :func:`validate_metric`).
 
     JSON: ``{"labels": [...], "distances": [[...]]}``. CSV: a square
     numeric matrix with an optional leading header row of labels.
     """
+    # validate_metric holds the only reference to the parsed lists, and the
+    # text is gone, so neither outlives the conversion to an array
+    return validate_metric(_read_payload(path), tol=tol, certificate=certificate)
+
+
+def _read_payload(path: str):
     with open(path, "r", encoding="utf-8") as fh:
+        if path.endswith(".json"):
+            return json.load(fh)
         text = fh.read()
-    if path.endswith(".json"):
-        return validate_metric(json.loads(text), tol=tol)
-    return parse_csv_space(text, tol=tol)
+    return _csv_payload(text)
 
 
 def parse_csv_space(text: str, tol: float | None = None) -> FiniteMetricSpace:
+    return validate_metric(_csv_payload(text), tol=tol)
+
+
+def _csv_payload(text: str) -> dict:
     rows = [r for r in csv.reader(io.StringIO(text)) if r and any(c.strip() for c in r)]
     if not rows:
         raise ValueError("empty CSV input")
@@ -210,4 +240,4 @@ def parse_csv_space(text: str, tol: float | None = None) -> FiniteMetricSpace:
     payload = {"distances": matrix}
     if labels is not None:
         payload["labels"] = labels
-    return validate_metric(payload, tol=tol)
+    return payload

@@ -12,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metricembed import embeddability, validate_metric
+from metricembed import embeddability, metric, validate_metric
 from metricembed.cli import main
 from metricembed.determinants import DEFAULT_TOL_DET, CMValue
+from metricembed.errors import TriangleViolationError
 
 from conftest import square_with_star, square_with_tetrahedron
 
@@ -403,3 +404,172 @@ def test_traced_layer_functions_resolve():
     assert tracer.LAYER_FUNCTIONS
     for module, attr in tracer.LAYER_FUNCTIONS:
         assert callable(getattr(importlib.import_module(f"metricembed.{module}"), attr)), (module, attr)
+
+
+def _write_distances(path: Path, d) -> str:
+    path.write_text(json.dumps({"distances": np.asarray(d, dtype=float).tolist()}))
+    return str(path)
+
+
+@pytest.fixture
+def triangle_checks(monkeypatch):
+    """Each matrix the O(N^3) triangle check runs on, in call order."""
+    calls = []
+    check = metric._check_triangles
+    monkeypatch.setattr(metric, "_check_triangles", lambda d, tol: calls.append(d.copy()) or check(d, tol))
+    return calls
+
+
+class TestCertifiedTriangles:
+    """The finite commands skip the O(N^3) triangle check when the
+    decision's realization proves it, and otherwise run it unchanged."""
+
+    def test_large_cloud_takes_certified_path(self, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(0)
+        pts = rng.normal(size=(600, 4)) @ np.linalg.qr(rng.normal(size=(6, 4)))[0].T
+        path = _write_distances(tmp_path / "cloud.json", metric.euclidean_matrix(pts))
+
+        def never(d, tol):
+            raise AssertionError("triangle loop called")
+
+        monkeypatch.setattr(metric, "_check_triangles", never)
+        assert main(["validate", path]) == 0
+        assert main(["check-embed", path, "--dim", "4", "--criterion", "blumenthal"]) == 0
+        capsys.readouterr()
+        assert main(["min-dim", path]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["m"] == 4
+
+    @pytest.mark.parametrize("argv", [["validate"], ["min-dim"], ["check-embed", "--dim", "1"]])
+    def test_near_collinear_triple_still_exits_2(self, argv, tmp_path, triangle_checks, capsys):
+        # the factorization accepts it as a line, but its residual of 1e-8
+        # exceeds tol / 3, so the loop runs and names the same offender
+        path = _write_distances(tmp_path / "bent.json", [[0, 1, 2 + 5e-9], [1, 0, 1], [2 + 5e-9, 1, 0]])
+        assert main([argv[0], path] + argv[1:]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == (
+            "invalid metric: triangle violation d[0][2] > d[0][1] + d[1][2] by 4.999999969612645e-09 "
+            "(indices (0, 2, 1))")
+        assert len(triangle_checks) == 1
+
+    def test_asymmetry_within_tol_pays_the_loop(self, tmp_path, triangle_checks, capsys):
+        raw = [[0, 1, 1], [1, 0, 1], [1, 1 + 1e-12, 0]]
+        path = _write_distances(tmp_path / "skew.json", raw)
+        assert main(["min-dim", path]) == 0
+        assert len(triangle_checks) == 1 and np.array_equal(triangle_checks[0], raw)
+
+    def test_tol_metric_below_rounding_allowance_pays_the_loop(self, eq_file, triangle_checks, capsys):
+        # the allowance for a line of unit distances is 4 (1 + 3) eps ~ 3.6e-15
+        assert main(["validate", eq_file]) == 0
+        assert triangle_checks == []
+        assert main(["validate", eq_file, "--tol-metric", "1e-15"]) == 0
+        assert len(triangle_checks) == 1
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-160])
+    def test_outside_certifiable_range_pays_the_loop(self, scale, tmp_path, triangle_checks, monkeypatch,
+                                                      capsys):
+        # squared distances that overflow, or that underflow: nothing is
+        # factored (beyond 1e154 the ball search would never end)
+        def never(space, tol_det):
+            raise AssertionError("decision made")
+
+        s = np.sqrt(2.0)
+        square = np.array([[0, 1, s, 1], [1, 0, 1, s], [s, 1, 0, 1], [1, s, 1, 0]]) * scale
+        monkeypatch.setattr(embeddability, "_decide", never)
+        assert main(["validate", _write_distances(tmp_path / "square.json", square)]) == 0
+        assert len(triangle_checks) == 1
+
+    def test_agrees_with_full_check(self, tmp_path, triangle_checks, capsys):
+        # seeded clouds with one point between two others, one distance of
+        # that tight triangle moved by +-{0.5, 1, 2, 4} tol: validate and
+        # min-dim give the exit code and offender of the full check
+        codes = {"validate": set(), "min-dim": set()}
+        cases = []
+        for seed in range(200):
+            rng = np.random.default_rng([17, seed])
+            n, rank = int(rng.integers(3, 41)), int(rng.integers(1, 4))
+            pts = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, 3)) * 10.0 ** rng.uniform(-3, 3)
+            i, j, k = rng.choice(n, size=3, replace=False)
+            pts[k] = pts[i] + rng.uniform(0.2, 0.8) * (pts[j] - pts[i])
+            d = metric.euclidean_matrix(pts)
+            factor = (0.5, 1.0, 2.0, 4.0)[seed % 4] * (1 if seed % 8 < 4 else -1)
+            a, b = (i, j) if factor > 0 else (i, k)  # stretch the long side, or shrink a short one
+            d[a, b] = d[b, a] = d[a, b] + factor * metric.DEFAULT_REL_TOL * np.max(d)
+            cases.append((f"seed {seed}", d))
+        cases += [("star", STAR), ("cycle4", [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]])]
+        for name, d in cases:
+            try:
+                validate_metric(d)
+                expected = None
+            except TriangleViolationError as exc:
+                expected = f"invalid metric: {exc} (indices {exc.indices})"
+            path = _write_distances(tmp_path / "case.json", d)
+            for command in codes:
+                before = len(triangle_checks)
+                code = main([command, path])
+                out = json.loads(capsys.readouterr().out)
+                if expected is None:
+                    assert code in (0, 1), (name, command, out)
+                else:
+                    assert code == 2 and out["error"] == expected, (name, command, out)
+                looped = len(triangle_checks) > before
+                codes[command].add((code, looped))
+                if name in ("star", "cycle4"):
+                    assert looped, (name, command)
+        # the sweep reaches both paths and both outcomes
+        for command, seen in codes.items():
+            assert {(0, False), (0, True), (2, True)} <= seen, (command, seen)
+
+
+def test_finite_commands_leave_scan_layer_unloaded(eq_file, star_file):
+    code = ("import sys\n"
+            "from metricembed import cli\n"
+            f"for argv in (['min-dim', {eq_file!r}], ['min-dim', {star_file!r}], ['validate', {eq_file!r}],\n"
+            f"             ['check-embed', {eq_file!r}, '--dim', '2', '--criterion', 'all', '--realize']):\n"
+            "    cli.main(argv)\n"
+            "leaked = [m for m in ('metricembed.pretangent', 'metricembed.spaces') if m in sys.modules]\n"
+            "print(leaked, file=sys.stderr)\n"
+            "sys.exit(bool(leaked))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+
+
+def test_star_import_resolves_every_name():
+    import metricembed
+    from metricembed import pretangent, spaces
+
+    names: dict = {}
+    exec("from metricembed import *", names)
+    assert set(metricembed.__all__) <= set(names)
+    assert names["transfer_check"] is pretangent.transfer_check
+    assert names["marked_space_from_config"] is spaces.marked_space_from_config
+    with pytest.raises(AttributeError):
+        metricembed.no_such_name
+
+
+@pytest.fixture
+def tracer_recorder(monkeypatch):
+    """The benchmark tracer installed in this process; every attribute it
+    replaces is put back afterwards."""
+    from metricembed import cli, pretangent
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    modules = {"cli": cli, "embeddability": embeddability, "pretangent": pretangent}
+    for module, attr in list(tracer.LAYER_FUNCTIONS) + [("cli", "marked_space_from_config")]:
+        monkeypatch.setattr(modules[module], attr, getattr(modules[module], attr))
+    recorder = tracer.Recorder(0)
+    tracer._install(recorder)
+    return recorder
+
+
+@pytest.mark.parametrize("op,span", [("scan", "pretangent.transfer"), ("scan", "spaces.sample"),
+                                     ("min-dim", "metric.load"), ("min-dim", "embeddability.min_dim")])
+def test_tracer_spans_still_recorded(op, span, tracer_recorder, eq_file, circle_cfg, capsys):
+    from metricembed import cli
+
+    argv = (["scan", circle_cfg, "--dim", "1", "--samples", "8", "--scales", "0.5:0.5:3"] if op == "scan"
+            else ["min-dim", eq_file])
+    assert cli.main(argv) in (0, 1, 4)
+    assert span in {s["name"] for s in tracer_recorder.spans}

@@ -74,6 +74,43 @@ def test_triangle_check_memory_is_quadratic():
     assert peak < 200 * 2**20, peak
 
 
+def test_label_count_checked_before_triangles():
+    # a wrong label count is an O(1) check: it must not wait for the O(N^3) one
+    with pytest.raises(ValueError, match="2 labels for 3 points"):
+        validate_metric({"labels": ["a", "b"], "distances": [[0, 1, 3], [1, 0, 1], [3, 1, 0]]})
+
+
+def test_certificate_skips_triangles_only_on_exact_symmetry(tmp_path, monkeypatch):
+    from metricembed import metric
+
+    calls = []
+    check = metric._check_triangles
+    monkeypatch.setattr(metric, "_check_triangles", lambda d, tol: calls.append(d.copy()) or check(d, tol))
+    pts = np.random.default_rng(3).normal(size=(30, 2))
+    d = metric.euclidean_matrix(pts)
+    path = tmp_path / "cloud.json"
+    path.write_text(json.dumps({"distances": d.tolist()}))
+    # without a certificate every triangle is checked
+    validate_metric(d)
+    load_space(str(path))
+    assert len(calls) == 2
+    # a certificate that holds skips the check on an exactly symmetric input
+    seen = []
+    sp = load_space(str(path), certificate=lambda s: seen.append(s) or True)
+    assert len(calls) == 2 and len(seen) == 1 and seen[0] is sp
+    sp = validate_metric(d, certificate=lambda s: False)
+    assert len(calls) == 3
+    # asymmetry within tol: the raw matrix is checked, whatever the certificate says
+    skew = d.copy()
+    skew[0, 1] += 1e-12
+    sp = validate_metric(skew, certificate=lambda s: True)
+    assert len(calls) == 4 and np.array_equal(calls[-1], skew)
+    assert sp.dist[0, 1] == sp.dist[1, 0] != skew[0, 1]
+    # a certificate cannot hide a violation the check would report
+    with pytest.raises(TriangleViolationError):
+        validate_metric([[0, 1, 3], [1, 0, 1], [3, 1, 0.0]], certificate=lambda s: False)
+
+
 def test_euclidean_matrix_matches_broadcast_formula():
     # summing one coordinate at a time adds in np.sum's order below 8
     # coordinates; from 8 up the sums may differ in the last bit
