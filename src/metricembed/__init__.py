@@ -3,6 +3,7 @@ spaces and sampled scanners for embeddability of rescaled limit spaces at
 a marked point."""
 
 import importlib
+import types
 
 from .determinants import (
     CMValue,
@@ -77,56 +78,6 @@ def __getattr__(name: str):
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlumenthalReport",
-    "CMValue",
-    "CurveSpec",
-    "EmbedVerdict",
-    "FiniteMetricSpace",
-    "MarkedSpace",
-    "MinDimResult",
-    "NormalizingSequence",
-    "PsdReport",
-    "PseudometricMatrix",
-    "QuotientSpace",
-    "Realization",
-    "ScanReport",
-    "StabilityVerdict",
-    "TransferReport",
-    "Witness",
-    "as_marked",
-    "blumenthal_basis_search",
-    "blumenthal_sequence_scan",
-    "build_probe_battery",
-    "cm_determinant",
-    "cm_value",
-    "constant_sequence",
-    "delta_scale",
-    "epsilon_scale",
-    "freeze",
-    "liminf_scan",
-    "load_space",
-    "make_euclidean_subset",
-    "make_snowflake",
-    "make_ultrametric",
-    "marked_family",
-    "marked_space_from_config",
-    "menger_check",
-    "metric_identification",
-    "min_embedding_dimension",
-    "mutual_stability",
-    "perturbed_euclidean_space",
-    "psd_check",
-    "pseudometric_matrix",
-    "realize_coordinates",
-    "s_functional",
-    "scale_ladder",
-    "scale_metric",
-    "sch_determinant",
-    "sch_value",
-    "schoenberg_check",
-    "submatrix",
-    "theta",
-    "transfer_check",
-    "validate_metric",
-]
+#: The eager names above and the lazy ones, in one sorted list.
+__all__ = sorted([name for name, value in globals().items()
+                  if not name.startswith("_") and not isinstance(value, types.ModuleType)] + list(_LAZY))

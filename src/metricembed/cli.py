@@ -3,8 +3,10 @@
 Exit codes: 0 positive result, 1 negative, 2 invalid input metric or
 argument, 3 IO/parse error (also a failed ``--out`` write, reported on
 stdout; for ``scan`` also a config whose sampler cannot serve the
-requested ladder), 4 undetermined (a determinant engine does not
-confirm the factorization's witness tuple, or a scan is inconclusive).
+requested ladder; for ``check-embed`` and ``min-dim`` also a distance
+outside ``embeddability.CERTIFIABLE_RANGE``), 4 undetermined (a
+determinant engine does not confirm the factorization's witness tuple,
+or a scan is inconclusive).
 
 ``validate``, ``check-embed`` and ``min-dim`` factor each part of the
 space once: every engine, the Blumenthal basis and ``--realize`` read the
@@ -37,7 +39,7 @@ from .embeddability import (
     schoenberg_check,
     triangles_certified,
 )
-from .errors import MetricViolationError
+from .errors import DistanceOutOfRangeError, MetricViolationError
 from .metric import load_space
 
 EXIT_YES = 0
@@ -265,11 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["text", "json"], default="json")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--tol-det", dest="tol_det", type=_positive_float, default=DEFAULT_TOL_DET)
-        p.add_argument("--tol-metric", dest="tol_metric", type=_positive_float, default=None)
         if scan:
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--scales", type=_scales_arg, default="0.5:0.5:12", help="ladder as r0:q:count")
             p.add_argument("--samples", type=_positive_int, default=128, help="samples per scale rung")
+        else:
+            p.add_argument("--tol-metric", dest="tol_metric", type=_positive_float, default=None)
 
     p = sub.add_parser("validate", help="validate a distance matrix file")
     p.add_argument("input")
@@ -303,6 +306,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except DistanceOutOfRangeError as exc:
+        # raised by check-embed and min-dim before anything is written
+        _emit({"command": args.command, "error": f"cannot decide: {exc}", "exit_code": EXIT_IO},
+              args.format, args.out)
+        return EXIT_IO
     except OSError as exc:
         # every input is read under its own handler, so this is a failed --out write
         _emit({"command": args.command, "error": f"cannot write output: {exc}", "exit_code": EXIT_IO},

@@ -40,11 +40,11 @@ from .determinants import (
     cm_determinant,
     psd_check,
     sch_determinant,
-    tau_from_matrix,
     within_band,
 )
 from .errors import (
     DimensionOutOfRangeError,
+    DistanceOutOfRangeError,
     NotEmbeddableError,
     RankExceedsRequestedError,
 )
@@ -104,8 +104,9 @@ class Realization:
 @dataclass(frozen=True)
 class MinDimResult:
     """Minimal embedding dimension, or infeasibility with a PSD witness:
-    the report of the part that decided, its ``witness_subset`` mapped to
-    point indices with its base point ``base`` included."""
+    the report of the part that decided, in point indices, with its base
+    point ``base`` (also in ``witness_subset``); its factor has a row per
+    point, or is None when a ball decided."""
 
     feasible: bool
     dim: int | None
@@ -113,38 +114,35 @@ class MinDimResult:
     base: int
 
 
-def _factorization(dist: np.ndarray, tol_det: float) -> tuple[PsdReport, int, list[int]]:
+def _tau(dist: np.ndarray, base: int) -> np.ndarray:
+    """Schoenberg's tau over every point of a distance matrix in its own
+    order, based at ``base``, whose row and column are exactly zero."""
+    sq = dist * dist
+    return sq[base][:, None] + sq[base][None, :] - sq
+
+
+def _factorization(dist: np.ndarray, tol_det: float) -> tuple[PsdReport, int]:
     """The pivoted factorization of tau over the points of a distance
     matrix, based at the point whose farthest distance is least: (report,
-    base, order), ``order`` mapping tau row r to point ``order[r + 1]``."""
+    base). The base's zero row is never a pivot nor in a witness, so the
+    report's pivots, witness rows and factor rows are point indices."""
     if dist.shape[0] == 0:
         raise ValueError("empty space")
     base = int(np.argmin(np.max(dist, axis=1)))
-    order = [base] + [i for i in range(dist.shape[0]) if i != base]
-    if len(order) == 1:
-        return psd_check(np.zeros((0, 0)), tol_det), base, order
-    ix = np.asarray(order)
-    return psd_check(tau_from_matrix(dist[np.ix_(ix, ix)]), tol_det), base, order
+    return psd_check(_tau(dist, base), tol_det), base
 
 
-def _coordinates(factor: np.ndarray, order: list[int]) -> np.ndarray:
-    """Point coordinates read off a factor of tau = 2 G, base at the origin."""
-    x = np.zeros((len(order), factor.shape[1]))
-    x[order[1:]] = factor / math.sqrt(2.0)
-    return x
-
-
-def _factored_witness(report: PsdReport, base: int, order: list[int], n: int) -> tuple[int, ...] | None:
+def _factored_witness(report: PsdReport, base: int, n: int) -> tuple[int, ...] | None:
     """The tuple on which a factorization finds E^n violated, or None: the
     base plus the first n+1 pivots when more than n were accepted (an order
     n+1 determinant that fails to vanish), else its violating minor."""
     if report.psd and report.rank <= n:
         return None
     rows = report.pivots[:n + 1] if report.rank > n else report.witness_subset
-    return tuple(sorted([base] + [order[1 + r] for r in rows]))
+    return tuple(sorted([base, *rows]))
 
 
-def _neighbourhoods(dist: np.ndarray, report: PsdReport, order: list[int], tol_det: float):
+def _neighbourhoods(dist: np.ndarray, report: PsdReport, tol_det: float):
     """Balls the factorization did not judge on their own scale.
 
     It judges each leftover on a tuple holding its base and pivots, so a
@@ -159,7 +157,7 @@ def _neighbourhoods(dist: np.ndarray, report: PsdReport, order: list[int], tol_d
     if npts < 4:
         return
     sq = dist * dist
-    x = _coordinates(report.factor, order)
+    x = report.factor / math.sqrt(2.0)
     gram = x @ x.T
     norms = np.diag(gram)
     rho = np.abs(sq - (norms[:, None] + norms[None, :] - 2.0 * gram))
@@ -171,7 +169,7 @@ def _neighbourhoods(dist: np.ndarray, report: PsdReport, order: list[int], tol_d
     while r2 >= floor:
         if r2 < reach:
             within = sq <= r2
-            for y in np.flatnonzero(np.any(within & (rho > tol_det * r2 / 4.0), axis=1)):
+            for y in np.flatnonzero(np.any(within & ~within_band(rho, r2 / 4.0, 1, tol_det), axis=1)):
                 ball = np.flatnonzero(within[y])
                 key = ball.tobytes()
                 if 3 <= ball.size < npts and key not in seen:
@@ -181,15 +179,18 @@ def _neighbourhoods(dist: np.ndarray, report: PsdReport, order: list[int], tol_d
 
 
 def _parts(space: FiniteMetricSpace, tol_det: float):
-    """The factorizations every finite question reads, as (points, report,
-    base, order) with ``base`` and ``order`` indexing ``points``: first the
-    one over all points, then, when it is PSD, one of each ball of
-    :func:`_neighbourhoods` on its own."""
-    report, base, order = _factorization(space.dist, tol_det)
-    yield np.arange(space.n_points), report, base, order
+    """The factorizations every finite question reads, as (report, base) in
+    point indices: first the one over all points, then, when it is PSD, one
+    of each ball of :func:`_neighbourhoods` on its own, its pivots, witness
+    and base mapped to the space and its factor dropped."""
+    report, base = _factorization(space.dist, tol_det)
+    yield report, base
     if report.psd:
-        for ball in _neighbourhoods(space.dist, report, order, tol_det):
-            yield (ball, *_factorization(space.dist[np.ix_(ball, ball)], tol_det))
+        for ball in _neighbourhoods(space.dist, report, tol_det):
+            part, base = _factorization(space.dist[np.ix_(ball, ball)], tol_det)
+            rows = part.witness_subset
+            yield (replace(part, pivots=tuple(ball[list(part.pivots)].tolist()), factor=None,
+                           witness_subset=None if rows is None else tuple(ball[list(rows)].tolist())), int(ball[base]))
 
 
 def _check_target(n: int) -> None:
@@ -207,29 +208,19 @@ class _Decision:
     tol_det: float
     #: every part, as :func:`_parts` yields them
     parts: tuple
-    #: the part that decided: the first that is not PSD, else the first of
-    #: largest rank
-    decider: tuple
-    #: m, or infeasibility with the decider's violating tuple
+    #: m, or infeasibility, read off the part that decided: the first that
+    #: is not PSD, else the first of largest rank
     result: MinDimResult
 
     def witness(self, n: int) -> tuple[int, ...] | None:
         """A tuple of at most n+3 points on which E^n fails, named by the
         first part that is not PSD of rank <= n, or None."""
         _check_target(n)
-        for points, report, base, order in self.parts:
-            t = _factored_witness(report, base, order, n)
+        for report, base in self.parts:
+            t = _factored_witness(report, base, n)
             if t is not None:
-                return tuple(int(points[i]) for i in t)
+                return t
         return None
-
-    def basis(self, n: int) -> tuple[int, ...] | None:
-        """The decider's base and pivots when m == n, else None."""
-        _check_target(n)
-        if self.result.dim != n:
-            return None
-        points, report, base, order = self.decider
-        return tuple(int(points[i]) for i in [base] + [order[1 + p] for p in report.pivots])
 
     @cached_property
     def realization(self) -> Realization:
@@ -240,20 +231,20 @@ class _Decision:
         on what that factor leaves of tau, past the band, add the missing
         columns, stopping early only where nothing positive is left.
         """
-        _, report, _, order = self.parts[0]
+        report, base = self.parts[0]
         m = self.result.dim
-        factor = np.zeros((len(order) - 1, m))
+        factor = np.zeros((self.space.n_points, m))
         factor[:, :report.rank] = report.factor
         if report.rank < m:
-            ix = np.asarray(order)
-            rest = tau_from_matrix(self.space.dist[np.ix_(ix, ix)]) - report.factor @ report.factor.T
+            rest = _tau(self.space.dist, base) - report.factor @ report.factor.T
             for c in range(report.rank, m):
                 j = int(np.argmax(np.diag(rest)))
                 if rest[j, j] <= 0.0:
                     break
                 factor[:, c] = rest[:, j] / math.sqrt(rest[j, j])
                 rest -= np.outer(factor[:, c], factor[:, c])
-        coords = _coordinates(factor, order)
+        # tau = 2 G with the base at the origin
+        coords = factor / math.sqrt(2.0)
         coords = coords - coords[0]
         error = euclidean_matrix(coords)
         np.subtract(error, self.space.dist, out=error)
@@ -268,19 +259,20 @@ _last: _Decision | None = None
 
 
 def _decide(space: FiniteMetricSpace, tol_det: float) -> _Decision:
-    """The decision for ``space``, factored once while it is the last one asked."""
+    """The decision for ``space``, factored once while it is the last one
+    asked; refuses a space with a distance outside :data:`CERTIFIABLE_RANGE`."""
     global _last
     last = _last  # read once: another thread may replace it
     if last is not None and last.space is space and last.tol_det == tol_det:
         return last
+    if not _in_range(space):
+        raise DistanceOutOfRangeError("a distance lies outside [%.4g, %.4g]" % CERTIFIABLE_RANGE)
     parts = tuple(_parts(space, tol_det))
-    decider = next((p for p in parts if not p[1].psd), None) or max(parts, key=lambda p: p[1].rank)
-    points, report, base, order = decider
+    report, base = next((p for p in parts if not p[0].psd), None) or max(parts, key=lambda p: p[0].rank)
     if not report.psd:
-        t = _factored_witness(report, base, order, report.rank)
-        report = replace(report, witness_subset=tuple(int(points[i]) for i in t))
-    result = MinDimResult(report.psd, report.rank if report.psd else None, report, int(points[base]))
-    _last = decision = _Decision(space, tol_det, parts, decider, result)
+        report = replace(report, witness_subset=_factored_witness(report, base, report.rank))
+    result = MinDimResult(report.psd, report.rank if report.psd else None, report, base)
+    _last = decision = _Decision(space, tol_det, parts, result)
     return decision
 
 
@@ -307,11 +299,18 @@ def _engine_verdict(space: FiniteMetricSpace, n: int, engine: str, tol_det: floa
     return EmbedVerdict("no" if confirmed else "undetermined", n, engine, witness, tol_det=tol_det)
 
 
-#: Smallest and largest distances a certificate trusts. Between them every
-#: squared distance, and every sum of a few, is a normal float: the
-#: decision's sums of squares cannot overflow, and the realized distances
-#: keep the relative rounding the allowance assumes.
+#: Smallest and largest distances a decision or certificate trusts.
+#: Between them every squared distance, and every sum of a few, is a
+#: normal float: the decision's sums of squares cannot overflow, and the
+#: realized distances keep the relative rounding the allowance assumes.
 CERTIFIABLE_RANGE = (math.sqrt(np.finfo(float).tiny / np.finfo(float).eps), math.sqrt(np.finfo(float).max) / 4.0)
+
+
+def _in_range(space: FiniteMetricSpace) -> bool:
+    """Whether every positive distance lies in :data:`CERTIFIABLE_RANGE`."""
+    low, high = CERTIFIABLE_RANGE
+    return (float(np.max(space.dist, initial=0.0)) <= high
+            and float(np.min(space.dist, where=space.dist > 0, initial=np.inf)) >= low)
 
 
 def triangles_certified(space: FiniteMetricSpace, tol_det: float = DEFAULT_TOL_DET) -> bool:
@@ -326,14 +325,12 @@ def triangles_certified(space: FiniteMetricSpace, tol_det: float = DEFAULT_TOL_D
     infeasible space, or when the bound exceeds ``space.tol`` or is not
     finite.
     """
-    low, high = CERTIFIABLE_RANGE
-    largest = float(np.max(space.dist, initial=0.0))
-    if largest > high or float(np.min(space.dist[space.dist > 0], initial=np.inf)) < low:
+    if not _in_range(space):
         return False
     decision = _decide(space, tol_det)
     if not decision.result.feasible:
         return False
-    allowance = 4.0 * (decision.result.dim + 3) * np.finfo(float).eps * largest
+    allowance = 4.0 * (decision.result.dim + 3) * np.finfo(float).eps * float(np.max(space.dist, initial=0.0))
     return bool(3.0 * decision.realization.max_residual + allowance <= space.tol)
 
 
@@ -381,4 +378,6 @@ def blumenthal_basis_search(
     determinant on the basis extended by one or two points. Succeeds
     exactly when min-dim is n.
     """
-    return _decide(space, tol_det).basis(n)
+    _check_target(n)
+    res = _decide(space, tol_det).result
+    return (res.base, *res.psd.pivots) if res.dim == n else None

@@ -56,6 +56,11 @@ class DimensionOutOfRangeError(ValueError):
     """Target dimension n must be >= 1."""
 
 
+class DistanceOutOfRangeError(ValueError):
+    """A distance lies where its square is not a normal float, so no finite
+    decision can be made on the space."""
+
+
 class NotEmbeddableError(ValueError):
     """Coordinate realization requested for a non-embeddable space."""
 

@@ -712,16 +712,6 @@ class BlumenthalReport:
     verdict: str  # "supports" | "refutes" | "inconclusive"
     tangent_assumed: bool = True
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "depth": self.depth,
-            "condition_i": [list(x) for x in self.condition_i],
-            "condition_ii": [list(x) for x in self.condition_ii],
-            "verdict": self.verdict,
-            "tangent_assumed": self.tangent_assumed,
-        }
-
 
 def blumenthal_sequence_scan(
     space: MarkedSpace,

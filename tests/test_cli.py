@@ -225,6 +225,15 @@ class TestUndetermined:
 
 
 class TestScan:
+    def test_tol_metric_not_on_scan(self, circle_cfg, capsys):
+        # a scan reads no distance matrix; its config still echoes the key
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", circle_cfg, "--dim", "1", "--tol-metric", "1e-9"])
+        assert exc.value.code == 2
+        assert "--tol-metric" in capsys.readouterr().err
+        assert main(["scan", circle_cfg, "--dim", "1", "--samples", "8", "--scales", "0.5:0.5:3"]) in (0, 1, 4)
+        assert json.loads(capsys.readouterr().out)["config"]["tol_metric"] is None
+
     def test_circle_consistent_and_deterministic(self, circle_cfg, tmp_path, capsys):
         args = ["scan", circle_cfg, "--dim", "1", "--samples", "24", "--seed", "11"]
         a_path, b_path = str(tmp_path / "a.json"), str(tmp_path / "b.json")
@@ -519,6 +528,29 @@ class TestCertifiedTriangles:
             assert {(0, False), (0, True), (2, True)} <= seen, (command, seen)
 
 
+@pytest.mark.parametrize("scale", [1e154, 1e200, 1e-160, 1e-300])
+@pytest.mark.parametrize("argv", [["min-dim"], ["check-embed", "--dim", "1"]])
+def test_distances_outside_certifiable_range_exit_3(argv, scale, tmp_path, capsys):
+    # squared distances that overflow or leave the normal floats: nothing
+    # is decided, while validate still runs the O(N^3) check on them
+    s = np.sqrt(2.0)
+    square = np.array([[0, 1, s, 1], [1, 0, 1, s], [s, 1, 0, 1], [1, s, 1, 0]]) * scale
+    path = _write_distances(tmp_path / "square.json", square)
+    if scale > 1:
+        # the ball search once looped forever on these: a hang is a timeout
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run([sys.executable, "-m", "metricembed.cli", argv[0], path] + argv[1:],
+                              capture_output=True, text=True, env=env, timeout=60)
+        code, out = done.returncode, done.stdout
+        assert "Traceback" not in done.stderr
+    else:
+        code, out = main([argv[0], path] + argv[1:]), capsys.readouterr().out
+    payload = json.loads(out)
+    assert code == payload["exit_code"] == 3
+    assert payload["command"] == argv[0] and payload["error"].startswith("cannot decide: a distance lies outside [")
+    assert main(["validate", path]) == 0
+
+
 def test_finite_commands_leave_scan_layer_unloaded(eq_file, star_file):
     code = ("import sys\n"
             "from metricembed import cli\n"
@@ -544,6 +576,17 @@ def test_star_import_resolves_every_name():
     assert names["marked_space_from_config"] is spaces.marked_space_from_config
     with pytest.raises(AttributeError):
         metricembed.no_such_name
+    assert metricembed.__all__ == [
+        "BlumenthalReport", "CMValue", "CurveSpec", "EmbedVerdict", "FiniteMetricSpace", "MarkedSpace",
+        "MinDimResult", "NormalizingSequence", "PsdReport", "PseudometricMatrix", "QuotientSpace", "Realization",
+        "ScanReport", "StabilityVerdict", "TransferReport", "Witness", "as_marked", "blumenthal_basis_search",
+        "blumenthal_sequence_scan", "build_probe_battery", "cm_determinant", "cm_value", "constant_sequence",
+        "delta_scale", "epsilon_scale", "freeze", "liminf_scan", "load_space", "make_euclidean_subset",
+        "make_snowflake", "make_ultrametric", "marked_family", "marked_space_from_config", "menger_check",
+        "metric_identification", "min_embedding_dimension", "mutual_stability", "perturbed_euclidean_space",
+        "psd_check", "pseudometric_matrix", "realize_coordinates", "s_functional", "scale_ladder", "scale_metric",
+        "sch_determinant", "sch_value", "schoenberg_check", "submatrix", "theta", "transfer_check",
+        "validate_metric"]
 
 
 @pytest.fixture

@@ -13,11 +13,17 @@ from metricembed import (
     menger_check,
     min_embedding_dimension,
     realize_coordinates,
+    scale_metric,
     schoenberg_check,
     validate_metric,
 )
 from metricembed.determinants import within_band
-from metricembed.errors import DimensionOutOfRangeError, NotEmbeddableError, RankExceedsRequestedError
+from metricembed.errors import (
+    DimensionOutOfRangeError,
+    DistanceOutOfRangeError,
+    NotEmbeddableError,
+    RankExceedsRequestedError,
+)
 from metricembed.spaces import perturbed_euclidean_space
 
 from conftest import (
@@ -230,6 +236,34 @@ class TestMinDimension:
     def test_single_point_and_pair(self):
         assert min_embedding_dimension(validate_metric([[0.0]])).dim == 0
         assert min_embedding_dimension(validate_metric([[0, 5], [5, 0]])).dim == 1
+
+    def test_pivots_are_point_indices(self):
+        # base 2: the pivots name points, as the Blumenthal basis does, and
+        # the factor has one row per point, the base's zero
+        sp = cloud_space(np.array([(0, 0), (3, 0), (1.5, 0.2), (0, 2), (3, 2.5)]))
+        res = min_embedding_dimension(sp)
+        assert res.base == 2
+        assert res.psd.pivots == (4, 3) == blumenthal_basis_search(sp, 2)[1:]
+        assert res.psd.factor.shape == (5, 2) and not np.any(res.psd.factor[2])
+
+    def test_ball_decides_in_point_indices(self):
+        # the tetrahedron of points 4-7 decides m = 3 from its own ball,
+        # whose factor nothing reads
+        sp = square_with_tetrahedron(1e-5)
+        res = min_embedding_dimension(sp)
+        assert res.dim == 3 and res.psd.factor is None
+        assert {res.base, *res.psd.pivots} == {4, 5, 6, 7}
+        assert blumenthal_basis_search(sp, 3) == (res.base, *res.psd.pivots)
+
+    @pytest.mark.parametrize("scale", [1e154, 1e200, 1e-160, 1e-300])
+    def test_distances_outside_certifiable_range_refused(self, scale, unit_square):
+        # squared distances that overflow or leave the normal floats: no
+        # question is decided (the ball search would never end above 1e154)
+        sp = scale_metric(unit_square, scale)
+        for ask in (min_embedding_dimension, lambda sp: menger_check(sp, 1), lambda sp: realize_coordinates(sp, 2),
+                    lambda sp: blumenthal_basis_search(sp, 2)):
+            with pytest.raises(DistanceOutOfRangeError):
+                ask(sp)
 
 
 class TestRealize:

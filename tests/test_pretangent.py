@@ -88,6 +88,24 @@ def stretched_triple(stretch=1.5e-8):
                        sampler=lambda scale, k, seed: (p,) + tuple((i, scale) for i in range(k)))
 
 
+def tripod():
+    # three rays from p under the path metric, so every rescaled limit at
+    # p is the tripod itself. Four points on all three rays embed in no
+    # E^n: the one nearer p of the two on one ray lies between the other
+    # three, which puts two of them on one Euclidean ray from it at their
+    # tree distance apart, impossible. Every triangle embeds, so it is the
+    # k = 3 sign condition that breaks.
+    def metric(x, y):
+        return abs(x[1] - y[1]) if x[0] == y[0] else x[1] + y[1]
+
+    def sampler(scale, k, seed):
+        rng = np.random.default_rng(seed)
+        t = rng.uniform(scale / 2, scale, size=k + 1)
+        return tuple(zip(rng.integers(0, 3, size=k + 1).tolist(), t.tolist()))
+
+    return MarkedSpace(metric=metric, p=(0, 0.0), sampler=sampler)
+
+
 def diametral_marked():
     # p = index 0; two points at distance 1 from p and 2 from each other
     return as_marked(validate_metric([[0, 1, 1], [1, 0, 2], [1, 2, 0]]), 0)
@@ -527,6 +545,16 @@ class TestTransferCheck:
         assert tc.verdict == "refuted"
         sign = liminf_scan(snow, 1, samples_per_scale=64, condition="sign", seed=3)
         assert sign.verdict == "supports"
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tripod_refutes_sign_at_3(self, seed):
+        rep = transfer_check(tripod(), 3, samples_per_scale=32, seed=seed)
+        assert rep.verdict == "refuted"
+        scan = rep.scans[rep.witness_scan]
+        assert (scan.k, scan.condition) == (3, "sign")
+        sign3 = [s for s in rep.scans if (s.k, s.condition) == (3, "sign")]
+        assert sorted(s.mode for s in sign3) == sorted(pretangent.MODES)
+        assert all(s.verdict == "refutes" for s in sign3)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_deep_ultrametric_refuted_at_1(self, seed):
