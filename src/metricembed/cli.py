@@ -2,9 +2,10 @@
 
 Exit codes: 0 positive result, 1 negative, 2 invalid input metric or
 argument, 3 IO/parse error (also a failed ``--out`` write, reported on
-stdout; for ``scan`` also a config whose sampler cannot serve the
-requested ladder; for ``check-embed`` and ``min-dim`` also a distance
-outside ``embeddability.CERTIFIABLE_RANGE``), 4 undetermined (a
+stdout; a command that runs out of memory; for ``scan`` also a config
+whose sampler cannot serve the requested ladder; for ``check-embed`` and
+``min-dim`` also a distance outside
+``embeddability.CERTIFIABLE_RANGE``), 4 undetermined (a
 determinant engine does not confirm the factorization's witness tuple,
 or a scan is inconclusive).
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import partial
 from pathlib import Path
@@ -63,6 +65,14 @@ def transfer_check(space, n: int, **kwargs):
     return transfer_check(space, n, **kwargs)
 
 
+def _out_path(args) -> str | None:
+    """Where a command writes its payload: ``--out``, except that ``scan
+    --out DIR`` (no suffix) writes the aggregate to ``DIR/transfer.<ext>``."""
+    if args.command == "scan" and args.out and Path(args.out).suffix == "":
+        return str(Path(args.out) / f"transfer.{'json' if args.format == 'json' else 'txt'}")
+    return args.out
+
+
 def _emit(payload: dict, fmt: str, out: str | None) -> None:
     if fmt == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -94,8 +104,6 @@ def _parse_scales(text: str) -> list[float]:
     from .pretangent import scale_ladder
 
     r0, q, count = text.split(":")
-    if int(count) < 2:
-        raise ValueError(f"a scan needs at least 2 rungs, got {count}")
     return scale_ladder(float(r0), float(q), int(count))
 
 
@@ -174,11 +182,10 @@ def cmd_min_dim(args) -> int:
 def cmd_scan(args) -> int:
     # with --out DIR (no suffix), one JSON file per scan plus the aggregate,
     # or the error payload, in DIR/transfer.<ext>
-    outdir = Path(args.out) if args.out and Path(args.out).suffix == "" else None
-    out = args.out
+    out = _out_path(args)
+    outdir = Path(args.out) if out != args.out else None
     if outdir is not None:
         outdir.mkdir(parents=True, exist_ok=True)
-        out = str(outdir / f"transfer.{'json' if args.format == 'json' else 'txt'}")
     try:
         cfg = json.loads(Path(args.space).read_text(encoding="utf-8"))
         space = marked_space_from_config(cfg)
@@ -247,12 +254,27 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
 def _scales_arg(text: str) -> str:
-    """Check an r0:q:count ladder at parse time; the config echoes the text."""
+    """Check an r0:q:count ladder at parse time without building it: its
+    last rung must be a positive float. The config echoes the text."""
     try:
-        _parse_scales(text)
+        r0, q, count = text.split(":")
+        r0, q, count = float(r0), float(q), int(count)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected r0:q:count ({exc})")
+    if not (0 < r0 < math.inf and 0 < q < 1 and count >= 2):
+        raise argparse.ArgumentTypeError(f"expected r0:q:count with finite r0 > 0, 0 < q < 1 and count >= 2, "
+                                         f"got {text}")
+    # an exponent past 2^1023 is no float, and q to that power is 0 anyway
+    if not r0 * q ** min(count - 1, 2**1023) > 0:
+        raise argparse.ArgumentTypeError(f"the last rung r0 * q^(count - 1) of {text} underflows to 0")
     return text
 
 
@@ -268,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--tol-det", dest="tol_det", type=_positive_float, default=DEFAULT_TOL_DET)
         if scan:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_nonnegative_int, default=0)
             p.add_argument("--scales", type=_scales_arg, default="0.5:0.5:12", help="ladder as r0:q:count")
             p.add_argument("--samples", type=_positive_int, default=128, help="samples per scale rung")
         else:
@@ -316,6 +338,12 @@ def main(argv=None) -> int:
         _emit({"command": args.command, "error": f"cannot write output: {exc}", "exit_code": EXIT_IO},
               args.format, None)
         return EXIT_IO
+    except MemoryError as exc:
+        error = f"out of memory: {str(exc) or 'allocation failed'}"
+    # reported once the handler has dropped the failed command's frames, and
+    # with them whatever it had allocated
+    _emit({"command": args.command, "error": error, "exit_code": EXIT_IO}, args.format, _out_path(args))
+    return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -205,7 +205,6 @@ class _Decision:
     round of :func:`_parts`."""
 
     space: FiniteMetricSpace
-    tol_det: float
     #: every part, as :func:`_parts` yields them
     parts: tuple
     #: m, or infeasibility, read off the part that decided: the first that
@@ -252,19 +251,16 @@ class _Decision:
         return Realization(coords=coords, m=m, max_residual=residual)
 
 
-#: The last decision made. ``FiniteMetricSpace`` is frozen and its ``dist``
-#: read-only, so a decision keyed on the space object cannot go stale, and
-#: holding the space keeps its identity from being reused.
-_last: _Decision | None = None
-
-
+@lru_cache(maxsize=1)
 def _decide(space: FiniteMetricSpace, tol_det: float) -> _Decision:
     """The decision for ``space``, factored once while it is the last one
-    asked; refuses a space with a distance outside :data:`CERTIFIABLE_RANGE`."""
-    global _last
-    last = _last  # read once: another thread may replace it
-    if last is not None and last.space is space and last.tol_det == tol_det:
-        return last
+    asked; refuses a space with a distance outside :data:`CERTIFIABLE_RANGE`.
+
+    ``FiniteMetricSpace`` is frozen, hashes by identity and keeps ``dist``
+    read-only, so a decision cached on the space object cannot go stale.
+    Callers pass ``(space, tol_det)`` positionally: a keyword call would
+    take a cache entry of its own.
+    """
     if not _in_range(space):
         raise DistanceOutOfRangeError("a distance lies outside [%.4g, %.4g]" % CERTIFIABLE_RANGE)
     parts = tuple(_parts(space, tol_det))
@@ -272,8 +268,7 @@ def _decide(space: FiniteMetricSpace, tol_det: float) -> _Decision:
     if not report.psd:
         report = replace(report, witness_subset=_factored_witness(report, base, report.rank))
     result = MinDimResult(report.psd, report.rank if report.psd else None, report, base)
-    _last = decision = _Decision(space, tol_det, parts, result)
-    return decision
+    return _Decision(space, parts, result)
 
 
 def _engine_verdict(space: FiniteMetricSpace, n: int, engine: str, tol_det: float) -> EmbedVerdict:

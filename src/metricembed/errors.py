@@ -90,11 +90,12 @@ class MergeInconsistencyError(ValueError):
 
 
 class EmptySampleError(ValueError):
-    """A scan rung received no sample tuples."""
+    """A scan was asked for ``samples_per_scale < 1`` tuples per order and rung."""
 
 
 class SamplerScaleMismatchError(ValueError):
-    """Sampler returned a tuple whose delta is off the requested scale by >2x."""
+    """A rung's cloud has its delta (largest distance to p) outside [s/4, 2s]
+    for the rung's scale s."""
 
 
 class NonconvergentSequenceError(ValueError):

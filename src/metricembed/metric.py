@@ -29,13 +29,13 @@ from .errors import (
 DEFAULT_REL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteMetricSpace:
     """A finite metric space: labels plus a validated distance matrix.
 
     Construct through :func:`validate_metric`; the constructor itself does
     not re-check the axioms. ``tol`` is the absolute tolerance that the
-    matrix was validated against.
+    matrix was validated against. Spaces compare and hash by identity.
     """
 
     labels: tuple[str, ...]

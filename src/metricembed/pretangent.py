@@ -26,7 +26,7 @@ fixed seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain, combinations
 from typing import Any, Callable, Sequence
 
@@ -156,18 +156,25 @@ def epsilon_scale(space: MarkedSpace, t: Sequence, s: float) -> float:
     return float(np.sum(_with_p(space, t)[0, 1:] ** s) ** (1.0 / s))
 
 
-def _determinants(sub: np.ndarray, mode: str) -> np.ndarray:
-    """Signed Cayley-Menger (mode "theta") or Schoenberg (mode "s")
-    determinants of a stack of (k+1)-point distance matrices.
+def _functionals(sub: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Theta and S of a stack of (k+1)-tuples: the signed Cayley-Menger and
+    the Schoenberg determinant of each tuple divided by its delta^(2k).
 
-    Neither depends on the order of the points, so each matrix is read from
-    the point nearest its tuple's centroid (the least sum of squared
-    distances): as the Schoenberg base and the first row of the bordered
-    matrix it keeps the entries short, and the rounding small against the
-    volume of a thin simplex. On a triple with two points 2e-3 of the
-    diameter apart, a far base costs three orders of magnitude in relative
-    error.
+    ``sub`` holds the tuples' distance matrices and ``delta`` their largest
+    distances to p; each matrix is divided by its own delta, and a tuple at
+    p gives 0. Returns an array of shape (len(MODES), len(sub)), rows in
+    MODES order.
+
+    Neither determinant depends on the order of the points, so the stack is
+    gathered once, each matrix from the point nearest its tuple's centroid
+    (the least sum of squared distances): as the Schoenberg base and the
+    first row of the bordered matrix it keeps the entries short, and the
+    rounding small against the volume of a thin simplex. On a triple with
+    two points 2e-3 of the diameter apart, a far base costs three orders of
+    magnitude in relative error.
     """
+    at_p = delta == 0
+    sub = sub / np.where(at_p, 1.0, delta)[:, None, None]
     count, size = sub.shape[0], sub.shape[-1]
     base = np.argmin(np.sum(sub * sub, axis=-1), axis=-1)
     rows = np.arange(count)
@@ -176,21 +183,8 @@ def _determinants(sub: np.ndarray, mode: str) -> np.ndarray:
     order[rows, base] = 0
     order[rows, 0] = base
     sub = sub[rows[:, None, None], order[:, :, None], order[:, None, :]]
-    if mode == "theta":
-        return (-1.0) ** size * np.linalg.det(bordered_matrix(sub))
-    return np.linalg.det(tau_from_matrix(sub))
-
-
-def _functionals(sub: np.ndarray, delta: np.ndarray, modes: Sequence[str]) -> np.ndarray:
-    """Theta or S of a stack of (k+1)-tuples, one stacked determinant per mode.
-
-    ``sub`` holds the tuples' distance matrices and ``delta`` their largest
-    distances to p; each matrix is divided by its own delta, and a tuple at
-    p gives 0. Returns an array of shape (len(modes), len(sub)).
-    """
-    at_p = delta == 0
-    sub = sub / np.where(at_p, 1.0, delta)[:, None, None]
-    out = np.array([_determinants(sub, mode) for mode in modes])
+    out = np.array([(-1.0) ** size * np.linalg.det(bordered_matrix(sub)),  # Theta
+                    np.linalg.det(tau_from_matrix(sub))])  # S
     out[:, at_p] = 0.0
     return out
 
@@ -199,7 +193,7 @@ def _tuple_functional(space: MarkedSpace, t: Sequence, mode: str) -> float:
     """The scan's evaluator on a stack of one tuple: one distance matrix
     over (p,) + t, delta read off its row 0."""
     dm = _with_p(space, t)[None]
-    return float(_functionals(dm[:, 1:, 1:], dm[:, 0, 1:].max(axis=1), (mode,))[0, 0])
+    return float(_functionals(dm[:, 1:, 1:], dm[:, 0, 1:].max(axis=1))[MODES.index(mode), 0])
 
 
 def theta(space: MarkedSpace, t: Sequence) -> float:
@@ -382,6 +376,16 @@ def scale_ladder(r0: float = 0.5, q: float = 0.5, rungs: int = 12) -> list[float
     return [r0 * q**j for j in range(rungs)]
 
 
+def _json_fields(report, **special) -> dict:
+    """A report's dataclass fields as JSON values, ``special`` in place of
+    the fields it names; tuples become lists."""
+    out = {}
+    for f in fields(report):
+        value = special[f.name] if f.name in special else getattr(report, f.name)
+        out[f.name] = list(value) if isinstance(value, tuple) else value
+    return out
+
+
 @dataclass(frozen=True)
 class ScanWitness:
     """Extreme sample seen by a scan: rung, value and the tuple itself."""
@@ -414,28 +418,10 @@ class ScanReport:
 
     def to_json_dict(self, point_repr=lambda x: x) -> dict:
         def wit(w: ScanWitness | None):
-            if w is None:
-                return None
-            return {"rung": w.rung, "scale": w.scale, "value": w.value,
-                    "points": [point_repr(x) for x in w.points]}
+            return None if w is None else _json_fields(w, points=[point_repr(x) for x in w.points])
 
-        return {
-            "k": self.k,
-            "mode": self.mode,
-            "condition": self.condition,
-            "scales": list(self.scales),
-            "per_scale_inf": list(self.per_scale_inf),
-            "per_scale_sup": list(self.per_scale_sup),
-            "running_liminf": self.running_liminf,
-            "running_limsup": self.running_limsup,
-            "trend": self.trend if math.isfinite(self.trend) else "inf",
-            "verdict": self.verdict,
-            "samples_per_scale": self.samples_per_scale,
-            "seed": self.seed,
-            "tol_det": self.tol_det,
-            "witness_inf": wit(self.witness_inf),
-            "witness_sup": wit(self.witness_sup),
-        }
+        return _json_fields(self, trend=self.trend if math.isfinite(self.trend) else "inf",
+                            witness_inf=wit(self.witness_inf), witness_sup=wit(self.witness_sup))
 
 
 def _fit_trend(scales: np.ndarray, magnitudes: np.ndarray, floor: float) -> float:
@@ -478,6 +464,11 @@ def _scan_pass(space: MarkedSpace, jobs: Sequence[tuple[int, str]], scales, samp
     same seed on every rung, which pins the trend fit down to the geometry
     instead of sampling noise.
 
+    The pass keeps one table: per side (inf, sup), mode, job and rung, the
+    extreme value and the points of the first tuple that holds it. Every
+    report is read off it; a witness is the extreme along the rung axis,
+    so the earliest rung holding it wins, and within it the earliest tuple.
+
     Returns, per mode of MODES, one report per job, and the largest
     ``|Theta - S| / max(|Theta|, |S|, 1)`` over every tuple.
     """
@@ -489,10 +480,9 @@ def _scan_pass(space: MarkedSpace, jobs: Sequence[tuple[int, str]], scales, samp
     size = min(2 * samples_per_scale, CLOUD_CAP) + max(k for k, _ in jobs) + 1
     cloud_seed = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
     tuple_seed = np.random.SeedSequence(entropy=seed, spawn_key=(1,))
-    values = np.zeros((len(MODES), len(jobs), len(scales), samples_per_scale))
-    # (mode, job, "inf" | "sup") -> the earliest rung, then the earliest
-    # tuple, holding the extreme
-    witnesses: dict[tuple[int, int, str], ScanWitness] = {}
+    extremes = np.zeros((2, len(MODES), len(jobs), len(scales)))
+    holders = np.empty(extremes.shape, dtype=object)
+    discrepancy = 0.0
     for j, s in enumerate(scales):
         cloud = tuple(space.sampler(s, size - 1, cloud_seed))
         if len(cloud) != size:
@@ -506,25 +496,23 @@ def _scan_pass(space: MarkedSpace, jobs: Sequence[tuple[int, str]], scales, samp
         rng = np.random.default_rng(tuple_seed)
         for q, (k, _) in enumerate(jobs):
             idx = _index_tuples(rng, anchors, size, k, samples_per_scale)
-            v = _functionals(dm[idx[:, :, None], idx[:, None, :]], to_p[idx].max(axis=1), MODES)
-            values[:, q, j] = v
-            for e in range(len(MODES)):
-                for side, i, beats in (("inf", np.argmin(v[e]), np.less), ("sup", np.argmax(v[e]), np.greater)):
-                    best = witnesses.get((e, q, side))
-                    if best is None or beats(v[e, i], best.value):
-                        points = tuple(cloud[c] for c in idx[i])
-                        witnesses[e, q, side] = ScanWitness(j, s, float(v[e, i]), points)
+            v = _functionals(dm[idx[:, :, None], idx[:, None, :]], to_p[idx].max(axis=1))
+            spread = np.maximum(np.maximum(np.abs(v[0]), np.abs(v[1])), 1.0)
+            discrepancy = max(discrepancy, float(np.max(np.abs(v[0] - v[1]) / spread)))
+            for side, best in enumerate((v.argmin(axis=1), v.argmax(axis=1))):
+                for e, i in enumerate(best):
+                    extremes[side, e, q, j] = v[e, i]
+                    holders[side, e, q, j] = tuple(cloud[c] for c in idx[i])
 
-    spread = np.maximum(np.maximum(np.abs(values[0]), np.abs(values[1])), 1.0)
-    discrepancy = float(np.max(np.abs(values[0] - values[1]) / spread))
     tail = slice(len(scales) // 2, None)
     floor = NOISE_FLOOR_FACTOR * tol_det
-    rungs = np.arange(len(scales))
+
+    def witness(side: int, e: int, q: int, j: int) -> ScanWitness:
+        return ScanWitness(int(j), scales[j], float(extremes[side, e, q, j]), holders[side, e, q, j])
 
     def report(e: int, q: int) -> ScanReport:
         k, condition = jobs[q]
-        v = values[e, q]
-        infs, sups = v[rungs, v.argmin(axis=1)], v[rungs, v.argmax(axis=1)]
+        infs, sups = extremes[0, e, q], extremes[1, e, q]
         running_liminf = float(np.min(infs[tail]))
         running_limsup = float(np.max(sups[tail]))
         magnitudes = np.maximum(np.abs(infs), np.abs(sups))
@@ -564,8 +552,8 @@ def _scan_pass(space: MarkedSpace, jobs: Sequence[tuple[int, str]], scales, samp
             samples_per_scale=samples_per_scale,
             seed=seed,
             tol_det=tol_det,
-            witness_inf=witnesses[e, q, "inf"],
-            witness_sup=witnesses[e, q, "sup"],
+            witness_inf=witness(0, e, q, np.argmin(infs)),
+            witness_sup=witness(1, e, q, np.argmax(sups)),
         )
 
     return [[report(e, q) for q in range(len(jobs))] for e in range(len(MODES))], discrepancy
@@ -621,13 +609,7 @@ class TransferReport:
     max_mode_discrepancy: float = 0.0
 
     def to_json_dict(self, point_repr=lambda x: x) -> dict:
-        return {
-            "n": self.n,
-            "verdict": self.verdict,
-            "witness_scan": self.witness_scan,
-            "max_mode_discrepancy": self.max_mode_discrepancy,
-            "scans": [s.to_json_dict(point_repr) for s in self.scans],
-        }
+        return _json_fields(self, scans=[s.to_json_dict(point_repr) for s in self.scans])
 
 
 def transfer_check(
@@ -766,7 +748,7 @@ def blumenthal_sequence_scan(
 
     def tail_theta(cols: list[int]) -> np.ndarray:
         ix = np.asarray(cols)
-        return _functionals(mats[:, ix[:, None], ix[None, :]], mats[:, 0, ix].max(axis=1), ("theta",))[0]
+        return _functionals(mats[:, ix[:, None], ix[None, :]], mats[:, 0, ix].max(axis=1))[0]
 
     cond_i: list[tuple[int, float, float]] = []
     for k in range(1, n + 1):

@@ -137,6 +137,8 @@ def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
         if np.any(p < low - 1e-12) or np.any(p > high + 1e-12):
             raise MarkedPointOutsideRegionError(f"p={p.tolist()} outside cube [{low.tolist()}, {high.tolist()}]")
         if pitch is not None:
+            if not 0 < float(pitch) < math.inf:
+                raise ValueError(f"pitch must be a positive finite number, got {pitch!r}")
             p = low + np.round((p - low) / pitch) * pitch
         degenerate = bool(np.all(high - low == 0))
 

@@ -7,6 +7,7 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +225,20 @@ class TestUndetermined:
         assert "--seed" in capsys.readouterr().err
 
 
+def _capped_cli(argv: list[str], cap: int = 3 * 1024**3) -> subprocess.CompletedProcess:
+    """Run the CLI in a child process under an address-space cap set in the
+    child only, so a runaway allocation fails there instead of starving
+    the machine."""
+    code = "import sys; from metricembed.cli import main; sys.exit(main(sys.argv[1:]))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit)
+
+
 class TestScan:
     def test_tol_metric_not_on_scan(self, circle_cfg, capsys):
         # a scan reads no distance matrix; its config still echoes the key
@@ -285,6 +300,59 @@ class TestScan:
         out = json.loads(done.stdout)
         assert out["result"]["verdict"] == "refuted"
         assert {s["samples_per_scale"] for s in out["result"]["scans"]} == {8000}
+
+    def test_out_of_memory_exit_3(self, tmp_path):
+        # a billion tuples per order and rung do not fit under the cap: the
+        # error JSON goes where the command's output would, with no traceback
+        cfg = tmp_path / "plane.json"
+        cfg.write_text(json.dumps({"type": "euclidean", "dim": 2,
+                                   "region": {"kind": "cube", "low": [0, 0], "high": [1, 1]},
+                                   "p": [0, 0]}))
+        argv = ["scan", str(cfg), "--dim", "1", "--samples", "1000000000"]
+        done = _capped_cli(argv)
+        assert done.returncode == 3, done.stderr[-2000:]
+        assert b"Traceback" not in done.stderr
+        out = json.loads(done.stdout)
+        assert out["exit_code"] == 3 and out["error"].startswith("out of memory")
+        outdir = tmp_path / "reports"
+        done = _capped_cli(argv + ["--out", str(outdir)])
+        assert done.returncode == 3 and done.stdout == b"", done.stderr[-2000:]
+        assert json.loads((outdir / "transfer.json").read_text())["error"].startswith("out of memory")
+
+    def test_huge_underflowing_ladder_rejected_at_parse(self, circle_cfg):
+        # the last rung 0.5 * 0.5^(10^8 - 1) underflows to 0: refused
+        # without building the ladder, which would not fit under the cap
+        done = _capped_cli(["scan", circle_cfg, "--dim", "1", "--scales", "0.5:0.5:100000000"])
+        assert done.returncode == 2, done.stderr[-2000:]
+        assert b"Traceback" not in done.stderr
+        assert b"argument --scales" in done.stderr and b"underflows" in done.stderr
+
+    @pytest.mark.parametrize("pitch", ["0", "1e400"])
+    def test_bad_pitch_cannot_build_space(self, tmp_path, pitch, capsys):
+        # 1e400 reads as inf; either pitch made the marked point NaN
+        cfg = tmp_path / "grid.json"
+        cfg.write_text('{"type": "euclidean", "dim": 2, "p": [0, 0], '
+                       '"region": {"kind": "cube", "low": [0, 0], "high": [1, 1], "pitch": %s}}' % pitch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["scan", str(cfg), "--dim", "1", "--samples", "8"]) == 3
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"].startswith("cannot build space: pitch must be a positive finite number")
+
+    def test_text_format_prints_lists_in_brackets(self, circle_cfg, capsys):
+        assert main(["scan", circle_cfg, "--dim", "1", "--samples", "8", "--format", "text"]) == 0
+        text = capsys.readouterr().out
+        for field in ("scales", "per_scale_inf", "per_scale_sup", "points"):
+            assert f"{field}: [" in text, field
+        assert "(" not in text
+
+    def test_out_directory_files_equal_aggregate_entries(self, circle_cfg, tmp_path):
+        outdir = tmp_path / "reports"
+        assert main(["scan", circle_cfg, "--dim", "2", "--samples", "8", "--out", str(outdir)]) == 0
+        scans = json.loads((outdir / "transfer.json").read_text())["result"]["scans"]
+        assert len(scans) == 8 and len(list(outdir.iterdir())) == len(scans) + 1
+        for scan in scans:
+            assert json.loads((outdir / f"scan_k{scan['k']}_{scan['mode']}.json").read_text()) == scan
 
     def test_refutation_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "plane.json"
@@ -355,7 +423,9 @@ class TestScan:
             main(["check-embed", eq_file, "--dim", "2", "--tol-det", "0"])
 
     @pytest.mark.parametrize("flag", [["--scales", "junk"], ["--scales", "0.5:2:3"], ["--scales", "0.5:0.5:1"],
-                                      ["--scales", "0:0.5:4"], ["--samples", "0"], ["--samples", "-3"], ["--dim", "0"]])
+                                      ["--scales", "0:0.5:4"], ["--samples", "0"], ["--samples", "-3"], ["--dim", "0"],
+                                      ["--scales", "0.5:0.5:2000"], ["--scales", "1e-300:0.5:100"],
+                                      ["--scales", "inf:0.5:4"], ["--seed", "-1"]])
     def test_bad_ladder_or_samples_rejected(self, circle_cfg, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["scan", circle_cfg, "--dim", "1"] + flag)

@@ -265,3 +265,11 @@ def test_csv_with_and_without_header():
 def test_immutability(equilateral):
     with pytest.raises(ValueError):
         equilateral.dist[0, 1] = 5.0
+
+
+def test_spaces_hash_and_compare_by_identity(equilateral):
+    twin = validate_metric(np.array(equilateral.dist))
+    assert hash(equilateral) == hash(equilateral)
+    assert equilateral == equilateral
+    assert equilateral != twin
+    assert {equilateral: 1, twin: 2}[equilateral] == 1

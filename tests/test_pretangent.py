@@ -498,6 +498,18 @@ class TestTransferCheck:
                 for w in (scan.witness_inf, scan.witness_sup):
                     assert functional[scan.mode](sp, w.points) == w.value, (seed, scan.k, scan.mode)
 
+    def test_tied_extremes_witnessed_on_the_earliest_rung(self):
+        # on the ultrametric Theta_2 is exactly 2.0 on every rung, so every
+        # rung ties: the witness sits on the earliest rung holding the
+        # extreme, in both modes and on both sides
+        rep = transfer_check(make_ultrametric(40, 3), 1, samples_per_scale=8, seed=0)
+        theta2 = [s for s in rep.scans if s.k == 1 and s.mode == "theta"]
+        assert theta2 and all(set(s.per_scale_inf) == set(s.per_scale_sup) == {2.0} for s in theta2)
+        k1 = [s for s in rep.scans if s.k == 1]
+        assert sorted(s.mode for s in k1) == sorted(pretangent.MODES)
+        for scan in k1:
+            assert scan.witness_inf.rung == scan.witness_sup.rung == 0, scan.mode
+
     def test_plane_refuted_at_1_with_witness(self):
         rep = transfer_check(plane(), 1, samples_per_scale=56, seed=0)
         assert rep.verdict == "refuted"

@@ -137,6 +137,12 @@ def test_marked_point_outside_region():
         make_euclidean_subset(2, {"kind": "sphere-surface", "center": [0, 0], "radius": 1.0}, [0.5, 0])
 
 
+@pytest.mark.parametrize("pitch", [0, -0.5, float("inf"), float("nan")])
+def test_pitch_must_be_positive_and_finite(pitch):
+    with pytest.raises(ValueError, match="pitch"):
+        make_euclidean_subset(2, {"kind": "cube", "low": [0, 0], "high": [1, 1], "pitch": pitch}, [0, 0])
+
+
 def test_curve_region():
     spec = CurveSpec(fn=lambda t: np.array([np.cos(t), np.sin(t)]), t0=0.0,
                      t_min=-3.0, t_max=3.0, lipschitz=1.0)
