@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from functools import partial
 from pathlib import Path
@@ -262,19 +261,15 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _scales_arg(text: str) -> str:
-    """Check an r0:q:count ladder at parse time without building it: its
-    last rung must be a positive float. The config echoes the text."""
+    """Check an r0:q:count ladder at parse time by building it
+    (``pretangent.scale_ladder``, which refuses an underflowing last rung
+    before building anything). The config echoes the text."""
     try:
-        r0, q, count = text.split(":")
-        r0, q, count = float(r0), float(q), int(count)
+        _parse_scales(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected r0:q:count ({exc})")
-    if not (0 < r0 < math.inf and 0 < q < 1 and count >= 2):
-        raise argparse.ArgumentTypeError(f"expected r0:q:count with finite r0 > 0, 0 < q < 1 and count >= 2, "
-                                         f"got {text}")
-    # an exponent past 2^1023 is no float, and q to that power is 0 anyway
-    if not r0 * q ** min(count - 1, 2**1023) > 0:
-        raise argparse.ArgumentTypeError(f"the last rung r0 * q^(count - 1) of {text} underflows to 0")
+        raise argparse.ArgumentTypeError(f"expected r0:q:count, got {text} ({exc})")
+    except MemoryError:
+        raise argparse.ArgumentTypeError(f"the ladder {text} does not fit in memory")
     return text
 
 

@@ -134,7 +134,13 @@ def validate_metric(raw, tol: float | None = None, certificate=None) -> FiniteMe
         labels = [f"x{i}" for i in range(n)]
     if len(labels) != n:
         raise ValueError(f"{len(labels)} labels for {n} points")
-    sym = (d + d.T) / 2.0
+    # a sum past the largest float is halved before adding; everywhere else
+    # this is (d + d.T) / 2 bit for bit
+    with np.errstate(over="ignore"):
+        sym = np.add(d, d.T)
+    sym /= 2.0
+    over = np.nonzero(np.isinf(sym))
+    sym[over] = d[over] / 2.0 + d.T[over] / 2.0
     space = FiniteMetricSpace(labels=tuple(str(x) for x in labels), dist=sym, tol=float(tol))
     if n > 2 and (certificate is None or not np.array_equal(sym, d) or not certificate(space)):
         _check_triangles(d, tol)
@@ -154,7 +160,9 @@ def _check_triangles(d: np.ndarray, tol: float) -> None:
     slack = np.empty((n, n))  # slack[k,j] > 0 means violation via k
     worst, offender = -np.inf, None
     for i in range(n):
-        np.add(d[i][:, None], dt, out=slack)
+        # a sum past the largest float is inf: no violation via that k
+        with np.errstate(over="ignore"):
+            np.add(d[i][:, None], dt, out=slack)
         np.subtract(d[i][None, :], slack, out=slack)
         flat = int(np.argmax(slack))
         if slack.flat[flat] > worst:

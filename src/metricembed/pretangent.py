@@ -190,8 +190,10 @@ def _functionals(sub: np.ndarray, delta: np.ndarray) -> np.ndarray:
 
 
 def _tuple_functional(space: MarkedSpace, t: Sequence, mode: str) -> float:
-    """The scan's evaluator on a stack of one tuple: one distance matrix
-    over (p,) + t, delta read off its row 0."""
+    """The scan's evaluator on a stack of one tuple of >= 2 points: one
+    distance matrix over (p,) + t, delta read off its row 0."""
+    if len(t) < 2:
+        raise TupleTooShortError(f"the {mode} functional needs >= 2 points, got {len(t)}")
     dm = _with_p(space, t)[None]
     return float(_functionals(dm[:, 1:, 1:], dm[:, 0, 1:].max(axis=1))[MODES.index(mode), 0])
 
@@ -199,16 +201,12 @@ def _tuple_functional(space: MarkedSpace, t: Sequence, mode: str) -> float:
 def theta(space: MarkedSpace, t: Sequence) -> float:
     """Normalized signed Cayley-Menger functional of a (k+1)-tuple; 0 at
     the all-p tuple."""
-    if len(t) < 2:
-        raise TupleTooShortError(f"theta needs >= 2 points, got {len(t)}")
     return _tuple_functional(space, t, "theta")
 
 
 def s_functional(space: MarkedSpace, t: Sequence) -> float:
     """Normalized Schoenberg functional of a (k+1)-tuple; 0 at the all-p
     tuple."""
-    if len(t) < 2:
-        raise TupleTooShortError(f"s_functional needs >= 2 points, got {len(t)}")
     return _tuple_functional(space, t, "s")
 
 
@@ -321,31 +319,22 @@ class QuotientSpace:
 def metric_identification(pm: PseudometricMatrix, merge_tol: float = 1e-9) -> QuotientSpace:
     """Quotient a stable pseudometric matrix by its near-zero relation.
 
-    Classes are connected components of { (i,j) : limit <= merge_tol };
-    a component whose internal distance exceeds 10x merge_tol means a
-    near-zero chain linked genuinely distant points and raises
-    MergeInconsistencyError. Representative distances are validated as a
-    finite metric space.
+    Classes are connected components of { (i,j) : limit <= merge_tol },
+    ordered by their least index; a component whose internal distance
+    exceeds 10x merge_tol means a near-zero chain linked genuinely
+    distant points and raises MergeInconsistencyError. Representative
+    distances are validated as a finite metric space.
     """
     limits = pm.limits  # raises UnstableInputError when not all stable
     n = limits.shape[0]
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if limits[i, j] <= merge_tol:
-                parent[find(i)] = find(j)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    classes = tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: g[0]))
+    near = limits <= merge_tol
+    # each index takes the least label among itself and its near
+    # neighbours; after n rounds every index holds the least index of its
+    # component
+    label = np.arange(n)
+    for _ in range(n):
+        label = np.where(near, label, label[:, None]).min(axis=1)
+    classes = tuple(tuple(np.flatnonzero(label == c).tolist()) for c in np.unique(label))
 
     for cls in classes:
         for a, b in combinations(cls, 2):
@@ -369,11 +358,27 @@ def metric_identification(pm: PseudometricMatrix, merge_tol: float = 1e-9) -> Qu
 # Sampled scanners
 
 
+def checked_scales(scales: Sequence[float]) -> list[float]:
+    """The ladder rule of every scan: at least two scales, each finite and
+    positive, strictly decreasing. Returns them as floats; raises
+    ValueError otherwise."""
+    scales = [float(s) for s in scales]
+    if (len(scales) < 2 or not all(0 < s < math.inf for s in scales)
+            or any(b >= a for a, b in zip(scales, scales[1:]))):
+        raise ValueError("scales must be at least two finite positive values, strictly decreasing")
+    return scales
+
+
 def scale_ladder(r0: float = 0.5, q: float = 0.5, rungs: int = 12) -> list[float]:
-    """Geometric scale ladder r0 * q^j, j = 0..rungs-1."""
-    if not (r0 > 0 and 0 < q < 1 and rungs >= 1):
-        raise ValueError("need r0 > 0, 0 < q < 1, rungs >= 1")
-    return [r0 * q**j for j in range(rungs)]
+    """Geometric scale ladder r0 * q^j, j = 0..rungs-1, under the rule of
+    :func:`checked_scales`. A last rung that underflows to 0 is refused
+    before the ladder is built, however many rungs it asks for."""
+    if not (0 < r0 < math.inf and 0 < q < 1):
+        raise ValueError(f"need a finite r0 > 0 and 0 < q < 1, got r0={r0!r}, q={q!r}")
+    # an exponent past 2^1023 is no float, and q to that power is 0 anyway
+    if rungs >= 2 and not r0 * q ** min(rungs - 1, 2**1023) > 0:
+        raise ValueError("the last rung r0 * q^(rungs - 1) underflows to 0")
+    return checked_scales([r0 * q**j for j in range(rungs)])
 
 
 def _json_fields(report, **special) -> dict:
@@ -472,9 +477,7 @@ def _scan_pass(space: MarkedSpace, jobs: Sequence[tuple[int, str]], scales, samp
     Returns, per mode of MODES, one report per job, and the largest
     ``|Theta - S| / max(|Theta|, |S|, 1)`` over every tuple.
     """
-    scales = [float(s) for s in (scale_ladder() if scales is None else scales)]
-    if len(scales) < 2 or any(b >= a for a, b in zip(scales, scales[1:])) or scales[-1] <= 0:
-        raise ValueError("scales must be strictly decreasing positive values")
+    scales = scale_ladder() if scales is None else checked_scales(scales)
     if samples_per_scale < 1:
         raise EmptySampleError("samples_per_scale must be >= 1")
     size = min(2 * samples_per_scale, CLOUD_CAP) + max(k for k, _ in jobs) + 1
@@ -668,16 +671,11 @@ def build_probe_battery(space: MarkedSpace, r: NormalizingSequence) -> list[Poin
     def clipped(vector_of_m: Callable[[int], np.ndarray]) -> PointSequence:
         return lambda m: np.clip(p + vector_of_m(m), low, high)
 
-    battery: list[PointSequence] = []
-    for axis in range(dim):
-        e = np.zeros(dim)
-        e[axis] = 1.0
-        battery.append(clipped(lambda m, e=e: r(m) * e))
+    axes = np.eye(dim)
+    battery = [clipped(lambda m, e=e: r(m) * e) for e in axes]
     diag = np.ones(dim) / math.sqrt(dim)
     battery.append(clipped(lambda m: r(m) * diag))
-    e0 = np.zeros(dim)
-    e0[0] = 1.0
-    battery.append(clipped(lambda m: math.sqrt(r(m)) * e0))
+    battery.append(clipped(lambda m: math.sqrt(r(m)) * axes[0]))
     return battery
 
 
@@ -729,14 +727,9 @@ def blumenthal_sequence_scan(
     if probes is None:
         probes = list(combinations(build_probe_battery(space, r), 2))
     # probes are named and tried singly in order of first appearance
-    probe_index: dict[int, int] = {}
-    singles: list[PointSequence] = []
-    for seq in chain.from_iterable(probes):
-        if id(seq) not in probe_index:
-            probe_index[id(seq)] = len(singles)
-            singles.append(seq)
+    probe_index = {seq: g for g, seq in enumerate(dict.fromkeys(chain.from_iterable(probes)))}
 
-    stack = _sequence_stack(space, marked_family(space, *x_seqs, *singles), depth)
+    stack = _sequence_stack(space, marked_family(space, *x_seqs, *probe_index), depth)
     for idx in range(n + 1):
         dists = stack[:, 0, 1 + idx]
         top = float(np.max(dists))
@@ -757,11 +750,11 @@ def blumenthal_sequence_scan(
 
     floor = NOISE_FLOOR_FACTOR * tol_det
     cond_ii: list[tuple[int, str, float, float]] = []
-    for g in range(len(singles)):
+    for g in probe_index.values():
         vals = np.abs(tail_theta(xs + [n + 2 + g]))
         cond_ii.append((n + 1, f"probe{g}", float(np.min(vals)), float(np.max(vals))))
     for y, u in probes:
-        gy, gu = probe_index[id(y)], probe_index[id(u)]
+        gy, gu = probe_index[y], probe_index[u]
         vals = np.abs(tail_theta(xs + [n + 2 + gy, n + 2 + gu]))
         cond_ii.append((n + 2, f"probe{gy}+probe{gu}", float(np.min(vals)), float(np.max(vals))))
 

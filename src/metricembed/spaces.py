@@ -106,17 +106,27 @@ class CurveSpec:
     lipschitz: float = 1.0
 
 
+def _without_nan(name: str, coords) -> np.ndarray:
+    """Coordinates as floats, refused when one is NaN: every comparison
+    with NaN is false, so it would pass the region checks."""
+    x = np.asarray(coords, dtype=float)
+    if np.isnan(x).any():
+        raise ValueError(f"{name} has a NaN coordinate: {x.tolist()}")
+    return x
+
+
 def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
     """Euclidean metric restricted to a region, marked at ``p``.
 
     ``region`` is a dict: ``{"kind": "cube", "low": [...], "high": [...]}``
     (optionally with ``"pitch"`` to snap samples onto a grid),
     ``{"kind": "sphere-surface", "center": [...], "radius": r}``, or
-    ``{"kind": "curve", "spec": CurveSpec}``.
+    ``{"kind": "curve", "spec": CurveSpec}``. A NaN coordinate, or a radius
+    that is not a positive finite number, raises ValueError.
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
-    p = np.asarray(p, dtype=float)
+    p = _without_nan("marked point", p)
     if p.shape != (dim,):
         raise ValueError(f"marked point must have {dim} coordinates")
     kind = region["kind"]
@@ -131,8 +141,8 @@ def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
                            point_repr=lambda x: np.asarray(x).tolist(), pairwise=euclidean_matrix)
 
     if kind == "cube":
-        low = np.asarray(region.get("low", np.zeros(dim)), dtype=float)
-        high = np.asarray(region.get("high", np.ones(dim)), dtype=float)
+        low = _without_nan("low", region.get("low", np.zeros(dim)))
+        high = _without_nan("high", region.get("high", np.ones(dim)))
         pitch = region.get("pitch")
         if np.any(p < low - 1e-12) or np.any(p > high + 1e-12):
             raise MarkedPointOutsideRegionError(f"p={p.tolist()} outside cube [{low.tolist()}, {high.tolist()}]")
@@ -164,10 +174,12 @@ def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
         return space(sample, {"kind": kind, "low": low.tolist(), "high": high.tolist(), "pitch": pitch})
 
     if kind == "sphere-surface":
-        center = np.asarray(region.get("center", np.zeros(dim)), dtype=float)
+        center = _without_nan("center", region.get("center", np.zeros(dim)))
         radius = float(region.get("radius", 1.0))
         if dim < 2:
             raise ValueError("sphere-surface region needs dim >= 2")
+        if not 0 < radius < math.inf:
+            raise ValueError(f"radius must be a positive finite number, got {radius!r}")
         if abs(_euclid(p, center) - radius) > 1e-9 * max(radius, 1.0):
             raise MarkedPointOutsideRegionError(f"p={p.tolist()} not on the sphere surface")
         u = (p - center) / radius

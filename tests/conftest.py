@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -94,6 +95,35 @@ def square_with_star(edge: float):
     m[5:, 4] = m[4, 5:] = edge
     np.fill_diagonal(m, 0.0)
     return validate_metric(m)
+
+
+def exact_psd_rank(sq) -> tuple[bool, int]:
+    """Exact PSD status and rank of tau for integer squared distances
+    ``sq``: a pivoted LDL^T over ``fractions.Fraction``, base point 0.
+
+    tau[i][j] = (sq[0][i] + sq[0][j] - sq[i][j]) / 2 over the other points
+    is their Gram matrix seen from point 0 (Schoenberg): the space embeds
+    in E^m exactly when tau is PSD, and its least such m is the rank. Each
+    step pivots on the largest diagonal entry left; once that is <= 0, tau
+    is PSD exactly when what is left is zero. A negative diagonal entry
+    under a positive pivot needs no test of its own: by Haynsworth's
+    inertia formula it leaves a Schur complement that is not PSD either.
+    """
+    n = len(sq)
+    a = [[Fraction(int(sq[0][i]) + int(sq[0][j]) - int(sq[i][j]), 2) for j in range(1, n)] for i in range(1, n)]
+    live = list(range(n - 1))
+    rank = 0
+    while live:
+        k = max(live, key=lambda i: a[i][i])
+        if a[k][k] <= 0:
+            return all(a[i][j] == 0 for i in live for j in live), rank
+        live.remove(k)
+        for i in live:
+            f = a[i][k] / a[k][k]
+            for j in live:
+                a[i][j] -= f * a[k][j]
+        rank += 1
+    return True, rank
 
 
 def _normalized_stack(sq: np.ndarray, tuples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

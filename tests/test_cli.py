@@ -53,6 +53,16 @@ class TestValidate:
         out = json.loads(capsys.readouterr().out)
         assert out["ok"] and out["n_points"] == 3
 
+    def test_huge_distances_validate_without_warning(self, tmp_path, capsys):
+        # symmetrizing and the triangle check both summed past the largest
+        # float, and each wrote a RuntimeWarning to stderr
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps([[0, 1e308, 1e308], [1e308, 0, 1e308], [1e308, 1e308, 0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"]
+
     def test_triangle_violation_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("0,1,3\n1,0,1\n3,1,0\n")
@@ -338,6 +348,42 @@ class TestScan:
             assert main(["scan", str(cfg), "--dim", "1", "--samples", "8"]) == 3
         out = json.loads(capsys.readouterr().out)
         assert out["error"].startswith("cannot build space: pitch must be a positive finite number")
+
+    @pytest.mark.parametrize("p,region,error", [
+        ("[0, 0]", '{"kind": "sphere-surface", "center": [0, 0], "radius": 0}', "radius must be"),
+        ("[0, 0]", '{"kind": "sphere-surface", "center": [0, 0], "radius": -0.0}', "radius must be"),
+        ("[1, 0]", '{"kind": "sphere-surface", "center": [0, 0], "radius": NaN}', "radius must be"),
+        ("[1, 0]", '{"kind": "sphere-surface", "center": [0, NaN], "radius": 1}', "center has a NaN"),
+        ("[NaN, 0]", '{"kind": "cube", "low": [0, 0], "high": [1, 1]}', "marked point has a NaN"),
+        ("[0, 0]", '{"kind": "cube", "low": [NaN, 0], "high": [1, 1]}', "low has a NaN"),
+        ("[0, 0]", '{"kind": "cube", "low": [0, 0], "high": [1, NaN]}', "high has a NaN"),
+    ], ids=["radius-0", "radius-minus-0", "radius-nan", "center-nan", "p-nan", "low-nan", "high-nan"])
+    def test_degenerate_region_cannot_build_space(self, tmp_path, p, region, error, capsys):
+        # a zero radius divided by zero in the sampler, a NaN one overflowed,
+        # and a NaN coordinate passed the region checks, which compare false
+        cfg = tmp_path / "bad.json"
+        cfg.write_text('{"type": "euclidean", "dim": 2, "p": %s, "region": %s}' % (p, region))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["scan", str(cfg), "--dim", "1", "--samples", "8"]) == 3
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"].startswith(f"cannot build space: {error}")
+
+    def test_infinite_cube_bounds_scan(self, tmp_path, capsys):
+        cfg = tmp_path / "plane.json"
+        cfg.write_text('{"type": "euclidean", "dim": 2, "p": [0, 0], '
+                       '"region": {"kind": "cube", "low": [-Infinity, -Infinity], "high": [Infinity, Infinity]}}')
+        assert main(["scan", str(cfg), "--dim", "2", "--samples", "8"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["verdict"] == "consistent-with-embeddable"
+
+    @pytest.mark.parametrize("scales", ["5e-324:0.9:3", "1.3983181038818222:0.9999999999999999:6"])
+    def test_collapsing_ladder_rejected_at_parse(self, tmp_path, scales, capsys):
+        # two rungs round to the same float: refused before the space is read
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", str(tmp_path / "missing.json"), "--dim", "1", "--scales", scales])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --scales" in err and "strictly decreasing" in err
 
     def test_text_format_prints_lists_in_brackets(self, circle_cfg, capsys):
         assert main(["scan", circle_cfg, "--dim", "1", "--samples", "8", "--format", "text"]) == 0

@@ -31,6 +31,7 @@ from conftest import (
     affine_rank,
     cloud_space,
     enumerated_verdict,
+    exact_psd_rank,
     line_with_triangle,
     random_cloud,
     square_with_star,
@@ -457,3 +458,65 @@ class TestVerdictShape:
             assert w.value == pytest.approx(cm.value if check is menger_check else cm.signed_value, rel=1e-6)
             sq_max = float(np.max(sp.dist[np.ix_(w.indices, w.indices)])) ** 2
             assert not within_band(w.value, sq_max, 3)
+
+
+def _squared_distances(points: np.ndarray) -> np.ndarray:
+    diff = points[:, None, :] - points[None, :, :]
+    return (diff * diff).sum(axis=-1)
+
+
+def _integer_simplex(d: int) -> np.ndarray:
+    return np.random.default_rng(0).integers(-20, 21, size=(d + 1, d))
+
+
+def _integer_cloud(seed: int) -> np.ndarray:
+    """At most 60 distinct integer points of rank at most 10: integer
+    combinations of at most 10 integer vectors."""
+    rng = np.random.default_rng(seed)
+    rank = int(rng.integers(1, 11))
+    count, dim = int(rng.integers(rank + 2, 61)), int(rng.integers(rank, 13))
+    return np.unique(rng.integers(-3, 4, size=(count, rank)) @ rng.integers(-3, 4, size=(rank, dim)), axis=0)
+
+
+SWEEP = {**{f"simplex{d}": _integer_simplex(d) for d in (2, 4, 8, 12, 13, 14, 16, 20, 24, 29)},
+         **{f"cloud{s}": _integer_cloud(s) for s in range(8)}}
+
+#: Inputs of the sweep whose exact rank m the zero rule reads lower: name
+#: -> the package's min-dim (ROADMAP item 7). Each row becomes an
+#: agreement once the zero rule stops flattening well-spread simplices.
+ZERO_RULE_FLATTENS = {"simplex13": 12, "simplex14": 13, "simplex16": 14, "simplex20": 17, "simplex24": 20,
+                      "simplex29": 23, "cloud2": 8}
+
+
+class TestExactOracle:
+    """The finite layer against an exact rational LDL^T of tau
+    (``conftest.exact_psd_rank``), which shares no zero rule with it."""
+
+    def test_oracle_on_known_spaces(self):
+        assert exact_psd_rank([[0, 1, 1], [1, 0, 1], [1, 1, 0]]) == (True, 2)  # equilateral
+        assert exact_psd_rank([[0, 1, 4], [1, 0, 1], [4, 1, 0]]) == (True, 1)  # collinear
+        star = [[0, 1, 1, 1], [1, 0, 4, 4], [1, 4, 0, 4], [1, 4, 4, 0]]
+        assert exact_psd_rank(star)[0] is False  # K_{1,3}
+        assert exact_psd_rank([[0, 1, 9], [1, 0, 1], [9, 1, 0]])[0] is False  # triangle violation
+        assert exact_psd_rank(_squared_distances(_integer_simplex(29)).tolist()) == (True, 29)
+
+    @pytest.mark.parametrize("name", list(SWEEP))
+    def test_package_agrees_with_exact_rank(self, name):
+        # at the exact rank m: min-dim, both engines at n = m (yes) and at
+        # n = m - 1 (no), the columns realized at n = m, and a Blumenthal
+        # basis at n = m, each at unit scale and rescaled
+        sq = _squared_distances(SWEEP[name])
+        psd, m = exact_psd_rank(sq.tolist())
+        assert psd
+        flat = ZERO_RULE_FLATTENS.get(name)
+        expected = ((m, ["yes"] * 2, ["no"] * 2 if m > 1 else None, m, True) if flat is None
+                    else (flat, ["yes"] * 2, ["yes"] * 2, flat, False))
+        for scale in (1.0, 1e-3, 1e3):
+            space = validate_metric(np.sqrt(sq) * scale)
+            engines = (menger_check, schoenberg_check)
+            got = (min_embedding_dimension(space).dim,
+                   [check(space, m).embeddable for check in engines],
+                   [check(space, m - 1).embeddable for check in engines] if m > 1 else None,
+                   realize_coordinates(space, m).coords.shape[1],
+                   blumenthal_basis_search(space, m) is not None)
+            assert got == expected, (name, scale)

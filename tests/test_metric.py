@@ -135,6 +135,23 @@ def test_asymmetry_detected():
     assert set(err.value.indices) == {0, 1}
 
 
+def test_symmetrization_does_not_overflow():
+    # (d + d.T) / 2 overflowed to inf above about 9e307
+    assert validate_metric([[0, 1e308], [1e308, 0]]).dist[0, 1] == 1e308
+    top = np.finfo(float).max
+    assert validate_metric([[0, top], [top * (1 - 1e-15), 0]]).dist[1, 0] == pytest.approx(top, rel=1e-15)
+
+
+def test_symmetrization_is_the_mean_bit_for_bit():
+    # wherever (d + d.T) / 2 is finite the space holds exactly it, down to
+    # subnormal distances, where halving each entry first would round
+    rng = np.random.default_rng(0)
+    for scale in (1.0, 5e-324, 1e300):
+        d = np.round(rng.uniform(8, 16, size=(5, 5))) * scale
+        np.fill_diagonal(d, 0.0)
+        assert np.array_equal(validate_metric(d, tol=np.inf).dist, (d + d.T) / 2.0), scale
+
+
 def test_negative_distance():
     with pytest.raises(NegativeDistanceError):
         validate_metric([[0, -1], [-1, 0]])

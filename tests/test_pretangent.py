@@ -23,6 +23,7 @@ from metricembed import (
     MarkedSpace,
     NormalizingSequence,
     as_marked,
+    blumenthal_basis_search,
     blumenthal_sequence_scan,
     build_probe_battery,
     constant_sequence,
@@ -32,7 +33,9 @@ from metricembed import (
     make_euclidean_subset,
     make_snowflake,
     make_ultrametric,
+    marked_family,
     metric_identification,
+    min_embedding_dimension,
     mutual_stability,
     pseudometric_matrix,
     s_functional,
@@ -55,6 +58,9 @@ from metricembed.errors import (
 )
 from metricembed import pretangent
 from metricembed.pretangent import PseudometricMatrix, StabilityVerdict
+
+
+E1, E2 = np.eye(2)
 
 
 def plane(p=(0.0, 0.0)):
@@ -341,6 +347,24 @@ class TestMetricIdentification:
         assert d[1, 2] == pytest.approx(np.sqrt(5.0), abs=1e-8)
 
 
+    @pytest.mark.parametrize("offsets,merge_tol,classes,dim", [
+        ((lambda r: r * E1, lambda r: r * E2, lambda r: -r * E1), 1e-9, ((0,), (1,), (2,), (3,)), 2),
+        ((lambda r: r * E1, lambda r: 2 * r * E1, lambda r: -r * E1), 1e-9, ((0,), (1,), (2,), (3,)), 1),
+        ((lambda r: r * E1, lambda r: r * E1 + r**2 * E2, lambda r: r * E2), 1e-6, ((0,), (1, 2), (3,)), 2),
+    ], ids=["axes", "collinear", "merged"])
+    def test_limit_space_goes_to_the_finite_decider(self, offsets, merge_tol, classes, dim):
+        # the quotient's rho is a finite metric space as it stands: the
+        # finite decider reads the limit space's dimension off it. The
+        # unit square is marked at its centre, so every offset stays inside
+        sp = plane((0.5, 0.5))
+        r = NormalizingSequence.geometric(0.5, 0.5)
+        family = marked_family(sp, *(lambda m, f=f: sp.p + f(r(m)) for f in offsets))
+        q = metric_identification(pseudometric_matrix(sp, family, r, depth=40), merge_tol=merge_tol)
+        assert q.classes == classes
+        assert min_embedding_dimension(q.rho).dim == dim
+        assert blumenthal_basis_search(q.rho, dim) is not None
+
+
 class TestScanLadder:
     def test_ladder(self):
         s = scale_ladder(0.5, 0.5, 12)
@@ -348,6 +372,23 @@ class TestScanLadder:
         assert s[0] == 0.5 and s[-1] == pytest.approx(0.5 * 2.0**-11)
         with pytest.raises(ValueError):
             scale_ladder(0.5, 1.5, 4)
+
+    @pytest.mark.parametrize("args", [(5e-324, 0.9, 3), (1.3983181038818222, 0.9999999999999999, 6),
+                                      (0.5, 0.5, 1), (0.5, 0.5, 10**8)])
+    def test_ladder_that_collapses_is_refused(self, args):
+        # subnormal rungs, or q within an ulp of 1, round two rungs to one
+        # float; one rung is no ladder; the last of 10^8 rungs underflows
+        with pytest.raises(ValueError):
+            scale_ladder(*args)
+
+    @pytest.mark.parametrize("scales", [[float("nan"), 0.1], [float("inf"), 0.5], [0.5, float("nan")],
+                                        [0.5, 0.5], [0.5, 0.0], [0.5]])
+    def test_scan_refuses_bad_scales_before_any_draw(self, scales):
+        draws = []
+        sp = dataclasses.replace(plane((0.3, 0.4)), sampler=lambda *args: draws.append(args))
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            transfer_check(sp, 1, scales=scales)
+        assert draws == []
 
 
 class TestLiminfScan:
