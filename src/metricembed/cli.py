@@ -111,7 +111,7 @@ def _load(path: str, tol: float | None, tol_det: float):
         return load_space(path, tol=tol, certificate=partial(triangles_certified, tol_det=tol_det)), None
     except MetricViolationError as exc:
         return None, (EXIT_INVALID_METRIC, f"invalid metric: {exc} (indices {exc.indices})")
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         return None, (EXIT_IO, f"cannot read space: {exc}")
 
 
@@ -188,7 +188,7 @@ def cmd_scan(args) -> int:
     try:
         cfg = json.loads(Path(args.space).read_text(encoding="utf-8"))
         space = marked_space_from_config(cfg)
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         _emit({"command": "scan", "error": f"cannot build space: {exc}", "exit_code": EXIT_IO},
               args.format, out)
         return EXIT_IO

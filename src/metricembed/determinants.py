@@ -12,13 +12,15 @@ Two independent determinant routes over the same distance data:
 The two agree as ``Sch = (-1)^(k+1) D_k`` for arbitrary symmetric
 zero-diagonal data; the test suite verifies that identity by brute force
 rather than assuming it, and the embeddability module keeps both routes
-alive as mutual cross-checks.
+alive as mutual cross-checks. :func:`tuple_determinants` evaluates both
+for the engines and the scans, and :func:`tau_about` is the only builder
+of tau.
 
 Every finite decision asks one question of a determinant: does it count
-as zero? :func:`within_band` is the only answer. ``psd_check`` factors a
-whole tau matrix with diagonal pivoting and asks that question of each
-pivot and each leftover Schur entry, so its rank, witness and pivot order
-follow the same rule as the determinant engines.
+as zero? :func:`within_band` is the only answer. ``psd_check`` factors the
+tau of a whole squared-distance matrix with diagonal pivoting and asks
+that question of each pivot and each leftover Schur entry, so its rank,
+witness and pivot order follow the same rule as the determinant engines.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NotSymmetricError, TupleTooShortError
+from .errors import NonzeroDiagonalError, NotSymmetricError, TupleTooShortError
 from .metric import FiniteMetricSpace, submatrix
 
 #: Tolerance of the zero rule. A determinant of a (k+1)-point tuple counts
@@ -67,31 +69,13 @@ class CMValue:
         return float((-1.0) ** (self.k + 1) * self.value)
 
 
-def bordered_matrix(dm: np.ndarray) -> np.ndarray:
-    """(k+2)x(k+2) bordered matrix of squared distances for a (k+1)-tuple;
-    a stack of distance matrices gives the stack of bordered matrices."""
-    dm = np.asarray(dm, dtype=float)
-    n = dm.shape[-1] + 1
-    b = np.ones(dm.shape[:-2] + (n, n))
-    b[..., 0, 0] = 0.0
-    b[..., 1:, 1:] = dm * dm
-    return b
-
-
-def cm_value(dm: np.ndarray) -> CMValue:
-    """Cayley-Menger determinant of a (k+1)x(k+1) distance matrix."""
-    dm = np.asarray(dm, dtype=float)
-    if dm.shape[0] < 2:
-        raise TupleTooShortError("Cayley-Menger determinant needs at least 2 points")
-    k = dm.shape[0] - 1
-    return CMValue(k=k, value=float(np.linalg.det(bordered_matrix(dm))))
-
-
-def cm_determinant(space: FiniteMetricSpace, t: Sequence[int]) -> CMValue:
-    """``D_k`` for a tuple of k+1 point indices (repeats allowed)."""
-    if len(t) < 2:
-        raise TupleTooShortError(f"tuple of {len(t)} points; need >= 2")
-    return cm_value(submatrix(space, t))
+def tau_about(sq: np.ndarray, base: int = 0) -> np.ndarray:
+    """Schoenberg's tau of a squared-distance matrix over every point in its
+    own order, ``tau_ij = sq[base, i] + sq[base, j] - sq[i, j]``; the row and
+    column of ``base`` are exact zeros. A stack of matrices gives the stack
+    of tau matrices."""
+    s0 = sq[..., base, :]
+    return s0[..., :, None] + s0[..., None, :] - sq
 
 
 def tau_from_matrix(dm: np.ndarray) -> np.ndarray:
@@ -100,24 +84,58 @@ def tau_from_matrix(dm: np.ndarray) -> np.ndarray:
     dm = np.asarray(dm, dtype=float)
     if dm.shape[-1] < 2:
         raise TupleTooShortError("tau matrix needs at least 2 points")
-    sq = dm * dm
-    s0 = sq[..., 0, 1:]
-    return s0[..., :, None] + s0[..., None, :] - sq[..., 1:, 1:]
+    return tau_about(dm * dm)[..., 1:, 1:]
+
+
+def tuple_determinants(dm: np.ndarray) -> np.ndarray:
+    """The signed Cayley-Menger determinant ``(-1)^(k+1) D_k`` and the
+    Schoenberg determinant of a stack of (k+1)-tuples, given as their
+    distance matrices: an array of shape (2, len(dm)).
+
+    Neither determinant depends on the order of the points, so the stack is
+    gathered once, each matrix from the point nearest its tuple's centroid
+    (the least sum of squared distances): as the Schoenberg base and the
+    first row of the bordered matrix it keeps the entries short, and the
+    rounding small against the volume of a thin simplex. On a triple with
+    two points 2e-3 of the diameter apart, a far base costs three orders of
+    magnitude in relative error.
+    """
+    sq = np.asarray(dm, dtype=float) ** 2
+    count, size = sq.shape[0], sq.shape[-1]
+    if size < 2:
+        raise TupleTooShortError(f"tuple of {size} points; need >= 2")
+    base = np.argmin(np.sum(sq, axis=-1), axis=-1)
+    rows = np.arange(count)
+    order = np.tile(np.arange(size), (count, 1))
+    # swap each base with the first point
+    order[rows, base] = 0
+    order[rows, 0] = base
+    sq = sq[rows[:, None, None], order[:, :, None], order[:, None, :]]
+    bordered = np.ones((count, size + 1, size + 1))
+    bordered[:, 0, 0] = 0.0
+    bordered[:, 1:, 1:] = sq
+    return np.array([(-1.0) ** size * np.linalg.det(bordered), np.linalg.det(tau_about(sq)[:, 1:, 1:])])
+
+
+def cm_value(dm: np.ndarray) -> CMValue:
+    """Cayley-Menger determinant of a (k+1)x(k+1) distance matrix."""
+    k = len(dm) - 1
+    return CMValue(k=k, value=float((-1.0) ** (k + 1) * tuple_determinants([dm])[0, 0]))
+
+
+def cm_determinant(space: FiniteMetricSpace, t: Sequence[int]) -> CMValue:
+    """``D_k`` for a tuple of k+1 point indices (repeats allowed)."""
+    return cm_value(submatrix(space, t))
 
 
 def sch_value(dm: np.ndarray) -> float:
     """Schoenberg determinant det(tau) of a (k+1)x(k+1) distance matrix."""
-    tau = tau_from_matrix(dm)
-    return float(np.linalg.det(tau))
+    return float(tuple_determinants([dm])[1, 0])
 
 
 def sch_determinant(space: FiniteMetricSpace, t: Sequence[int]) -> float:
-    """``Sch(x_0, ..., x_k)`` with ``t[0]`` as the base point."""
-    if len(t) < 2:
-        raise TupleTooShortError(f"tuple of {len(t)} points; need >= 2")
+    """``Sch(x_0, ..., x_k)``, independent of which point is the base."""
     return sch_value(submatrix(space, t))
-
-
 
 
 @dataclass(frozen=True)
@@ -145,46 +163,46 @@ class PsdReport:
             object.__setattr__(self, "factor", f)
 
 
-def psd_check(m: np.ndarray, tol_det: float = DEFAULT_TOL_DET) -> PsdReport:
+def psd_check(sq: np.ndarray, base: int, tol_det: float = DEFAULT_TOL_DET) -> PsdReport:
     """Decide positive semidefiniteness and rank by diagonal-pivoted Cholesky.
 
-    ``m`` is read as the tau matrix of a tuple (base, row 0, row 1, ...),
-    whose squared distances it determines: ``d^2(base, i) = m_ii / 2`` and
-    ``d^2(i, j) = (m_ii + m_jj) / 2 - m_ij``. A pivot or a Schur entry of
-    the rows B taken so far stands for a principal minor of ``m``, the
-    Schoenberg determinant of a tuple, and :func:`within_band` judges it on
-    that tuple's own largest distance:
+    ``sq`` is a square, exactly symmetric matrix of squared distances with a
+    zero diagonal, and the matrix factored is its tau about the point
+    ``base`` (:func:`tau_about`), whose row and column are zero. A pivot or
+    a Schur entry of the rows B taken so far stands for a principal minor
+    of tau, the Schoenberg determinant of the tuple (base, B, ...), and
+    :func:`within_band` judges it on that tuple's own largest distance:
 
     * each step takes the largest diagonal Schur entry S_cc whose minor
-      ``det m[B+c] = det m[B] * S_cc`` is outside the band; an entry whose
-      minor is outside the band and negative is a violation. Pivoting on
-      the largest S_cc grows the largest-volume simplex greedily (Higham
+      ``det tau[B+c] = det tau[B] * S_cc`` is outside the band; an entry
+      whose minor is outside the band and negative is a violation. Pivoting
+      on the largest S_cc grows the largest-volume simplex greedily (Higham
       1990; Blumenthal 1953).
     * once no pivot is left, the Schur complement must vanish: every
       single S_yy and every pair ``S_yy S_zz - S_yz^2``, the latter
       judged on the tuple (base, B, y, z).
 
     The report carries the accepted pivots (their count is the rank), the
-    factor and, for a matrix that is not PSD, the violating minor.
+    factor and, for a matrix that is not PSD, the violating minor, all in
+    the rows of ``sq``.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotSymmetricError(f"matrix must be square, got shape {m.shape}")
-    n = m.shape[0]
-    if np.max(np.abs(m - m.T), initial=0.0) > tol_det * np.max(np.abs(m), initial=0.0):
+    sq = np.asarray(sq, dtype=float)
+    if sq.ndim != 2 or sq.shape[0] != sq.shape[1]:
+        raise NotSymmetricError(f"matrix must be square, got shape {sq.shape}")
+    if not np.array_equal(sq, sq.T):
         raise NotSymmetricError("matrix is not symmetric")
-    diag = np.diag(m)
-    sq = np.abs((diag[:, None] + diag[None, :]) / 2.0 - m)
-    # largest squared distance from each row to the base and the pivots taken
-    reach = np.abs(diag) / 2.0
-    scale = max(np.max(sq, initial=0.0), np.max(reach, initial=0.0))
+    if np.diag(sq).any():
+        i = int(np.flatnonzero(np.diag(sq))[0])
+        raise NonzeroDiagonalError(f"squared distance of point {i} to itself is not 0", (i, i))
+    n = sq.shape[0]
+    scale = float(np.max(np.abs(sq), initial=0.0))
     if scale == 0.0:
-        # every recovered distance vanishes only for the zero matrix
         return PsdReport(psd=True, rank=0, factor=np.zeros((n, 0)))
     # work relative to the largest distance, so that no step depends on the unit
-    s = (m + m.T) / (2.0 * scale)
-    sq /= scale
-    reach /= scale
+    s = tau_about(sq, base) / scale
+    sq = np.abs(sq) / scale
+    # largest squared distance from each row to the base and the pivots taken
+    reach = sq[base]
     rest = np.arange(n)
     pivots: list[int] = []
     cols: list[np.ndarray] = []

@@ -40,6 +40,7 @@ from .determinants import (
     cm_determinant,
     psd_check,
     sch_determinant,
+    tau_about,
     within_band,
 )
 from .errors import (
@@ -114,22 +115,15 @@ class MinDimResult:
     base: int
 
 
-def _tau(dist: np.ndarray, base: int) -> np.ndarray:
-    """Schoenberg's tau over every point of a distance matrix in its own
-    order, based at ``base``, whose row and column are exactly zero."""
-    sq = dist * dist
-    return sq[base][:, None] + sq[base][None, :] - sq
-
-
 def _factorization(dist: np.ndarray, tol_det: float) -> tuple[PsdReport, int]:
     """The pivoted factorization of tau over the points of a distance
-    matrix, based at the point whose farthest distance is least: (report,
+    matrix, about the point whose farthest distance is least: (report,
     base). The base's zero row is never a pivot nor in a witness, so the
     report's pivots, witness rows and factor rows are point indices."""
     if dist.shape[0] == 0:
         raise ValueError("empty space")
     base = int(np.argmin(np.max(dist, axis=1)))
-    return psd_check(_tau(dist, base), tol_det), base
+    return psd_check(dist * dist, base, tol_det), base
 
 
 def _factored_witness(report: PsdReport, base: int, n: int) -> tuple[int, ...] | None:
@@ -235,7 +229,7 @@ class _Decision:
         factor = np.zeros((self.space.n_points, m))
         factor[:, :report.rank] = report.factor
         if report.rank < m:
-            rest = _tau(self.space.dist, base) - report.factor @ report.factor.T
+            rest = tau_about(self.space.dist * self.space.dist, base) - report.factor @ report.factor.T
             for c in range(report.rank, m):
                 j = int(np.argmax(np.diag(rest)))
                 if rest[j, j] <= 0.0:
@@ -275,7 +269,7 @@ def _engine_verdict(space: FiniteMetricSpace, n: int, engine: str, tol_det: floa
     """One engine's verdict on the decision's witness for E^n: ``yes`` when
     there is none, else ``no`` when the engine's determinant on it (Menger:
     signed ``D_k`` for a sign condition, raw ``D_k`` for a vanishing one;
-    Schoenberg: ``det tau`` based at its first point) confirms the
+    Schoenberg: ``det tau``; both from one evaluator) confirms the
     violation, and ``undetermined`` when that value lies inside the zero
     band (or, for a sign condition, is not negative)."""
     t = _decide(space, tol_det).witness(n)

@@ -32,7 +32,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .determinants import DEFAULT_TOL_DET, bordered_matrix, tau_from_matrix
+from .determinants import DEFAULT_TOL_DET, tuple_determinants
 from .errors import (
     ArityMismatchError,
     DegenerateNormalizerError,
@@ -157,34 +157,16 @@ def epsilon_scale(space: MarkedSpace, t: Sequence, s: float) -> float:
 
 
 def _functionals(sub: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Theta and S of a stack of (k+1)-tuples: the signed Cayley-Menger and
-    the Schoenberg determinant of each tuple divided by its delta^(2k).
+    """Theta and S of a stack of (k+1)-tuples: both determinants of each
+    tuple (:func:`tuple_determinants`) divided by its delta^(2k).
 
     ``sub`` holds the tuples' distance matrices and ``delta`` their largest
     distances to p; each matrix is divided by its own delta, and a tuple at
     p gives 0. Returns an array of shape (len(MODES), len(sub)), rows in
     MODES order.
-
-    Neither determinant depends on the order of the points, so the stack is
-    gathered once, each matrix from the point nearest its tuple's centroid
-    (the least sum of squared distances): as the Schoenberg base and the
-    first row of the bordered matrix it keeps the entries short, and the
-    rounding small against the volume of a thin simplex. On a triple with
-    two points 2e-3 of the diameter apart, a far base costs three orders of
-    magnitude in relative error.
     """
     at_p = delta == 0
-    sub = sub / np.where(at_p, 1.0, delta)[:, None, None]
-    count, size = sub.shape[0], sub.shape[-1]
-    base = np.argmin(np.sum(sub * sub, axis=-1), axis=-1)
-    rows = np.arange(count)
-    order = np.tile(np.arange(size), (count, 1))
-    # swap each base with the first point
-    order[rows, base] = 0
-    order[rows, 0] = base
-    sub = sub[rows[:, None, None], order[:, :, None], order[:, None, :]]
-    out = np.array([(-1.0) ** size * np.linalg.det(bordered_matrix(sub)),  # Theta
-                    np.linalg.det(tau_from_matrix(sub))])  # S
+    out = tuple_determinants(sub / np.where(at_p, 1.0, delta)[:, None, None])
     out[:, at_p] = 0.0
     return out
 
@@ -235,7 +217,7 @@ def _stability(ratios: np.ndarray, depth: int, tol: float) -> StabilityVerdict:
     osc_half = float(np.max(half) - np.min(half))
     osc_quarter = float(np.max(quarter) - np.min(quarter))
     if osc_half <= tol:
-        return StabilityVerdict("stable", float(np.mean(half)), depth, osc_half)
+        return StabilityVerdict("stable", float(half[-1]), depth, osc_half)
     persistent = osc_quarter > INSTABILITY_FACTOR * tol and osc_quarter >= 0.5 * osc_half
     if osc_half > INSTABILITY_FACTOR * tol and persistent:
         return StabilityVerdict("unstable", None, depth, osc_half)
@@ -253,10 +235,12 @@ def mutual_stability(
     """Judge convergence of d(x_m, y_m) / r_m over a tail window.
 
     Stable when the tail oscillation (max - min over the last half) stays
-    within ``tol``. Unstable needs the oscillation to exceed 10x ``tol``
-    *persistently*: the last-quarter window must also exceed it without
-    shrinking below half of the last-half amplitude (slowly convergent
-    ratios shrink on deeper windows, genuine oscillation does not).
+    within ``tol``; the limit is then the last ratio, which carries none of
+    the early terms a window mean would. Unstable needs the oscillation to
+    exceed 10x ``tol`` *persistently*: the last-quarter window must also
+    exceed it without shrinking below half of the last-half amplitude
+    (slowly convergent ratios shrink on deeper windows, genuine
+    oscillation does not).
     Everything else is undetermined. This is the two-sequence case of
     :func:`pseudometric_matrix`.
 

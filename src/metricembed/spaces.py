@@ -106,12 +106,15 @@ class CurveSpec:
     lipschitz: float = 1.0
 
 
-def _without_nan(name: str, coords) -> np.ndarray:
-    """Coordinates as floats, refused when one is NaN: every comparison
-    with NaN is false, so it would pass the region checks."""
+def _coordinates(name: str, coords, finite: bool = True) -> np.ndarray:
+    """Coordinates as floats, refused when one is NaN (every comparison
+    with NaN is false, so it would pass the region checks) or, when
+    ``finite``, infinite."""
     x = np.asarray(coords, dtype=float)
     if np.isnan(x).any():
         raise ValueError(f"{name} has a NaN coordinate: {x.tolist()}")
+    if finite and np.isinf(x).any():
+        raise ValueError(f"{name} has an infinite coordinate: {x.tolist()}")
     return x
 
 
@@ -121,12 +124,14 @@ def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
     ``region`` is a dict: ``{"kind": "cube", "low": [...], "high": [...]}``
     (optionally with ``"pitch"`` to snap samples onto a grid),
     ``{"kind": "sphere-surface", "center": [...], "radius": r}``, or
-    ``{"kind": "curve", "spec": CurveSpec}``. A NaN coordinate, or a radius
-    that is not a positive finite number, raises ValueError.
+    ``{"kind": "curve", "spec": CurveSpec}``. A NaN coordinate, an infinite
+    one in ``p`` or ``center``, a radius or pitch that is not a positive
+    finite number, or a pitch on a cube with an infinite ``low``, raises
+    ValueError. Infinite cube bounds without a pitch are allowed.
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
-    p = _without_nan("marked point", p)
+    p = _coordinates("marked point", p)
     if p.shape != (dim,):
         raise ValueError(f"marked point must have {dim} coordinates")
     kind = region["kind"]
@@ -141,14 +146,16 @@ def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
                            point_repr=lambda x: np.asarray(x).tolist(), pairwise=euclidean_matrix)
 
     if kind == "cube":
-        low = _without_nan("low", region.get("low", np.zeros(dim)))
-        high = _without_nan("high", region.get("high", np.ones(dim)))
+        low = _coordinates("low", region.get("low", np.zeros(dim)), finite=False)
+        high = _coordinates("high", region.get("high", np.ones(dim)), finite=False)
         pitch = region.get("pitch")
         if np.any(p < low - 1e-12) or np.any(p > high + 1e-12):
             raise MarkedPointOutsideRegionError(f"p={p.tolist()} outside cube [{low.tolist()}, {high.tolist()}]")
         if pitch is not None:
             if not 0 < float(pitch) < math.inf:
                 raise ValueError(f"pitch must be a positive finite number, got {pitch!r}")
+            if np.isinf(low).any():
+                raise ValueError(f"a pitch needs finite low bounds, got {low.tolist()}")
             p = low + np.round((p - low) / pitch) * pitch
         degenerate = bool(np.all(high - low == 0))
 
@@ -174,7 +181,7 @@ def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
         return space(sample, {"kind": kind, "low": low.tolist(), "high": high.tolist(), "pitch": pitch})
 
     if kind == "sphere-surface":
-        center = _without_nan("center", region.get("center", np.zeros(dim)))
+        center = _coordinates("center", region.get("center", np.zeros(dim)))
         radius = float(region.get("radius", 1.0))
         if dim < 2:
             raise ValueError("sphere-surface region needs dim >= 2")
@@ -396,13 +403,22 @@ def perturbed_euclidean_space(
     raise RuntimeError("failed to draw a valid perturbed metric space")
 
 
+def _integer(cfg: dict, key: str) -> int:
+    """The config field ``key``, refused unless it is a JSON integer."""
+    value = cfg[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def marked_space_from_config(cfg: dict) -> MarkedSpace:
-    """Build a marked space from the JSON config the CLI consumes."""
+    """Build a marked space from the JSON config the CLI consumes;
+    ``dim``, ``depth`` and ``arity`` must be JSON integers."""
     kind = cfg["type"]
     if kind == "euclidean":
-        return make_euclidean_subset(int(cfg["dim"]), cfg["region"], cfg["p"])
+        return make_euclidean_subset(_integer(cfg, "dim"), cfg["region"], cfg["p"])
     if kind == "snowflake":
-        return make_snowflake(float(cfg["alpha"]), int(cfg["dim"]), cfg["p"], cfg.get("region"))
+        return make_snowflake(float(cfg["alpha"]), _integer(cfg, "dim"), cfg["p"], cfg.get("region"))
     if kind == "ultrametric":
-        return make_ultrametric(int(cfg["depth"]), int(cfg["arity"]), cfg.get("p"))
+        return make_ultrametric(_integer(cfg, "depth"), _integer(cfg, "arity"), cfg.get("p"))
     raise ValueError(f"unknown space type {kind!r}")

@@ -22,6 +22,8 @@ from conftest import square_with_star, square_with_tetrahedron
 
 EQ = {"labels": ["a", "b", "c"], "distances": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}
 STAR = [[0, 1, 1, 1], [1, 0, 2, 2], [1, 2, 0, 2], [1, 2, 2, 0]]
+#: a JSON integer too large for a float
+HUGE = "9" * 401
 
 
 @pytest.fixture
@@ -376,6 +378,44 @@ class TestScan:
         assert main(["scan", str(cfg), "--dim", "2", "--samples", "8"]) == 0
         assert json.loads(capsys.readouterr().out)["result"]["verdict"] == "consistent-with-embeddable"
 
+    @pytest.mark.parametrize("p,region,error", [
+        ("[0, 0]", '{"kind": "cube", "low": [-Infinity, -Infinity], "high": [Infinity, Infinity], "pitch": 0.5}',
+         "a pitch needs finite low bounds"),
+        ("[0, Infinity]", '{"kind": "cube", "low": [-Infinity, -Infinity], "high": [Infinity, Infinity]}',
+         "marked point has an infinite coordinate"),
+        ("[Infinity, 0]", '{"kind": "sphere-surface", "center": [Infinity, 0], "radius": 1}',
+         "marked point has an infinite coordinate"),
+    ], ids=["pitch-infinite-low", "p-infinite", "sphere-infinite"])
+    def test_non_finite_coordinates_cannot_build_space(self, tmp_path, p, region, error, capsys):
+        # each made the marked point or a sample NaN, and the sampler then
+        # drew 500 batches before failing with a misleading message
+        cfg = tmp_path / "bad.json"
+        cfg.write_text('{"type": "euclidean", "dim": 2, "p": %s, "region": %s}' % (p, region))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["scan", str(cfg), "--dim", "1", "--samples", "8"]) == 3
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"].startswith(f"cannot build space: {error}")
+
+    @pytest.mark.parametrize("cfg,error", [
+        ('{"type": "euclidean", "dim": 2, "p": [%s, 0], "region": {"kind": "cube"}}' % HUGE,
+         "int too large to convert to float"),
+        ('{"type": "euclidean", "dim": 2, "p": [0, 0], "region": {"kind": "cube", "pitch": %s}}' % HUGE,
+         "int too large to convert to float"),
+        ('{"type": "euclidean", "dim": 1e400, "p": [0, 0], "region": {"kind": "cube"}}', "dim must be an integer"),
+        ('{"type": "ultrametric", "depth": 1e400, "arity": 3}', "depth must be an integer"),
+        ('{"type": "ultrametric", "depth": 4, "arity": 1e400}', "arity must be an integer"),
+        ('{"type": "euclidean", "dim": 2.7, "p": [0, 0], "region": {"kind": "cube"}}', "dim must be an integer"),
+    ], ids=["p-huge", "pitch-huge", "dim-1e400", "depth-1e400", "arity-1e400", "dim-2.7"])
+    def test_oversized_or_fractional_numbers_cannot_build_space(self, tmp_path, cfg, error, capsys):
+        # each ended in an OverflowError traceback with exit 1, and a
+        # fractional dim was silently truncated
+        path = tmp_path / "bad.json"
+        path.write_text(cfg)
+        assert main(["scan", str(path), "--dim", "1", "--samples", "8"]) == 3
+        out = json.loads(capsys.readouterr().out)
+        assert out["exit_code"] == 3 and out["error"].startswith(f"cannot build space: {error}")
+
     @pytest.mark.parametrize("scales", ["5e-324:0.9:3", "1.3983181038818222:0.9999999999999999:6"])
     def test_collapsing_ladder_rejected_at_parse(self, tmp_path, scales, capsys):
         # two rungs round to the same float: refused before the space is read
@@ -665,6 +705,17 @@ def test_distances_outside_certifiable_range_exit_3(argv, scale, tmp_path, capsy
     assert code == payload["exit_code"] == 3
     assert payload["command"] == argv[0] and payload["error"].startswith("cannot decide: a distance lies outside [")
     assert main(["validate", path]) == 0
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["min-dim"]])
+def test_distance_too_large_for_a_float_exit_3(argv, tmp_path, capsys):
+    # the OverflowError of reading it was a traceback with exit 1
+    path = tmp_path / "huge.json"
+    path.write_text('{"distances": [[0, %s], [%s, 0]]}' % (HUGE, HUGE))
+    code = main([argv[0], str(path)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == payload["exit_code"] == 3
+    assert payload["error"] == "cannot read space: int too large to convert to float"
 
 
 def test_finite_commands_leave_scan_layer_unloaded(eq_file, star_file):

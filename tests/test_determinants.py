@@ -11,6 +11,7 @@ Expected values are hand-derived:
 """
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -28,8 +29,8 @@ from metricembed import (
     submatrix,
     validate_metric,
 )
-from metricembed.determinants import tau_from_matrix, within_band
-from metricembed.errors import NotSymmetricError, TupleTooShortError
+from metricembed.determinants import tau_about, tau_from_matrix, within_band
+from metricembed.errors import NonzeroDiagonalError, NotSymmetricError, TupleTooShortError
 from metricembed.spaces import perturbed_euclidean_space
 
 
@@ -161,6 +162,46 @@ class TestCrossEngine:
                 assert sch_value(m[np.ix_(order, order)]) == pytest.approx(first, rel=1e-8)
 
 
+def exact_det(a) -> Fraction:
+    """Determinant of an integer matrix by elimination over Fraction."""
+    a = [[Fraction(int(x)) for x in row] for row in a]
+    det = Fraction(1)
+    for c in range(len(a)):
+        p = next((r for r in range(c, len(a)) if a[r][c] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, len(a)):
+            f = a[r][c] / a[c][c]
+            for j in range(c, len(a)):
+                a[r][j] -= f * a[c][j]
+    return det
+
+
+class TestAccuracy:
+    def test_thin_tuples_listed_far_point_first(self):
+        # k near points 5000 away from a far point listed first: evaluated
+        # from the far point, Sch was off by up to 2.7e-2 relative; from
+        # the point nearest the centroid both engines stay within 1e-4
+        rng = np.random.default_rng(0)
+        checked = 0
+        for _ in range(200):
+            k = int(rng.integers(2, 5))
+            pts = np.vstack([rng.integers(-2000, 2001, size=(1, k)), rng.integers(-3, 4, size=(k, k)) + 5000])
+            sq = ((pts[:, None] - pts[None]) ** 2).sum(axis=-1)
+            exact = exact_det(tau_about(sq)[1:, 1:])
+            if exact == 0:
+                continue
+            checked += 1
+            dm = np.sqrt(sq.astype(float))
+            for value in (cm_value(dm).signed_value, sch_value(dm)):
+                assert abs(Fraction(value) - exact) <= 1e-4 * abs(exact), (pts.tolist(), value, exact)
+        assert checked >= 190
+
+
 class TestHomogeneity:
     @settings(max_examples=60, deadline=None)
     @given(st.floats(min_value=0.1, max_value=10.0), st.integers(min_value=0, max_value=10**6))
@@ -175,20 +216,31 @@ class TestHomogeneity:
                 lam ** (2 * k) * sch_determinant(sp, t), rel=1e-9, abs=1e-12)
 
 
+def sq_about_0(m) -> np.ndarray:
+    """The squared distances whose tau about point 0 is ``m``, row i of
+    ``m`` becoming point i + 1: d^2(0, i) = m_ii / 2 and d^2(i, j) =
+    (m_ii + m_jj) / 2 - m_ij."""
+    m = np.asarray(m, dtype=float)
+    half = np.diag(m) / 2.0
+    sq = np.zeros((len(m) + 1,) * 2)
+    sq[0, 1:] = sq[1:, 0] = half
+    sq[1:, 1:] = half[:, None] + half[None, :] - m
+    return sq
+
+
 class TestPsd:
     def test_psd_rank2(self):
-        rep = psd_check(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        rep = psd_check(sq_about_0([[2.0, 1.0], [1.0, 2.0]]), 0)
         assert rep.psd and rep.rank == 2
 
     def test_zero_matrix(self):
-        rep = psd_check(np.zeros((2, 2)))
+        rep = psd_check(sq_about_0(np.zeros((2, 2))), 0)
         assert rep.psd and rep.rank == 0
 
     def test_indefinite_with_witness(self):
-        m = np.array([[1.0, 2.0], [2.0, 1.0]])
-        rep = psd_check(m)
+        rep = psd_check(sq_about_0([[1.0, 2.0], [2.0, 1.0]]), 0)
         assert not rep.psd
-        assert rep.witness_subset == (0, 1)
+        assert rep.witness_subset == (1, 2)
         assert rep.witness_value == pytest.approx(-3.0)
 
     def test_modes_agree_on_small_integer_matrices(self):
@@ -199,18 +251,33 @@ class TestPsd:
             n = int(rng.integers(1, 7))
             m = rng.integers(-2, 3, size=(n, n)).astype(float)
             m = (m + m.T) / 2
-            rep = psd_check(m)
+            rep = psd_check(sq_about_0(m), 0)
             assert rep.psd == _all_minors_psd(m), m
             if rep.psd:
                 assert rep.rank == np.linalg.matrix_rank(m), m
             else:
-                ix = np.asarray(rep.witness_subset)
+                ix = np.asarray(rep.witness_subset) - 1
                 assert rep.witness_value == pytest.approx(np.linalg.det(m[np.ix_(ix, ix)]))
                 assert rep.witness_value < 0
 
     def test_not_symmetric(self):
         with pytest.raises(NotSymmetricError):
-            psd_check(np.array([[0.0, 1.0], [2.0, 0.0]]))
+            psd_check(np.array([[0.0, 1.0], [2.0, 0.0]]), 0)
+
+    def test_refuses_non_square_and_nonzero_diagonal(self):
+        with pytest.raises(NotSymmetricError):
+            psd_check(np.zeros((2, 3)), 0)
+        with pytest.raises(NonzeroDiagonalError):
+            psd_check(np.array([[1.0, 1.0], [1.0, 0.0]]), 0)
+
+    def test_tau_about_any_base_of_the_same_space(self):
+        # the base row and column are exact zeros, and every base of a
+        # Euclidean cloud gives the same rank
+        sq = perturbed_euclidean_space(6, seed=5, dim=3, perturbation=0.0).dist ** 2
+        for base in range(6):
+            tm = tau_about(sq, base)
+            assert not tm[base].any() and not tm[:, base].any()
+            assert psd_check(sq, base).rank == 3
 
 
 def _all_minors_psd(m: np.ndarray) -> bool:

@@ -478,14 +478,26 @@ def _integer_cloud(seed: int) -> np.ndarray:
     return np.unique(rng.integers(-3, 4, size=(count, rank)) @ rng.integers(-3, 4, size=(rank, dim)), axis=0)
 
 
-SWEEP = {**{f"simplex{d}": _integer_simplex(d) for d in (2, 4, 8, 12, 13, 14, 16, 20, 24, 29)},
-         **{f"cloud{s}": _integer_cloud(s) for s in range(8)}}
+def _lifted(r: int, L: int) -> np.ndarray:
+    """r + 3 integer points in [-L, L]^r on a flat of E^(r+1), and one more
+    at height 1 above it: exact rank r + 1, with (height / diameter)^2 near
+    1 / (4 r L^2), so L moves the input across the zero band's edge."""
+    rng = np.random.default_rng(r)
+    flat = np.hstack([rng.integers(-L, L + 1, size=(r + 3, r)), np.zeros((r + 3, 1), dtype=np.int64)])
+    return np.vstack([flat, np.append(rng.integers(-L, L + 1, size=r), 1)])
 
-#: Inputs of the sweep whose exact rank m the zero rule reads lower: name
-#: -> the package's min-dim (ROADMAP item 7). Each row becomes an
-#: agreement once the zero rule stops flattening well-spread simplices.
-ZERO_RULE_FLATTENS = {"simplex13": 12, "simplex14": 13, "simplex16": 14, "simplex20": 17, "simplex24": 20,
-                      "simplex29": 23, "cloud2": 8}
+
+SWEEP = {**{f"simplex{d}": _integer_simplex(d) for d in range(1, 31)},
+         **{f"cloud{s}": _integer_cloud(s) for s in range(8)},
+         **{f"lifted{r}_L{L}": _lifted(r, L) for r in (1, 2, 3, 5) for L in (10, 100, 10**3, 10**4, 10**5)}}
+
+ZERO_RULE_FLATTENS = {"simplex10": 9, "simplex11": 10, "simplex13": 12, "simplex14": 13, "simplex15": 14,
+                      "simplex16": 14, "simplex17": 15, "simplex18": 16, "simplex19": 17, "simplex20": 17,
+                      "simplex21": 19, "simplex22": 17, "simplex23": 19, "simplex24": 20, "simplex25": 19,
+                      "simplex26": 19, "simplex27": 22, "simplex28": 22, "simplex29": 23, "simplex30": 22,
+                      "cloud2": 8, "lifted5_L1000": 5,
+                      # the band's designed edge: (height / diameter)^2 < tol_det
+                      **{f"lifted{r}_L{L}": r for r in (1, 2, 3, 5) for L in (10**4, 10**5)}}
 
 
 class TestExactOracle:

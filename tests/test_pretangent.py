@@ -364,6 +364,17 @@ class TestMetricIdentification:
         assert min_embedding_dimension(q.rho).dim == dim
         assert blumenthal_basis_search(q.rho, dim) is not None
 
+    @pytest.mark.parametrize("depth", [40, 48])
+    def test_slowly_vanishing_distance_merges_at_default_merge_tol(self, depth):
+        # d(x_m, y_m) / r_m = r_m tends to 0. The window's last ratio reads
+        # 0 (r_m^2 is below the resolution of p's coordinates by then); the
+        # window mean, 4.7e-8 at depth 40, still carried the early terms
+        sp = plane((0.5, 0.5))
+        r = NormalizingSequence.geometric(0.5, 0.5)
+        family = marked_family(sp, lambda m: sp.p + r(m) * E1, lambda m: sp.p + r(m) * E1 + r(m) ** 2 * E2)
+        q = metric_identification(pseudometric_matrix(sp, family, r, depth=depth))
+        assert q.classes == ((0,), (1, 2))
+
 
 class TestScanLadder:
     def test_ladder(self):
