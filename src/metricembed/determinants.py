@@ -13,8 +13,8 @@ The two agree as ``Sch = (-1)^(k+1) D_k`` for arbitrary symmetric
 zero-diagonal data; the test suite verifies that identity by brute force
 rather than assuming it, and the embeddability module keeps both routes
 alive as mutual cross-checks. :func:`tuple_determinants` evaluates both
-for the engines and the scans, and :func:`tau_about` is the only builder
-of tau.
+for the engines and the scans, and :func:`tau_rows` (whole matrices
+through :func:`tau_about`) is the only builder of tau.
 
 Every finite decision asks one question of a determinant: does it count
 as zero? :func:`within_band` is the only answer. ``psd_check`` factors the
@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NonzeroDiagonalError, NotSymmetricError, TupleTooShortError
-from .metric import FiniteMetricSpace, submatrix
+from .metric import FiniteMetricSpace, row_blocks, submatrix
 
 #: Tolerance of the zero rule. A determinant of a (k+1)-point tuple counts
 #: as zero when, divided by the tuple's own largest distance to the power
@@ -75,7 +75,15 @@ def tau_about(sq: np.ndarray, base: int = 0) -> np.ndarray:
     column of ``base`` are exact zeros. A stack of matrices gives the stack
     of tau matrices."""
     s0 = sq[..., base, :]
-    return s0[..., :, None] + s0[..., None, :] - sq
+    return tau_rows(sq, s0, s0)
+
+
+def tau_rows(sq: np.ndarray, s0_rows: np.ndarray, s0: np.ndarray) -> np.ndarray:
+    """The rows of tau that the rows ``sq`` of a squared-distance matrix
+    give, in one new array: ``s0_rows`` holds the base's squared distance
+    to each of those rows, ``s0`` to every point."""
+    out = np.add(s0_rows[..., :, None], s0[..., None, :])
+    return np.subtract(out, sq, out=out)
 
 
 def tau_from_matrix(dm: np.ndarray) -> np.ndarray:
@@ -184,25 +192,32 @@ def psd_check(sq: np.ndarray, base: int, tol_det: float = DEFAULT_TOL_DET) -> Ps
 
     The report carries the accepted pivots (their count is the rank), the
     factor and, for a matrix that is not PSD, the violating minor, all in
-    the rows of ``sq``.
+    the rows of ``sq``. Besides ``sq`` it holds one N x N work array, the
+    Schur complement, and scratch of :data:`~metricembed.metric.ROW_BLOCK`
+    rows.
     """
     sq = np.asarray(sq, dtype=float)
     if sq.ndim != 2 or sq.shape[0] != sq.shape[1]:
         raise NotSymmetricError(f"matrix must be square, got shape {sq.shape}")
-    if not np.array_equal(sq, sq.T):
+    n = sq.shape[0]
+    if not all(np.array_equal(sq[rows], sq[:, rows].T) for rows in row_blocks(n)):
         raise NotSymmetricError("matrix is not symmetric")
     if np.diag(sq).any():
         i = int(np.flatnonzero(np.diag(sq))[0])
         raise NonzeroDiagonalError(f"squared distance of point {i} to itself is not 0", (i, i))
-    n = sq.shape[0]
-    scale = float(np.max(np.abs(sq), initial=0.0))
+    scale = float(np.maximum(np.max(sq, initial=0.0), -np.min(sq, initial=0.0)))
     if scale == 0.0:
         return PsdReport(psd=True, rank=0, factor=np.zeros((n, 0)))
     # work relative to the largest distance, so that no step depends on the unit
-    s = tau_about(sq, base) / scale
-    sq = np.abs(sq) / scale
+    s = tau_about(sq, base)
+    s /= scale
+
+    def rel(rows):
+        """Rows of |sq| / scale."""
+        return np.abs(sq[rows]) / scale
+
     # largest squared distance from each row to the base and the pivots taken
-    reach = sq[base]
+    reach = rel(base)
     rest = np.arange(n)
     pivots: list[int] = []
     cols: list[np.ndarray] = []
@@ -229,23 +244,34 @@ def psd_check(sq: np.ndarray, base: int, tol_det: float = DEFAULT_TOL_DET) -> Ps
         j = int(np.argmax(np.where(live, d, -np.inf)))
         c = int(rest[j])
         col = s[:, c] / math.sqrt(d[j])
-        s -= np.outer(col, col)
+        for rows in row_blocks(n):
+            s[rows] -= np.multiply.outer(col[rows], col)
         det *= d[j]
         taken = max(taken, reach[c])
-        reach = np.maximum(reach, sq[c])
+        reach = np.maximum(reach, rel(c))
         pivots.append(c)
         cols.append(col)
         rest = np.delete(rest, j)
 
     if rest.size > 1:
+        # every pair (y, z) of leftovers, a block of y at a time; a later
+        # block replaces the worst only when strictly more negative, which
+        # keeps the first minimum in row-major order. The minors are
+        # symmetric with zeros on the diagonal, so that one has y before z.
         k = len(pivots) + 2
-        block = s[np.ix_(rest, rest)]
-        d = np.diag(block)
-        minors = det * (d[:, None] * d[None, :] - block * block)
+        d = s[rest, rest]
         r = reach[rest]
-        pair_sq = np.maximum(np.maximum(taken, sq[np.ix_(rest, rest)]), np.maximum(r[:, None], r[None, :]))
-        bad = np.triu(~within_band(minors, pair_sq, k, tol_det) & (minors < 0), 1)
-        if np.any(bad):
-            y, z = np.unravel_index(int(np.argmin(np.where(bad, minors, np.inf))), bad.shape)
-            return finish(pivots + [rest[y], rest[z]], minors[y, z] * scale**k)
+        worst, at = np.inf, None
+        for ys in row_blocks(rest.size):
+            block = s[np.ix_(rest[ys], rest)]
+            minors = det * (d[ys, None] * d[None, :] - block * block)
+            pair_sq = np.maximum(np.maximum(taken, rel(np.ix_(rest[ys], rest))), np.maximum(r[ys, None], r[None, :]))
+            bad = ~within_band(minors, pair_sq, k, tol_det) & (minors < 0)
+            if np.any(bad):
+                flat = int(np.argmin(np.where(bad, minors, np.inf)))
+                if minors.flat[flat] < worst:
+                    worst, at = minors.flat[flat], (ys.start + flat // rest.size, flat % rest.size)
+        if at is not None:
+            y, z = at
+            return finish(pivots + [rest[y], rest[z]], worst * scale**k)
     return finish()

@@ -40,7 +40,7 @@ from .determinants import (
     cm_determinant,
     psd_check,
     sch_determinant,
-    tau_about,
+    tau_rows,
     within_band,
 )
 from .errors import (
@@ -49,7 +49,7 @@ from .errors import (
     NotEmbeddableError,
     RankExceedsRequestedError,
 )
-from .metric import FiniteMetricSpace, euclidean_matrix, submatrix
+from .metric import FiniteMetricSpace, euclidean_matrix, row_blocks, submatrix
 
 
 @dataclass(frozen=True)
@@ -150,25 +150,34 @@ def _neighbourhoods(dist: np.ndarray, report: PsdReport, tol_det: float):
     npts = dist.shape[0]
     if npts < 4:
         return
-    sq = dist * dist
+    # rho is formed in the Gram buffer, and sq one block of rows at a time
     x = report.factor / math.sqrt(2.0)
-    gram = x @ x.T
-    norms = np.diag(gram)
-    rho = np.abs(sq - (norms[:, None] + norms[None, :] - 2.0 * gram))
-    # below the second-nearest distance of every point no ball holds three
-    floor = float(np.min(np.partition(np.where(sq > 0, sq, np.inf), 1, axis=1)[:, 1]))
+    rho = x @ x.T
+    norms = np.diag(rho).copy()
+    floor = np.inf
+    for rows in row_blocks(npts):
+        sq = dist[rows] * dist[rows]
+        g = rho[rows]
+        g *= 2.0
+        np.subtract(norms[rows, None] + norms[None, :], g, out=g)
+        np.subtract(sq, g, out=g)
+        np.abs(g, out=g)
+        # below the second-nearest distance of every point no ball holds three
+        floor = min(floor, float(np.min(np.partition(np.where(sq > 0, sq, np.inf), 1, axis=1)[:, 1])))
     reach = 4.0 * float(np.max(rho)) / tol_det
     seen = set()
-    r2 = float(np.max(sq)) / 4.0
+    top = float(np.max(dist))
+    r2 = top * top / 4.0
     while r2 >= floor:
         if r2 < reach:
-            within = sq <= r2
-            for y in np.flatnonzero(np.any(within & ~within_band(rho, r2 / 4.0, 1, tol_det), axis=1)):
-                ball = np.flatnonzero(within[y])
-                key = ball.tobytes()
-                if 3 <= ball.size < npts and key not in seen:
-                    seen.add(key)
-                    yield ball
+            for rows in row_blocks(npts):
+                within = dist[rows] * dist[rows] <= r2
+                for y in np.flatnonzero(np.any(within & ~within_band(rho[rows], r2 / 4.0, 1, tol_det), axis=1)):
+                    ball = np.flatnonzero(within[y])
+                    key = ball.tobytes()
+                    if 3 <= ball.size < npts and key not in seen:
+                        seen.add(key)
+                        yield ball
         r2 /= 4.0
 
 
@@ -226,23 +235,32 @@ class _Decision:
         """
         report, base = self.parts[0]
         m = self.result.dim
-        factor = np.zeros((self.space.n_points, m))
+        dist = self.space.dist
+        n = dist.shape[0]
+        factor = np.zeros((n, m))
         factor[:, :report.rank] = report.factor
         if report.rank < m:
-            rest = tau_about(self.space.dist * self.space.dist, base) - report.factor @ report.factor.T
+            # what the factor leaves of tau, built in the buffer of F F^T
+            rest = report.factor @ report.factor.T
+            s0 = dist[base] * dist[base]
+            for rows in row_blocks(n):
+                np.subtract(tau_rows(dist[rows] * dist[rows], s0[rows], s0), rest[rows], out=rest[rows])
             for c in range(report.rank, m):
                 j = int(np.argmax(np.diag(rest)))
                 if rest[j, j] <= 0.0:
                     break
                 factor[:, c] = rest[:, j] / math.sqrt(rest[j, j])
-                rest -= np.outer(factor[:, c], factor[:, c])
+                for rows in row_blocks(n):
+                    rest[rows] -= np.multiply.outer(factor[rows, c], factor[:, c])
         # tau = 2 G with the base at the origin
         coords = factor / math.sqrt(2.0)
         coords = coords - coords[0]
-        error = euclidean_matrix(coords)
-        np.subtract(error, self.space.dist, out=error)
-        residual = float(np.max(np.abs(error, out=error)))
-        return Realization(coords=coords, m=m, max_residual=residual)
+        residual = np.float64(0.0)
+        for rows in row_blocks(n):
+            error = euclidean_matrix(coords[rows], coords)
+            np.subtract(error, dist[rows], out=error)
+            residual = np.maximum(residual, np.max(np.abs(error, out=error)))
+        return Realization(coords=coords, m=m, max_residual=float(residual))
 
 
 @lru_cache(maxsize=1)

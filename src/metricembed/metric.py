@@ -11,6 +11,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -27,6 +28,17 @@ from .errors import (
 
 #: Relative tolerance (w.r.t. the largest entry) used when none is given.
 DEFAULT_REL_TOL = 1e-9
+
+#: Rows per block of every O(N^2) scan and update of an N x N matrix on the
+#: finite path (validation, factorization, neighbourhoods, residual), so
+#: that their scratch is O(ROW_BLOCK * N) rather than N x N.
+ROW_BLOCK = 32
+
+
+def row_blocks(n: int):
+    """Slices of at most :data:`ROW_BLOCK` consecutive indices covering range(n)."""
+    for lo in range(0, n, ROW_BLOCK):
+        yield slice(lo, min(lo + ROW_BLOCK, n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,14 +105,23 @@ def validate_metric(raw, tol: float | None = None, certificate=None) -> FiniteMe
     if isinstance(raw, dict):
         labels = raw.get("labels")
         raw = raw["distances"]
-    d = np.asarray(raw, dtype=float)
-    del raw  # frees the caller's nested lists when this held the last reference
+    # a copy: the space freezes its matrix and must not freeze or share the caller's
+    return _validated(np.array(raw, dtype=float), labels, tol, certificate)
+
+
+def _validated(d, labels, tol: float | None, certificate) -> FiniteMetricSpace:
+    """:func:`validate_metric` of a matrix the space may keep: an exactly
+    symmetric ``d`` becomes the space's own (read-only) matrix, uncopied."""
+    d = np.asarray(d, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {d.shape}")
-    if not np.all(np.isfinite(d)):
-        bad = np.argwhere(~np.isfinite(d))[0]
-        raise ValueError(f"non-finite distance at ({bad[0]},{bad[1]})")
     n = d.shape[0]
+    if n and not (np.isfinite(np.max(d)) and np.isfinite(np.min(d))):
+        for rows in row_blocks(n):
+            bad = np.flatnonzero(~np.isfinite(d[rows]))
+            if bad.size:
+                i, j = divmod(int(bad[0]), n)
+                raise ValueError(f"non-finite distance at ({rows.start + i},{j})")
     if tol is None:
         tol = DEFAULT_REL_TOL * float(np.max(d)) if d.size and np.max(d) > 0 else DEFAULT_REL_TOL
     if tol < 0:
@@ -115,34 +136,48 @@ def validate_metric(raw, tol: float | None = None, certificate=None) -> FiniteMe
         i, j = np.unravel_index(int(np.argmin(d)), d.shape)
         raise NegativeDistanceError(f"negative distance d[{i}][{j}] = {d[i, j]!r}", (int(i), int(j)))
 
-    asym = np.abs(d - d.T)
-    if asym.size and np.max(asym) > tol:
-        i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
-        raise AsymmetricError(
-            f"asymmetry |d[{i}][{j}] - d[{j}][{i}]| = {asym[i, j]!r} exceeds tol {tol!r}",
-            (int(i), int(j)),
-        )
-    del asym  # no N x N temporary outlives its check
-
-    off = d + np.diag(np.full(n, np.inf))
-    if n > 1 and np.min(off) <= 0:
-        i, j = np.unravel_index(int(np.argmin(off)), off.shape)
-        raise CoincidentPointsError(f"d[{i}][{j}] = 0 for distinct points", (int(i), int(j)))
-    del off
+    # the worst asymmetry and the least off-diagonal entry, one block of
+    # rows at a time; a later block replaces an offender only when strictly
+    # worse, which keeps the first in row-major order
+    asym, asym_at = -np.inf, None
+    least, least_at = np.inf, None
+    for rows in row_blocks(n):
+        block = np.subtract(d[rows], d[:, rows].T)
+        np.abs(block, out=block)
+        k = int(np.argmax(block))
+        if block.flat[k] > asym:
+            asym, asym_at = block.flat[k], (rows.start + k // n, k % n)
+        np.copyto(block, d[rows])
+        block[np.arange(block.shape[0]), np.arange(rows.start, rows.stop)] = np.inf
+        k = int(np.argmin(block))
+        if block.flat[k] < least:
+            least, least_at = block.flat[k], (rows.start + k // n, k % n)
+    if asym > tol:
+        i, j = asym_at
+        raise AsymmetricError(f"asymmetry |d[{i}][{j}] - d[{j}][{i}]| = {asym!r} exceeds tol {tol!r}", (i, j))
+    if n > 1 and least <= 0:
+        i, j = least_at
+        raise CoincidentPointsError(f"d[{i}][{j}] = 0 for distinct points", (i, j))
 
     if labels is None:
         labels = [f"x{i}" for i in range(n)]
     if len(labels) != n:
         raise ValueError(f"{len(labels)} labels for {n} points")
-    # a sum past the largest float is halved before adding; everywhere else
-    # this is (d + d.T) / 2 bit for bit
-    with np.errstate(over="ignore"):
-        sym = np.add(d, d.T)
-    sym /= 2.0
-    over = np.nonzero(np.isinf(sym))
-    sym[over] = d[over] / 2.0 + d.T[over] / 2.0
+    exact = asym <= 0.0
+    if exact:
+        # (d + d.T) / 2 is d itself bit for bit, so the space keeps d and
+        # the triangle check below reads the space's own matrix
+        sym = d
+    else:
+        # a sum past the largest float is halved before adding; everywhere
+        # else this is (d + d.T) / 2 bit for bit
+        with np.errstate(over="ignore"):
+            sym = np.add(d, d.T)
+        sym /= 2.0
+        over = np.nonzero(np.isinf(sym))
+        sym[over] = d[over] / 2.0 + d.T[over] / 2.0
     space = FiniteMetricSpace(labels=tuple(str(x) for x in labels), dist=sym, tol=float(tol))
-    if n > 2 and (certificate is None or not np.array_equal(sym, d) or not certificate(space)):
+    if n > 2 and (certificate is None or not exact or not certificate(space)):
         _check_triangles(d, tol)
     return space
 
@@ -175,21 +210,22 @@ def _check_triangles(d: np.ndarray, tol: float) -> None:
         )
 
 
-def euclidean_matrix(points) -> np.ndarray:
-    """Euclidean distance matrix of N points given as coordinate rows.
+def euclidean_matrix(points, others=None) -> np.ndarray:
+    """Euclidean distance matrix of N points given as coordinate rows, or
+    from each of them to each of ``others`` (N x M).
 
-    Squared differences are summed one coordinate at a time into one N x N
-    buffer, so at most two N x N arrays are live. Below 8 coordinates this
-    adds in the order ``np.sum`` over the last axis does, so it equals the
-    (N, N, d) broadcast formula bit for bit; from 8 up they differ by at
-    most one ulp per sum.
+    Squared differences are summed one coordinate at a time into one
+    preallocated buffer, so at most two N x M arrays are live. Below 8
+    coordinates this adds in the order ``np.sum`` over the last axis does,
+    so it equals the (N, M, d) broadcast formula bit for bit; from 8 up
+    they differ by at most one ulp per sum.
     """
     x = np.asarray(points, dtype=float)
-    n = x.shape[0]
-    out = np.zeros((n, n))
-    diff = np.empty((n, n))
-    for col in x.T:
-        np.subtract(col[:, None], col[None, :], out=diff)
+    y = x if others is None else np.asarray(others, dtype=float)
+    out = np.zeros((x.shape[0], y.shape[0]))
+    diff = np.empty_like(out)
+    for a, b in zip(x.T, y.T):
+        np.subtract(a[:, None], b[None, :], out=diff)
         np.multiply(diff, diff, out=diff)
         out += diff
     return np.sqrt(out, out=out)
@@ -213,39 +249,213 @@ def load_space(path: str, tol: float | None = None, certificate=None) -> FiniteM
     """Load a space from a ``.json`` or ``.csv`` file and validate it
     (``tol`` and ``certificate`` as in :func:`validate_metric`).
 
-    JSON: ``{"labels": [...], "distances": [[...]]}``. CSV: a square
-    numeric matrix with an optional leading header row of labels.
+    JSON: ``{"labels": [...], "distances": [[...]]}``, or the bare matrix.
+    CSV: a square numeric matrix with an optional leading header row of
+    labels. The rows are read straight into one float array, which the
+    space keeps when it is exactly symmetric.
     """
-    # validate_metric holds the only reference to the parsed lists, and the
-    # text is gone, so neither outlives the conversion to an array
-    return validate_metric(_read_payload(path), tol=tol, certificate=certificate)
+    return _validated(*_read_payload(path), tol, certificate)
 
 
-def _read_payload(path: str):
+def _read_payload(path: str) -> tuple:
+    """(matrix, labels or None) of a distance file."""
     with open(path, "r", encoding="utf-8") as fh:
-        if path.endswith(".json"):
-            return json.load(fh)
-        text = fh.read()
-    return _csv_payload(text)
+        return (_json_payload if path.endswith(".json") else _csv_payload)(fh)
 
 
 def parse_csv_space(text: str, tol: float | None = None) -> FiniteMetricSpace:
-    return validate_metric(_csv_payload(text), tol=tol)
+    return _validated(*_csv_payload(io.StringIO(text)), tol, None)
 
 
-def _csv_payload(text: str) -> dict:
-    rows = [r for r in csv.reader(io.StringIO(text)) if r and any(c.strip() for c in r)]
-    if not rows:
+def _csv_payload(lines) -> tuple:
+    """(matrix, labels or None) of CSV lines; blank lines are skipped."""
+    rows = (r for r in csv.reader(lines) if r and any(c.strip() for c in r))
+    first = next(rows, None)
+    if first is None:
         raise ValueError("empty CSV input")
     labels = None
-    first = rows[0]
     try:
         [float(c) for c in first]
     except ValueError:
         labels = [c.strip() for c in first]
-        rows = rows[1:]
-    matrix = [[float(c) for c in row] for row in rows]
-    payload = {"distances": matrix}
-    if labels is not None:
-        payload["labels"] = labels
-    return payload
+        first = next(rows, None)
+    if first is None:
+        return np.zeros(0), labels
+    d = _Rows(first)
+    for row in chain([first], rows):
+        d.append([float(c) for c in row])
+    return d.matrix(), labels
+
+
+class _Rows:
+    """A square float matrix filled one row at a time. The first row, a
+    list, fixes its size. A row that is not a list of that many numbers
+    (a scalar does not broadcast), or a row count that differs from it, is
+    refused by :meth:`matrix`, so that a JSON value which a later duplicate
+    key replaces is refused only as ``json.load`` would refuse it."""
+
+    def __init__(self, first):
+        self.error = None
+        if not isinstance(first, list):
+            self.error, first = ValueError("row 0 of the distance matrix is not a list of numbers"), []
+        self.d = np.empty((len(first), len(first)))
+        self.count = 0
+
+    def append(self, row) -> None:
+        n = self.d.shape[0]
+        if self.error is None:
+            try:
+                values = np.asarray(row, dtype=float)
+            except (ValueError, TypeError, OverflowError) as exc:
+                self.error = exc
+            else:
+                if values.shape != (n,):
+                    self.error = ValueError(f"row {self.count} of the distance matrix is not a list of {n} numbers")
+                elif self.count < n:
+                    self.d[self.count] = values
+        self.count += 1
+
+    def matrix(self) -> np.ndarray:
+        n = self.d.shape[0]
+        if self.error is None and self.count != n:
+            self.error = ValueError(f"distance matrix must be square, got shape ({self.count}, {n})")
+        if self.error is not None:
+            raise self.error
+        return self.d
+
+
+_WHITESPACE = json.decoder.WHITESPACE.match
+
+#: Characters of a JSON file read at a time.
+JSON_CHUNK = 1 << 16
+
+
+def _json_payload(fh) -> tuple:
+    """(matrix, labels or None) of a JSON document, read as ``json.load``
+    reads it (duplicate keys: the last one wins) except that the text is
+    read a chunk at a time and the matrix, the value of ``distances`` or
+    the whole document, is decoded one row at a time into one float array.
+    Any other value is returned as decoded, for :func:`_validated` to
+    refuse."""
+    doc = _JsonText(fh)
+    if doc.buf.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", doc.buf, 0)
+    if doc.peek() == "{":
+        fields = _json_object(doc)
+    else:
+        fields = {"distances": _json_matrix(doc)}
+    if doc.peek():
+        raise doc.error("Extra data")
+    d = fields["distances"]
+    return d.matrix() if isinstance(d, _Rows) else d, fields.get("labels")
+
+
+def _json_object(doc: "_JsonText") -> dict:
+    """The object at the next ``{``, its ``distances`` read by :func:`_json_matrix`."""
+    doc.pos += 1
+    fields = {}
+    if doc.peek() == "}":
+        doc.pos += 1
+        return fields
+    while True:
+        if doc.peek() != '"':
+            raise doc.error("Expecting property name enclosed in double quotes")
+        key = doc.value()
+        doc.expect(":", "Expecting ':' delimiter")
+        fields[key] = _json_matrix(doc) if key == "distances" else doc.value()
+        if doc.expect(",}", "Expecting ',' delimiter") == "}":
+            return fields
+
+
+def _json_matrix(doc: "_JsonText"):
+    """The next value: a non-empty list is decoded row by row into
+    :class:`_Rows`, anything else as it is."""
+    if doc.peek() != "[":
+        return doc.value()
+    doc.pos += 1
+    if doc.peek() == "]":
+        doc.pos += 1
+        return []
+    d = None
+    while True:
+        row = doc.value()
+        if d is None:
+            d = _Rows(row)
+        d.append(row)
+        if doc.expect(",]", "Expecting ',' delimiter") == "]":
+            return d
+
+
+class _JsonText:
+    """A JSON document read from a text file :data:`JSON_CHUNK` characters
+    at a time. ``buf[pos:]`` is what is left to read of what has been read;
+    the rest of ``buf`` is dropped as the next chunk comes in. Errors give
+    json's message and position in the whole document."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.decoder = json.JSONDecoder()
+        self.buf, self.pos = "", 0
+        self.start = 0  # where buf begins in the document
+        self.lines = 0  # newlines before buf
+        self.line_start = 0  # where the line holding buf[0] begins
+        self.longest = 0  # characters of the longest value decoded
+        self.more()
+
+    def more(self) -> bool:
+        """Read the next chunk (longer, if what is left is longer); False
+        at the end of the file."""
+        chunk = self.fh.read(max(JSON_CHUNK, len(self.buf) - self.pos))
+        if not chunk:
+            return False
+        newlines = self.buf.count("\n", 0, self.pos)
+        if newlines:
+            self.lines += newlines
+            self.line_start = self.start + self.buf.rfind("\n", 0, self.pos) + 1
+        self.start += self.pos
+        self.buf, self.pos = self.buf[self.pos:] + chunk, 0
+        return True
+
+    def error(self, msg: str, pos: int | None = None) -> ValueError:
+        """json's error for ``msg`` at ``buf[pos]``, by default at the
+        current position."""
+        pos = self.pos if pos is None else pos
+        newline = self.buf.rfind("\n", 0, pos)
+        line = self.lines + self.buf.count("\n", 0, pos) + 1
+        column = pos - newline if newline >= 0 else self.start + pos - self.line_start + 1
+        return ValueError(f"{msg}: line {line} column {column} (char {self.start + pos})")
+
+    def peek(self) -> str:
+        """The next character after whitespace, or "" at the end."""
+        while True:
+            self.pos = _WHITESPACE(self.buf, self.pos).end()
+            if self.pos < len(self.buf) or not self.more():
+                return self.buf[self.pos:self.pos + 1]
+
+    def expect(self, chars: str, msg: str) -> str:
+        """The next character after whitespace, read past; refused unless in ``chars``."""
+        c = self.peek()
+        if not c or c not in chars:
+            raise self.error(msg)
+        self.pos += 1
+        return c
+
+    def value(self):
+        """The next value. The buffer is first filled to twice the longest
+        value so far; a value that still fails or ends with the buffer is
+        decoded again once the next chunk is in, so none ends at a chunk's
+        edge."""
+        self.peek()
+        while len(self.buf) - self.pos < 2 * self.longest and self.more():
+            pass
+        while True:
+            try:
+                value, end = self.decoder.raw_decode(self.buf, self.pos)
+            except json.JSONDecodeError as exc:
+                if self.more():
+                    continue
+                raise self.error(exc.msg, exc.pos) from None
+            if end < len(self.buf) or not self.more():
+                self.longest = max(self.longest, end - self.pos)
+                self.pos = end
+                return value

@@ -269,6 +269,8 @@ def make_ultrametric(depth: int, arity: int, p=None) -> MarkedSpace:
         raise ValueError(f"depth {depth} > 1075: distinct leaves would sit at distance 0.0")
     if p is None:
         p = (0,) * depth
+    if any(isinstance(d, bool) or not isinstance(d, (int, np.integer)) for d in p):
+        raise ValueError(f"marked leaf digits must be integers, got {list(p)!r}")
     p = tuple(int(d) for d in p)
     if len(p) != depth or any(not 0 <= d < arity for d in p):
         raise MarkedPointOutsideRegionError(f"marked leaf {p} not in the tree")

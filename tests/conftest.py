@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from metricembed import validate_metric
-from metricembed.determinants import DEFAULT_TOL_DET, within_band
+from metricembed.determinants import DEFAULT_TOL_DET, PsdReport, tau_about, within_band
 
 #: Most tuples :func:`enumerated_verdict` evaluates before refusing an input.
 ORACLE_TUPLE_BUDGET = 100_000
@@ -36,6 +36,15 @@ def star_k13():
 def unit_square():
     s = np.sqrt(2.0)
     return validate_metric([[0, 1, s, 1], [1, 0, 1, s], [s, 1, 0, 1], [1, s, 1, 0]])
+
+
+@pytest.fixture(scope="session")
+def large_cloud() -> np.ndarray:
+    """Distance matrix of 2000 points of affine rank 4 in R^6."""
+    from metricembed.metric import euclidean_matrix
+
+    rng = np.random.default_rng(0)
+    return euclidean_matrix(rng.normal(size=(2000, 4)) @ np.linalg.qr(rng.normal(size=(6, 4)))[0].T)
 
 
 def cloud_space(points: np.ndarray):
@@ -124,6 +133,58 @@ def exact_psd_rank(sq) -> tuple[bool, int]:
                 a[i][j] -= f * a[k][j]
         rank += 1
     return True, rank
+
+
+def reference_psd_check(sq, base: int, tol_det: float = DEFAULT_TOL_DET) -> PsdReport:
+    """``determinants.psd_check`` as it was before its updates and pair test
+    went to row blocks: whole N x N temporaries, the same operations in the
+    same order, so its report must match bit for bit."""
+    n = sq.shape[0]
+    scale = float(np.max(np.abs(sq), initial=0.0))
+    if scale == 0.0:
+        return PsdReport(psd=True, rank=0, factor=np.zeros((n, 0)))
+    s = tau_about(sq, base) / scale
+    sq = np.abs(sq) / scale
+    reach, rest, pivots, cols, det, taken = sq[base], np.arange(n), [], [], 1.0, 0.0
+
+    def finish(rows=None, value=None):
+        factor = np.stack(cols, axis=1) * math.sqrt(scale) if cols else np.zeros((n, 0))
+        return PsdReport(psd=rows is None, rank=len(pivots),
+                         witness_subset=None if rows is None else tuple(sorted(int(r) for r in rows)),
+                         witness_value=None if value is None else float(value), pivots=tuple(pivots), factor=factor)
+
+    while rest.size:
+        k = len(pivots) + 1
+        d = s[rest, rest]
+        minors = det * d
+        live = ~within_band(minors, np.maximum(taken, reach[rest]), k, tol_det)
+        if np.any(live & (d < 0)):
+            j = int(np.argmin(np.where(live, d, np.inf)))
+            return finish(pivots + [rest[j]], minors[j] * scale**k)
+        if not np.any(live):
+            break
+        j = int(np.argmax(np.where(live, d, -np.inf)))
+        c = int(rest[j])
+        col = s[:, c] / math.sqrt(d[j])
+        s -= np.outer(col, col)
+        det *= d[j]
+        taken = max(taken, reach[c])
+        reach = np.maximum(reach, sq[c])
+        pivots.append(c)
+        cols.append(col)
+        rest = np.delete(rest, j)
+    if rest.size > 1:
+        k = len(pivots) + 2
+        block = s[np.ix_(rest, rest)]
+        d = np.diag(block)
+        minors = det * (d[:, None] * d[None, :] - block * block)
+        r = reach[rest]
+        pair_sq = np.maximum(np.maximum(taken, sq[np.ix_(rest, rest)]), np.maximum(r[:, None], r[None, :]))
+        bad = np.triu(~within_band(minors, pair_sq, k, tol_det) & (minors < 0), 1)
+        if np.any(bad):
+            y, z = np.unravel_index(int(np.argmin(np.where(bad, minors, np.inf))), bad.shape)
+            return finish(pivots + [rest[y], rest[z]], minors[y, z] * scale**k)
+    return finish()
 
 
 def _normalized_stack(sq: np.ndarray, tuples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

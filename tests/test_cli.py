@@ -406,10 +406,12 @@ class TestScan:
         ('{"type": "ultrametric", "depth": 1e400, "arity": 3}', "depth must be an integer"),
         ('{"type": "ultrametric", "depth": 4, "arity": 1e400}', "arity must be an integer"),
         ('{"type": "euclidean", "dim": 2.7, "p": [0, 0], "region": {"kind": "cube"}}', "dim must be an integer"),
-    ], ids=["p-huge", "pitch-huge", "dim-1e400", "depth-1e400", "arity-1e400", "dim-2.7"])
+        ('{"type": "ultrametric", "depth": 4, "arity": 3, "p": [0, 1.7, 2.9, 0]}', "marked leaf digits must be integers"),
+        ('{"type": "ultrametric", "depth": 4, "arity": 3, "p": [0, 1, true, 0]}', "marked leaf digits must be integers"),
+    ], ids=["p-huge", "pitch-huge", "dim-1e400", "depth-1e400", "arity-1e400", "dim-2.7", "leaf-1.7", "leaf-true"])
     def test_oversized_or_fractional_numbers_cannot_build_space(self, tmp_path, cfg, error, capsys):
         # each ended in an OverflowError traceback with exit 1, and a
-        # fractional dim was silently truncated
+        # fractional dim or leaf digit was silently truncated
         path = tmp_path / "bad.json"
         path.write_text(cfg)
         assert main(["scan", str(path), "--dim", "1", "--samples", "8"]) == 3
@@ -716,6 +718,33 @@ def test_distance_too_large_for_a_float_exit_3(argv, tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == payload["exit_code"] == 3
     assert payload["error"] == "cannot read space: int too large to convert to float"
+
+
+@pytest.mark.parametrize("name,text,code,error", [
+    ("ragged.csv", "0,1\n1\n", 3, None),
+    ("ragged.json", '{"distances": [[0, 1], [1]]}', 3, None),
+    # a scalar row must not broadcast into a row of the matrix
+    ("scalar-row.json", '{"distances": [[0, 1], 1]}', 3, None),
+    ("empty.json", '{"distances": []}', 3, "distance matrix must be square, got shape (0,)"),
+    ("empty.csv", "", 3, "empty CSV input"),
+    ("labels-after.json", '{"distances": [[0, 1], [1, 0]], "labels": ["a", "b"]}', 0, None),
+    ("bare-list.json", "[[0, 1], [1, 0]]", 0, None),
+    ("duplicate-key.json", '{"distances": [[0, 1], [1]], "distances": [[0, 1], [1, 0]]}', 0, None),
+    ("nan.json", '{"distances": [[0, NaN], [NaN, 0]]}', 3, "non-finite distance at (0,1)"),
+    ("huge.json", '{"distances": [[0, %s], [%s, 0]]}' % (HUGE, HUGE), 3, "int too large to convert to float"),
+])
+def test_reader_edge_cases(name, text, code, error, tmp_path, capsys):
+    # the readers parse rows straight into the matrix; each case keeps the
+    # exit code (and the message) it had when the whole file was parsed first
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["validate", str(path)]) == code
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["exit_code"] == code
+    if code == 0:
+        assert payload["n_points"] == 2
+    elif error is not None:
+        assert payload["error"] == f"cannot read space: {error}"
 
 
 def test_finite_commands_leave_scan_layer_unloaded(eq_file, star_file):

@@ -31,7 +31,10 @@ from metricembed import (
 )
 from metricembed.determinants import tau_about, tau_from_matrix, within_band
 from metricembed.errors import NonzeroDiagonalError, NotSymmetricError, TupleTooShortError
+from metricembed.metric import ROW_BLOCK, euclidean_matrix
 from metricembed.spaces import perturbed_euclidean_space
+
+from conftest import reference_psd_check
 
 
 def pair(d):
@@ -278,6 +281,63 @@ class TestPsd:
             tm = tau_about(sq, base)
             assert not tm[base].any() and not tm[:, base].any()
             assert psd_check(sq, base).rank == 3
+
+
+def _blocked_inputs(n: int):
+    """Seeded squared-distance matrices of n points, as (name, sq, base)."""
+    rng = np.random.default_rng(n)
+
+    def cloud(rank, size=n):
+        return rng.normal(size=(size, rank)) * rng.uniform(0.5, 2.0, size=rank)
+
+    yield "rank-4", euclidean_matrix(cloud(4)) ** 2, 0
+    yield "rank-12", euclidean_matrix(cloud(12)) ** 2, n // 2
+    # one distance stretched: a diagonal Schur entry goes negative
+    d = euclidean_matrix(cloud(3))
+    d[1, n - 2] = d[n - 2, 1] = 1.3 * d[1, n - 2]
+    yield "stretched", d * d, n - 1
+    # two pairs of copies of point 1, each pair at a positive distance: the
+    # copies' own Schur entries vanish, and the two pairs' minors are equal
+    # and negative, in different blocks once n > ROW_BLOCK + 2
+    sq = euclidean_matrix(cloud(2)) ** 2
+    twins = [2, 3, n - 2, n - 1]
+    sq[twins] = sq[1]
+    sq[:, twins] = sq[:, [1]]
+    sq[np.ix_([1] + twins, [1] + twins)] = 0.0
+    sq[2, 3] = sq[3, 2] = sq[n - 2, n - 1] = sq[n - 1, n - 2] = 0.5
+    yield "twins", sq, 0
+    # multi-scale: a K_{1,3} star of edge 1e-6 about point 0 of a rank-3 cloud
+    x = cloud(3, n - 3)
+    d = np.zeros((n, n))
+    d[:n - 3, :n - 3] = euclidean_matrix(x)
+    d[n - 3:, :n - 3] = d[0, :n - 3]
+    d[:n - 3, n - 3:] = d[n - 3:, :n - 3].T
+    d[n - 3:, 0] = d[0, n - 3:] = 1e-6
+    d[n - 3:, n - 3:] = 2e-6
+    np.fill_diagonal(d, 0.0)
+    yield "star", d * d, 0
+
+
+class TestBlockedFactorization:
+    """``psd_check`` runs its updates and its pair test in row blocks; its
+    report is the unblocked reference's, bit for bit, on either side of
+    the block edges."""
+
+    @pytest.mark.parametrize("n", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1])
+    def test_matches_unblocked_reference(self, n):
+        seen = set()
+        for name, sq, base in _blocked_inputs(n):
+            got, ref = psd_check(sq, base), reference_psd_check(sq, base)
+            assert (got.psd, got.rank, got.pivots) == (ref.psd, ref.rank, ref.pivots), name
+            assert (got.witness_subset, got.witness_value) == (ref.witness_subset, ref.witness_value), name
+            assert np.array_equal(got.factor, ref.factor), name
+            seen.add((got.psd, got.rank))
+            if name == "twins":
+                # found by the pair test, on the first pair of copies
+                assert not got.psd and {2, 3} <= set(got.witness_subset)
+            if name == "stretched":
+                assert not got.psd
+        assert len(seen) >= 4
 
 
 def _all_minors_psd(m: np.ndarray) -> bool:

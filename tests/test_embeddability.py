@@ -331,6 +331,21 @@ class TestRealize:
         assert real.m == 12 and real.max_residual < 1e-9
         assert peak < 120e6, peak
 
+    def test_decision_at_the_memory_floor(self, large_cloud):
+        # the factorization holds sq and one tau work array; rho, the
+        # leftover of tau and the residual reuse or need no more; every
+        # other temporary is a block of rows (the seed peaked at 7.1x)
+        sp = validate_metric(large_cloud, certificate=lambda space: True)
+        tracemalloc.start()
+        try:
+            m = min_embedding_dimension(sp).dim
+            real = realize_coordinates(sp, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m == real.m == 4 and real.max_residual < 1e-9
+        assert peak <= 3 * large_cloud.nbytes, peak / large_cloud.nbytes
+
     def test_rank_exceeds_requested(self):
         # the factorization itself refuses to squeeze rank 3 into R^2
         tet = validate_metric(np.ones((4, 4)) - np.eye(4))

@@ -1,5 +1,6 @@
 """Metric validation, submatrices, rescaling, file parsing."""
 
+import io
 import json
 import tracemalloc
 
@@ -269,6 +270,80 @@ def test_json_labels_kept(tmp_path):
     path.write_text(json.dumps({"labels": ["a", "b"], "distances": [[0, 2], [2, 0]]}))
     sp = load_space(str(path))
     assert sp.labels == ("a", "b")
+
+
+@pytest.fixture(scope="module")
+def large_files(large_cloud, tmp_path_factory):
+    """The 2000-point cloud as a CSV and a JSON file."""
+    directory = tmp_path_factory.mktemp("large")
+    csv_path, json_path = directory / "cloud.csv", directory / "cloud.json"
+    csv_path.write_text("\n".join(",".join(map(repr, row)) for row in large_cloud.tolist()))
+    json_path.write_text(json.dumps({"distances": large_cloud.tolist()}))
+    return {"csv": str(csv_path), "json": str(json_path)}
+
+
+@pytest.mark.parametrize("kind,bound", [("csv", 2.5), ("json", 5.0)])
+def test_reader_at_the_memory_floor(large_files, large_cloud, kind, bound):
+    # rows go straight into one array, which the space keeps; the CSV
+    # reader held a list of lists and the JSON reader the parsed document
+    # (21x and 6.45x the matrix). The certificate, which holds here, is
+    # measured with the decision.
+    tracemalloc.start()
+    try:
+        sp = load_space(large_files[kind], certificate=lambda space: True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(sp.dist, large_cloud)
+    assert peak <= bound * large_cloud.nbytes, peak / large_cloud.nbytes
+
+
+JSON_DOCUMENTS = [
+    '{"distances": [[0, 1], [1, 0]]}',
+    # a number longer than the buffer holds when it is reached
+    '{"n": 1234567, "distances": [[0, 1], [1, 0]]}',
+    ' {\n "labels" : ["a", "b"] ,\n "distances" : [ [0, 1.5] , [1.5, 0] ] }\n\n',
+    '{"distances": [[0, 1], [1, 0]], "labels": ["p", "q"], "note": {"x": [1, true, null]}}',
+    '[[0, 2.5], [2.5, 0]]',
+    '{"distances": [[0, 1], [1, 0]], "distances": [[0, 2], [2, 0]], "labels": ["a", "b"], "labels": ["c", "d"]}',
+    '{"labels": ["x\\u00e9", "y\\n"], "distances": [[0, 1e-300], [1e-300, 0]]}',
+    '{"distances": [[0, 12345678901234567890], [12345678901234567890, 0]], "n": 1234567}',
+    '{"distances": []}', '[]', '{}', '5', '"text"', 'null', '', '{"distances": 5}',
+    '{"distances": [[0, NaN], [NaN, 0]]}', '{"distances": [[0, %s], [%s, 0]]}' % ("9" * 401, "9" * 401),
+    '{not json', '{"distances": [[0, 1], [1, 0]]} x', '{"distances": [[0, 1], [1, 0]],}',
+    '{"distances": [[0, 1] [1, 0]]}', '{"distances": [[0, 1], [1, 0]]\n "labels": []}',
+    '{\n "distances": [[0, 1],\n [1, 0]],\n "labels": ["a", "b\n}', '{"distances": [[0, 1],\n [1, 0],]}',
+    '{"distances": [[0, 1], [1, 0]], "x": tru}', '{"distances": [[0, 1], [1, 0]], "x": 12',
+    '{"distances": [[0, 1], [1, 0]], 5: 1}', '{"distances" [[0, 1], [1, 0]]}', '\ufeff{"distances": [[0]]}',
+    json.dumps({"distances": np.arange(900.0).reshape(30, 30).tolist()}, indent=1),
+]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64, 1 << 16])
+def test_json_reader_matches_json_loads(chunk, monkeypatch):
+    # whatever the chunk size, the chunked reader gives json.loads' space,
+    # or its error message with the same position in the document
+    from metricembed import metric
+
+    monkeypatch.setattr(metric, "JSON_CHUNK", chunk)
+
+    def outcome(read):
+        try:
+            sp = read()
+            return sp.labels, sp.dist.tolist()
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            # json's own errors are JSONDecodeError, the chunked reader's ValueError
+            return ValueError.__name__ if isinstance(exc, ValueError) else type(exc).__name__, str(exc)
+
+    def reference(doc):
+        raw = json.loads(doc)
+        if isinstance(raw, dict):
+            return metric._validated(raw["distances"], raw.get("labels"), None, None)
+        return metric._validated(raw, None, None, None)
+
+    for doc in JSON_DOCUMENTS:
+        assert outcome(lambda: metric._validated(*metric._json_payload(io.StringIO(doc)), None, None)) \
+            == outcome(lambda: reference(doc)), doc
 
 
 def test_csv_with_and_without_header():
