@@ -13,8 +13,8 @@ The two agree as ``Sch = (-1)^(k+1) D_k`` for arbitrary symmetric
 zero-diagonal data; the test suite verifies that identity by brute force
 rather than assuming it, and the embeddability module keeps both routes
 alive as mutual cross-checks. :func:`tuple_determinants` evaluates both
-for the engines and the scans, and :func:`tau_rows` (whole matrices
-through :func:`tau_about`) is the only builder of tau.
+for the engines and the scans, and :func:`tau_about` is the only builder
+of tau.
 
 Every finite decision asks one question of a determinant: does it count
 as zero? :func:`within_band` is the only answer. ``psd_check`` factors the
@@ -75,14 +75,7 @@ def tau_about(sq: np.ndarray, base: int = 0) -> np.ndarray:
     column of ``base`` are exact zeros. A stack of matrices gives the stack
     of tau matrices."""
     s0 = sq[..., base, :]
-    return tau_rows(sq, s0, s0)
-
-
-def tau_rows(sq: np.ndarray, s0_rows: np.ndarray, s0: np.ndarray) -> np.ndarray:
-    """The rows of tau that the rows ``sq`` of a squared-distance matrix
-    give, in one new array: ``s0_rows`` holds the base's squared distance
-    to each of those rows, ``s0`` to every point."""
-    out = np.add(s0_rows[..., :, None], s0[..., None, :])
+    out = np.add(s0[..., :, None], s0[..., None, :])
     return np.subtract(out, sq, out=out)
 
 
@@ -163,12 +156,16 @@ class PsdReport:
     #: (order x rank) factor F over the accepted pivots; the matrix is
     #: F F^T up to the zero rule when ``psd``
     factor: np.ndarray | None = None
+    #: what F leaves of the matrix, its Schur complement on the pivots
+    #: (order x order), when ``psd``; else None
+    leftover: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.factor is not None:
-            f = np.asarray(self.factor, dtype=float)
-            f.flags.writeable = False
-            object.__setattr__(self, "factor", f)
+        for name in ("factor", "leftover"):
+            if getattr(self, name) is not None:
+                a = np.asarray(getattr(self, name), dtype=float)
+                a.flags.writeable = False
+                object.__setattr__(self, name, a)
 
 
 def psd_check(sq: np.ndarray, base: int, tol_det: float = DEFAULT_TOL_DET) -> PsdReport:
@@ -191,10 +188,10 @@ def psd_check(sq: np.ndarray, base: int, tol_det: float = DEFAULT_TOL_DET) -> Ps
       judged on the tuple (base, B, y, z).
 
     The report carries the accepted pivots (their count is the rank), the
-    factor and, for a matrix that is not PSD, the violating minor, all in
-    the rows of ``sq``. Besides ``sq`` it holds one N x N work array, the
-    Schur complement, and scratch of :data:`~metricembed.metric.ROW_BLOCK`
-    rows.
+    factor and, for a PSD matrix, the leftover tau - F F^T, else the
+    violating minor, all in the rows of ``sq``. Besides ``sq`` it holds one
+    N x N work array, the Schur complement, which becomes the leftover, and
+    scratch of :data:`~metricembed.metric.ROW_BLOCK` rows.
     """
     sq = np.asarray(sq, dtype=float)
     if sq.ndim != 2 or sq.shape[0] != sq.shape[1]:
@@ -207,7 +204,7 @@ def psd_check(sq: np.ndarray, base: int, tol_det: float = DEFAULT_TOL_DET) -> Ps
         raise NonzeroDiagonalError(f"squared distance of point {i} to itself is not 0", (i, i))
     scale = float(np.maximum(np.max(sq, initial=0.0), -np.min(sq, initial=0.0)))
     if scale == 0.0:
-        return PsdReport(psd=True, rank=0, factor=np.zeros((n, 0)))
+        return PsdReport(psd=True, rank=0, factor=np.zeros((n, 0)), leftover=np.zeros((n, n)))
     # work relative to the largest distance, so that no step depends on the unit
     s = tau_about(sq, base)
     s /= scale
@@ -226,10 +223,11 @@ def psd_check(sq: np.ndarray, base: int, tol_det: float = DEFAULT_TOL_DET) -> Ps
 
     def finish(rows=None, value=None) -> PsdReport:
         factor = np.stack(cols, axis=1) * math.sqrt(scale) if cols else np.zeros((n, 0))
-        subset = None if rows is None else tuple(sorted(int(r) for r in rows))
-        return PsdReport(psd=rows is None, rank=len(pivots), witness_subset=subset,
-                         witness_value=None if value is None else float(value),
-                         pivots=tuple(pivots), factor=factor)
+        if rows is None:
+            np.multiply(s, scale, out=s)
+            return PsdReport(psd=True, rank=len(pivots), pivots=tuple(pivots), factor=factor, leftover=s)
+        return PsdReport(psd=False, rank=len(pivots), witness_subset=tuple(sorted(int(r) for r in rows)),
+                         witness_value=float(value), pivots=tuple(pivots), factor=factor)
 
     while rest.size:
         k = len(pivots) + 1

@@ -19,8 +19,9 @@ space factors every part once and answers every question from m:
   pivots of the first part of rank n; every prefix determinant is positive
   and every one- or two-point extension vanishes.
 * ``realize_coordinates``: refuses iff there is no m or m > n; otherwise
-  m coordinates per point, from the factor over all points continued past
-  its band when a smaller part has a larger rank.
+  m coordinates per point, from the factor over all points, continued past
+  its band when a smaller part has a larger rank on its leftover
+  tau - F F^T, the Schur complement the ball search reads too.
 
 Every determinant is judged by :func:`~metricembed.determinants.within_band`,
 and a value inside the band is zero, which satisfies ``>= 0``.
@@ -40,7 +41,6 @@ from .determinants import (
     cm_determinant,
     psd_check,
     sch_determinant,
-    tau_rows,
     within_band,
 )
 from .errors import (
@@ -136,12 +136,13 @@ def _factored_witness(report: PsdReport, base: int, n: int) -> tuple[int, ...] |
     return tuple(sorted([base, *rows]))
 
 
-def _neighbourhoods(dist: np.ndarray, report: PsdReport, tol_det: float):
+def _neighbourhoods(dist: np.ndarray, leftover: np.ndarray, tol_det: float):
     """Balls the factorization did not judge on their own scale.
 
     It judges each leftover on a tuple holding its base and pivots, so a
     feature far smaller than the space is judged on the space's scale.
-    ``rho`` is what the factor leaves of each squared distance. A tuple of
+    ``rho`` is what the factor leaves of each squared distance, read off
+    the ``leftover`` L of tau as ``|L_ii/2 + L_jj/2 - L_ij|``. A tuple of
     diameter in (R/2, R] has all its leftovers within the band of its own
     scale, or a point y with a leftover above ``tol_det R^2 / 4`` to a
     point within R; it then lies in B(y, R). Yields each such distinct
@@ -150,21 +151,19 @@ def _neighbourhoods(dist: np.ndarray, report: PsdReport, tol_det: float):
     npts = dist.shape[0]
     if npts < 4:
         return
-    # rho is formed in the Gram buffer, and sq one block of rows at a time
-    x = report.factor / math.sqrt(2.0)
-    rho = x @ x.T
-    norms = np.diag(rho).copy()
-    floor = np.inf
+    half = np.diag(leftover) / 2.0
+
+    def rho(rows):
+        """Rows of rho."""
+        return np.abs(half[rows, None] + half[None, :] - leftover[rows])
+
+    floor, most = np.inf, 0.0
     for rows in row_blocks(npts):
         sq = dist[rows] * dist[rows]
-        g = rho[rows]
-        g *= 2.0
-        np.subtract(norms[rows, None] + norms[None, :], g, out=g)
-        np.subtract(sq, g, out=g)
-        np.abs(g, out=g)
         # below the second-nearest distance of every point no ball holds three
         floor = min(floor, float(np.min(np.partition(np.where(sq > 0, sq, np.inf), 1, axis=1)[:, 1])))
-    reach = 4.0 * float(np.max(rho)) / tol_det
+        most = max(most, float(np.max(rho(rows))))
+    reach = 4.0 * most / tol_det
     seen = set()
     top = float(np.max(dist))
     r2 = top * top / 4.0
@@ -172,7 +171,7 @@ def _neighbourhoods(dist: np.ndarray, report: PsdReport, tol_det: float):
         if r2 < reach:
             for rows in row_blocks(npts):
                 within = dist[rows] * dist[rows] <= r2
-                for y in np.flatnonzero(np.any(within & ~within_band(rho[rows], r2 / 4.0, 1, tol_det), axis=1)):
+                for y in np.flatnonzero(np.any(within & ~within_band(rho(rows), r2 / 4.0, 1, tol_det), axis=1)):
                     ball = np.flatnonzero(within[y])
                     key = ball.tobytes()
                     if 3 <= ball.size < npts and key not in seen:
@@ -185,15 +184,32 @@ def _parts(space: FiniteMetricSpace, tol_det: float):
     """The factorizations every finite question reads, as (report, base) in
     point indices: first the one over all points, then, when it is PSD, one
     of each ball of :func:`_neighbourhoods` on its own, its pivots, witness
-    and base mapped to the space and its factor dropped."""
+    and base mapped to the space and its factor and leftover dropped."""
     report, base = _factorization(space.dist, tol_det)
     yield report, base
     if report.psd:
-        for ball in _neighbourhoods(space.dist, report, tol_det):
+        for ball in _neighbourhoods(space.dist, report.leftover, tol_det):
             part, base = _factorization(space.dist[np.ix_(ball, ball)], tol_det)
             rows = part.witness_subset
-            yield (replace(part, pivots=tuple(ball[list(part.pivots)].tolist()), factor=None,
+            yield (replace(part, pivots=tuple(ball[list(part.pivots)].tolist()), factor=None, leftover=None,
                            witness_subset=None if rows is None else tuple(ball[list(rows)].tolist())), int(ball[base]))
+
+
+def _continued(report: PsdReport, m: int) -> np.ndarray:
+    """The factor of a PSD report continued to m columns past its band by
+    diagonal-pivoted Cholesky steps on its leftover, a column at a time,
+    stopping early only where nothing positive is left."""
+    factor = np.zeros((report.factor.shape[0], m))
+    factor[:, :report.rank] = report.factor
+    added = factor[:, report.rank:]
+    diag = np.diag(report.leftover).copy()
+    for c in range(m - report.rank):
+        j = int(np.argmax(diag))
+        if diag[j] <= 0.0:
+            break
+        added[:, c] = (report.leftover[:, j] - added[:, :c] @ added[j, :c]) / math.sqrt(diag[j])
+        diag -= added[:, c] * added[:, c]
+    return factor
 
 
 def _check_target(n: int) -> None:
@@ -208,7 +224,8 @@ class _Decision:
     round of :func:`_parts`."""
 
     space: FiniteMetricSpace
-    #: every part, as :func:`_parts` yields them
+    #: every part, as :func:`_parts` yields them, the first with no leftover
+    #: and, in a feasible space, its factor continued to m columns
     parts: tuple
     #: m, or infeasibility, read off the part that decided: the first that
     #: is not PSD, else the first of largest rank
@@ -226,41 +243,18 @@ class _Decision:
 
     @cached_property
     def realization(self) -> Realization:
-        """Coordinates in R^m of a feasible space, point 0 at the origin.
-
-        The factor over all points has the rank of its own band; a part of
-        higher rank is a feature below it. Diagonal-pivoted Cholesky steps
-        on what that factor leaves of tau, past the band, add the missing
-        columns, stopping early only where nothing positive is left.
-        """
-        report, base = self.parts[0]
-        m = self.result.dim
+        """Coordinates in R^m of a feasible space, point 0 at the origin,
+        from the first part's factor."""
         dist = self.space.dist
-        n = dist.shape[0]
-        factor = np.zeros((n, m))
-        factor[:, :report.rank] = report.factor
-        if report.rank < m:
-            # what the factor leaves of tau, built in the buffer of F F^T
-            rest = report.factor @ report.factor.T
-            s0 = dist[base] * dist[base]
-            for rows in row_blocks(n):
-                np.subtract(tau_rows(dist[rows] * dist[rows], s0[rows], s0), rest[rows], out=rest[rows])
-            for c in range(report.rank, m):
-                j = int(np.argmax(np.diag(rest)))
-                if rest[j, j] <= 0.0:
-                    break
-                factor[:, c] = rest[:, j] / math.sqrt(rest[j, j])
-                for rows in row_blocks(n):
-                    rest[rows] -= np.multiply.outer(factor[rows, c], factor[:, c])
         # tau = 2 G with the base at the origin
-        coords = factor / math.sqrt(2.0)
+        coords = self.parts[0][0].factor / math.sqrt(2.0)
         coords = coords - coords[0]
         residual = np.float64(0.0)
-        for rows in row_blocks(n):
+        for rows in row_blocks(dist.shape[0]):
             error = euclidean_matrix(coords[rows], coords)
             np.subtract(error, dist[rows], out=error)
             residual = np.maximum(residual, np.max(np.abs(error, out=error)))
-        return Realization(coords=coords, m=m, max_residual=float(residual))
+        return Realization(coords=coords, m=coords.shape[1], max_residual=float(residual))
 
 
 @lru_cache(maxsize=1)
@@ -277,10 +271,12 @@ def _decide(space: FiniteMetricSpace, tol_det: float) -> _Decision:
         raise DistanceOutOfRangeError("a distance lies outside [%.4g, %.4g]" % CERTIFIABLE_RANGE)
     parts = tuple(_parts(space, tol_det))
     report, base = next((p for p in parts if not p[0].psd), None) or max(parts, key=lambda p: p[0].rank)
-    if not report.psd:
-        report = replace(report, witness_subset=_factored_witness(report, base, report.rank))
+    report = replace(report, witness_subset=_factored_witness(report, base, report.rank), leftover=None)
     result = MinDimResult(report.psd, report.rank if report.psd else None, report, base)
-    return _Decision(space, parts, result)
+    # the leftover has served the ball search and the continued factor
+    whole, origin = parts[0]
+    factor = _continued(whole, result.dim) if result.feasible else whole.factor
+    return _Decision(space, ((replace(whole, factor=factor, leftover=None), origin), *parts[1:]), result)
 
 
 def _engine_verdict(space: FiniteMetricSpace, n: int, engine: str, tol_det: float) -> EmbedVerdict:

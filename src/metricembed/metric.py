@@ -161,6 +161,8 @@ def _validated(d, labels, tol: float | None, certificate) -> FiniteMetricSpace:
 
     if labels is None:
         labels = [f"x{i}" for i in range(n)]
+    if not isinstance(labels, (list, tuple)):
+        raise ValueError(f"labels must be a list, got {type(labels).__name__}")
     if len(labels) != n:
         raise ValueError(f"{len(labels)} labels for {n} points")
     exact = asym <= 0.0

@@ -127,7 +127,9 @@ def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
     ``{"kind": "curve", "spec": CurveSpec}``. A NaN coordinate, an infinite
     one in ``p`` or ``center``, a radius or pitch that is not a positive
     finite number, or a pitch on a cube with an infinite ``low``, raises
-    ValueError. Infinite cube bounds without a pitch are allowed.
+    ValueError; a ``p`` outside the cube, before or after snapping to the
+    pitch, raises MarkedPointOutsideRegionError. Infinite cube bounds
+    without a pitch are allowed.
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
@@ -149,14 +151,21 @@ def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
         low = _coordinates("low", region.get("low", np.zeros(dim)), finite=False)
         high = _coordinates("high", region.get("high", np.ones(dim)), finite=False)
         pitch = region.get("pitch")
-        if np.any(p < low - 1e-12) or np.any(p > high + 1e-12):
-            raise MarkedPointOutsideRegionError(f"p={p.tolist()} outside cube [{low.tolist()}, {high.tolist()}]")
+
+        def inside(x: np.ndarray, what: str) -> None:
+            if np.any(x < low - 1e-12) or np.any(x > high + 1e-12):
+                cube = f"[{low.tolist()}, {high.tolist()}]"
+                raise MarkedPointOutsideRegionError(f"{what}={x.tolist()} outside cube {cube}")
+
+        inside(p, "p")
         if pitch is not None:
             if not 0 < float(pitch) < math.inf:
                 raise ValueError(f"pitch must be a positive finite number, got {pitch!r}")
             if np.isinf(low).any():
                 raise ValueError(f"a pitch needs finite low bounds, got {low.tolist()}")
             p = low + np.round((p - low) / pitch) * pitch
+            # the sampler draws only inside the cube, so none near a p outside it
+            inside(p, "p snapped to the pitch")
         degenerate = bool(np.all(high - low == 0))
 
         def sample(scale, k, seed=0):

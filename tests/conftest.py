@@ -138,11 +138,12 @@ def exact_psd_rank(sq) -> tuple[bool, int]:
 def reference_psd_check(sq, base: int, tol_det: float = DEFAULT_TOL_DET) -> PsdReport:
     """``determinants.psd_check`` as it was before its updates and pair test
     went to row blocks: whole N x N temporaries, the same operations in the
-    same order, so its report must match bit for bit."""
+    same order, so its report must match bit for bit; when PSD its
+    leftover is the whole Schur complement, times ``scale``."""
     n = sq.shape[0]
     scale = float(np.max(np.abs(sq), initial=0.0))
     if scale == 0.0:
-        return PsdReport(psd=True, rank=0, factor=np.zeros((n, 0)))
+        return PsdReport(psd=True, rank=0, factor=np.zeros((n, 0)), leftover=np.zeros((n, n)))
     s = tau_about(sq, base) / scale
     sq = np.abs(sq) / scale
     reach, rest, pivots, cols, det, taken = sq[base], np.arange(n), [], [], 1.0, 0.0
@@ -151,7 +152,8 @@ def reference_psd_check(sq, base: int, tol_det: float = DEFAULT_TOL_DET) -> PsdR
         factor = np.stack(cols, axis=1) * math.sqrt(scale) if cols else np.zeros((n, 0))
         return PsdReport(psd=rows is None, rank=len(pivots),
                          witness_subset=None if rows is None else tuple(sorted(int(r) for r in rows)),
-                         witness_value=None if value is None else float(value), pivots=tuple(pivots), factor=factor)
+                         witness_value=None if value is None else float(value), pivots=tuple(pivots), factor=factor,
+                         leftover=s * scale if rows is None else None)
 
     while rest.size:
         k = len(pivots) + 1

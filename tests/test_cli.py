@@ -18,7 +18,7 @@ from metricembed.cli import main
 from metricembed.determinants import DEFAULT_TOL_DET, CMValue
 from metricembed.errors import TriangleViolationError
 
-from conftest import square_with_star, square_with_tetrahedron
+from conftest import line_with_triangle, square_with_star, square_with_tetrahedron
 
 EQ = {"labels": ["a", "b", "c"], "distances": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}
 STAR = [[0, 1, 1, 1], [1, 0, 2, 2], [1, 2, 0, 2], [1, 2, 2, 0]]
@@ -80,11 +80,15 @@ class TestValidate:
     def test_missing_file_exit_3(self, capsys):
         assert main(["validate", "/nonexistent/sp.json"]) == 3
 
-    def test_labels_not_a_list_exit_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("labels", [5, "abc", {"a": 1, "b": 2, "c": 3}], ids=["number", "string", "object"])
+    def test_labels_not_a_list_exit_3(self, labels, tmp_path, capsys):
+        # a string or an object of the right size once gave its characters
+        # or its keys as labels
         path = tmp_path / "labels.json"
-        path.write_text(json.dumps({"labels": 5, "distances": [[0, 1], [1, 0]]}))
+        path.write_text(json.dumps({"labels": labels, "distances": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}))
         assert main(["validate", str(path)]) == 3
-        assert json.loads(capsys.readouterr().out)["exit_code"] == 3
+        out = json.loads(capsys.readouterr().out)
+        assert out["exit_code"] == 3 and out["error"].startswith("cannot read space: labels must be a list")
 
 
 class TestCheckEmbed:
@@ -205,6 +209,27 @@ class TestOneDecision:
         assert code in (0, 1)
         assert len(calls) == parts
         assert json.loads(capsys.readouterr().out)["exit_code"] == code
+
+
+@pytest.mark.parametrize("build,m", [pytest.param(square_with_tetrahedron, 3, id="tetrahedron-1e-05"),
+                                     pytest.param(line_with_triangle, 2, id="triangle-1e-05")])
+def test_realize_continues_below_the_band(build, m, tmp_path, capsys):
+    # the factor over all points reads a feature of edge 1e-5 as flat; the
+    # coordinates the commands print have the feature's m columns
+    edge = 1e-5
+    space = build(edge)
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"distances": space.dist.tolist()}))
+    assert main(["validate", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
+    for argv in (["min-dim", "--realize"], ["check-embed", "--dim", str(m), "--realize"]):
+        assert main([argv[0], str(path)] + argv[1:]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result.get("m", result.get("achieved_dim")) == m
+        coords = np.array(result["coordinates"])
+        assert coords.shape == (space.n_points, m)
+        assert result["residual"] <= 1e-3 * edge
+        assert np.max(np.abs(metric.euclidean_matrix(coords) - space.dist)) <= 1e-3 * edge
 
 
 class TestUndetermined:
@@ -359,10 +384,12 @@ class TestScan:
         ("[NaN, 0]", '{"kind": "cube", "low": [0, 0], "high": [1, 1]}', "marked point has a NaN"),
         ("[0, 0]", '{"kind": "cube", "low": [NaN, 0], "high": [1, 1]}', "low has a NaN"),
         ("[0, 0]", '{"kind": "cube", "low": [0, 0], "high": [1, NaN]}', "high has a NaN"),
-    ], ids=["radius-0", "radius-minus-0", "radius-nan", "center-nan", "p-nan", "low-nan", "high-nan"])
+        ("[1, 0]", '{"kind": "cube", "low": [0, 0], "high": [1, 1], "pitch": 0.6}', "p snapped to the pitch=[1.2, 0.0]"),
+    ], ids=["radius-0", "radius-minus-0", "radius-nan", "center-nan", "p-nan", "low-nan", "high-nan", "p-snapped-out"])
     def test_degenerate_region_cannot_build_space(self, tmp_path, p, region, error, capsys):
         # a zero radius divided by zero in the sampler, a NaN one overflowed,
-        # and a NaN coordinate passed the region checks, which compare false
+        # a NaN coordinate passed the region checks, which compare false, and
+        # a marked point snapped out of its cube failed only after 500 draws
         cfg = tmp_path / "bad.json"
         cfg.write_text('{"type": "euclidean", "dim": 2, "p": %s, "region": %s}' % (p, region))
         with warnings.catch_warnings():
@@ -727,6 +754,9 @@ def test_distance_too_large_for_a_float_exit_3(argv, tmp_path, capsys):
     ("scalar-row.json", '{"distances": [[0, 1], 1]}', 3, None),
     ("empty.json", '{"distances": []}', 3, "distance matrix must be square, got shape (0,)"),
     ("empty.csv", "", 3, "empty CSV input"),
+    ("header-only.csv", "a,b\n", 3, "distance matrix must be square, got shape (0,)"),
+    ("scalar-first-row.json", '{"distances": [5, [0]]}', 3, "row 0 of the distance matrix is not a list of numbers"),
+    ("one-row.json", '{"distances": [[0, 1]]}', 3, "distance matrix must be square, got shape (1, 2)"),
     ("labels-after.json", '{"distances": [[0, 1], [1, 0]], "labels": ["a", "b"]}', 0, None),
     ("bare-list.json", "[[0, 1], [1, 0]]", 0, None),
     ("duplicate-key.json", '{"distances": [[0, 1], [1]], "distances": [[0, 1], [1, 0]]}', 0, None),

@@ -282,6 +282,20 @@ class TestPsd:
             assert not tm[base].any() and not tm[:, base].any()
             assert psd_check(sq, base).rank == 3
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_leftover_is_what_the_factor_leaves_of_tau(self, seed):
+        # the read-only Schur complement: tau - F F^T, in the units of sq
+        rng = np.random.default_rng(seed)
+        for rank in (1, 3, 6):
+            sq = euclidean_matrix(rng.normal(size=(40, rank)) * 10.0 ** rng.uniform(-3, 3)) ** 2
+            rep = psd_check(sq, seed)
+            assert rep.psd and rep.rank == rank and not rep.leftover.flags.writeable
+            rest = tau_about(sq, seed) - rep.factor @ rep.factor.T
+            assert np.max(np.abs(rep.leftover - rest)) <= 1e-12 * np.max(sq)
+
+    def test_no_leftover_when_not_psd(self, star_k13):
+        assert psd_check(star_k13.dist ** 2, 0).leftover is None
+
 
 def _blocked_inputs(n: int):
     """Seeded squared-distance matrices of n points, as (name, sq, base)."""
@@ -331,6 +345,8 @@ class TestBlockedFactorization:
             assert (got.psd, got.rank, got.pivots) == (ref.psd, ref.rank, ref.pivots), name
             assert (got.witness_subset, got.witness_value) == (ref.witness_subset, ref.witness_value), name
             assert np.array_equal(got.factor, ref.factor), name
+            assert (got.leftover is None) == (ref.leftover is None) == (not got.psd), name
+            assert not got.psd or np.array_equal(got.leftover, ref.leftover), name
             seen.add((got.psd, got.rank))
             if name == "twins":
                 # found by the pair test, on the first pair of copies

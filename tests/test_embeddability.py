@@ -10,6 +10,7 @@ import pytest
 from metricembed import (
     blumenthal_basis_search,
     cm_determinant,
+    embeddability,
     menger_check,
     min_embedding_dimension,
     realize_coordinates,
@@ -17,7 +18,7 @@ from metricembed import (
     schoenberg_check,
     validate_metric,
 )
-from metricembed.determinants import within_band
+from metricembed.determinants import DEFAULT_TOL_DET, within_band
 from metricembed.errors import (
     DimensionOutOfRangeError,
     DistanceOutOfRangeError,
@@ -246,15 +247,27 @@ class TestMinDimension:
         assert res.base == 2
         assert res.psd.pivots == (4, 3) == blumenthal_basis_search(sp, 2)[1:]
         assert res.psd.factor.shape == (5, 2) and not np.any(res.psd.factor[2])
+        assert res.psd.leftover is None
 
     def test_ball_decides_in_point_indices(self):
         # the tetrahedron of points 4-7 decides m = 3 from its own ball,
         # whose factor nothing reads
         sp = square_with_tetrahedron(1e-5)
         res = min_embedding_dimension(sp)
-        assert res.dim == 3 and res.psd.factor is None
+        assert res.dim == 3 and res.psd.factor is None and res.psd.leftover is None
         assert {res.base, *res.psd.pivots} == {4, 5, 6, 7}
         assert blumenthal_basis_search(sp, 3) == (res.base, *res.psd.pivots)
+
+    @pytest.mark.parametrize("build,m", [(lambda: cloud_space(np.eye(5)), 4),
+                                         (lambda: square_with_tetrahedron(1e-5), 3),
+                                         (lambda: line_with_triangle(1e-5), 2)])
+    def test_decision_keeps_no_leftover(self, build, m):
+        # the leftover of tau serves the ball search and the continued
+        # factor inside the decision; no part keeps it afterwards
+        sp = build()
+        decision = embeddability._decide(sp, DEFAULT_TOL_DET)
+        assert decision.result.dim == m and decision.parts[0][0].factor.shape == (sp.n_points, m)
+        assert all(report.leftover is None for report, _ in decision.parts)
 
     @pytest.mark.parametrize("scale", [1e154, 1e200, 1e-160, 1e-300])
     def test_distances_outside_certifiable_range_refused(self, scale, unit_square):

@@ -137,6 +137,15 @@ def test_marked_point_outside_region():
         make_euclidean_subset(2, {"kind": "sphere-surface", "center": [0, 0], "radius": 1.0}, [0.5, 0])
 
 
+def test_marked_point_snapped_out_of_the_cube():
+    # p = 1 snaps to 1.2, where no sample of the cube could ever be drawn
+    with pytest.raises(MarkedPointOutsideRegionError, match="snapped"):
+        make_euclidean_subset(1, {"kind": "cube", "low": [0], "high": [1], "pitch": 0.6}, [1])
+    # within the 1e-12 slack, as before snapping
+    sp = make_euclidean_subset(1, {"kind": "cube", "low": [0], "high": [1 - 1e-13], "pitch": 0.5}, [1 - 1e-13])
+    assert sp.p.tolist() == [1.0]
+
+
 @pytest.mark.parametrize("pitch", [0, -0.5, float("inf"), float("nan")])
 def test_pitch_must_be_positive_and_finite(pitch):
     with pytest.raises(ValueError, match="pitch"):
