@@ -14,8 +14,13 @@ space once: every engine, the Blumenthal basis and ``--realize`` read the
 same decision, which accepts a realization exactly when it accepts the
 space. Its realization also certifies the triangle inequality in
 O(N^2 m); the O(N^3) triangle check runs only where it cannot
-(``embeddability.triangles_certified``). Only ``scan`` imports the scan
-layer (``pretangent``, ``spaces``).
+(``embeddability.triangles_certified``).
+
+Each command imports only the layers it runs. Every command loads
+``errors``, ``metric`` and ``determinants``; the finite commands add
+``embeddability``, and ``scan`` adds ``spaces`` and ``pretangent``. The
+functions of those layers are bound here as stand-ins that import their
+module on first call and look the function up there on every call.
 
 Every JSON output embeds the run configuration; the finite commands are
 deterministic, and ``scan`` is deterministic for a fixed ``--seed``, so
@@ -32,16 +37,7 @@ from pathlib import Path
 
 from . import __version__
 from .determinants import DEFAULT_TOL_DET
-from .embeddability import (
-    blumenthal_basis_search,
-    menger_check,
-    min_embedding_dimension,
-    realize_coordinates,
-    schoenberg_check,
-    triangles_certified,
-)
 from .errors import DistanceOutOfRangeError, MetricViolationError
-from .metric import load_space
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -50,18 +46,29 @@ EXIT_IO = 3
 EXIT_UNDETERMINED = 4
 
 
-def marked_space_from_config(cfg: dict):
-    """``spaces.marked_space_from_config``, imported on first use."""
-    from .spaces import marked_space_from_config
+def _first_use(module: str, name: str):
+    """A stand-in for ``module.name`` that imports the module on its first
+    call. It is a module attribute, looked up when a command calls it, so
+    it can be replaced like the function it stands for."""
 
-    return marked_space_from_config(cfg)
+    def call(*args, **kwargs):
+        # __import__, unlike importlib.import_module, shows in -X importtime
+        return getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    call.__doc__ = f"``{module}.{name}``, imported on first call."
+    return call
 
 
-def transfer_check(space, n: int, **kwargs):
-    """``pretangent.transfer_check``, imported on first use."""
-    from .pretangent import transfer_check
-
-    return transfer_check(space, n, **kwargs)
+load_space = _first_use("metric", "load_space")
+triangles_certified = _first_use("embeddability", "triangles_certified")
+menger_check = _first_use("embeddability", "menger_check")
+schoenberg_check = _first_use("embeddability", "schoenberg_check")
+blumenthal_basis_search = _first_use("embeddability", "blumenthal_basis_search")
+min_embedding_dimension = _first_use("embeddability", "min_embedding_dimension")
+realize_coordinates = _first_use("embeddability", "realize_coordinates")
+marked_space_from_config = _first_use("spaces", "marked_space_from_config")
+transfer_check = _first_use("pretangent", "transfer_check")
 
 
 def _out_path(args) -> str | None:

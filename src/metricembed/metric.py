@@ -7,7 +7,6 @@ distance submatrices that the determinant machinery consumes.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from dataclasses import dataclass, field
@@ -271,6 +270,8 @@ def parse_csv_space(text: str, tol: float | None = None) -> FiniteMetricSpace:
 
 def _csv_payload(lines) -> tuple:
     """(matrix, labels or None) of CSV lines; blank lines are skipped."""
+    import csv  # only the CSV reader needs it
+
     rows = (r for r in csv.reader(lines) if r and any(c.strip() for c in r))
     first = next(rows, None)
     if first is None:
@@ -348,6 +349,8 @@ def _json_payload(fh) -> tuple:
         fields = {"distances": _json_matrix(doc)}
     if doc.peek():
         raise doc.error("Extra data")
+    if "distances" not in fields:
+        raise ValueError('the JSON object has no "distances" key')
     d = fields["distances"]
     return d.matrix() if isinstance(d, _Rows) else d, fields.get("labels")
 

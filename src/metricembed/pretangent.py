@@ -1,21 +1,20 @@
-"""The infinitesimal layer: rescaled limits at a marked point.
+"""The infinitesimal layer: sampled scans at a marked point.
 
-Point sequences converging to a marked point ``p``, rescaled by a
-normalizing sequence ``r_m -> 0``, induce a pseudometric on families of
-sequences (``mutual_stability`` / ``pseudometric_matrix``) whose metric
-identification (``metric_identification``) is a rescaled-limit space at
-``p``. Whether every such limit space embeds in E^n is equivalent to
-sign/vanishing conditions on two normalized determinant functionals:
+Whether every rescaled limit space at a marked point ``p`` embeds in E^n
+is equivalent to sign/vanishing conditions on two normalized determinant
+functionals:
 
 * ``theta``: the signed Cayley-Menger determinant of a (k+1)-tuple divided
   by ``delta^(2k)``, where ``delta`` is the largest distance to ``p``;
 * ``s_functional``: the Schoenberg determinant with the same normalization.
 
 ``liminf_scan`` estimates the liminf/limsup of those functionals over
-tuples shrinking toward ``p`` on a geometric scale ladder;
-``transfer_check`` aggregates the scans for a target dimension, and
-``blumenthal_sequence_scan`` tests the sequence-wise conditions for the
-existence of a limit space of exact dimension n.
+tuples shrinking toward ``p`` on a geometric scale ladder, and
+``transfer_check`` aggregates the scans for a target dimension. The
+limit spaces themselves, built from explicit point sequences, and the
+sequence-wise conditions for a limit space of exact dimension n
+(``blumenthal_sequence_scan``) are in :mod:`metricembed.sequences`, which
+reads the functionals and the noise floor from here.
 
 Scans sample: per rung they draw one cloud near ``p`` and evaluate index
 tuples into it with stacked determinants. They can refute (persistent
@@ -27,32 +26,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import chain, combinations
-from typing import Any, Callable, Sequence
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
 from .determinants import DEFAULT_TOL_DET, tuple_determinants
 from .errors import (
     ArityMismatchError,
-    DegenerateNormalizerError,
     DimensionOutOfRangeError,
     EmptySampleError,
-    MergeInconsistencyError,
-    NonconvergentSequenceError,
     NonpositiveExponentError,
     SamplerScaleMismatchError,
     TupleTooShortError,
-    UnstableInputError,
 )
-from .metric import FiniteMetricSpace, validate_metric
 from .spaces import MarkedSpace
-
-#: Stability window: verdicts are read off the last half of the depth;
-#: instability needs oscillation above 10x the tolerance that also
-#: persists over the last quarter.
-STABILITY_WINDOW = 0.5
-INSTABILITY_FACTOR = 10.0
 
 #: Scan verdict thresholds. A delta-normalized Theta/S value within the
 #: noise floor NOISE_FLOOR_FACTOR * tol_det of 0 is zero: sign conditions
@@ -82,55 +70,6 @@ KEY_BLOCK = 256
 
 #: The functional modes every scan pass evaluates, in report order.
 MODES = ("theta", "s")
-
-
-# ---------------------------------------------------------------------------
-# Normalizing and point sequences
-
-
-@dataclass(frozen=True)
-class NormalizingSequence:
-    """Positive reals strictly decreasing to zero, indexed from 0."""
-
-    fn: Callable[[int], float]
-
-    @classmethod
-    def geometric(cls, r0: float = 0.5, q: float = 0.5) -> "NormalizingSequence":
-        if not (r0 > 0 and 0 < q < 1):
-            raise ValueError("need r0 > 0 and 0 < q < 1")
-        return cls(fn=lambda m: r0 * q**m)
-
-    def __call__(self, m: int) -> float:
-        r = float(self.fn(m))
-        if not (r > 0) or not math.isfinite(r) or r < 1e-300:
-            raise DegenerateNormalizerError(f"r_{m} = {r!r} degenerate")
-        return r
-
-    def values(self, depth: int) -> np.ndarray:
-        vals = np.array([self(m) for m in range(depth)])
-        if np.any(np.diff(vals) >= 0):
-            m = int(np.argmax(np.diff(vals) >= 0))
-            raise ValueError(f"normalizing sequence not strictly decreasing at m={m}")
-        return vals
-
-
-PointSequence = Callable[[int], Any]
-
-
-def constant_sequence(point) -> PointSequence:
-    return lambda m: point
-
-
-def marked_family(space: MarkedSpace, *seqs: PointSequence) -> tuple[PointSequence, ...]:
-    """Family with the constant-p sequence structurally at index 0."""
-    return (constant_sequence(space.p),) + tuple(seqs)
-
-
-def _sequence_stack(space: MarkedSpace, family: Sequence[PointSequence], depth: int) -> np.ndarray:
-    """Distances within a family at every index: a (depth, F, F) stack, one
-    ``space.matrix`` call per index, so each sequence is evaluated once per
-    index."""
-    return np.stack([space.matrix([seq(m) for seq in family]) for m in range(depth)])
 
 
 # ---------------------------------------------------------------------------
@@ -190,152 +129,6 @@ def s_functional(space: MarkedSpace, t: Sequence) -> float:
     """Normalized Schoenberg functional of a (k+1)-tuple; 0 at the all-p
     tuple."""
     return _tuple_functional(space, t, "s")
-
-
-# ---------------------------------------------------------------------------
-# Mutual stability and metric identification
-
-
-@dataclass(frozen=True)
-class StabilityVerdict:
-    """Convergence verdict for rescaled distances of a sequence pair."""
-
-    status: str  # "stable" | "unstable" | "undetermined"
-    limit: float | None
-    depth_used: int
-    oscillation: float
-
-    @property
-    def is_stable(self) -> bool:
-        return self.status == "stable"
-
-
-def _stability(ratios: np.ndarray, depth: int, tol: float) -> StabilityVerdict:
-    """The stability rule of :func:`mutual_stability` on one ratio series."""
-    half = ratios[int(depth * STABILITY_WINDOW):]
-    quarter = ratios[int(depth * 0.75):]
-    osc_half = float(np.max(half) - np.min(half))
-    osc_quarter = float(np.max(quarter) - np.min(quarter))
-    if osc_half <= tol:
-        return StabilityVerdict("stable", float(half[-1]), depth, osc_half)
-    persistent = osc_quarter > INSTABILITY_FACTOR * tol and osc_quarter >= 0.5 * osc_half
-    if osc_half > INSTABILITY_FACTOR * tol and persistent:
-        return StabilityVerdict("unstable", None, depth, osc_half)
-    return StabilityVerdict("undetermined", None, depth, osc_half)
-
-
-def mutual_stability(
-    space: MarkedSpace,
-    x: PointSequence,
-    y: PointSequence,
-    r: NormalizingSequence,
-    depth: int = 64,
-    tol: float = 1e-3,
-) -> StabilityVerdict:
-    """Judge convergence of d(x_m, y_m) / r_m over a tail window.
-
-    Stable when the tail oscillation (max - min over the last half) stays
-    within ``tol``; the limit is then the last ratio, which carries none of
-    the early terms a window mean would. Unstable needs the oscillation to
-    exceed 10x ``tol`` *persistently*: the last-quarter window must also
-    exceed it without shrinking below half of the last-half amplitude
-    (slowly convergent ratios shrink on deeper windows, genuine
-    oscillation does not).
-    Everything else is undetermined. This is the two-sequence case of
-    :func:`pseudometric_matrix`.
-
-    Depth is limited by double precision: points at index m must stay
-    resolvable against p (with q = 0.5 and p away from the origin, prefer
-    depth <= 40 or a slower normalizer).
-    """
-    return pseudometric_matrix(space, (x, y), r, depth, tol).verdicts[0][1]
-
-
-@dataclass(frozen=True)
-class PseudometricMatrix:
-    """Pairwise stability verdicts for a family of sequences (p-first)."""
-
-    verdicts: tuple[tuple[StabilityVerdict, ...], ...]
-
-    @property
-    def all_stable(self) -> bool:
-        return all(v.is_stable for row in self.verdicts for v in row)
-
-    @property
-    def limits(self) -> np.ndarray:
-        if not self.all_stable:
-            raise UnstableInputError("pseudometric matrix has non-stable entries")
-        return np.array([[v.limit for v in row] for row in self.verdicts])
-
-
-def pseudometric_matrix(
-    space: MarkedSpace,
-    family: Sequence[PointSequence],
-    r: NormalizingSequence,
-    depth: int = 64,
-    tol: float = 1e-3,
-) -> PseudometricMatrix:
-    """Pairwise mutual-stability verdicts; family[0] is the constant-p
-    sequence by convention. Every pair is judged off one distance stack."""
-    if not family:
-        raise ValueError("family must be nonempty")
-    if depth < 16:
-        raise ValueError(f"depth must be >= 16, got {depth}")
-    n = len(family)
-    rv = r.values(depth)
-    ratios = _sequence_stack(space, family, depth) / rv[:, None, None]
-    grid: list[list[StabilityVerdict]] = [[None] * n for _ in range(n)]  # type: ignore[list-item]
-    for i in range(n):
-        grid[i][i] = StabilityVerdict("stable", 0.0, depth, 0.0)
-        for j in range(i + 1, n):
-            grid[i][j] = grid[j][i] = _stability(ratios[:, i, j], depth, tol)
-    return PseudometricMatrix(tuple(tuple(row) for row in grid))
-
-
-@dataclass(frozen=True)
-class QuotientSpace:
-    """Metric identification: zero-distance classes and the quotient metric."""
-
-    classes: tuple[tuple[int, ...], ...]
-    rho: FiniteMetricSpace
-
-
-def metric_identification(pm: PseudometricMatrix, merge_tol: float = 1e-9) -> QuotientSpace:
-    """Quotient a stable pseudometric matrix by its near-zero relation.
-
-    Classes are connected components of { (i,j) : limit <= merge_tol },
-    ordered by their least index; a component whose internal distance
-    exceeds 10x merge_tol means a near-zero chain linked genuinely
-    distant points and raises MergeInconsistencyError. Representative
-    distances are validated as a finite metric space.
-    """
-    limits = pm.limits  # raises UnstableInputError when not all stable
-    n = limits.shape[0]
-    near = limits <= merge_tol
-    # each index takes the least label among itself and its near
-    # neighbours; after n rounds every index holds the least index of its
-    # component
-    label = np.arange(n)
-    for _ in range(n):
-        label = np.where(near, label, label[:, None]).min(axis=1)
-    classes = tuple(tuple(np.flatnonzero(label == c).tolist()) for c in np.unique(label))
-
-    for cls in classes:
-        for a, b in combinations(cls, 2):
-            if limits[a, b] > INSTABILITY_FACTOR * merge_tol:
-                raise MergeInconsistencyError(
-                    f"indices {a} and {b} merged through a near-zero chain but sit at {limits[a, b]!r}"
-                )
-
-    reps = [cls[0] for cls in classes]
-    rho = limits[np.ix_(reps, reps)].copy()
-    rho = (rho + rho.T) / 2.0
-    np.fill_diagonal(rho, 0.0)
-    max_osc = max(v.oscillation for row in pm.verdicts for v in row)
-    vtol = max(3.0 * max_osc, merge_tol, 1e-12 * float(np.max(rho)) if rho.size else 0.0)
-    labels = ["{" + ",".join(str(i) for i in cls) + "}" for cls in classes]
-    space = validate_metric({"labels": labels, "distances": rho.tolist()}, tol=vtol)
-    return QuotientSpace(classes=classes, rho=space)
 
 
 # ---------------------------------------------------------------------------
@@ -635,125 +428,3 @@ def transfer_check(
     return TransferReport(n=n, verdict=verdict, scans=scans, witness_scan=witness,
                           max_mode_discrepancy=discrepancy)
 
-
-# ---------------------------------------------------------------------------
-# Sequence-wise conditions (exact-dimension witnesses)
-
-
-def build_probe_battery(space: MarkedSpace, r: NormalizingSequence) -> list[PointSequence]:
-    """Default probe sequences for cube-like Euclidean regions: one per
-    axis, a diagonal, and a super-slow probe with d(y_m, p)/r_m -> inf."""
-    desc = space.description
-    region = desc.get("region") or {}
-    if desc.get("type") not in ("euclidean", "snowflake") or region.get("kind") != "cube":
-        raise ValueError("default probe battery needs a cube-region space; pass probes explicitly")
-    p = np.asarray(space.p, dtype=float)
-    low = np.asarray(region["low"], dtype=float)
-    high = np.asarray(region["high"], dtype=float)
-    dim = p.shape[0]
-
-    def clipped(vector_of_m: Callable[[int], np.ndarray]) -> PointSequence:
-        return lambda m: np.clip(p + vector_of_m(m), low, high)
-
-    axes = np.eye(dim)
-    battery = [clipped(lambda m, e=e: r(m) * e) for e in axes]
-    diag = np.ones(dim) / math.sqrt(dim)
-    battery.append(clipped(lambda m: r(m) * diag))
-    battery.append(clipped(lambda m: math.sqrt(r(m)) * axes[0]))
-    return battery
-
-
-@dataclass(frozen=True)
-class BlumenthalReport:
-    """Tail values of the sequence-wise conditions for exact dimension n."""
-
-    n: int
-    depth: int
-    #: per k = 1..n: (k, tail min, tail max) of Theta_{k+1} over the x-sequences
-    condition_i: tuple[tuple[int, float, float], ...]
-    #: per probe evaluation: (order, probe label, tail min |Theta|, tail max |Theta|)
-    condition_ii: tuple[tuple[int, str, float, float], ...]
-    verdict: str  # "supports" | "refutes" | "inconclusive"
-    tangent_assumed: bool = True
-
-
-def blumenthal_sequence_scan(
-    space: MarkedSpace,
-    x_seqs: Sequence[PointSequence],
-    probes: Sequence[tuple[PointSequence, PointSequence]] | None = None,
-    r: NormalizingSequence | None = None,
-    depth: int = 64,
-    tol_det: float = DEFAULT_TOL_DET,
-) -> BlumenthalReport:
-    """Test n+1 point sequences as witnesses of a limit space of exact
-    dimension n.
-
-    Condition (i): for k = 1..n the tail of Theta_{k+1} over the first
-    k+1 sequences must stay above the noise floor 10 * tol_det.
-    Condition (ii): appending one probe (order n+1) or a probe pair
-    (order n+2) must drive the functional within that floor. Probes
-    default to the axis/diagonal/super-slow battery on cube regions; on
-    any other space they must be passed, and the battery's ValueError
-    comes before NonconvergentSequenceError. Sequences must
-    converge to p (NonconvergentSequenceError otherwise); the tangency
-    hypothesis of the forward direction is recorded in the report as
-    ``tangent_assumed``, never verified. Convergence (row 0) and both
-    conditions read one distance stack over (p, x_0..x_n, probes).
-    """
-    n = len(x_seqs) - 1
-    if n < 1:
-        raise DimensionOutOfRangeError("need at least two sequences (n >= 1)")
-    if depth < 16:
-        raise ValueError(f"depth must be >= 16, got {depth}")
-    if r is None:
-        r = NormalizingSequence.geometric()
-
-    if probes is None:
-        probes = list(combinations(build_probe_battery(space, r), 2))
-    # probes are named and tried singly in order of first appearance
-    probe_index = {seq: g for g, seq in enumerate(dict.fromkeys(chain.from_iterable(probes)))}
-
-    stack = _sequence_stack(space, marked_family(space, *x_seqs, *probe_index), depth)
-    for idx in range(n + 1):
-        dists = stack[:, 0, 1 + idx]
-        top = float(np.max(dists))
-        if top > 0 and float(np.max(dists[int(depth * 0.75):])) > 0.05 * top:
-            raise NonconvergentSequenceError(f"sequence {idx} does not converge to p")
-
-    mats = stack[depth // 2:]
-    xs = list(range(1, n + 2))
-
-    def tail_theta(cols: list[int]) -> np.ndarray:
-        ix = np.asarray(cols)
-        return _functionals(mats[:, ix[:, None], ix[None, :]], mats[:, 0, ix].max(axis=1))[0]
-
-    cond_i: list[tuple[int, float, float]] = []
-    for k in range(1, n + 1):
-        vals = tail_theta(xs[:k + 1])
-        cond_i.append((k, float(np.min(vals)), float(np.max(vals))))
-
-    floor = NOISE_FLOOR_FACTOR * tol_det
-    cond_ii: list[tuple[int, str, float, float]] = []
-    for g in probe_index.values():
-        vals = np.abs(tail_theta(xs + [n + 2 + g]))
-        cond_ii.append((n + 1, f"probe{g}", float(np.min(vals)), float(np.max(vals))))
-    for y, u in probes:
-        gy, gu = probe_index[y], probe_index[u]
-        vals = np.abs(tail_theta(xs + [n + 2 + gy, n + 2 + gu]))
-        cond_ii.append((n + 2, f"probe{gy}+probe{gu}", float(np.min(vals)), float(np.max(vals))))
-
-    i_ok = all(tmin > floor for _, tmin, _ in cond_i)
-    ii_ok = all(tmax <= floor for _, _, _, tmax in cond_ii)
-    if i_ok and ii_ok:
-        verdict = "supports"
-    elif any(tmax <= floor for _, _, tmax in cond_i) or any(tmin > floor for _, _, tmin, _ in cond_ii):
-        verdict = "refutes"
-    else:
-        verdict = "inconclusive"
-    return BlumenthalReport(
-        n=n,
-        depth=depth,
-        condition_i=tuple(cond_i),
-        condition_ii=tuple(cond_ii),
-        verdict=verdict,
-    )

@@ -762,6 +762,9 @@ def test_distance_too_large_for_a_float_exit_3(argv, tmp_path, capsys):
     ("duplicate-key.json", '{"distances": [[0, 1], [1]], "distances": [[0, 1], [1, 0]]}', 0, None),
     ("nan.json", '{"distances": [[0, NaN], [NaN, 0]]}', 3, "non-finite distance at (0,1)"),
     ("huge.json", '{"distances": [[0, %s], [%s, 0]]}' % (HUGE, HUGE), 3, "int too large to convert to float"),
+    # a missing key is named, not given as the bare KeyError repr
+    ("empty-object.json", "{}", 3, 'the JSON object has no "distances" key'),
+    ("labels-only.json", '{"labels": ["a"]}', 3, 'the JSON object has no "distances" key'),
 ])
 def test_reader_edge_cases(name, text, code, error, tmp_path, capsys):
     # the readers parse rows straight into the matrix; each case keeps the
@@ -777,17 +780,32 @@ def test_reader_edge_cases(name, text, code, error, tmp_path, capsys):
         assert payload["error"] == f"cannot read space: {error}"
 
 
-def test_finite_commands_leave_scan_layer_unloaded(eq_file, star_file):
+def _modules_left_unloaded(argvs, modules) -> subprocess.CompletedProcess:
+    """Run ``cli.main`` on each argv in a fresh interpreter; it exits 1 and
+    names them on stderr if any of ``modules`` was loaded."""
     code = ("import sys\n"
             "from metricembed import cli\n"
-            f"for argv in (['min-dim', {eq_file!r}], ['min-dim', {star_file!r}], ['validate', {eq_file!r}],\n"
-            f"             ['check-embed', {eq_file!r}, '--dim', '2', '--criterion', 'all', '--realize']):\n"
+            f"for argv in {argvs!r}:\n"
             "    cli.main(argv)\n"
-            "leaked = [m for m in ('metricembed.pretangent', 'metricembed.spaces') if m in sys.modules]\n"
+            f"leaked = [m for m in {modules!r} if m in sys.modules]\n"
             "print(leaked, file=sys.stderr)\n"
             "sys.exit(bool(leaked))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+
+
+def test_finite_commands_leave_scan_layer_unloaded(eq_file, star_file):
+    done = _modules_left_unloaded(
+        [["min-dim", eq_file], ["min-dim", star_file], ["validate", eq_file],
+         ["check-embed", eq_file, "--dim", "2", "--criterion", "all", "--realize"]],
+        ("metricembed.pretangent", "metricembed.spaces", "metricembed.sequences"))
+    assert done.returncode == 0, done.stderr
+
+
+def test_scan_leaves_finite_decider_unloaded(circle_cfg):
+    done = _modules_left_unloaded(
+        [["scan", circle_cfg, "--dim", "1", "--samples", "8", "--scales", "0.5:0.5:3"]],
+        ("metricembed.embeddability", "metricembed.sequences"))
     assert done.returncode == 0, done.stderr
 
 
@@ -834,11 +852,17 @@ def tracer_recorder(monkeypatch):
 
 
 @pytest.mark.parametrize("op,span", [("scan", "pretangent.transfer"), ("scan", "spaces.sample"),
-                                     ("min-dim", "metric.load"), ("min-dim", "embeddability.min_dim")])
+                                     ("min-dim", "metric.load"), ("min-dim", "embeddability.min_dim"),
+                                     ("all", "embeddability.menger"), ("all", "embeddability.schoenberg"),
+                                     ("all", "embeddability.realize"), ("blumenthal", "embeddability.blumenthal")])
 def test_tracer_spans_still_recorded(op, span, tracer_recorder, eq_file, circle_cfg, capsys):
+    # together these call every ("cli", name) the tracer wraps through the
+    # attribute it replaced
     from metricembed import cli
 
-    argv = (["scan", circle_cfg, "--dim", "1", "--samples", "8", "--scales", "0.5:0.5:3"] if op == "scan"
-            else ["min-dim", eq_file])
+    argv = {"scan": ["scan", circle_cfg, "--dim", "1", "--samples", "8", "--scales", "0.5:0.5:3"],
+            "min-dim": ["min-dim", eq_file],
+            "all": ["check-embed", eq_file, "--dim", "2", "--criterion", "all", "--realize"],
+            "blumenthal": ["check-embed", eq_file, "--dim", "2", "--criterion", "blumenthal"]}[op]
     assert cli.main(argv) in (0, 1, 4)
     assert span in {s["name"] for s in tracer_recorder.spans}

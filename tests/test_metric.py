@@ -338,6 +338,9 @@ def test_json_reader_matches_json_loads(chunk, monkeypatch):
     def reference(doc):
         raw = json.loads(doc)
         if isinstance(raw, dict):
+            if "distances" not in raw:
+                # named, where json.loads' dict gives a bare KeyError
+                raise ValueError('the JSON object has no "distances" key')
             return metric._validated(raw["distances"], raw.get("labels"), None, None)
         return metric._validated(raw, None, None, None)
 

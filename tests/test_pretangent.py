@@ -57,7 +57,7 @@ from metricembed.errors import (
     UnstableInputError,
 )
 from metricembed import pretangent
-from metricembed.pretangent import PseudometricMatrix, StabilityVerdict
+from metricembed.sequences import PseudometricMatrix, StabilityVerdict
 
 
 E1, E2 = np.eye(2)
