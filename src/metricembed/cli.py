@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import partial
 from pathlib import Path
@@ -122,6 +123,15 @@ def _load(path: str, tol: float | None, tol_det: float):
         return None, (EXIT_IO, f"cannot read space: {exc}")
 
 
+def _realize(result: dict, space, n: int, tol_det: float):
+    """Add the ``--realize`` payload, the coordinates of ``space`` in E^n
+    and their residual, to ``result``; returns the realization."""
+    real = realize_coordinates(space, n, tol_det=tol_det)
+    result["coordinates"] = real.coords.tolist()
+    result["residual"] = real.max_residual
+    return real
+
+
 def cmd_validate(args) -> int:
     space, err = _load(args.input, args.tol_metric, args.tol_det)
     if err:
@@ -155,10 +165,7 @@ def cmd_check_embed(args) -> int:
         result = primary.to_json_dict()
         code = {"yes": EXIT_YES, "no": EXIT_NO, "undetermined": EXIT_UNDETERMINED}[primary.embeddable]
     if args.realize and code == EXIT_YES:
-        real = realize_coordinates(space, args.dim, tol_det=args.tol_det)
-        result["residual"] = real.max_residual
-        result["coordinates"] = real.coords.tolist()
-        result["achieved_dim"] = real.m
+        result["achieved_dim"] = _realize(result, space, args.dim, args.tol_det).m
     payload = {"command": "check-embed", "config": config, "result": result, "exit_code": code}
     _emit(payload, args.format, args.out)
     return code
@@ -175,10 +182,9 @@ def cmd_min_dim(args) -> int:
               "psd": {"psd": res.psd.psd, "rank": res.psd.rank,
                       "witness_subset": list(res.psd.witness_subset) if res.psd.witness_subset else None,
                       "witness_value": res.psd.witness_value}}
-    if args.realize and res.feasible and res.dim >= 1:
-        real = realize_coordinates(space, res.dim, tol_det=args.tol_det)
-        result["coordinates"] = real.coords.tolist()
-        result["residual"] = real.max_residual
+    if args.realize and res.feasible:
+        # realize_coordinates refuses n < 1; a one-point space (m = 0) gets [[]] in E^1
+        _realize(result, space, max(res.dim, 1), args.tol_det)
     code = EXIT_YES if res.feasible else EXIT_NO
     payload = {"command": "min-dim", "config": _config_dict(args), "result": result, "exit_code": code}
     _emit(payload, args.format, args.out)
@@ -248,8 +254,8 @@ def _config_dict(args, space=None) -> dict:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
     return value
 
 

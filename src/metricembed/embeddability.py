@@ -258,14 +258,12 @@ class _Decision:
 
 
 @lru_cache(maxsize=1)
-def _decide(space: FiniteMetricSpace, tol_det: float) -> _Decision:
+def _decide(space: FiniteMetricSpace, tol_det: float, /) -> _Decision:
     """The decision for ``space``, factored once while it is the last one
     asked; refuses a space with a distance outside :data:`CERTIFIABLE_RANGE`.
 
     ``FiniteMetricSpace`` is frozen, hashes by identity and keeps ``dist``
     read-only, so a decision cached on the space object cannot go stale.
-    Callers pass ``(space, tol_det)`` positionally: a keyword call would
-    take a cache entry of its own.
     """
     if not _in_range(space):
         raise DistanceOutOfRangeError("a distance lies outside [%.4g, %.4g]" % CERTIFIABLE_RANGE)

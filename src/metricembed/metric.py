@@ -73,15 +73,6 @@ class FiniteMetricSpace:
         return json.dumps(payload, sort_keys=True)
 
 
-def _check_tuple(space: FiniteMetricSpace, t: Sequence[int]) -> tuple[int, ...]:
-    idx = tuple(int(i) for i in t)
-    n = space.n_points
-    for i in idx:
-        if not 0 <= i < n:
-            raise IndexOutOfRangeError(f"index {i} outside space of {n} points")
-    return idx
-
-
 def validate_metric(raw, tol: float | None = None, certificate=None) -> FiniteMetricSpace:
     """Validate a square matrix as a metric and wrap it in a space.
 
@@ -102,8 +93,7 @@ def validate_metric(raw, tol: float | None = None, certificate=None) -> FiniteMe
     """
     labels = None
     if isinstance(raw, dict):
-        labels = raw.get("labels")
-        raw = raw["distances"]
+        raw, labels = _document(raw)
     # a copy: the space freezes its matrix and must not freeze or share the caller's
     return _validated(np.array(raw, dtype=float), labels, tol, certificate)
 
@@ -234,7 +224,11 @@ def euclidean_matrix(points, others=None) -> np.ndarray:
 
 def submatrix(space: FiniteMetricSpace, t: Sequence[int]) -> np.ndarray:
     """Distance submatrix for a tuple of point indices (repeats allowed)."""
-    idx = _check_tuple(space, t)
+    idx = [int(i) for i in t]
+    n = space.n_points
+    for i in idx:
+        if not 0 <= i < n:
+            raise IndexOutOfRangeError(f"index {i} outside space of {n} points")
     ix = np.asarray(idx, dtype=int)
     return space.dist[np.ix_(ix, ix)]
 
@@ -253,15 +247,22 @@ def load_space(path: str, tol: float | None = None, certificate=None) -> FiniteM
     JSON: ``{"labels": [...], "distances": [[...]]}``, or the bare matrix.
     CSV: a square numeric matrix with an optional leading header row of
     labels. The rows are read straight into one float array, which the
-    space keeps when it is exactly symmetric.
+    space keeps when it is exactly symmetric. The suffix is matched in any
+    case. A CSV file may start with a UTF-8 byte-order mark; a JSON file
+    may not, as ``json.load`` refuses one.
     """
-    return _validated(*_read_payload(path), tol, certificate)
+    is_json = path.lower().endswith(".json")
+    with open(path, "r", encoding="utf-8" if is_json else "utf-8-sig") as fh:
+        payload = (_json_payload if is_json else _csv_payload)(fh)
+    return _validated(*payload, tol, certificate)
 
 
-def _read_payload(path: str) -> tuple:
-    """(matrix, labels or None) of a distance file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return (_json_payload if path.endswith(".json") else _csv_payload)(fh)
+def _document(fields: dict) -> tuple:
+    """(distances, labels or None) of a distance document, a dict
+    ``{"distances": ..., "labels": ...}`` whose labels may be left out."""
+    if "distances" not in fields:
+        raise ValueError('the JSON object has no "distances" key')
+    return fields["distances"], fields.get("labels")
 
 
 def parse_csv_space(text: str, tol: float | None = None) -> FiniteMetricSpace:
@@ -343,16 +344,11 @@ def _json_payload(fh) -> tuple:
     doc = _JsonText(fh)
     if doc.buf.startswith("\ufeff"):
         raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", doc.buf, 0)
-    if doc.peek() == "{":
-        fields = _json_object(doc)
-    else:
-        fields = {"distances": _json_matrix(doc)}
+    fields = _json_object(doc) if doc.peek() == "{" else {"distances": _json_matrix(doc)}
     if doc.peek():
         raise doc.error("Extra data")
-    if "distances" not in fields:
-        raise ValueError('the JSON object has no "distances" key')
-    d = fields["distances"]
-    return d.matrix() if isinstance(d, _Rows) else d, fields.get("labels")
+    d, labels = _document(fields)
+    return d.matrix() if isinstance(d, _Rows) else d, labels
 
 
 def _json_object(doc: "_JsonText") -> dict:

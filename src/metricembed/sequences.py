@@ -31,13 +31,14 @@ from .errors import (
     UnstableInputError,
 )
 from .metric import FiniteMetricSpace, validate_metric
-from .pretangent import NOISE_FLOOR_FACTOR, _functionals
+from .pretangent import NOISE_FLOOR_FACTOR, _functionals, scale_ladder
 from .spaces import MarkedSpace
 
 #: Stability window: verdicts are read off the last half of the depth;
 #: instability needs oscillation above 10x the tolerance that also
-#: persists over the last quarter.
+#: persists over the last quarter, where convergence to p is read too.
 STABILITY_WINDOW = 0.5
+_PERSISTENCE_WINDOW = 0.75
 INSTABILITY_FACTOR = 10.0
 
 
@@ -53,8 +54,7 @@ class NormalizingSequence:
 
     @classmethod
     def geometric(cls, r0: float = 0.5, q: float = 0.5) -> "NormalizingSequence":
-        if not (r0 > 0 and 0 < q < 1):
-            raise ValueError("need r0 > 0 and 0 < q < 1")
+        scale_ladder(r0, q, 2)  # the ladder rule: a finite r0 > 0 and 0 < q < 1
         return cls(fn=lambda m: r0 * q**m)
 
     def __call__(self, m: int) -> float:
@@ -111,7 +111,7 @@ class StabilityVerdict:
 def _stability(ratios: np.ndarray, depth: int, tol: float) -> StabilityVerdict:
     """The stability rule of :func:`mutual_stability` on one ratio series."""
     half = ratios[int(depth * STABILITY_WINDOW):]
-    quarter = ratios[int(depth * 0.75):]
+    quarter = ratios[int(depth * _PERSISTENCE_WINDOW):]
     osc_half = float(np.max(half) - np.min(half))
     osc_quarter = float(np.max(quarter) - np.min(quarter))
     if osc_half <= tol:
@@ -317,10 +317,10 @@ def blumenthal_sequence_scan(
     for idx in range(n + 1):
         dists = stack[:, 0, 1 + idx]
         top = float(np.max(dists))
-        if top > 0 and float(np.max(dists[int(depth * 0.75):])) > 0.05 * top:
+        if top > 0 and float(np.max(dists[int(depth * _PERSISTENCE_WINDOW):])) > 0.05 * top:
             raise NonconvergentSequenceError(f"sequence {idx} does not converge to p")
 
-    mats = stack[depth // 2:]
+    mats = stack[int(depth * STABILITY_WINDOW):]
     xs = list(range(1, n + 2))
 
     def tail_theta(cols: list[int]) -> np.ndarray:

@@ -28,10 +28,6 @@ from .metric import FiniteMetricSpace, euclidean_matrix, validate_metric
 _MAX_TRIES = 500
 
 
-def _rng(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 @dataclass(frozen=True)
 class MarkedSpace:
     """A metric space with a marked point and a scale-targeted sampler.
@@ -185,7 +181,7 @@ def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
                     x = low + np.round((x - low) / pitch) * pitch
                 return x, to_p(x)
 
-            return _cloud(_rng(seed), k, propose, scale)
+            return _cloud(np.random.default_rng(seed), k, propose, scale)
 
         return space(sample, {"kind": kind, "low": low.tolist(), "high": high.tolist(), "pitch": pitch})
 
@@ -214,7 +210,7 @@ def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
                 x = center + radius * (np.outer(np.cos(phi), u) + np.sin(phi)[:, None] * w)
                 return x, to_p(x)
 
-            return _cloud(_rng(seed), k, propose, scale)
+            return _cloud(np.random.default_rng(seed), k, propose, scale)
 
         return space(sample, {"kind": kind, "center": center.tolist(), "radius": radius})
 
@@ -233,7 +229,7 @@ def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
                 x = np.array([np.asarray(spec.fn(t), dtype=float) for t in ts]).reshape(size, dim)
                 return x, to_p(x)
 
-            return _cloud(_rng(seed), k, propose, scale)
+            return _cloud(np.random.default_rng(seed), k, propose, scale)
 
         return space(sample, {"kind": kind})
 
@@ -315,7 +311,7 @@ def make_ultrametric(depth: int, arity: int, p=None) -> MarkedSpace:
         return dist
 
     def sample(scale, k, seed=0):
-        rng = _rng(seed)
+        rng = np.random.default_rng(seed)
         level = math.ceil(-math.log2(scale)) if scale < 1.0 else 0
         if level > depth - 1:
             raise ValueError(f"scale {scale} below tree resolution 2^-{depth - 1}")
@@ -367,7 +363,7 @@ def as_marked(space: FiniteMetricSpace, index: int) -> MarkedSpace:
     dists = space.dist[:, index]
 
     def sample(scale, k, seed=0):
-        rng = _rng(seed)
+        rng = np.random.default_rng(seed)
         eligible = np.flatnonzero(dists <= scale)
         anchors = np.flatnonzero((dists >= scale / 2) & (dists <= scale))
         if anchors.size == 0:
@@ -395,7 +391,7 @@ def perturbed_euclidean_space(
 ) -> FiniteMetricSpace:
     """Random valid metric space: a Euclidean cloud with multiplicatively
     perturbed distances, rejection-sampled until the axioms hold."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     for _ in range(_MAX_TRIES):
         d = dim if dim is not None else int(rng.integers(1, 5))
         pts = rng.uniform(0.0, 1.0, size=(n_points, d))

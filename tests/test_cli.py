@@ -765,6 +765,13 @@ def test_distance_too_large_for_a_float_exit_3(argv, tmp_path, capsys):
     # a missing key is named, not given as the bare KeyError repr
     ("empty-object.json", "{}", 3, 'the JSON object has no "distances" key'),
     ("labels-only.json", '{"labels": ["a"]}', 3, 'the JSON object has no "distances" key'),
+    # the suffix is matched in any case
+    ("upper.JSON", '{"distances": [[0, 1], [1, 0]]}', 0, None),
+    # a CSV byte-order mark is dropped, with and without a header; JSON refuses one, as json.load does
+    ("bom.csv", "\ufeff0,1\n1,0\n", 0, None),
+    ("bom-header.csv", "\ufeffa,b\n0,1\n1,0\n", 0, None),
+    ("bom.json", '\ufeff{"distances": [[0, 1], [1, 0]]}', 3,
+     "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
 ])
 def test_reader_edge_cases(name, text, code, error, tmp_path, capsys):
     # the readers parse rows straight into the matrix; each case keeps the
@@ -866,3 +873,40 @@ def test_tracer_spans_still_recorded(op, span, tracer_recorder, eq_file, circle_
             "blumenthal": ["check-embed", eq_file, "--dim", "2", "--criterion", "blumenthal"]}[op]
     assert cli.main(argv) in (0, 1, 4)
     assert span in {s["name"] for s in tracer_recorder.spans}
+
+
+def test_min_dim_realizes_a_one_point_space(tmp_path, capsys):
+    # min-dim --realize writes the payload check-embed --realize writes, m = 0 included
+    path = tmp_path / "point.json"
+    path.write_text('{"distances": [[0]]}')
+    assert main(["min-dim", str(path), "--realize"]) == 0
+    out = json.loads(capsys.readouterr().out)["result"]
+    assert out["m"] == 0 and out["coordinates"] == [[]] and out["residual"] == 0.0
+    assert main(["check-embed", str(path), "--dim", "1", "--realize"]) == 0
+    real = json.loads(capsys.readouterr().out)["result"]
+    assert (real["coordinates"], real["residual"]) == (out["coordinates"], out["residual"])
+
+
+@pytest.mark.parametrize("value", ["inf", "1e400"])
+@pytest.mark.parametrize("argv", [["check-embed", "--dim", "1", "--tol-det"], ["min-dim", "--tol-det"],
+                                  ["validate", "--tol-metric"], ["check-embed", "--dim", "1", "--tol-metric"]])
+def test_non_finite_tolerance_rejected(argv, value, star_file, capsys):
+    # an infinite --tol-det read the star as undetermined through inf * 0,
+    # and an infinite --tol-metric accepted any triangle violation
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], star_file, *argv[1:], value])
+    assert exc.value.code == 2
+    assert f"argument {argv[-1]}: must be finite and > 0, got {value}" in capsys.readouterr().err
+
+
+def test_sampler_giving_up_cannot_scan_exit_3(tmp_path, capsys):
+    # the only grid point within 0.125 of p is p itself, so the sampler
+    # finds no anchor in [0.0625, 0.125] after 500 batches
+    cfg = tmp_path / "coarse.json"
+    cfg.write_text(json.dumps({"type": "euclidean", "dim": 2, "p": [0.5, 0.5],
+                               "region": {"kind": "cube", "low": [0, 0], "high": [1, 1], "pitch": 0.25}}))
+    assert main(["scan", str(cfg), "--dim", "1", "--samples", "8"]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out["exit_code"] == 3
+    assert out["error"] == ("cannot scan: sampler failed to draw 1 points at distance in [0.0625, 0.125] "
+                            "after 500 batches")

@@ -560,3 +560,10 @@ class TestExactOracle:
                    realize_coordinates(space, m).coords.shape[1],
                    blumenthal_basis_search(space, m) is not None)
             assert got == expected, (name, scale)
+
+
+def test_decision_cache_takes_positional_arguments_only(equilateral):
+    # a keyword call would take an entry of its own in the one-entry cache,
+    # evicting the decision every other caller reads
+    with pytest.raises(TypeError):
+        embeddability._decide(equilateral, tol_det=DEFAULT_TOL_DET)

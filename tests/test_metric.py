@@ -368,3 +368,29 @@ def test_spaces_hash_and_compare_by_identity(equilateral):
     assert equilateral == equilateral
     assert equilateral != twin
     assert {equilateral: 1, twin: 2}[equilateral] == 1
+
+
+@pytest.mark.parametrize("doc", [{}, {"labels": ["a"]}])
+def test_document_without_distances_refused_alike(doc, tmp_path):
+    # a dict passed in and a file read from disk go through one document
+    # reader; the dict once raised a bare KeyError('distances')
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as from_file:
+        load_space(str(path))
+    with pytest.raises(ValueError) as from_dict:
+        validate_metric(doc)
+    assert str(from_dict.value) == str(from_file.value) == 'the JSON object has no "distances" key'
+
+
+def test_csv_byte_order_mark_is_no_label(tmp_path):
+    # Excel's "CSV UTF-8" starts with a byte-order mark, once read into the first label
+    path = tmp_path / "excel.csv"
+    path.write_bytes(b"\xef\xbb\xbfa,b\n0,1\n1,0\n")
+    assert load_space(str(path)).labels == ("a", "b")
+
+
+def test_negative_tolerance_refused():
+    with pytest.raises(ValueError) as exc:
+        validate_metric([[0, 1], [1, 0]], tol=-1.0)
+    assert str(exc.value) == "tolerance must be nonnegative"

@@ -747,3 +747,38 @@ class TestSequenceDistances:
         assert rep.verdict == "supports"
         assert scalar_calls == []
         assert reads == {name: self.DEPTH for name in ("p", "x1", "x2", "y", "u")}
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: liminf_scan(plane(), 0), TupleTooShortError, "scan needs k >= 1, got 0"),
+    (lambda: liminf_scan(plane(), 1, condition="limit"), ValueError, "unknown condition 'limit'"),
+    (lambda: liminf_scan(plane(), 1, mode="sch"), ValueError, "unknown mode 'sch'"),
+    (lambda: delta_scale(plane(), ()), ValueError, "a scale needs a nonempty tuple"),
+])
+def test_scan_layer_refusals(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: NormalizingSequence(lambda m: 1.0).values(16), ValueError,
+     "normalizing sequence not strictly decreasing at m=0"),
+    (lambda: pseudometric_matrix(plane(), (), NormalizingSequence.geometric()), ValueError,
+     "family must be nonempty"),
+    (lambda: blumenthal_sequence_scan(plane(), [constant_sequence(plane().p)]), DimensionOutOfRangeError,
+     "need at least two sequences (n >= 1)"),
+    (lambda: blumenthal_sequence_scan(plane(), [constant_sequence(plane().p)] * 2, depth=15), ValueError,
+     "depth must be >= 16, got 15"),
+])
+def test_sequence_layer_refusals(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("r0,q", [(math.inf, 0.5), (0.0, 0.5), (math.nan, 0.5), (0.5, 1.0), (0.5, 0.0)])
+def test_geometric_normalizer_takes_the_ladder_rule(r0, q):
+    # an infinite r0 was accepted, and failed on first use as a degenerate normalizer
+    with pytest.raises(ValueError, match=r"need a finite r0 > 0 and 0 < q < 1"):
+        NormalizingSequence.geometric(r0, q)

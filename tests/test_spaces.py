@@ -291,3 +291,29 @@ class TestGenerators:
         assert sp3.description["arity"] == 2
         with pytest.raises(ValueError):
             marked_space_from_config({"type": "hyperbolic"})
+
+
+def _away_from_curve():
+    spec = CurveSpec(fn=lambda t: np.array([t, 0.0]), t0=0.0, t_min=-1.0, t_max=1.0)
+    return make_euclidean_subset(2, {"kind": "curve", "spec": spec}, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: make_euclidean_subset(0, {"kind": "cube"}, []), ValueError, "dimension must be >= 1, got 0"),
+    (lambda: make_euclidean_subset(2, {"kind": "cube"}, [0.0]), ValueError, "marked point must have 2 coordinates"),
+    (lambda: make_euclidean_subset(1, {"kind": "sphere-surface", "center": [0.0], "radius": 1.0}, [1.0]),
+     ValueError, "sphere-surface region needs dim >= 2"),
+    (_away_from_curve, MarkedPointOutsideRegionError, "p must equal fn(t0)"),
+    (lambda: make_euclidean_subset(1, {"kind": "ball"}, [0.0]), ValueError, "unknown region kind 'ball'"),
+    (lambda: make_snowflake(0.5, 2, [0.0, 1.0], {"kind": "sphere-surface", "center": [0, 0], "radius": 1.0}),
+     ValueError, "snowflake spaces support cube regions only"),
+    (lambda: make_ultrametric(1, 3), ValueError, "depth and arity must both be >= 2"),
+    (lambda: make_ultrametric(4, 1), ValueError, "depth and arity must both be >= 2"),
+    (lambda: make_ultrametric(3, 2, [0, 2, 1]), MarkedPointOutsideRegionError, "marked leaf (0, 2, 1) not in the tree"),
+    (lambda: freeze(segment(), 0.5, count=0), ValueError, "count must be >= 1"),
+    (lambda: as_marked(validate_metric([[0, 1], [1, 0]]), 2), IndexError, "marked index 2 outside space of 2 points"),
+])
+def test_construction_refusals(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
