@@ -46,6 +46,11 @@ EXIT_INVALID_METRIC = 2
 EXIT_IO = 3
 EXIT_UNDETERMINED = 4
 
+#: Errors that mean the input cannot be read or run, reported with exit 3:
+#: an overflow, and a document nested past the recursion limit
+#: (RecursionError is a RuntimeError), included. MemoryError is left to main.
+_BAD_INPUT = (OSError, ValueError, KeyError, TypeError, OverflowError, RuntimeError)
+
 
 def _first_use(module: str, name: str):
     """A stand-in for ``module.name`` that imports the module on its first
@@ -119,7 +124,7 @@ def _load(path: str, tol: float | None, tol_det: float):
         return load_space(path, tol=tol, certificate=partial(triangles_certified, tol_det=tol_det)), None
     except MetricViolationError as exc:
         return None, (EXIT_INVALID_METRIC, f"invalid metric: {exc} (indices {exc.indices})")
-    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
+    except _BAD_INPUT as exc:
         return None, (EXIT_IO, f"cannot read space: {exc}")
 
 
@@ -201,15 +206,15 @@ def cmd_scan(args) -> int:
     try:
         cfg = json.loads(Path(args.space).read_text(encoding="utf-8"))
         space = marked_space_from_config(cfg)
-    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
+    except _BAD_INPUT as exc:
         _emit({"command": "scan", "error": f"cannot build space: {exc}", "exit_code": EXIT_IO},
               args.format, out)
         return EXIT_IO
     try:
         report = transfer_check(space, args.dim, samples_per_scale=args.samples,
                                 scales=_parse_scales(args.scales), seed=args.seed, tol_det=args.tol_det)
-    except (ValueError, RuntimeError) as exc:
-        # typed scan failures: a sampler that cannot serve the ladder
+    except _BAD_INPUT as exc:
+        # a sampler that cannot serve the ladder, or a scale that overflows it
         _emit({"command": "scan", "config": _config_dict(args, space=cfg), "error": f"cannot scan: {exc}",
                "exit_code": EXIT_IO}, args.format, out)
         return EXIT_IO

@@ -41,7 +41,7 @@ class IndexOutOfRangeError(IndexError):
 
 
 class NonpositiveScaleError(ValueError):
-    """Metric rescaling factor must be > 0."""
+    """Metric rescaling factor must be finite and > 0."""
 
 
 class TupleTooShortError(ValueError):
@@ -58,7 +58,8 @@ class DimensionOutOfRangeError(ValueError):
 
 class DistanceOutOfRangeError(ValueError):
     """A distance lies where its square is not a normal float, so no finite
-    decision can be made on the space."""
+    decision can be made on the space; or a rescaling takes a distance
+    past the largest float."""
 
 
 class NotEmbeddableError(ValueError):

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     AsymmetricError,
     CoincidentPointsError,
+    DistanceOutOfRangeError,
     IndexOutOfRangeError,
     NegativeDistanceError,
     NonpositiveScaleError,
@@ -94,14 +95,17 @@ def validate_metric(raw, tol: float | None = None, certificate=None) -> FiniteMe
     labels = None
     if isinstance(raw, dict):
         raw, labels = _document(raw)
-    # a copy: the space freezes its matrix and must not freeze or share the caller's
-    return _validated(np.array(raw, dtype=float), labels, tol, certificate)
+    if not isinstance(raw, list):
+        # a copy: the space freezes its matrix and must not freeze or share the caller's
+        raw = np.array(raw, dtype=float)
+    return _validated(raw, labels, tol, certificate)
 
 
 def _validated(d, labels, tol: float | None, certificate) -> FiniteMetricSpace:
     """:func:`validate_metric` of a matrix the space may keep: an exactly
-    symmetric ``d`` becomes the space's own (read-only) matrix, uncopied."""
-    d = np.asarray(d, dtype=float)
+    symmetric ``d`` becomes the space's own (read-only) matrix, uncopied.
+    A list is read by :func:`_matrix`, row by row."""
+    d = _matrix(d) if isinstance(d, list) else np.asarray(d, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {d.shape}")
     n = d.shape[0]
@@ -234,10 +238,15 @@ def submatrix(space: FiniteMetricSpace, t: Sequence[int]) -> np.ndarray:
 
 
 def scale_metric(space: FiniteMetricSpace, lam: float) -> FiniteMetricSpace:
-    """Multiply every distance by ``lam`` > 0."""
-    if not lam > 0:
-        raise NonpositiveScaleError(f"scale factor must be > 0, got {lam!r}")
-    return FiniteMetricSpace(labels=space.labels, dist=space.dist * float(lam), tol=space.tol * float(lam))
+    """Multiply every distance by a finite ``lam`` > 0; a largest distance
+    that this takes past the largest float is refused."""
+    if not 0 < lam < np.inf:
+        raise NonpositiveScaleError(f"scale factor must be finite and > 0, got {lam!r}")
+    with np.errstate(over="ignore"):
+        dist = space.dist * float(lam)
+    if dist.size and not np.isfinite(np.max(dist)):
+        raise DistanceOutOfRangeError(f"scaling by {lam!r} takes the largest distance past the largest float")
+    return FiniteMetricSpace(labels=space.labels, dist=dist, tol=space.tol * float(lam))
 
 
 def load_space(path: str, tol: float | None = None, certificate=None) -> FiniteMetricSpace:
@@ -282,50 +291,31 @@ def _csv_payload(lines) -> tuple:
         [float(c) for c in first]
     except ValueError:
         labels = [c.strip() for c in first]
-        first = next(rows, None)
-    if first is None:
-        return np.zeros(0), labels
-    d = _Rows(first)
-    for row in chain([first], rows):
-        d.append([float(c) for c in row])
-    return d.matrix(), labels
+    else:
+        rows = chain([first], rows)
+    return _matrix([float(c) for c in row] for row in rows), labels
 
 
-class _Rows:
-    """A square float matrix filled one row at a time. The first row, a
-    list, fixes its size. A row that is not a list of that many numbers
-    (a scalar does not broadcast), or a row count that differs from it, is
-    refused by :meth:`matrix`, so that a JSON value which a later duplicate
-    key replaces is refused only as ``json.load`` would refuse it."""
-
-    def __init__(self, first):
-        self.error = None
-        if not isinstance(first, list):
-            self.error, first = ValueError("row 0 of the distance matrix is not a list of numbers"), []
-        self.d = np.empty((len(first), len(first)))
-        self.count = 0
-
-    def append(self, row) -> None:
-        n = self.d.shape[0]
-        if self.error is None:
-            try:
-                values = np.asarray(row, dtype=float)
-            except (ValueError, TypeError, OverflowError) as exc:
-                self.error = exc
-            else:
-                if values.shape != (n,):
-                    self.error = ValueError(f"row {self.count} of the distance matrix is not a list of {n} numbers")
-                elif self.count < n:
-                    self.d[self.count] = values
-        self.count += 1
-
-    def matrix(self) -> np.ndarray:
-        n = self.d.shape[0]
-        if self.error is None and self.count != n:
-            self.error = ValueError(f"distance matrix must be square, got shape ({self.count}, {n})")
-        if self.error is not None:
-            raise self.error
-        return self.d
+def _matrix(rows) -> np.ndarray:
+    """The square float matrix of ``rows``, filled one row at a time. The
+    first row, a list of numbers, fixes the size. A later row that is not
+    a list of that many numbers (a scalar does not broadcast) is refused
+    when it is reached, a row count that differs from it at the end. No
+    rows give shape (0,), which :func:`_validated` refuses."""
+    d, count = np.zeros(0), 0
+    for count, row in enumerate(rows, 1):
+        values = np.asarray(row, dtype=float)
+        if count == 1:
+            if values.ndim != 1:
+                raise ValueError("row 0 of the distance matrix is not a list of numbers")
+            d = np.empty((values.size, values.size))
+        if values.shape != d.shape[1:]:
+            raise ValueError(f"row {count - 1} of the distance matrix is not a list of {len(d)} numbers")
+        if count <= len(d):
+            d[count - 1] = values
+    if count != len(d):
+        raise ValueError(f"distance matrix must be square, got shape ({count}, {len(d)})")
+    return d
 
 
 _WHITESPACE = json.decoder.WHITESPACE.match
@@ -335,71 +325,61 @@ JSON_CHUNK = 1 << 16
 
 
 def _json_payload(fh) -> tuple:
-    """(matrix, labels or None) of a JSON document, read as ``json.load``
-    reads it (duplicate keys: the last one wins) except that the text is
-    read a chunk at a time and the matrix, the value of ``distances`` or
-    the whole document, is decoded one row at a time into one float array.
-    Any other value is returned as decoded, for :func:`_validated` to
-    refuse."""
-    doc = _JsonText(fh)
-    if doc.buf.startswith("\ufeff"):
-        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", doc.buf, 0)
-    fields = _json_object(doc) if doc.peek() == "{" else {"distances": _json_matrix(doc)}
+    """(matrix, labels or None) of a JSON document, its text read a chunk
+    at a time and its matrix, the value of ``distances`` or the whole
+    document, decoded one row at a time into one float array. A document
+    that this refuses for any reason is read again, whole, by
+    ``json.load``, whose document (duplicate keys: the last one wins) or
+    error stands. Any value but a matrix is returned as decoded, for
+    :func:`_validated` to refuse."""
+    try:
+        fields = _json_fields(_JsonText(fh))
+    except (ValueError, TypeError, OverflowError, RecursionError):
+        fields = None
+    if fields is None:
+        # outside the handler, whose traceback holds the chunked matrix
+        fh.seek(0)
+        fields = json.load(fh)
+        if not isinstance(fields, dict):
+            fields = {"distances": fields}
+    return _document(fields)
+
+
+def _json_fields(doc: "_JsonText") -> dict:
+    """The document's object, or ``{"distances": document}``, with
+    ``distances`` read by :func:`_json_matrix`."""
+    if doc.peek() != "{":
+        fields = {"distances": _json_matrix(doc)}
+    else:
+        fields = {}
+        for _ in doc.items("}"):
+            if doc.peek() != '"':
+                raise ValueError("a key is not a string")
+            key = doc.value()
+            doc.expect(":")
+            fields[key] = _json_matrix(doc) if key == "distances" else doc.value()
     if doc.peek():
-        raise doc.error("Extra data")
-    d, labels = _document(fields)
-    return d.matrix() if isinstance(d, _Rows) else d, labels
-
-
-def _json_object(doc: "_JsonText") -> dict:
-    """The object at the next ``{``, its ``distances`` read by :func:`_json_matrix`."""
-    doc.pos += 1
-    fields = {}
-    if doc.peek() == "}":
-        doc.pos += 1
-        return fields
-    while True:
-        if doc.peek() != '"':
-            raise doc.error("Expecting property name enclosed in double quotes")
-        key = doc.value()
-        doc.expect(":", "Expecting ':' delimiter")
-        fields[key] = _json_matrix(doc) if key == "distances" else doc.value()
-        if doc.expect(",}", "Expecting ',' delimiter") == "}":
-            return fields
+        raise ValueError("extra data")
+    return fields
 
 
 def _json_matrix(doc: "_JsonText"):
-    """The next value: a non-empty list is decoded row by row into
-    :class:`_Rows`, anything else as it is."""
+    """The next value: a list is decoded row by row by :func:`_matrix`,
+    anything else as it is."""
     if doc.peek() != "[":
         return doc.value()
-    doc.pos += 1
-    if doc.peek() == "]":
-        doc.pos += 1
-        return []
-    d = None
-    while True:
-        row = doc.value()
-        if d is None:
-            d = _Rows(row)
-        d.append(row)
-        if doc.expect(",]", "Expecting ',' delimiter") == "]":
-            return d
+    return _matrix(doc.value() for _ in doc.items("]"))
 
 
 class _JsonText:
     """A JSON document read from a text file :data:`JSON_CHUNK` characters
     at a time. ``buf[pos:]`` is what is left to read of what has been read;
-    the rest of ``buf`` is dropped as the next chunk comes in. Errors give
-    json's message and position in the whole document."""
+    the rest of ``buf`` is dropped as the next chunk comes in."""
 
     def __init__(self, fh):
         self.fh = fh
         self.decoder = json.JSONDecoder()
         self.buf, self.pos = "", 0
-        self.start = 0  # where buf begins in the document
-        self.lines = 0  # newlines before buf
-        self.line_start = 0  # where the line holding buf[0] begins
         self.longest = 0  # characters of the longest value decoded
         self.more()
 
@@ -409,22 +389,8 @@ class _JsonText:
         chunk = self.fh.read(max(JSON_CHUNK, len(self.buf) - self.pos))
         if not chunk:
             return False
-        newlines = self.buf.count("\n", 0, self.pos)
-        if newlines:
-            self.lines += newlines
-            self.line_start = self.start + self.buf.rfind("\n", 0, self.pos) + 1
-        self.start += self.pos
         self.buf, self.pos = self.buf[self.pos:] + chunk, 0
         return True
-
-    def error(self, msg: str, pos: int | None = None) -> ValueError:
-        """json's error for ``msg`` at ``buf[pos]``, by default at the
-        current position."""
-        pos = self.pos if pos is None else pos
-        newline = self.buf.rfind("\n", 0, pos)
-        line = self.lines + self.buf.count("\n", 0, pos) + 1
-        column = pos - newline if newline >= 0 else self.start + pos - self.line_start + 1
-        return ValueError(f"{msg}: line {line} column {column} (char {self.start + pos})")
 
     def peek(self) -> str:
         """The next character after whitespace, or "" at the end."""
@@ -433,13 +399,25 @@ class _JsonText:
             if self.pos < len(self.buf) or not self.more():
                 return self.buf[self.pos:self.pos + 1]
 
-    def expect(self, chars: str, msg: str) -> str:
+    def expect(self, chars: str) -> str:
         """The next character after whitespace, read past; refused unless in ``chars``."""
         c = self.peek()
         if not c or c not in chars:
-            raise self.error(msg)
+            raise ValueError(f"expecting one of {chars!r}")
         self.pos += 1
         return c
+
+    def items(self, close: str):
+        """Read past the bracket at ``pos``, then yield once before each item,
+        which the caller reads, and read past the "," after it or ``close``."""
+        self.pos += 1
+        if self.peek() == close:
+            self.pos += 1
+            return
+        while True:
+            yield
+            if self.expect("," + close) == close:
+                return
 
     def value(self):
         """The next value. The buffer is first filled to twice the longest
@@ -452,10 +430,10 @@ class _JsonText:
         while True:
             try:
                 value, end = self.decoder.raw_decode(self.buf, self.pos)
-            except json.JSONDecodeError as exc:
+            except json.JSONDecodeError:
                 if self.more():
                     continue
-                raise self.error(exc.msg, exc.pos) from None
+                raise
             if end < len(self.buf) or not self.more():
                 self.longest = max(self.longest, end - self.pos)
                 self.pos = end

@@ -410,22 +410,37 @@ def perturbed_euclidean_space(
     raise RuntimeError("failed to draw a valid perturbed metric space")
 
 
+def _field(cfg: dict, key: str):
+    """The config field ``key``, refused by name when it is missing."""
+    if key not in cfg:
+        raise ValueError(f'the config has no "{key}" key')
+    return cfg[key]
+
+
 def _integer(cfg: dict, key: str) -> int:
     """The config field ``key``, refused unless it is a JSON integer."""
-    value = cfg[key]
+    value = _field(cfg, key)
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return value
 
 
 def marked_space_from_config(cfg: dict) -> MarkedSpace:
-    """Build a marked space from the JSON config the CLI consumes;
-    ``dim``, ``depth`` and ``arity`` must be JSON integers."""
-    kind = cfg["type"]
+    """Build a marked space from the JSON config the CLI consumes, a JSON
+    object; ``dim``, ``depth`` and ``arity`` must be JSON integers. A curve
+    region needs a Python :class:`CurveSpec`, which JSON cannot carry, so
+    a config refuses it."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"the config must be a JSON object, got {type(cfg).__name__}")
+    kind = _field(cfg, "type")
     if kind == "euclidean":
-        return make_euclidean_subset(_integer(cfg, "dim"), cfg["region"], cfg["p"])
+        dim, region = _integer(cfg, "dim"), _field(cfg, "region")
+        if isinstance(region, dict) and region.get("kind") == "curve":
+            raise ValueError("a curve region needs a Python CurveSpec, which a JSON config cannot carry")
+        return make_euclidean_subset(dim, region, _field(cfg, "p"))
     if kind == "snowflake":
-        return make_snowflake(float(cfg["alpha"]), _integer(cfg, "dim"), cfg["p"], cfg.get("region"))
+        alpha = float(_field(cfg, "alpha"))
+        return make_snowflake(alpha, _integer(cfg, "dim"), _field(cfg, "p"), cfg.get("region"))
     if kind == "ultrametric":
         return make_ultrametric(_integer(cfg, "depth"), _integer(cfg, "arity"), cfg.get("p"))
     raise ValueError(f"unknown space type {kind!r}")

@@ -91,6 +91,15 @@ class TestValidate:
         assert out["exit_code"] == 3 and out["error"].startswith("cannot read space: labels must be a list")
 
 
+    def test_deeply_nested_document_exit_3(self, tmp_path, capsys):
+        # json's RecursionError escaped the reader's handler: a traceback with exit 1
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100000)
+        assert main(["validate", str(path)]) == 3
+        out = json.loads(capsys.readouterr().out)
+        assert out["exit_code"] == 3 and out["error"].startswith("cannot read space: maximum recursion depth")
+
+
 class TestCheckEmbed:
     def test_yes_exit_0(self, eq_file, capsys):
         assert main(["check-embed", eq_file, "--dim", "2"]) == 0
@@ -507,6 +516,41 @@ class TestScan:
         assert main(["scan", str(cfg), "--dim", "1"]) == 3
         out = json.loads(capsys.readouterr().out)
         assert out["exit_code"] == 3 and "cannot build space" in out["error"]
+
+    @pytest.mark.parametrize("cfg,error", [
+        ('{"type": "euclidean", "dim": 2, "p": [0, 0], "region": {"kind": "curve", "spec": {}}}',
+         "a curve region needs a Python CurveSpec, which a JSON config cannot carry"),
+        ('{"type": "euclidean"}', 'the config has no "dim" key'),
+        ('{"dim": 2}', 'the config has no "type" key'),
+        ('{"type": "euclidean", "dim": 2, "p": [0, 0]}', 'the config has no "region" key'),
+        ("[1, 2]", "the config must be a JSON object, got list"),
+    ], ids=["curve", "no-dim", "no-type", "no-region", "list"])
+    def test_config_refusal_names_the_fault(self, tmp_path, cfg, error, capsys):
+        # a curve region ended in an AttributeError traceback with exit 1, a
+        # missing key printed its bare KeyError repr, and a list a TypeError's text
+        path = tmp_path / "bad.json"
+        path.write_text(cfg)
+        assert main(["scan", str(path), "--dim", "1", "--samples", "8"]) == 3
+        out = json.loads(capsys.readouterr().out)
+        assert out["exit_code"] == 3 and out["error"] == f"cannot build space: {error}"
+
+    def test_deeply_nested_config_exit_3(self, tmp_path, capsys):
+        # json's RecursionError escaped the config's handler: a traceback with exit 1
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100000)
+        assert main(["scan", str(path), "--dim", "1", "--samples", "8"]) == 3
+        out = json.loads(capsys.readouterr().out)
+        assert out["exit_code"] == 3 and out["error"].startswith("cannot build space: maximum recursion depth")
+
+    def test_overflowing_snowflake_scale_exit_3(self, tmp_path, capsys):
+        # scale ** (1 / alpha) overflows at 1e300; the OverflowError escaped
+        # the scan's handler: a traceback with exit 1
+        path = tmp_path / "snowflake.json"
+        path.write_text(json.dumps({"type": "snowflake", "alpha": 0.5, "dim": 1, "p": [0.5],
+                                    "region": {"kind": "cube", "low": [0], "high": [1e308]}}))
+        assert main(["scan", str(path), "--dim", "1", "--samples", "4", "--scales", "1e300:0.5:3"]) == 3
+        out = json.loads(capsys.readouterr().out)
+        assert out["exit_code"] == 3 and out["error"].startswith("cannot scan: ")
 
     def test_samples_run_as_given(self, circle_cfg, capsys):
         main(["scan", circle_cfg, "--dim", "1", "--samples", "3"])

@@ -13,6 +13,7 @@ from metricembed import scale_metric, submatrix, validate_metric
 from metricembed.errors import (
     AsymmetricError,
     CoincidentPointsError,
+    DistanceOutOfRangeError,
     IndexOutOfRangeError,
     NegativeDistanceError,
     NonpositiveScaleError,
@@ -257,6 +258,16 @@ def test_scale_metric_composes_multiplicatively(equilateral):
     assert np.allclose(twice.dist, direct.dist)
 
 
+def test_scale_metric_refuses_non_finite(equilateral):
+    # an infinite factor gave a NaN diagonal and infinite distances, and so
+    # did a product past the largest float, with only a RuntimeWarning
+    with pytest.raises(NonpositiveScaleError):
+        scale_metric(equilateral, float("inf"))
+    big = scale_metric(equilateral, 1e300)
+    with pytest.raises(DistanceOutOfRangeError):
+        scale_metric(big, 1e300)
+
+
 def test_json_roundtrip(tmp_path, equilateral):
     path = tmp_path / "space.json"
     path.write_text(equilateral.to_json(), encoding="utf-8")
@@ -315,6 +326,7 @@ JSON_DOCUMENTS = [
     '{\n "distances": [[0, 1],\n [1, 0]],\n "labels": ["a", "b\n}', '{"distances": [[0, 1],\n [1, 0],]}',
     '{"distances": [[0, 1], [1, 0]], "x": tru}', '{"distances": [[0, 1], [1, 0]], "x": 12',
     '{"distances": [[0, 1], [1, 0]], 5: 1}', '{"distances" [[0, 1], [1, 0]]}', '\ufeff{"distances": [[0]]}',
+    '{"distances": [[0, 1], [1, 0]], "distances": [[0, 1], [1]]}',
     json.dumps({"distances": np.arange(900.0).reshape(30, 30).tolist()}, indent=1),
 ]
 
@@ -347,6 +359,36 @@ def test_json_reader_matches_json_loads(chunk, monkeypatch):
     for doc in JSON_DOCUMENTS:
         assert outcome(lambda: metric._validated(*metric._json_payload(io.StringIO(doc)), None, None)) \
             == outcome(lambda: reference(doc)), doc
+
+
+@pytest.mark.parametrize("raw,error", [
+    ([[0, 1], [1]], "row 1 of the distance matrix is not a list of 2 numbers"),
+    ([5, [0]], "row 0 of the distance matrix is not a list of numbers"),
+], ids=["ragged", "scalar-first-row"])
+def test_lists_follow_the_rules_of_file_rows(raw, error, tmp_path):
+    # one row reader fills both; a list passed in gave numpy's message
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps({"distances": raw}))
+    with pytest.raises(ValueError) as from_file:
+        load_space(str(path))
+    with pytest.raises(ValueError) as from_list:
+        validate_metric(raw)
+    assert str(from_list.value) == str(from_file.value) == error
+
+
+def test_invalid_utf8_reported_where_json_load_reports_it(tmp_path):
+    # past the first chunk, the chunked reader gave an offset inside the chunk
+    d = np.ones((200, 200)) - np.eye(200)
+    data = bytearray(json.dumps({"distances": d.tolist()}).encode())
+    data[150000] = 0xFF
+    path = tmp_path / "bad-byte.json"
+    path.write_bytes(bytes(data))
+    with pytest.raises(UnicodeDecodeError) as read:
+        load_space(str(path))
+    with open(path, encoding="utf-8") as fh, pytest.raises(UnicodeDecodeError) as loaded:
+        json.load(fh)
+    assert str(read.value) == str(loaded.value)
+    assert "position 150000" in str(read.value)
 
 
 def test_csv_with_and_without_header():
