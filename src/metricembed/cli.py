@@ -2,7 +2,8 @@
 
 Exit codes: 0 positive result, 1 negative, 2 invalid input metric or
 argument, 3 IO/parse error (also a failed ``--out`` write, reported on
-stdout; a command that runs out of memory; for ``scan`` also a config
+stdout; a failed write or flush of stdout itself, reported in one line on
+stderr; a command that runs out of memory; for ``scan`` also a config
 whose sampler cannot serve the requested ladder; for ``check-embed`` and
 ``min-dim`` also a distance outside
 ``embeddability.CERTIFIABLE_RANGE``), 4 undetermined (a
@@ -22,6 +23,11 @@ Each command imports only the layers it runs. Every command loads
 functions of those layers are bound here as stand-ins that import their
 module on first call and look the function up there on every call.
 
+A CLI process runs :func:`console_entry`, which flushes stdout and stderr
+and ends the process with ``os._exit``: interpreter finalization and
+atexit handlers never run. Callers in a process of their own call
+:func:`main`, which returns the exit code.
+
 Every JSON output embeds the run configuration; the finite commands are
 deterministic, and ``scan`` is deterministic for a fixed ``--seed``, so
 identical configurations produce byte-identical output.
@@ -30,11 +36,14 @@ identical configurations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from functools import partial
 from pathlib import Path
+from typing import NoReturn
 
 from . import __version__
 from .determinants import DEFAULT_TOL_DET
@@ -92,6 +101,8 @@ def _emit(payload: dict, fmt: str, out: str | None) -> None:
         text = _render_text(payload)
     if out:
         Path(out).write_text(text, encoding="utf-8")
+    elif sys.stdout is None:  # the process started with fd 1 closed
+        raise OSError(errno.EBADF, "stdout is closed")
     else:
         sys.stdout.write(text)
 
@@ -338,6 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code; argparse raises
+    SystemExit for ``--version``, ``--help`` and a usage error, and a
+    failed write to stdout raises its OSError."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
@@ -347,6 +361,8 @@ def main(argv=None) -> int:
               args.format, args.out)
         return EXIT_IO
     except OSError as exc:
+        if args.out is None:
+            raise  # stdout itself failed, so no payload can reach it: console_entry reports it
         # every input is read under its own handler, so this is a failed --out write
         _emit({"command": args.command, "error": f"cannot write output: {exc}", "exit_code": EXIT_IO},
               args.format, None)
@@ -359,5 +375,31 @@ def main(argv=None) -> int:
     return EXIT_IO
 
 
+def console_entry(argv=None) -> NoReturn:
+    """The process entry of ``python -m metricembed.cli`` and of the
+    ``metricembed`` script: run :func:`main`, flush stdout and stderr, and
+    end the process with ``os._exit``. Finalization would only spend
+    cyclic collections over numpy's objects and tear every module down.
+    A failed write or flush of stdout exits 3 with one line on stderr."""
+    message = ""
+    try:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: --version, --help, a usage error
+            code = exc.code
+        if sys.stdout is not None:  # None when the process started with fd 1 closed
+            sys.stdout.flush()
+    except OSError as exc:
+        code = EXIT_IO
+        message = f"metricembed: cannot write output: {exc}\n"
+    try:
+        if sys.stderr is not None:  # likewise for fd 2
+            sys.stderr.write(message)
+            sys.stderr.flush()
+    except OSError:  # stderr shares stdout's broken pipe (2>&1)
+        pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_entry()

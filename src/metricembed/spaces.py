@@ -122,17 +122,18 @@ def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
     ``{"kind": "sphere-surface", "center": [...], "radius": r}``, or
     ``{"kind": "curve", "spec": CurveSpec}``. A NaN coordinate, an infinite
     one in ``p`` or ``center``, a radius or pitch that is not a positive
-    finite number, or a pitch on a cube with an infinite ``low``, raises
-    ValueError; a ``p`` outside the cube, before or after snapping to the
-    pitch, raises MarkedPointOutsideRegionError. Infinite cube bounds
-    without a pitch are allowed.
+    finite number, a pitch on a cube with an infinite ``low``, or a region
+    that is not a dict naming its ``kind``, raises ValueError; a ``p``
+    outside the cube, before or after snapping to the pitch, raises
+    MarkedPointOutsideRegionError. Infinite cube bounds without a pitch
+    are allowed.
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
     p = _coordinates("marked point", p)
     if p.shape != (dim,):
         raise ValueError(f"marked point must have {dim} coordinates")
-    kind = region["kind"]
+    kind = _region_kind(region)
 
     def to_p(x: np.ndarray) -> np.ndarray:
         diff = x - p
@@ -241,8 +242,9 @@ def make_snowflake(alpha: float, base_dim: int, p, region=None) -> MarkedSpace:
     the concave power, rectifiability does not."""
     if not 0.0 < alpha < 1.0:
         raise AlphaOutOfRangeError(f"alpha must lie in (0,1), got {alpha}")
-    region = region or {"kind": "cube", "low": [0.0] * base_dim, "high": [1.0] * base_dim}
-    if region["kind"] != "cube":
+    if region is None:
+        region = {"kind": "cube", "low": [0.0] * base_dim, "high": [1.0] * base_dim}
+    if _region_kind(region) != "cube":
         raise ValueError("snowflake spaces support cube regions only")
     base = make_euclidean_subset(base_dim, region, p)
 
@@ -410,11 +412,18 @@ def perturbed_euclidean_space(
     raise RuntimeError("failed to draw a valid perturbed metric space")
 
 
-def _field(cfg: dict, key: str):
-    """The config field ``key``, refused by name when it is missing."""
+def _field(cfg: dict, key: str, owner: str = "config"):
+    """The field ``key`` of ``owner``, refused by name when it is missing."""
     if key not in cfg:
-        raise ValueError(f'the config has no "{key}" key')
+        raise ValueError(f'the {owner} has no "{key}" key')
     return cfg[key]
+
+
+def _region_kind(region) -> str:
+    """The ``kind`` of a region, which must be a dict that names one."""
+    if not isinstance(region, dict):
+        raise ValueError(f"the region must be a JSON object, got {type(region).__name__}")
+    return _field(region, "kind", "region")
 
 
 def _integer(cfg: dict, key: str) -> int:

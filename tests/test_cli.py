@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metricembed import embeddability, metric, validate_metric
+from metricembed import __version__, embeddability, metric, validate_metric
 from metricembed.cli import main
 from metricembed.determinants import DEFAULT_TOL_DET, CMValue
 from metricembed.errors import TriangleViolationError
@@ -271,18 +271,26 @@ class TestUndetermined:
         assert "--seed" in capsys.readouterr().err
 
 
+def _cli_process(argv: list[str], stdout=subprocess.PIPE, stderr=subprocess.PIPE, preexec_fn=None,
+                 timeout=120, **env) -> subprocess.CompletedProcess:
+    """Run ``python -m metricembed.cli`` in a child process, as the
+    ``metricembed`` script runs. PYTHONUNBUFFERED is unset there, so output
+    the process never flushes is lost, as it would be in use."""
+    child_env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    child_env.update(PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"), **env)
+    return subprocess.run([sys.executable, "-m", "metricembed.cli", *argv], stdout=stdout,
+                          stderr=stderr, env=child_env, preexec_fn=preexec_fn, timeout=timeout)
+
+
 def _capped_cli(argv: list[str], cap: int = 3 * 1024**3) -> subprocess.CompletedProcess:
     """Run the CLI in a child process under an address-space cap set in the
     child only, so a runaway allocation fails there instead of starving
     the machine."""
-    code = "import sys; from metricembed.cli import main; sys.exit(main(sys.argv[1:]))"
-    src = str(Path(__file__).resolve().parents[1] / "src")
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit)
+    return _cli_process(argv, preexec_fn=limit)
 
 
 class TestScan:
@@ -311,13 +319,10 @@ class TestScan:
         cfg = tmp_path / "square.json"
         cfg.write_text(json.dumps({"type": "euclidean", "dim": 2, "p": [0.45, 0.55],
                                    "region": {"kind": "cube", "low": [0, 0], "high": [1, 1]}}))
-        code = "import sys; from metricembed.cli import main; sys.exit(main(sys.argv[1:]))"
-        src = str(Path(__file__).resolve().parents[1] / "src")
         runs = []
         for hash_seed in ("1", "2"):
-            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
-            done = subprocess.run([sys.executable, "-c", code, "scan", str(cfg), "--dim", "1",
-                                   "--samples", "16", "--seed", "5"], capture_output=True, env=env)
+            done = _cli_process(["scan", str(cfg), "--dim", "1", "--samples", "16", "--seed", "5"],
+                                PYTHONHASHSEED=hash_seed)
             assert done.returncode == 1, done.stderr
             runs.append(done.stdout)
         assert runs[0] == runs[1]
@@ -332,16 +337,7 @@ class TestScan:
         cfg.write_text(json.dumps({"type": "euclidean", "dim": 2,
                                    "region": {"kind": "cube", "low": [0, 0], "high": [1, 1]},
                                    "p": [0, 0]}))
-        code = "import sys; from metricembed.cli import main; sys.exit(main(sys.argv[1:]))"
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        cap = 3 * 1024**3
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-        done = subprocess.run([sys.executable, "-c", code, "scan", str(cfg), "--dim", "1",
-                               "--samples", "8000", "--scales", "0.5:0.5:2"],
-                              capture_output=True, env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit)
+        done = _capped_cli(["scan", str(cfg), "--dim", "1", "--samples", "8000", "--scales", "0.5:0.5:2"])
         assert done.returncode == 1, done.stderr[-2000:]
         out = json.loads(done.stdout)
         assert out["result"]["verdict"] == "refuted"
@@ -524,10 +520,18 @@ class TestScan:
         ('{"dim": 2}', 'the config has no "type" key'),
         ('{"type": "euclidean", "dim": 2, "p": [0, 0]}', 'the config has no "region" key'),
         ("[1, 2]", "the config must be a JSON object, got list"),
-    ], ids=["curve", "no-dim", "no-type", "no-region", "list"])
+        ('{"type": "euclidean", "dim": 2, "p": [0, 0], "region": {}}', 'the region has no "kind" key'),
+        ('{"type": "euclidean", "dim": 2, "p": [0, 0], "region": 5}', "the region must be a JSON object, got int"),
+        ('{"type": "snowflake", "alpha": 0.5, "dim": 2, "p": [0, 0], "region": {"low": [0, 0], "high": [1, 1]}}',
+         'the region has no "kind" key'),
+        ('{"type": "snowflake", "alpha": 0.5, "dim": 2, "p": [0, 0], "region": 5}',
+         "the region must be a JSON object, got int"),
+    ], ids=["curve", "no-dim", "no-type", "no-region", "list", "region-no-kind", "region-int",
+            "snowflake-region-no-kind", "snowflake-region-int"])
     def test_config_refusal_names_the_fault(self, tmp_path, cfg, error, capsys):
         # a curve region ended in an AttributeError traceback with exit 1, a
-        # missing key printed its bare KeyError repr, and a list a TypeError's text
+        # missing key printed its bare KeyError repr (a region's "kind" too),
+        # and a list or a non-object region a TypeError's text
         path = tmp_path / "bad.json"
         path.write_text(cfg)
         assert main(["scan", str(path), "--dim", "1", "--samples", "8"]) == 3
@@ -767,11 +771,9 @@ def test_distances_outside_certifiable_range_exit_3(argv, scale, tmp_path, capsy
     path = _write_distances(tmp_path / "square.json", square)
     if scale > 1:
         # the ball search once looped forever on these: a hang is a timeout
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        done = subprocess.run([sys.executable, "-m", "metricembed.cli", argv[0], path] + argv[1:],
-                              capture_output=True, text=True, env=env, timeout=60)
+        done = _cli_process([argv[0], path] + argv[1:], timeout=60)
         code, out = done.returncode, done.stdout
-        assert "Traceback" not in done.stderr
+        assert b"Traceback" not in done.stderr
     else:
         code, out = main([argv[0], path] + argv[1:]), capsys.readouterr().out
     payload = json.loads(out)
@@ -954,3 +956,102 @@ def test_sampler_giving_up_cannot_scan_exit_3(tmp_path, capsys):
     assert out["exit_code"] == 3
     assert out["error"] == ("cannot scan: sampler failed to draw 1 points at distance in [0.0625, 0.125] "
                             "after 500 batches")
+
+
+#: one op per exit code, plus --version and --help; "{name}" stands for a
+#: file of the parity_files fixture
+PROCESS_OPS = {
+    "yes": (["validate", "{eq}"], 0),
+    "no": (["check-embed", "{star}", "--dim", "2"], 1),
+    "invalid-metric": (["validate", "{bent}"], 2),
+    "usage": (["check-embed", "{eq}", "--dim", "0"], 2),
+    "unreadable": (["min-dim", "{missing}"], 3),
+    "inconclusive": (["scan", "{snowflake}", "--dim", "2", "--samples", "16", "--scales", "0.5:0.5:8"], 4),
+    "version": (["--version"], 0),
+    "help": (["--help"], 0),
+}
+
+
+@pytest.fixture
+def parity_files(tmp_path, eq_file, star_file, circle_cfg):
+    bent = tmp_path / "bent.json"
+    bent.write_text(json.dumps({"distances": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]}))
+    # Theta_3 of a snowflake this close to E^1 stays between the zero band
+    # and the refutation level: an inconclusive scan
+    snowflake = tmp_path / "snowflake.json"
+    snowflake.write_text(json.dumps({"type": "snowflake", "alpha": 0.999, "dim": 1, "p": [0.5]}))
+    return {"eq": eq_file, "star": star_file, "circle": circle_cfg, "bent": str(bent),
+            "snowflake": str(snowflake), "missing": str(tmp_path / "missing.json")}
+
+
+def _in_process(argv: list[str]) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("op", list(PROCESS_OPS))
+def test_process_matches_main(op, parity_files, monkeypatch, capsysbinary):
+    # the process ends with os._exit, so whatever it leaves unflushed is lost
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal
+    template, code = PROCESS_OPS[op]
+    argv = [arg.format(**parity_files) for arg in template]
+    done = _cli_process(argv)
+    assert _in_process(argv) == done.returncode == code, done.stderr
+    assert done.stdout == capsysbinary.readouterr().out
+    assert b"Traceback" not in done.stderr
+
+
+def test_process_out_file_and_directory(parity_files, tmp_path):
+    sides = {"process": lambda argv: _cli_process(argv).returncode, "main": _in_process}
+    for side, run in sides.items():
+        assert run(["min-dim", parity_files["eq"], "--realize", "--out", str(tmp_path / f"{side}.json")]) == 0
+        assert run(["scan", parity_files["circle"], "--dim", "1", "--samples", "8",
+                    "--out", str(tmp_path / f"{side}-scans")]) == 0
+    assert (tmp_path / "process.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+    names = sorted(path.name for path in (tmp_path / "main-scans").iterdir())
+    assert "transfer.json" in names and len(names) > 1
+    assert sorted(path.name for path in (tmp_path / "process-scans").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "process-scans" / name).read_bytes() == (tmp_path / "main-scans" / name).read_bytes()
+
+
+def _into_closed_pipe(argv: list[str], **kwargs) -> subprocess.CompletedProcess:
+    """Run the CLI with stdout a pipe whose read end is already closed."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return _cli_process(argv, stdout=write, **kwargs)
+    finally:
+        os.close(write)
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["validate", "{eq}"],
+                                  ["scan", "{circle}", "--dim", "1", "--samples", "8"]],
+                         ids=["version", "small", "large"])
+def test_closed_stdout_exit_3(argv, parity_files):
+    # these ended with "Exception ignored" and exit 120 when stdout failed
+    # only at exit, or in a BrokenPipeError traceback with exit 1 when
+    # main's OSError handler wrote the error JSON to the same pipe
+    argv = [arg.format(**parity_files) for arg in argv]
+    done = _into_closed_pipe(argv)
+    assert done.returncode == 3
+    assert done.stderr == b"metricembed: cannot write output: [Errno 32] Broken pipe\n"
+    # a process started without fd 1 has no stdout at all
+    done = _cli_process(argv, stdout=subprocess.DEVNULL, preexec_fn=lambda: os.close(1))
+    if argv == ["--version"]:
+        # argparse then prints the version on stderr
+        assert (done.returncode, done.stderr) == (0, f"{__version__}\n".encode())
+    else:
+        assert done.returncode == 3
+        assert done.stderr == b"metricembed: cannot write output: [Errno 9] stdout is closed\n"
+
+
+def test_closed_stderr_keeps_the_exit_code(parity_files):
+    # without fd 2, sys.stderr is None; with 2>&1 into a closed pipe, the
+    # line about stdout cannot be written either
+    argv = ["check-embed", parity_files["star"], "--dim", "2"]
+    done = _cli_process(argv, stderr=None, preexec_fn=lambda: os.close(2))
+    assert done.returncode == 1 and json.loads(done.stdout)["exit_code"] == 1
+    assert _into_closed_pipe(argv, stderr=subprocess.STDOUT).returncode == 3

@@ -305,6 +305,8 @@ def _away_from_curve():
      ValueError, "sphere-surface region needs dim >= 2"),
     (_away_from_curve, MarkedPointOutsideRegionError, "p must equal fn(t0)"),
     (lambda: make_euclidean_subset(1, {"kind": "ball"}, [0.0]), ValueError, "unknown region kind 'ball'"),
+    (lambda: make_euclidean_subset(1, {}, [0.0]), ValueError, 'the region has no "kind" key'),
+    (lambda: make_snowflake(0.5, 1, [0.0], ["cube"]), ValueError, "the region must be a JSON object, got list"),
     (lambda: make_snowflake(0.5, 2, [0.0, 1.0], {"kind": "sphere-surface", "center": [0, 0], "radius": 1.0}),
      ValueError, "snowflake spaces support cube regions only"),
     (lambda: make_ultrametric(1, 3), ValueError, "depth and arity must both be >= 2"),
