@@ -40,8 +40,16 @@ from .metric import FiniteMetricSpace, row_blocks, submatrix
 #: after dividing the tuple's distances by the largest one, the degree-0
 #: form ``theta`` uses, so a verdict does not depend on the unit of
 #: distance. The scans judge the delta-normalized Theta and S against one
-#: noise floor, ``10 * tol_det``, for sign, vanishing and positivity.
+#: noise floor, ``10 * tol_det``, for sign, vanishing and positivity. Every
+#: function taking a ``tol_det`` refuses one that is not finite and > 0.
 DEFAULT_TOL_DET = 1e-8
+
+
+def _checked_tol_det(tol_det: float) -> float:
+    """``tol_det``, refused with ValueError unless it is finite and > 0."""
+    if not 0 < tol_det < math.inf:
+        raise ValueError(f"tol_det must be finite and > 0, got {tol_det!r}")
+    return tol_det
 
 
 def within_band(det, sq_max, k: int, tol_det: float = DEFAULT_TOL_DET):
@@ -53,7 +61,7 @@ def within_band(det, sq_max, k: int, tol_det: float = DEFAULT_TOL_DET):
     the division so that a tuple of coincident points (``sq_max = 0``)
     counts as zero exactly when its determinant is.
     """
-    return np.abs(det) <= tol_det * np.power(sq_max, k)
+    return np.abs(det) <= _checked_tol_det(tol_det) * np.power(sq_max, k)
 
 
 @dataclass(frozen=True)
@@ -77,15 +85,6 @@ def tau_about(sq: np.ndarray, base: int = 0) -> np.ndarray:
     s0 = sq[..., base, :]
     out = np.add(s0[..., :, None], s0[..., None, :])
     return np.subtract(out, sq, out=out)
-
-
-def tau_from_matrix(dm: np.ndarray) -> np.ndarray:
-    """tau matrix (k x k) of a (k+1)x(k+1) distance matrix, base = row 0;
-    a stack of distance matrices gives the stack of tau matrices."""
-    dm = np.asarray(dm, dtype=float)
-    if dm.shape[-1] < 2:
-        raise TupleTooShortError("tau matrix needs at least 2 points")
-    return tau_about(dm * dm)[..., 1:, 1:]
 
 
 def tuple_determinants(dm: np.ndarray) -> np.ndarray:
@@ -193,6 +192,7 @@ def psd_check(sq: np.ndarray, base: int, tol_det: float = DEFAULT_TOL_DET) -> Ps
     N x N work array, the Schur complement, which becomes the leftover, and
     scratch of :data:`~metricembed.metric.ROW_BLOCK` rows.
     """
+    _checked_tol_det(tol_det)
     sq = np.asarray(sq, dtype=float)
     if sq.ndim != 2 or sq.shape[0] != sq.shape[1]:
         raise NotSymmetricError(f"matrix must be square, got shape {sq.shape}")

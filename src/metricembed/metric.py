@@ -81,9 +81,10 @@ def validate_metric(raw, tol: float | None = None, certificate=None) -> FiniteMe
     distinctness, triangle inequality); the first violated axiom is
     reported with the indices of its *worst* offender. Every O(N^2) check,
     the label count included, comes before the O(N^3) triangle check.
-    ``tol`` is an absolute slack; when omitted it defaults to 1e-9
-    relative to the largest entry. Labels default to ``x0..x{n-1}``; pass
-    a dict ``{"labels": ..., "distances": ...}`` to keep labels.
+    ``tol`` is an absolute slack, refused when negative or NaN; when omitted
+    it defaults to 1e-9 relative to the largest entry. Labels default to
+    ``x0..x{n-1}``; pass a dict ``{"labels": ..., "distances": ...}`` to
+    keep labels.
 
     ``certificate``, when given, is called with a space of three points or
     more once every O(N^2) check has passed. The triangle check is skipped
@@ -117,7 +118,7 @@ def _validated(d, labels, tol: float | None, certificate) -> FiniteMetricSpace:
                 raise ValueError(f"non-finite distance at ({rows.start + i},{j})")
     if tol is None:
         tol = DEFAULT_REL_TOL * float(np.max(d)) if d.size and np.max(d) > 0 else DEFAULT_REL_TOL
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tolerance must be nonnegative")
 
     diag = np.abs(np.diag(d))

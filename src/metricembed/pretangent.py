@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .determinants import DEFAULT_TOL_DET, tuple_determinants
+from .determinants import DEFAULT_TOL_DET, _checked_tol_det, tuple_determinants
 from .errors import (
     ArityMismatchError,
     DimensionOutOfRangeError,
@@ -89,10 +89,13 @@ def delta_scale(space: MarkedSpace, t: Sequence) -> float:
 
 
 def epsilon_scale(space: MarkedSpace, t: Sequence, s: float) -> float:
-    """s-norm of the distances to p; within a factor n^(1/s) of delta."""
+    """s-norm of the distances to p; within a factor n^(1/s) of delta. It is
+    taken relative to delta, so no power underflows at a large ``s``."""
     if not s > 0:
         raise NonpositiveExponentError(f"exponent must be > 0, got {s}")
-    return float(np.sum(_with_p(space, t)[0, 1:] ** s) ** (1.0 / s))
+    d = _with_p(space, t)[0, 1:]
+    delta = float(np.max(d))
+    return delta * float(np.sum((d / delta) ** s) ** (1.0 / s)) if delta > 0 else 0.0
 
 
 def _functionals(sub: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -257,6 +260,7 @@ def _scan_pass(space: MarkedSpace, jobs: Sequence[tuple[int, str]], scales, samp
     scales = scale_ladder() if scales is None else checked_scales(scales)
     if samples_per_scale < 1:
         raise EmptySampleError("samples_per_scale must be >= 1")
+    floor = NOISE_FLOOR_FACTOR * _checked_tol_det(tol_det)
     size = min(2 * samples_per_scale, CLOUD_CAP) + max(k for k, _ in jobs) + 1
     cloud_seed = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
     tuple_seed = np.random.SeedSequence(entropy=seed, spawn_key=(1,))
@@ -285,7 +289,6 @@ def _scan_pass(space: MarkedSpace, jobs: Sequence[tuple[int, str]], scales, samp
                     holders[side, e, q, j] = tuple(cloud[c] for c in idx[i])
 
     tail = slice(len(scales) // 2, None)
-    floor = NOISE_FLOOR_FACTOR * tol_det
 
     def witness(side: int, e: int, q: int, j: int) -> ScanWitness:
         return ScanWitness(int(j), scales[j], float(extremes[side, e, q, j]), holders[side, e, q, j])

@@ -22,7 +22,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .determinants import DEFAULT_TOL_DET
+from .determinants import DEFAULT_TOL_DET, _checked_tol_det
 from .errors import (
     DegenerateNormalizerError,
     DimensionOutOfRangeError,
@@ -232,7 +232,7 @@ def metric_identification(pm: PseudometricMatrix, merge_tol: float = 1e-9) -> Qu
     max_osc = max(v.oscillation for row in pm.verdicts for v in row)
     vtol = max(3.0 * max_osc, merge_tol, 1e-12 * float(np.max(rho)) if rho.size else 0.0)
     labels = ["{" + ",".join(str(i) for i in cls) + "}" for cls in classes]
-    space = validate_metric({"labels": labels, "distances": rho.tolist()}, tol=vtol)
+    space = validate_metric({"labels": labels, "distances": rho}, tol=vtol)
     return QuotientSpace(classes=classes, rho=space)
 
 
@@ -305,6 +305,7 @@ def blumenthal_sequence_scan(
         raise DimensionOutOfRangeError("need at least two sequences (n >= 1)")
     if depth < 16:
         raise ValueError(f"depth must be >= 16, got {depth}")
+    floor = NOISE_FLOOR_FACTOR * _checked_tol_det(tol_det)
     if r is None:
         r = NormalizingSequence.geometric()
 
@@ -332,7 +333,6 @@ def blumenthal_sequence_scan(
         vals = tail_theta(xs[:k + 1])
         cond_i.append((k, float(np.min(vals)), float(np.max(vals))))
 
-    floor = NOISE_FLOOR_FACTOR * tol_det
     cond_ii: list[tuple[int, str, float, float]] = []
     for g in probe_index.values():
         vals = np.abs(tail_theta(xs + [n + 2 + g]))

@@ -14,7 +14,8 @@ user-supplied ``metric`` without ``pairwise`` is evaluated pair by pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -65,16 +66,17 @@ def _euclid(a, b) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
 
 
-def _accepted(rng, count: int, propose, scale: float, inner: float = 0.0) -> np.ndarray:
+def _accepted(rng, p: np.ndarray, count: int, propose, scale: float, inner: float = 0.0) -> np.ndarray:
     """``count`` proposed points at distance in [inner, scale] from p.
 
-    ``propose(rng, size, attempt)`` returns candidate points and their
-    distances to p. A candidate outside the band is dropped on its own;
-    the rest of its batch is kept.
+    ``propose(rng, size, attempt, scale)`` returns candidate points. A
+    candidate outside the band is dropped on its own; the rest of its
+    batch is kept.
     """
     kept, have = [], 0
     for attempt in range(_MAX_TRIES):
-        pts, d = propose(rng, 2 * count + 8, attempt)
+        pts = propose(rng, 2 * count + 8, attempt, scale)
+        d = np.linalg.norm(pts - p, axis=1)
         pts = pts[(d >= inner) & (d <= scale)]
         kept.append(pts)
         have += len(pts)
@@ -84,11 +86,11 @@ def _accepted(rng, count: int, propose, scale: float, inner: float = 0.0) -> np.
                        f"after {_MAX_TRIES} batches")
 
 
-def _cloud(rng, k: int, propose, scale: float) -> tuple:
+def _cloud(rng, p: np.ndarray, k: int, propose, scale: float) -> tuple:
     """k+1 points within ``scale`` of p; the first, the anchor, lies at
     distance >= scale/2, so delta lands in [scale/2, scale]."""
-    anchor = _accepted(rng, 1, propose, scale, scale / 2)
-    return tuple(np.concatenate([anchor, _accepted(rng, k, propose, scale)]))
+    anchor = _accepted(rng, p, 1, propose, scale, scale / 2)
+    return tuple(np.concatenate([anchor, _accepted(rng, p, k, propose, scale)]))
 
 
 @dataclass(frozen=True)
@@ -102,16 +104,30 @@ class CurveSpec:
     lipschitz: float = 1.0
 
 
-def _coordinates(name: str, coords, finite: bool = True) -> np.ndarray:
-    """Coordinates as floats, refused when one is NaN (every comparison
-    with NaN is false, so it would pass the region checks) or, when
-    ``finite``, infinite."""
+def _coordinates(name: str, coords, dim: int, finite: bool = True) -> np.ndarray:
+    """``dim`` coordinates as floats, refused when there are not ``dim`` of
+    them, when one is NaN (every comparison with NaN is false, so it would
+    pass the region checks) or, when ``finite``, one is infinite."""
     x = np.asarray(coords, dtype=float)
+    if x.shape != (dim,):
+        raise ValueError(f"{name} must have {dim} coordinates")
     if np.isnan(x).any():
         raise ValueError(f"{name} has a NaN coordinate: {x.tolist()}")
     if finite and np.isinf(x).any():
         raise ValueError(f"{name} has an infinite coordinate: {x.tolist()}")
     return x
+
+
+def _is_number(value) -> bool:
+    """Whether ``value`` is a real number; a bool or a string is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _positive(name: str, value) -> float:
+    """``value`` as a float, refused unless it is a positive finite number."""
+    if not _is_number(value) or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+    return float(value)
 
 
 def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
@@ -120,33 +136,35 @@ def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
     ``region`` is a dict: ``{"kind": "cube", "low": [...], "high": [...]}``
     (optionally with ``"pitch"`` to snap samples onto a grid),
     ``{"kind": "sphere-surface", "center": [...], "radius": r}``, or
-    ``{"kind": "curve", "spec": CurveSpec}``. A NaN coordinate, an infinite
-    one in ``p`` or ``center``, a radius or pitch that is not a positive
-    finite number, a pitch on a cube with an infinite ``low``, or a region
-    that is not a dict naming its ``kind``, raises ValueError; a ``p``
-    outside the cube, before or after snapping to the pitch, raises
+    ``{"kind": "curve", "spec": CurveSpec}``. These raise ValueError: a
+    coordinate list (``p``, ``low``, ``high``, ``center``) without ``dim``
+    entries, a NaN coordinate, an infinite one in ``p`` or ``center``, a
+    radius or pitch that is not a positive finite number (a string or a
+    bool is not a number), a pitch on a cube with an infinite ``low``, or
+    a region that is not a dict naming its ``kind``. A ``p`` outside the
+    region, for a cube before or after snapping to the pitch, raises
     MarkedPointOutsideRegionError. Infinite cube bounds without a pitch
     are allowed.
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
-    p = _coordinates("marked point", p)
-    if p.shape != (dim,):
-        raise ValueError(f"marked point must have {dim} coordinates")
+    p = _coordinates("marked point", p, dim)
     kind = _region_kind(region)
 
-    def to_p(x: np.ndarray) -> np.ndarray:
-        diff = x - p
-        return np.sqrt(np.sum(diff * diff, axis=1))
+    def space(region_desc: dict, propose=None) -> MarkedSpace:
+        """The space over the region, its clouds drawn by ``propose``; all p without one."""
+        def sample(scale, k, seed=0):
+            if propose is None:
+                return (p.copy(),) * (k + 1)
+            return _cloud(np.random.default_rng(seed), p, k, propose, scale)
 
-    def space(sample, region_desc: dict) -> MarkedSpace:
         desc = {"type": "euclidean", "dim": dim, "region": region_desc, "p": p.tolist()}
         return MarkedSpace(metric=_euclid, p=p, sampler=sample, description=desc,
                            point_repr=lambda x: np.asarray(x).tolist(), pairwise=euclidean_matrix)
 
     if kind == "cube":
-        low = _coordinates("low", region.get("low", np.zeros(dim)), finite=False)
-        high = _coordinates("high", region.get("high", np.ones(dim)), finite=False)
+        low = _coordinates("low", region.get("low", np.zeros(dim)), dim, finite=False)
+        high = _coordinates("high", region.get("high", np.ones(dim)), dim, finite=False)
         pitch = region.get("pitch")
 
         def inside(x: np.ndarray, what: str) -> None:
@@ -156,64 +174,50 @@ def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
 
         inside(p, "p")
         if pitch is not None:
-            if not 0 < float(pitch) < math.inf:
-                raise ValueError(f"pitch must be a positive finite number, got {pitch!r}")
+            pitch = _positive("pitch", pitch)
             if np.isinf(low).any():
                 raise ValueError(f"a pitch needs finite low bounds, got {low.tolist()}")
             p = low + np.round((p - low) / pitch) * pitch
             # the sampler draws only inside the cube, so none near a p outside it
             inside(p, "p snapped to the pitch")
-        degenerate = bool(np.all(high - low == 0))
 
-        def sample(scale, k, seed=0):
-            if degenerate:
-                return (p.copy(),) * (k + 1)
+        def propose(rng, size, attempt, scale):
+            # uniform in the ball B(p, scale), kept inside the cube, then
+            # snapped to the grid (which may carry a point past scale)
+            v = rng.normal(size=(size, dim))
+            r = scale * rng.uniform(size=size) ** (1.0 / dim)
+            norm = np.linalg.norm(v, axis=1)
+            live = norm > 0
+            x = p + v[live] * (r[live] / norm[live])[:, None]
+            x = x[np.all((x >= low) & (x <= high), axis=1)]
+            if pitch is not None:
+                x = low + np.round((x - low) / pitch) * pitch
+            return x
 
-            def propose(rng, size, attempt):
-                # uniform in the ball B(p, scale), kept inside the cube, then
-                # snapped to the grid (which may carry a point past scale)
-                v = rng.normal(size=(size, dim))
-                r = scale * rng.uniform(size=size) ** (1.0 / dim)
-                norm = np.linalg.norm(v, axis=1)
-                live = norm > 0
-                x = p + v[live] * (r[live] / norm[live])[:, None]
-                x = x[np.all((x >= low) & (x <= high), axis=1)]
-                if pitch is not None:
-                    x = low + np.round((x - low) / pitch) * pitch
-                return x, to_p(x)
-
-            return _cloud(np.random.default_rng(seed), k, propose, scale)
-
-        return space(sample, {"kind": kind, "low": low.tolist(), "high": high.tolist(), "pitch": pitch})
+        desc = {"kind": kind, "low": low.tolist(), "high": high.tolist(), "pitch": pitch}
+        return space(desc, None if np.all(high - low == 0) else propose)
 
     if kind == "sphere-surface":
-        center = _coordinates("center", region.get("center", np.zeros(dim)))
-        radius = float(region.get("radius", 1.0))
+        center = _coordinates("center", region.get("center", np.zeros(dim)), dim)
+        radius = _positive("radius", region.get("radius", 1.0))
         if dim < 2:
             raise ValueError("sphere-surface region needs dim >= 2")
-        if not 0 < radius < math.inf:
-            raise ValueError(f"radius must be a positive finite number, got {radius!r}")
         if abs(_euclid(p, center) - radius) > 1e-9 * max(radius, 1.0):
             raise MarkedPointOutsideRegionError(f"p={p.tolist()} not on the sphere surface")
         u = (p - center) / radius
 
-        def sample(scale, k, seed=0):
+        def propose(rng, size, attempt, scale):
+            # a unit tangent direction at p and a geodesic angle up to phi_max
             phi_max = 2.0 * math.asin(min(scale, 2.0 * radius) / (2.0 * radius))
+            w = rng.normal(size=(size, dim))
+            w -= np.outer(w @ u, u)
+            phi = rng.uniform(0.0, phi_max, size=size)
+            norm = np.linalg.norm(w, axis=1)
+            live = norm > 0
+            w, phi = w[live] / norm[live, None], phi[live]
+            return center + radius * (np.outer(np.cos(phi), u) + np.sin(phi)[:, None] * w)
 
-            def propose(rng, size, attempt):
-                # a unit tangent direction at p and a geodesic angle up to phi_max
-                w = rng.normal(size=(size, dim))
-                w -= np.outer(w @ u, u)
-                phi = rng.uniform(0.0, phi_max, size=size)
-                norm = np.linalg.norm(w, axis=1)
-                live = norm > 0
-                w, phi = w[live] / norm[live, None], phi[live]
-                x = center + radius * (np.outer(np.cos(phi), u) + np.sin(phi)[:, None] * w)
-                return x, to_p(x)
-
-            return _cloud(np.random.default_rng(seed), k, propose, scale)
-
-        return space(sample, {"kind": kind, "center": center.tolist(), "radius": radius})
+        return space({"kind": kind, "center": center.tolist(), "radius": radius}, propose)
 
     if kind == "curve":
         spec: CurveSpec = region["spec"]
@@ -221,46 +225,36 @@ def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
         if _euclid(p, p_curve) > 1e-9:
             raise MarkedPointOutsideRegionError("p must equal fn(t0)")
 
-        def sample(scale, k, seed=0):
-            def propose(rng, size, attempt):
-                # parameters within scale / lipschitz of t0 stay within scale;
-                # each batch that falls short doubles the window
-                width = min(scale / spec.lipschitz * 2.0**attempt, spec.t_max - spec.t_min)
-                ts = np.clip(spec.t0 + rng.uniform(-width, width, size=size), spec.t_min, spec.t_max)
-                x = np.array([np.asarray(spec.fn(t), dtype=float) for t in ts]).reshape(size, dim)
-                return x, to_p(x)
+        def propose(rng, size, attempt, scale):
+            # parameters within scale / lipschitz of t0 stay within scale;
+            # each batch that falls short doubles the window
+            width = min(scale / spec.lipschitz * 2.0**attempt, spec.t_max - spec.t_min)
+            ts = np.clip(spec.t0 + rng.uniform(-width, width, size=size), spec.t_min, spec.t_max)
+            return np.array([np.asarray(spec.fn(t), dtype=float) for t in ts]).reshape(size, dim)
 
-            return _cloud(np.random.default_rng(seed), k, propose, scale)
-
-        return space(sample, {"kind": kind})
+        return space({"kind": kind}, propose)
 
     raise ValueError(f"unknown region kind {kind!r}")
 
 
 def make_snowflake(alpha: float, base_dim: int, p, region=None) -> MarkedSpace:
     """(Euclidean distance)^alpha on a cube region: metric axioms survive
-    the concave power, rectifiability does not."""
-    if not 0.0 < alpha < 1.0:
-        raise AlphaOutOfRangeError(f"alpha must lie in (0,1), got {alpha}")
+    the concave power, rectifiability does not. It derives from
+    :func:`make_euclidean_subset` on ``region`` (the unit cube by default);
+    an ``alpha`` that is not a number in (0, 1) raises AlphaOutOfRangeError."""
+    if not _is_number(alpha) or not 0.0 < alpha < 1.0:
+        raise AlphaOutOfRangeError(f"alpha must lie in (0,1), got {alpha!r}")
     if region is None:
         region = {"kind": "cube", "low": [0.0] * base_dim, "high": [1.0] * base_dim}
     if _region_kind(region) != "cube":
         raise ValueError("snowflake spaces support cube regions only")
     base = make_euclidean_subset(base_dim, region, p)
-
-    def metric(a, b) -> float:
-        return _euclid(a, b) ** alpha
-
-    def sample(scale, k, seed=0):
-        # Euclidean delta in [t/2, t] with t = scale^(1/alpha) gives a
-        # snowflake delta in [scale/2^alpha, scale], inside the contract.
-        return base.sample(scale ** (1.0 / alpha), k, seed)
-
-    desc = {"type": "snowflake", "alpha": alpha, "dim": base_dim,
-            "region": base.description["region"], "p": base.description["p"]}
-    return MarkedSpace(metric=metric, p=base.p, sampler=sample, description=desc,
-                       point_repr=lambda x: np.asarray(x).tolist(),
-                       pairwise=lambda points: euclidean_matrix(points) ** alpha)
+    # Euclidean delta in [t/2, t] with t = scale^(1/alpha) gives a
+    # snowflake delta in [scale/2^alpha, scale], inside the contract.
+    return replace(base, metric=lambda a, b: _euclid(a, b) ** alpha,
+                   sampler=lambda scale, k, seed=0: base.sample(scale ** (1.0 / alpha), k, seed),
+                   description={**base.description, "type": "snowflake", "alpha": alpha},
+                   pairwise=lambda points: euclidean_matrix(points) ** alpha)
 
 
 def make_ultrametric(depth: int, arity: int, p=None) -> MarkedSpace:
@@ -349,7 +343,7 @@ def freeze(space: MarkedSpace, scale: float, count: int, seed=0) -> tuple[Finite
         off = dm + np.diag(np.full(len(pts), np.inf))
         if np.min(off) > 0:
             labels = ["p"] + [f"s{i}" for i in range(1, count + 1)]
-            return validate_metric({"labels": labels, "distances": dm.tolist()}), 0
+            return validate_metric({"labels": labels, "distances": dm}), 0
     raise RuntimeError(f"freeze: coincident samples persisted over 100 attempts at scale {scale}")
 
 
@@ -448,8 +442,7 @@ def marked_space_from_config(cfg: dict) -> MarkedSpace:
             raise ValueError("a curve region needs a Python CurveSpec, which a JSON config cannot carry")
         return make_euclidean_subset(dim, region, _field(cfg, "p"))
     if kind == "snowflake":
-        alpha = float(_field(cfg, "alpha"))
-        return make_snowflake(alpha, _integer(cfg, "dim"), _field(cfg, "p"), cfg.get("region"))
+        return make_snowflake(_field(cfg, "alpha"), _integer(cfg, "dim"), _field(cfg, "p"), cfg.get("region"))
     if kind == "ultrametric":
         return make_ultrametric(_integer(cfg, "depth"), _integer(cfg, "arity"), cfg.get("p"))
     raise ValueError(f"unknown space type {kind!r}")

@@ -526,12 +526,35 @@ class TestScan:
          'the region has no "kind" key'),
         ('{"type": "snowflake", "alpha": 0.5, "dim": 2, "p": [0, 0], "region": 5}',
          "the region must be a JSON object, got int"),
+        ('{"type": "euclidean", "dim": 2, "p": [0.5, 0.5], "region": {"kind": "cube", "low": [0], "high": [1]}}',
+         "low must have 2 coordinates"),
+        ('{"type": "euclidean", "dim": 2, "p": [0.5, 0.5], "region": {"kind": "cube", "low": [[0, 0]]}}',
+         "low must have 2 coordinates"),
+        ('{"type": "euclidean", "dim": 2, "p": [0.5, 0.5], '
+         '"region": {"kind": "cube", "low": [0, 0, 0], "high": [1, 1, 1]}}', "low must have 2 coordinates"),
+        ('{"type": "euclidean", "dim": 2, "p": [1, 0], '
+         '"region": {"kind": "sphere-surface", "center": [0, 0, 0], "radius": 1}}', "center must have 2 coordinates"),
+        ('{"type": "euclidean", "dim": 2, "p": [1, 0], '
+         '"region": {"kind": "sphere-surface", "center": [0, 0], "radius": "1"}}',
+         "radius must be a positive finite number, got '1'"),
+        ('{"type": "euclidean", "dim": 2, "p": [0.5, 0.5], '
+         '"region": {"kind": "cube", "low": [0, 0], "high": [1, 1], "pitch": "0.25"}}',
+         "pitch must be a positive finite number, got '0.25'"),
+        ('{"type": "euclidean", "dim": 2, "p": [0.5, 0.5], '
+         '"region": {"kind": "cube", "low": [0, 0], "high": [1, 1], "pitch": true}}',
+         "pitch must be a positive finite number, got True"),
+        ('{"type": "snowflake", "alpha": "0.5", "dim": 1, "p": [0.5]}', "alpha must lie in (0,1), got '0.5'"),
+        ('{"type": "snowflake", "alpha": true, "dim": 1, "p": [0.5]}', "alpha must lie in (0,1), got True"),
     ], ids=["curve", "no-dim", "no-type", "no-region", "list", "region-no-kind", "region-int",
-            "snowflake-region-no-kind", "snowflake-region-int"])
+            "snowflake-region-no-kind", "snowflake-region-int", "low-high-short", "low-nested", "low-high-long",
+            "center-long", "radius-string", "pitch-string", "pitch-bool", "alpha-string", "alpha-bool"])
     def test_config_refusal_names_the_fault(self, tmp_path, cfg, error, capsys):
         # a curve region ended in an AttributeError traceback with exit 1, a
         # missing key printed its bare KeyError repr (a region's "kind" too),
-        # and a list or a non-object region a TypeError's text
+        # and a list or a non-object region a TypeError's text. A short or
+        # nested cube bound was broadcast and a long one failed in numpy, a
+        # string radius or alpha was read as a number, a string pitch failed
+        # in numpy and a bool one snapped p to the cube's corner
         path = tmp_path / "bad.json"
         path.write_text(cfg)
         assert main(["scan", str(path), "--dim", "1", "--samples", "8"]) == 3

@@ -29,7 +29,7 @@ from metricembed import (
     submatrix,
     validate_metric,
 )
-from metricembed.determinants import tau_about, tau_from_matrix, within_band
+from metricembed.determinants import tau_about, within_band
 from metricembed.errors import NonzeroDiagonalError, NotSymmetricError, TupleTooShortError
 from metricembed.metric import ROW_BLOCK, euclidean_matrix
 from metricembed.spaces import perturbed_euclidean_space
@@ -96,7 +96,7 @@ def simplex_volume_sq(space, t):
 
 def tau(space, t):
     """tau matrix of a tuple whose first entry is the base point."""
-    return tau_from_matrix(submatrix(space, t))
+    return tau_about(submatrix(space, t) ** 2)[1:, 1:]
 
 
 class TestVolume:

@@ -1,5 +1,6 @@
 """Embeddability criteria, dimension search, realization, basis search."""
 
+import math
 import sys
 import threading
 import tracemalloc
@@ -18,7 +19,7 @@ from metricembed import (
     schoenberg_check,
     validate_metric,
 )
-from metricembed.determinants import DEFAULT_TOL_DET, within_band
+from metricembed.determinants import DEFAULT_TOL_DET, psd_check, within_band
 from metricembed.errors import (
     DimensionOutOfRangeError,
     DistanceOutOfRangeError,
@@ -567,3 +568,16 @@ def test_decision_cache_takes_positional_arguments_only(equilateral):
     # evicting the decision every other caller reads
     with pytest.raises(TypeError):
         embeddability._decide(equilateral, tol_det=DEFAULT_TOL_DET)
+
+
+@pytest.mark.parametrize("tol_det", [math.nan, math.inf, -1.0, 0.0])
+def test_zero_rule_refuses_a_tol_det_not_finite_and_positive(star_k13, tol_det):
+    # at inf the star, which embeds in no E^n, read m = 4; at nan, -1 and 0
+    # the decision warned and decided anyway (the suite makes a RuntimeWarning an error)
+    calls = (lambda: min_embedding_dimension(star_k13, tol_det=tol_det),
+             lambda: psd_check(star_k13.dist ** 2, 0, tol_det),
+             lambda: within_band(1.0, 1.0, 1, tol_det))
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == f"tol_det must be finite and > 0, got {tol_det!r}"

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -435,4 +436,14 @@ def test_csv_byte_order_mark_is_no_label(tmp_path):
 def test_negative_tolerance_refused():
     with pytest.raises(ValueError) as exc:
         validate_metric([[0, 1], [1, 0]], tol=-1.0)
+    assert str(exc.value) == "tolerance must be nonnegative"
+
+
+@pytest.mark.parametrize("matrix", [[[0, 1, 5], [1, 0, 1], [5, 1, 0]], [[0, 1, 1], [2, 0, 1], [1, 1, 0]]],
+                         ids=["triangle-violated-by-3", "asymmetric"])
+def test_nan_tolerance_refused(matrix):
+    # every comparison with a NaN tol is false: both matrices were accepted,
+    # the asymmetric entry averaged to 1.5
+    with pytest.raises(ValueError) as exc:
+        validate_metric(matrix, tol=math.nan)
     assert str(exc.value) == "tolerance must be nonnegative"

@@ -62,6 +62,9 @@ from metricembed.sequences import PseudometricMatrix, StabilityVerdict
 
 E1, E2 = np.eye(2)
 
+#: tolerances of the zero rule that every function taking one refuses
+BAD_TOL_DET = (math.nan, math.inf, -1.0, 0.0)
+
 
 def plane(p=(0.0, 0.0)):
     return make_euclidean_subset(2, {"kind": "cube", "low": [0, 0], "high": [1, 1]}, list(p))
@@ -147,6 +150,13 @@ class TestScales:
         n = len(t)
         assert delta <= eps * (1 + 1e-12)
         assert eps <= n ** (1.0 / s) * delta * (1 + 1e-12)
+
+    @pytest.mark.parametrize("s", [1e3, 1e6, math.inf])
+    def test_epsilon_at_large_exponents(self, s):
+        # the unscaled s-norm underflowed to 0.0 at s = 1e6 and read 1.0 at s = inf
+        sp = make_euclidean_subset(2, {"kind": "cube", "low": [-1, -1], "high": [1, 1]}, [0, 0])
+        t = (np.array([0.3, 0.0]), np.array([0.0, 0.4]))
+        assert 0.4 <= epsilon_scale(sp, t, s) <= 2 ** (1.0 / s) * 0.4 * (1 + 1e-12)
 
 
 class TestThetaAndS:
@@ -754,6 +764,9 @@ class TestSequenceDistances:
     (lambda: liminf_scan(plane(), 1, condition="limit"), ValueError, "unknown condition 'limit'"),
     (lambda: liminf_scan(plane(), 1, mode="sch"), ValueError, "unknown mode 'sch'"),
     (lambda: delta_scale(plane(), ()), ValueError, "a scale needs a nonempty tuple"),
+    # the noise floor 10 * tol_det read NaN, inf or <= 0, and the scans decided on it
+    *[(lambda t=t: transfer_check(plane(), 1, samples_per_scale=4, tol_det=t), ValueError,
+       f"tol_det must be finite and > 0, got {t!r}") for t in BAD_TOL_DET],
 ])
 def test_scan_layer_refusals(call, error, message):
     with pytest.raises(error) as exc:
@@ -770,6 +783,8 @@ def test_scan_layer_refusals(call, error, message):
      "need at least two sequences (n >= 1)"),
     (lambda: blumenthal_sequence_scan(plane(), [constant_sequence(plane().p)] * 2, depth=15), ValueError,
      "depth must be >= 16, got 15"),
+    *[(lambda t=t: blumenthal_sequence_scan(plane(), [constant_sequence(plane().p)] * 2, tol_det=t), ValueError,
+       f"tol_det must be finite and > 0, got {t!r}") for t in BAD_TOL_DET],
 ])
 def test_sequence_layer_refusals(call, error, message):
     with pytest.raises(error) as exc:

@@ -301,6 +301,24 @@ def _away_from_curve():
 @pytest.mark.parametrize("call,error,message", [
     (lambda: make_euclidean_subset(0, {"kind": "cube"}, []), ValueError, "dimension must be >= 1, got 0"),
     (lambda: make_euclidean_subset(2, {"kind": "cube"}, [0.0]), ValueError, "marked point must have 2 coordinates"),
+    (lambda: make_euclidean_subset(2, {"kind": "cube", "low": [0], "high": [1]}, [0.5, 0.5]),
+     ValueError, "low must have 2 coordinates"),
+    (lambda: make_euclidean_subset(2, {"kind": "cube", "low": [[0, 0]]}, [0.5, 0.5]),
+     ValueError, "low must have 2 coordinates"),
+    (lambda: make_euclidean_subset(2, {"kind": "cube", "low": [0, 0, 0], "high": [1, 1, 1]}, [0.5, 0.5]),
+     ValueError, "low must have 2 coordinates"),
+    (lambda: make_euclidean_subset(2, {"kind": "cube", "high": [1, 1, 1]}, [0.5, 0.5]),
+     ValueError, "high must have 2 coordinates"),
+    (lambda: make_euclidean_subset(2, {"kind": "sphere-surface", "center": [0, 0, 0], "radius": 1}, [1, 0]),
+     ValueError, "center must have 2 coordinates"),
+    (lambda: make_euclidean_subset(2, {"kind": "sphere-surface", "center": [0, 0], "radius": "1"}, [1, 0]),
+     ValueError, "radius must be a positive finite number, got '1'"),
+    (lambda: make_euclidean_subset(2, {"kind": "cube", "pitch": "0.25"}, [0.5, 0.5]),
+     ValueError, "pitch must be a positive finite number, got '0.25'"),
+    (lambda: make_euclidean_subset(2, {"kind": "cube", "pitch": True}, [0.5, 0.5]),
+     ValueError, "pitch must be a positive finite number, got True"),
+    (lambda: make_snowflake("0.5", 1, [0.5]), AlphaOutOfRangeError, "alpha must lie in (0,1), got '0.5'"),
+    (lambda: make_snowflake(True, 1, [0.5]), AlphaOutOfRangeError, "alpha must lie in (0,1), got True"),
     (lambda: make_euclidean_subset(1, {"kind": "sphere-surface", "center": [0.0], "radius": 1.0}, [1.0]),
      ValueError, "sphere-surface region needs dim >= 2"),
     (_away_from_curve, MarkedPointOutsideRegionError, "p must equal fn(t0)"),
