@@ -23,6 +23,13 @@ Each command imports only the layers it runs. Every command loads
 functions of those layers are bound here as stand-ins that import their
 module on first call and look the function up there on every call.
 
+Each command returns its payload, a dict that holds its ``exit_code``, or
+raises the one refusal type, whose payload carries the ``error``.
+:func:`main` alone adds ``"command"``, writes the payload once to stdout
+or ``--out`` and returns its ``exit_code``; a failed ``--out`` write of
+any payload gives the ``cannot write output`` payload on stdout instead.
+Only ``scan --out DIR`` writes more: one file per scan, beside the payload.
+
 A CLI process runs :func:`console_entry`, which flushes stdout and stderr
 and ends the process with ``os._exit``: interpreter finalization and
 atexit handlers never run. Callers in a process of their own call
@@ -60,6 +67,11 @@ EXIT_UNDETERMINED = 4
 #: (RecursionError is a RuntimeError), included. MemoryError is left to main.
 _BAD_INPUT = (OSError, ValueError, KeyError, TypeError, OverflowError, RuntimeError)
 
+#: the exit code of every verdict: check-embed's, min-dim's feasibility and scan's
+_EXIT_CODES = {"yes": EXIT_YES, True: EXIT_YES, "consistent-with-embeddable": EXIT_YES,
+               "no": EXIT_NO, False: EXIT_NO, "refuted": EXIT_NO,
+               "undetermined": EXIT_UNDETERMINED, "inconclusive": EXIT_UNDETERMINED}
+
 
 def _first_use(module: str, name: str):
     """A stand-in for ``module.name`` that imports the module on its first
@@ -94,7 +106,7 @@ def _out_path(args) -> str | None:
     return args.out
 
 
-def _emit(payload: dict, fmt: str, out: str | None) -> None:
+def _emit(payload: dict, fmt: str, out: str | Path | None) -> None:
     if fmt == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
@@ -130,13 +142,25 @@ def _parse_scales(text: str) -> list[float]:
     return scale_ladder(float(r0), float(q), int(count))
 
 
-def _load(path: str, tol: float | None, tol_det: float):
+class _Refused(Exception):
+    """A command refuses its input: the payload is ``error``, the exit
+    code and any further ``fields``."""
+
+    def __init__(self, code: int, error: str, **fields):
+        super().__init__(error)
+        self.payload = {**fields, "error": error, "exit_code": code}
+
+
+def _load(args, **fields):
+    """The space a finite command reads; a refusal's payload also carries
+    ``fields``."""
     try:
-        return load_space(path, tol=tol, certificate=partial(triangles_certified, tol_det=tol_det)), None
+        return load_space(args.input, tol=args.tol_metric,
+                          certificate=partial(triangles_certified, tol_det=args.tol_det))
     except MetricViolationError as exc:
-        return None, (EXIT_INVALID_METRIC, f"invalid metric: {exc} (indices {exc.indices})")
+        raise _Refused(EXIT_INVALID_METRIC, f"invalid metric: {exc} (indices {exc.indices})", **fields)
     except _BAD_INPUT as exc:
-        return None, (EXIT_IO, f"cannot read space: {exc}")
+        raise _Refused(EXIT_IO, f"cannot read space: {exc}", **fields)
 
 
 def _realize(result: dict, space, n: int, tol_det: float):
@@ -148,51 +172,30 @@ def _realize(result: dict, space, n: int, tol_det: float):
     return real
 
 
-def cmd_validate(args) -> int:
-    space, err = _load(args.input, args.tol_metric, args.tol_det)
-    if err:
-        code, msg = err
-        _emit({"command": "validate", "input": args.input, "ok": False, "error": msg,
-               "exit_code": code}, args.format, args.out)
-        return code
-    _emit({"command": "validate", "input": args.input, "ok": True, "n_points": space.n_points,
-           "tol": space.tol, "exit_code": EXIT_YES}, args.format, args.out)
-    return EXIT_YES
+def cmd_validate(args) -> dict:
+    space = _load(args, input=args.input, ok=False)
+    return {"input": args.input, "ok": True, "n_points": space.n_points, "tol": space.tol, "exit_code": EXIT_YES}
 
 
-def cmd_check_embed(args) -> int:
-    space, err = _load(args.input, args.tol_metric, args.tol_det)
-    if err:
-        code, msg = err
-        _emit({"command": "check-embed", "error": msg, "exit_code": code}, args.format, args.out)
-        return code
-    config = _config_dict(args)
-
+def cmd_check_embed(args) -> dict:
+    space = _load(args)
     if args.criterion == "blumenthal":
         basis = blumenthal_basis_search(space, args.dim, tol_det=args.tol_det)
         result = {"criterion": "blumenthal", "n": args.dim, "verdict": "yes" if basis is not None else "no",
                   "witness_tuple": list(basis) if basis else None, "witness_value": None, "residual": None}
-        code = EXIT_YES if basis is not None else EXIT_NO
     else:
         checks = {"menger": [menger_check], "schoenberg": [schoenberg_check],
                   "all": [menger_check, schoenberg_check]}[args.criterion]
         verdicts = [check(space, args.dim, tol_det=args.tol_det) for check in checks]
-        primary = next((v for v in verdicts if v.embeddable == "no"), verdicts[0])
-        result = primary.to_json_dict()
-        code = {"yes": EXIT_YES, "no": EXIT_NO, "undetermined": EXIT_UNDETERMINED}[primary.embeddable]
+        result = next((v for v in verdicts if v.embeddable == "no"), verdicts[0]).to_json_dict()
+    code = _EXIT_CODES[result["verdict"]]
     if args.realize and code == EXIT_YES:
         result["achieved_dim"] = _realize(result, space, args.dim, args.tol_det).m
-    payload = {"command": "check-embed", "config": config, "result": result, "exit_code": code}
-    _emit(payload, args.format, args.out)
-    return code
+    return {"config": _config_dict(args), "result": result, "exit_code": code}
 
 
-def cmd_min_dim(args) -> int:
-    space, err = _load(args.input, args.tol_metric, args.tol_det)
-    if err:
-        code, msg = err
-        _emit({"command": "min-dim", "error": msg, "exit_code": code}, args.format, args.out)
-        return code
+def cmd_min_dim(args) -> dict:
+    space = _load(args)
     res = min_embedding_dimension(space, tol_det=args.tol_det)
     result = {"feasible": res.feasible, "m": res.dim, "base_point": res.base,
               "psd": {"psd": res.psd.psd, "rank": res.psd.rank,
@@ -201,70 +204,49 @@ def cmd_min_dim(args) -> int:
     if args.realize and res.feasible:
         # realize_coordinates refuses n < 1; a one-point space (m = 0) gets [[]] in E^1
         _realize(result, space, max(res.dim, 1), args.tol_det)
-    code = EXIT_YES if res.feasible else EXIT_NO
-    payload = {"command": "min-dim", "config": _config_dict(args), "result": result, "exit_code": code}
-    _emit(payload, args.format, args.out)
-    return code
+    return {"config": _config_dict(args), "result": result, "exit_code": _EXIT_CODES[res.feasible]}
 
 
-def cmd_scan(args) -> int:
-    # with --out DIR (no suffix), one JSON file per scan plus the aggregate,
-    # or the error payload, in DIR/transfer.<ext>
-    out = _out_path(args)
-    outdir = Path(args.out) if out != args.out else None
+def cmd_scan(args) -> dict:
+    # with --out DIR (no suffix), one JSON file per scan beside the payload
+    # in DIR/transfer.<ext>
+    outdir = Path(args.out) if _out_path(args) != args.out else None
     if outdir is not None:
         outdir.mkdir(parents=True, exist_ok=True)
     try:
         cfg = json.loads(Path(args.space).read_text(encoding="utf-8"))
         space = marked_space_from_config(cfg)
     except _BAD_INPUT as exc:
-        _emit({"command": "scan", "error": f"cannot build space: {exc}", "exit_code": EXIT_IO},
-              args.format, out)
-        return EXIT_IO
+        raise _Refused(EXIT_IO, f"cannot build space: {exc}")
+    config = _config_dict(args, space=cfg)
     try:
         report = transfer_check(space, args.dim, samples_per_scale=args.samples,
                                 scales=_parse_scales(args.scales), seed=args.seed, tol_det=args.tol_det)
     except _BAD_INPUT as exc:
         # a sampler that cannot serve the ladder, or a scale that overflows it
-        _emit({"command": "scan", "config": _config_dict(args, space=cfg), "error": f"cannot scan: {exc}",
-               "exit_code": EXIT_IO}, args.format, out)
-        return EXIT_IO
-    code = {"consistent-with-embeddable": EXIT_YES, "refuted": EXIT_NO,
-            "inconclusive": EXIT_UNDETERMINED}[report.verdict]
-    payload = {"command": "scan", "config": _config_dict(args, space=cfg),
-               "result": report.to_json_dict(space.point_repr), "exit_code": code}
+        raise _Refused(EXIT_IO, f"cannot scan: {exc}", config=config)
     if outdir is not None:
         for scan in report.scans:
-            name = f"scan_k{scan.k}_{scan.mode}.json"
-            (outdir / name).write_text(
-                json.dumps(scan.to_json_dict(space.point_repr), sort_keys=True, indent=2) + "\n",
-                encoding="utf-8")
-    _emit(payload, args.format, out)
-    return code
+            _emit(scan.to_json_dict(space.point_repr), "json", outdir / f"scan_k{scan.k}_{scan.mode}.json")
+    return {"config": config, "result": report.to_json_dict(space.point_repr),
+            "exit_code": _EXIT_CODES[report.verdict]}
+
+
+#: the option behind each field of a payload's ``config``; a command
+#: without that option echoes null
+_CONFIG_FIELDS = {"command": "command", "n": "dim", "criterion": "criterion", "tol_det": "tol_det",
+                  "tol_metric": "tol_metric", "scales": "scales", "samples": "samples", "seed": "seed",
+                  "format": "format", "input": "input"}
 
 
 def _config_dict(args, space=None) -> dict:
-    cfg = {
-        "command": args.command,
-        "n": getattr(args, "dim", None),
-        "criterion": getattr(args, "criterion", None),
-        "tol_det": getattr(args, "tol_det", None),
-        "tol_metric": getattr(args, "tol_metric", None),
-        "scales": getattr(args, "scales", None),
-        "samples": getattr(args, "samples", None),
-        "seed": getattr(args, "seed", None),
-        "format": args.format,
-        "version": __version__,
-    }
-    if args.command == "scan":
+    """The run configuration; ``scan`` passes the ``space`` config it read."""
+    cfg = {field: getattr(args, name, None) for field, name in _CONFIG_FIELDS.items()}
+    cfg["version"] = __version__
+    if space is not None:
         from .pretangent import SAMPLER_VERSION
 
-        cfg["sampler_version"] = SAMPLER_VERSION
-    if space is not None:
-        cfg["space"] = space
-    inp = getattr(args, "input", None) or getattr(args, "space", None)
-    if inp:
-        cfg["input"] = inp
+        cfg.update(input=args.space, space=space, sampler_version=SAMPLER_VERSION)
     return cfg
 
 
@@ -348,31 +330,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    """Run one command and return its exit code; argparse raises
-    SystemExit for ``--version``, ``--help`` and a usage error, and a
-    failed write to stdout raises its OSError."""
-    args = build_parser().parse_args(argv)
+def _payload(args) -> dict:
+    """The payload of the command ``args`` names, or of its refusal."""
     try:
         return args.func(args)
-    except DistanceOutOfRangeError as exc:
-        # raised by check-embed and min-dim before anything is written
-        _emit({"command": args.command, "error": f"cannot decide: {exc}", "exit_code": EXIT_IO},
-              args.format, args.out)
-        return EXIT_IO
+    except _Refused as exc:
+        return exc.payload
+    except DistanceOutOfRangeError as exc:  # check-embed and min-dim
+        return {"error": f"cannot decide: {exc}", "exit_code": EXIT_IO}
+
+
+def _write(args, payload: dict, out: str | None) -> int:
+    """Write ``payload`` as the run's output to ``out`` (stdout if None);
+    returns its exit code."""
+    _emit({"command": args.command, **payload}, args.format, out)
+    return payload["exit_code"]
+
+
+def main(argv=None) -> int:
+    """Run one command, write its payload and return the payload's exit
+    code; argparse raises SystemExit for ``--version``, ``--help`` and a
+    usage error, and a failed write to stdout raises its OSError."""
+    args = build_parser().parse_args(argv)
+    out = _out_path(args)
+    try:
+        try:
+            return _write(args, _payload(args), out)
+        except MemoryError as exc:  # while the command ran or its payload was written
+            error = f"out of memory: {str(exc) or 'allocation failed'}"
+        # reported once the handler has dropped the failed command's frames,
+        # and with them whatever it had allocated
+        return _write(args, {"error": error, "exit_code": EXIT_IO}, out)
     except OSError as exc:
         if args.out is None:
             raise  # stdout itself failed, so no payload can reach it: console_entry reports it
         # every input is read under its own handler, so this is a failed --out write
-        _emit({"command": args.command, "error": f"cannot write output: {exc}", "exit_code": EXIT_IO},
-              args.format, None)
-        return EXIT_IO
-    except MemoryError as exc:
-        error = f"out of memory: {str(exc) or 'allocation failed'}"
-    # reported once the handler has dropped the failed command's frames, and
-    # with them whatever it had allocated
-    _emit({"command": args.command, "error": error, "exit_code": EXIT_IO}, args.format, _out_path(args))
-    return EXIT_IO
+        return _write(args, {"error": f"cannot write output: {exc}", "exit_code": EXIT_IO}, None)
 
 
 def console_entry(argv=None) -> NoReturn:

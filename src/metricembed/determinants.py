@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NonzeroDiagonalError, NotSymmetricError, TupleTooShortError
-from .metric import FiniteMetricSpace, row_blocks, submatrix
+from .metric import FiniteMetricSpace, check_finite, row_blocks, submatrix
 
 #: Tolerance of the zero rule. A determinant of a (k+1)-point tuple counts
 #: as zero when, divided by the tuple's own largest distance to the power
@@ -197,6 +197,7 @@ def psd_check(sq: np.ndarray, base: int, tol_det: float = DEFAULT_TOL_DET) -> Ps
     if sq.ndim != 2 or sq.shape[0] != sq.shape[1]:
         raise NotSymmetricError(f"matrix must be square, got shape {sq.shape}")
     n = sq.shape[0]
+    check_finite(sq, "squared distance")
     if not all(np.array_equal(sq[rows], sq[:, rows].T) for rows in row_blocks(n)):
         raise NotSymmetricError("matrix is not symmetric")
     if np.diag(sq).any():

@@ -41,6 +41,19 @@ def row_blocks(n: int):
         yield slice(lo, min(lo + ROW_BLOCK, n))
 
 
+def check_finite(d: np.ndarray, what: str) -> None:
+    """Refuse a square ``d`` with a NaN or infinite entry, naming the first
+    as ``non-finite {what} at (i,j)``; reduces first and scans blocks of
+    rows only then, so it makes no N x N temporary."""
+    n = d.shape[0]
+    if n and not (np.isfinite(np.max(d)) and np.isfinite(np.min(d))):
+        for rows in row_blocks(n):
+            bad = np.flatnonzero(~np.isfinite(d[rows]))
+            if bad.size:
+                i, j = divmod(int(bad[0]), n)
+                raise ValueError(f"non-finite {what} at ({rows.start + i},{j})")
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteMetricSpace:
     """A finite metric space: labels plus a validated distance matrix.
@@ -110,12 +123,7 @@ def _validated(d, labels, tol: float | None, certificate) -> FiniteMetricSpace:
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {d.shape}")
     n = d.shape[0]
-    if n and not (np.isfinite(np.max(d)) and np.isfinite(np.min(d))):
-        for rows in row_blocks(n):
-            bad = np.flatnonzero(~np.isfinite(d[rows]))
-            if bad.size:
-                i, j = divmod(int(bad[0]), n)
-                raise ValueError(f"non-finite distance at ({rows.start + i},{j})")
+    check_finite(d, "distance")
     if tol is None:
         tol = DEFAULT_REL_TOL * float(np.max(d)) if d.size and np.max(d) > 0 else DEFAULT_REL_TOL
     if not tol >= 0:

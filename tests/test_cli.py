@@ -1078,3 +1078,162 @@ def test_closed_stderr_keeps_the_exit_code(parity_files):
     done = _cli_process(argv, stderr=None, preexec_fn=lambda: os.close(2))
     assert done.returncode == 1 and json.loads(done.stdout)["exit_code"] == 1
     assert _into_closed_pipe(argv, stderr=subprocess.STDOUT).returncode == 3
+
+
+#: the inputs of the refusal pins, by file name; "{dir}" stands for the
+#: directory that holds them, and a name absent here is a missing file
+REFUSAL_INPUTS = {
+    "broken.json": '{"distances": [[0, 1], [1, 0]',
+    "bent.json": json.dumps({"distances": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]}),
+    # every distance below embeddability.CERTIFIABLE_RANGE
+    "tiny.json": json.dumps({"distances": [[0, 1e-200, 1e-200], [1e-200, 0, 1e-200], [1e-200, 1e-200, 0]]}),
+    "noregion.json": json.dumps({"type": "euclidean", "dim": 2, "p": [0, 0]}),
+    # a depth-3 tree resolves distances down to 2^-2 only
+    "shallow.json": json.dumps({"type": "ultrametric", "depth": 3, "arity": 2}),
+}
+MISSING = "cannot read space: [Errno 2] No such file or directory: '{dir}/missing.json'"
+BROKEN = "cannot read space: Expecting ',' delimiter: line 1 column 30 (char 29)"
+BENT = "invalid metric: triangle violation d[0][2] > d[0][1] + d[1][2] by 3.0 (indices (0, 2, 1))"
+TINY = "cannot decide: a distance lies outside [1.001e-146, 3.352e+153]"
+NO_REGION = 'cannot build space: the config has no "region" key'
+SHALLOW = "cannot scan: scale 0.125 below tree resolution 2^-2"
+SCAN = ["--dim", "1", "--samples", "8"]
+
+
+def _shallow_config(fmt: str) -> dict:
+    from metricembed.pretangent import SAMPLER_VERSION
+
+    return {"command": "scan", "criterion": None, "format": fmt, "input": "{dir}/shallow.json", "n": 1,
+            "sampler_version": SAMPLER_VERSION, "samples": 8, "scales": "0.5:0.5:12", "seed": 0,
+            "space": json.loads(REFUSAL_INPUTS["shallow.json"]), "tol_det": DEFAULT_TOL_DET,
+            "tol_metric": None, "version": __version__}
+
+
+def _refusal(command: str, error: str, code: int = 3, **fields) -> dict:
+    return {"command": command, "error": error, "exit_code": code, **fields}
+
+
+def _validate_refusal(error: str, name: str, code: int = 3) -> dict:
+    return _refusal("validate", error, code, input="{dir}/" + name, ok=False)
+
+
+#: every refusal kind, pinned whole: argv, exit code, stdout, and every file
+#: the run writes (relative to "{dir}"); a dict stands for its JSON document
+REFUSALS = {
+    "validate-missing": (["validate", "{dir}/missing.json"], 3, _validate_refusal(MISSING, "missing.json"), {}),
+    "check-embed-missing": (["check-embed", "{dir}/missing.json", "--dim", "1"], 3,
+                            _refusal("check-embed", MISSING), {}),
+    "min-dim-missing": (["min-dim", "{dir}/missing.json"], 3, _refusal("min-dim", MISSING), {}),
+    "validate-broken": (["validate", "{dir}/broken.json"], 3, _validate_refusal(BROKEN, "broken.json"), {}),
+    "check-embed-broken": (["check-embed", "{dir}/broken.json", "--dim", "1"], 3,
+                           _refusal("check-embed", BROKEN), {}),
+    "min-dim-broken": (["min-dim", "{dir}/broken.json"], 3, _refusal("min-dim", BROKEN), {}),
+    "validate-triangle": (["validate", "{dir}/bent.json"], 2, _validate_refusal(BENT, "bent.json", 2), {}),
+    "check-embed-triangle": (["check-embed", "{dir}/bent.json", "--dim", "1"], 2,
+                             _refusal("check-embed", BENT, 2), {}),
+    "min-dim-triangle": (["min-dim", "{dir}/bent.json"], 2, _refusal("min-dim", BENT, 2), {}),
+    # validate still checks a space it cannot decide on
+    "validate-tiny": (["validate", "{dir}/tiny.json"], 0,
+                      {"command": "validate", "exit_code": 0, "input": "{dir}/tiny.json", "n_points": 3,
+                       "ok": True, "tol": 1e-209}, {}),
+    "check-embed-tiny": (["check-embed", "{dir}/tiny.json", "--dim", "1"], 3, _refusal("check-embed", TINY), {}),
+    "min-dim-tiny": (["min-dim", "{dir}/tiny.json"], 3, _refusal("min-dim", TINY), {}),
+    "scan-missing": (["scan", "{dir}/missing.json", *SCAN], 3,
+                     _refusal("scan", MISSING.replace("read space", "build space")), {}),
+    "scan-no-region": (["scan", "{dir}/noregion.json", *SCAN], 3, _refusal("scan", NO_REGION), {}),
+    "scan-below-resolution": (["scan", "{dir}/shallow.json", *SCAN], 3,
+                              _refusal("scan", SHALLOW, config=_shallow_config("json")), {}),
+    "unwritable-out": (["validate", "{dir}/bent.json", "--out", "{dir}/nowhere/x.json"], 3,
+                       _refusal("validate", "cannot write output: [Errno 2] No such file or directory: "
+                                            "'{dir}/nowhere/x.json'"), {}),
+    "out-dir-below-resolution": (["scan", "{dir}/shallow.json", *SCAN, "--out", "{dir}/reports"], 3, "",
+                                 {"reports/transfer.json": _refusal("scan", SHALLOW,
+                                                                    config=_shallow_config("json"))}),
+    "out-dir-no-region": (["scan", "{dir}/noregion.json", *SCAN, "--out", "{dir}/reports"], 3, "",
+                          {"reports/transfer.json": _refusal("scan", NO_REGION)}),
+    "out-dir-not-a-directory": (["scan", "{dir}/shallow.json", *SCAN, "--out", "{dir}/bent.json/reports"], 3,
+                                _refusal("scan", "cannot write output: [Errno 20] Not a directory: "
+                                                 "'{dir}/bent.json/reports'"), {}),
+    "text-missing": (["check-embed", "{dir}/missing.json", "--dim", "1", "--format", "text"], 3,
+                     f"command: check-embed\nerror: {MISSING}\nexit_code: 3\n", {}),
+    "text-below-resolution": (["scan", "{dir}/shallow.json", *SCAN, "--format", "text"], 3,
+                              "command: scan\nconfig:\n  command: scan\n  criterion: None\n  format: text\n"
+                              "  input: {dir}/shallow.json\n  n: 1\n  sampler_version: 2\n  samples: 8\n"
+                              "  scales: 0.5:0.5:12\n  seed: 0\n  space:\n    arity: 2\n    depth: 3\n"
+                              f"    type: ultrametric\n  tol_det: 1e-08\n  tol_metric: None\n  version: {__version__}\n"
+                              f"error: {SHALLOW}\nexit_code: 3\n", {}),
+    "text-out-file": (["validate", "{dir}/bent.json", "--format", "text", "--out", "{dir}/bent.txt"], 2, "",
+                      {"bent.txt": f"command: validate\nerror: {BENT}\nexit_code: 2\n"
+                                   "input: {dir}/bent.json\nok: False\n"}),
+}
+
+
+def _document(expected, directory: Path) -> bytes:
+    """The bytes of an expected output: a dict as the CLI's JSON document."""
+    if isinstance(expected, dict):
+        expected = json.dumps(expected, sort_keys=True, indent=2) + "\n"
+    return expected.replace("{dir}", str(directory)).encode()
+
+
+def _run_refusal(side: str, argv: list[str], directory: Path, capsysbinary) -> tuple[int, bytes, dict]:
+    """Exit code, stdout and the files written of one run against a fresh
+    copy of the refusal inputs in ``directory``."""
+    directory.mkdir()
+    for name, text in REFUSAL_INPUTS.items():
+        (directory / name).write_text(text)
+    argv = [arg.replace("{dir}", str(directory)) for arg in argv]
+    if side == "main":
+        code, out = _in_process(argv), capsysbinary.readouterr().out
+    else:
+        done = _cli_process(argv)
+        assert b"Traceback" not in done.stderr, done.stderr
+        code, out = done.returncode, done.stdout
+    written = {str(path.relative_to(directory)): path.read_bytes() for path in directory.rglob("*")
+               if path.is_file() and path.name not in REFUSAL_INPUTS}
+    return code, out, written
+
+
+@pytest.mark.parametrize("side", ["main", "process"])
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_refusals_pinned(case, side, tmp_path, capsysbinary):
+    argv, code, stdout, files = REFUSALS[case]
+    directory = tmp_path / "run"
+    assert _run_refusal(side, argv, directory, capsysbinary) == (
+        code, _document(stdout, directory), {name: _document(text, directory) for name, text in files.items()})
+
+
+@pytest.mark.parametrize("side", ["main", "process"])
+def test_undecidable_space_into_unwritable_out(side, tmp_path, capsysbinary):
+    # the cannot-decide payload's failed --out write ended in a bare
+    # FileNotFoundError (a stderr line from a process) instead of the
+    # cannot-write-output JSON on stdout that every other payload gives
+    directory = tmp_path / "run"
+    argv = ["min-dim", "{dir}/tiny.json", "--out", "{dir}/nowhere/x.json"]
+    error = "cannot write output: [Errno 2] No such file or directory: '{dir}/nowhere/x.json'"
+    assert _run_refusal(side, argv, directory, capsysbinary) == (
+        3, _document(_refusal("min-dim", error), directory), {})
+
+
+@pytest.mark.parametrize("during", ["command", "write", "unwritable-out"])
+def test_out_of_memory_payload(during, eq_file, tmp_path, monkeypatch, capsys):
+    # a MemoryError while the command runs or while its payload is written
+    # gives the out-of-memory payload where the payload would have gone; a
+    # failed --out write of that payload gives the cannot-write-output JSON
+    from metricembed import cli
+
+    argv = ["min-dim", eq_file, "--format", "text"]
+    render = cli._render_text
+
+    def out_of_memory(*args, **kwargs):
+        monkeypatch.setattr(cli, "_render_text", render)  # the next write succeeds
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_render_text" if during == "write" else "min_embedding_dimension", out_of_memory)
+    if during == "unwritable-out":
+        out = tmp_path / "nowhere" / "x.txt"
+        assert main(argv + ["--out", str(out)]) == 3
+        assert capsys.readouterr().out == ("command: min-dim\nerror: cannot write output: [Errno 2] "
+                                           f"No such file or directory: '{out}'\nexit_code: 3\n")
+    else:
+        assert main(argv) == 3
+        assert capsys.readouterr().out == "command: min-dim\nerror: out of memory: allocation failed\nexit_code: 3\n"

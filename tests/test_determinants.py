@@ -272,6 +272,11 @@ class TestPsd:
             psd_check(np.zeros((2, 3)), 0)
         with pytest.raises(NonzeroDiagonalError):
             psd_check(np.array([[1.0, 1.0], [1.0, 0.0]]), 0)
+        # an infinite entry read psd=True with a NaN factor, and a NaN one
+        # was refused as asymmetric
+        for entry in (np.inf, np.nan):
+            with pytest.raises(ValueError, match=r"^non-finite squared distance at \(0,1\)$"):
+                psd_check(np.array([[0.0, entry], [entry, 0.0]]), 0)
 
     def test_tau_about_any_base_of_the_same_space(self):
         # the base row and column are exact zeros, and every base of a
