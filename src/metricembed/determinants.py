@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NonzeroDiagonalError, NotSymmetricError, TupleTooShortError
-from .metric import FiniteMetricSpace, check_finite, row_blocks, submatrix
+from .metric import FiniteMetricSpace, check_finite, first_worst, readonly, row_blocks, submatrix
 
 #: Tolerance of the zero rule. A determinant of a (k+1)-point tuple counts
 #: as zero when, divided by the tuple's own largest distance to the power
@@ -162,9 +162,7 @@ class PsdReport:
     def __post_init__(self):
         for name in ("factor", "leftover"):
             if getattr(self, name) is not None:
-                a = np.asarray(getattr(self, name), dtype=float)
-                a.flags.writeable = False
-                object.__setattr__(self, name, a)
+                object.__setattr__(self, name, readonly(getattr(self, name)))
 
 
 def psd_check(sq: np.ndarray, base: int, tol_det: float = DEFAULT_TOL_DET) -> PsdReport:
@@ -252,25 +250,20 @@ def psd_check(sq: np.ndarray, base: int, tol_det: float = DEFAULT_TOL_DET) -> Ps
         cols.append(col)
         rest = np.delete(rest, j)
 
-    if rest.size > 1:
-        # every pair (y, z) of leftovers, a block of y at a time; a later
-        # block replaces the worst only when strictly more negative, which
-        # keeps the first minimum in row-major order. The minors are
-        # symmetric with zeros on the diagonal, so that one has y before z.
-        k = len(pivots) + 2
-        d = s[rest, rest]
-        r = reach[rest]
-        worst, at = np.inf, None
-        for ys in row_blocks(rest.size):
-            block = s[np.ix_(rest[ys], rest)]
-            minors = det * (d[ys, None] * d[None, :] - block * block)
-            pair_sq = np.maximum(np.maximum(taken, rel(np.ix_(rest[ys], rest))), np.maximum(r[ys, None], r[None, :]))
-            bad = ~within_band(minors, pair_sq, k, tol_det) & (minors < 0)
-            if np.any(bad):
-                flat = int(np.argmin(np.where(bad, minors, np.inf)))
-                if minors.flat[flat] < worst:
-                    worst, at = minors.flat[flat], (ys.start + flat // rest.size, flat % rest.size)
-        if at is not None:
-            y, z = at
-            return finish(pivots + [rest[y], rest[z]], worst * scale**k)
+    # every pair (y, z) of leftovers, a block of y at a time. The minors are
+    # symmetric with zeros on the diagonal, so the first worst has y before z.
+    k = len(pivots) + 2
+    d = s[rest, rest]
+    r = reach[rest]
+
+    def pair_minors(ys):
+        block = s[np.ix_(rest[ys], rest)]
+        minors = det * (d[ys, None] * d[None, :] - block * block)
+        pair_sq = np.maximum(np.maximum(taken, rel(np.ix_(rest[ys], rest))), np.maximum(r[ys, None], r[None, :]))
+        return np.where(~within_band(minors, pair_sq, k, tol_det) & (minors < 0), minors, np.inf)
+
+    worst, at = first_worst(((ys.start * rest.size, pair_minors(ys)) for ys in row_blocks(rest.size)), least=True)
+    if worst < np.inf:
+        y, z = divmod(at, rest.size)
+        return finish(pivots + [rest[y], rest[z]], worst * scale**k)
     return finish()

@@ -49,7 +49,7 @@ from .errors import (
     NotEmbeddableError,
     RankExceedsRequestedError,
 )
-from .metric import FiniteMetricSpace, euclidean_matrix, row_blocks, submatrix
+from .metric import FiniteMetricSpace, euclidean_matrix, readonly, row_blocks, submatrix
 
 
 @dataclass(frozen=True)
@@ -97,9 +97,7 @@ class Realization:
     max_residual: float
 
     def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
-        c.flags.writeable = False
-        object.__setattr__(self, "coords", c)
+        object.__setattr__(self, "coords", readonly(self.coords))
 
 
 @dataclass(frozen=True)

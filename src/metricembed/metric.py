@@ -41,17 +41,42 @@ def row_blocks(n: int):
         yield slice(lo, min(lo + ROW_BLOCK, n))
 
 
+def first_worst(blocks, least: bool = False) -> tuple[float, int]:
+    """The largest entry (the least with ``least``) of ``blocks`` and its
+    flat index; each block is an (offset, array) pair whose entries are
+    numbered from offset on in row-major order. A later block replaces the
+    worst only when strictly worse, so the first offender is named. No
+    blocks give (-inf, -1), or (inf, -1) with ``least``."""
+    worst, at = (np.inf if least else -np.inf), -1
+    for offset, block in blocks:
+        k = int(np.argmin(block) if least else np.argmax(block))
+        if (block.flat[k] < worst) if least else (block.flat[k] > worst):
+            worst, at = float(block.flat[k]), offset + k
+    return worst, at
+
+
+def readonly(a) -> np.ndarray:
+    """``a`` as a float array that refuses writes (``a`` itself when it is one)."""
+    a = np.asarray(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+def _checked_tol(tol: float) -> float:
+    """``tol``, refused with ValueError unless it is nonnegative (NaN is not)."""
+    if not tol >= 0:
+        raise ValueError("tolerance must be nonnegative")
+    return tol
+
+
 def check_finite(d: np.ndarray, what: str) -> None:
     """Refuse a square ``d`` with a NaN or infinite entry, naming the first
     as ``non-finite {what} at (i,j)``; reduces first and scans blocks of
     rows only then, so it makes no N x N temporary."""
     n = d.shape[0]
     if n and not (np.isfinite(np.max(d)) and np.isfinite(np.min(d))):
-        for rows in row_blocks(n):
-            bad = np.flatnonzero(~np.isfinite(d[rows]))
-            if bad.size:
-                i, j = divmod(int(bad[0]), n)
-                raise ValueError(f"non-finite {what} at ({rows.start + i},{j})")
+        _, at = first_worst((rows.start * n, ~np.isfinite(d[rows])) for rows in row_blocks(n))
+        raise ValueError(f"non-finite {what} at ({at // n},{at % n})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,9 +93,7 @@ class FiniteMetricSpace:
     tol: float = 0.0
 
     def __post_init__(self):
-        d = np.asarray(self.dist, dtype=float)
-        d.flags.writeable = False
-        object.__setattr__(self, "dist", d)
+        object.__setattr__(self, "dist", readonly(self.dist))
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -92,7 +115,8 @@ def validate_metric(raw, tol: float | None = None, certificate=None) -> FiniteMe
 
     Axioms are checked in order (diagonal, nonnegativity, symmetry,
     distinctness, triangle inequality); the first violated axiom is
-    reported with the indices of its *worst* offender. Every O(N^2) check,
+    reported with the indices of its *worst* offender, the first in
+    row-major order (:func:`first_worst`). Every O(N^2) check,
     the label count included, comes before the O(N^3) triangle check.
     ``tol`` is an absolute slack, refused when negative or NaN; when omitted
     it defaults to 1e-9 relative to the largest entry. Labels default to
@@ -126,39 +150,30 @@ def _validated(d, labels, tol: float | None, certificate) -> FiniteMetricSpace:
     check_finite(d, "distance")
     if tol is None:
         tol = DEFAULT_REL_TOL * float(np.max(d)) if d.size and np.max(d) > 0 else DEFAULT_REL_TOL
-    if not tol >= 0:
-        raise ValueError("tolerance must be nonnegative")
+    _checked_tol(tol)
 
     diag = np.abs(np.diag(d))
     if diag.size and np.max(diag) > 0:
         i = int(np.argmax(diag))
-        raise NonzeroDiagonalError(f"diagonal entry d[{i}][{i}] = {d[i, i]!r} must be exactly 0", (i,))
+        raise NonzeroDiagonalError(f"diagonal entry d[{i}][{i}] = {float(d[i, i])!r} must be exactly 0", (i,))
 
     if d.size and np.min(d) < 0:
-        i, j = np.unravel_index(int(np.argmin(d)), d.shape)
-        raise NegativeDistanceError(f"negative distance d[{i}][{j}] = {d[i, j]!r}", (int(i), int(j)))
+        i, j = divmod(int(np.argmin(d)), n)
+        raise NegativeDistanceError(f"negative distance d[{i}][{j}] = {float(d[i, j])!r}", (i, j))
 
-    # the worst asymmetry and the least off-diagonal entry, one block of
-    # rows at a time; a later block replaces an offender only when strictly
-    # worse, which keeps the first in row-major order
-    asym, asym_at = -np.inf, None
-    least, least_at = np.inf, None
-    for rows in row_blocks(n):
-        block = np.subtract(d[rows], d[:, rows].T)
-        np.abs(block, out=block)
-        k = int(np.argmax(block))
-        if block.flat[k] > asym:
-            asym, asym_at = block.flat[k], (rows.start + k // n, k % n)
-        np.copyto(block, d[rows])
-        block[np.arange(block.shape[0]), np.arange(rows.start, rows.stop)] = np.inf
-        k = int(np.argmin(block))
-        if block.flat[k] < least:
-            least, least_at = block.flat[k], (rows.start + k // n, k % n)
+    # the worst asymmetry, then the least off-diagonal entry, one block of rows at a time
+    def off_diagonal(rows):
+        block = d[rows].copy()
+        block.flat[rows.start::n + 1] = np.inf
+        return block
+
+    asym, at = first_worst((rows.start * n, np.abs(d[rows] - d[:, rows].T)) for rows in row_blocks(n))
     if asym > tol:
-        i, j = asym_at
-        raise AsymmetricError(f"asymmetry |d[{i}][{j}] - d[{j}][{i}]| = {asym!r} exceeds tol {tol!r}", (i, j))
-    if n > 1 and least <= 0:
-        i, j = least_at
+        i, j = divmod(at, n)
+        raise AsymmetricError(f"asymmetry |d[{i}][{j}] - d[{j}][{i}]| = {asym!r} exceeds tol {float(tol)!r}", (i, j))
+    least, at = first_worst(((rows.start * n, off_diagonal(rows)) for rows in row_blocks(n)), least=True)
+    if least <= 0:
+        i, j = divmod(at, n)
         raise CoincidentPointsError(f"d[{i}][{j}] = 0 for distinct points", (i, j))
 
     if labels is None:
@@ -189,28 +204,27 @@ def _validated(d, labels, tol: float | None, certificate) -> FiniteMetricSpace:
 def _check_triangles(d: np.ndarray, tol: float) -> None:
     """Raise on the worst triangle violation beyond ``tol``, if any.
 
-    The worst is the max over k of d[i,j] - (d[i,k] + d[k,j]), taken one
-    row i at a time so that memory stays O(n^2); a later row replaces the
-    offender only when strictly worse, which keeps the first maximum in
-    (i, k, j) order.
+    The worst is the max over (i, k, j) of d[i,j] - (d[i,k] + d[k,j]),
+    taken one row i at a time so that memory stays O(n^2); the first
+    maximum in (i, k, j) order is named.
     """
     n = d.shape[0]
     dt = np.ascontiguousarray(d.T)
     slack = np.empty((n, n))  # slack[k,j] > 0 means violation via k
-    worst, offender = -np.inf, None
-    for i in range(n):
-        # a sum past the largest float is inf: no violation via that k
-        with np.errstate(over="ignore"):
-            np.add(d[i][:, None], dt, out=slack)
-        np.subtract(d[i][None, :], slack, out=slack)
-        flat = int(np.argmax(slack))
-        if slack.flat[flat] > worst:
-            worst, offender = float(slack.flat[flat]), (i, *divmod(flat, n))
+
+    def rows():
+        for i in range(n):
+            # a sum past the largest float is inf: no violation via that k
+            with np.errstate(over="ignore"):
+                np.add(d[i][:, None], dt, out=slack)
+            np.subtract(d[i][None, :], slack, out=slack)
+            yield i * n * n, slack
+
+    worst, at = first_worst(rows())
     if worst > tol:
-        i, k, j = offender
+        i, k, j = (int(x) for x in np.unravel_index(at, (n, n, n)))
         raise TriangleViolationError(
-            f"triangle violation d[{i}][{j}] > d[{i}][{k}] + d[{k}][{j}] by {worst!r}",
-            (int(i), int(j), int(k)),
+            f"triangle violation d[{i}][{j}] > d[{i}][{k}] + d[{k}][{j}] by {worst!r}", (i, j, k)
         )
 
 

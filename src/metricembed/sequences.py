@@ -30,7 +30,7 @@ from .errors import (
     NonconvergentSequenceError,
     UnstableInputError,
 )
-from .metric import FiniteMetricSpace, validate_metric
+from .metric import FiniteMetricSpace, _checked_tol, validate_metric
 from .pretangent import NOISE_FLOOR_FACTOR, _functionals, scale_ladder
 from .spaces import MarkedSpace
 
@@ -86,7 +86,9 @@ def marked_family(space: MarkedSpace, *seqs: PointSequence) -> tuple[PointSequen
 def _sequence_stack(space: MarkedSpace, family: Sequence[PointSequence], depth: int) -> np.ndarray:
     """Distances within a family at every index: a (depth, F, F) stack, one
     ``space.matrix`` call per index, so each sequence is evaluated once per
-    index."""
+    index. A depth below 16 is refused."""
+    if depth < 16:
+        raise ValueError(f"depth must be >= 16, got {depth}")
     return np.stack([space.matrix([seq(m) for seq in family]) for m in range(depth)])
 
 
@@ -174,14 +176,13 @@ def pseudometric_matrix(
     tol: float = 1e-3,
 ) -> PseudometricMatrix:
     """Pairwise mutual-stability verdicts; family[0] is the constant-p
-    sequence by convention. Every pair is judged off one distance stack."""
+    sequence by convention. Every pair is judged off one distance stack.
+    A negative or NaN ``tol`` is refused as :func:`validate_metric` does."""
     if not family:
         raise ValueError("family must be nonempty")
-    if depth < 16:
-        raise ValueError(f"depth must be >= 16, got {depth}")
+    _checked_tol(tol)
     n = len(family)
-    rv = r.values(depth)
-    ratios = _sequence_stack(space, family, depth) / rv[:, None, None]
+    ratios = _sequence_stack(space, family, depth) / r.values(depth)[:, None, None]
     grid: list[list[StabilityVerdict]] = [[None] * n for _ in range(n)]  # type: ignore[list-item]
     for i in range(n):
         grid[i][i] = StabilityVerdict("stable", 0.0, depth, 0.0)
@@ -205,8 +206,10 @@ def metric_identification(pm: PseudometricMatrix, merge_tol: float = 1e-9) -> Qu
     ordered by their least index; a component whose internal distance
     exceeds 10x merge_tol means a near-zero chain linked genuinely
     distant points and raises MergeInconsistencyError. Representative
-    distances are validated as a finite metric space.
+    distances are validated as they stand, so a hand-built grid that is no
+    pseudometric is refused, and so is a negative or NaN ``merge_tol``.
     """
+    _checked_tol(merge_tol)
     limits = pm.limits  # raises UnstableInputError when not all stable
     n = limits.shape[0]
     near = limits <= merge_tol
@@ -222,15 +225,13 @@ def metric_identification(pm: PseudometricMatrix, merge_tol: float = 1e-9) -> Qu
         for a, b in combinations(cls, 2):
             if limits[a, b] > INSTABILITY_FACTOR * merge_tol:
                 raise MergeInconsistencyError(
-                    f"indices {a} and {b} merged through a near-zero chain but sit at {limits[a, b]!r}"
+                    f"indices {a} and {b} merged through a near-zero chain but sit at {float(limits[a, b])!r}"
                 )
 
     reps = [cls[0] for cls in classes]
-    rho = limits[np.ix_(reps, reps)].copy()
-    rho = (rho + rho.T) / 2.0
-    np.fill_diagonal(rho, 0.0)
+    rho = limits[np.ix_(reps, reps)]
     max_osc = max(v.oscillation for row in pm.verdicts for v in row)
-    vtol = max(3.0 * max_osc, merge_tol, 1e-12 * float(np.max(rho)) if rho.size else 0.0)
+    vtol = max(3.0 * max_osc, merge_tol, 1e-12 * float(np.max(rho)))
     labels = ["{" + ",".join(str(i) for i in cls) + "}" for cls in classes]
     space = validate_metric({"labels": labels, "distances": rho}, tol=vtol)
     return QuotientSpace(classes=classes, rho=space)
@@ -303,8 +304,6 @@ def blumenthal_sequence_scan(
     n = len(x_seqs) - 1
     if n < 1:
         raise DimensionOutOfRangeError("need at least two sequences (n >= 1)")
-    if depth < 16:
-        raise ValueError(f"depth must be >= 16, got {depth}")
     floor = NOISE_FLOOR_FACTOR * _checked_tol_det(tol_det)
     if r is None:
         r = NormalizingSequence.geometric()

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     AlphaOutOfRangeError,
+    CoincidentPointsError,
     MarkedPointOutsideRegionError,
 )
 from .metric import FiniteMetricSpace, euclidean_matrix, validate_metric
@@ -332,18 +333,20 @@ def freeze(space: MarkedSpace, scale: float, count: int, seed=0) -> tuple[Finite
 
     Returns the validated space and the index of the marked point (always
     0). Resamples on coincident points; deterministic for a fixed seed.
+    Attempt ``a`` extends the seed's spawn key by ``(a,)``, so children of
+    one ``SeedSequence`` freeze distinct spaces.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    labels = ["p"] + [f"s{i}" for i in range(1, count + 1)]
     for attempt in range(100):
-        rng_seed = np.random.SeedSequence(entropy=base.entropy, spawn_key=(attempt,))
+        rng_seed = np.random.SeedSequence(entropy=base.entropy, spawn_key=base.spawn_key + (attempt,))
         pts = [space.p] + list(space.sample(scale, count - 1, rng_seed))
-        dm = space.matrix(pts)
-        off = dm + np.diag(np.full(len(pts), np.inf))
-        if np.min(off) > 0:
-            labels = ["p"] + [f"s{i}" for i in range(1, count + 1)]
-            return validate_metric({"labels": labels, "distances": dm}), 0
+        try:
+            return validate_metric({"labels": labels, "distances": space.matrix(pts)}), 0
+        except CoincidentPointsError:
+            pass
     raise RuntimeError(f"freeze: coincident samples persisted over 100 attempts at scale {scale}")
 
 

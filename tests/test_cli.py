@@ -1090,6 +1090,10 @@ REFUSAL_INPUTS = {
     "noregion.json": json.dumps({"type": "euclidean", "dim": 2, "p": [0, 0]}),
     # a depth-3 tree resolves distances down to 2^-2 only
     "shallow.json": json.dumps({"type": "ultrametric", "depth": 3, "arity": 2}),
+    # refusals that printed numpy reprs (np.float64(-1.0)) under numpy 2
+    "negative.json": json.dumps({"distances": [[0, -1], [-1, 0]]}),
+    "asymmetric.json": json.dumps({"distances": [[0, 1, 1], [0.5, 0, 1], [1, 1, 0]]}),
+    "diagonal.json": json.dumps({"distances": [[1, 1], [1, 0]]}),
 }
 MISSING = "cannot read space: [Errno 2] No such file or directory: '{dir}/missing.json'"
 BROKEN = "cannot read space: Expecting ',' delimiter: line 1 column 30 (char 29)"
@@ -1132,6 +1136,13 @@ REFUSALS = {
     "check-embed-triangle": (["check-embed", "{dir}/bent.json", "--dim", "1"], 2,
                              _refusal("check-embed", BENT, 2), {}),
     "min-dim-triangle": (["min-dim", "{dir}/bent.json"], 2, _refusal("min-dim", BENT, 2), {}),
+    "validate-negative": (["validate", "{dir}/negative.json"], 2, _validate_refusal(
+        "invalid metric: negative distance d[0][1] = -1.0 (indices (0, 1))", "negative.json", 2), {}),
+    "validate-asymmetric": (["validate", "{dir}/asymmetric.json"], 2, _validate_refusal(
+        "invalid metric: asymmetry |d[0][1] - d[1][0]| = 0.5 exceeds tol 1e-09 (indices (0, 1))",
+        "asymmetric.json", 2), {}),
+    "validate-diagonal": (["validate", "{dir}/diagonal.json"], 2, _validate_refusal(
+        "invalid metric: diagonal entry d[0][0] = 1.0 must be exactly 0 (indices (0,))", "diagonal.json", 2), {}),
     # validate still checks a space it cannot decide on
     "validate-tiny": (["validate", "{dir}/tiny.json"], 0,
                       {"command": "validate", "exit_code": 0, "input": "{dir}/tiny.json", "n_points": 3,

@@ -46,12 +46,14 @@ from metricembed import (
 )
 from metricembed.errors import (
     ArityMismatchError,
+    AsymmetricError,
     DegenerateNormalizerError,
     DimensionOutOfRangeError,
     EmptySampleError,
     MergeInconsistencyError,
     NonconvergentSequenceError,
     NonpositiveExponentError,
+    NonzeroDiagonalError,
     SamplerScaleMismatchError,
     TupleTooShortError,
     UnstableInputError,
@@ -333,6 +335,23 @@ class TestMetricIdentification:
         limits = [[0, 1e-12, 1.0], [1e-12, 0, 1e-12], [1.0, 1e-12, 0]]
         with pytest.raises(MergeInconsistencyError):
             metric_identification(self._pm(limits), merge_tol=1e-9)
+
+    def test_merge_inconsistency_message_prints_a_float(self):
+        # under numpy 2 the message read "sit at np.float64(1.0)"
+        limits = [[0, 1e-12, 1.0], [1e-12, 0, 1e-12], [1.0, 1e-12, 0]]
+        with pytest.raises(MergeInconsistencyError) as exc:
+            metric_identification(self._pm(limits), merge_tol=1e-9)
+        assert str(exc.value) == "indices 0 and 2 merged through a near-zero chain but sit at 1.0"
+
+    @pytest.mark.parametrize("limits,error", [
+        ([[0, 1], [1, 0.5]], NonzeroDiagonalError),
+        ([[0, 1], [2, 0]], AsymmetricError),
+    ], ids=["diagonal", "asymmetric"])
+    def test_malformed_grid_is_refused_not_repaired(self, limits, error):
+        # the representatives' limits were symmetrized and zero-filled
+        # before validation, so a grid that is no pseudometric passed
+        with pytest.raises(error):
+            metric_identification(self._pm(limits))
 
     def test_unstable_input(self):
         grid = ((StabilityVerdict("unstable", None, 64, 1.0),),)
@@ -783,6 +802,16 @@ def test_scan_layer_refusals(call, error, message):
      "need at least two sequences (n >= 1)"),
     (lambda: blumenthal_sequence_scan(plane(), [constant_sequence(plane().p)] * 2, depth=15), ValueError,
      "depth must be >= 16, got 15"),
+    # a negative tol read an oscillation of 0.0 as unstable, a NaN one as
+    # undetermined; a negative or NaN merge_tol ended in CoincidentPointsError
+    *[(lambda t=t: mutual_stability(plane(), constant_sequence(plane().p), constant_sequence(plane().p),
+                                    NormalizingSequence.geometric(), tol=t), ValueError,
+       "tolerance must be nonnegative") for t in (-1.0, math.nan)],
+    *[(lambda t=t: pseudometric_matrix(plane(), (constant_sequence(plane().p),), NormalizingSequence.geometric(),
+                                       tol=t), ValueError, "tolerance must be nonnegative") for t in (-1.0, math.nan)],
+    *[(lambda t=t: metric_identification(PseudometricMatrix(((StabilityVerdict("stable", 0.0, 64, 0.0),),)),
+                                         merge_tol=t), ValueError, "tolerance must be nonnegative")
+      for t in (-1.0, math.nan)],
     *[(lambda t=t: blumenthal_sequence_scan(plane(), [constant_sequence(plane().p)] * 2, tol_det=t), ValueError,
        f"tol_det must be finite and > 0, got {t!r}") for t in BAD_TOL_DET],
 ])

@@ -248,6 +248,27 @@ class TestFreeze:
         c, _ = freeze(circle(), 0.2, 5, seed=8)
         assert not np.array_equal(a.dist, c.dist)
 
+    def test_seed_sequence_children_freeze_distinct_spaces(self):
+        # the attempt's seed dropped the sequence's spawn key, so both
+        # children froze the space of the int seed 7
+        a, b = np.random.SeedSequence(7).spawn(2)
+        fa, _ = freeze(circle(), 0.2, 5, seed=a)
+        fb, _ = freeze(circle(), 0.2, 5, seed=b)
+        fs, _ = freeze(circle(), 0.2, 5, seed=7)
+        assert not np.array_equal(fa.dist, fb.dist)
+        assert not np.array_equal(fa.dist, fs.dist)
+        # an int seed keeps its stream: attempt 0 draws from spawn key (0,)
+        pts = [circle().p, *circle().sample(0.2, 4, np.random.SeedSequence(7, spawn_key=(0,)))]
+        assert np.array_equal(fs.dist, circle().matrix(pts))
+
+    def test_coincident_draws_are_redrawn(self):
+        # a depth-3 tree has 8 leaves, so the first draw of seed 0 repeats one
+        sp = make_ultrametric(3, 2)
+        first = sp.matrix([sp.p, *sp.sample(0.5, 2, np.random.SeedSequence(0, spawn_key=(0,)))])
+        assert np.min(first + np.diag(np.full(4, np.inf))) == 0.0
+        fs, _ = freeze(sp, 0.5, 3, seed=0)
+        assert fs.n_points == 4 and np.min(fs.dist + np.diag(np.full(4, np.inf))) > 0.0
+
     def test_euclidean_freezes_pass_schoenberg_at_ambient_dim(self):
         for seed in range(10):
             fs, _ = freeze(plane(), 0.3, 5, seed=seed)
