@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NonzeroDiagonalError, NotSymmetricError, TupleTooShortError
+from .errors import DimensionOutOfRangeError, NonzeroDiagonalError, NotSymmetricError, TupleTooShortError
 from .metric import FiniteMetricSpace, check_finite, first_worst, readonly, row_blocks, submatrix
 
 #: Tolerance of the zero rule. A determinant of a (k+1)-point tuple counts
@@ -50,6 +50,12 @@ def _checked_tol_det(tol_det: float) -> float:
     if not 0 < tol_det < math.inf:
         raise ValueError(f"tol_det must be finite and > 0, got {tol_det!r}")
     return tol_det
+
+
+def _check_target(n: int) -> None:
+    """Refuse a target dimension below 1."""
+    if n < 1:
+        raise DimensionOutOfRangeError(f"target dimension must be >= 1, got {n}")
 
 
 def within_band(det, sq_max, k: int, tol_det: float = DEFAULT_TOL_DET):

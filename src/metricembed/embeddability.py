@@ -38,13 +38,13 @@ import numpy as np
 from .determinants import (
     DEFAULT_TOL_DET,
     PsdReport,
+    _check_target,
     cm_determinant,
     psd_check,
     sch_determinant,
     within_band,
 )
 from .errors import (
-    DimensionOutOfRangeError,
     DistanceOutOfRangeError,
     NotEmbeddableError,
     RankExceedsRequestedError,
@@ -118,8 +118,6 @@ def _factorization(dist: np.ndarray, tol_det: float) -> tuple[PsdReport, int]:
     matrix, about the point whose farthest distance is least: (report,
     base). The base's zero row is never a pivot nor in a witness, so the
     report's pivots, witness rows and factor rows are point indices."""
-    if dist.shape[0] == 0:
-        raise ValueError("empty space")
     base = int(np.argmin(np.max(dist, axis=1)))
     return psd_check(dist * dist, base, tol_det), base
 
@@ -208,12 +206,6 @@ def _continued(report: PsdReport, m: int) -> np.ndarray:
         added[:, c] = (report.leftover[:, j] - added[:, :c] @ added[j, :c]) / math.sqrt(diag[j])
         diag -= added[:, c] * added[:, c]
     return factor
-
-
-def _check_target(n: int) -> None:
-    """Refuse a target dimension below 1."""
-    if n < 1:
-        raise DimensionOutOfRangeError(f"target dimension must be >= 1, got {n}")
 
 
 @dataclass(frozen=True)

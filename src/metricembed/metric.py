@@ -113,10 +113,10 @@ class FiniteMetricSpace:
 def validate_metric(raw, tol: float | None = None, certificate=None) -> FiniteMetricSpace:
     """Validate a square matrix as a metric and wrap it in a space.
 
-    Axioms are checked in order (diagonal, nonnegativity, symmetry,
-    distinctness, triangle inequality); the first violated axiom is
-    reported with the indices of its *worst* offender, the first in
-    row-major order (:func:`first_worst`). Every O(N^2) check,
+    An empty matrix is refused. Axioms are checked in order (diagonal,
+    nonnegativity, symmetry, distinctness, triangle inequality); the first
+    violated axiom is reported with the indices of its *worst* offender,
+    the first in row-major order (:func:`first_worst`). Every O(N^2) check,
     the label count included, comes before the O(N^3) triangle check.
     ``tol`` is an absolute slack, refused when negative or NaN; when omitted
     it defaults to 1e-9 relative to the largest entry. Labels default to
@@ -147,17 +147,19 @@ def _validated(d, labels, tol: float | None, certificate) -> FiniteMetricSpace:
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {d.shape}")
     n = d.shape[0]
+    if n == 0:
+        raise ValueError("the distance matrix is empty: a space needs a point")
     check_finite(d, "distance")
     if tol is None:
-        tol = DEFAULT_REL_TOL * float(np.max(d)) if d.size and np.max(d) > 0 else DEFAULT_REL_TOL
+        tol = DEFAULT_REL_TOL * float(np.max(d)) if np.max(d) > 0 else DEFAULT_REL_TOL
     _checked_tol(tol)
 
     diag = np.abs(np.diag(d))
-    if diag.size and np.max(diag) > 0:
+    if np.max(diag) > 0:
         i = int(np.argmax(diag))
         raise NonzeroDiagonalError(f"diagonal entry d[{i}][{i}] = {float(d[i, i])!r} must be exactly 0", (i,))
 
-    if d.size and np.min(d) < 0:
+    if np.min(d) < 0:
         i, j = divmod(int(np.argmin(d)), n)
         raise NegativeDistanceError(f"negative distance d[{i}][{j}] = {float(d[i, j])!r}", (i, j))
 
@@ -261,14 +263,16 @@ def submatrix(space: FiniteMetricSpace, t: Sequence[int]) -> np.ndarray:
 
 
 def scale_metric(space: FiniteMetricSpace, lam: float) -> FiniteMetricSpace:
-    """Multiply every distance by a finite ``lam`` > 0; a largest distance
-    that this takes past the largest float is refused."""
+    """Multiply every distance by a finite ``lam`` > 0; a factor that takes
+    a distance past the largest float or a positive one to 0 is refused."""
     if not 0 < lam < np.inf:
         raise NonpositiveScaleError(f"scale factor must be finite and > 0, got {lam!r}")
     with np.errstate(over="ignore"):
         dist = space.dist * float(lam)
-    if dist.size and not np.isfinite(np.max(dist)):
+    if not np.isfinite(np.max(dist)):
         raise DistanceOutOfRangeError(f"scaling by {lam!r} takes the largest distance past the largest float")
+    if np.count_nonzero(dist) < np.count_nonzero(space.dist):
+        raise DistanceOutOfRangeError(f"scaling by {lam!r} takes a positive distance to 0")
     return FiniteMetricSpace(labels=space.labels, dist=dist, tol=space.tol * float(lam))
 
 

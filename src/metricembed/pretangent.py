@@ -31,10 +31,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .determinants import DEFAULT_TOL_DET, _checked_tol_det, tuple_determinants
+from .determinants import DEFAULT_TOL_DET, _check_target, _checked_tol_det, tuple_determinants
 from .errors import (
     ArityMismatchError,
-    DimensionOutOfRangeError,
     EmptySampleError,
     NonpositiveExponentError,
     SamplerScaleMismatchError,
@@ -309,12 +308,11 @@ def _scan_pass(space: MarkedSpace, jobs: Sequence[tuple[int, str]], scales, samp
             else:
                 verdict = "inconclusive"
         else:
-            at_floor = bool(np.all(magnitudes <= floor))
             decays = (
                 math.isinf(trend)
                 or (trend > DECAY_EXPONENT_MIN and magnitudes[-1] <= DECAY_DROP * float(np.max(magnitudes)))
             )
-            if at_floor or decays:
+            if decays:
                 verdict = "supports"
             elif float(np.min(magnitudes[tail])) >= REFUTE_LEVEL and trend <= FLAT_EXPONENT_MAX:
                 verdict = "refutes"
@@ -365,10 +363,10 @@ def liminf_scan(
 
     * "sign": liminf >= 0 expected. Supports when the tail liminf stays
       above -10*tol_det; refutes when every tail rung's infimum is < -1e-3.
-    * "vanishing": limit = 0 expected. Supports at the noise floor
-      (everything within 10 * tol_det) or with decay exponent > 0.5 and a
-      10x tail drop; refutes when tail magnitudes exceed 1e-3 with a flat
-      trend (exponent <= 0.1).
+    * "vanishing": limit = 0 expected. Supports at the noise floor (at
+      most one rung above 10 * tol_det: a trend of +inf) or with decay
+      exponent > 0.5 and a 10x tail drop; refutes when tail magnitudes
+      exceed 1e-3 with a flat trend (exponent <= 0.1).
     """
     if k < 1:
         raise TupleTooShortError(f"scan needs k >= 1, got {k}")
@@ -415,8 +413,7 @@ def transfer_check(
     scans support. The equality conditions are checked two-sided (liminf
     and limsup both pinned to 0) in both modes.
     """
-    if n < 1:
-        raise DimensionOutOfRangeError(f"target dimension must be >= 1, got {n}")
+    _check_target(n)
     jobs = [(k, "sign") for k in range(1, n + 1)] + [(k, "vanishing") for k in (n + 1, n + 2)]
     by_mode, discrepancy = _scan_pass(space, jobs, scales, samples_per_scale, seed, tol_det)
     scans = tuple(chain.from_iterable(by_mode))

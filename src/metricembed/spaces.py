@@ -24,6 +24,7 @@ from .errors import (
     AlphaOutOfRangeError,
     CoincidentPointsError,
     MarkedPointOutsideRegionError,
+    MetricViolationError,
 )
 from .metric import FiniteMetricSpace, euclidean_matrix, validate_metric
 
@@ -292,8 +293,6 @@ def make_ultrametric(depth: int, arity: int, p=None) -> MarkedSpace:
         # in lexicographic order, the common prefix of two leaves is the
         # shortest common prefix of the neighbouring pairs between them
         n = len(points)
-        if n < 2:
-            return np.zeros((n, n))
         digits = np.array(points).reshape(n, depth)
         order = np.lexsort(digits.T[::-1])
         ranked = digits[order]
@@ -389,7 +388,8 @@ def perturbed_euclidean_space(
     min_distance: float = 0.05,
 ) -> FiniteMetricSpace:
     """Random valid metric space: a Euclidean cloud with multiplicatively
-    perturbed distances, rejection-sampled until the axioms hold."""
+    perturbed distances, drawn again (at most 500 times) while a distance is
+    below ``min_distance`` or an axiom fails (:class:`MetricViolationError`)."""
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_TRIES):
         d = dim if dim is not None else int(rng.integers(1, 5))
@@ -404,7 +404,7 @@ def perturbed_euclidean_space(
             continue
         try:
             return validate_metric(dm)
-        except ValueError:
+        except MetricViolationError:
             continue
     raise RuntimeError("failed to draw a valid perturbed metric space")
 

@@ -819,6 +819,8 @@ def test_distance_too_large_for_a_float_exit_3(argv, tmp_path, capsys):
 @pytest.mark.parametrize("name,text,code,error", [
     ("ragged.csv", "0,1\n1\n", 3, None),
     ("ragged.json", '{"distances": [[0, 1], [1]]}', 3, None),
+    # the chunked reader gives up, and json.load reads the bare matrix again
+    ("ragged-bare.json", "[[0, 1], [1]]", 3, "row 1 of the distance matrix is not a list of 2 numbers"),
     # a scalar row must not broadcast into a row of the matrix
     ("scalar-row.json", '{"distances": [[0, 1], 1]}', 3, None),
     ("empty.json", '{"distances": []}', 3, "distance matrix must be square, got shape (0,)"),

@@ -177,6 +177,12 @@ def test_rejects_non_square_and_non_finite():
         validate_metric([[0, np.inf], [np.inf, 0]])
 
 
+def test_empty_matrix_refused_by_name():
+    # an empty array gave a space of 0 points, which min-dim refused as "empty space"
+    with pytest.raises(ValueError, match="^the distance matrix is empty: a space needs a point$"):
+        validate_metric(np.zeros((0, 0)))
+
+
 def test_default_tolerance_is_relative():
     # asymmetry of 1e-7 on distances of order 1e3 sits inside 1e-9 relative
     sp = validate_metric([[0, 1000.0], [1000.0 + 1e-7, 0]])
@@ -267,6 +273,14 @@ def test_scale_metric_refuses_non_finite(equilateral):
     big = scale_metric(equilateral, 1e300)
     with pytest.raises(DistanceOutOfRangeError):
         scale_metric(big, 1e300)
+
+
+def test_scale_metric_refuses_zeroing_a_distance():
+    # the factor took d[1][2] to 0.0, and the scaled space embedded in E^1
+    space = validate_metric([[0, 1, 1], [1, 0, 1e-300], [1, 1e-300, 0]])
+    with pytest.raises(DistanceOutOfRangeError, match="takes a positive distance to 0"):
+        scale_metric(space, 1e-30)
+    assert scale_metric(space, 1e-10).distance(1, 2) > 0.0
 
 
 def test_json_roundtrip(tmp_path, equilateral):

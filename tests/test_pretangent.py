@@ -696,6 +696,21 @@ class TestBlumenthalScan:
         rep = blumenthal_sequence_scan(sp, [seqs[0], seqs[1], seqs[1]], r=r)
         assert rep.verdict == "refutes"
 
+    def test_probe_that_alternates_is_inconclusive(self):
+        # y sits on x0 at even m and off the axis at odd m, so its tail
+        # Theta_3 is 0 on some rungs and far above the floor on others:
+        # condition (ii) neither holds nor fails throughout
+        r = NormalizingSequence.geometric()
+        sp = plane((0.5, 0.5))
+        e1, e2 = np.eye(2)
+        x0 = lambda m: sp.p + r(m) * e1
+        x1 = lambda m: sp.p - r(m) * e1
+        y = lambda m: sp.p + r(m) * (e1 if m % 2 == 0 else e2)
+        z = lambda m: sp.p + 0.5 * r(m) * e1
+        rep = blumenthal_sequence_scan(sp, [x0, x1], probes=[(y, z)], r=r, depth=32)
+        assert rep.condition_ii[0][1:] == ("probe0", 0.0, pytest.approx(16.0))
+        assert rep.verdict == "inconclusive"
+
     def test_nonconvergent_raises(self):
         sp = plane()
         stuck = constant_sequence(np.array([0.5, 0.5]))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -233,6 +234,16 @@ class TestUltrametric:
                 for x in sp.sample(2.0**-j, 4, seed):
                     assert x != sp.p and sp.metric(x, sp.p) >= 2.0 ** -(j + 53)
 
+    @pytest.mark.parametrize("depth", [3, 1075])
+    def test_matrix_of_no_point_and_of_one_point(self, depth):
+        # the lexicographic path serves both, with no branch of its own
+        sp = make_ultrametric(depth, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pts in ((), (sp.p,)):
+                m = sp.matrix(pts)
+                assert m.shape == (len(pts), len(pts)) and not m.any()
+
 
 class TestFreeze:
     def test_segment_freeze(self):
@@ -300,6 +311,15 @@ class TestGenerators:
         b = perturbed_euclidean_space(6, seed=1)
         assert np.array_equal(a.dist, b.dist)
         assert a.n_points == 6
+
+    def test_perturbed_space_redraws_only_on_axiom_failures(self, monkeypatch):
+        # any ValueError was redrawn 500 times and surfaced as a RuntimeError
+        def fault(raw):
+            raise ValueError("fault")
+
+        monkeypatch.setattr("metricembed.spaces.validate_metric", fault)
+        with pytest.raises(ValueError, match="^fault$"):
+            perturbed_euclidean_space(5, seed=0)
 
     def test_config_round(self):
         sp = marked_space_from_config({"type": "euclidean", "dim": 2,
