@@ -31,7 +31,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionOutOfRangeError, NonzeroDiagonalError, NotSymmetricError, TupleTooShortError
+from .errors import (
+    DimensionOutOfRangeError,
+    IndexOutOfRangeError,
+    NonzeroDiagonalError,
+    NotSymmetricError,
+    TupleTooShortError,
+)
 from .metric import FiniteMetricSpace, check_finite, first_worst, readonly, row_blocks, submatrix
 
 #: Tolerance of the zero rule. A determinant of a (k+1)-point tuple counts
@@ -176,10 +182,12 @@ def psd_check(sq: np.ndarray, base: int, tol_det: float = DEFAULT_TOL_DET) -> Ps
 
     ``sq`` is a square, exactly symmetric matrix of squared distances with a
     zero diagonal, and the matrix factored is its tau about the point
-    ``base`` (:func:`tau_about`), whose row and column are zero. A pivot or
-    a Schur entry of the rows B taken so far stands for a principal minor
-    of tau, the Schoenberg determinant of the tuple (base, B, ...), and
-    :func:`within_band` judges it on that tuple's own largest distance:
+    ``base`` (:func:`tau_about`), whose row and column are zero; a ``base``
+    that is not an integer in 0..N-1 (a bool is not) raises
+    IndexOutOfRangeError. A pivot or a Schur entry of the rows B taken so
+    far stands for a principal minor of tau, the Schoenberg determinant of
+    the tuple (base, B, ...), and :func:`within_band` judges it on that
+    tuple's own largest distance:
 
     * each step takes the largest diagonal Schur entry S_cc whose minor
       ``det tau[B+c] = det tau[B] * S_cc`` is outside the band; an entry
@@ -201,6 +209,8 @@ def psd_check(sq: np.ndarray, base: int, tol_det: float = DEFAULT_TOL_DET) -> Ps
     if sq.ndim != 2 or sq.shape[0] != sq.shape[1]:
         raise NotSymmetricError(f"matrix must be square, got shape {sq.shape}")
     n = sq.shape[0]
+    if isinstance(base, bool) or not isinstance(base, (int, np.integer)) or not 0 <= base < n:
+        raise IndexOutOfRangeError(f"base {base!r} is not an index of the {n} points")
     check_finite(sq, "squared distance")
     if not all(np.array_equal(sq[rows], sq[:, rows].T) for rows in row_blocks(n)):
         raise NotSymmetricError("matrix is not symmetric")

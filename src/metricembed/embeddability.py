@@ -39,9 +39,9 @@ from .determinants import (
     DEFAULT_TOL_DET,
     PsdReport,
     _check_target,
-    cm_determinant,
+    cm_value,
     psd_check,
-    sch_determinant,
+    sch_value,
     within_band,
 )
 from .errors import (
@@ -279,13 +279,14 @@ def _engine_verdict(space: FiniteMetricSpace, n: int, engine: str, tol_det: floa
         return EmbedVerdict("yes", n, engine, tol_det=tol_det)
     k = len(t) - 1
     kind = "sign" if k <= n else "vanishing"
+    dm = submatrix(space, t)
     if engine == "schoenberg":
-        value = sch_determinant(space, t)
+        value = sch_value(dm)
     else:
-        cm = cm_determinant(space, t)
+        cm = cm_value(dm)
         value = cm.signed_value if kind == "sign" else cm.value
     witness = Witness(t, k, value, kind)
-    sq_max = float(np.max(submatrix(space, t))) ** 2
+    sq_max = float(np.max(dm)) ** 2
     confirmed = not within_band(value, sq_max, k, tol_det) and (kind == "vanishing" or value < 0)
     return EmbedVerdict("no" if confirmed else "undetermined", n, engine, witness, tol_det=tol_det)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import json
+import numbers
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Sequence
@@ -336,13 +337,20 @@ def _matrix(rows) -> np.ndarray:
             if values.ndim != 1:
                 raise ValueError("row 0 of the distance matrix is not a list of numbers")
             d = np.empty((values.size, values.size))
-        if values.shape != d.shape[1:]:
+        if values.shape != d.shape[1:] or not _numbers(row):
             raise ValueError(f"row {count - 1} of the distance matrix is not a list of {len(d)} numbers")
         if count <= len(d):
             d[count - 1] = values
     if count != len(d):
         raise ValueError(f"distance matrix must be square, got shape ({count}, {len(d)})")
     return d
+
+
+def _numbers(row) -> bool:
+    """Whether every entry of a row is a real number. A string, a bool or
+    None is not, though numpy reads each as a float; the check is made
+    once per type in the row, not once per entry."""
+    return all(issubclass(t, numbers.Real) and not issubclass(t, bool) for t in set(map(type, row)))
 
 
 _WHITESPACE = json.decoder.WHITESPACE.match

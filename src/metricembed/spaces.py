@@ -7,8 +7,10 @@ coordinate vectors (Euclidean, snowflake) or tree addresses (ultrametric);
 nothing is materialized until :func:`freeze` builds a finite space.
 
 Every built-in carrier draws a whole cloud with a few numpy calls and
-computes its distance matrix in one batched call (``pairwise``); only a
-user-supplied ``metric`` without ``pairwise`` is evaluated pair by pair.
+computes its distance matrix in one batched call (``pairwise``), and reads
+its scalar ``metric`` off that kernel's matrix of the two points, so the
+two agree bit for bit by construction; only a user-supplied ``metric``
+without ``pairwise`` is evaluated pair by pair.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -26,7 +29,7 @@ from .errors import (
     MarkedPointOutsideRegionError,
     MetricViolationError,
 )
-from .metric import FiniteMetricSpace, euclidean_matrix, validate_metric
+from .metric import FiniteMetricSpace, euclidean_matrix, submatrix, validate_metric
 
 _MAX_TRIES = 500
 
@@ -38,7 +41,9 @@ class MarkedSpace:
     ``sampler(scale, k, seed)`` returns k+1 points with delta in
     [scale/2, scale]; a cloud is one call with a large k. ``pairwise``,
     when given, maps a sequence of points to their distance matrix in one
-    batched call and must agree with ``metric``.
+    batched call and must agree with ``metric``; every built-in space
+    builds its ``metric`` from its ``pairwise``, so they agree by
+    construction.
     """
 
     metric: Callable[[Any, Any], float]
@@ -64,8 +69,10 @@ class MarkedSpace:
         return dm
 
 
-def _euclid(a, b) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
+def _pair_metric(pairwise: Callable[[Sequence], np.ndarray]) -> Callable[[Any, Any], float]:
+    """The scalar metric of a batched kernel: the off-diagonal entry of its
+    matrix of the two points."""
+    return lambda a, b: float(pairwise([a, b])[0, 1])
 
 
 def _accepted(rng, p: np.ndarray, count: int, propose, scale: float, inner: float = 0.0) -> np.ndarray:
@@ -78,7 +85,7 @@ def _accepted(rng, p: np.ndarray, count: int, propose, scale: float, inner: floa
     kept, have = [], 0
     for attempt in range(_MAX_TRIES):
         pts = propose(rng, 2 * count + 8, attempt, scale)
-        d = np.linalg.norm(pts - p, axis=1)
+        d = euclidean_matrix(pts, [p])[:, 0]
         pts = pts[(d >= inner) & (d <= scale)]
         kept.append(pts)
         have += len(pts)
@@ -139,14 +146,14 @@ def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
     (optionally with ``"pitch"`` to snap samples onto a grid),
     ``{"kind": "sphere-surface", "center": [...], "radius": r}``, or
     ``{"kind": "curve", "spec": CurveSpec}``. These raise ValueError: a
-    coordinate list (``p``, ``low``, ``high``, ``center``) without ``dim``
-    entries, a NaN coordinate, an infinite one in ``p`` or ``center``, a
-    radius or pitch that is not a positive finite number (a string or a
-    bool is not a number), a pitch on a cube with an infinite ``low``, or
-    a region that is not a dict naming its ``kind``. A ``p`` outside the
-    region, for a cube before or after snapping to the pitch, raises
-    MarkedPointOutsideRegionError. Infinite cube bounds without a pitch
-    are allowed.
+    coordinate list (``p``, ``low``, ``high``, ``center``, a curve's
+    ``fn(t0)``) without ``dim`` entries, a NaN coordinate, an infinite one
+    in ``p``, ``center`` or ``fn(t0)``, a radius or pitch that is not a
+    positive finite number (a string or a bool is not a number), a pitch
+    on a cube with an infinite ``low``, or a region that is not a dict
+    naming its ``kind``. A ``p`` outside the region, for a cube before or
+    after snapping to the pitch, raises MarkedPointOutsideRegionError.
+    Infinite cube bounds without a pitch are allowed.
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
@@ -161,7 +168,7 @@ def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
             return _cloud(np.random.default_rng(seed), p, k, propose, scale)
 
         desc = {"type": "euclidean", "dim": dim, "region": region_desc, "p": p.tolist()}
-        return MarkedSpace(metric=_euclid, p=p, sampler=sample, description=desc,
+        return MarkedSpace(metric=_pair_metric(euclidean_matrix), p=p, sampler=sample, description=desc,
                            point_repr=lambda x: np.asarray(x).tolist(), pairwise=euclidean_matrix)
 
     if kind == "cube":
@@ -204,7 +211,7 @@ def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
         radius = _positive("radius", region.get("radius", 1.0))
         if dim < 2:
             raise ValueError("sphere-surface region needs dim >= 2")
-        if abs(_euclid(p, center) - radius) > 1e-9 * max(radius, 1.0):
+        if abs(euclidean_matrix([p], [center])[0, 0] - radius) > 1e-9 * max(radius, 1.0):
             raise MarkedPointOutsideRegionError(f"p={p.tolist()} not on the sphere surface")
         u = (p - center) / radius
 
@@ -223,8 +230,8 @@ def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
 
     if kind == "curve":
         spec: CurveSpec = region["spec"]
-        p_curve = np.asarray(spec.fn(spec.t0), dtype=float)
-        if _euclid(p, p_curve) > 1e-9:
+        p_curve = _coordinates("fn(t0)", spec.fn(spec.t0), dim)
+        if euclidean_matrix([p], [p_curve])[0, 0] > 1e-9:
             raise MarkedPointOutsideRegionError("p must equal fn(t0)")
 
         def propose(rng, size, attempt, scale):
@@ -251,12 +258,16 @@ def make_snowflake(alpha: float, base_dim: int, p, region=None) -> MarkedSpace:
     if _region_kind(region) != "cube":
         raise ValueError("snowflake spaces support cube regions only")
     base = make_euclidean_subset(base_dim, region, p)
+
+    def pairwise(points) -> np.ndarray:
+        return euclidean_matrix(points) ** alpha
+
     # Euclidean delta in [t/2, t] with t = scale^(1/alpha) gives a
     # snowflake delta in [scale/2^alpha, scale], inside the contract.
-    return replace(base, metric=lambda a, b: _euclid(a, b) ** alpha,
+    return replace(base, metric=_pair_metric(pairwise),
                    sampler=lambda scale, k, seed=0: base.sample(scale ** (1.0 / alpha), k, seed),
                    description={**base.description, "type": "snowflake", "alpha": alpha},
-                   pairwise=lambda points: euclidean_matrix(points) ** alpha)
+                   pairwise=pairwise)
 
 
 def make_ultrametric(depth: int, arity: int, p=None) -> MarkedSpace:
@@ -278,16 +289,6 @@ def make_ultrametric(depth: int, arity: int, p=None) -> MarkedSpace:
     if len(p) != depth or any(not 0 <= d < arity for d in p):
         raise MarkedPointOutsideRegionError(f"marked leaf {p} not in the tree")
     p_digits = np.array(p)
-
-    def metric(a, b) -> float:
-        if a == b:
-            return 0.0
-        common = 0
-        for da, db in zip(a, b):
-            if da != db:
-                break
-            common += 1
-        return 2.0 ** (-common)
 
     def pairwise(points) -> np.ndarray:
         # in lexicographic order, the common prefix of two leaves is the
@@ -323,7 +324,7 @@ def make_ultrametric(depth: int, arity: int, p=None) -> MarkedSpace:
         return tuple(map(tuple, digits.tolist()))
 
     desc = {"type": "ultrametric", "depth": depth, "arity": arity, "p": list(p)}
-    return MarkedSpace(metric=metric, p=p, sampler=sample, description=desc,
+    return MarkedSpace(metric=_pair_metric(pairwise), p=p, sampler=sample, description=desc,
                        point_repr=lambda x: ".".join(str(d) for d in x), pairwise=pairwise)
 
 
@@ -355,9 +356,6 @@ def as_marked(space: FiniteMetricSpace, index: int) -> MarkedSpace:
     if not 0 <= index < n:
         raise IndexError(f"marked index {index} outside space of {n} points")
 
-    def metric(i, j) -> float:
-        return float(space.dist[int(i), int(j)])
-
     dists = space.dist[:, index]
 
     def sample(scale, k, seed=0):
@@ -371,12 +369,9 @@ def as_marked(space: FiniteMetricSpace, index: int) -> MarkedSpace:
         rng.shuffle(pts)
         return tuple(pts)
 
-    def pairwise(points) -> np.ndarray:
-        ix = np.asarray(points, dtype=int)
-        return space.dist[np.ix_(ix, ix)]
-
+    pairwise = partial(submatrix, space)
     desc = {"type": "finite", "n_points": n, "p": index}
-    return MarkedSpace(metric=metric, p=index, sampler=sample, description=desc,
+    return MarkedSpace(metric=_pair_metric(pairwise), p=index, sampler=sample, description=desc,
                        point_repr=lambda i: space.labels[int(i)], pairwise=pairwise)
 
 

@@ -255,8 +255,8 @@ class TestUndetermined:
 
         # engines whose determinant on the factorization's witness lands in
         # the band do not confirm it: undetermined, exit 4
-        monkeypatch.setattr(embeddability, "cm_determinant", lambda space, t: CMValue(len(t) - 1, 0.0))
-        monkeypatch.setattr(embeddability, "sch_determinant", lambda space, t: 0.0)
+        monkeypatch.setattr(embeddability, "cm_value", lambda dm: CMValue(len(dm) - 1, 0.0))
+        monkeypatch.setattr(embeddability, "sch_value", lambda dm: 0.0)
         assert main(["check-embed", star_file, "--dim", "3"]) == 4
         out = json.loads(capsys.readouterr().out)
         assert out["result"]["verdict"] == "undetermined"
@@ -827,6 +827,10 @@ def test_distance_too_large_for_a_float_exit_3(argv, tmp_path, capsys):
     ("empty.csv", "", 3, "empty CSV input"),
     ("header-only.csv", "a,b\n", 3, "distance matrix must be square, got shape (0,)"),
     ("scalar-first-row.json", '{"distances": [5, [0]]}', 3, "row 0 of the distance matrix is not a list of numbers"),
+    # numpy reads a string or a bool as a float; a distance must be a number
+    ("strings.json", '{"distances": [[0, "1"], ["1", 0]]}', 3, "row 0 of the distance matrix is not a list of 2 numbers"),
+    ("bools.json", "[[0, true, 1], [true, 0, 1], [1, 1, 0]]", 3,
+     "row 0 of the distance matrix is not a list of 3 numbers"),
     ("one-row.json", '{"distances": [[0, 1]]}', 3, "distance matrix must be square, got shape (1, 2)"),
     ("labels-after.json", '{"distances": [[0, 1], [1, 0]], "labels": ["a", "b"]}', 0, None),
     ("bare-list.json", "[[0, 1], [1, 0]]", 0, None),

@@ -30,7 +30,7 @@ from metricembed import (
     validate_metric,
 )
 from metricembed.determinants import tau_about, within_band
-from metricembed.errors import NonzeroDiagonalError, NotSymmetricError, TupleTooShortError
+from metricembed.errors import IndexOutOfRangeError, NonzeroDiagonalError, NotSymmetricError, TupleTooShortError
 from metricembed.metric import ROW_BLOCK, euclidean_matrix
 from metricembed.spaces import perturbed_euclidean_space
 
@@ -277,6 +277,14 @@ class TestPsd:
         for entry in (np.inf, np.nan):
             with pytest.raises(ValueError, match=r"^non-finite squared distance at \(0,1\)$"):
                 psd_check(np.array([[0.0, entry], [entry, 0.0]]), 0)
+
+    def test_refuses_a_base_that_is_not_a_point_index(self):
+        # -1 factored about the last point; 3, True and 1.5 met numpy's IndexError
+        sq = sq_about_0([[2.0, 1.0], [1.0, 2.0]])
+        for base in (-1, 3, True, 1.5):
+            with pytest.raises(IndexOutOfRangeError, match=r"is not an index of the 3 points$"):
+                psd_check(sq, base)
+        assert psd_check(sq, np.int64(2)).rank == 2
 
     def test_tau_about_any_base_of_the_same_space(self):
         # the base row and column are exact zeros, and every base of a

@@ -3,7 +3,9 @@
 A permutation of the points, or one factor on every distance, gives the
 same metric space, so it must keep feasibility, the minimal dimension m,
 both engines' verdicts at every n up to m + 1 (up to N for an infeasible
-space) and the realization's residual relative to the largest distance.
+space) and the realization's residual relative to the largest distance;
+a permutation must also carry the witness at n = m - 1 along with the
+points.
 Likewise a scan of a Euclidean region must not see a joint rescaling of
 the region, the marked point and the ladder, nor a translation of the
 region and the marked point.
@@ -69,7 +71,11 @@ RELATIONS = {
 
 
 def _relabelled(space, rng):
-    perm = rng.permutation(space.n_points)
+    return _relabelled_by(space, rng.permutation(space.n_points))
+
+
+def _relabelled_by(space, perm):
+    """The space whose point i is point ``perm[i]`` of ``space``."""
     return validate_metric(space.dist[np.ix_(perm, perm)])
 
 
@@ -103,6 +109,22 @@ def test_finite_reading_kept(name, relation):
         assert got[3] is None
     else:
         assert got[3] == pytest.approx(residual, rel=1e-9, abs=1e-14)
+
+
+@pytest.mark.parametrize("name", ["cloud30", "rank3-cloud"])
+def test_witness_follows_the_relabelling(name):
+    # the witness at n = m - 1 on a relabelled space is the same tuple of
+    # points. The clouds' distances have no ties. The star and the 4-cycle
+    # have no m, and their witness at every n is all four points. The
+    # planted features hold mirror copies of a violating tuple at equal or
+    # nearly equal distances, of which the labels pick one
+    space, (_, m, _, _) = _base(name)
+    witness = menger_check(space, m - 1).witness.indices
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        perm = rng.permutation(space.n_points)
+        moved = menger_check(_relabelled_by(space, perm), m - 1).witness.indices
+        assert tuple(sorted(int(perm[i]) for i in moved)) == witness, perm
 
 
 #: (region, marked point, n) of each scan: the square's corner is refuted

@@ -379,7 +379,10 @@ def test_json_reader_matches_json_loads(chunk, monkeypatch):
 @pytest.mark.parametrize("raw,error", [
     ([[0, 1], [1]], "row 1 of the distance matrix is not a list of 2 numbers"),
     ([5, [0]], "row 0 of the distance matrix is not a list of numbers"),
-], ids=["ragged", "scalar-first-row"])
+    # numpy reads "1" and true as 1.0
+    ([[0, 1], ["1", 0]], "row 1 of the distance matrix is not a list of 2 numbers"),
+    ([[0, True], [True, 0]], "row 0 of the distance matrix is not a list of 2 numbers"),
+], ids=["ragged", "scalar-first-row", "string", "bool"])
 def test_lists_follow_the_rules_of_file_rows(raw, error, tmp_path):
     # one row reader fills both; a list passed in gave numpy's message
     path = tmp_path / "rows.json"

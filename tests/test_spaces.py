@@ -18,7 +18,7 @@ from metricembed import (
     schoenberg_check,
     validate_metric,
 )
-from metricembed.errors import AlphaOutOfRangeError, MarkedPointOutsideRegionError
+from metricembed.errors import AlphaOutOfRangeError, IndexOutOfRangeError, MarkedPointOutsideRegionError
 from metricembed.pretangent import delta_scale
 from metricembed.spaces import perturbed_euclidean_space
 
@@ -97,11 +97,7 @@ def test_batched_matrix_equals_scalar_metric(name):
             scale = float(np.max(space.matrix(range(12))[0]))
         for seed in range(3):
             pts = (space.p,) + space.sample(scale, 40, seed)
-            batched, looped = space.matrix(pts), scalar.matrix(pts)
-            if "ultrametric" in name or name == "finite":
-                assert np.array_equal(batched, looped), (name, scale, seed)
-            else:
-                assert np.max(np.abs(batched - looped)) <= 1e-15 * np.max(looped), (name, scale, seed)
+            assert np.array_equal(space.matrix(pts), scalar.matrix(pts)), (name, scale, seed)
 
 
 def test_cloud_matrix_holds_two_results_at_most():
@@ -294,6 +290,9 @@ class TestAsMarked:
         fin = validate_metric([[0, 1, 1], [1, 0, 2], [1, 2, 0]])
         mk = as_marked(fin, 0)
         assert mk.metric(1, 2) == 2.0
+        # gathered through submatrix: -1 read the last point's distances
+        with pytest.raises(IndexOutOfRangeError):
+            mk.metric(-1, 0)
         t = mk.sample(1.0, 2, 0)
         assert 0.5 <= delta_scale(mk, t) <= 1.0
         assert mk.point_repr(1) == "x1"
@@ -363,6 +362,9 @@ def _away_from_curve():
     (lambda: make_euclidean_subset(1, {"kind": "sphere-surface", "center": [0.0], "radius": 1.0}, [1.0]),
      ValueError, "sphere-surface region needs dim >= 2"),
     (_away_from_curve, MarkedPointOutsideRegionError, "p must equal fn(t0)"),
+    (lambda: make_euclidean_subset(2, {"kind": "curve", "spec": CurveSpec(
+        fn=lambda t: np.array([t, 0.0, 0.0]), t0=0.0, t_min=-1.0, t_max=1.0)}, [0.0, 0.0]),
+     ValueError, "fn(t0) must have 2 coordinates"),
     (lambda: make_euclidean_subset(1, {"kind": "ball"}, [0.0]), ValueError, "unknown region kind 'ball'"),
     (lambda: make_euclidean_subset(1, {}, [0.0]), ValueError, 'the region has no "kind" key'),
     (lambda: make_snowflake(0.5, 1, [0.0], ["cube"]), ValueError, "the region must be a JSON object, got list"),
