@@ -31,14 +31,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionOutOfRangeError,
-    IndexOutOfRangeError,
-    NonzeroDiagonalError,
-    NotSymmetricError,
-    TupleTooShortError,
-)
-from .metric import FiniteMetricSpace, check_finite, first_worst, readonly, row_blocks, submatrix
+from .errors import DimensionOutOfRangeError, NonzeroDiagonalError, NotSymmetricError, TupleTooShortError
+from .metric import (FiniteMetricSpace, check_finite, first_worst, is_integer, point_index, readonly, row_blocks,
+                     submatrix)
 
 #: Tolerance of the zero rule. A determinant of a (k+1)-point tuple counts
 #: as zero when, divided by the tuple's own largest distance to the power
@@ -59,9 +54,9 @@ def _checked_tol_det(tol_det: float) -> float:
 
 
 def _check_target(n: int) -> None:
-    """Refuse a target dimension below 1."""
-    if n < 1:
-        raise DimensionOutOfRangeError(f"target dimension must be >= 1, got {n}")
+    """Refuse a target dimension that is not an integer (:func:`is_integer`) >= 1."""
+    if not is_integer(n) or n < 1:
+        raise DimensionOutOfRangeError(f"target dimension must be an integer >= 1, got {n!r}")
 
 
 def within_band(det, sq_max, k: int, tol_det: float = DEFAULT_TOL_DET):
@@ -182,12 +177,11 @@ def psd_check(sq: np.ndarray, base: int, tol_det: float = DEFAULT_TOL_DET) -> Ps
 
     ``sq`` is a square, exactly symmetric matrix of squared distances with a
     zero diagonal, and the matrix factored is its tau about the point
-    ``base`` (:func:`tau_about`), whose row and column are zero; a ``base``
-    that is not an integer in 0..N-1 (a bool is not) raises
-    IndexOutOfRangeError. A pivot or a Schur entry of the rows B taken so
-    far stands for a principal minor of tau, the Schoenberg determinant of
-    the tuple (base, B, ...), and :func:`within_band` judges it on that
-    tuple's own largest distance:
+    ``base`` (:func:`tau_about`), whose row and column are zero, a point
+    index (:func:`~metricembed.metric.point_index`). A pivot or a Schur
+    entry of the rows B taken so far stands for a principal minor of tau,
+    the Schoenberg determinant of the tuple (base, B, ...), and
+    :func:`within_band` judges it on that tuple's own largest distance:
 
     * each step takes the largest diagonal Schur entry S_cc whose minor
       ``det tau[B+c] = det tau[B] * S_cc`` is outside the band; an entry
@@ -209,8 +203,7 @@ def psd_check(sq: np.ndarray, base: int, tol_det: float = DEFAULT_TOL_DET) -> Ps
     if sq.ndim != 2 or sq.shape[0] != sq.shape[1]:
         raise NotSymmetricError(f"matrix must be square, got shape {sq.shape}")
     n = sq.shape[0]
-    if isinstance(base, bool) or not isinstance(base, (int, np.integer)) or not 0 <= base < n:
-        raise IndexOutOfRangeError(f"base {base!r} is not an index of the {n} points")
+    base = point_index(base, n)
     check_finite(sq, "squared distance")
     if not all(np.array_equal(sq[rows], sq[:, rows].T) for rows in row_blocks(n)):
         raise NotSymmetricError("matrix is not symmetric")

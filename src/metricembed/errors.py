@@ -53,7 +53,7 @@ class NotSymmetricError(ValueError):
 
 
 class DimensionOutOfRangeError(ValueError):
-    """Target dimension n must be >= 1."""
+    """Target dimension n must be an integer >= 1."""
 
 
 class DistanceOutOfRangeError(ValueError):

@@ -252,14 +252,22 @@ def euclidean_matrix(points, others=None) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer: a Python or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def point_index(i, n: int) -> int:
+    """``i`` as an index of one of ``n`` points, refused with
+    IndexOutOfRangeError unless it is an integer (:func:`is_integer`) in 0..n-1."""
+    if not is_integer(i) or not 0 <= i < n:
+        raise IndexOutOfRangeError(f"{i!r} is not an index of the {n} points")
+    return int(i)
+
+
 def submatrix(space: FiniteMetricSpace, t: Sequence[int]) -> np.ndarray:
-    """Distance submatrix for a tuple of point indices (repeats allowed)."""
-    idx = [int(i) for i in t]
-    n = space.n_points
-    for i in idx:
-        if not 0 <= i < n:
-            raise IndexOutOfRangeError(f"index {i} outside space of {n} points")
-    ix = np.asarray(idx, dtype=int)
+    """Distance submatrix for a tuple of point indices (:func:`point_index`; repeats allowed)."""
+    ix = np.array([point_index(i, space.n_points) for i in t], dtype=int)
     return space.dist[np.ix_(ix, ix)]
 
 

@@ -29,7 +29,7 @@ from .errors import (
     MarkedPointOutsideRegionError,
     MetricViolationError,
 )
-from .metric import FiniteMetricSpace, euclidean_matrix, submatrix, validate_metric
+from .metric import FiniteMetricSpace, euclidean_matrix, is_integer, point_index, submatrix, validate_metric
 
 _MAX_TRIES = 500
 
@@ -283,7 +283,7 @@ def make_ultrametric(depth: int, arity: int, p=None) -> MarkedSpace:
         raise ValueError(f"depth {depth} > 1075: distinct leaves would sit at distance 0.0")
     if p is None:
         p = (0,) * depth
-    if any(isinstance(d, bool) or not isinstance(d, (int, np.integer)) for d in p):
+    if not all(map(is_integer, p)):
         raise ValueError(f"marked leaf digits must be integers, got {list(p)!r}")
     p = tuple(int(d) for d in p)
     if len(p) != depth or any(not 0 <= d < arity for d in p):
@@ -292,10 +292,12 @@ def make_ultrametric(depth: int, arity: int, p=None) -> MarkedSpace:
 
     def pairwise(points) -> np.ndarray:
         # in lexicographic order, the common prefix of two leaves is the
-        # shortest common prefix of the neighbouring pairs between them
+        # shortest common prefix of the neighbouring pairs between them. The
+        # sort key of a leaf is its digits as one big-endian byte string
         n = len(points)
         digits = np.array(points).reshape(n, depth)
-        order = np.lexsort(digits.T[::-1])
+        keys = np.ascontiguousarray(digits, dtype=">u8").view(f"S{8 * depth}").ravel()
+        order = np.argsort(keys, kind="stable")
         ranked = digits[order]
         differ = ranked[1:] != ranked[:-1]
         lcp = np.where(differ.any(axis=1), differ.argmax(axis=1), depth)
@@ -351,11 +353,8 @@ def freeze(space: MarkedSpace, scale: float, count: int, seed=0) -> tuple[Finite
 
 
 def as_marked(space: FiniteMetricSpace, index: int) -> MarkedSpace:
-    """View a finite space as a marked space with point indices as carrier."""
-    n = space.n_points
-    if not 0 <= index < n:
-        raise IndexError(f"marked index {index} outside space of {n} points")
-
+    """View a finite space as a marked space over its point indices, marked at one (:func:`point_index`)."""
+    index = point_index(index, space.n_points)
     dists = space.dist[:, index]
 
     def sample(scale, k, seed=0):
@@ -370,7 +369,7 @@ def as_marked(space: FiniteMetricSpace, index: int) -> MarkedSpace:
         return tuple(pts)
 
     pairwise = partial(submatrix, space)
-    desc = {"type": "finite", "n_points": n, "p": index}
+    desc = {"type": "finite", "n_points": space.n_points, "p": index}
     return MarkedSpace(metric=_pair_metric(pairwise), p=index, sampler=sample, description=desc,
                        point_repr=lambda i: space.labels[int(i)], pairwise=pairwise)
 
@@ -421,7 +420,7 @@ def _region_kind(region) -> str:
 def _integer(cfg: dict, key: str) -> int:
     """The config field ``key``, refused unless it is a JSON integer."""
     value = _field(cfg, key)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not is_integer(value):
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return value
 

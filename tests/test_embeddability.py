@@ -59,9 +59,17 @@ class TestMenger:
             assert v.embeddable == "no", n
             assert v.witness is not None
 
-    def test_dimension_out_of_range(self, equilateral):
+    def test_dimension_out_of_range(self, equilateral, star_k13):
         with pytest.raises(DimensionOutOfRangeError):
             menger_check(equilateral, 0)
+        # a dimension is an integer: 1.5 answered "no" with "n": 1.5 on the
+        # star and ended in a slicing TypeError on a feasible space
+        for space in (star_k13, equilateral):
+            for n in (1.5, True, np.float64(2.0)):
+                for check in (menger_check, schoenberg_check, blumenthal_basis_search, realize_coordinates):
+                    with pytest.raises(DimensionOutOfRangeError, match=r"^target dimension must be an integer >= 1"):
+                        check(space, n)
+        assert menger_check(equilateral, np.int64(2)).embeddable == "yes"
 
     def test_monotone_in_dimension(self):
         for seed in range(20):

@@ -233,6 +233,12 @@ def test_submatrix_basic(equilateral):
 def test_submatrix_bad_index(equilateral):
     with pytest.raises(IndexOutOfRangeError):
         submatrix(equilateral, (0, 5))
+    # the rule of psd_check's base; 1.7, True, "1" and 1.0 each read as
+    # point 1 while submatrix kept a rule of its own
+    for t in ([0, 1.7], [0, True], ["1"], [np.float64(1.0)], [-1]):
+        with pytest.raises(IndexOutOfRangeError, match=r"is not an index of the 3 points$"):
+            submatrix(equilateral, t)
+    assert submatrix(equilateral, [np.int64(1), 2]).tolist() == [[0, 1], [1, 0]]
 
 
 def test_submatrix_permutation_naturality():

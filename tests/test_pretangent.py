@@ -496,6 +496,15 @@ class TestLiminfScan:
                            tol_det=1e-7).verdict == "supports"
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 10: every rung takes the same index tuples, so a seed whose "
+                                       "tuples miss the violating triple misses it on every rung")
+def test_stretched_triple_never_supported():
+    # every cloud holds the triple (p, a, b) with Theta_3 = -4.8e-7; seeds
+    # 3, 4, 13, 14, 18, 20, 27, 32, 33, 35, 37 and 39 read supports
+    verdicts = [liminf_scan(stretched_triple(), 2, samples_per_scale=2, seed=s).verdict for s in range(40)]
+    assert "supports" not in verdicts
+
+
 class TestTransferCheck:
     def test_plane_consistent_at_2(self):
         rep = transfer_check(plane(), 2, samples_per_scale=42, seed=0)
@@ -659,6 +668,10 @@ class TestTransferCheck:
     def test_dimension_out_of_range(self):
         with pytest.raises(DimensionOutOfRangeError):
             transfer_check(plane(), 0)
+        # True scanned as n = 1 and reported "n": true
+        for n in (True, 1.5):
+            with pytest.raises(DimensionOutOfRangeError, match=r"^target dimension must be an integer >= 1"):
+                transfer_check(circle(), n)
 
 
 class TestBlumenthalScan:

@@ -1,6 +1,7 @@
 """Marked spaces: sampler contracts, freezing, construction errors."""
 
 import dataclasses
+import time
 import tracemalloc
 import warnings
 
@@ -98,6 +99,18 @@ def test_batched_matrix_equals_scalar_metric(name):
         for seed in range(3):
             pts = (space.p,) + space.sample(scale, 40, seed)
             assert np.array_equal(space.matrix(pts), scalar.matrix(pts)), (name, scale, seed)
+
+
+def test_scalar_ultrametric_metric_is_cheap_at_full_depth():
+    # the leaves sort on one key each; a sort on one key per digit took
+    # 2.15 s for these calls
+    space = make_ultrametric(1075, 2)
+    leaf = space.sample(2.0**-600, 1, 0)[0]
+    start = time.perf_counter()
+    for _ in range(1000):
+        space.metric(space.p, leaf)
+    assert time.perf_counter() - start < 1.0
+    assert space.metric(space.p, leaf) == 2.0**-600
 
 
 def test_cloud_matrix_holds_two_results_at_most():
@@ -374,7 +387,9 @@ def _away_from_curve():
     (lambda: make_ultrametric(4, 1), ValueError, "depth and arity must both be >= 2"),
     (lambda: make_ultrametric(3, 2, [0, 2, 1]), MarkedPointOutsideRegionError, "marked leaf (0, 2, 1) not in the tree"),
     (lambda: freeze(segment(), 0.5, count=0), ValueError, "count must be >= 1"),
-    (lambda: as_marked(validate_metric([[0, 1], [1, 0]]), 2), IndexError, "marked index 2 outside space of 2 points"),
+    (lambda: as_marked(validate_metric([[0, 1], [1, 0]]), 2), IndexOutOfRangeError, "2 is not an index of the 2 points"),
+    (lambda: as_marked(validate_metric([[0, 1], [1, 0]]), 1.0), IndexOutOfRangeError,
+     "1.0 is not an index of the 2 points"),
 ])
 def test_construction_refusals(call, error, message):
     with pytest.raises(error) as exc:
