@@ -48,7 +48,7 @@ import json
 import math
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import NoReturn
 
@@ -284,6 +284,7 @@ def _scales_arg(text: str) -> str:
     return text
 
 
+@cache  # one parser per process: main reads it on every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="metricembed",
                                      description="Euclidean embeddability of metric spaces "

@@ -32,8 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionOutOfRangeError, NonzeroDiagonalError, NotSymmetricError, TupleTooShortError
-from .metric import (FiniteMetricSpace, check_finite, first_worst, is_integer, point_index, readonly, row_blocks,
-                     submatrix)
+from .metric import (FiniteMetricSpace, check_finite, first_worst, is_integer, is_number, point_index, readonly,
+                     row_blocks, submatrix)
 
 #: Tolerance of the zero rule. A determinant of a (k+1)-point tuple counts
 #: as zero when, divided by the tuple's own largest distance to the power
@@ -47,8 +47,8 @@ DEFAULT_TOL_DET = 1e-8
 
 
 def _checked_tol_det(tol_det: float) -> float:
-    """``tol_det``, refused with ValueError unless it is finite and > 0."""
-    if not 0 < tol_det < math.inf:
+    """``tol_det``, refused with ValueError unless it is a finite number (:func:`is_number`) > 0."""
+    if not is_number(tol_det) or not 0 < tol_det < math.inf:
         raise ValueError(f"tol_det must be finite and > 0, got {tol_det!r}")
     return tol_det
 

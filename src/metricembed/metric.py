@@ -64,8 +64,8 @@ def readonly(a) -> np.ndarray:
 
 
 def _checked_tol(tol: float) -> float:
-    """``tol``, refused with ValueError unless it is nonnegative (NaN is not)."""
-    if not tol >= 0:
+    """``tol``, refused with ValueError unless it is a nonnegative number (:func:`is_number`; NaN is not)."""
+    if not is_number(tol) or not tol >= 0:
         raise ValueError("tolerance must be nonnegative")
     return tol
 
@@ -252,6 +252,11 @@ def euclidean_matrix(points, others=None) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
+def is_number(value) -> bool:
+    """Whether ``value`` is a real number, Python's or numpy's; a bool, a string or None is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def is_integer(value) -> bool:
     """Whether ``value`` is an integer: a Python or numpy integer, not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -272,9 +277,9 @@ def submatrix(space: FiniteMetricSpace, t: Sequence[int]) -> np.ndarray:
 
 
 def scale_metric(space: FiniteMetricSpace, lam: float) -> FiniteMetricSpace:
-    """Multiply every distance by a finite ``lam`` > 0; a factor that takes
-    a distance past the largest float or a positive one to 0 is refused."""
-    if not 0 < lam < np.inf:
+    """Multiply every distance by a finite number ``lam`` > 0 (:func:`is_number`); a factor
+    that takes a distance past the largest float or a positive one to 0 is refused."""
+    if not is_number(lam) or not 0 < lam < np.inf:
         raise NonpositiveScaleError(f"scale factor must be finite and > 0, got {lam!r}")
     with np.errstate(over="ignore"):
         dist = space.dist * float(lam)
@@ -355,10 +360,8 @@ def _matrix(rows) -> np.ndarray:
 
 
 def _numbers(row) -> bool:
-    """Whether every entry of a row is a real number. A string, a bool or
-    None is not, though numpy reads each as a float; the check is made
-    once per type in the row, not once per entry."""
-    return all(issubclass(t, numbers.Real) and not issubclass(t, bool) for t in set(map(type, row)))
+    """Whether every entry of a row is a number (:func:`is_number`); one entry of each type is asked."""
+    return all(map(is_number, dict(zip(map(type, row), row)).values()))
 
 
 _WHITESPACE = json.decoder.WHITESPACE.match

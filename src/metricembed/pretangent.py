@@ -39,6 +39,7 @@ from .errors import (
     SamplerScaleMismatchError,
     TupleTooShortError,
 )
+from .metric import is_integer, is_number
 from .spaces import MarkedSpace
 
 #: Scan verdict thresholds. A delta-normalized Theta/S value within the
@@ -138,22 +139,22 @@ def s_functional(space: MarkedSpace, t: Sequence) -> float:
 
 
 def checked_scales(scales: Sequence[float]) -> list[float]:
-    """The ladder rule of every scan: at least two scales, each finite and
-    positive, strictly decreasing. Returns them as floats; raises
-    ValueError otherwise."""
-    scales = [float(s) for s in scales]
-    if (len(scales) < 2 or not all(0 < s < math.inf for s in scales)
+    """The ladder rule of every scan: at least two scales, each a finite
+    positive number (:func:`is_number`), strictly decreasing. Returns them
+    as floats; raises ValueError otherwise."""
+    scales = list(scales)
+    if (len(scales) < 2 or not all(is_number(s) and 0 < s < math.inf for s in scales)
             or any(b >= a for a, b in zip(scales, scales[1:]))):
         raise ValueError("scales must be at least two finite positive values, strictly decreasing")
-    return scales
+    return [float(s) for s in scales]
 
 
 def scale_ladder(r0: float = 0.5, q: float = 0.5, rungs: int = 12) -> list[float]:
-    """Geometric scale ladder r0 * q^j, j = 0..rungs-1, under the rule of
-    :func:`checked_scales`. A last rung that underflows to 0 is refused
-    before the ladder is built, however many rungs it asks for."""
-    if not (0 < r0 < math.inf and 0 < q < 1):
-        raise ValueError(f"need a finite r0 > 0 and 0 < q < 1, got r0={r0!r}, q={q!r}")
+    """Geometric scale ladder r0 * q^j, j = 0..rungs-1, of numbers r0 and q and an integer
+    ``rungs``, under the rule of :func:`checked_scales`. A last rung that underflows to 0
+    is refused before the ladder is built, however many rungs it asks for."""
+    if not (is_number(r0) and is_number(q) and is_integer(rungs) and 0 < r0 < math.inf and 0 < q < 1):
+        raise ValueError(f"need a finite r0 > 0 and 0 < q < 1 and an integer rungs, got {r0!r}, {q!r}, {rungs!r}")
     # an exponent past 2^1023 is no float, and q to that power is 0 anyway
     if rungs >= 2 and not r0 * q ** min(rungs - 1, 2**1023) > 0:
         raise ValueError("the last rung r0 * q^(rungs - 1) underflows to 0")
@@ -257,8 +258,8 @@ def _scan_pass(space: MarkedSpace, jobs: Sequence[tuple[int, str]], scales, samp
     ``|Theta - S| / max(|Theta|, |S|, 1)`` over every tuple.
     """
     scales = scale_ladder() if scales is None else checked_scales(scales)
-    if samples_per_scale < 1:
-        raise EmptySampleError("samples_per_scale must be >= 1")
+    if not is_integer(samples_per_scale) or samples_per_scale < 1:
+        raise EmptySampleError(f"samples_per_scale must be an integer >= 1, got {samples_per_scale!r}")
     floor = NOISE_FLOOR_FACTOR * _checked_tol_det(tol_det)
     size = min(2 * samples_per_scale, CLOUD_CAP) + max(k for k, _ in jobs) + 1
     cloud_seed = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
@@ -267,7 +268,7 @@ def _scan_pass(space: MarkedSpace, jobs: Sequence[tuple[int, str]], scales, samp
     holders = np.empty(extremes.shape, dtype=object)
     discrepancy = 0.0
     for j, s in enumerate(scales):
-        cloud = tuple(space.sampler(s, size - 1, cloud_seed))
+        cloud = tuple(space.sample(s, size - 1, cloud_seed))
         if len(cloud) != size:
             raise ArityMismatchError(f"sampler returned {len(cloud)} points for a cloud of {size}")
         dm = space.matrix((space.p,) + cloud)
@@ -368,8 +369,8 @@ def liminf_scan(
       exponent > 0.5 and a 10x tail drop; refutes when tail magnitudes
       exceed 1e-3 with a flat trend (exponent <= 0.1).
     """
-    if k < 1:
-        raise TupleTooShortError(f"scan needs k >= 1, got {k}")
+    if not is_integer(k) or k < 1:
+        raise TupleTooShortError(f"scan needs an integer k >= 1, got {k!r}")
     if condition not in ("sign", "vanishing"):
         raise ValueError(f"unknown condition {condition!r}")
     if mode not in MODES:

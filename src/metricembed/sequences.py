@@ -30,7 +30,7 @@ from .errors import (
     NonconvergentSequenceError,
     UnstableInputError,
 )
-from .metric import FiniteMetricSpace, _checked_tol, validate_metric
+from .metric import FiniteMetricSpace, _checked_tol, is_integer, validate_metric
 from .pretangent import NOISE_FLOOR_FACTOR, _functionals, scale_ladder
 from .spaces import MarkedSpace
 
@@ -86,9 +86,9 @@ def marked_family(space: MarkedSpace, *seqs: PointSequence) -> tuple[PointSequen
 def _sequence_stack(space: MarkedSpace, family: Sequence[PointSequence], depth: int) -> np.ndarray:
     """Distances within a family at every index: a (depth, F, F) stack, one
     ``space.matrix`` call per index, so each sequence is evaluated once per
-    index. A depth below 16 is refused."""
-    if depth < 16:
-        raise ValueError(f"depth must be >= 16, got {depth}")
+    index. A depth that is not an integer (:func:`is_integer`) >= 16 is refused."""
+    if not is_integer(depth) or depth < 16:
+        raise ValueError(f"depth must be an integer >= 16, got {depth!r}")
     return np.stack([space.matrix([seq(m) for seq in family]) for m in range(depth)])
 
 

@@ -16,7 +16,6 @@ without ``pairwise`` is evaluated pair by pair.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any, Callable, Sequence
@@ -29,7 +28,7 @@ from .errors import (
     MarkedPointOutsideRegionError,
     MetricViolationError,
 )
-from .metric import FiniteMetricSpace, euclidean_matrix, is_integer, point_index, submatrix, validate_metric
+from .metric import FiniteMetricSpace, euclidean_matrix, is_integer, is_number, point_index, submatrix, validate_metric
 
 _MAX_TRIES = 500
 
@@ -54,8 +53,10 @@ class MarkedSpace:
     pairwise: Callable[[Sequence], np.ndarray] | None = None
 
     def sample(self, scale: float, k: int, seed=0) -> tuple:
-        """A (k+1)-tuple of points with delta in [scale/2, scale]."""
-        return self.sampler(float(scale), int(k), seed)
+        """A (k+1)-tuple of points with delta in [scale/2, scale], for a number scale and an integer k."""
+        if not is_number(scale) or not is_integer(k):
+            raise ValueError(f"a sample needs a number scale and an integer k, got {scale!r}, {k!r}")
+        return self.sampler(scale, k, seed)
 
     def matrix(self, points: Sequence) -> np.ndarray:
         """Pairwise distance matrix of a sequence of carrier points."""
@@ -114,9 +115,11 @@ class CurveSpec:
 
 
 def _coordinates(name: str, coords, dim: int, finite: bool = True) -> np.ndarray:
-    """``dim`` coordinates as floats, refused when there are not ``dim`` of
-    them, when one is NaN (every comparison with NaN is false, so it would
-    pass the region checks) or, when ``finite``, one is infinite."""
+    """``dim`` coordinates as floats, refused when one is not a number, when there are
+    not ``dim`` of them, when one is NaN (every comparison with NaN is false, so it
+    would pass the region checks) or, when ``finite``, one is infinite."""
+    if np.ndim(coords) == 1 and not all(map(is_number, coords)):
+        raise ValueError(f"{name} has a coordinate that is not a number: {list(coords)!r}")
     x = np.asarray(coords, dtype=float)
     if x.shape != (dim,):
         raise ValueError(f"{name} must have {dim} coordinates")
@@ -127,14 +130,9 @@ def _coordinates(name: str, coords, dim: int, finite: bool = True) -> np.ndarray
     return x
 
 
-def _is_number(value) -> bool:
-    """Whether ``value`` is a real number; a bool or a string is not."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _positive(name: str, value) -> float:
     """``value`` as a float, refused unless it is a positive finite number."""
-    if not _is_number(value) or not 0 < value < math.inf:
+    if not is_number(value) or not 0 < value < math.inf:
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
     return float(value)
 
@@ -145,18 +143,18 @@ def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
     ``region`` is a dict: ``{"kind": "cube", "low": [...], "high": [...]}``
     (optionally with ``"pitch"`` to snap samples onto a grid),
     ``{"kind": "sphere-surface", "center": [...], "radius": r}``, or
-    ``{"kind": "curve", "spec": CurveSpec}``. These raise ValueError: a
-    coordinate list (``p``, ``low``, ``high``, ``center``, a curve's
-    ``fn(t0)``) without ``dim`` entries, a NaN coordinate, an infinite one
-    in ``p``, ``center`` or ``fn(t0)``, a radius or pitch that is not a
-    positive finite number (a string or a bool is not a number), a pitch
-    on a cube with an infinite ``low``, or a region that is not a dict
-    naming its ``kind``. A ``p`` outside the region, for a cube before or
-    after snapping to the pitch, raises MarkedPointOutsideRegionError.
-    Infinite cube bounds without a pitch are allowed.
+    ``{"kind": "curve", "spec": CurveSpec}``. These raise ValueError: a ``dim``
+    that is not an integer >= 1, a coordinate list (``p``, ``low``, ``high``,
+    ``center``, a curve's ``fn(t0)``) with an entry that is not a number (a
+    string, a bool or None is not) or without ``dim`` entries, a NaN coordinate,
+    an infinite one in ``p``, ``center`` or ``fn(t0)``, a radius or pitch that is
+    not a positive finite number, a pitch on a cube with an infinite ``low``, or
+    a region that is not a dict naming its ``kind``. A ``p`` outside the region,
+    for a cube before or after snapping to the pitch, raises
+    MarkedPointOutsideRegionError. Infinite cube bounds without a pitch are allowed.
     """
-    if dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim}")
+    if not is_integer(dim) or dim < 1:
+        raise ValueError(f"dimension must be >= 1, got {dim!r}")
     p = _coordinates("marked point", p, dim)
     kind = _region_kind(region)
 
@@ -251,7 +249,7 @@ def make_snowflake(alpha: float, base_dim: int, p, region=None) -> MarkedSpace:
     the concave power, rectifiability does not. It derives from
     :func:`make_euclidean_subset` on ``region`` (the unit cube by default);
     an ``alpha`` that is not a number in (0, 1) raises AlphaOutOfRangeError."""
-    if not _is_number(alpha) or not 0.0 < alpha < 1.0:
+    if not is_number(alpha) or not 0.0 < alpha < 1.0:
         raise AlphaOutOfRangeError(f"alpha must lie in (0,1), got {alpha!r}")
     if region is None:
         region = {"kind": "cube", "low": [0.0] * base_dim, "high": [1.0] * base_dim}
@@ -277,7 +275,7 @@ def make_ultrametric(depth: int, arity: int, p=None) -> MarkedSpace:
     leaf distance is a positive double); the ultra-triangle inequality
     holds exactly by construction.
     """
-    if depth < 2 or arity < 2:
+    if not (is_integer(depth) and is_integer(arity)) or depth < 2 or arity < 2:
         raise ValueError("depth and arity must both be >= 2")
     if depth > 1075:
         raise ValueError(f"depth {depth} > 1075: distinct leaves would sit at distance 0.0")
@@ -338,8 +336,8 @@ def freeze(space: MarkedSpace, scale: float, count: int, seed=0) -> tuple[Finite
     Attempt ``a`` extends the seed's spawn key by ``(a,)``, so children of
     one ``SeedSequence`` freeze distinct spaces.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    if not is_integer(count) or count < 1:
+        raise ValueError(f"count must be an integer >= 1, got {count!r}")
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     labels = ["p"] + [f"s{i}" for i in range(1, count + 1)]
     for attempt in range(100):
@@ -384,6 +382,8 @@ def perturbed_euclidean_space(
     """Random valid metric space: a Euclidean cloud with multiplicatively
     perturbed distances, drawn again (at most 500 times) while a distance is
     below ``min_distance`` or an axiom fails (:class:`MetricViolationError`)."""
+    if not is_integer(n_points) or n_points < 1 or not (dim is None or is_integer(dim) and dim >= 1):
+        raise ValueError(f"n_points and dim must be integers >= 1 (dim may be None), got {n_points!r}, {dim!r}")
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_TRIES):
         d = dim if dim is not None else int(rng.integers(1, 5))

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, formats, determinism."""
 
+import argparse
 import importlib
 import importlib.util
 import json
@@ -428,6 +429,32 @@ class TestScan:
             assert main(["scan", str(cfg), "--dim", "1", "--samples", "8"]) == 3
         out = json.loads(capsys.readouterr().out)
         assert out["error"].startswith(f"cannot build space: {error}")
+
+    @pytest.mark.parametrize("cfg,error", [
+        ('{"type": "euclidean", "dim": 2, "p": ["0.5", true], '
+         '"region": {"kind": "cube", "low": [0, false], "high": ["1", 1]}}',
+         "marked point has a coordinate that is not a number: ['0.5', True]"),
+        ('{"type": "euclidean", "dim": 2, "p": [0.5, 0.5], "region": {"kind": "cube", "low": [0, false]}}',
+         "low has a coordinate that is not a number: [0, False]"),
+        ('{"type": "euclidean", "dim": 2, "p": [0.5, 0.5], "region": {"kind": "cube", "high": ["1", 1]}}',
+         "high has a coordinate that is not a number: ['1', 1]"),
+        ('{"type": "euclidean", "dim": 2, "p": [1, 0], '
+         '"region": {"kind": "sphere-surface", "center": [null, 0], "radius": 1}}',
+         "center has a coordinate that is not a number: [None, 0]"),
+        ('{"type": "euclidean", "dim": 2, "p": [0.5, "a"], "region": {"kind": "cube"}}',
+         "marked point has a coordinate that is not a number: [0.5, 'a']"),
+        ('{"type": "snowflake", "alpha": 0.5, "dim": 1, "p": [true]}',
+         "marked point has a coordinate that is not a number: [True]"),
+    ], ids=["p-string-bool", "low-bool", "high-string", "center-null", "p-letter", "snowflake-p-bool"])
+    def test_coordinates_that_are_not_numbers_cannot_build_space(self, tmp_path, cfg, error, capsys):
+        # strings and bools were read as numbers, so the first config
+        # scanned with exit 0; null was read as NaN, and a letter failed in
+        # numpy without naming the field
+        path = tmp_path / "bad.json"
+        path.write_text(cfg)
+        assert main(["scan", str(path), "--dim", "1", "--samples", "8"]) == 3
+        out = json.loads(capsys.readouterr().out)
+        assert out["exit_code"] == 3 and out["error"] == f"cannot build space: {error}"
 
     @pytest.mark.parametrize("cfg,error", [
         ('{"type": "euclidean", "dim": 2, "p": [%s, 0], "region": {"kind": "cube"}}' % HUGE,
@@ -874,6 +901,22 @@ def _modules_left_unloaded(argvs, modules) -> subprocess.CompletedProcess:
             "sys.exit(bool(leaked))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+
+
+def test_two_calls_build_one_parser(eq_file, monkeypatch, capsys):
+    # main built the whole parser on every call, about a third of a warm
+    # in-process op on a small space
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "metricembed":
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["validate", eq_file]) == main(["check-embed", eq_file, "--dim", "2"]) == 0
+    assert len(built) <= 1
 
 
 def test_finite_commands_leave_scan_layer_unloaded(eq_file, star_file):

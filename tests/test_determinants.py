@@ -375,3 +375,10 @@ def _all_minors_psd(m: np.ndarray) -> bool:
     n = m.shape[0]
     return all(np.linalg.det(m[np.ix_(s, s)]) > -1e-9
                for size in range(1, n + 1) for s in map(list, combinations(range(n), size)))
+
+
+def test_psd_check_tol_det_must_be_a_number():
+    # True passed the bounds as the number 1, the widest band
+    sq = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match=r"^tol_det must be finite and > 0, got True$"):
+        psd_check(sq, 0, tol_det=True)

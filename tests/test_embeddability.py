@@ -230,6 +230,37 @@ class TestMultiScale:
                 assert realize_coordinates(sp, n).coords.shape[1] <= n
 
 
+def _prism(edge: float):
+    """An equilateral triangle of the given edge and its translate a unit
+    off its plane: 6 points of exact affine rank 3."""
+    tri = edge * np.array([[0, 0, 0], [1, 0, 0], [0.5, np.sqrt(3) / 2, 0]])
+    return cloud_space(np.vstack([tri, tri + [0.0, 0.0, 1.0]])), 3
+
+
+def _orthogonal_triangles(edge: float):
+    """Equilateral triangles of the given edge at the two ends of a unit
+    segment, in planes orthogonal to each other and to the segment: 6
+    points of exact affine rank 5."""
+    tri = edge * np.array([[0, 0], [1, 0], [0.5, np.sqrt(3) / 2]])
+    x = np.zeros((6, 5))
+    x[:3, :2] = tri
+    x[3:, 3:] = tri
+    x[3:, 2] = 1.0
+    return cloud_space(x), 5
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 20")
+@pytest.mark.parametrize("build,edge", [(_prism, 1e-5), (_prism, 1e-7), (_orthogonal_triangles, 1e-5)],
+                         ids=["prism-1e-05", "prism-1e-07", "orthogonal-triangles-1e-05"])
+def test_multi_scale_rank_adds_across_scales(build, edge):
+    # directions that live at different scales: the largest rank of one
+    # part reads m = 2, and both engines answer yes at n = 2, realizing the
+    # space with a residual of about the small edge (ROADMAP item 20)
+    sp, rank = build(edge)
+    assert min_embedding_dimension(sp).dim == rank
+    assert menger_check(sp, 2).embeddable != "yes" and schoenberg_check(sp, 2).embeddable != "yes"
+
+
 class TestMinDimension:
     def test_equilateral(self, equilateral):
         assert min_embedding_dimension(equilateral).dim == 2

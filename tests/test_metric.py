@@ -470,3 +470,13 @@ def test_nan_tolerance_refused(matrix):
     with pytest.raises(ValueError) as exc:
         validate_metric(matrix, tol=math.nan)
     assert str(exc.value) == "tolerance must be nonnegative"
+
+
+def test_tolerance_and_factor_must_be_numbers(equilateral):
+    # True passed both bounds as the number 1
+    with pytest.raises(ValueError, match="^tolerance must be nonnegative$"):
+        validate_metric([[0, 1], [1, 0]], tol=True)
+    with pytest.raises(NonpositiveScaleError, match=r"^scale factor must be finite and > 0, got True$"):
+        scale_metric(equilateral, True)
+    with pytest.raises(NonpositiveScaleError, match=r"^scale factor must be finite and > 0, got '2'$"):
+        scale_metric(equilateral, "2")

@@ -807,7 +807,7 @@ class TestSequenceDistances:
 
 
 @pytest.mark.parametrize("call,error,message", [
-    (lambda: liminf_scan(plane(), 0), TupleTooShortError, "scan needs k >= 1, got 0"),
+    (lambda: liminf_scan(plane(), 0), TupleTooShortError, "scan needs an integer k >= 1, got 0"),
     (lambda: liminf_scan(plane(), 1, condition="limit"), ValueError, "unknown condition 'limit'"),
     (lambda: liminf_scan(plane(), 1, mode="sch"), ValueError, "unknown mode 'sch'"),
     (lambda: delta_scale(plane(), ()), ValueError, "a scale needs a nonempty tuple"),
@@ -829,7 +829,7 @@ def test_scan_layer_refusals(call, error, message):
     (lambda: blumenthal_sequence_scan(plane(), [constant_sequence(plane().p)]), DimensionOutOfRangeError,
      "need at least two sequences (n >= 1)"),
     (lambda: blumenthal_sequence_scan(plane(), [constant_sequence(plane().p)] * 2, depth=15), ValueError,
-     "depth must be >= 16, got 15"),
+     "depth must be an integer >= 16, got 15"),
     # a negative tol read an oscillation of 0.0 as unstable, a NaN one as
     # undetermined; a negative or NaN merge_tol ended in CoincidentPointsError
     *[(lambda t=t: mutual_stability(plane(), constant_sequence(plane().p), constant_sequence(plane().p),
@@ -854,3 +854,28 @@ def test_geometric_normalizer_takes_the_ladder_rule(r0, q):
     # an infinite r0 was accepted, and failed on first use as a degenerate normalizer
     with pytest.raises(ValueError, match=r"need a finite r0 > 0 and 0 < q < 1"):
         NormalizingSequence.geometric(r0, q)
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: transfer_check(plane(), 1, samples_per_scale=2.5), EmptySampleError),
+    (lambda: transfer_check(plane(), 1, samples_per_scale=True), EmptySampleError),
+    (lambda: liminf_scan(plane(), 1.5), TupleTooShortError),
+    (lambda: liminf_scan(plane(), True), TupleTooShortError),
+    (lambda: scale_ladder(0.5, 0.5, 3.5), ValueError),
+    (lambda: scale_ladder("0.5", 0.5, 3), ValueError),
+    (lambda: scale_ladder(0.5, "0.5", 3), ValueError),
+    (lambda: transfer_check(plane(), 1, samples_per_scale=4, scales=["0.5", "0.25"]), ValueError),
+    (lambda: transfer_check(plane(), 1, samples_per_scale=4, scales=[2.0, True]), ValueError),
+    (lambda: transfer_check(plane(), 1, samples_per_scale=4, tol_det=True), ValueError),
+    (lambda: pseudometric_matrix(plane(), (constant_sequence(plane().p),), NormalizingSequence.geometric(),
+                                 depth=20.5), ValueError),
+    (lambda: mutual_stability(plane(), constant_sequence(plane().p), constant_sequence(plane().p),
+                              NormalizingSequence.geometric(), tol=True), ValueError),
+], ids=["samples-float", "samples-bool", "k-float", "k-bool", "rungs-float", "r0-string", "q-string",
+        "scales-strings", "scales-bool", "tol-det-bool", "depth-float", "tol-bool"])
+def test_counts_and_reals_refused_at_the_entry(call, error):
+    # a float count reached a TypeError inside numpy or range; a bool count,
+    # a bool tolerance and a ladder of strings or bools were read as numbers
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error

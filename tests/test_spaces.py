@@ -378,6 +378,11 @@ def _away_from_curve():
     (lambda: make_euclidean_subset(2, {"kind": "curve", "spec": CurveSpec(
         fn=lambda t: np.array([t, 0.0, 0.0]), t0=0.0, t_min=-1.0, t_max=1.0)}, [0.0, 0.0]),
      ValueError, "fn(t0) must have 2 coordinates"),
+    (lambda: make_euclidean_subset(2, {"kind": "curve", "spec": CurveSpec(
+        fn=lambda t: [t, "0"], t0=0.0, t_min=-1.0, t_max=1.0)}, [0.0, 0.0]),
+     ValueError, "fn(t0) has a coordinate that is not a number: [0.0, '0']"),
+    (lambda: make_euclidean_subset(2, {"kind": "cube"}, [0.0, None]), ValueError,
+     "marked point has a coordinate that is not a number: [0.0, None]"),
     (lambda: make_euclidean_subset(1, {"kind": "ball"}, [0.0]), ValueError, "unknown region kind 'ball'"),
     (lambda: make_euclidean_subset(1, {}, [0.0]), ValueError, 'the region has no "kind" key'),
     (lambda: make_snowflake(0.5, 1, [0.0], ["cube"]), ValueError, "the region must be a JSON object, got list"),
@@ -386,7 +391,7 @@ def _away_from_curve():
     (lambda: make_ultrametric(1, 3), ValueError, "depth and arity must both be >= 2"),
     (lambda: make_ultrametric(4, 1), ValueError, "depth and arity must both be >= 2"),
     (lambda: make_ultrametric(3, 2, [0, 2, 1]), MarkedPointOutsideRegionError, "marked leaf (0, 2, 1) not in the tree"),
-    (lambda: freeze(segment(), 0.5, count=0), ValueError, "count must be >= 1"),
+    (lambda: freeze(segment(), 0.5, count=0), ValueError, "count must be an integer >= 1, got 0"),
     (lambda: as_marked(validate_metric([[0, 1], [1, 0]]), 2), IndexOutOfRangeError, "2 is not an index of the 2 points"),
     (lambda: as_marked(validate_metric([[0, 1], [1, 0]]), 1.0), IndexOutOfRangeError,
      "1.0 is not an index of the 2 points"),
@@ -395,3 +400,31 @@ def test_construction_refusals(call, error, message):
     with pytest.raises(error) as exc:
         call()
     assert str(exc.value) == message
+
+
+def test_sample_refuses_what_is_not_a_number_or_a_count():
+    # sample cast its arguments: k = 2.7 drew 3 points and the scale "0.25"
+    # was read as a number
+    for scale, k in ((0.25, 2.7), ("0.25", 2), (0.25, True), (None, 2)):
+        with pytest.raises(ValueError, match=r"^a sample needs a number scale and an integer k, got "):
+            segment().sample(scale, k)
+    assert len(segment().sample(0.25, 2)) == len(segment().sample(np.float64(0.25), np.int64(2))) == 3
+
+
+@pytest.mark.parametrize("call", [
+    lambda: freeze(segment(), 0.5, count=2.5),
+    lambda: freeze(segment(), "0.5", count=2),
+    lambda: make_euclidean_subset(2.0, {"kind": "cube"}, [0.5, 0.5]),
+    lambda: make_ultrametric(3.5, 2),
+    lambda: make_ultrametric(3, 2.0),
+    lambda: perturbed_euclidean_space(5.0),
+    lambda: perturbed_euclidean_space(5, dim=2.0),
+    lambda: perturbed_euclidean_space(0),
+], ids=["freeze-count", "freeze-scale", "euclidean-dim", "ultrametric-depth", "ultrametric-arity",
+        "perturbed-n-points", "perturbed-dim", "perturbed-no-points"])
+def test_counts_refused_at_the_entry(call):
+    # each reached a TypeError inside numpy or range, except the arity 2.0,
+    # which built a tree, and no points, which numpy refused as an empty reduction
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert type(exc.value) is ValueError

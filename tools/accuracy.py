@@ -5,12 +5,15 @@
 Every space comes with its answer from the generator's geometry, never
 from the package. A cloud of points is labelled with its exact affine
 rank; the K_{1,3} star and the 4-cycle (graph metrics with unit edges)
-are labelled infeasible. Each space runs at scales 1e-3, 1 and 1e3, both
+are labelled infeasible, and so is a near-Euclidean space: r + 3 points
+whose Schoenberg form about point 0 is 2 X X^T, X a Gaussian cloud of
+rank r, less one negative eigenvalue of known size, -4 lambda max|x_i|^2
+(:func:`near_euclidean`). Each space runs at scales 1e-3, 1 and 1e3, both
 as drawn and under one fixed permutation of its points, and each run
 goes through ``metricembed.cli.main`` in this process, as a user would
 run it: ``min-dim --realize`` once, and ``check-embed --criterion all``
-at n = label - 1, label and label + 1 (n = 1, 2, 3 on an infeasible
-space).
+at n = label - 1, label and label + 1 (n = 1, 2, 3 on the star and the
+4-cycle, n = r - 1, r, r + 1 on a near-Euclidean space).
 
 A run whose relative squared height (s_label / s_1)^2, from the singular
 values of the cloud about its centroid, lies within 100x of ``tol_det``
@@ -25,7 +28,8 @@ the runs not counted apart each family counts:
   distance, to 3 significant digits (null when nothing was realized).
 
 With ``--gate FILE`` (a committed output of this tool) it also exits 1
-when any family's ``wrong_yes`` or ``wrong_m`` exceeds that file's.
+when any family's ``wrong_m``, ``wrong_yes`` or ``wrong_no`` exceeds that
+file's.
 """
 
 from __future__ import annotations
@@ -46,8 +50,11 @@ SCALES = (1e-3, 1.0, 1e3)
 GAUSSIAN_DIMS = (2, 4, 6, 8, 10, 12, 16, 20, 24, 29, 32, 40)
 ANISOTROPY = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
 SEEDS = range(5)
+#: the ranks r and eigenvalue sizes lambda of the near-Euclidean family
+NEAR_RANKS = (4, 8, 16)
+NEAR_LAMBDAS = (1e-4, 1e-6)
 #: the counts the gate holds at or below the committed file's
-GATED = ("wrong_m", "wrong_yes")
+GATED = ("wrong_m", "wrong_yes", "wrong_no")
 
 
 def distances(x: np.ndarray) -> np.ndarray:
@@ -56,15 +63,44 @@ def distances(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1))
 
 
-def cloud(x: np.ndarray, rank: int) -> tuple[np.ndarray, int, bool]:
-    """(distances, label, either) of a cloud of exact affine rank ``rank``."""
+def cloud(x: np.ndarray, rank: int) -> tuple:
+    """The case of a cloud of exact affine rank ``rank``."""
     s = np.linalg.svd(x - x.mean(axis=0), compute_uv=False)
     height = (s[rank - 1] / s[0]) ** 2
-    return distances(x), rank, DEFAULT_TOL_DET / 100 <= height <= 100 * DEFAULT_TOL_DET
+    return distances(x), rank, DEFAULT_TOL_DET / 100 <= height <= 100 * DEFAULT_TOL_DET, (rank - 1, rank, rank + 1)
+
+
+def is_metric(d: np.ndarray) -> bool:
+    """Whether every d[i, j] <= d[i, k] + d[k, j]."""
+    return bool(np.all(d[:, None, :] <= d[:, :, None] + d[None, :, :]))
+
+
+def near_euclidean(r: int, lam: float, seed: int) -> tuple | None:
+    """The infeasible case of r + 3 points whose tau about point 0 is
+    2 X X^T - 4 lambda max|x_i|^2 u u^T: X is a Gaussian cloud of rank r
+    shifted to put point 0 at the origin, and u a unit vector orthogonal to
+    X's columns with u_0 = 0, so tau has one negative eigenvalue, of that
+    size. The squared distances are tau_ii / 2 + tau_jj / 2 - tau_ij; a
+    draw that is not a metric gives None."""
+    x = np.random.default_rng(seed).normal(size=(r + 3, r))
+    x -= x[0]
+    # the last right singular vector is orthogonal to every column of X and to e_0
+    u = np.linalg.svd(np.vstack([x.T, np.eye(r + 3)[:1]]))[2][-1]
+    u[0] = 0.0
+    u /= np.linalg.norm(u)
+    gram = x @ x.T
+    tau = (gram + gram.T) - lam * 4 * np.max(np.sum(x * x, axis=1)) * np.outer(u, u)
+    half = np.diag(tau) / 2
+    sq = half[:, None] + half[None, :] - tau  # its diagonal is exactly 0
+    if not np.all(sq[~np.eye(r + 3, dtype=bool)] > 0):
+        return None
+    d = np.sqrt(sq)
+    return (d, None, False, (r - 1, r, r + 1)) if is_metric(d) else None
 
 
 def families() -> dict[str, list]:
-    """Every family's cases as (distances, label or None, either)."""
+    """Every family's cases as (distances, label or None, either, the
+    dimensions check-embed runs at)."""
     gaussian = [cloud(np.random.default_rng(seed).normal(size=(n, d)), d)
                 for d in GAUSSIAN_DIMS for n in (d + 1, 2 * d) for seed in SEEDS]
     anisotropic = []
@@ -73,10 +109,12 @@ def families() -> dict[str, list]:
             x = np.random.default_rng(seed).normal(size=(12, 8))
             x[:, 3:] *= h
             anisotropic.append(cloud(x, 8))
+    near = [near_euclidean(r, lam, seed) for r in NEAR_RANKS for lam in NEAR_LAMBDAS for seed in SEEDS]
     star = np.array([[0, 1, 1, 1], [1, 0, 2, 2], [1, 2, 0, 2], [1, 2, 2, 0]], dtype=float)
     four_cycle = np.array([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]], dtype=float)
     return {"gaussian": gaussian, "anisotropic": anisotropic,
-            "star": [(star, None, False)], "four-cycle": [(four_cycle, None, False)]}
+            "star": [(star, None, False, (1, 2, 3))], "four-cycle": [(four_cycle, None, False, (1, 2, 3))],
+            "near-euclidean": [case for case in near if case is not None]}
 
 
 def cli_result(argv: list[str]) -> dict:
@@ -89,11 +127,10 @@ def count(cases: list, tmp: Path) -> dict:
     """One family's counts over every scale and both orders of its cases."""
     tally = dict.fromkeys(("cases", "either", "wrong_m", "wrong_yes", "wrong_no", "undetermined"), 0)
     worst = None
-    for d, label, either in cases:
+    for d, label, either, dims in cases:
         n_points = len(d)
         # one fixed permutation per size, so a relabelled run sees another base and pivot order
         order = np.random.default_rng(0).permutation(n_points)
-        dims = (1, 2, 3) if label is None else (label - 1, label, label + 1)
         for scale in SCALES:
             for perm in (np.arange(n_points), order):
                 tally["cases"] += 1
