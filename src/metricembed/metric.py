@@ -124,12 +124,13 @@ def validate_metric(raw, tol: float | None = None, certificate=None) -> FiniteMe
     ``x0..x{n-1}``; pass a dict ``{"labels": ..., "distances": ...}`` to
     keep labels.
 
+    An input asymmetric within ``tol`` is replaced by its mean with its
+    transpose, and the triangle check reads the space's matrix.
     ``certificate``, when given, is called with a space of three points or
     more once every O(N^2) check has passed. The triangle check is skipped
-    when the input is exactly symmetric (so the space holds it bit for
-    bit) and the call returns True, which it may only do on a proof that
-    no triangle is violated by more than ``tol``; it runs as without a
-    certificate otherwise.
+    when the call returns True, which it may only do on a proof that no
+    triangle of the space is violated by more than ``tol``; it runs as
+    without a certificate otherwise.
     """
     labels = None
     if isinstance(raw, dict):
@@ -141,8 +142,8 @@ def validate_metric(raw, tol: float | None = None, certificate=None) -> FiniteMe
 
 
 def _validated(d, labels, tol: float | None, certificate) -> FiniteMetricSpace:
-    """:func:`validate_metric` of a matrix the space may keep: an exactly
-    symmetric ``d`` becomes the space's own (read-only) matrix, uncopied.
+    """:func:`validate_metric` of a matrix the caller hands over: ``d``,
+    symmetrized in place, becomes the space's own (read-only) matrix.
     A list is read by :func:`_matrix`, row by row."""
     d = _matrix(d) if isinstance(d, list) else np.asarray(d, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -185,22 +186,21 @@ def _validated(d, labels, tol: float | None, certificate) -> FiniteMetricSpace:
         raise ValueError(f"labels must be a list, got {type(labels).__name__}")
     if len(labels) != n:
         raise ValueError(f"{len(labels)} labels for {n} points")
-    exact = asym <= 0.0
-    if exact:
-        # (d + d.T) / 2 is d itself bit for bit, so the space keeps d and
-        # the triangle check below reads the space's own matrix
-        sym = d
-    else:
-        # a sum past the largest float is halved before adding; everywhere
-        # else this is (d + d.T) / 2 bit for bit
-        with np.errstate(over="ignore"):
-            sym = np.add(d, d.T)
-        sym /= 2.0
-        over = np.nonzero(np.isinf(sym))
-        sym[over] = d[over] / 2.0 + d.T[over] / 2.0
-    space = FiniteMetricSpace(labels=tuple(str(x) for x in labels), dist=sym, tol=float(tol))
-    if n > 2 and (certificate is None or not exact or not certificate(space)):
-        _check_triangles(d, tol)
+    if asym > 0:
+        # (d + d.T) / 2 in place, the rows of a block against the columns
+        # from the block on; a sum past the largest float is halved before
+        # adding. An exactly symmetric d is that mean already, bit for bit
+        for rows in row_blocks(n):
+            upper, lower = d[rows, rows.start:], d[rows.start:, rows].T
+            with np.errstate(over="ignore"):
+                mean = np.add(upper, lower)
+            mean /= 2.0
+            over = np.isinf(mean)
+            mean[over] = upper[over] / 2.0 + lower[over] / 2.0
+            upper[...] = lower[...] = mean
+    space = FiniteMetricSpace(labels=tuple(str(x) for x in labels), dist=d, tol=float(tol))
+    if n > 2 and (certificate is None or not certificate(space)):
+        _check_triangles(space.dist, tol)
     return space
 
 
@@ -212,14 +212,13 @@ def _check_triangles(d: np.ndarray, tol: float) -> None:
     maximum in (i, k, j) order is named.
     """
     n = d.shape[0]
-    dt = np.ascontiguousarray(d.T)
     slack = np.empty((n, n))  # slack[k,j] > 0 means violation via k
 
     def rows():
         for i in range(n):
             # a sum past the largest float is inf: no violation via that k
             with np.errstate(over="ignore"):
-                np.add(d[i][:, None], dt, out=slack)
+                np.add(d[i][:, None], d, out=slack)
             np.subtract(d[i][None, :], slack, out=slack)
             yield i * n * n, slack
 
@@ -297,9 +296,9 @@ def load_space(path: str, tol: float | None = None, certificate=None) -> FiniteM
     JSON: ``{"labels": [...], "distances": [[...]]}``, or the bare matrix.
     CSV: a square numeric matrix with an optional leading header row of
     labels. The rows are read straight into one float array, which the
-    space keeps when it is exactly symmetric. The suffix is matched in any
-    case. A CSV file may start with a UTF-8 byte-order mark; a JSON file
-    may not, as ``json.load`` refuses one.
+    space keeps. The suffix is matched in any case. A CSV file may start
+    with a UTF-8 byte-order mark; a JSON file may not, as ``json.load``
+    refuses one.
     """
     is_json = path.lower().endswith(".json")
     with open(path, "r", encoding="utf-8" if is_json else "utf-8-sig") as fh:

@@ -154,7 +154,7 @@ def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
     MarkedPointOutsideRegionError. Infinite cube bounds without a pitch are allowed.
     """
     if not is_integer(dim) or dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim!r}")
+        raise ValueError(f"dimension must be an integer >= 1, got {dim!r}")
     p = _coordinates("marked point", p, dim)
     kind = _region_kind(region)
 
@@ -276,7 +276,7 @@ def make_ultrametric(depth: int, arity: int, p=None) -> MarkedSpace:
     holds exactly by construction.
     """
     if not (is_integer(depth) and is_integer(arity)) or depth < 2 or arity < 2:
-        raise ValueError("depth and arity must both be >= 2")
+        raise ValueError("depth and arity must both be integers >= 2")
     if depth > 1075:
         raise ValueError(f"depth {depth} > 1075: distinct leaves would sit at distance 0.0")
     if p is None:

@@ -742,11 +742,29 @@ class TestCertifiedTriangles:
             "(indices (0, 2, 1))")
         assert len(triangle_checks) == 1
 
-    def test_asymmetry_within_tol_pays_the_loop(self, tmp_path, triangle_checks, capsys):
+    def test_asymmetry_within_tol_takes_the_certificate(self, tmp_path, triangle_checks, capsys):
         raw = [[0, 1, 1], [1, 0, 1], [1, 1 + 1e-12, 0]]
         path = _write_distances(tmp_path / "skew.json", raw)
         assert main(["min-dim", path]) == 0
-        assert len(triangle_checks) == 1 and np.array_equal(triangle_checks[0], raw)
+        assert triangle_checks == []
+
+    @pytest.mark.parametrize("argv", [["validate"], ["min-dim"]])
+    def test_skew_input_is_checked_as_the_space_holds_it(self, argv, tmp_path, triangle_checks, capsys):
+        # each entry above the diagonal moved by -h and its mirror by +h: the
+        # line's mean is exactly collinear (the raw entries gave 1.35e-9 >
+        # tol), and the bent line is refused on its first offender, by the
+        # amount its named entries give in the space's matrix
+        h = 0.45e-9
+        line = np.array([[0, 1 - h, 2 + h], [1 + h, 0, 1 + h], [2 - h, 1 - h, 0]])
+        assert main([argv[0], _write_distances(tmp_path / "line.json", line), "--tol-metric", "1e-9"]) == 0
+        bent = line + 5e-9 * np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]])
+        sym = (bent + bent.T) / 2.0
+        capsys.readouterr()
+        assert main([argv[0], _write_distances(tmp_path / "bent.json", bent), "--tol-metric", "1e-9"]) == 2
+        excess = float(sym[0, 2] - (sym[0, 1] + sym[1, 2]))
+        assert json.loads(capsys.readouterr().out)["error"] == (
+            f"invalid metric: triangle violation d[0][2] > d[0][1] + d[1][2] by {excess!r} (indices (0, 2, 1))")
+        assert np.array_equal(triangle_checks[-1], sym)
 
     def test_tol_metric_below_rounding_allowance_pays_the_loop(self, eq_file, triangle_checks, capsys):
         # the allowance for a line of unit distances is 4 (1 + 3) eps ~ 3.6e-15

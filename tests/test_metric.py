@@ -45,7 +45,8 @@ def _full_cube_offender(d: np.ndarray) -> tuple[tuple[int, int, int], float]:
 
 def test_triangle_offender_matches_full_cube():
     # rounded entries create ties (the first maximum in (i, k, j) order is
-    # reported); asymmetry inside the tolerance tells d[j,k] from d[k,j]
+    # reported); an input asymmetric inside the tolerance is checked as the
+    # space holds it, symmetrized
     rng = np.random.default_rng(5)
     checked = 0
     for trial in range(200):
@@ -53,7 +54,7 @@ def test_triangle_offender_matches_full_cube():
         a = rng.uniform(0.1, 1.0, size=(n, n))
         d = np.round(a + a.T, 1) if trial % 2 else a + a.T + rng.uniform(0, 1e-12, size=(n, n))
         np.fill_diagonal(d, 0.0)
-        expected, worst = _full_cube_offender(d)
+        expected, worst = _full_cube_offender((d + d.T) / 2.0)
         if worst <= 1e-9:
             continue
         with pytest.raises(TriangleViolationError) as err:
@@ -83,7 +84,7 @@ def test_label_count_checked_before_triangles():
         validate_metric({"labels": ["a", "b"], "distances": [[0, 1, 3], [1, 0, 1], [3, 1, 0]]})
 
 
-def test_certificate_skips_triangles_only_on_exact_symmetry(tmp_path, monkeypatch):
+def test_certificate_skips_triangles_whenever_it_holds(tmp_path, monkeypatch):
     from metricembed import metric
 
     calls = []
@@ -103,12 +104,15 @@ def test_certificate_skips_triangles_only_on_exact_symmetry(tmp_path, monkeypatc
     assert len(calls) == 2 and len(seen) == 1 and seen[0] is sp
     sp = validate_metric(d, certificate=lambda s: False)
     assert len(calls) == 3
-    # asymmetry within tol: the raw matrix is checked, whatever the certificate says
+    # asymmetry within tol: a certificate that holds skips the check too,
+    # and one that fails has the space's symmetrized matrix checked
     skew = d.copy()
     skew[0, 1] += 1e-12
     sp = validate_metric(skew, certificate=lambda s: True)
-    assert len(calls) == 4 and np.array_equal(calls[-1], skew)
+    assert len(calls) == 3
     assert sp.dist[0, 1] == sp.dist[1, 0] != skew[0, 1]
+    sp = validate_metric(skew, certificate=lambda s: False)
+    assert len(calls) == 4 and np.array_equal(calls[-1], sp.dist)
     # a certificate cannot hide a violation the check would report
     with pytest.raises(TriangleViolationError):
         validate_metric([[0, 1, 3], [1, 0, 1], [3, 1, 0.0]], certificate=lambda s: False)
@@ -328,6 +332,30 @@ def test_reader_at_the_memory_floor(large_files, large_cloud, kind, bound):
         tracemalloc.stop()
     assert np.array_equal(sp.dist, large_cloud)
     assert peak <= bound * large_cloud.nbytes, peak / large_cloud.nbytes
+
+
+@pytest.mark.parametrize("kind", ["csv", "json"])
+def test_near_symmetric_reader_at_the_memory_floor(large_cloud, tmp_path, kind):
+    # an asymmetry within tol is averaged away in place and takes the
+    # certificate: the whole-matrix mean and the O(N^3) loop took 3.5x
+    d = large_cloud[:700, :700]
+    skew = d.copy()
+    skew[0, 1] += 1e-12 * np.max(d)
+    peaks = []
+    for name, matrix in (("sym", d), ("skew", skew)):
+        path = tmp_path / f"{name}.{kind}"
+        if kind == "csv":
+            path.write_text("\n".join(",".join(map(repr, row)) for row in matrix.tolist()))
+        else:
+            path.write_text(json.dumps({"distances": matrix.tolist()}))
+        tracemalloc.start()
+        try:
+            sp = load_space(str(path), certificate=lambda space: True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert np.array_equal(sp.dist, (skew + skew.T) / 2.0)
+    assert peaks[1] <= 1.2 * peaks[0], peaks[1] / peaks[0]
 
 
 JSON_DOCUMENTS = [

@@ -352,7 +352,7 @@ def _away_from_curve():
 
 
 @pytest.mark.parametrize("call,error,message", [
-    (lambda: make_euclidean_subset(0, {"kind": "cube"}, []), ValueError, "dimension must be >= 1, got 0"),
+    (lambda: make_euclidean_subset(0, {"kind": "cube"}, []), ValueError, "dimension must be an integer >= 1, got 0"),
     (lambda: make_euclidean_subset(2, {"kind": "cube"}, [0.0]), ValueError, "marked point must have 2 coordinates"),
     (lambda: make_euclidean_subset(2, {"kind": "cube", "low": [0], "high": [1]}, [0.5, 0.5]),
      ValueError, "low must have 2 coordinates"),
@@ -388,8 +388,8 @@ def _away_from_curve():
     (lambda: make_snowflake(0.5, 1, [0.0], ["cube"]), ValueError, "the region must be a JSON object, got list"),
     (lambda: make_snowflake(0.5, 2, [0.0, 1.0], {"kind": "sphere-surface", "center": [0, 0], "radius": 1.0}),
      ValueError, "snowflake spaces support cube regions only"),
-    (lambda: make_ultrametric(1, 3), ValueError, "depth and arity must both be >= 2"),
-    (lambda: make_ultrametric(4, 1), ValueError, "depth and arity must both be >= 2"),
+    (lambda: make_ultrametric(1, 3), ValueError, "depth and arity must both be integers >= 2"),
+    (lambda: make_ultrametric(4, 1), ValueError, "depth and arity must both be integers >= 2"),
     (lambda: make_ultrametric(3, 2, [0, 2, 1]), MarkedPointOutsideRegionError, "marked leaf (0, 2, 1) not in the tree"),
     (lambda: freeze(segment(), 0.5, count=0), ValueError, "count must be an integer >= 1, got 0"),
     (lambda: as_marked(validate_metric([[0, 1], [1, 0]]), 2), IndexOutOfRangeError, "2 is not an index of the 2 points"),
