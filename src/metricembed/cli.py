@@ -138,8 +138,12 @@ def _render_text(payload: dict, indent: str = "") -> str:
 def _parse_scales(text: str) -> list[float]:
     from .pretangent import scale_ladder
 
-    r0, q, count = text.split(":")
-    return scale_ladder(float(r0), float(q), int(count))
+    try:
+        r0, q, count = text.split(":")
+        numbers = float(r0), float(q), int(count)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected r0:q:count, got {text}") from None
+    return scale_ladder(*numbers)
 
 
 class _Refused(Exception):
@@ -250,31 +254,29 @@ def _config_dict(args, space=None) -> dict:
     return cfg
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
-    return value
+def _option_type(parse, admits, rule: str):
+    """An option's argparse type: ``parse`` of its text, refused as ``must be
+    {rule}, got {text}`` when ``parse`` cannot read it or ``admits`` refuses it."""
+
+    def read(text: str):
+        try:
+            if admits(value := parse(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+
+    return read
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
+_positive_float = _option_type(float, lambda x: 0 < x < math.inf, "finite and > 0")
+_positive_int = _option_type(int, lambda n: n >= 1, "an integer >= 1")
+_nonnegative_int = _option_type(int, lambda n: n >= 0, "an integer >= 0")
 
 
 def _scales_arg(text: str) -> str:
     """Check an r0:q:count ladder at parse time by building it
-    (``pretangent.scale_ladder``, which refuses an underflowing last rung
-    before building anything). The config echoes the text."""
+    (:func:`_parse_scales`). The config echoes the text."""
     try:
         _parse_scales(text)
     except ValueError as exc:

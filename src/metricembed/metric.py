@@ -122,7 +122,7 @@ def validate_metric(raw, tol: float | None = None, certificate=None) -> FiniteMe
     ``tol`` is an absolute slack, refused when negative or NaN; when omitted
     it defaults to 1e-9 relative to the largest entry. Labels default to
     ``x0..x{n-1}``; pass a dict ``{"labels": ..., "distances": ...}`` to
-    keep labels.
+    keep labels. A row of a list with an entry that is not a number raises ValueError.
 
     An input asymmetric within ``tol`` is replaced by its mean with its
     transpose, and the triangle check reads the space's matrix.
@@ -143,9 +143,11 @@ def validate_metric(raw, tol: float | None = None, certificate=None) -> FiniteMe
 
 def _validated(d, labels, tol: float | None, certificate) -> FiniteMetricSpace:
     """:func:`validate_metric` of a matrix the caller hands over: ``d``,
-    symmetrized in place, becomes the space's own (read-only) matrix.
-    A list is read by :func:`_matrix`, row by row."""
-    d = _matrix(d) if isinstance(d, list) else np.asarray(d, dtype=float)
+    symmetrized in place, becomes the space's own (read-only) matrix; a
+    JSON value that is neither a list nor an array is refused."""
+    if not isinstance(d, (list, np.ndarray)):
+        raise ValueError(f"distances must be a list, got {type(d).__name__}")
+    d = _matrix(d) if isinstance(d, list) else d
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {d.shape}")
     n = d.shape[0]
@@ -319,37 +321,39 @@ def parse_csv_space(text: str, tol: float | None = None) -> FiniteMetricSpace:
 
 
 def _csv_payload(lines) -> tuple:
-    """(matrix, labels or None) of CSV lines; blank lines are skipped."""
+    """(matrix, labels or None) of CSV lines; blank lines are skipped, a row ``float()`` cannot read stays text."""
     import csv  # only the CSV reader needs it
+
+    def floats(cells: list) -> list:
+        try:
+            return [float(c) for c in cells]
+        except ValueError:
+            return cells
 
     rows = (r for r in csv.reader(lines) if r and any(c.strip() for c in r))
     first = next(rows, None)
     if first is None:
         raise ValueError("empty CSV input")
-    labels = None
-    try:
-        [float(c) for c in first]
-    except ValueError:
-        labels = [c.strip() for c in first]
-    else:
-        rows = chain([first], rows)
-    return _matrix([float(c) for c in row] for row in rows), labels
+    values, rows = floats(first), map(floats, rows)
+    if values is first:  # still text: the header
+        return _matrix(rows), [c.strip() for c in first]
+    return _matrix(chain([values], rows)), None
 
 
 def _matrix(rows) -> np.ndarray:
     """The square float matrix of ``rows``, filled one row at a time. The
-    first row, a list of numbers, fixes the size. A later row that is not
-    a list of that many numbers (a scalar does not broadcast) is refused
-    when it is reached, a row count that differs from it at the end. No
-    rows give shape (0,), which :func:`_validated` refuses."""
+    first row fixes the size N, unless it is no list or tuple at all. A row
+    that is not a list of N numbers (:func:`_row`) is refused when it is
+    reached, a row count other than N at the end. No rows give shape (0,),
+    which :func:`_validated` refuses."""
     d, count = np.zeros(0), 0
     for count, row in enumerate(rows, 1):
-        values = np.asarray(row, dtype=float)
+        values = _row(row)
         if count == 1:
-            if values.ndim != 1:
+            if values is None and not isinstance(row, (list, tuple)):
                 raise ValueError("row 0 of the distance matrix is not a list of numbers")
-            d = np.empty((values.size, values.size))
-        if values.shape != d.shape[1:] or not _numbers(row):
+            d = np.empty((len(row), len(row)))
+        if values is None or values.shape != d.shape[1:]:
             raise ValueError(f"row {count - 1} of the distance matrix is not a list of {len(d)} numbers")
         if count <= len(d):
             d[count - 1] = values
@@ -358,9 +362,14 @@ def _matrix(rows) -> np.ndarray:
     return d
 
 
-def _numbers(row) -> bool:
-    """Whether every entry of a row is a number (:func:`is_number`); one entry of each type is asked."""
-    return all(map(is_number, dict(zip(map(type, row), row)).values()))
+def _row(row) -> np.ndarray | None:
+    """``row`` as a float array if every entry is a number (:func:`is_number`, asked
+    of one entry of each type before numpy reads any), else None."""
+    try:
+        numbers = all(map(is_number, dict(zip(map(type, row), row)).values()))
+        return np.asarray(row, dtype=float) if numbers else None
+    except (TypeError, ValueError):  # a scalar, a dict or set of numbers, bytes
+        return None
 
 
 _WHITESPACE = json.decoder.WHITESPACE.match

@@ -192,6 +192,17 @@ class TestMinDim:
             assert main(["check-embed", str(path), "--dim", "3", "--realize", "--tol-det", tol]) == 0
             assert json.loads(capsys.readouterr().out)["result"]["achieved_dim"] == m, tol
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 17")
+    def test_wide_zero_band_says_no_wrong_yes(self, star_file, capsys):
+        # K_{1,3} is in no E^n, but a band of 0.5 swallows its violation:
+        # check-embed --dim 1 answers yes with coordinates that miss a
+        # distance by 2.0, and min-dim reads m = 1
+        code = main(["check-embed", star_file, "--dim", "1", "--tol-det", "0.5", "--realize"])
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert code != 0 and result["verdict"] != "yes", result.get("residual")
+        assert main(["min-dim", star_file, "--tol-det", "0.5"]) != 0
+        assert json.loads(capsys.readouterr().out)["result"]["m"] != 1
+
 
 class TestOneDecision:
     """Every finite command factors each part of the space exactly once,
@@ -892,6 +903,16 @@ def test_distance_too_large_for_a_float_exit_3(argv, tmp_path, capsys):
     ("bom-header.csv", "\ufeffa,b\n0,1\n1,0\n", 0, None),
     ("bom.json", '\ufeff{"distances": [[0, 1], [1, 0]]}', 3,
      "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    # entries and matrices that numpy or float() refused in their own words
+    ("letter.json", '{"distances": [[0, "a"], ["a", 0]]}', 3,
+     "row 0 of the distance matrix is not a list of 2 numbers"),
+    ("list.json", '{"distances": [[0, 1], [[1], 0]]}', 3, "row 1 of the distance matrix is not a list of 2 numbers"),
+    ("object.json", '{"distances": [[0, 1], [{}, 0]]}', 3, "row 1 of the distance matrix is not a list of 2 numbers"),
+    ("bare-object-row.json", "[[0, 1], {}]", 3, "row 1 of the distance matrix is not a list of 2 numbers"),
+    ("text.json", '{"distances": "a"}', 3, "distances must be a list, got str"),
+    ("object-matrix.json", '{"distances": {}}', 3, "distances must be a list, got dict"),
+    ("cell.csv", "0,1\nzz,0\n", 3, "row 1 of the distance matrix is not a list of 2 numbers"),
+    ("header-cell.csv", "a,b,c\n0,1,1\n1,0,1\n1,1,-\n", 3, "row 2 of the distance matrix is not a list of 3 numbers"),
 ])
 def test_reader_edge_cases(name, text, code, error, tmp_path, capsys):
     # the readers parse rows straight into the matrix; each case keeps the
@@ -1009,6 +1030,36 @@ def test_tracer_spans_still_recorded(op, span, tracer_recorder, eq_file, circle_
             "blumenthal": ["check-embed", eq_file, "--dim", "2", "--criterion", "blumenthal"]}[op]
     assert cli.main(argv) in (0, 1, 4)
     assert span in {s["name"] for s in tracer_recorder.spans}
+
+
+OPTION_REFUSALS = [
+    (["check-embed", "--dim", "abc"], "argument --dim: must be an integer >= 1, got abc"),
+    (["check-embed", "--dim", "2.0"], "argument --dim: must be an integer >= 1, got 2.0"),
+    (["check-embed", "--dim", ""], "argument --dim: must be an integer >= 1, got "),
+    (["check-embed", "--dim", "1", "--tol-det", "abc"], "argument --tol-det: must be finite and > 0, got abc"),
+    (["validate", "--tol-metric", "1e"], "argument --tol-metric: must be finite and > 0, got 1e"),
+    (["scan", "--dim", "1", "--samples", "x"], "argument --samples: must be an integer >= 1, got x"),
+    (["scan", "--dim", "1", "--seed", "1.5"], "argument --seed: must be an integer >= 0, got 1.5"),
+    (["scan", "--dim", "1", "--seed", "-1"], "argument --seed: must be an integer >= 0, got -1"),
+    (["scan", "--dim", "1", "--scales", "1:0.5"], "argument --scales: expected r0:q:count, got 1:0.5"),
+    (["scan", "--dim", "1", "--scales", "1:0.5:3:4"], "argument --scales: expected r0:q:count, got 1:0.5:3:4"),
+    (["scan", "--dim", "1", "--scales", "0.5:0.5:1e5"], "argument --scales: expected r0:q:count, got 0.5:0.5:1e5"),
+    # the ladder rule's own reason is kept
+    (["scan", "--dim", "1", "--scales", "0.5:2:3"], "argument --scales: expected r0:q:count, got 0.5:2:3 "
+     "(need a finite r0 > 0 and 0 < q < 1 and an integer rungs, got 0.5, 2.0, 3)"),
+]
+
+
+@pytest.mark.parametrize("argv,error", OPTION_REFUSALS, ids=[" ".join(argv) for argv, _ in OPTION_REFUSALS])
+def test_option_refused_in_our_words(argv, error, eq_file, capsys):
+    # argparse named the private type function, and --scales quoted
+    # Python's unpacking or float() text
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], eq_file, *argv[1:]])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"metricembed {argv[0]}: error: {error}\n")
+    assert not any(text in err for text in FOREIGN_TEXT)
 
 
 def test_min_dim_realizes_a_one_point_space(tmp_path, capsys):
@@ -1161,6 +1212,9 @@ REFUSAL_INPUTS = {
     "negative.json": json.dumps({"distances": [[0, -1], [-1, 0]]}),
     "asymmetric.json": json.dumps({"distances": [[0, 1, 1], [0.5, 0, 1], [1, 1, 0]]}),
     "diagonal.json": json.dumps({"distances": [[1, 1], [1, 0]]}),
+    # entries that numpy or float() judged, wording the refusal themselves
+    "letters.json": json.dumps({"distances": [[0, "a"], ["a", 0]]}),
+    "letters.csv": "0,1\nzz,0\n",
 }
 MISSING = "cannot read space: [Errno 2] No such file or directory: '{dir}/missing.json'"
 BROKEN = "cannot read space: Expecting ',' delimiter: line 1 column 30 (char 29)"
@@ -1169,6 +1223,8 @@ TINY = "cannot decide: a distance lies outside [1.001e-146, 3.352e+153]"
 NO_REGION = 'cannot build space: the config has no "region" key'
 SHALLOW = "cannot scan: scale 0.125 below tree resolution 2^-2"
 SCAN = ["--dim", "1", "--samples", "8"]
+#: conversion text of numpy, float(), int() or argparse, which no refusal may carry
+FOREIGN_TEXT = ("could not convert", "inhomogeneous", "float() argument", "invalid _", "unpack", "int()")
 
 
 def _shallow_config(fmt: str) -> dict:
@@ -1243,6 +1299,26 @@ REFUSALS = {
     "text-out-file": (["validate", "{dir}/bent.json", "--format", "text", "--out", "{dir}/bent.txt"], 2, "",
                       {"bent.txt": f"command: validate\nerror: {BENT}\nexit_code: 2\n"
                                    "input: {dir}/bent.json\nok: False\n"}),
+    "validate-letter": (["validate", "{dir}/letters.json"], 3, _validate_refusal(
+        "cannot read space: row 0 of the distance matrix is not a list of 2 numbers", "letters.json"), {}),
+    "validate-csv-cell": (["validate", "{dir}/letters.csv"], 3, _validate_refusal(
+        "cannot read space: row 1 of the distance matrix is not a list of 2 numbers", "letters.csv"), {}),
+    # argparse's refusals: no stdout, the usage and the line of USAGE_ERRORS on stderr
+    "dim-not-a-number": (["check-embed", "{dir}/bent.json", "--dim", "abc"], 2, "", {}),
+    "samples-fraction": (["scan", "{dir}/shallow.json", "--dim", "1", "--samples", "2.5"], 2, "", {}),
+    "seed-not-a-number": (["scan", "{dir}/shallow.json", *SCAN, "--seed", "x"], 2, "", {}),
+    "scales-one-field": (["scan", "{dir}/shallow.json", *SCAN, "--scales", "0.5"], 2, "", {}),
+    "scales-letters": (["scan", "{dir}/shallow.json", *SCAN, "--scales", "a:b:c"], 2, "", {}),
+}
+
+#: the last stderr line of each refusal that argparse reports; every other
+#: refusal writes nothing to stderr
+USAGE_ERRORS = {
+    "dim-not-a-number": "metricembed check-embed: error: argument --dim: must be an integer >= 1, got abc\n",
+    "samples-fraction": "metricembed scan: error: argument --samples: must be an integer >= 1, got 2.5\n",
+    "seed-not-a-number": "metricembed scan: error: argument --seed: must be an integer >= 0, got x\n",
+    "scales-one-field": "metricembed scan: error: argument --scales: expected r0:q:count, got 0.5\n",
+    "scales-letters": "metricembed scan: error: argument --scales: expected r0:q:count, got a:b:c\n",
 }
 
 
@@ -1253,22 +1329,23 @@ def _document(expected, directory: Path) -> bytes:
     return expected.replace("{dir}", str(directory)).encode()
 
 
-def _run_refusal(side: str, argv: list[str], directory: Path, capsysbinary) -> tuple[int, bytes, dict]:
-    """Exit code, stdout and the files written of one run against a fresh
-    copy of the refusal inputs in ``directory``."""
+def _run_refusal(side: str, argv: list[str], directory: Path, capsysbinary) -> tuple[int, bytes, bytes, dict]:
+    """Exit code, stdout, stderr and the files written of one run against a
+    fresh copy of the refusal inputs in ``directory``."""
     directory.mkdir()
     for name, text in REFUSAL_INPUTS.items():
         (directory / name).write_text(text)
     argv = [arg.replace("{dir}", str(directory)) for arg in argv]
     if side == "main":
-        code, out = _in_process(argv), capsysbinary.readouterr().out
+        code = _in_process(argv)
+        out, err = capsysbinary.readouterr()
     else:
         done = _cli_process(argv)
         assert b"Traceback" not in done.stderr, done.stderr
-        code, out = done.returncode, done.stdout
+        code, out, err = done.returncode, done.stdout, done.stderr
     written = {str(path.relative_to(directory)): path.read_bytes() for path in directory.rglob("*")
                if path.is_file() and path.name not in REFUSAL_INPUTS}
-    return code, out, written
+    return code, out, err, written
 
 
 @pytest.mark.parametrize("side", ["main", "process"])
@@ -1276,8 +1353,14 @@ def _run_refusal(side: str, argv: list[str], directory: Path, capsysbinary) -> t
 def test_refusals_pinned(case, side, tmp_path, capsysbinary):
     argv, code, stdout, files = REFUSALS[case]
     directory = tmp_path / "run"
-    assert _run_refusal(side, argv, directory, capsysbinary) == (
+    got_code, out, err, written = _run_refusal(side, argv, directory, capsysbinary)
+    assert (got_code, out, written) == (
         code, _document(stdout, directory), {name: _document(text, directory) for name, text in files.items()})
+    if case in USAGE_ERRORS:
+        assert err.startswith(f"usage: metricembed {argv[0]} ".encode()) and err.endswith(USAGE_ERRORS[case].encode())
+    else:
+        assert err == b""
+    assert not any(text in report for text in FOREIGN_TEXT for report in (out.decode(), err.decode()))
 
 
 @pytest.mark.parametrize("side", ["main", "process"])
@@ -1289,7 +1372,7 @@ def test_undecidable_space_into_unwritable_out(side, tmp_path, capsysbinary):
     argv = ["min-dim", "{dir}/tiny.json", "--out", "{dir}/nowhere/x.json"]
     error = "cannot write output: [Errno 2] No such file or directory: '{dir}/nowhere/x.json'"
     assert _run_refusal(side, argv, directory, capsysbinary) == (
-        3, _document(_refusal("min-dim", error), directory), {})
+        3, _document(_refusal("min-dim", error), directory), b"", {})
 
 
 @pytest.mark.parametrize("during", ["command", "write", "unwritable-out"])

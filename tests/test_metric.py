@@ -416,7 +416,13 @@ def test_json_reader_matches_json_loads(chunk, monkeypatch):
     # numpy reads "1" and true as 1.0
     ([[0, 1], ["1", 0]], "row 1 of the distance matrix is not a list of 2 numbers"),
     ([[0, True], [True, 0]], "row 0 of the distance matrix is not a list of 2 numbers"),
-], ids=["ragged", "scalar-first-row", "string", "bool"])
+    # these gave numpy's or float()'s own text, a {} entry as a TypeError
+    ([[0, "a"], ["a", 0]], "row 0 of the distance matrix is not a list of 2 numbers"),
+    ([[0, 1], [[1], 0]], "row 1 of the distance matrix is not a list of 2 numbers"),
+    ([[0, [1]], [[1], 0]], "row 0 of the distance matrix is not a list of 2 numbers"),
+    ([[0, 1], [{}, 0]], "row 1 of the distance matrix is not a list of 2 numbers"),
+    ([[0, 1], [None, 0]], "row 1 of the distance matrix is not a list of 2 numbers"),
+], ids=["ragged", "scalar-first-row", "string", "bool", "letter", "list", "list-first-row", "object", "null"])
 def test_lists_follow_the_rules_of_file_rows(raw, error, tmp_path):
     # one row reader fills both; a list passed in gave numpy's message
     path = tmp_path / "rows.json"
@@ -426,6 +432,26 @@ def test_lists_follow_the_rules_of_file_rows(raw, error, tmp_path):
     with pytest.raises(ValueError) as from_list:
         validate_metric(raw)
     assert str(from_list.value) == str(from_file.value) == error
+
+
+@pytest.mark.parametrize("entry", ["1", "a", True, None, [1], {}], ids=repr)
+def test_every_entry_that_is_no_number_raises_value_error(entry):
+    # judged before numpy reads the row, in the first row and in a later one
+    with pytest.raises(ValueError, match=r"^row 1 of the distance matrix is not a list of 2 numbers$"):
+        validate_metric([[0, 1], [entry, 0]])
+    with pytest.raises(ValueError, match=r"^row 0 of the distance matrix is not a list of 2 numbers$"):
+        validate_metric([[0, entry], [1, 0]])
+
+
+@pytest.mark.parametrize("text", ["0,1\nzz,0\n", "a,b\n0,1\n1,\n", "a,b\n0,1\n1,0x1\n"],
+                         ids=["no-header", "empty-cell", "hex"])
+def test_csv_cell_float_cannot_read_names_its_row(text, tmp_path):
+    # float()'s own text named no row
+    path = tmp_path / "cells.csv"
+    path.write_text(text)
+    for read in (lambda: load_space(str(path)), lambda: parse_csv_space(text)):
+        with pytest.raises(ValueError, match=r"^row 1 of the distance matrix is not a list of 2 numbers$"):
+            read()
 
 
 def test_invalid_utf8_reported_where_json_load_reports_it(tmp_path):
