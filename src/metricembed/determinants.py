@@ -32,8 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionOutOfRangeError, NonzeroDiagonalError, NotSymmetricError, TupleTooShortError
-from .metric import (FiniteMetricSpace, check_finite, first_worst, is_integer, is_number, point_index, readonly,
-                     row_blocks, submatrix)
+from .metric import (FiniteMetricSpace, as_matrix, check_finite, first_worst, is_integer, is_number, point_index,
+                     readonly, row_blocks, submatrix)
 
 #: Tolerance of the zero rule. A determinant of a (k+1)-point tuple counts
 #: as zero when, divided by the tuple's own largest distance to the power
@@ -68,6 +68,8 @@ def within_band(det, sq_max, k: int, tol_det: float = DEFAULT_TOL_DET):
     the division so that a tuple of coincident points (``sq_max = 0``)
     counts as zero exactly when its determinant is.
     """
+    if not is_integer(k) or k < 1:
+        raise TupleTooShortError(f"a tuple of k+1 points needs an integer k >= 1, got {k!r}")
     return np.abs(det) <= _checked_tol_det(tol_det) * np.power(sq_max, k)
 
 
@@ -125,7 +127,8 @@ def tuple_determinants(dm: np.ndarray) -> np.ndarray:
 
 
 def cm_value(dm: np.ndarray) -> CMValue:
-    """Cayley-Menger determinant of a (k+1)x(k+1) distance matrix."""
+    """Cayley-Menger determinant of a (k+1)x(k+1) distance matrix (:func:`~metricembed.metric.as_matrix`)."""
+    dm = as_matrix(dm)
     k = len(dm) - 1
     return CMValue(k=k, value=float((-1.0) ** (k + 1) * tuple_determinants([dm])[0, 0]))
 
@@ -136,8 +139,8 @@ def cm_determinant(space: FiniteMetricSpace, t: Sequence[int]) -> CMValue:
 
 
 def sch_value(dm: np.ndarray) -> float:
-    """Schoenberg determinant det(tau) of a (k+1)x(k+1) distance matrix."""
-    return float(tuple_determinants([dm])[1, 0])
+    """Schoenberg determinant det(tau) of a (k+1)x(k+1) distance matrix (:func:`~metricembed.metric.as_matrix`)."""
+    return float(tuple_determinants([as_matrix(dm)])[1, 0])
 
 
 def sch_determinant(space: FiniteMetricSpace, t: Sequence[int]) -> float:
@@ -176,7 +179,7 @@ def psd_check(sq: np.ndarray, base: int, tol_det: float = DEFAULT_TOL_DET) -> Ps
     """Decide positive semidefiniteness and rank by diagonal-pivoted Cholesky.
 
     ``sq`` is a square, exactly symmetric matrix of squared distances with a
-    zero diagonal, and the matrix factored is its tau about the point
+    zero diagonal (:func:`~metricembed.metric.as_matrix`), and the matrix factored is its tau about the point
     ``base`` (:func:`tau_about`), whose row and column are zero, a point
     index (:func:`~metricembed.metric.point_index`). A pivot or a Schur
     entry of the rows B taken so far stands for a principal minor of tau,
@@ -199,7 +202,7 @@ def psd_check(sq: np.ndarray, base: int, tol_det: float = DEFAULT_TOL_DET) -> Ps
     scratch of :data:`~metricembed.metric.ROW_BLOCK` rows.
     """
     _checked_tol_det(tol_det)
-    sq = np.asarray(sq, dtype=float)
+    sq = as_matrix(sq)
     if sq.ndim != 2 or sq.shape[0] != sq.shape[1]:
         raise NotSymmetricError(f"matrix must be square, got shape {sq.shape}")
     n = sq.shape[0]

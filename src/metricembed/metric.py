@@ -122,7 +122,7 @@ def validate_metric(raw, tol: float | None = None, certificate=None) -> FiniteMe
     ``tol`` is an absolute slack, refused when negative or NaN; when omitted
     it defaults to 1e-9 relative to the largest entry. Labels default to
     ``x0..x{n-1}``; pass a dict ``{"labels": ..., "distances": ...}`` to
-    keep labels. A row of a list with an entry that is not a number raises ValueError.
+    keep labels. The matrix is read by :func:`as_matrix`; a caller's array is copied.
 
     An input asymmetric within ``tol`` is replaced by its mean with its
     transpose, and the triangle check reads the space's matrix.
@@ -135,19 +135,16 @@ def validate_metric(raw, tol: float | None = None, certificate=None) -> FiniteMe
     labels = None
     if isinstance(raw, dict):
         raw, labels = _document(raw)
-    if not isinstance(raw, list):
-        # a copy: the space freezes its matrix and must not freeze or share the caller's
-        raw = np.array(raw, dtype=float)
+    if isinstance(raw, np.ndarray):
+        # a base-class copy: the space freezes its matrix and must not freeze or share the caller's
+        raw = np.array(raw)
     return _validated(raw, labels, tol, certificate)
 
 
 def _validated(d, labels, tol: float | None, certificate) -> FiniteMetricSpace:
-    """:func:`validate_metric` of a matrix the caller hands over: ``d``,
-    symmetrized in place, becomes the space's own (read-only) matrix; a
-    JSON value that is neither a list nor an array is refused."""
-    if not isinstance(d, (list, np.ndarray)):
-        raise ValueError(f"distances must be a list, got {type(d).__name__}")
-    d = _matrix(d) if isinstance(d, list) else d
+    """:func:`validate_metric` of a matrix the caller hands over: ``d``, read by
+    :func:`as_matrix` and symmetrized in place, becomes the space's own (read-only) matrix."""
+    d = as_matrix(d)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {d.shape}")
     n = d.shape[0]
@@ -340,9 +337,19 @@ def _csv_payload(lines) -> tuple:
     return _matrix(chain([values], rows)), None
 
 
+def as_matrix(raw) -> np.ndarray:
+    """``raw`` as a float matrix: an array of integers or reals as it is (a float one is not
+    copied), a list, a tuple or any other array by :func:`_matrix`'s row rule; else refused."""
+    if isinstance(raw, np.ndarray) and raw.dtype.kind in "iuf":
+        return np.asarray(raw, dtype=float)
+    if not (isinstance(raw, (list, tuple)) or isinstance(raw, np.ndarray) and raw.ndim):
+        raise ValueError(f"distances must be a list, got {type(raw).__name__}")
+    return _matrix(raw)
+
+
 def _matrix(rows) -> np.ndarray:
     """The square float matrix of ``rows``, filled one row at a time. The
-    first row fixes the size N, unless it is no list or tuple at all. A row
+    first row fixes the size N, unless it is no list, tuple or array. A row
     that is not a list of N numbers (:func:`_row`) is refused when it is
     reached, a row count other than N at the end. No rows give shape (0,),
     which :func:`_validated` refuses."""
@@ -350,7 +357,7 @@ def _matrix(rows) -> np.ndarray:
     for count, row in enumerate(rows, 1):
         values = _row(row)
         if count == 1:
-            if values is None and not isinstance(row, (list, tuple)):
+            if values is None and not isinstance(row, (list, tuple, np.ndarray)):
                 raise ValueError("row 0 of the distance matrix is not a list of numbers")
             d = np.empty((len(row), len(row)))
         if values is None or values.shape != d.shape[1:]:

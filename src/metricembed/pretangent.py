@@ -91,8 +91,8 @@ def delta_scale(space: MarkedSpace, t: Sequence) -> float:
 def epsilon_scale(space: MarkedSpace, t: Sequence, s: float) -> float:
     """s-norm of the distances to p; within a factor n^(1/s) of delta. It is
     taken relative to delta, so no power underflows at a large ``s``."""
-    if not s > 0:
-        raise NonpositiveExponentError(f"exponent must be > 0, got {s}")
+    if not is_number(s) or not s > 0:
+        raise NonpositiveExponentError(f"exponent must be a number > 0, got {s!r}")
     d = _with_p(space, t)[0, 1:]
     delta = float(np.max(d))
     return delta * float(np.sum((d / delta) ** s) ** (1.0 / s)) if delta > 0 else 0.0

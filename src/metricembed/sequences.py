@@ -30,7 +30,7 @@ from .errors import (
     NonconvergentSequenceError,
     UnstableInputError,
 )
-from .metric import FiniteMetricSpace, _checked_tol, is_integer, validate_metric
+from .metric import FiniteMetricSpace, _checked_tol, is_integer, is_number, validate_metric
 from .pretangent import NOISE_FLOOR_FACTOR, _functionals, scale_ladder
 from .spaces import MarkedSpace
 
@@ -58,12 +58,14 @@ class NormalizingSequence:
         return cls(fn=lambda m: r0 * q**m)
 
     def __call__(self, m: int) -> float:
-        r = float(self.fn(m))
-        if not (r > 0) or not math.isfinite(r) or r < 1e-300:
+        r = self.fn(m)
+        if not is_number(r) or not (r > 0) or not math.isfinite(r) or r < 1e-300:
             raise DegenerateNormalizerError(f"r_{m} = {r!r} degenerate")
-        return r
+        return float(r)
 
     def values(self, depth: int) -> np.ndarray:
+        if not is_integer(depth):
+            raise ValueError(f"depth must be an integer, got {depth!r}")
         vals = np.array([self(m) for m in range(depth)])
         if np.any(np.diff(vals) >= 0):
             m = int(np.argmax(np.diff(vals) >= 0))

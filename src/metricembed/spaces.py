@@ -252,7 +252,7 @@ def make_snowflake(alpha: float, base_dim: int, p, region=None) -> MarkedSpace:
     if not is_number(alpha) or not 0.0 < alpha < 1.0:
         raise AlphaOutOfRangeError(f"alpha must lie in (0,1), got {alpha!r}")
     if region is None:
-        region = {"kind": "cube", "low": [0.0] * base_dim, "high": [1.0] * base_dim}
+        region = {"kind": "cube"}
     if _region_kind(region) != "cube":
         raise ValueError("snowflake spaces support cube regions only")
     base = make_euclidean_subset(base_dim, region, p)
@@ -417,29 +417,21 @@ def _region_kind(region) -> str:
     return _field(region, "kind", "region")
 
 
-def _integer(cfg: dict, key: str) -> int:
-    """The config field ``key``, refused unless it is a JSON integer."""
-    value = _field(cfg, key)
-    if not is_integer(value):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
 def marked_space_from_config(cfg: dict) -> MarkedSpace:
     """Build a marked space from the JSON config the CLI consumes, a JSON
-    object; ``dim``, ``depth`` and ``arity`` must be JSON integers. A curve
+    object, whose ``dim``, ``depth`` and ``arity`` the makers judge. A curve
     region needs a Python :class:`CurveSpec`, which JSON cannot carry, so
     a config refuses it."""
     if not isinstance(cfg, dict):
         raise ValueError(f"the config must be a JSON object, got {type(cfg).__name__}")
     kind = _field(cfg, "type")
     if kind == "euclidean":
-        dim, region = _integer(cfg, "dim"), _field(cfg, "region")
+        dim, region = _field(cfg, "dim"), _field(cfg, "region")
         if isinstance(region, dict) and region.get("kind") == "curve":
             raise ValueError("a curve region needs a Python CurveSpec, which a JSON config cannot carry")
         return make_euclidean_subset(dim, region, _field(cfg, "p"))
     if kind == "snowflake":
-        return make_snowflake(_field(cfg, "alpha"), _integer(cfg, "dim"), _field(cfg, "p"), cfg.get("region"))
+        return make_snowflake(_field(cfg, "alpha"), _field(cfg, "dim"), _field(cfg, "p"), cfg.get("region"))
     if kind == "ultrametric":
-        return make_ultrametric(_integer(cfg, "depth"), _integer(cfg, "arity"), cfg.get("p"))
+        return make_ultrametric(_field(cfg, "depth"), _field(cfg, "arity"), cfg.get("p"))
     raise ValueError(f"unknown space type {kind!r}")

@@ -472,10 +472,12 @@ class TestScan:
          "int too large to convert to float"),
         ('{"type": "euclidean", "dim": 2, "p": [0, 0], "region": {"kind": "cube", "pitch": %s}}' % HUGE,
          "int too large to convert to float"),
-        ('{"type": "euclidean", "dim": 1e400, "p": [0, 0], "region": {"kind": "cube"}}', "dim must be an integer"),
-        ('{"type": "ultrametric", "depth": 1e400, "arity": 3}', "depth must be an integer"),
-        ('{"type": "ultrametric", "depth": 4, "arity": 1e400}', "arity must be an integer"),
-        ('{"type": "euclidean", "dim": 2.7, "p": [0, 0], "region": {"kind": "cube"}}', "dim must be an integer"),
+        ('{"type": "euclidean", "dim": 1e400, "p": [0, 0], "region": {"kind": "cube"}}',
+         "dimension must be an integer >= 1, got inf"),
+        ('{"type": "ultrametric", "depth": 1e400, "arity": 3}', "depth and arity must both be integers >= 2"),
+        ('{"type": "ultrametric", "depth": 4, "arity": 1e400}', "depth and arity must both be integers >= 2"),
+        ('{"type": "euclidean", "dim": 2.7, "p": [0, 0], "region": {"kind": "cube"}}',
+         "dimension must be an integer >= 1, got 2.7"),
         ('{"type": "ultrametric", "depth": 4, "arity": 3, "p": [0, 1.7, 2.9, 0]}', "marked leaf digits must be integers"),
         ('{"type": "ultrametric", "depth": 4, "arity": 3, "p": [0, 1, true, 0]}', "marked leaf digits must be integers"),
     ], ids=["p-huge", "pitch-huge", "dim-1e400", "depth-1e400", "arity-1e400", "dim-2.7", "leaf-1.7", "leaf-true"])
@@ -1060,6 +1062,22 @@ def test_option_refused_in_our_words(argv, error, eq_file, capsys):
     err = capsys.readouterr().err
     assert err.endswith(f"metricembed {argv[0]}: error: {error}\n")
     assert not any(text in err for text in FOREIGN_TEXT)
+
+
+def test_ladder_that_does_not_fit_in_memory_refused_at_parse(eq_file, monkeypatch, capsys):
+    # the ladder is built at parse time; a MemoryError there is an option
+    # refusal with exit 2. No real ladder is drawn: the builder raises at once
+    from metricembed import pretangent
+
+    def out_of_memory(r0, q, rungs):
+        raise MemoryError
+
+    monkeypatch.setattr(pretangent, "scale_ladder", out_of_memory)
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", eq_file, "--dim", "1", "--scales", "0.5:0.5:3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "metricembed scan: error: argument --scales: the ladder 0.5:0.5:3 does not fit in memory\n")
 
 
 def test_min_dim_realizes_a_one_point_space(tmp_path, capsys):

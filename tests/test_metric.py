@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metricembed import scale_metric, submatrix, validate_metric
+from metricembed import cm_value, psd_check, scale_metric, sch_value, submatrix, validate_metric
 from metricembed.errors import (
     AsymmetricError,
     CoincidentPointsError,
@@ -26,7 +26,7 @@ from metricembed.metric import load_space, parse_csv_space
 
 def test_smallest_metric():
     sp = validate_metric([[0, 1], [1, 0]], tol=1e-12)
-    assert sp.n_points == 2
+    assert sp.n_points == len(sp) == 2
     assert sp.distance(0, 1) == 1.0
 
 
@@ -422,7 +422,16 @@ def test_json_reader_matches_json_loads(chunk, monkeypatch):
     ([[0, [1]], [[1], 0]], "row 0 of the distance matrix is not a list of 2 numbers"),
     ([[0, 1], [{}, 0]], "row 1 of the distance matrix is not a list of 2 numbers"),
     ([[0, 1], [None, 0]], "row 1 of the distance matrix is not a list of 2 numbers"),
-], ids=["ragged", "scalar-first-row", "string", "bool", "letter", "list", "list-first-row", "object", "null"])
+    # a tuple went to numpy: True was read as 1, "a" and {} gave numpy's or float()'s text
+    (((0, True), (True, 0)), "row 0 of the distance matrix is not a list of 2 numbers"),
+    (((0, "a"), ("a", 0)), "row 0 of the distance matrix is not a list of 2 numbers"),
+    (((0, 1), ({}, 0)), "row 1 of the distance matrix is not a list of 2 numbers"),
+    # a value that is no list at all gave numpy's text or a matrix of shape ()
+    ("abc", "distances must be a list, got str"),
+    (5, "distances must be a list, got int"),
+    (None, "distances must be a list, got NoneType"),
+], ids=["ragged", "scalar-first-row", "string", "bool", "letter", "list", "list-first-row", "object", "null",
+        "tuple-bool", "tuple-letter", "tuple-object", "no-list-str", "no-list-int", "no-list-none"])
 def test_lists_follow_the_rules_of_file_rows(raw, error, tmp_path):
     # one row reader fills both; a list passed in gave numpy's message
     path = tmp_path / "rows.json"
@@ -434,13 +443,69 @@ def test_lists_follow_the_rules_of_file_rows(raw, error, tmp_path):
     assert str(from_list.value) == str(from_file.value) == error
 
 
+def _object_array(rows: list) -> np.ndarray:
+    """``rows`` as a 2-D object array, a list entry kept as one object."""
+    a = np.empty((len(rows), len(rows[0])), dtype=object)
+    for i, row in enumerate(rows):
+        a[i, :] = row
+    return a
+
+
+def _from_file(rows: list, path):
+    path.write_text(json.dumps({"distances": rows}))
+    return load_space(str(path))
+
+
 @pytest.mark.parametrize("entry", ["1", "a", True, None, [1], {}], ids=repr)
-def test_every_entry_that_is_no_number_raises_value_error(entry):
-    # judged before numpy reads the row, in the first row and in a later one
-    with pytest.raises(ValueError, match=r"^row 1 of the distance matrix is not a list of 2 numbers$"):
-        validate_metric([[0, 1], [entry, 0]])
-    with pytest.raises(ValueError, match=r"^row 0 of the distance matrix is not a list of 2 numbers$"):
-        validate_metric([[0, entry], [1, 0]])
+def test_every_entry_that_is_no_number_raises_value_error(entry, tmp_path):
+    # judged before numpy reads the row, in the first row and in a later
+    # one, by every entry that reads a matrix; psd_check, cm_value and
+    # sch_value read a True entry as 1
+    readers = {
+        "list": validate_metric,
+        "tuple": lambda rows: validate_metric(tuple(map(tuple, rows))),
+        "object array": lambda rows: validate_metric(_object_array(rows)),
+        "dict": lambda rows: validate_metric({"distances": rows}),
+        "file": lambda rows: _from_file(rows, tmp_path / "rows.json"),
+        "psd_check": lambda rows: psd_check(rows, 0),
+        "cm_value": cm_value,
+        "sch_value": sch_value,
+    }
+    for name, read in readers.items():
+        for rows, row in (([[0, 1], [entry, 0]], 1), ([[0, entry], [1, 0]], 0)):
+            with pytest.raises(ValueError) as exc:
+                read(rows)
+            assert type(exc.value) is ValueError, name
+            assert str(exc.value) == f"row {row} of the distance matrix is not a list of 2 numbers", name
+
+
+@pytest.mark.parametrize("raw", [
+    np.array([[False, True], [True, False]]),
+    np.array([[0, 1j], [1j, 0]]),
+    np.array([[0, "a"], ["a", 0]], dtype=object),
+    np.array([["0", "1"], ["1", "0"]]),
+], ids=["bool", "complex", "object-letter", "strings"])
+def test_arrays_that_hold_no_reals_are_read_by_the_row_rule(raw):
+    # numpy cast them: the bool array was the unit pair, the complex one
+    # lost its imaginary part with only a ComplexWarning, and the letters
+    # gave numpy's text
+    with pytest.raises(ValueError) as exc:
+        validate_metric(raw)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "row 0 of the distance matrix is not a list of 2 numbers"
+
+
+def test_every_form_of_the_same_numbers_gives_the_same_space():
+    ints = np.array([[0, 3, 4], [3, 0, 5], [4, 5, 0]])
+    floats = ints.astype(float)
+    forms = (ints, floats, ints.tolist(), tuple(map(tuple, ints.tolist())), ints.astype(np.uint8),
+             _object_array(ints.tolist()))
+    spaces = [validate_metric(raw) for raw in forms]
+    for sp in spaces:
+        assert type(sp.dist) is np.ndarray and sp.dist.dtype == float
+        assert sp.dist.tobytes() == spaces[0].dist.tobytes() and sp.labels == spaces[0].labels
+    # a caller's array is copied: neither frozen nor shared
+    assert floats.flags.writeable and not np.shares_memory(spaces[1].dist, floats)
 
 
 @pytest.mark.parametrize("text", ["0,1\nzz,0\n", "a,b\n0,1\n1,\n", "a,b\n0,1\n1,0x1\n"],

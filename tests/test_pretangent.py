@@ -59,6 +59,7 @@ from metricembed.errors import (
     UnstableInputError,
 )
 from metricembed import pretangent
+from metricembed.determinants import within_band
 from metricembed.sequences import PseudometricMatrix, StabilityVerdict
 
 
@@ -871,11 +872,25 @@ def test_geometric_normalizer_takes_the_ladder_rule(r0, q):
                                  depth=20.5), ValueError),
     (lambda: mutual_stability(plane(), constant_sequence(plane().p), constant_sequence(plane().p),
                               NormalizingSequence.geometric(), tol=True), ValueError),
+    (lambda: epsilon_scale(plane(), (np.ones(2),), True), NonpositiveExponentError),
+    (lambda: epsilon_scale(plane(), (np.ones(2),), "a"), NonpositiveExponentError),
+    (lambda: within_band(1.0, 1.0, True), TupleTooShortError),
+    (lambda: within_band(1.0, 1.0, 2.5), TupleTooShortError),
+    (lambda: NormalizingSequence.geometric().values(2.5), ValueError),
+    (lambda: NormalizingSequence.geometric().values(True), ValueError),
+    (lambda: NormalizingSequence(lambda m: True)(0), DegenerateNormalizerError),
+    (lambda: NormalizingSequence(lambda m: "x")(0), DegenerateNormalizerError),
 ], ids=["samples-float", "samples-bool", "k-float", "k-bool", "rungs-float", "r0-string", "q-string",
-        "scales-strings", "scales-bool", "tol-det-bool", "depth-float", "tol-bool"])
+        "scales-strings", "scales-bool", "tol-det-bool", "depth-float", "tol-bool", "exponent-bool",
+        "exponent-string", "band-k-bool", "band-k-float", "values-depth-float", "values-depth-bool",
+        "normalizer-bool", "normalizer-string"])
 def test_counts_and_reals_refused_at_the_entry(call, error):
     # a float count reached a TypeError inside numpy or range; a bool count,
-    # a bool tolerance and a ladder of strings or bools were read as numbers
+    # a bool tolerance and a ladder of strings or bools were read as numbers.
+    # The exponent True was read as 1 and "a" met Python's comparison error,
+    # within_band's k True or 2.5 was read as a number, values(True) gave a
+    # one-rung ladder, and a normalizer's True was read as 1.0 and its "x"
+    # met float()'s text
     with pytest.raises(error) as exc:
         call()
     assert type(exc.value) is error

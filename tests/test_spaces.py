@@ -372,6 +372,8 @@ def _away_from_curve():
      ValueError, "pitch must be a positive finite number, got True"),
     (lambda: make_snowflake("0.5", 1, [0.5]), AlphaOutOfRangeError, "alpha must lie in (0,1), got '0.5'"),
     (lambda: make_snowflake(True, 1, [0.5]), AlphaOutOfRangeError, "alpha must lie in (0,1), got True"),
+    # the default region multiplied a list by the dimension: Python's own TypeError
+    (lambda: make_snowflake(0.5, 2.5, [0.0, 0.0]), ValueError, "dimension must be an integer >= 1, got 2.5"),
     (lambda: make_euclidean_subset(1, {"kind": "sphere-surface", "center": [0.0], "radius": 1.0}, [1.0]),
      ValueError, "sphere-surface region needs dim >= 2"),
     (_away_from_curve, MarkedPointOutsideRegionError, "p must equal fn(t0)"),
@@ -392,6 +394,12 @@ def _away_from_curve():
     (lambda: make_ultrametric(4, 1), ValueError, "depth and arity must both be integers >= 2"),
     (lambda: make_ultrametric(3, 2, [0, 2, 1]), MarkedPointOutsideRegionError, "marked leaf (0, 2, 1) not in the tree"),
     (lambda: freeze(segment(), 0.5, count=0), ValueError, "count must be an integer >= 1, got 0"),
+    # every draw of a one-point cube coincides with p
+    (lambda: freeze(make_euclidean_subset(2, {"kind": "cube", "low": [0, 0], "high": [0, 0]}, [0, 0]), 0.1, 2),
+     RuntimeError, "freeze: coincident samples persisted over 100 attempts at scale 0.1"),
+    # no 4 points of the unit square are 2 apart
+    (lambda: perturbed_euclidean_space(4, min_distance=2.0), RuntimeError,
+     "failed to draw a valid perturbed metric space"),
     (lambda: as_marked(validate_metric([[0, 1], [1, 0]]), 2), IndexOutOfRangeError, "2 is not an index of the 2 points"),
     (lambda: as_marked(validate_metric([[0, 1], [1, 0]]), 1.0), IndexOutOfRangeError,
      "1.0 is not an index of the 2 points"),
