@@ -6,9 +6,8 @@ stdout; a failed write or flush of stdout itself, reported in one line on
 stderr; a command that runs out of memory; for ``scan`` also a config
 whose sampler cannot serve the requested ladder; for ``check-embed`` and
 ``min-dim`` also a distance outside
-``embeddability.CERTIFIABLE_RANGE``), 4 undetermined (a
-determinant engine does not confirm the factorization's witness tuple,
-or a scan is inconclusive).
+``embeddability.CERTIFIABLE_RANGE``), 4 undetermined (an engine does not
+confirm the factorization's witness tuple, or a scan is inconclusive).
 
 ``validate``, ``check-embed`` and ``min-dim`` factor each part of the
 space once: every engine, the Blumenthal basis and ``--realize`` read the

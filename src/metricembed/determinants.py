@@ -10,17 +10,14 @@ Two independent determinant routes over the same distance data:
   entries ``tau_ij = d^2(x0,xi) + d^2(x0,xj) - d^2(xi,xj)``.
 
 The two agree as ``Sch = (-1)^(k+1) D_k`` for arbitrary symmetric
-zero-diagonal data; the test suite verifies that identity by brute force
-rather than assuming it, and the embeddability module keeps both routes
-alive as mutual cross-checks. :func:`tuple_determinants` evaluates both
-for the engines and the scans, and :func:`tau_about` is the only builder
-of tau.
+zero-diagonal data; the test suite verifies that identity by brute force.
+:func:`tuple_determinants` evaluates both for the scans, and
+:func:`tau_about` is the only builder of tau.
 
-Every finite decision asks one question of a determinant: does it count
-as zero? :func:`within_band` is the only answer. ``psd_check`` factors the
-tau of a whole squared-distance matrix with diagonal pivoting and asks
-that question of each pivot and each leftover Schur entry, so its rank,
-witness and pivot order follow the same rule as the determinant engines.
+Every finite decision asks one question, is a step flat, of one unit-free
+statistic, a relative squared height; :func:`within_band` is the only
+answer. ``psd_check`` asks it of each pivot and leftover pair of tau's
+pivoted factorization, the engines of each witness (:func:`tuple_heights`).
 """
 
 from __future__ import annotations
@@ -35,14 +32,14 @@ from .errors import DimensionOutOfRangeError, NonzeroDiagonalError, NotSymmetric
 from .metric import (FiniteMetricSpace, as_matrix, check_finite, first_worst, is_integer, is_number, point_index,
                      readonly, row_blocks, submatrix)
 
-#: Tolerance of the zero rule. A determinant of a (k+1)-point tuple counts
-#: as zero when, divided by the tuple's own largest distance to the power
-#: 2k, it lies within ``tol_det``. That quotient is the determinant taken
-#: after dividing the tuple's distances by the largest one, the degree-0
-#: form ``theta`` uses, so a verdict does not depend on the unit of
-#: distance. The scans judge the delta-normalized Theta and S against one
-#: noise floor, ``10 * tol_det``, for sign, vanishing and positivity. Every
-#: function taking a ``tol_det`` refuses one that is not finite and > 0.
+#: Tolerance of the zero rule: a step of a tuple is flat when its relative
+#: squared height, the Schur pivot of tau that adds its last point over the
+#: tuple's largest squared distance, lies within ``tol_det``
+#: (:func:`within_band`). That is degree 1 and unit-free: no verdict depends
+#: on the unit of distance, and a well-spread simplex reads no flatter as it
+#: grows. The scans judge the delta-normalized Theta and S against one noise
+#: floor, ``10 * tol_det``. Every function taking a ``tol_det`` refuses one
+#: that is not finite and > 0.
 DEFAULT_TOL_DET = 1e-8
 
 
@@ -59,18 +56,13 @@ def _check_target(n: int) -> None:
         raise DimensionOutOfRangeError(f"target dimension must be an integer >= 1, got {n!r}")
 
 
-def within_band(det, sq_max, k: int, tol_det: float = DEFAULT_TOL_DET):
-    """Whether the determinant of a (k+1)-point tuple counts as zero.
-
-    ``det`` is its Cayley-Menger or Schoenberg determinant and ``sq_max``
-    its largest squared distance; both may be arrays over a stack of
-    tuples. The test is ``|det| / sq_max**k <= tol_det``, written without
-    the division so that a tuple of coincident points (``sq_max = 0``)
-    counts as zero exactly when its determinant is.
-    """
-    if not is_integer(k) or k < 1:
-        raise TupleTooShortError(f"a tuple of k+1 points needs an integer k >= 1, got {k!r}")
-    return np.abs(det) <= _checked_tol_det(tol_det) * np.power(sq_max, k)
+def within_band(value, sq_max, tol_det: float = DEFAULT_TOL_DET):
+    """Whether a relative squared height counts as zero: ``|value| / sq_max
+    <= tol_det``, for a Schur pivot of tau or a tuple's ratio of determinants
+    ``value`` and the tuple's largest squared distance ``sq_max`` (either may
+    be an array), written without the division so that coincident points
+    (``sq_max = 0``) are zero exactly when ``value`` is."""
+    return np.abs(value) <= _checked_tol_det(tol_det) * sq_max
 
 
 @dataclass(frozen=True)
@@ -126,6 +118,26 @@ def tuple_determinants(dm: np.ndarray) -> np.ndarray:
     return np.array([(-1.0) ** size * np.linalg.det(bordered), np.linalg.det(tau_about(sq)[:, 1:, 1:])])
 
 
+def tuple_heights(dm: np.ndarray) -> tuple[float, float]:
+    """A tuple's smallest relative squared height ``min_i |D(t)| / |D(t \\
+    i)|``, D the Cayley-Menger determinant of its distances (a matrix) over
+    their largest, signed like ``(-1)^(k+1) D_k`` and like its Schoenberg
+    determinant: ``1 / max_i |(B^-1)_ii|`` of the bordered matrix B, signs
+    from ``slogdet``, so nothing under- or overflows at hundreds of points;
+    0 for a singular B. Where every facet is flat (the 4-cycle), the pairs'
+    ``1 / max (B^-1)_ij^2``, as :func:`psd_check`'s pair test reads them."""
+    sq = (dm / np.max(dm)) ** 2
+    bordered = np.pad(sq, (1, 0), constant_values=1.0)
+    bordered[0, 0] = 0.0
+    signs = np.array([(-1.0) ** len(sq) * np.linalg.slogdet(bordered)[0], np.linalg.slogdet(tau_about(sq)[1:, 1:])[0]])
+    if not signs[0]:
+        return 0.0, 0.0
+    inv = np.linalg.inv(bordered)[1:, 1:]
+    facets = np.max(np.abs(np.diag(inv)))
+    height = 1.0 / (facets if facets else np.max(inv * inv))
+    return float(signs[0] * height), float(signs[1] * height)
+
+
 def cm_value(dm: np.ndarray) -> CMValue:
     """Cayley-Menger determinant of a (k+1)x(k+1) distance matrix (:func:`~metricembed.metric.as_matrix`)."""
     dm = as_matrix(dm)
@@ -158,7 +170,8 @@ class PsdReport:
     rank: int
     #: sorted row subset of a violating principal minor, or None
     witness_subset: tuple[int, ...] | None = None
-    #: determinant of that principal minor
+    #: its relative squared height: the negative pivot or pair value over
+    #: its tuple's largest squared distance (squared for a pair)
     witness_value: float | None = None
     #: accepted pivot rows in the order taken
     pivots: tuple[int, ...] = ()
@@ -179,27 +192,25 @@ def psd_check(sq: np.ndarray, base: int, tol_det: float = DEFAULT_TOL_DET) -> Ps
     """Decide positive semidefiniteness and rank by diagonal-pivoted Cholesky.
 
     ``sq`` is a square, exactly symmetric matrix of squared distances with a
-    zero diagonal (:func:`~metricembed.metric.as_matrix`), and the matrix factored is its tau about the point
-    ``base`` (:func:`tau_about`), whose row and column are zero, a point
-    index (:func:`~metricembed.metric.point_index`). A pivot or a Schur
-    entry of the rows B taken so far stands for a principal minor of tau,
-    the Schoenberg determinant of the tuple (base, B, ...), and
-    :func:`within_band` judges it on that tuple's own largest distance:
+    zero diagonal (:func:`~metricembed.metric.as_matrix`), and the matrix
+    factored is its tau about the point ``base`` (:func:`tau_about`), whose
+    row and column are zero, a point index
+    (:func:`~metricembed.metric.point_index`). A diagonal Schur entry S_cc
+    over the rows B taken is c's relative squared height over (base, B)
+    once :func:`within_band` divides it by that tuple's largest squared
+    distance:
 
-    * each step takes the largest diagonal Schur entry S_cc whose minor
-      ``det tau[B+c] = det tau[B] * S_cc`` is outside the band; an entry
-      whose minor is outside the band and negative is a violation. Pivoting
-      on the largest S_cc grows the largest-volume simplex greedily (Higham
-      1990; Blumenthal 1953).
-    * once no pivot is left, the Schur complement must vanish: every
-      single S_yy and every pair ``S_yy S_zz - S_yz^2``, the latter
-      judged on the tuple (base, B, y, z).
+    * each step takes the largest S_cc outside the band, and one outside
+      it and negative is a violation. This grows the largest-volume simplex
+      greedily (Higham 1990; Blumenthal 1953).
+    * then every pair ``S_yy S_zz - S_yz^2`` must vanish, on the square of
+      the largest squared distance of (base, B, y, z).
 
     The report carries the accepted pivots (their count is the rank), the
-    factor and, for a PSD matrix, the leftover tau - F F^T, else the
-    violating minor, all in the rows of ``sq``. Besides ``sq`` it holds one
-    N x N work array, the Schur complement, which becomes the leftover, and
-    scratch of :data:`~metricembed.metric.ROW_BLOCK` rows.
+    factor and the leftover tau - F F^T of a PSD matrix, else the violating
+    tuple and relative value, all in the rows of ``sq``. It holds one N x N
+    work array, the Schur complement, and scratch of
+    :data:`~metricembed.metric.ROW_BLOCK` rows.
     """
     _checked_tol_det(tol_det)
     sq = as_matrix(sq)
@@ -227,9 +238,7 @@ def psd_check(sq: np.ndarray, base: int, tol_det: float = DEFAULT_TOL_DET) -> Ps
     # largest squared distance from each row to the base and the pivots taken
     reach = rel(base)
     rest = np.arange(n)
-    pivots: list[int] = []
-    cols: list[np.ndarray] = []
-    det = 1.0  # det s[B]
+    pivots, cols = [], []  # accepted rows and their columns of the factor
     taken = 0.0  # largest squared distance within (base, B)
 
     def finish(rows=None, value=None) -> PsdReport:
@@ -241,13 +250,12 @@ def psd_check(sq: np.ndarray, base: int, tol_det: float = DEFAULT_TOL_DET) -> Ps
                          witness_value=float(value), pivots=tuple(pivots), factor=factor)
 
     while rest.size:
-        k = len(pivots) + 1
         d = s[rest, rest]
-        minors = det * d
-        live = ~within_band(minors, np.maximum(taken, reach[rest]), k, tol_det)
+        bound = np.maximum(taken, reach[rest])
+        live = ~within_band(d, bound, tol_det)
         if np.any(live & (d < 0)):
             j = int(np.argmin(np.where(live, d, np.inf)))
-            return finish(pivots + [rest[j]], minors[j] * scale**k)
+            return finish(pivots + [rest[j]], d[j] / bound[j])
         if not np.any(live):
             break
         j = int(np.argmax(np.where(live, d, -np.inf)))
@@ -255,27 +263,26 @@ def psd_check(sq: np.ndarray, base: int, tol_det: float = DEFAULT_TOL_DET) -> Ps
         col = s[:, c] / math.sqrt(d[j])
         for rows in row_blocks(n):
             s[rows] -= np.multiply.outer(col[rows], col)
-        det *= d[j]
         taken = max(taken, reach[c])
         reach = np.maximum(reach, rel(c))
         pivots.append(c)
         cols.append(col)
         rest = np.delete(rest, j)
 
-    # every pair (y, z) of leftovers, a block of y at a time. The minors are
+    # every pair (y, z) of leftovers, a block of y at a time. The values are
     # symmetric with zeros on the diagonal, so the first worst has y before z.
-    k = len(pivots) + 2
     d = s[rest, rest]
     r = reach[rest]
 
-    def pair_minors(ys):
+    def pair_values(ys):
         block = s[np.ix_(rest[ys], rest)]
-        minors = det * (d[ys, None] * d[None, :] - block * block)
-        pair_sq = np.maximum(np.maximum(taken, rel(np.ix_(rest[ys], rest))), np.maximum(r[ys, None], r[None, :]))
-        return np.where(~within_band(minors, pair_sq, k, tol_det) & (minors < 0), minors, np.inf)
+        minors = d[ys, None] * d[None, :] - block * block
+        bound = np.maximum(np.maximum(taken, rel(np.ix_(rest[ys], rest))), np.maximum(r[ys, None], r[None, :])) ** 2
+        bad = ~within_band(minors, bound, tol_det) & (minors < 0)
+        return np.divide(minors, bound, out=np.full(minors.shape, np.inf), where=bad)
 
-    worst, at = first_worst(((ys.start * rest.size, pair_minors(ys)) for ys in row_blocks(rest.size)), least=True)
+    worst, at = first_worst(((ys.start * rest.size, pair_values(ys)) for ys in row_blocks(rest.size)), least=True)
     if worst < np.inf:
         y, z = divmod(at, rest.size)
-        return finish(pivots + [rest[y], rest[z]], worst * scale**k)
+        return finish(pivots + [rest[y], rest[z]], worst)
     return finish()

@@ -10,10 +10,9 @@ space factors every part once and answers every question from m:
 * ``menger_check`` / ``schoenberg_check``: ``yes`` iff m <= n. Otherwise
   the first failing part names one tuple of at most n+3 points that breaks
   a sign condition ``(-1)^(k+1) D_k >= 0`` (k <= n) or a vanishing
-  condition (orders n+1, n+2), and each engine evaluates its own
-  determinant (bordered Cayley-Menger, or Schoenberg ``det tau``) on that
-  tuple as a cross-check: ``no`` when it confirms, ``undetermined`` when
-  its value falls inside the zero band.
+  condition (orders n+1, n+2), and each engine judges it by its smallest
+  relative squared height, signed like its own determinant: ``no`` when
+  that confirms, ``undetermined`` when it falls inside the zero band.
 * ``min_embedding_dimension``: m, or the first non-PSD part's witness.
 * ``blumenthal_basis_search``: when m == n, the base followed by the n
   pivots of the first part of rank n; every prefix determinant is positive
@@ -23,8 +22,9 @@ space factors every part once and answers every question from m:
   its band when a smaller part has a larger rank on its leftover
   tau - F F^T, the Schur complement the ball search reads too.
 
-Every determinant is judged by :func:`~metricembed.determinants.within_band`,
-and a value inside the band is zero, which satisfies ``>= 0``.
+Every relative squared height is judged by
+:func:`~metricembed.determinants.within_band`, and one inside the band is
+zero, which satisfies ``>= 0``.
 """
 
 from __future__ import annotations
@@ -39,9 +39,8 @@ from .determinants import (
     DEFAULT_TOL_DET,
     PsdReport,
     _check_target,
-    cm_value,
     psd_check,
-    sch_value,
+    tuple_heights,
     within_band,
 )
 from .errors import (
@@ -82,7 +81,7 @@ class EmbedVerdict:
             "witness_tuple": list(w.indices) if w else None,
             "witness_value": w.value if w else None,
             "witness_kind": w and (f"vanishing(order {w.k})" if w.kind == "vanishing" else f"sign(k={w.k})"),
-            # the witness whose determinant fell inside the zero band
+            # the witness whose height fell inside the zero band
             "borderline_count": int(self.embeddable == "undetermined"),
             "residual": None,
         }
@@ -167,7 +166,7 @@ def _neighbourhoods(dist: np.ndarray, leftover: np.ndarray, tol_det: float):
         if r2 < reach:
             for rows in row_blocks(npts):
                 within = dist[rows] * dist[rows] <= r2
-                for y in np.flatnonzero(np.any(within & ~within_band(rho(rows), r2 / 4.0, 1, tol_det), axis=1)):
+                for y in np.flatnonzero(np.any(within & ~within_band(rho(rows), r2 / 4.0, tol_det), axis=1)):
                     ball = np.flatnonzero(within[y])
                     key = ball.tobytes()
                     if 3 <= ball.size < npts and key not in seen:
@@ -269,26 +268,21 @@ def _decide(space: FiniteMetricSpace, tol_det: float, /) -> _Decision:
 
 def _engine_verdict(space: FiniteMetricSpace, n: int, engine: str, tol_det: float) -> EmbedVerdict:
     """One engine's verdict on the decision's witness for E^n: ``yes`` when
-    there is none, else ``no`` when the engine's determinant on it (Menger:
-    signed ``D_k`` for a sign condition, raw ``D_k`` for a vanishing one;
-    Schoenberg: ``det tau``; both from one evaluator) confirms the
-    violation, and ``undetermined`` when that value lies inside the zero
-    band (or, for a sign condition, is not negative)."""
+    there is none, else ``no`` when the witness's smallest relative squared
+    height (:func:`~metricembed.determinants.tuple_heights`), signed like
+    the engine's determinant (Menger: signed ``D_k`` for a sign condition,
+    raw ``D_k`` for a vanishing one; Schoenberg: ``det tau``), confirms the
+    violation, and ``undetermined`` when it lies inside the zero band (or,
+    for a sign condition, is not negative)."""
     t = _decide(space, tol_det).witness(n)
     if t is None:
         return EmbedVerdict("yes", n, engine, tol_det=tol_det)
     k = len(t) - 1
     kind = "sign" if k <= n else "vanishing"
-    dm = submatrix(space, t)
-    if engine == "schoenberg":
-        value = sch_value(dm)
-    else:
-        cm = cm_value(dm)
-        value = cm.signed_value if kind == "sign" else cm.value
-    witness = Witness(t, k, value, kind)
-    sq_max = float(np.max(dm)) ** 2
-    confirmed = not within_band(value, sq_max, k, tol_det) and (kind == "vanishing" or value < 0)
-    return EmbedVerdict("no" if confirmed else "undetermined", n, engine, witness, tol_det=tol_det)
+    cm, sch = tuple_heights(submatrix(space, t))
+    value = sch if engine == "schoenberg" else cm if kind == "sign" else (-1.0) ** (k + 1) * cm
+    confirmed = not within_band(value, 1.0, tol_det) and (kind == "vanishing" or value < 0)
+    return EmbedVerdict("no" if confirmed else "undetermined", n, engine, Witness(t, k, value, kind), tol_det=tol_det)
 
 
 #: Smallest and largest distances a decision or certificate trusts.

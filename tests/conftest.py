@@ -118,21 +118,44 @@ def exact_psd_rank(sq) -> tuple[bool, int]:
     under a positive pivot needs no test of its own: by Haynsworth's
     inertia formula it leaves a Schur complement that is not PSD either.
     """
+    return exact_psd_reading(sq)[:2]
+
+
+def exact_psd_reading(sq) -> tuple[bool, int, Fraction | None]:
+    """:func:`exact_psd_rank` and, from the same LDL^T, the relative
+    squared height nearest the zero band, or None when there is none: the
+    least accepted pivot of tau = 2 Gram over the largest squared distance
+    of its tuple (point 0, the pivots before it and its own point), and,
+    when tau is not PSD, the least absolute value the zero rule reads of
+    what is left, a diagonal entry over its tuple's largest squared
+    distance or a pair's ``S_yy S_zz - S_yz^2`` over its square."""
     n = len(sq)
     a = [[Fraction(int(sq[0][i]) + int(sq[0][j]) - int(sq[i][j]), 2) for j in range(1, n)] for i in range(1, n)]
     live = list(range(n - 1))
-    rank = 0
+    taken = [0]
+
+    def sq_max(*points):
+        rows = taken + [p + 1 for p in points]
+        return max(int(sq[i][j]) for i in rows for j in rows)
+
+    heights = []
     while live:
         k = max(live, key=lambda i: a[i][i])
         if a[k][k] <= 0:
-            return all(a[i][j] == 0 for i in live for j in live), rank
+            psd = all(a[i][j] == 0 for i in live for j in live)
+            if not psd:
+                heights += [abs(2 * a[i][i]) / sq_max(i) for i in live if a[i][i]]
+                heights += [abs(4 * (a[i][i] * a[j][j] - a[i][j] ** 2)) / sq_max(i, j) ** 2
+                            for i in live for j in live if i < j and a[i][i] * a[j][j] != a[i][j] ** 2]
+            return psd, len(taken) - 1, min(heights, default=None)
+        heights.append(2 * a[k][k] / sq_max(k))
         live.remove(k)
+        taken.append(k + 1)
         for i in live:
             f = a[i][k] / a[k][k]
             for j in live:
                 a[i][j] -= f * a[k][j]
-        rank += 1
-    return True, rank
+    return True, len(taken) - 1, min(heights, default=None)
 
 
 def reference_psd_check(sq, base: int, tol_det: float = DEFAULT_TOL_DET) -> PsdReport:
@@ -146,7 +169,7 @@ def reference_psd_check(sq, base: int, tol_det: float = DEFAULT_TOL_DET) -> PsdR
         return PsdReport(psd=True, rank=0, factor=np.zeros((n, 0)), leftover=np.zeros((n, n)))
     s = tau_about(sq, base) / scale
     sq = np.abs(sq) / scale
-    reach, rest, pivots, cols, det, taken = sq[base], np.arange(n), [], [], 1.0, 0.0
+    reach, rest, pivots, cols, taken = sq[base], np.arange(n), [], [], 0.0
 
     def finish(rows=None, value=None):
         factor = np.stack(cols, axis=1) * math.sqrt(scale) if cols else np.zeros((n, 0))
@@ -156,71 +179,88 @@ def reference_psd_check(sq, base: int, tol_det: float = DEFAULT_TOL_DET) -> PsdR
                          leftover=s * scale if rows is None else None)
 
     while rest.size:
-        k = len(pivots) + 1
         d = s[rest, rest]
-        minors = det * d
-        live = ~within_band(minors, np.maximum(taken, reach[rest]), k, tol_det)
+        bound = np.maximum(taken, reach[rest])
+        live = ~within_band(d, bound, tol_det)
         if np.any(live & (d < 0)):
             j = int(np.argmin(np.where(live, d, np.inf)))
-            return finish(pivots + [rest[j]], minors[j] * scale**k)
+            return finish(pivots + [rest[j]], d[j] / bound[j])
         if not np.any(live):
             break
         j = int(np.argmax(np.where(live, d, -np.inf)))
         c = int(rest[j])
         col = s[:, c] / math.sqrt(d[j])
         s -= np.outer(col, col)
-        det *= d[j]
         taken = max(taken, reach[c])
         reach = np.maximum(reach, sq[c])
         pivots.append(c)
         cols.append(col)
         rest = np.delete(rest, j)
     if rest.size > 1:
-        k = len(pivots) + 2
         block = s[np.ix_(rest, rest)]
         d = np.diag(block)
-        minors = det * (d[:, None] * d[None, :] - block * block)
+        minors = d[:, None] * d[None, :] - block * block
         r = reach[rest]
-        pair_sq = np.maximum(np.maximum(taken, sq[np.ix_(rest, rest)]), np.maximum(r[:, None], r[None, :]))
-        bad = np.triu(~within_band(minors, pair_sq, k, tol_det) & (minors < 0), 1)
+        bound = np.maximum(np.maximum(taken, sq[np.ix_(rest, rest)]), np.maximum(r[:, None], r[None, :])) ** 2
+        bad = np.triu(~within_band(minors, bound, tol_det) & (minors < 0), 1)
         if np.any(bad):
-            y, z = np.unravel_index(int(np.argmin(np.where(bad, minors, np.inf))), bad.shape)
-            return finish(pivots + [rest[y], rest[z]], minors[y, z] * scale**k)
+            values = np.divide(minors, bound, out=np.full(bad.shape, np.inf), where=bad)
+            y, z = np.unravel_index(int(np.argmin(values)), bad.shape)
+            return finish(pivots + [rest[y], rest[z]], values[y, z])
     return finish()
 
 
-def _normalized_stack(sq: np.ndarray, tuples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Squared-distance submatrices of index tuples, each divided by its own
-    largest entry, and those largest entries."""
+def _bordered_stack(sq: np.ndarray, tuples: np.ndarray) -> np.ndarray:
+    """Bordered Cayley-Menger matrices of index tuples, each tuple's squared
+    distances divided by their own largest."""
     sub = sq[tuples[:, :, None], tuples[:, None, :]]
-    scale = sub.reshape(len(tuples), -1).max(axis=1)
-    return sub / scale[:, None, None], scale
+    c, s = tuples.shape
+    b = np.ones((c, s + 1, s + 1))
+    b[:, 0, 0] = 0.0
+    b[:, 1:, 1:] = sub / sub.reshape(c, -1).max(axis=1)[:, None, None]
+    return b
+
+
+def _flat(b: np.ndarray, tol_det: float) -> np.ndarray:
+    """The zero rule on a stack of bordered matrices: whether each tuple's
+    smallest relative squared height, ``|det b|`` over the largest ``|det|``
+    of b less one point row and column (less a pair where every such facet
+    is flat), lies within ``tol_det``. This is the ratio
+    ``determinants.tuple_heights`` reads off the inverse, here taken
+    directly."""
+    size = b.shape[-1]
+
+    def largest(drops):
+        most = np.zeros(len(b))
+        for drop in drops:
+            keep = [i for i in range(size) if i not in drop]
+            most = np.maximum(most, np.abs(np.linalg.det(b[:, keep][:, :, keep])))
+        return most
+
+    facets = largest([(i,) for i in range(1, size)])
+    if not np.all(facets):
+        facets = np.where(facets > 0, facets, largest(combinations(range(1, size), 2)))
+    return within_band(np.linalg.det(b), facets, tol_det)
 
 
 def _signed_cm_stack(sq: np.ndarray, tuples: np.ndarray,
                      tol_det: float = DEFAULT_TOL_DET) -> tuple[np.ndarray, np.ndarray]:
-    """Signed CM determinants ``(-1)^(k+1) D_k`` of index tuples and their
-    zero-rule verdicts."""
-    sub, scale = _normalized_stack(sq, tuples)
-    c, s = tuples.shape
-    b = np.ones((c, s + 1, s + 1))
-    b[:, 0, 0] = 0.0
-    b[:, 1:, 1:] = sub
-    k = s - 1
-    signed = (-1.0) ** (k + 1) * np.linalg.det(b) * scale**k
-    return signed, within_band(signed, scale, k, tol_det)
+    """Signed CM determinants ``(-1)^(k+1) D_k`` of index tuples, on
+    distances divided by each tuple's largest, and their zero-rule
+    verdicts."""
+    b = _bordered_stack(sq, tuples)
+    return (-1.0) ** tuples.shape[1] * np.linalg.det(b), _flat(b, tol_det)
 
 
 def _sch_stack(sq: np.ndarray, tuples: np.ndarray,
                tol_det: float = DEFAULT_TOL_DET) -> tuple[np.ndarray, np.ndarray]:
-    """Schoenberg determinants of index tuples, base = first index, and
-    their zero-rule verdicts."""
-    sub, scale = _normalized_stack(sq, tuples)
+    """Schoenberg determinants of index tuples, base = first index, on
+    distances divided by each tuple's largest, and their zero-rule
+    verdicts."""
+    b = _bordered_stack(sq, tuples)
+    sub = b[:, 1:, 1:]
     s0 = sub[:, 0, 1:]
-    tau = s0[:, :, None] + s0[:, None, :] - sub[:, 1:, 1:]
-    k = tuples.shape[1] - 1
-    values = np.linalg.det(tau) * scale**k
-    return values, within_band(values, scale, k, tol_det)
+    return np.linalg.det(s0[:, :, None] + s0[:, None, :] - sub[:, 1:, 1:]), _flat(b, tol_det)
 
 
 def enumerated_verdict(space, n: int, engine: str, tol_det: float = DEFAULT_TOL_DET) -> str:

@@ -16,7 +16,7 @@ import pytest
 
 from metricembed import __version__, embeddability, metric, validate_metric
 from metricembed.cli import main
-from metricembed.determinants import DEFAULT_TOL_DET, CMValue
+from metricembed.determinants import DEFAULT_TOL_DET
 from metricembed.errors import TriangleViolationError
 
 from conftest import line_with_triangle, square_with_star, square_with_tetrahedron
@@ -171,6 +171,55 @@ class TestMinDim:
         assert main(["check-embed", str(path), "--dim", "3"]) == 1
         assert json.loads(capsys.readouterr().out)["result"]["witness_tuple"] == [4, 5, 6, 7]
 
+    def test_near_euclidean_at_large_rank_is_infeasible(self, tmp_path, monkeypatch, capsys):
+        # tools/accuracy.py's near-Euclidean space of rank 200: 203 points
+        # whose tau is 2 X X^T less one eigenvalue of 4e-4 max|x_i|^2. A
+        # band on the product of up to 200 heights read it feasible, m = 59
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+        from accuracy import near_euclidean
+
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps({"distances": near_euclidean(200, 1e-4, 0)[0].tolist()}))
+        assert main(["min-dim", str(path)]) == 1
+        assert json.loads(capsys.readouterr().out)["result"]["feasible"] is False
+
+    @pytest.mark.parametrize("scale", [0.01, 1.0, 30.0])
+    def test_snowflake_reads_full_rank(self, tmp_path, scale, capsys):
+        # d^(1/2) of 400 distinct points has positive definite tau
+        # (Schoenberg 1938), so its rank is 399. A band on the product of k
+        # heights read m = 25, realized with a residual of 0.25 D
+        path = tmp_path / "snowflake.json"
+        d = metric.euclidean_matrix(np.random.default_rng(0).normal(size=(400, 4))) ** 0.5
+        path.write_text(json.dumps({"distances": (scale * d).tolist()}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["min-dim", str(path)]) == 0
+            assert json.loads(capsys.readouterr().out)["result"]["m"] == 399
+            for n, code, verdict in ((398, 1, "no"), (399, 0, "yes")):
+                assert main(["check-embed", str(path), "--dim", str(n)]) == code
+                assert json.loads(capsys.readouterr().out)["result"]["verdict"] == verdict
+
+    @pytest.mark.parametrize("dist", [STAR, [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]],
+                             ids=["star", "4-cycle"])
+    def test_unit_free_at_extreme_scales(self, tmp_path, dist, capsys):
+        # every verdict, exit code and witness value is the same at 1e-60,
+        # 1 and 1e60, and finite. Every facet of the 4-cycle is flat, so its
+        # relative height is read on its pairs. The determinants and their
+        # powers of the scale under- and overflowed here
+        readings = []
+        for scale in (1e-60, 1.0, 1e60):
+            path = tmp_path / f"{scale:g}.json"
+            path.write_text(json.dumps({"distances": (scale * np.array(dist, dtype=float)).tolist()}))
+            reading = []
+            for argv in (["min-dim"], *(["check-embed", "--dim", str(n)] for n in (1, 2, 3))):
+                code = main([argv[0], str(path), *argv[1:]])
+                out = capsys.readouterr().out
+                assert "Infinity" not in out and "NaN" not in out
+                reading.append((code, json.loads(out)["result"]))
+            readings.append(reading)
+        assert readings[0] == readings[1] == readings[2]
+        assert {code for code, _ in readings[0]} == {1}
+
     def test_pair(self, tmp_path, capsys):
         path = tmp_path / "pair.csv"
         path.write_text("0,5\n5,0\n")
@@ -192,11 +241,10 @@ class TestMinDim:
             assert main(["check-embed", str(path), "--dim", "3", "--realize", "--tol-det", tol]) == 0
             assert json.loads(capsys.readouterr().out)["result"]["achieved_dim"] == m, tol
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 17")
     def test_wide_zero_band_says_no_wrong_yes(self, star_file, capsys):
-        # K_{1,3} is in no E^n, but a band of 0.5 swallows its violation:
-        # check-embed --dim 1 answers yes with coordinates that miss a
-        # distance by 2.0, and min-dim reads m = 1
+        # K_{1,3} is in no E^n. Under a band of 0.5 on the degree-k product
+        # of heights check-embed --dim 1 answered yes with coordinates that
+        # missed a distance by 2.0, and min-dim read m = 1
         code = main(["check-embed", star_file, "--dim", "1", "--tol-det", "0.5", "--realize"])
         result = json.loads(capsys.readouterr().out)["result"]
         assert code != 0 and result["verdict"] != "yes", result.get("residual")
@@ -267,8 +315,7 @@ class TestUndetermined:
 
         # engines whose determinant on the factorization's witness lands in
         # the band do not confirm it: undetermined, exit 4
-        monkeypatch.setattr(embeddability, "cm_value", lambda dm: CMValue(len(dm) - 1, 0.0))
-        monkeypatch.setattr(embeddability, "sch_value", lambda dm: 0.0)
+        monkeypatch.setattr(embeddability, "tuple_heights", lambda dm: (0.0, 0.0))
         assert main(["check-embed", star_file, "--dim", "3"]) == 4
         out = json.loads(capsys.readouterr().out)
         assert out["result"]["verdict"] == "undetermined"

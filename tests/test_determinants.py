@@ -29,7 +29,7 @@ from metricembed import (
     submatrix,
     validate_metric,
 )
-from metricembed.determinants import tau_about, within_band
+from metricembed.determinants import tau_about, tuple_heights, within_band
 from metricembed.errors import IndexOutOfRangeError, NonzeroDiagonalError, NotSymmetricError, TupleTooShortError
 from metricembed.metric import ROW_BLOCK, euclidean_matrix
 from metricembed.spaces import perturbed_euclidean_space
@@ -55,10 +55,11 @@ class TestCayleyMenger:
 
     def test_unit_square_coplanar(self, unit_square):
         cm = cm_determinant(unit_square, (0, 1, 2, 3))
-        assert within_band(cm.value, np.max(unit_square.dist) ** 2, 3)
+        assert cm.value == pytest.approx(0.0, abs=1e-12)
+        assert within_band(tuple_heights(unit_square.dist)[0], 1.0)
         # a regular tetrahedron of the same size is not flat
         tet = validate_metric(np.ones((4, 4)) - np.eye(4))
-        assert not within_band(cm_determinant(tet, (0, 1, 2, 3)).value, 1.0, 3)
+        assert not within_band(tuple_heights(tet.dist)[0], 1.0)
 
     def test_signed_value_parity(self):
         # signed_value = (-1)^(k+1) * value by definition
@@ -82,10 +83,8 @@ class TestCayleyMenger:
     def test_duplicate_collapse(self):
         sp = perturbed_euclidean_space(5, seed=2)
         for t in [(0, 0, 1), (0, 1, 1, 2), (3, 2, 3)]:
-            cm = cm_determinant(sp, t)
-            sq_max = float(np.max(sp.dist[np.ix_(t, t)])) ** 2
-            assert within_band(cm.value, sq_max, len(t) - 1, 1e-12)
-            assert within_band(sch_determinant(sp, t), sq_max, len(t) - 1, 1e-12)
+            for value in tuple_heights(submatrix(sp, t)):
+                assert within_band(value, 1.0, 1e-12), t
 
 
 def simplex_volume_sq(space, t):
@@ -259,8 +258,14 @@ class TestPsd:
             if rep.psd:
                 assert rep.rank == np.linalg.matrix_rank(m), m
             else:
-                ix = np.asarray(rep.witness_subset) - 1
-                assert rep.witness_value == pytest.approx(np.linalg.det(m[np.ix_(ix, ix)]))
+                # the violating minor over the pivots' minor, which is the
+                # Schur pivot or pair value, over its tuple's largest
+                # squared distance to the power of the points it adds
+                ix, pv = np.asarray(rep.witness_subset) - 1, np.asarray(rep.pivots, dtype=int) - 1
+                sq = np.abs(sq_about_0(m))
+                sq_max = np.max(sq[np.ix_([0, *rep.witness_subset], [0, *rep.witness_subset])])
+                schur = np.linalg.det(m[np.ix_(ix, ix)]) / np.linalg.det(m[np.ix_(pv, pv)])
+                assert rep.witness_value == pytest.approx(schur / sq_max ** (len(ix) - len(pv)))
                 assert rep.witness_value < 0
 
     def test_not_symmetric(self):

@@ -10,13 +10,14 @@ import pytest
 
 from metricembed import (
     blumenthal_basis_search,
-    cm_determinant,
+    cm_value,
     embeddability,
     menger_check,
     min_embedding_dimension,
     realize_coordinates,
     scale_metric,
     schoenberg_check,
+    submatrix,
     validate_metric,
 )
 from metricembed.determinants import DEFAULT_TOL_DET, psd_check, within_band
@@ -51,7 +52,9 @@ class TestMenger:
         assert v.witness is not None
         assert v.witness.indices == (0, 1, 2)
         assert v.witness.kind == "vanishing"
-        assert v.witness.value == pytest.approx(-3.0, rel=1e-9)
+        # D_2 = -3 over the largest facet's D_1 = 2: twice the squared
+        # height of sqrt(3)/2 over the largest squared distance 1, signed like D_2
+        assert v.witness.value == pytest.approx(-1.5, rel=1e-9)
 
     def test_star_rejected_everywhere(self, star_k13):
         for n in range(1, 5):
@@ -195,7 +198,13 @@ class TestMultiScale:
             for check, engine in ((menger_check, "menger"), (schoenberg_check, "schoenberg")):
                 assert enumerated_verdict(sp, n, engine) == "no", (edge, n, engine)
                 assert check(sp, n).embeddable == "no", (edge, n, engine)
-        assert menger_check(sp, 3).witness.indices == (4, 5, 6, 7)
+        # down to edge 1e-4 the whole space's factorization names the first
+        # violation: leaf 5, at a relative squared height of edge^2 over
+        # the plane of three corners and the centre, yet as far from each
+        # corner as the centre is. Below, that height lies in the band, and
+        # the star's own ball names the star
+        witness = (0, 1, 2, 4, 5) if edge >= 1e-4 else (4, 5, 6, 7)
+        assert menger_check(sp, 3).witness.indices == witness
 
     @staticmethod
     def _check_embed_dim(sp):
@@ -521,11 +530,15 @@ class TestVerdictShape:
             assert w.kind == "vanishing" and w.k == 3 and len(w.indices) == 4
             assert v.to_json_dict()["witness_kind"] == "vanishing(order 3)"
             assert "exhaustive" not in v.to_json_dict()
-            cm = cm_determinant(sp, w.indices)
-            # Menger reports raw D_3 for a vanishing witness, Schoenberg (-1)^(k+1) D_3
-            assert w.value == pytest.approx(cm.value if check is menger_check else cm.signed_value, rel=1e-6)
-            sq_max = float(np.max(sp.dist[np.ix_(w.indices, w.indices)])) ** 2
-            assert not within_band(w.value, sq_max, 3)
+            # the smallest relative squared height, |D_3| over the largest
+            # |D_2| of a facet on the distances over their largest, signed
+            # like raw D_3 for Menger and like (-1)^(k+1) D_3 for Schoenberg
+            dm = submatrix(sp, w.indices) / np.max(submatrix(sp, w.indices))
+            cm = cm_value(dm)
+            height = abs(cm.value) / max(abs(cm_value(np.delete(np.delete(dm, i, 0), i, 1)).value) for i in range(4))
+            assert w.value == pytest.approx(np.sign(cm.value if check is menger_check else cm.signed_value) * height,
+                                            rel=1e-9)
+            assert not within_band(w.value, 1.0)
 
 
 def _squared_distances(points: np.ndarray) -> np.ndarray:
@@ -559,13 +572,11 @@ SWEEP = {**{f"simplex{d}": _integer_simplex(d) for d in range(1, 31)},
          **{f"cloud{s}": _integer_cloud(s) for s in range(8)},
          **{f"lifted{r}_L{L}": _lifted(r, L) for r in (1, 2, 3, 5) for L in (10, 100, 10**3, 10**4, 10**5)}}
 
-ZERO_RULE_FLATTENS = {"simplex10": 9, "simplex11": 10, "simplex13": 12, "simplex14": 13, "simplex15": 14,
-                      "simplex16": 14, "simplex17": 15, "simplex18": 16, "simplex19": 17, "simplex20": 17,
-                      "simplex21": 19, "simplex22": 17, "simplex23": 19, "simplex24": 20, "simplex25": 19,
-                      "simplex26": 19, "simplex27": 22, "simplex28": 22, "simplex29": 23, "simplex30": 22,
-                      "cloud2": 8, "lifted5_L1000": 5,
-                      # the band's designed edge: (height / diameter)^2 < tol_det
-                      **{f"lifted{r}_L{L}": r for r in (1, 2, 3, 5) for L in (10**4, 10**5)}}
+#: the rows whose smallest relative squared height lies inside the band,
+#: read at the rank below the exact one: simplex14's is 9.9e-11, and the
+#: lifted rows sit past the band's designed edge, (height / diameter)^2 <
+#: tol_det
+ZERO_RULE_FLATTENS = {"simplex14": 13, **{f"lifted{r}_L{L}": r for r in (1, 2, 3, 5) for L in (10**4, 10**5)}}
 
 
 class TestExactOracle:
@@ -615,7 +626,7 @@ def test_zero_rule_refuses_a_tol_det_not_finite_and_positive(star_k13, tol_det):
     # the decision warned and decided anyway (the suite makes a RuntimeWarning an error)
     calls = (lambda: min_embedding_dimension(star_k13, tol_det=tol_det),
              lambda: psd_check(star_k13.dist ** 2, 0, tol_det),
-             lambda: within_band(1.0, 1.0, 1, tol_det))
+             lambda: within_band(1.0, 1.0, tol_det))
     for call in calls:
         with pytest.raises(ValueError) as exc:
             call()

@@ -2,20 +2,22 @@
 
 A permutation of the points, or one factor on every distance, gives the
 same metric space, so it must keep feasibility, the minimal dimension m,
-both engines' verdicts at every n up to m + 1 (up to N for an infeasible
-space) and the realization's residual relative to the largest distance;
-a permutation must also carry the witness at n = m - 1 along with the
-points.
+both engines' verdicts at every n up to m + 1 (up to N for an
+infeasible space) and the realization's residual relative to the largest
+distance. A factor must also keep both engines' witness values and
+min-dim's, and a permutation must carry the witness at n = m - 1 along
+with the points. The
+factors run out to 1e-60 and 1e60, inside the certifiable range, where a
+determinant of a few points already underflows or overflows: every
+statistic the zero rule reads is a relative squared height, so none of
+them sees the unit.
 Likewise a scan of a Euclidean region must not see a joint rescaling of
 the region, the marked point and the ladder, nor a translation of the
 region and the marked point.
 
-These relations hold on every input below. Two more do not hold yet,
-and are pinned as strict expected failures until the zero rule is mended
-(ROADMAP items 7 and 20): the subspace relation (dropping point 14 or 26
-of cloud30 turns its ``yes`` at n = 22 into ``no``, m = 23) and the
-product relation (cloud30 x {0, h D} reads m = 22 at h = 1e-2 and m = 21
-at h = 1, not m(cloud30) + 1 = 23).
+A subspace reads no larger m and no ``no`` where the space reads
+``yes``, and the l2 product with a segment adds one to m (cloud30 with
+point 14 or 26 dropped, and cloud30 x {0, h D} for h <= 1).
 """
 
 from functools import lru_cache
@@ -65,8 +67,8 @@ SPACES = {
 #: each relation's transform of a space
 RELATIONS = {
     **{f"relabel{k}": (lambda space, k=k: _relabelled(space, np.random.default_rng(k))) for k in range(5)},
-    "scale1e-3": lambda space: scale_metric(space, 1e-3),
-    "scale1e3": lambda space: scale_metric(space, 1e3),
+    **{f"scale{name}": (lambda space, factor=float(name): scale_metric(space, factor))
+       for name in ("1e-60", "1e-3", "1e3", "1e60")},
 }
 
 
@@ -81,16 +83,17 @@ def _relabelled_by(space, perm):
 
 def _reading(space) -> tuple:
     """Feasibility, m, both engines' verdicts at n = 1 ... m + 1 (... N if
-    infeasible), and the residual over the largest distance of a feasible
-    space's realization."""
+    infeasible), their witness values and min-dim's, and the residual over
+    the largest distance of a feasible space's realization."""
     res = min_embedding_dimension(space)
     top = res.dim + 1 if res.feasible else space.n_points
-    verdicts = [(menger_check(space, n).embeddable, schoenberg_check(space, n).embeddable)
-                for n in range(1, top + 1)]
+    checks = [(menger_check(space, n), schoenberg_check(space, n)) for n in range(1, top + 1)]
+    verdicts = [tuple(v.embeddable for v in pair) for pair in checks]
+    values = [res.psd.witness_value, *(v.witness and v.witness.value for pair in checks for v in pair)]
     residual = None
     if res.feasible:
         residual = realize_coordinates(space, max(res.dim, 1)).max_residual / float(np.max(space.dist))
-    return res.feasible, res.dim, verdicts, residual
+    return res.feasible, res.dim, verdicts, values, residual
 
 
 @lru_cache(maxsize=None)
@@ -102,13 +105,16 @@ def _base(name: str) -> tuple:
 @pytest.mark.parametrize("relation", list(RELATIONS))
 @pytest.mark.parametrize("name", list(SPACES))
 def test_finite_reading_kept(name, relation):
-    space, (feasible, m, verdicts, residual) = _base(name)
+    space, (feasible, m, verdicts, values, residual) = _base(name)
     got = _reading(RELATIONS[relation](space))
     assert got[:3] == (feasible, m, verdicts)
+    if relation.startswith("scale"):
+        # the same witnesses; a relabelling may pick a mirror copy of one
+        assert got[3] == pytest.approx(values, rel=1e-6)
     if residual is None:
-        assert got[3] is None
+        assert got[4] is None
     else:
-        assert got[3] == pytest.approx(residual, rel=1e-9, abs=1e-14)
+        assert got[4] == pytest.approx(residual, rel=1e-9, abs=1e-14)
 
 
 @pytest.mark.parametrize("name", ["cloud30", "rank3-cloud"])
@@ -118,7 +124,7 @@ def test_witness_follows_the_relabelling(name):
     # have no m, and their witness at every n is all four points. The
     # planted features hold mirror copies of a violating tuple at equal or
     # nearly equal distances, of which the labels pick one
-    space, (_, m, _, _) = _base(name)
+    space, (_, m, _, _, _) = _base(name)
     witness = menger_check(space, m - 1).witness.indices
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -162,12 +168,14 @@ def test_scan_verdicts_kept(case, seed):
         assert _scan_verdicts(region, p, n, seed, shift=shift) == base, shift
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: the zero rule reads cloud30 at m = 22, "
-                                       "these subspaces at m = 23")
 @pytest.mark.parametrize("drop", [14, 26])
 def test_subspace_reads_no_more(drop):
-    # m(S') <= m(S) for S' in S, and a yes at n on S means no no at n on S'
-    space, (_, m, verdicts, _) = _base("cloud30")
+    # m(S') <= m(S) for S' in S, and a yes at n on S means no no at n on S'.
+    # A band on the product of k heights read cloud30 at m = 22 and these
+    # subspaces at m = 23
+    space, (_, m, verdicts, _, _) = _base("cloud30")
+    # 30 points in general position in R^29
+    assert m == 29 and verdicts[21] == ("no", "no")
     keep = np.delete(np.arange(space.n_points), drop)
     sub = validate_metric(space.dist[np.ix_(keep, keep)])
     assert min_embedding_dimension(sub).dim <= m
@@ -176,12 +184,11 @@ def test_subspace_reads_no_more(drop):
             assert "no" not in (menger_check(sub, n).embeddable, schoenberg_check(sub, n).embeddable), n
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP items 7 and 20: the product reads m = 22 at h = 1e-2 and 21 at "
-                                       "h = 1; item 7's prototype mends h <= D")
 @pytest.mark.parametrize("h", [1e-2, 1.0])
 def test_product_with_a_segment_adds_one(h):
-    # X x {0, h D} in l2, D the diameter of X, has m(X) + 1
-    space, (_, m, _, _) = _base("cloud30")
+    # X x {0, h D} in l2, D the diameter of X, has m(X) + 1. A band on the
+    # product of k heights read m = 22 at h = 1e-2 and 21 at h = 1
+    space, (_, m, _, _, _) = _base("cloud30")
     x = _cloud30_points()
     top = h * float(np.max(space.dist))
     product = cloud_space(np.vstack([np.hstack([x, np.zeros((30, 1))]), np.hstack([x, np.full((30, 1), top)])]))
