@@ -24,10 +24,10 @@ module on first call and look the function up there on every call.
 
 Each command returns its payload, a dict that holds its ``exit_code``, or
 raises the one refusal type, whose payload carries the ``error``.
-:func:`main` alone adds ``"command"``, writes the payload once to stdout
-or ``--out`` and returns its ``exit_code``; a failed ``--out`` write of
-any payload gives the ``cannot write output`` payload on stdout instead.
-Only ``scan --out DIR`` writes more: one file per scan, beside the payload.
+:func:`main` alone adds ``"command"``, writes the payload once, to stdout
+or to the one file ``--out`` names, and returns its ``exit_code``; a
+failed ``--out`` write of any payload gives the ``cannot write output``
+payload on stdout instead. So a run writes at most one file.
 
 A CLI process runs :func:`console_entry`, which flushes stdout and stderr
 and ends the process with ``os._exit``: interpreter finalization and
@@ -52,7 +52,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from . import __version__
-from .determinants import DEFAULT_TOL_DET
+from .determinants import DEFAULT_TOL_DET, _checked_tol_det
 from .errors import DistanceOutOfRangeError, MetricViolationError
 
 EXIT_YES = 0
@@ -95,27 +95,6 @@ min_embedding_dimension = _first_use("embeddability", "min_embedding_dimension")
 realize_coordinates = _first_use("embeddability", "realize_coordinates")
 marked_space_from_config = _first_use("spaces", "marked_space_from_config")
 transfer_check = _first_use("pretangent", "transfer_check")
-
-
-def _out_path(args) -> str | None:
-    """Where a command writes its payload: ``--out``, except that ``scan
-    --out DIR`` (no suffix) writes the aggregate to ``DIR/transfer.<ext>``."""
-    if args.command == "scan" and args.out and Path(args.out).suffix == "":
-        return str(Path(args.out) / f"transfer.{'json' if args.format == 'json' else 'txt'}")
-    return args.out
-
-
-def _emit(payload: dict, fmt: str, out: str | Path | None) -> None:
-    if fmt == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        text = _render_text(payload)
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    elif sys.stdout is None:  # the process started with fd 1 closed
-        raise OSError(errno.EBADF, "stdout is closed")
-    else:
-        sys.stdout.write(text)
 
 
 def _render_text(payload: dict, indent: str = "") -> str:
@@ -211,11 +190,6 @@ def cmd_min_dim(args) -> dict:
 
 
 def cmd_scan(args) -> dict:
-    # with --out DIR (no suffix), one JSON file per scan beside the payload
-    # in DIR/transfer.<ext>
-    outdir = Path(args.out) if _out_path(args) != args.out else None
-    if outdir is not None:
-        outdir.mkdir(parents=True, exist_ok=True)
     try:
         cfg = json.loads(Path(args.space).read_text(encoding="utf-8"))
         space = marked_space_from_config(cfg)
@@ -228,9 +202,6 @@ def cmd_scan(args) -> dict:
     except _BAD_INPUT as exc:
         # a sampler that cannot serve the ladder, or a scale that overflows it
         raise _Refused(EXIT_IO, f"cannot scan: {exc}", config=config)
-    if outdir is not None:
-        for scan in report.scans:
-            _emit(scan.to_json_dict(space.point_repr), "json", outdir / f"scan_k{scan.k}_{scan.mode}.json")
     return {"config": config, "result": report.to_json_dict(space.point_repr),
             "exit_code": _EXIT_CODES[report.verdict]}
 
@@ -295,8 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, scan=False):
         p.add_argument("--format", choices=["text", "json"], default="json")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--tol-det", dest="tol_det", type=_positive_float, default=DEFAULT_TOL_DET)
+        p.add_argument("--out", default=None, help="output file (default stdout)")
+        p.add_argument("--tol-det", dest="tol_det", type=_option_type(float, _checked_tol_det, "in (0, 1)"),
+                       default=DEFAULT_TOL_DET)
         if scan:
             p.add_argument("--seed", type=_nonnegative_int, default=0)
             p.add_argument("--scales", type=_scales_arg, default="0.5:0.5:12", help="ladder as r0:q:count")
@@ -343,9 +315,16 @@ def _payload(args) -> dict:
 
 
 def _write(args, payload: dict, out: str | None) -> int:
-    """Write ``payload`` as the run's output to ``out`` (stdout if None);
-    returns its exit code."""
-    _emit({"command": args.command, **payload}, args.format, out)
+    """Write ``payload`` as the run's output, in ``--format``, to the file
+    ``out`` (stdout if None); returns its exit code."""
+    payload = {"command": args.command, **payload}
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n" if args.format == "json" else _render_text(payload)
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+    elif sys.stdout is None:  # the process started with fd 1 closed
+        raise OSError(errno.EBADF, "stdout is closed")
+    else:
+        sys.stdout.write(text)
     return payload["exit_code"]
 
 
@@ -354,15 +333,14 @@ def main(argv=None) -> int:
     code; argparse raises SystemExit for ``--version``, ``--help`` and a
     usage error, and a failed write to stdout raises its OSError."""
     args = build_parser().parse_args(argv)
-    out = _out_path(args)
     try:
         try:
-            return _write(args, _payload(args), out)
+            return _write(args, _payload(args), args.out)
         except MemoryError as exc:  # while the command ran or its payload was written
             error = f"out of memory: {str(exc) or 'allocation failed'}"
         # reported once the handler has dropped the failed command's frames,
         # and with them whatever it had allocated
-        return _write(args, {"error": error, "exit_code": EXIT_IO}, out)
+        return _write(args, {"error": error, "exit_code": EXIT_IO}, args.out)
     except OSError as exc:
         if args.out is None:
             raise  # stdout itself failed, so no payload can reach it: console_entry reports it

@@ -39,14 +39,16 @@ from .metric import (FiniteMetricSpace, as_matrix, check_finite, first_worst, is
 #: on the unit of distance, and a well-spread simplex reads no flatter as it
 #: grows. The scans judge the delta-normalized Theta and S against one noise
 #: floor, ``10 * tol_det``. Every function taking a ``tol_det`` refuses one
-#: that is not finite and > 0.
+#: outside (0, 1): a relative squared height never exceeds 2, and a band of
+#: 1 or more takes in steps whose point lies D / sqrt(2) or more off the span
+#: of a tuple of diameter D.
 DEFAULT_TOL_DET = 1e-8
 
 
 def _checked_tol_det(tol_det: float) -> float:
-    """``tol_det``, refused with ValueError unless it is a finite number (:func:`is_number`) > 0."""
-    if not is_number(tol_det) or not 0 < tol_det < math.inf:
-        raise ValueError(f"tol_det must be finite and > 0, got {tol_det!r}")
+    """``tol_det``, refused with ValueError unless it is a number (:func:`is_number`) in (0, 1)."""
+    if not is_number(tol_det) or not 0 < tol_det < 1:
+        raise ValueError(f"tol_det must be in (0, 1), got {tol_det!r}")
     return tol_det
 
 
@@ -54,6 +56,15 @@ def _check_target(n: int) -> None:
     """Refuse a target dimension that is not an integer (:func:`is_integer`) >= 1."""
     if not is_integer(n) or n < 1:
         raise DimensionOutOfRangeError(f"target dimension must be an integer >= 1, got {n!r}")
+
+
+def _square(m) -> np.ndarray:
+    """``m`` as a float matrix (:func:`~metricembed.metric.as_matrix`), refused
+    with NotSymmetricError unless it is square."""
+    m = as_matrix(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise NotSymmetricError(f"matrix must be square, got shape {m.shape}")
+    return m
 
 
 def within_band(value, sq_max, tol_det: float = DEFAULT_TOL_DET):
@@ -139,8 +150,8 @@ def tuple_heights(dm: np.ndarray) -> tuple[float, float]:
 
 
 def cm_value(dm: np.ndarray) -> CMValue:
-    """Cayley-Menger determinant of a (k+1)x(k+1) distance matrix (:func:`~metricembed.metric.as_matrix`)."""
-    dm = as_matrix(dm)
+    """Cayley-Menger determinant of a (k+1)x(k+1) distance matrix (:func:`_square`)."""
+    dm = _square(dm)
     k = len(dm) - 1
     return CMValue(k=k, value=float((-1.0) ** (k + 1) * tuple_determinants([dm])[0, 0]))
 
@@ -151,8 +162,8 @@ def cm_determinant(space: FiniteMetricSpace, t: Sequence[int]) -> CMValue:
 
 
 def sch_value(dm: np.ndarray) -> float:
-    """Schoenberg determinant det(tau) of a (k+1)x(k+1) distance matrix (:func:`~metricembed.metric.as_matrix`)."""
-    return float(tuple_determinants([as_matrix(dm)])[1, 0])
+    """Schoenberg determinant det(tau) of a (k+1)x(k+1) distance matrix (:func:`_square`)."""
+    return float(tuple_determinants([_square(dm)])[1, 0])
 
 
 def sch_determinant(space: FiniteMetricSpace, t: Sequence[int]) -> float:
@@ -191,10 +202,10 @@ class PsdReport:
 def psd_check(sq: np.ndarray, base: int, tol_det: float = DEFAULT_TOL_DET) -> PsdReport:
     """Decide positive semidefiniteness and rank by diagonal-pivoted Cholesky.
 
-    ``sq`` is a square, exactly symmetric matrix of squared distances with a
-    zero diagonal (:func:`~metricembed.metric.as_matrix`), and the matrix
-    factored is its tau about the point ``base`` (:func:`tau_about`), whose
-    row and column are zero, a point index
+    ``sq`` is a square (:func:`_square`), exactly symmetric matrix of squared
+    distances with a zero diagonal, and the matrix factored is its tau about
+    the point ``base`` (:func:`tau_about`), whose row and column are zero, a
+    point index
     (:func:`~metricembed.metric.point_index`). A diagonal Schur entry S_cc
     over the rows B taken is c's relative squared height over (base, B)
     once :func:`within_band` divides it by that tuple's largest squared
@@ -213,9 +224,7 @@ def psd_check(sq: np.ndarray, base: int, tol_det: float = DEFAULT_TOL_DET) -> Ps
     :data:`~metricembed.metric.ROW_BLOCK` rows.
     """
     _checked_tol_det(tol_det)
-    sq = as_matrix(sq)
-    if sq.ndim != 2 or sq.shape[0] != sq.shape[1]:
-        raise NotSymmetricError(f"matrix must be square, got shape {sq.shape}")
+    sq = _square(sq)
     n = sq.shape[0]
     base = point_index(base, n)
     check_finite(sq, "squared distance")

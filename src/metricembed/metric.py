@@ -371,11 +371,11 @@ def _matrix(rows) -> np.ndarray:
 
 def _row(row) -> np.ndarray | None:
     """``row`` as a float array if every entry is a number (:func:`is_number`, asked
-    of one entry of each type before numpy reads any), else None."""
+    of one entry of each type before numpy reads any) a float can hold, else None."""
     try:
         numbers = all(map(is_number, dict(zip(map(type, row), row)).values()))
         return np.asarray(row, dtype=float) if numbers else None
-    except (TypeError, ValueError):  # a scalar, a dict or set of numbers, bytes
+    except (TypeError, ValueError, OverflowError):  # a scalar, a dict or set of numbers, bytes, a huge int
         return None
 
 

@@ -115,12 +115,16 @@ class CurveSpec:
 
 
 def _coordinates(name: str, coords, dim: int, finite: bool = True) -> np.ndarray:
-    """``dim`` coordinates as floats, refused when one is not a number, when there are
-    not ``dim`` of them, when one is NaN (every comparison with NaN is false, so it
-    would pass the region checks) or, when ``finite``, one is infinite."""
+    """``dim`` coordinates as floats, refused when one is not a number or too large
+    for a float, when there are not ``dim`` of them, when one is NaN (every
+    comparison with NaN is false, so it would pass the region checks) or, when
+    ``finite``, one is infinite."""
     if np.ndim(coords) == 1 and not all(map(is_number, coords)):
         raise ValueError(f"{name} has a coordinate that is not a number: {list(coords)!r}")
-    x = np.asarray(coords, dtype=float)
+    try:
+        x = np.asarray(coords, dtype=float)
+    except OverflowError:  # an integer past the largest float
+        raise ValueError(f"{name} has a coordinate too large for a float") from None
     if x.shape != (dim,):
         raise ValueError(f"{name} must have {dim} coordinates")
     if np.isnan(x).any():
@@ -131,10 +135,13 @@ def _coordinates(name: str, coords, dim: int, finite: bool = True) -> np.ndarray
 
 
 def _positive(name: str, value) -> float:
-    """``value`` as a float, refused unless it is a positive finite number."""
+    """``value`` as a float, refused unless it is a positive finite number a float holds."""
     if not is_number(value) or not 0 < value < math.inf:
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the largest float
+        raise ValueError(f"{name} is too large for a float") from None
 
 
 def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:

@@ -251,6 +251,23 @@ class TestMinDim:
         assert main(["min-dim", star_file, "--tol-det", "0.5"]) != 0
         assert json.loads(capsys.readouterr().out)["result"]["m"] != 1
 
+    def test_tol_det_below_one(self, star_file, capsys):
+        # a relative squared height never exceeds 2. From --tol-det 1 on the
+        # star answered yes at --dim 1 with residual 2.0 and min-dim read
+        # m = 1, and from 2 on m = 0; just below 1 it is no Euclidean space
+        for tol in ("1", "1.5", "1.99", "10"):
+            for argv in (["check-embed", star_file, "--dim", "1", "--realize"], ["min-dim", star_file],
+                         ["scan", star_file, "--dim", "1"]):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv + ["--tol-det", tol])
+                assert exc.value.code == 2
+                err = capsys.readouterr().err
+                assert err.endswith(f"metricembed {argv[0]}: error: argument --tol-det: must be in (0, 1), got {tol}\n")
+        assert main(["check-embed", star_file, "--dim", "1", "--realize", "--tol-det", "0.99"]) == 4
+        assert json.loads(capsys.readouterr().out)["result"]["verdict"] == "undetermined"
+        assert main(["min-dim", star_file, "--tol-det", "0.99"]) == 1
+        assert json.loads(capsys.readouterr().out)["result"]["feasible"] is False
+
 
 class TestOneDecision:
     """Every finite command factors each part of the space exactly once,
@@ -415,10 +432,10 @@ class TestScan:
         assert b"Traceback" not in done.stderr
         out = json.loads(done.stdout)
         assert out["exit_code"] == 3 and out["error"].startswith("out of memory")
-        outdir = tmp_path / "reports"
-        done = _capped_cli(argv + ["--out", str(outdir)])
+        out = tmp_path / "oom.json"
+        done = _capped_cli(argv + ["--out", str(out)])
         assert done.returncode == 3 and done.stdout == b"", done.stderr[-2000:]
-        assert json.loads((outdir / "transfer.json").read_text())["error"].startswith("out of memory")
+        assert json.loads(out.read_text())["error"].startswith("out of memory")
 
     def test_huge_underflowing_ladder_rejected_at_parse(self, circle_cfg):
         # the last rung 0.5 * 0.5^(10^8 - 1) underflows to 0: refused
@@ -516,9 +533,9 @@ class TestScan:
 
     @pytest.mark.parametrize("cfg,error", [
         ('{"type": "euclidean", "dim": 2, "p": [%s, 0], "region": {"kind": "cube"}}' % HUGE,
-         "int too large to convert to float"),
+         "marked point has a coordinate too large for a float"),
         ('{"type": "euclidean", "dim": 2, "p": [0, 0], "region": {"kind": "cube", "pitch": %s}}' % HUGE,
-         "int too large to convert to float"),
+         "pitch is too large for a float"),
         ('{"type": "euclidean", "dim": 1e400, "p": [0, 0], "region": {"kind": "cube"}}',
          "dimension must be an integer >= 1, got inf"),
         ('{"type": "ultrametric", "depth": 1e400, "arity": 3}', "depth and arity must both be integers >= 2"),
@@ -553,14 +570,6 @@ class TestScan:
             assert f"{field}: [" in text, field
         assert "(" not in text
 
-    def test_out_directory_files_equal_aggregate_entries(self, circle_cfg, tmp_path):
-        outdir = tmp_path / "reports"
-        assert main(["scan", circle_cfg, "--dim", "2", "--samples", "8", "--out", str(outdir)]) == 0
-        scans = json.loads((outdir / "transfer.json").read_text())["result"]["scans"]
-        assert len(scans) == 8 and len(list(outdir.iterdir())) == len(scans) + 1
-        for scan in scans:
-            assert json.loads((outdir / f"scan_k{scan['k']}_{scan['mode']}.json").read_text()) == scan
-
     def test_refutation_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "plane.json"
         cfg.write_text(json.dumps({"type": "euclidean", "dim": 2,
@@ -570,22 +579,6 @@ class TestScan:
         out = json.loads(capsys.readouterr().out)
         assert out["result"]["verdict"] == "refuted"
         assert out["result"]["witness_scan"] is not None
-
-    def test_out_directory_per_k_reports(self, circle_cfg, tmp_path):
-        outdir = tmp_path / "reports"
-        assert main(["scan", circle_cfg, "--dim", "1", "--samples", "16",
-                     "--out", str(outdir)]) == 0
-        names = sorted(f.name for f in outdir.iterdir())
-        assert "transfer.json" in names
-        for k in (1, 2, 3):
-            assert f"scan_k{k}_theta.json" in names
-            assert f"scan_k{k}_s.json" in names
-
-    def test_out_directory_text_format(self, circle_cfg, tmp_path):
-        outdir = tmp_path / "reports_txt"
-        assert main(["scan", circle_cfg, "--dim", "1", "--samples", "8",
-                     "--format", "text", "--out", str(outdir)]) == 0
-        assert "verdict: consistent-with-embeddable" in (outdir / "transfer.txt").read_text()
 
     def test_bad_config_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -723,16 +716,6 @@ class TestScan:
         assert main(["scan", str(cfg), "--dim", "1", "--samples", "8"]) == 3
         out = json.loads(capsys.readouterr().out)
         assert out["exit_code"] == 3 and "cannot build space" in out["error"]
-
-    def test_sampler_failure_into_existing_out_directory(self, tmp_path):
-        cfg = tmp_path / "shallow.json"
-        cfg.write_text(json.dumps({"type": "ultrametric", "depth": 3, "arity": 2}))
-        outdir = tmp_path / "reports"
-        outdir.mkdir()
-        assert main(["scan", str(cfg), "--dim", "1", "--samples", "8", "--out", str(outdir)]) == 3
-        out = json.loads((outdir / "transfer.json").read_text())
-        assert out["exit_code"] == 3
-        assert "below tree resolution" in out["error"]
 
 
 @pytest.mark.parametrize("argv", [["validate"], ["check-embed", "--dim", "1"], ["min-dim"],
@@ -918,7 +901,7 @@ def test_distance_too_large_for_a_float_exit_3(argv, tmp_path, capsys):
     code = main([argv[0], str(path)])
     payload = json.loads(capsys.readouterr().out)
     assert code == payload["exit_code"] == 3
-    assert payload["error"] == "cannot read space: int too large to convert to float"
+    assert payload["error"] == "cannot read space: row 0 of the distance matrix is not a list of 2 numbers"
 
 
 @pytest.mark.parametrize("name,text,code,error", [
@@ -941,7 +924,8 @@ def test_distance_too_large_for_a_float_exit_3(argv, tmp_path, capsys):
     ("bare-list.json", "[[0, 1], [1, 0]]", 0, None),
     ("duplicate-key.json", '{"distances": [[0, 1], [1]], "distances": [[0, 1], [1, 0]]}', 0, None),
     ("nan.json", '{"distances": [[0, NaN], [NaN, 0]]}', 3, "non-finite distance at (0,1)"),
-    ("huge.json", '{"distances": [[0, %s], [%s, 0]]}' % (HUGE, HUGE), 3, "int too large to convert to float"),
+    ("huge.json", '{"distances": [[0, %s], [%s, 0]]}' % (HUGE, HUGE), 3,
+     "row 0 of the distance matrix is not a list of 2 numbers"),
     # a missing key is named, not given as the bare KeyError repr
     ("empty-object.json", "{}", 3, 'the JSON object has no "distances" key'),
     ("labels-only.json", '{"labels": ["a"]}', 3, 'the JSON object has no "distances" key'),
@@ -1085,7 +1069,7 @@ OPTION_REFUSALS = [
     (["check-embed", "--dim", "abc"], "argument --dim: must be an integer >= 1, got abc"),
     (["check-embed", "--dim", "2.0"], "argument --dim: must be an integer >= 1, got 2.0"),
     (["check-embed", "--dim", ""], "argument --dim: must be an integer >= 1, got "),
-    (["check-embed", "--dim", "1", "--tol-det", "abc"], "argument --tol-det: must be finite and > 0, got abc"),
+    (["check-embed", "--dim", "1", "--tol-det", "abc"], "argument --tol-det: must be in (0, 1), got abc"),
     (["validate", "--tol-metric", "1e"], "argument --tol-metric: must be finite and > 0, got 1e"),
     (["scan", "--dim", "1", "--samples", "x"], "argument --samples: must be an integer >= 1, got x"),
     (["scan", "--dim", "1", "--seed", "1.5"], "argument --seed: must be an integer >= 0, got 1.5"),
@@ -1148,7 +1132,8 @@ def test_non_finite_tolerance_rejected(argv, value, star_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main([argv[0], star_file, *argv[1:], value])
     assert exc.value.code == 2
-    assert f"argument {argv[-1]}: must be finite and > 0, got {value}" in capsys.readouterr().err
+    rule = "in (0, 1)" if argv[-1] == "--tol-det" else "finite and > 0"
+    assert f"argument {argv[-1]}: must be {rule}, got {value}" in capsys.readouterr().err
 
 
 def test_sampler_giving_up_cannot_scan_exit_3(tmp_path, capsys):
@@ -1209,18 +1194,21 @@ def test_process_matches_main(op, parity_files, monkeypatch, capsysbinary):
     assert b"Traceback" not in done.stderr
 
 
-def test_process_out_file_and_directory(parity_files, tmp_path):
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("argv", [["min-dim", "{eq}", "--realize"],
+                                  ["scan", "{circle}", "--dim", "1", "--samples", "8"]], ids=["min-dim", "scan"])
+def test_process_out_file(argv, fmt, parity_files, tmp_path, capsysbinary):
+    # --out names one file, with or without a suffix, and it holds the bytes
+    # the command prints; scan --out once made a path without a suffix a
+    # directory of per-scan copies of result.scans
+    argv = [arg.format(**parity_files) for arg in argv] + ["--format", fmt]
+    printed = _cli_process(argv)
+    assert printed.returncode == 0 and printed.stdout, printed.stderr
     sides = {"process": lambda argv: _cli_process(argv).returncode, "main": _in_process}
     for side, run in sides.items():
-        assert run(["min-dim", parity_files["eq"], "--realize", "--out", str(tmp_path / f"{side}.json")]) == 0
-        assert run(["scan", parity_files["circle"], "--dim", "1", "--samples", "8",
-                    "--out", str(tmp_path / f"{side}-scans")]) == 0
-    assert (tmp_path / "process.json").read_bytes() == (tmp_path / "main.json").read_bytes()
-    names = sorted(path.name for path in (tmp_path / "main-scans").iterdir())
-    assert "transfer.json" in names and len(names) > 1
-    assert sorted(path.name for path in (tmp_path / "process-scans").iterdir()) == names
-    for name in names:
-        assert (tmp_path / "process-scans" / name).read_bytes() == (tmp_path / "main-scans" / name).read_bytes()
+        assert run(argv + ["--out", str(tmp_path / side)]) == 0
+        assert (tmp_path / side).read_bytes() == printed.stdout, side
+    assert capsysbinary.readouterr().out == b""
 
 
 def _into_closed_pipe(argv: list[str], **kwargs) -> subprocess.CompletedProcess:
@@ -1345,11 +1333,13 @@ REFUSALS = {
     "unwritable-out": (["validate", "{dir}/bent.json", "--out", "{dir}/nowhere/x.json"], 3,
                        _refusal("validate", "cannot write output: [Errno 2] No such file or directory: "
                                             "'{dir}/nowhere/x.json'"), {}),
-    "out-dir-below-resolution": (["scan", "{dir}/shallow.json", *SCAN, "--out", "{dir}/reports"], 3, "",
-                                 {"reports/transfer.json": _refusal("scan", SHALLOW,
-                                                                    config=_shallow_config("json"))}),
-    "out-dir-no-region": (["scan", "{dir}/noregion.json", *SCAN, "--out", "{dir}/reports"], 3, "",
-                          {"reports/transfer.json": _refusal("scan", NO_REGION)}),
+    "out-file-below-resolution": (["scan", "{dir}/shallow.json", *SCAN, "--out", "{dir}/reports"], 3, "",
+                                  {"reports": _refusal("scan", SHALLOW, config=_shallow_config("json"))}),
+    "out-file-no-region": (["scan", "{dir}/noregion.json", *SCAN, "--out", "{dir}/reports.json"], 3, "",
+                           {"reports.json": _refusal("scan", NO_REGION)}),
+    # --out names one file: a directory is no place for it, and nothing is written into one
+    "out-existing-directory": (["scan", "{dir}/shallow.json", *SCAN, "--out", "{dir}"], 3,
+                               _refusal("scan", "cannot write output: [Errno 21] Is a directory: '{dir}'"), {}),
     "out-dir-not-a-directory": (["scan", "{dir}/shallow.json", *SCAN, "--out", "{dir}/bent.json/reports"], 3,
                                 _refusal("scan", "cannot write output: [Errno 20] Not a directory: "
                                                  "'{dir}/bent.json/reports'"), {}),

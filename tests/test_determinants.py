@@ -11,6 +11,7 @@ Expected values are hand-derived:
 """
 
 import math
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -382,8 +383,16 @@ def _all_minors_psd(m: np.ndarray) -> bool:
                for size in range(1, n + 1) for s in map(list, combinations(range(n), size)))
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (3,)])
+def test_engines_refuse_a_matrix_that_is_not_square(shape):
+    # numpy's IndexError once stood for this refusal
+    for call in (cm_value, sch_value, lambda m: psd_check(m, 0)):
+        with pytest.raises(NotSymmetricError, match=rf"^matrix must be square, got shape {re.escape(str(shape))}$"):
+            call(np.zeros(shape))
+
+
 def test_psd_check_tol_det_must_be_a_number():
     # True passed the bounds as the number 1, the widest band
     sq = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(ValueError, match=r"^tol_det must be finite and > 0, got True$"):
+    with pytest.raises(ValueError, match=r"^tol_det must be in \(0, 1\), got True$"):
         psd_check(sq, 0, tol_det=True)

@@ -620,14 +620,15 @@ def test_decision_cache_takes_positional_arguments_only(equilateral):
         embeddability._decide(equilateral, tol_det=DEFAULT_TOL_DET)
 
 
-@pytest.mark.parametrize("tol_det", [math.nan, math.inf, -1.0, 0.0])
+@pytest.mark.parametrize("tol_det", [math.nan, math.inf, -1.0, 0.0, 1.0, 10.0])
 def test_zero_rule_refuses_a_tol_det_not_finite_and_positive(star_k13, tol_det):
-    # at inf the star, which embeds in no E^n, read m = 4; at nan, -1 and 0
-    # the decision warned and decided anyway (the suite makes a RuntimeWarning an error)
+    # at inf the star, which embeds in no E^n, read m = 4, at 1 m = 1 and at
+    # 10 m = 0; at nan, -1 and 0 the decision warned and decided anyway (the
+    # suite makes a RuntimeWarning an error)
     calls = (lambda: min_embedding_dimension(star_k13, tol_det=tol_det),
              lambda: psd_check(star_k13.dist ** 2, 0, tol_det),
              lambda: within_band(1.0, 1.0, tol_det))
     for call in calls:
         with pytest.raises(ValueError) as exc:
             call()
-        assert str(exc.value) == f"tol_det must be finite and > 0, got {tol_det!r}"
+        assert str(exc.value) == f"tol_det must be in (0, 1), got {tol_det!r}"

@@ -65,7 +65,7 @@ from metricembed.sequences import PseudometricMatrix, StabilityVerdict
 E1, E2 = np.eye(2)
 
 #: tolerances of the zero rule that every function taking one refuses
-BAD_TOL_DET = (math.nan, math.inf, -1.0, 0.0)
+BAD_TOL_DET = (math.nan, math.inf, -1.0, 0.0, 1.0, 10.0)
 
 
 def plane(p=(0.0, 0.0)):
@@ -813,7 +813,7 @@ class TestSequenceDistances:
     (lambda: delta_scale(plane(), ()), ValueError, "a scale needs a nonempty tuple"),
     # the noise floor 10 * tol_det read NaN, inf or <= 0, and the scans decided on it
     *[(lambda t=t: transfer_check(plane(), 1, samples_per_scale=4, tol_det=t), ValueError,
-       f"tol_det must be finite and > 0, got {t!r}") for t in BAD_TOL_DET],
+       f"tol_det must be in (0, 1), got {t!r}") for t in BAD_TOL_DET],
 ])
 def test_scan_layer_refusals(call, error, message):
     with pytest.raises(error) as exc:
@@ -841,7 +841,7 @@ def test_scan_layer_refusals(call, error, message):
                                          merge_tol=t), ValueError, "tolerance must be nonnegative")
       for t in (-1.0, math.nan)],
     *[(lambda t=t: blumenthal_sequence_scan(plane(), [constant_sequence(plane().p)] * 2, tol_det=t), ValueError,
-       f"tol_det must be finite and > 0, got {t!r}") for t in BAD_TOL_DET],
+       f"tol_det must be in (0, 1), got {t!r}") for t in BAD_TOL_DET],
 ])
 def test_sequence_layer_refusals(call, error, message):
     with pytest.raises(error) as exc:
