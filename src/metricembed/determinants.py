@@ -58,15 +58,6 @@ def _check_target(n: int) -> None:
         raise DimensionOutOfRangeError(f"target dimension must be an integer >= 1, got {n!r}")
 
 
-def _square(m) -> np.ndarray:
-    """``m`` as a float matrix (:func:`~metricembed.metric.as_matrix`), refused
-    with NotSymmetricError unless it is square."""
-    m = as_matrix(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotSymmetricError(f"matrix must be square, got shape {m.shape}")
-    return m
-
-
 def within_band(value, sq_max, tol_det: float = DEFAULT_TOL_DET):
     """Whether a relative squared height counts as zero: ``|value| / sq_max
     <= tol_det``, for a Schur pivot of tau or a tuple's ratio of determinants
@@ -150,8 +141,8 @@ def tuple_heights(dm: np.ndarray) -> tuple[float, float]:
 
 
 def cm_value(dm: np.ndarray) -> CMValue:
-    """Cayley-Menger determinant of a (k+1)x(k+1) distance matrix (:func:`_square`)."""
-    dm = _square(dm)
+    """Cayley-Menger determinant of a (k+1)x(k+1) distance matrix (:func:`~metricembed.metric.as_matrix`)."""
+    dm = as_matrix(dm)
     k = len(dm) - 1
     return CMValue(k=k, value=float((-1.0) ** (k + 1) * tuple_determinants([dm])[0, 0]))
 
@@ -162,8 +153,8 @@ def cm_determinant(space: FiniteMetricSpace, t: Sequence[int]) -> CMValue:
 
 
 def sch_value(dm: np.ndarray) -> float:
-    """Schoenberg determinant det(tau) of a (k+1)x(k+1) distance matrix (:func:`_square`)."""
-    return float(tuple_determinants([_square(dm)])[1, 0])
+    """Schoenberg determinant det(tau) of a (k+1)x(k+1) distance matrix (:func:`~metricembed.metric.as_matrix`)."""
+    return float(tuple_determinants([as_matrix(dm)])[1, 0])
 
 
 def sch_determinant(space: FiniteMetricSpace, t: Sequence[int]) -> float:
@@ -179,7 +170,8 @@ class PsdReport:
     #: accepted pivots: the rank when ``psd``, else the count taken before
     #: the violation was found
     rank: int
-    #: sorted row subset of a violating principal minor, or None
+    #: the sorted points of the violating tuple, the base and the rows of
+    #: its principal minor, or None
     witness_subset: tuple[int, ...] | None = None
     #: its relative squared height: the negative pivot or pair value over
     #: its tuple's largest squared distance (squared for a pair)
@@ -202,10 +194,10 @@ class PsdReport:
 def psd_check(sq: np.ndarray, base: int, tol_det: float = DEFAULT_TOL_DET) -> PsdReport:
     """Decide positive semidefiniteness and rank by diagonal-pivoted Cholesky.
 
-    ``sq`` is a square (:func:`_square`), exactly symmetric matrix of squared
-    distances with a zero diagonal, and the matrix factored is its tau about
-    the point ``base`` (:func:`tau_about`), whose row and column are zero, a
-    point index
+    ``sq`` is a square (:func:`~metricembed.metric.as_matrix`), exactly
+    symmetric matrix of squared distances with a zero diagonal, and the
+    matrix factored is its tau about the point ``base`` (:func:`tau_about`),
+    whose row and column are zero, a point index
     (:func:`~metricembed.metric.point_index`). A diagonal Schur entry S_cc
     over the rows B taken is c's relative squared height over (base, B)
     once :func:`within_band` divides it by that tuple's largest squared
@@ -219,12 +211,12 @@ def psd_check(sq: np.ndarray, base: int, tol_det: float = DEFAULT_TOL_DET) -> Ps
 
     The report carries the accepted pivots (their count is the rank), the
     factor and the leftover tau - F F^T of a PSD matrix, else the violating
-    tuple and relative value, all in the rows of ``sq``. It holds one N x N
-    work array, the Schur complement, and scratch of
-    :data:`~metricembed.metric.ROW_BLOCK` rows.
+    tuple's sorted points, ``base`` included, and its relative value, all in
+    the rows of ``sq``. It holds one N x N work array, the Schur complement,
+    and scratch of :data:`~metricembed.metric.ROW_BLOCK` rows.
     """
     _checked_tol_det(tol_det)
-    sq = _square(sq)
+    sq = as_matrix(sq)
     n = sq.shape[0]
     base = point_index(base, n)
     check_finite(sq, "squared distance")
@@ -255,7 +247,7 @@ def psd_check(sq: np.ndarray, base: int, tol_det: float = DEFAULT_TOL_DET) -> Ps
         if rows is None:
             np.multiply(s, scale, out=s)
             return PsdReport(psd=True, rank=len(pivots), pivots=tuple(pivots), factor=factor, leftover=s)
-        return PsdReport(psd=False, rank=len(pivots), witness_subset=tuple(sorted(int(r) for r in rows)),
+        return PsdReport(psd=False, rank=len(pivots), witness_subset=tuple(sorted(int(r) for r in [base, *rows])),
                          witness_value=float(value), pivots=tuple(pivots), factor=factor)
 
     while rest.size:

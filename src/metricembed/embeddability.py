@@ -70,7 +70,6 @@ class EmbedVerdict:
     dim_tested: int
     criterion: str
     witness: Witness | None = None
-    tol_det: float = DEFAULT_TOL_DET
 
     def to_json_dict(self) -> dict:
         w = self.witness
@@ -115,8 +114,8 @@ class MinDimResult:
 def _factorization(dist: np.ndarray, tol_det: float) -> tuple[PsdReport, int]:
     """The pivoted factorization of tau over the points of a distance
     matrix, about the point whose farthest distance is least: (report,
-    base). The base's zero row is never a pivot nor in a witness, so the
-    report's pivots, witness rows and factor rows are point indices."""
+    base). The base's zero row is never a pivot, so the report's pivots,
+    witness points and factor rows are point indices."""
     base = int(np.argmin(np.max(dist, axis=1)))
     return psd_check(dist * dist, base, tol_det), base
 
@@ -124,11 +123,10 @@ def _factorization(dist: np.ndarray, tol_det: float) -> tuple[PsdReport, int]:
 def _factored_witness(report: PsdReport, base: int, n: int) -> tuple[int, ...] | None:
     """The tuple on which a factorization finds E^n violated, or None: the
     base plus the first n+1 pivots when more than n were accepted (an order
-    n+1 determinant that fails to vanish), else its violating minor."""
-    if report.psd and report.rank <= n:
-        return None
-    rows = report.pivots[:n + 1] if report.rank > n else report.witness_subset
-    return tuple(sorted([base, *rows]))
+    n+1 determinant that fails to vanish), else its witness."""
+    if report.rank > n:
+        return tuple(sorted([base, *report.pivots[:n + 1]]))
+    return report.witness_subset
 
 
 def _neighbourhoods(dist: np.ndarray, leftover: np.ndarray, tol_det: float):
@@ -258,12 +256,13 @@ def _decide(space: FiniteMetricSpace, tol_det: float, /) -> _Decision:
         raise DistanceOutOfRangeError("a distance lies outside [%.4g, %.4g]" % CERTIFIABLE_RANGE)
     parts = tuple(_parts(space, tol_det))
     report, base = next((p for p in parts if not p[0].psd), None) or max(parts, key=lambda p: p[0].rank)
-    report = replace(report, witness_subset=_factored_witness(report, base, report.rank), leftover=None)
-    result = MinDimResult(report.psd, report.rank if report.psd else None, report, base)
-    # the leftover has served the ball search and the continued factor
+    result = MinDimResult(report.psd, report.rank if report.psd else None, replace(report, leftover=None), base)
+    # the leftover has served the ball search, and the factor is continued
+    # on it only past a ball's larger rank: else the result holds the same factor
     whole, origin = parts[0]
-    factor = _continued(whole, result.dim) if result.feasible else whole.factor
-    return _Decision(space, ((replace(whole, factor=factor, leftover=None), origin), *parts[1:]), result)
+    if result.feasible and result.dim > whole.rank:
+        whole = replace(whole, factor=_continued(whole, result.dim))
+    return _Decision(space, ((replace(whole, leftover=None), origin), *parts[1:]), result)
 
 
 def _engine_verdict(space: FiniteMetricSpace, n: int, engine: str, tol_det: float) -> EmbedVerdict:
@@ -276,13 +275,13 @@ def _engine_verdict(space: FiniteMetricSpace, n: int, engine: str, tol_det: floa
     for a sign condition, is not negative)."""
     t = _decide(space, tol_det).witness(n)
     if t is None:
-        return EmbedVerdict("yes", n, engine, tol_det=tol_det)
+        return EmbedVerdict("yes", n, engine)
     k = len(t) - 1
     kind = "sign" if k <= n else "vanishing"
     cm, sch = tuple_heights(submatrix(space, t))
     value = sch if engine == "schoenberg" else cm if kind == "sign" else (-1.0) ** (k + 1) * cm
     confirmed = not within_band(value, 1.0, tol_det) and (kind == "vanishing" or value < 0)
-    return EmbedVerdict("no" if confirmed else "undetermined", n, engine, Witness(t, k, value, kind), tol_det=tol_det)
+    return EmbedVerdict("no" if confirmed else "undetermined", n, engine, Witness(t, k, value, kind))
 
 
 #: Smallest and largest distances a decision or certificate trusts.

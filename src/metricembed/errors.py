@@ -49,7 +49,7 @@ class TupleTooShortError(ValueError):
 
 
 class NotSymmetricError(ValueError):
-    """Matrix argument expected to be symmetric."""
+    """A matrix argument that is not square, or not exactly symmetric."""
 
 
 class DimensionOutOfRangeError(ValueError):

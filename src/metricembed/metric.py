@@ -24,6 +24,7 @@ from .errors import (
     NegativeDistanceError,
     NonpositiveScaleError,
     NonzeroDiagonalError,
+    NotSymmetricError,
     TriangleViolationError,
 )
 
@@ -145,8 +146,6 @@ def _validated(d, labels, tol: float | None, certificate) -> FiniteMetricSpace:
     """:func:`validate_metric` of a matrix the caller hands over: ``d``, read by
     :func:`as_matrix` and symmetrized in place, becomes the space's own (read-only) matrix."""
     d = as_matrix(d)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise ValueError(f"distance matrix must be square, got shape {d.shape}")
     n = d.shape[0]
     if n == 0:
         raise ValueError("the distance matrix is empty: a space needs a point")
@@ -338,21 +337,26 @@ def _csv_payload(lines) -> tuple:
 
 
 def as_matrix(raw) -> np.ndarray:
-    """``raw`` as a float matrix: an array of integers or reals as it is (a float one is not
-    copied), a list, a tuple or any other array by :func:`_matrix`'s row rule; else refused."""
+    """``raw`` as a square float matrix: an array of integers or reals as it is (a float one is
+    not copied), a list, a tuple or any other array by :func:`_matrix`'s row rule; else refused,
+    and any shape but (N, N) with NotSymmetricError, a ValueError."""
     if isinstance(raw, np.ndarray) and raw.dtype.kind in "iuf":
-        return np.asarray(raw, dtype=float)
-    if not (isinstance(raw, (list, tuple)) or isinstance(raw, np.ndarray) and raw.ndim):
+        d = np.asarray(raw, dtype=float)
+    elif isinstance(raw, (list, tuple)) or isinstance(raw, np.ndarray) and raw.ndim:
+        d = _matrix(raw)
+    else:
         raise ValueError(f"distances must be a list, got {type(raw).__name__}")
-    return _matrix(raw)
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise NotSymmetricError(f"distance matrix must be square, got shape {d.shape}")
+    return d
 
 
 def _matrix(rows) -> np.ndarray:
-    """The square float matrix of ``rows``, filled one row at a time. The
-    first row fixes the size N, unless it is no list, tuple or array. A row
-    that is not a list of N numbers (:func:`_row`) is refused when it is
-    reached, a row count other than N at the end. No rows give shape (0,),
-    which :func:`_validated` refuses."""
+    """The float matrix of ``rows``, filled one row at a time. The first
+    row fixes the size N, unless it is no list, tuple or array. A row that
+    is not a list of N numbers (:func:`_row`) is refused when it is
+    reached. A row count other than N leaves only its shape, (count, N),
+    and no rows give shape (0,), for :func:`as_matrix` to refuse."""
     d, count = np.zeros(0), 0
     for count, row in enumerate(rows, 1):
         values = _row(row)
@@ -364,9 +368,7 @@ def _matrix(rows) -> np.ndarray:
             raise ValueError(f"row {count - 1} of the distance matrix is not a list of {len(d)} numbers")
         if count <= len(d):
             d[count - 1] = values
-    if count != len(d):
-        raise ValueError(f"distance matrix must be square, got shape ({count}, {len(d)})")
-    return d
+    return d if count == len(d) else np.broadcast_to(np.nan, (count, len(d)))
 
 
 def _row(row) -> np.ndarray | None:

@@ -279,13 +279,16 @@ def make_ultrametric(depth: int, arity: int, p=None) -> MarkedSpace:
     """Leaves of a rooted (depth, arity) tree with distance 2^-(LCA depth).
 
     Addresses are digit tuples of length ``depth`` (at most 1075, so every
-    leaf distance is a positive double); the ultra-triangle inequality
-    holds exactly by construction.
+    leaf distance is a positive double) in base ``arity`` (at most 2^62, so
+    the sampler's int64 sum of two digits cannot wrap); the ultra-triangle
+    inequality holds exactly by construction.
     """
     if not (is_integer(depth) and is_integer(arity)) or depth < 2 or arity < 2:
         raise ValueError("depth and arity must both be integers >= 2")
     if depth > 1075:
         raise ValueError(f"depth {depth} > 1075: distinct leaves would sit at distance 0.0")
+    if arity > 2**62:
+        raise ValueError(f"arity {arity} > 2^62: the sampler's sum of two digits would wrap in int64")
     if p is None:
         p = (0,) * depth
     if not all(map(is_integer, p)):

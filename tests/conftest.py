@@ -174,7 +174,7 @@ def reference_psd_check(sq, base: int, tol_det: float = DEFAULT_TOL_DET) -> PsdR
     def finish(rows=None, value=None):
         factor = np.stack(cols, axis=1) * math.sqrt(scale) if cols else np.zeros((n, 0))
         return PsdReport(psd=rows is None, rank=len(pivots),
-                         witness_subset=None if rows is None else tuple(sorted(int(r) for r in rows)),
+                         witness_subset=None if rows is None else tuple(sorted(int(r) for r in [base, *rows])),
                          witness_value=None if value is None else float(value), pivots=tuple(pivots), factor=factor,
                          leftover=s * scale if rows is None else None)
 

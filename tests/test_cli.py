@@ -540,14 +540,18 @@ class TestScan:
          "dimension must be an integer >= 1, got inf"),
         ('{"type": "ultrametric", "depth": 1e400, "arity": 3}', "depth and arity must both be integers >= 2"),
         ('{"type": "ultrametric", "depth": 4, "arity": 1e400}', "depth and arity must both be integers >= 2"),
+        ('{"type": "ultrametric", "depth": 4, "arity": %d}' % 2**63, f"arity {2**63} > 2^62"),
+        ('{"type": "ultrametric", "depth": 4, "arity": %d}' % 10**30, f"arity {10**30} > 2^62"),
         ('{"type": "euclidean", "dim": 2.7, "p": [0, 0], "region": {"kind": "cube"}}',
          "dimension must be an integer >= 1, got 2.7"),
         ('{"type": "ultrametric", "depth": 4, "arity": 3, "p": [0, 1.7, 2.9, 0]}', "marked leaf digits must be integers"),
         ('{"type": "ultrametric", "depth": 4, "arity": 3, "p": [0, 1, true, 0]}', "marked leaf digits must be integers"),
-    ], ids=["p-huge", "pitch-huge", "dim-1e400", "depth-1e400", "arity-1e400", "dim-2.7", "leaf-1.7", "leaf-true"])
+    ], ids=["p-huge", "pitch-huge", "dim-1e400", "depth-1e400", "arity-1e400", "arity-2**63", "arity-10**30",
+            "dim-2.7", "leaf-1.7", "leaf-true"])
     def test_oversized_or_fractional_numbers_cannot_build_space(self, tmp_path, cfg, error, capsys):
-        # each ended in an OverflowError traceback with exit 1, and a
-        # fractional dim or leaf digit was silently truncated
+        # each ended in an OverflowError traceback with exit 1, a fractional
+        # dim or leaf digit was silently truncated, and an arity past int64
+        # failed the scan in numpy's words
         path = tmp_path / "bad.json"
         path.write_text(cfg)
         assert main(["scan", str(path), "--dim", "1", "--samples", "8"]) == 3
@@ -1261,6 +1265,8 @@ REFUSAL_INPUTS = {
     "noregion.json": json.dumps({"type": "euclidean", "dim": 2, "p": [0, 0]}),
     # a depth-3 tree resolves distances down to 2^-2 only
     "shallow.json": json.dumps({"type": "ultrametric", "depth": 3, "arity": 2}),
+    # an arity past int64, which numpy refused in its own words
+    "hugearity.json": json.dumps({"type": "ultrametric", "depth": 6, "arity": 2**63}),
     # refusals that printed numpy reprs (np.float64(-1.0)) under numpy 2
     "negative.json": json.dumps({"distances": [[0, -1], [-1, 0]]}),
     "asymmetric.json": json.dumps({"distances": [[0, 1, 1], [0.5, 0, 1], [1, 1, 0]]}),
@@ -1275,9 +1281,11 @@ BENT = "invalid metric: triangle violation d[0][2] > d[0][1] + d[1][2] by 3.0 (i
 TINY = "cannot decide: a distance lies outside [1.001e-146, 3.352e+153]"
 NO_REGION = 'cannot build space: the config has no "region" key'
 SHALLOW = "cannot scan: scale 0.125 below tree resolution 2^-2"
+HUGE_ARITY = f"cannot build space: arity {2**63} > 2^62: the sampler's sum of two digits would wrap in int64"
 SCAN = ["--dim", "1", "--samples", "8"]
 #: conversion text of numpy, float(), int() or argparse, which no refusal may carry
-FOREIGN_TEXT = ("could not convert", "inhomogeneous", "float() argument", "invalid _", "unpack", "int()")
+FOREIGN_TEXT = ("could not convert", "inhomogeneous", "float() argument", "invalid _", "unpack", "int()", "C long",
+                "out of bounds for int64")
 
 
 def _shallow_config(fmt: str) -> dict:
@@ -1328,6 +1336,7 @@ REFUSALS = {
     "scan-missing": (["scan", "{dir}/missing.json", *SCAN], 3,
                      _refusal("scan", MISSING.replace("read space", "build space")), {}),
     "scan-no-region": (["scan", "{dir}/noregion.json", *SCAN], 3, _refusal("scan", NO_REGION), {}),
+    "scan-huge-arity": (["scan", "{dir}/hugearity.json", *SCAN], 3, _refusal("scan", HUGE_ARITY), {}),
     "scan-below-resolution": (["scan", "{dir}/shallow.json", *SCAN], 3,
                               _refusal("scan", SHALLOW, config=_shallow_config("json")), {}),
     "unwritable-out": (["validate", "{dir}/bent.json", "--out", "{dir}/nowhere/x.json"], 3,

@@ -243,7 +243,8 @@ class TestPsd:
     def test_indefinite_with_witness(self):
         rep = psd_check(sq_about_0([[1.0, 2.0], [2.0, 1.0]]), 0)
         assert not rep.psd
-        assert rep.witness_subset == (1, 2)
+        # the violating tuple's points, the base included
+        assert rep.witness_subset == (0, 1, 2)
         assert rep.witness_value == pytest.approx(-3.0)
 
     def test_modes_agree_on_small_integer_matrices(self):
@@ -262,9 +263,11 @@ class TestPsd:
                 # the violating minor over the pivots' minor, which is the
                 # Schur pivot or pair value, over its tuple's largest
                 # squared distance to the power of the points it adds
-                ix, pv = np.asarray(rep.witness_subset) - 1, np.asarray(rep.pivots, dtype=int) - 1
+                # the witness names the base 0; m is tau without its row
+                assert rep.witness_subset[0] == 0
+                ix, pv = np.asarray(rep.witness_subset[1:]) - 1, np.asarray(rep.pivots, dtype=int) - 1
                 sq = np.abs(sq_about_0(m))
-                sq_max = np.max(sq[np.ix_([0, *rep.witness_subset], [0, *rep.witness_subset])])
+                sq_max = np.max(sq[np.ix_(rep.witness_subset, rep.witness_subset)])
                 schur = np.linalg.det(m[np.ix_(ix, ix)]) / np.linalg.det(m[np.ix_(pv, pv)])
                 assert rep.witness_value == pytest.approx(schur / sq_max ** (len(ix) - len(pv)))
                 assert rep.witness_value < 0
@@ -385,10 +388,17 @@ def _all_minors_psd(m: np.ndarray) -> bool:
 
 @pytest.mark.parametrize("shape", [(2, 3), (3,)])
 def test_engines_refuse_a_matrix_that_is_not_square(shape):
-    # numpy's IndexError once stood for this refusal
-    for call in (cm_value, sch_value, lambda m: psd_check(m, 0)):
-        with pytest.raises(NotSymmetricError, match=rf"^matrix must be square, got shape {re.escape(str(shape))}$"):
-            call(np.zeros(shape))
+    # one type and one text from every reader, for an array and for a list;
+    # numpy's IndexError once stood for this refusal, and a list and
+    # validate_metric raised a plain ValueError
+    matrices = [np.zeros(shape)]
+    if shape == (2, 3):
+        matrices.append([[0, 1, 2], [1, 0, 3]])
+    for call in (cm_value, sch_value, lambda m: psd_check(m, 0), validate_metric):
+        for matrix in matrices:
+            with pytest.raises(NotSymmetricError,
+                               match=rf"^distance matrix must be square, got shape {re.escape(str(shape))}$"):
+                call(matrix)
 
 
 def test_psd_check_tol_det_must_be_a_number():

@@ -632,3 +632,27 @@ def test_zero_rule_refuses_a_tol_det_not_finite_and_positive(star_k13, tol_det):
         with pytest.raises(ValueError) as exc:
             call()
         assert str(exc.value) == f"tol_det must be in (0, 1), got {tol_det!r}"
+
+
+@pytest.mark.parametrize("dist", [[[0, 1, 1, 1], [1, 0, 2, 2], [1, 2, 0, 2], [1, 2, 2, 0]],
+                                  [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]], ids=["star", "4-cycle"])
+def test_one_witness_tuple_from_psd_check_up(dist):
+    # psd_check names the violating tuple's points, the base included, and
+    # min-dim and both engines name the same tuple; min-dim once rewrote
+    # the report's minor rows into it
+    space = validate_metric(dist)
+    res = min_embedding_dimension(space)
+    assert not res.feasible
+    assert psd_check(space.dist ** 2, res.base).witness_subset == res.psd.witness_subset == (0, 1, 2, 3)
+    for n in range(max(res.psd.rank, 1), len(space) + 1):
+        for check in (menger_check, schoenberg_check):
+            assert check(space, n).witness.indices == res.psd.witness_subset, (check.__name__, n)
+
+
+def test_decision_keeps_one_copy_of_the_whole_factor():
+    # when the whole decides, min-dim's report and the realization read one
+    # factor; a ball that outranks the whole continues it into a new array
+    whole = embeddability._decide(cloud_space(random_cloud(np.random.default_rng(3), 12, 3)), DEFAULT_TOL_DET)
+    assert whole.result.dim == 3 and whole.result.psd.factor is whole.parts[0][0].factor
+    ball = embeddability._decide(square_with_tetrahedron(1e-5), DEFAULT_TOL_DET)
+    assert ball.result.dim == 3 and ball.result.psd.factor is None and ball.parts[0][0].factor.shape == (8, 3)

@@ -234,6 +234,15 @@ class TestUltrametric:
         sp = make_ultrametric(1075, 2)
         assert sp.metric(sp.p, sp.p[:-1] + (1,)) == 2.0**-1074 > 0.0
 
+    def test_arity_limit(self):
+        # past 2^62 the sampler's int64 sum of two digits can wrap, and numpy
+        # refused an arity past int64 in its own words
+        for arity in (2**62 + 1, 2**63, 10**30):
+            with pytest.raises(ValueError, match=rf"^arity {arity} > 2\^62: "):
+                make_ultrametric(6, arity)
+        sp = make_ultrametric(6, 2**62)
+        assert all(0 <= d < 2**62 for leaf in sp.sample(0.5, 8, 0) for d in leaf)
+
     def test_deep_draws_stay_resolvable(self):
         # at level j no drawn leaf shares more than j + 53 digits with p,
         # so none collapses onto p against the anchor at 2^-j
