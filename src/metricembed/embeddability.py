@@ -5,18 +5,20 @@ base-point form tau (``psd_check``) on each part of the space
 (:func:`_parts`). By Schoenberg's theorem a space embeds in E^n iff tau is
 PSD of rank <= n, so the minimal dimension m is the largest rank of a
 part, and there is none when a part is not PSD. One ``_Decision`` per
-space factors every part once and answers every question from m:
+space reads the parts in turn, stops at the first that is not PSD, and
+answers every question from the part that decides, that one or else the
+first of largest rank:
 
 * ``menger_check`` / ``schoenberg_check``: ``yes`` iff m <= n. Otherwise
-  the first failing part names one tuple of at most n+3 points that breaks
-  a sign condition ``(-1)^(k+1) D_k >= 0`` (k <= n) or a vanishing
+  the deciding part names one tuple of at most n+3 points that breaks a
+  sign condition ``(-1)^(k+1) D_k >= 0`` (k <= n) or a vanishing
   condition (orders n+1, n+2), and each engine judges it by its smallest
   relative squared height, signed like its own determinant: ``no`` when
   that confirms, ``undetermined`` when it falls inside the zero band.
-* ``min_embedding_dimension``: m, or the first non-PSD part's witness.
+* ``min_embedding_dimension``: m, or the deciding part's witness.
 * ``blumenthal_basis_search``: when m == n, the base followed by the n
-  pivots of the first part of rank n; every prefix determinant is positive
-  and every one- or two-point extension vanishes.
+  pivots of the deciding part; every prefix determinant is positive and
+  every one- or two-point extension vanishes.
 * ``realize_coordinates``: refuses iff there is no m or m > n; otherwise
   m coordinates per point, from the factor over all points, continued past
   its band when a smaller part has a larger rank on its leftover
@@ -120,15 +122,6 @@ def _factorization(dist: np.ndarray, tol_det: float) -> tuple[PsdReport, int]:
     return psd_check(dist * dist, base, tol_det), base
 
 
-def _factored_witness(report: PsdReport, base: int, n: int) -> tuple[int, ...] | None:
-    """The tuple on which a factorization finds E^n violated, or None: the
-    base plus the first n+1 pivots when more than n were accepted (an order
-    n+1 determinant that fails to vanish), else its witness."""
-    if report.rank > n:
-        return tuple(sorted([base, *report.pivots[:n + 1]]))
-    return report.witness_subset
-
-
 def _neighbourhoods(dist: np.ndarray, leftover: np.ndarray, tol_det: float):
     """Balls the factorization did not judge on their own scale.
 
@@ -174,10 +167,11 @@ def _neighbourhoods(dist: np.ndarray, leftover: np.ndarray, tol_det: float):
 
 
 def _parts(space: FiniteMetricSpace, tol_det: float):
-    """The factorizations every finite question reads, as (report, base) in
-    point indices: first the one over all points, then, when it is PSD, one
-    of each ball of :func:`_neighbourhoods` on its own, its pivots, witness
-    and base mapped to the space and its factor and leftover dropped."""
+    """The factorizations a decision reads, as (report, base) in point
+    indices, each made only when it is read: first the one over all points,
+    then, when it is PSD, one of each ball of :func:`_neighbourhoods` on its
+    own, its pivots, witness and base mapped to the space and its factor and
+    leftover dropped."""
     report, base = _factorization(space.dist, tol_det)
     yield report, base
     if report.psd:
@@ -207,34 +201,34 @@ def _continued(report: PsdReport, m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Decision:
-    """Every finite answer for one space at one ``tol_det``, read off one
-    round of :func:`_parts`."""
+    """Every finite answer for one space at one ``tol_det``, read off the
+    part that decided (:func:`_decide`)."""
 
     space: FiniteMetricSpace
-    #: every part, as :func:`_parts` yields them, the first with no leftover
-    #: and, in a feasible space, its factor continued to m columns
-    parts: tuple
-    #: m, or infeasibility, read off the part that decided: the first that
-    #: is not PSD, else the first of largest rank
+    #: m, or infeasibility, with the deciding part's report and base
     result: MinDimResult
+    #: the factor over all points, continued to m columns when a ball
+    #: outranks the whole
+    factor: np.ndarray
 
     def witness(self, n: int) -> tuple[int, ...] | None:
-        """A tuple of at most n+3 points on which E^n fails, named by the
-        first part that is not PSD of rank <= n, or None."""
+        """A tuple of at most n+3 points on which E^n fails, or None, named
+        by the deciding part: its base plus its first n+1 pivots when it
+        took more than n (an order n+1 determinant that fails to vanish),
+        else its witness."""
         _check_target(n)
-        for report, base in self.parts:
-            t = _factored_witness(report, base, n)
-            if t is not None:
-                return t
-        return None
+        report = self.result.psd
+        if report.rank > n:
+            return tuple(sorted([self.result.base, *report.pivots[:n + 1]]))
+        return report.witness_subset
 
     @cached_property
     def realization(self) -> Realization:
         """Coordinates in R^m of a feasible space, point 0 at the origin,
-        from the first part's factor."""
+        from the factor over all points."""
         dist = self.space.dist
         # tau = 2 G with the base at the origin
-        coords = self.parts[0][0].factor / math.sqrt(2.0)
+        coords = self.factor / math.sqrt(2.0)
         coords = coords - coords[0]
         residual = np.float64(0.0)
         for rows in row_blocks(dist.shape[0]):
@@ -254,15 +248,20 @@ def _decide(space: FiniteMetricSpace, tol_det: float, /) -> _Decision:
     """
     if not _in_range(space):
         raise DistanceOutOfRangeError("a distance lies outside [%.4g, %.4g]" % CERTIFIABLE_RANGE)
-    parts = tuple(_parts(space, tol_det))
-    report, base = next((p for p in parts if not p[0].psd), None) or max(parts, key=lambda p: p[0].rank)
+    parts = _parts(space, tol_det)
+    report, base = next(parts)
+    whole = report
+    # the first part that is not PSD decides, and ends the reading; else the first of largest rank
+    for part in parts:
+        if part[0].rank > report.rank or not part[0].psd:
+            report, base = part
+            if not report.psd:
+                break
     result = MinDimResult(report.psd, report.rank if report.psd else None, replace(report, leftover=None), base)
     # the leftover has served the ball search, and the factor is continued
     # on it only past a ball's larger rank: else the result holds the same factor
-    whole, origin = parts[0]
-    if result.feasible and result.dim > whole.rank:
-        whole = replace(whole, factor=_continued(whole, result.dim))
-    return _Decision(space, ((replace(whole, leftover=None), origin), *parts[1:]), result)
+    factor = _continued(whole, result.dim) if result.feasible and result.dim > whole.rank else whole.factor
+    return _Decision(space, result, factor)
 
 
 def _engine_verdict(space: FiniteMetricSpace, n: int, engine: str, tol_det: float) -> EmbedVerdict:

@@ -72,11 +72,11 @@ def _checked_tol(tol: float) -> float:
 
 
 def check_finite(d: np.ndarray, what: str) -> None:
-    """Refuse a square ``d`` with a NaN or infinite entry, naming the first
+    """Refuse a nonempty square ``d`` with a NaN or infinite entry, naming the first
     as ``non-finite {what} at (i,j)``; reduces first and scans blocks of
     rows only then, so it makes no N x N temporary."""
     n = d.shape[0]
-    if n and not (np.isfinite(np.max(d)) and np.isfinite(np.min(d))):
+    if not (np.isfinite(np.max(d)) and np.isfinite(np.min(d))):
         _, at = first_worst((rows.start * n, ~np.isfinite(d[rows])) for rows in row_blocks(n))
         raise ValueError(f"non-finite {what} at ({at // n},{at % n})")
 
@@ -147,8 +147,6 @@ def _validated(d, labels, tol: float | None, certificate) -> FiniteMetricSpace:
     :func:`as_matrix` and symmetrized in place, becomes the space's own (read-only) matrix."""
     d = as_matrix(d)
     n = d.shape[0]
-    if n == 0:
-        raise ValueError("the distance matrix is empty: a space needs a point")
     check_finite(d, "distance")
     if tol is None:
         tol = DEFAULT_REL_TOL * float(np.max(d)) if np.max(d) > 0 else DEFAULT_REL_TOL
@@ -339,7 +337,7 @@ def _csv_payload(lines) -> tuple:
 def as_matrix(raw) -> np.ndarray:
     """``raw`` as a square float matrix: an array of integers or reals as it is (a float one is
     not copied), a list, a tuple or any other array by :func:`_matrix`'s row rule; else refused,
-    and any shape but (N, N) with NotSymmetricError, a ValueError."""
+    any shape but (N, N) with NotSymmetricError, a ValueError, and (0, 0) as empty."""
     if isinstance(raw, np.ndarray) and raw.dtype.kind in "iuf":
         d = np.asarray(raw, dtype=float)
     elif isinstance(raw, (list, tuple)) or isinstance(raw, np.ndarray) and raw.ndim:
@@ -348,6 +346,8 @@ def as_matrix(raw) -> np.ndarray:
         raise ValueError(f"distances must be a list, got {type(raw).__name__}")
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise NotSymmetricError(f"distance matrix must be square, got shape {d.shape}")
+    if not len(d):
+        raise ValueError("the distance matrix is empty: a space needs a point")
     return d
 
 

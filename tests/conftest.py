@@ -95,13 +95,28 @@ def square_with_star(edge: float):
     """A unit square, its centre c, and three leaves at ``edge`` from c and
     2 * edge from one another, each as far from the corners as c is: a
     K_{1,3} star of scale ``edge`` that no Euclidean space holds."""
-    pts = np.array([[0, 0], [1, 0], [0, 1], [1, 1], [0.5, 0.5]])
+    return _with_star(np.array([[0, 0], [1, 0], [0, 1], [1, 1], [0.5, 0.5]]), 4, edge)
+
+
+def plane_with_star(count: int, edge: float = 1e-5):
+    """``count`` uniform points of ``default_rng(1)`` in the unit square and
+    three leaves at ``edge`` from point 0 and 2 * edge from one another,
+    each as far from the other points as point 0 is."""
+    return _with_star(np.random.default_rng(1).uniform(size=(count, 2)), 0, edge)
+
+
+def _with_star(pts: np.ndarray, centre: int, edge: float):
+    """The points ``pts`` and three leaves at ``edge`` from ``centre`` and
+    2 * edge from one another, each as far from the other points as the
+    centre is: a K_{1,3} star of scale ``edge`` that no Euclidean space
+    holds."""
     d = np.sqrt(np.sum((pts[:, None] - pts[None]) ** 2, axis=-1))
-    m = np.full((8, 8), 2 * edge)
-    m[:5, :5] = d
-    m[5:, :5] = d[4]
-    m[:5, 5:] = d[:, 4:5]
-    m[5:, 4] = m[4, 5:] = edge
+    n = len(d)
+    m = np.full((n + 3, n + 3), 2 * edge)
+    m[:n, :n] = d
+    m[n:, :n] = d[centre]
+    m[:n, n:] = d[:, centre:centre + 1]
+    m[n:, centre] = m[centre, n:] = edge
     np.fill_diagonal(m, 0.0)
     return validate_metric(m)
 

@@ -36,6 +36,7 @@ from conftest import (
     enumerated_verdict,
     exact_psd_rank,
     line_with_triangle,
+    plane_with_star,
     random_cloud,
     square_with_star,
     square_with_tetrahedron,
@@ -312,11 +313,11 @@ class TestMinDimension:
                                          (lambda: line_with_triangle(1e-5), 2)])
     def test_decision_keeps_no_leftover(self, build, m):
         # the leftover of tau serves the ball search and the continued
-        # factor inside the decision; no part keeps it afterwards
+        # factor inside the decision; the one report it keeps holds none
         sp = build()
         decision = embeddability._decide(sp, DEFAULT_TOL_DET)
-        assert decision.result.dim == m and decision.parts[0][0].factor.shape == (sp.n_points, m)
-        assert all(report.leftover is None for report, _ in decision.parts)
+        assert decision.result.dim == m and decision.factor.shape == (sp.n_points, m)
+        assert decision.result.psd.leftover is None
 
     @pytest.mark.parametrize("scale", [1e154, 1e200, 1e-160, 1e-300])
     def test_distances_outside_certifiable_range_refused(self, scale, unit_square):
@@ -653,6 +654,38 @@ def test_decision_keeps_one_copy_of_the_whole_factor():
     # when the whole decides, min-dim's report and the realization read one
     # factor; a ball that outranks the whole continues it into a new array
     whole = embeddability._decide(cloud_space(random_cloud(np.random.default_rng(3), 12, 3)), DEFAULT_TOL_DET)
-    assert whole.result.dim == 3 and whole.result.psd.factor is whole.parts[0][0].factor
+    assert whole.result.dim == 3 and whole.result.psd.factor is whole.factor
     ball = embeddability._decide(square_with_tetrahedron(1e-5), DEFAULT_TOL_DET)
-    assert ball.result.dim == 3 and ball.result.psd.factor is None and ball.parts[0][0].factor.shape == (8, 3)
+    assert ball.result.dim == 3 and ball.result.psd.factor is None and ball.factor.shape == (8, 3)
+
+
+@pytest.mark.parametrize("build,args", [pytest.param(build, (e,), id=f"{name}-{e:g}")
+                                        for name, build in (("tetrahedron", square_with_tetrahedron),
+                                                            ("triangle", line_with_triangle),
+                                                            ("star", square_with_star))
+                                        for e in (1e-3, 1e-5, 1e-7)]
+                         + [pytest.param(plane_with_star, (300,), id="plane-with-star-300")])
+def test_the_deciding_part_names_every_witness(build, args):
+    # check-embed names a tuple of the part min-dim reports, as the basis
+    # does; an engine once read the first part that failed E^n, so where a
+    # ball decided, n = 1 named the whole space's first pivots
+    sp = build(*args)
+    res = min_embedding_dimension(sp)
+    for n in range(1, 6):
+        witness = tuple(sorted([res.base, *res.psd.pivots[:n + 1]])) if res.psd.rank > n else res.psd.witness_subset
+        for check in (menger_check, schoenberg_check):
+            v = check(sp, n)
+            assert (v.witness.indices if v.witness else None) == witness, (args, n, check.__name__)
+
+
+def test_decision_stops_at_the_first_part_not_psd(monkeypatch):
+    # the plane's parts are the whole, then five balls, and the star's ball
+    # is the fourth part: nothing after it is factored
+    sp = plane_with_star(300)
+    assert [report.psd for report, _ in embeddability._parts(sp, DEFAULT_TOL_DET)] == [True] * 3 + [False, True, False]
+    calls = []
+    factor = embeddability.psd_check
+    monkeypatch.setattr(embeddability, "psd_check", lambda *a, **k: calls.append(1) or factor(*a, **k))
+    res = min_embedding_dimension(sp)
+    assert not res.feasible and res.psd.witness_subset == (0, 116, 130, 228, 300)
+    assert len(calls) == 4

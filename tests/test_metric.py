@@ -182,9 +182,12 @@ def test_rejects_non_square_and_non_finite():
 
 
 def test_empty_matrix_refused_by_name():
-    # an empty array gave a space of 0 points, which min-dim refused as "empty space"
-    with pytest.raises(ValueError, match="^the distance matrix is empty: a space needs a point$"):
-        validate_metric(np.zeros((0, 0)))
+    # an empty array gave a space of 0 points, which min-dim refused as "empty
+    # space"; psd_check named the base out of range, and cm_value and
+    # sch_value a tuple too short: metric.as_matrix now refuses it for all
+    for call in (validate_metric, lambda d: psd_check(d, 0), cm_value, sch_value):
+        with pytest.raises(ValueError, match="^the distance matrix is empty: a space needs a point$"):
+            call(np.zeros((0, 0)))
 
 
 def test_default_tolerance_is_relative():
