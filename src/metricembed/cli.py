@@ -5,7 +5,7 @@ argument, 3 IO/parse error (also a failed ``--out`` write, reported on
 stdout; a failed write or flush of stdout itself, reported in one line on
 stderr; a command that runs out of memory; for ``scan`` also a config
 whose sampler cannot serve the requested ladder; for ``check-embed`` and
-``min-dim`` also a distance outside
+``min-dim`` also distances that no power of two brings into
 ``embeddability.CERTIFIABLE_RANGE``), 4 undetermined (an engine does not
 confirm the factorization's witness tuple, or a scan is inconclusive).
 

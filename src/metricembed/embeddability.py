@@ -26,7 +26,9 @@ first of largest rank:
 
 Every relative squared height is judged by
 :func:`~metricembed.determinants.within_band`, and one inside the band is
-zero, which satisfies ``>= 0``.
+zero, which satisfies ``>= 0``. No answer depends on the unit: a space
+with a distance outside :data:`CERTIFIABLE_RANGE` is decided scaled by the
+power of two that brings every distance into it, which is exact.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .errors import (
     NotEmbeddableError,
     RankExceedsRequestedError,
 )
-from .metric import FiniteMetricSpace, euclidean_matrix, readonly, row_blocks, submatrix
+from .metric import FiniteMetricSpace, euclidean_matrix, readonly, row_blocks, scale_metric, submatrix
 
 
 @dataclass(frozen=True)
@@ -204,12 +206,18 @@ class _Decision:
     """Every finite answer for one space at one ``tol_det``, read off the
     part that decided (:func:`_decide`)."""
 
+    #: the space decided: the one asked about, or that space's distances
+    #: times 2^shift, all in :data:`CERTIFIABLE_RANGE`
     space: FiniteMetricSpace
-    #: m, or infeasibility, with the deciding part's report and base
+    #: m, or infeasibility, with the deciding part's report and base, its
+    #: factor in the unit of the space asked about
     result: MinDimResult
-    #: the factor over all points, continued to m columns when a ball
-    #: outranks the whole
+    #: the factor over all points, in the decided space's unit, continued
+    #: to m columns when a ball outranks the whole
     factor: np.ndarray
+    #: the power of two, 2^shift, the decided space's distances are the
+    #: asked space's times: 0 unless a distance lies outside the range
+    shift: int
 
     def witness(self, n: int) -> tuple[int, ...] | None:
         """A tuple of at most n+3 points on which E^n fails, or None, named
@@ -225,7 +233,7 @@ class _Decision:
     @cached_property
     def realization(self) -> Realization:
         """Coordinates in R^m of a feasible space, point 0 at the origin,
-        from the factor over all points."""
+        from the factor over all points, in the decided space's unit."""
         dist = self.space.dist
         # tau = 2 G with the base at the origin
         coords = self.factor / math.sqrt(2.0)
@@ -241,14 +249,19 @@ class _Decision:
 @lru_cache(maxsize=1)
 def _decide(space: FiniteMetricSpace, tol_det: float, /) -> _Decision:
     """The decision for ``space``, factored once while it is the last one
-    asked; refuses a space with a distance outside :data:`CERTIFIABLE_RANGE`.
+    asked, on the space scaled by the power of two :func:`_shift` names
+    (the space itself when every distance is in :data:`CERTIFIABLE_RANGE`);
+    refuses a space that no power of two brings into the range.
 
     ``FiniteMetricSpace`` is frozen, hashes by identity and keeps ``dist``
     read-only, so a decision cached on the space object cannot go stale.
     """
-    if not _in_range(space):
-        raise DistanceOutOfRangeError("a distance lies outside [%.4g, %.4g]" % CERTIFIABLE_RANGE)
-    parts = _parts(space, tol_det)
+    shift = _shift(space)
+    if shift is None:
+        raise DistanceOutOfRangeError("the distances span more than [%.4g, %.4g] holds at any power of two"
+                                      % CERTIFIABLE_RANGE)
+    decided = scale_metric(space, math.ldexp(1.0, shift)) if shift else space
+    parts = _parts(decided, tol_det)
     report, base = next(parts)
     whole = report
     # the first part that is not PSD decides, and ends the reading; else the first of largest rank
@@ -257,11 +270,14 @@ def _decide(space: FiniteMetricSpace, tol_det: float, /) -> _Decision:
             report, base = part
             if not report.psd:
                 break
-    result = MinDimResult(report.psd, report.rank if report.psd else None, replace(report, leftover=None), base)
+    psd = replace(report, leftover=None)
+    if shift and psd.factor is not None:
+        psd = replace(psd, factor=psd.factor * math.ldexp(1.0, -shift))
+    result = MinDimResult(report.psd, report.rank if report.psd else None, psd, base)
     # the leftover has served the ball search, and the factor is continued
     # on it only past a ball's larger rank: else the result holds the same factor
     factor = _continued(whole, result.dim) if result.feasible and result.dim > whole.rank else whole.factor
-    return _Decision(space, result, factor)
+    return _Decision(decided, result, factor, shift)
 
 
 def _engine_verdict(space: FiniteMetricSpace, n: int, engine: str, tol_det: float) -> EmbedVerdict:
@@ -272,29 +288,43 @@ def _engine_verdict(space: FiniteMetricSpace, n: int, engine: str, tol_det: floa
     raw ``D_k`` for a vanishing one; Schoenberg: ``det tau``), confirms the
     violation, and ``undetermined`` when it lies inside the zero band (or,
     for a sign condition, is not negative)."""
-    t = _decide(space, tol_det).witness(n)
+    decision = _decide(space, tol_det)
+    t = decision.witness(n)
     if t is None:
         return EmbedVerdict("yes", n, engine)
     k = len(t) - 1
     kind = "sign" if k <= n else "vanishing"
-    cm, sch = tuple_heights(submatrix(space, t))
+    cm, sch = tuple_heights(submatrix(decision.space, t))
     value = sch if engine == "schoenberg" else cm if kind == "sign" else (-1.0) ** (k + 1) * cm
     confirmed = not within_band(value, 1.0, tol_det) and (kind == "vanishing" or value < 0)
     return EmbedVerdict("no" if confirmed else "undetermined", n, engine, Witness(t, k, value, kind))
 
 
-#: Smallest and largest distances a decision or certificate trusts.
+#: Smallest and largest distances a decision or certificate reads.
 #: Between them every squared distance, and every sum of a few, is a
 #: normal float: the decision's sums of squares cannot overflow, and the
 #: realized distances keep the relative rounding the allowance assumes.
+#: The range spans 2^995, about 3.3e299.
 CERTIFIABLE_RANGE = (math.sqrt(np.finfo(float).tiny / np.finfo(float).eps), math.sqrt(np.finfo(float).max) / 4.0)
 
 
-def _in_range(space: FiniteMetricSpace) -> bool:
-    """Whether every positive distance lies in :data:`CERTIFIABLE_RANGE`."""
+def _shift(space: FiniteMetricSpace) -> int | None:
+    """The k for which 2^k times every positive distance lies in
+    :data:`CERTIFIABLE_RANGE`: 0 when every one does already, else the least
+    shift that brings in the end outside it; None when no power of two
+    brings in both ends. The range's floor is a power of two and its
+    ceiling's mantissa the largest below 1, so matching the exponent of the
+    end with the range's own is that least shift."""
     low, high = CERTIFIABLE_RANGE
-    return (float(np.max(space.dist, initial=0.0)) <= high
-            and float(np.min(space.dist, where=space.dist > 0, initial=np.inf)) >= low)
+    top = float(np.max(space.dist, initial=0.0))
+    least = float(np.min(space.dist, where=space.dist > 0, initial=np.inf))
+    if top > high:
+        k = math.frexp(high)[1] - math.frexp(top)[1]
+        return k if least >= math.ldexp(low, -k) else None
+    if least < low:
+        k = math.frexp(low)[1] - math.frexp(least)[1]
+        return k if top <= math.ldexp(high, -k) else None
+    return 0
 
 
 def triangles_certified(space: FiniteMetricSpace, tol_det: float = DEFAULT_TOL_DET) -> bool:
@@ -304,18 +334,20 @@ def triangles_certified(space: FiniteMetricSpace, tol_det: float = DEFAULT_TOL_D
     Coordinates e reproducing d within r give d_ij <= e_ij + r <= e_ik +
     e_kj + r <= d_ik + d_kj + 3r. Rounding in the realized distances (at
     most (m/2 + 2) eps relative) and in the triangle check's own sums adds
-    less than ``4 (m + 3) eps max d``. False, without deciding, when a
-    distance lies outside :data:`CERTIFIABLE_RANGE`; False for an
-    infeasible space, or when the bound exceeds ``space.tol`` or is not
-    finite.
+    less than ``4 (m + 3) eps max d``. All of it is read in the decided
+    space's unit, where the power of two scales ``tol`` exactly too. False
+    for a space no power of two brings into :data:`CERTIFIABLE_RANGE`, for
+    an infeasible space, or when the bound exceeds ``tol`` or is not finite.
     """
-    if not _in_range(space):
+    try:
+        decision = _decide(space, tol_det)
+    except DistanceOutOfRangeError:
         return False
-    decision = _decide(space, tol_det)
     if not decision.result.feasible:
         return False
-    allowance = 4.0 * (decision.result.dim + 3) * np.finfo(float).eps * float(np.max(space.dist, initial=0.0))
-    return bool(3.0 * decision.realization.max_residual + allowance <= space.tol)
+    decided = decision.space
+    allowance = 4.0 * (decision.result.dim + 3) * np.finfo(float).eps * float(np.max(decided.dist, initial=0.0))
+    return bool(3.0 * decision.realization.max_residual + allowance <= decided.tol)
 
 
 def menger_check(space: FiniteMetricSpace, n: int, tol_det: float = DEFAULT_TOL_DET) -> EmbedVerdict:
@@ -346,7 +378,11 @@ def realize_coordinates(space: FiniteMetricSpace, n: int, tol_det: float = DEFAU
                                  f"is {res.psd.witness_value}")
     if res.dim > n:
         raise RankExceedsRequestedError(f"minimal dimension {res.dim} exceeds requested dimension {n}")
-    return decision.realization
+    real = decision.realization
+    if decision.shift:
+        unit = math.ldexp(1.0, -decision.shift)
+        real = Realization(coords=real.coords * unit, m=real.m, max_residual=real.max_residual * unit)
+    return real
 
 
 def blumenthal_basis_search(

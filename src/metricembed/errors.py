@@ -57,9 +57,10 @@ class DimensionOutOfRangeError(ValueError):
 
 
 class DistanceOutOfRangeError(ValueError):
-    """A distance lies where its square is not a normal float, so no finite
-    decision can be made on the space; or a rescaling takes a distance
-    past the largest float."""
+    """The distances span more than any power of two brings into the range
+    where their squares are normal floats, so no finite decision can be
+    made on the space; or a rescaling takes a distance past the largest
+    float or a positive one to 0."""
 
 
 class NotEmbeddableError(ValueError):

@@ -39,7 +39,7 @@ from .errors import (
     SamplerScaleMismatchError,
     TupleTooShortError,
 )
-from .metric import is_integer, is_number
+from .metric import is_integer, is_number, row_blocks
 from .spaces import MarkedSpace
 
 #: Scan verdict thresholds. A delta-normalized Theta/S value within the
@@ -64,9 +64,6 @@ SAMPLER_VERSION = 2
 #: points, so its distance matrix stays bounded however many tuples a
 #: scan takes; up to 1024 samples per scale the cap never binds.
 CLOUD_CAP = 2048
-
-#: Rows of sort keys drawn at once when taking index tuples into a cloud.
-KEY_BLOCK = 256
 
 #: The functional modes every scan pass evaluates, in report order.
 MODES = ("theta", "s")
@@ -224,14 +221,15 @@ def _fit_trend(scales: np.ndarray, magnitudes: np.ndarray, floor: float) -> floa
 def _index_tuples(rng: np.random.Generator, anchors: np.ndarray, size: int, k: int,
                   count: int) -> np.ndarray:
     """``count`` index tuples into a cloud of ``size`` points: an anchor,
-    then k distinct other indices. The sort keys are drawn KEY_BLOCK rows
-    at a time, which reads the same stream as one (count, size) draw."""
+    then k distinct other indices. The sort keys are drawn one
+    :func:`~metricembed.metric.row_blocks` block at a time, which reads the
+    same stream as one (count, size) draw."""
     idx = np.empty((count, k + 1), dtype=np.intp)
     idx[:, 0] = rng.choice(anchors, size=count)
-    for lo in range(0, count, KEY_BLOCK):
-        keys = rng.random((min(KEY_BLOCK, count - lo), size))
-        keys[np.arange(len(keys)), idx[lo:lo + KEY_BLOCK, 0]] = np.inf
-        idx[lo:lo + KEY_BLOCK, 1:] = np.argsort(keys, axis=1)[:, :k]
+    for rows in row_blocks(count):
+        keys = rng.random((rows.stop - rows.start, size))
+        keys[np.arange(len(keys)), idx[rows, 0]] = np.inf
+        idx[rows, 1:] = np.argsort(keys, axis=1)[:, :k]
     return idx
 
 
@@ -249,10 +247,10 @@ def _scan_pass(space: MarkedSpace, jobs: Sequence[tuple[int, str]], scales, samp
     same seed on every rung, which pins the trend fit down to the geometry
     instead of sampling noise.
 
-    The pass keeps one table: per side (inf, sup), mode, job and rung, the
-    extreme value and the points of the first tuple that holds it. Every
-    report is read off it; a witness is the extreme along the rung axis,
-    so the earliest rung holding it wins, and within it the earliest tuple.
+    The pass keeps, per side (inf, sup), mode, job and rung, the extreme
+    value, and per side, mode and job one running witness, replaced only
+    when a rung's extreme strictly beats it: the first tuple on the
+    earliest rung that holds the extreme over the ladder.
 
     Returns, per mode of MODES, one report per job, and the largest
     ``|Theta - S| / max(|Theta|, |S|, 1)`` over every tuple.
@@ -265,7 +263,7 @@ def _scan_pass(space: MarkedSpace, jobs: Sequence[tuple[int, str]], scales, samp
     cloud_seed = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
     tuple_seed = np.random.SeedSequence(entropy=seed, spawn_key=(1,))
     extremes = np.zeros((2, len(MODES), len(jobs), len(scales)))
-    holders = np.empty(extremes.shape, dtype=object)
+    witnesses: dict[tuple[int, int, int], ScanWitness] = {}
     discrepancy = 0.0
     for j, s in enumerate(scales):
         cloud = tuple(space.sample(s, size - 1, cloud_seed))
@@ -285,13 +283,12 @@ def _scan_pass(space: MarkedSpace, jobs: Sequence[tuple[int, str]], scales, samp
             discrepancy = max(discrepancy, float(np.max(np.abs(v[0] - v[1]) / spread)))
             for side, best in enumerate((v.argmin(axis=1), v.argmax(axis=1))):
                 for e, i in enumerate(best):
-                    extremes[side, e, q, j] = v[e, i]
-                    holders[side, e, q, j] = tuple(cloud[c] for c in idx[i])
+                    extremes[side, e, q, j] = value = float(v[e, i])
+                    held = witnesses.get((side, e, q))
+                    if held is None or (value < held.value if side == 0 else value > held.value):
+                        witnesses[side, e, q] = ScanWitness(j, s, value, tuple(cloud[c] for c in idx[i]))
 
     tail = slice(len(scales) // 2, None)
-
-    def witness(side: int, e: int, q: int, j: int) -> ScanWitness:
-        return ScanWitness(int(j), scales[j], float(extremes[side, e, q, j]), holders[side, e, q, j])
 
     def report(e: int, q: int) -> ScanReport:
         k, condition = jobs[q]
@@ -334,8 +331,8 @@ def _scan_pass(space: MarkedSpace, jobs: Sequence[tuple[int, str]], scales, samp
             samples_per_scale=samples_per_scale,
             seed=seed,
             tol_det=tol_det,
-            witness_inf=witness(0, e, q, np.argmin(infs)),
-            witness_sup=witness(1, e, q, np.argmax(sups)),
+            witness_inf=witnesses[0, e, q],
+            witness_sup=witnesses[1, e, q],
         )
 
     return [[report(e, q) for q in range(len(jobs))] for e in range(len(MODES))], discrepancy

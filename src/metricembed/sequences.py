@@ -316,11 +316,11 @@ def blumenthal_sequence_scan(
     probe_index = {seq: g for g, seq in enumerate(dict.fromkeys(chain.from_iterable(probes)))}
 
     stack = _sequence_stack(space, marked_family(space, *x_seqs, *probe_index), depth)
-    for idx in range(n + 1):
-        dists = stack[:, 0, 1 + idx]
-        top = float(np.max(dists))
-        if top > 0 and float(np.max(dists[int(depth * _PERSISTENCE_WINDOW):])) > 0.05 * top:
-            raise NonconvergentSequenceError(f"sequence {idx} does not converge to p")
+    to_p = stack[:, 0, 1:n + 2]
+    top = np.max(to_p, axis=0)
+    away = (top > 0) & (np.max(to_p[int(depth * _PERSISTENCE_WINDOW):], axis=0) > 0.05 * top)
+    if np.any(away):
+        raise NonconvergentSequenceError(f"sequence {int(np.argmax(away))} does not converge to p")
 
     mats = stack[int(depth * STABILITY_WINDOW):]
     xs = list(range(1, n + 2))
@@ -334,14 +334,13 @@ def blumenthal_sequence_scan(
         vals = tail_theta(xs[:k + 1])
         cond_i.append((k, float(np.min(vals)), float(np.max(vals))))
 
+    # each probe alone (order n+1), then each pair (order n+2)
+    groups = [(g,) for g in probe_index.values()] + [(probe_index[y], probe_index[u]) for y, u in probes]
     cond_ii: list[tuple[int, str, float, float]] = []
-    for g in probe_index.values():
-        vals = np.abs(tail_theta(xs + [n + 2 + g]))
-        cond_ii.append((n + 1, f"probe{g}", float(np.min(vals)), float(np.max(vals))))
-    for y, u in probes:
-        gy, gu = probe_index[y], probe_index[u]
-        vals = np.abs(tail_theta(xs + [n + 2 + gy, n + 2 + gu]))
-        cond_ii.append((n + 2, f"probe{gy}+probe{gu}", float(np.min(vals)), float(np.max(vals))))
+    for group in groups:
+        vals = np.abs(tail_theta(xs + [n + 2 + g for g in group]))
+        label = "+".join(f"probe{g}" for g in group)
+        cond_ii.append((n + len(group), label, float(np.min(vals)), float(np.max(vals))))
 
     i_ok = all(tmin > floor for _, tmin, _ in cond_i)
     ii_ok = all(tmax <= floor for _, _, _, tmax in cond_ii)

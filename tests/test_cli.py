@@ -833,17 +833,22 @@ class TestCertifiedTriangles:
         assert len(triangle_checks) == 1
 
     @pytest.mark.parametrize("scale", [1e160, 1e-160])
-    def test_outside_certifiable_range_pays_the_loop(self, scale, tmp_path, triangle_checks, monkeypatch,
-                                                      capsys):
-        # squared distances that overflow, or that underflow: nothing is
-        # factored (beyond 1e154 the ball search would never end)
-        def never(space, tol_det):
-            raise AssertionError("decision made")
-
+    def test_outside_certifiable_range_certified(self, scale, tmp_path, triangle_checks, capsys):
+        # squared distances that would overflow, or underflow: the decision
+        # made at a power of two certifies them, as at unit scale
         s = np.sqrt(2.0)
         square = np.array([[0, 1, s, 1], [1, 0, 1, s], [s, 1, 0, 1], [1, s, 1, 0]]) * scale
-        monkeypatch.setattr(embeddability, "_decide", never)
         assert main(["validate", _write_distances(tmp_path / "square.json", square)]) == 0
+        assert triangle_checks == []
+
+    def test_distance_ratio_past_the_range_pays_the_loop(self, tmp_path, triangle_checks, monkeypatch, capsys):
+        # no power of two brings both ends into the range: nothing is
+        # factored, and the triangle check runs
+        def never(*args, **kwargs):
+            raise AssertionError("factored")
+
+        monkeypatch.setattr(embeddability, "psd_check", never)
+        assert main(["validate", _write_distances(tmp_path / "wide.json", WIDE)]) == 0
         assert len(triangle_checks) == 1
 
     def test_agrees_with_full_check(self, tmp_path, triangle_checks, capsys):
@@ -890,22 +895,34 @@ class TestCertifiedTriangles:
 
 @pytest.mark.parametrize("scale", [1e154, 1e200, 1e-160, 1e-300])
 @pytest.mark.parametrize("argv", [["min-dim"], ["check-embed", "--dim", "1"]])
-def test_distances_outside_certifiable_range_exit_3(argv, scale, tmp_path, capsys):
-    # squared distances that overflow or leave the normal floats: nothing
-    # is decided, while validate still runs the O(N^3) check on them
+def test_distances_outside_certifiable_range_read_the_unit_answers(argv, scale, tmp_path, capsys):
+    # squared distances that would overflow or leave the normal floats are
+    # decided at a power of two: the unit square's answers, with the
+    # coordinates and the residual in the space's own unit
     s = np.sqrt(2.0)
-    square = np.array([[0, 1, s, 1], [1, 0, 1, s], [s, 1, 0, 1], [1, s, 1, 0]]) * scale
-    path = _write_distances(tmp_path / "square.json", square)
+    square = np.array([[0, 1, s, 1], [1, 0, 1, s], [s, 1, 0, 1], [1, s, 1, 0]])
+    command = argv + ["--realize"] if argv[0] == "min-dim" else argv
+    want_code = main([argv[0], _write_distances(tmp_path / "unit.json", square)] + command[1:])
+    want = json.loads(capsys.readouterr().out)["result"]
+    path = _write_distances(tmp_path / "square.json", square * scale)
     if scale > 1:
         # the ball search once looped forever on these: a hang is a timeout
-        done = _cli_process([argv[0], path] + argv[1:], timeout=60)
+        done = _cli_process([argv[0], path] + command[1:], timeout=60)
         code, out = done.returncode, done.stdout
         assert b"Traceback" not in done.stderr
     else:
-        code, out = main([argv[0], path] + argv[1:]), capsys.readouterr().out
+        code, out = main([argv[0], path] + command[1:]), capsys.readouterr().out
     payload = json.loads(out)
-    assert code == payload["exit_code"] == 3
-    assert payload["command"] == argv[0] and payload["error"].startswith("cannot decide: a distance lies outside [")
+    assert code == payload["exit_code"] == want_code
+    got = payload["result"]
+    assert got.keys() == want.keys()
+    for key in got:
+        if key in ("coordinates", "residual") and want[key] is not None:
+            assert np.allclose(np.asarray(got[key]) / scale, want[key], rtol=1e-9, atol=1e-14), key
+        elif key == "witness_value":
+            assert got[key] == pytest.approx(want[key], rel=1e-6)
+        else:
+            assert got[key] == want[key], key
     assert main(["validate", path]) == 0
 
 
@@ -1267,6 +1284,10 @@ def test_closed_stderr_keeps_the_exit_code(parity_files):
     assert _into_closed_pipe(argv, stderr=subprocess.STDOUT).returncode == 3
 
 
+#: a line 0, 1e-170, 1e140: distances 1e-170 and 1e140 are 1e310 apart,
+#: past the ratio of the certifiable range at any power of two
+WIDE = [[0, 1e-170, 1e140], [1e-170, 0, 1e140], [1e140, 1e140, 0]]
+
 #: the inputs of the refusal pins, by file name; "{dir}" stands for the
 #: directory that holds them, and a name absent here is a missing file
 REFUSAL_INPUTS = {
@@ -1274,6 +1295,7 @@ REFUSAL_INPUTS = {
     "bent.json": json.dumps({"distances": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]}),
     # every distance below embeddability.CERTIFIABLE_RANGE
     "tiny.json": json.dumps({"distances": [[0, 1e-200, 1e-200], [1e-200, 0, 1e-200], [1e-200, 1e-200, 0]]}),
+    "wide.json": json.dumps({"distances": WIDE}),
     "noregion.json": json.dumps({"type": "euclidean", "dim": 2, "p": [0, 0]}),
     # a depth-3 tree resolves distances down to 2^-2 only
     "shallow.json": json.dumps({"type": "ultrametric", "depth": 3, "arity": 2}),
@@ -1290,7 +1312,7 @@ REFUSAL_INPUTS = {
 MISSING = "cannot read space: [Errno 2] No such file or directory: '{dir}/missing.json'"
 BROKEN = "cannot read space: Expecting ',' delimiter: line 1 column 30 (char 29)"
 BENT = "invalid metric: triangle violation d[0][2] > d[0][1] + d[1][2] by 3.0 (indices (0, 2, 1))"
-TINY = "cannot decide: a distance lies outside [1.001e-146, 3.352e+153]"
+WIDE_ERROR = "cannot decide: the distances span more than [1.001e-146, 3.352e+153] holds at any power of two"
 NO_REGION = 'cannot build space: the config has no "region" key'
 SHALLOW = "cannot scan: scale 0.125 below tree resolution 2^-2"
 HUGE_ARITY = f"cannot build space: arity {2**63} > 2^62: the sampler's sum of two digits would wrap in int64"
@@ -1339,12 +1361,12 @@ REFUSALS = {
         "asymmetric.json", 2), {}),
     "validate-diagonal": (["validate", "{dir}/diagonal.json"], 2, _validate_refusal(
         "invalid metric: diagonal entry d[0][0] = 1.0 must be exactly 0 (indices (0,))", "diagonal.json", 2), {}),
-    # validate still checks a space it cannot decide on
+    # a space below the certifiable range, certified at a power of two
     "validate-tiny": (["validate", "{dir}/tiny.json"], 0,
                       {"command": "validate", "exit_code": 0, "input": "{dir}/tiny.json", "n_points": 3,
                        "ok": True, "tol": 1e-209}, {}),
-    "check-embed-tiny": (["check-embed", "{dir}/tiny.json", "--dim", "1"], 3, _refusal("check-embed", TINY), {}),
-    "min-dim-tiny": (["min-dim", "{dir}/tiny.json"], 3, _refusal("min-dim", TINY), {}),
+    "check-embed-tiny": (["check-embed", "{dir}/wide.json", "--dim", "1"], 3, _refusal("check-embed", WIDE_ERROR), {}),
+    "min-dim-tiny": (["min-dim", "{dir}/wide.json"], 3, _refusal("min-dim", WIDE_ERROR), {}),
     "scan-missing": (["scan", "{dir}/missing.json", *SCAN], 3,
                      _refusal("scan", MISSING.replace("read space", "build space")), {}),
     "scan-no-region": (["scan", "{dir}/noregion.json", *SCAN], 3, _refusal("scan", NO_REGION), {}),
@@ -1445,7 +1467,7 @@ def test_undecidable_space_into_unwritable_out(side, tmp_path, capsysbinary):
     # FileNotFoundError (a stderr line from a process) instead of the
     # cannot-write-output JSON on stdout that every other payload gives
     directory = tmp_path / "run"
-    argv = ["min-dim", "{dir}/tiny.json", "--out", "{dir}/nowhere/x.json"]
+    argv = ["min-dim", "{dir}/wide.json", "--out", "{dir}/nowhere/x.json"]
     error = "cannot write output: [Errno 2] No such file or directory: '{dir}/nowhere/x.json'"
     assert _run_refusal(side, argv, directory, capsysbinary) == (
         3, _document(_refusal("min-dim", error), directory), b"", {})

@@ -20,7 +20,7 @@ from metricembed import (
     submatrix,
     validate_metric,
 )
-from metricembed.determinants import DEFAULT_TOL_DET, psd_check, within_band
+from metricembed.determinants import DEFAULT_TOL_DET, PsdReport, psd_check, within_band
 from metricembed.errors import (
     DimensionOutOfRangeError,
     DistanceOutOfRangeError,
@@ -320,14 +320,47 @@ class TestMinDimension:
         assert decision.result.psd.leftover is None
 
     @pytest.mark.parametrize("scale", [1e154, 1e200, 1e-160, 1e-300])
-    def test_distances_outside_certifiable_range_refused(self, scale, unit_square):
-        # squared distances that overflow or leave the normal floats: no
-        # question is decided (the ball search would never end above 1e154)
+    def test_distances_outside_certifiable_range_read_the_unit_answers(self, scale, unit_square):
+        # squared distances that would overflow or leave the normal floats:
+        # the space is decided scaled by a power of two into the range, and
+        # reads the unit square's answers, its factor and coordinates in its
+        # own unit (the ball search once never ended above 1e154)
         sp = scale_metric(unit_square, scale)
+        res, unit = min_embedding_dimension(sp), min_embedding_dimension(unit_square)
+        assert (res.feasible, res.dim, res.base, res.psd.pivots) == (True, 2, unit.base, unit.psd.pivots)
+        assert res.psd.factor / scale == pytest.approx(unit.psd.factor, rel=1e-9, abs=1e-14)
+        for n in (1, 2, 3):
+            for check in (menger_check, schoenberg_check):
+                got, want = check(sp, n), check(unit_square, n)
+                assert (got.embeddable, got.witness and got.witness.indices) == (
+                    want.embeddable, want.witness and want.witness.indices), (check.__name__, n)
+                if want.witness:
+                    assert got.witness.value == pytest.approx(want.witness.value, rel=1e-6)
+        assert blumenthal_basis_search(sp, 2) == blumenthal_basis_search(unit_square, 2)
+        real, want = realize_coordinates(sp, 2), realize_coordinates(unit_square, 2)
+        assert real.m == 2 and real.coords / scale == pytest.approx(want.coords, rel=1e-9, abs=1e-14)
+        assert real.max_residual / scale == pytest.approx(want.max_residual, abs=1e-14)
+        assert embeddability.triangles_certified(sp)
+
+    @pytest.mark.parametrize("ends", [(1e-170, 1e140), (1.0, 2.0**995), (1e-300, 1e10)])
+    def test_distance_ratio_past_the_range_refused(self, ends):
+        # no power of two brings both ends into the range, whose own ratio is
+        # 2^995 less an ulp: no question is decided, and no certificate given
+        least, top = ends
+        sp = validate_metric([[0, least, top], [least, 0, top], [top, top, 0]])
         for ask in (min_embedding_dimension, lambda sp: menger_check(sp, 1), lambda sp: realize_coordinates(sp, 2),
                     lambda sp: blumenthal_basis_search(sp, 2)):
-            with pytest.raises(DistanceOutOfRangeError):
+            with pytest.raises(DistanceOutOfRangeError, match="at any power of two"):
                 ask(sp)
+        assert not embeddability.triangles_certified(sp)
+
+    @pytest.mark.parametrize("least", [1.0, 1.5, 2.0**-1074])
+    def test_distance_ratio_of_half_the_range_decided(self, least):
+        # a ratio up to 2^994 always fits at some power of two, wherever the
+        # ends fall between powers of two, a subnormal end included
+        top = least * 2.0**994
+        sp = validate_metric([[0, least, top], [least, 0, top], [top, top, 0]])
+        assert min_embedding_dimension(sp).feasible and embeddability.triangles_certified(sp)
 
 
 class TestRealize:
@@ -657,6 +690,17 @@ def test_decision_keeps_one_copy_of_the_whole_factor():
     assert whole.result.dim == 3 and whole.result.psd.factor is whole.factor
     ball = embeddability._decide(square_with_tetrahedron(1e-5), DEFAULT_TOL_DET)
     assert ball.result.dim == 3 and ball.result.psd.factor is None and ball.factor.shape == (8, 3)
+
+
+def test_continuation_stops_where_nothing_positive_is_left():
+    # a leftover with no positive diagonal past the rank, zero or rounding
+    # below it, gives zero columns past the rank, not a division by zero
+    factor = np.array([[0.0], [1.0], [2.0]])
+    report = PsdReport(psd=True, rank=1, pivots=(1,), factor=factor, leftover=np.diag([0.0, -1e-17, 0.0]))
+    with np.errstate(all="raise"):
+        got = embeddability._continued(report, 3)
+    assert got.shape == (3, 3) and np.array_equal(got[:, :1], factor)
+    assert not np.any(got[:, 1:]) and not np.any(np.isnan(got))
 
 
 @pytest.mark.parametrize("build,args", [pytest.param(build, (e,), id=f"{name}-{e:g}")

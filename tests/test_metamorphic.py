@@ -7,10 +7,12 @@ infeasible space) and the realization's residual relative to the largest
 distance. A factor must also keep both engines' witness values and
 min-dim's, and a permutation must carry the witness at n = m - 1 along
 with the points. The
-factors run out to 1e-60 and 1e60, inside the certifiable range, where a
+factors 1e-60 and 1e60 lie inside the certifiable range, where a
 determinant of a few points already underflows or overflows: every
 statistic the zero rule reads is a relative squared height, so none of
-them sees the unit.
+them sees the unit. The factors 1e-200 and 1e200 take the distances
+outside it, where a squared distance leaves the normal floats: the space
+is decided scaled back into the range by a power of two.
 Likewise a scan of a Euclidean region must not see a joint rescaling of
 the region, the marked point and the ladder, nor a translation of the
 region and the marked point.
@@ -68,7 +70,7 @@ SPACES = {
 RELATIONS = {
     **{f"relabel{k}": (lambda space, k=k: _relabelled(space, np.random.default_rng(k))) for k in range(5)},
     **{f"scale{name}": (lambda space, factor=float(name): scale_metric(space, factor))
-       for name in ("1e-60", "1e-3", "1e3", "1e60")},
+       for name in ("1e-200", "1e-60", "1e-3", "1e3", "1e60", "1e200")},
 }
 
 

@@ -58,7 +58,7 @@ from metricembed.errors import (
     TupleTooShortError,
     UnstableInputError,
 )
-from metricembed import pretangent
+from metricembed import metric, pretangent
 from metricembed.sequences import PseudometricMatrix, StabilityVerdict
 
 
@@ -568,7 +568,7 @@ class TestTransferCheck:
     def test_index_tuple_blocks_read_one_stream(self):
         # sort keys drawn in row blocks give the tuples of one (count, size)
         # draw, so the cap on key memory leaves the scan stream unchanged
-        anchors, size, k, count = np.arange(5, 40), 40, 3, 2 * pretangent.KEY_BLOCK + 7
+        anchors, size, k, count = np.arange(5, 40), 40, 3, 2 * metric.ROW_BLOCK + 7
         got = pretangent._index_tuples(np.random.default_rng(4), anchors, size, k, count)
         rng = np.random.default_rng(4)
         first = rng.choice(anchors, size=count)

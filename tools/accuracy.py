@@ -8,7 +8,10 @@ rank; the K_{1,3} star and the 4-cycle (graph metrics with unit edges)
 are labelled infeasible, and so is a near-Euclidean space: r + 3 points
 whose Schoenberg form about point 0 is 2 X X^T, X a Gaussian cloud of
 rank r, less one negative eigenvalue of known size, -4 lambda max|x_i|^2
-(:func:`near_euclidean`). Each space runs at scales 1e-3, 1 and 1e3, both
+(:func:`near_euclidean`). A snowflake, d^alpha of a Gaussian cloud of N
+points for 0 < alpha < 1, has a positive definite Schoenberg form
+(Schoenberg 1938; Micchelli 1986), so it is labelled N - 1
+(:func:`snowflake`). Each space runs at scales 1e-3, 1 and 1e3, both
 as drawn and under one fixed permutation of its points, and each run
 goes through ``metricembed.cli.main`` in this process, as a user would
 run it: ``min-dim --realize`` once, and ``check-embed --criterion all``
@@ -18,7 +21,14 @@ at n = label - 1, label and label + 1 (n = 1, 2, 3 on the star and the
 A run whose relative squared height (s_label / s_1)^2, from the singular
 values of the cloud about its centroid, lies within 100x of ``tol_det``
 on either side is counted apart as ``either``: there the zero band may
-read either rank. ``cases`` counts every run, six per space, and over
+read either rank. For a snowflake the height is lambda_min(tau) / D^2,
+tau its Schoenberg form about point 0 and D its largest distance.
+
+The snowflake grid is chosen by run time, not by what it counts: every
+alpha at N = 20 and 60 on clouds in R^2 to R^8 (about 8 s on a 2-core
+Xeon VM), and N = 200, about 2 s a space, only on the cloud in R^4 at
+alpha = 1/2 and 0.99, which keeps the whole run near 24 s there, short of
+a 30 s budget. ``cases`` counts every run, six per space, and over
 the runs not counted apart each family counts:
 
 * ``wrong_m``: ``min-dim`` reads another m, or another feasibility;
@@ -53,6 +63,12 @@ SEEDS = range(5)
 #: the ranks r and eigenvalue sizes lambda of the near-Euclidean family
 NEAR_RANKS = (4, 8, 16)
 NEAR_LAMBDAS = (1e-4, 1e-6)
+#: the snowflake family's exponents alpha, cloud dimensions and sizes N,
+#: and the (alpha, dimension) pairs that also run at N = 200
+SNOW_ALPHAS = (0.25, 0.5, 0.75, 0.9, 0.99)
+SNOW_DIMS = range(2, 9)
+SNOW_SIZES = (20, 60)
+SNOW_LARGE = ((0.5, 4), (0.99, 4))
 #: the counts the gate holds at or below the committed file's
 GATED = ("wrong_m", "wrong_yes", "wrong_no")
 
@@ -98,6 +114,16 @@ def near_euclidean(r: int, lam: float, seed: int) -> tuple | None:
     return (d, None, False, (r - 1, r, r + 1)) if is_metric(d) else None
 
 
+def snowflake(n: int, dim: int, alpha: float) -> tuple:
+    """The case of d^alpha on a Gaussian cloud of n points in R^dim,
+    labelled n - 1, the same cloud for every alpha."""
+    d = distances(np.random.default_rng(dim).normal(size=(n, dim))) ** alpha
+    sq = d * d
+    tau = sq[0, 1:, None] + sq[0, None, 1:] - sq[1:, 1:]
+    height = np.linalg.eigvalsh(tau)[0] / np.max(sq)
+    return d, n - 1, DEFAULT_TOL_DET / 100 <= height <= 100 * DEFAULT_TOL_DET, (n - 2, n - 1, n)
+
+
 def families() -> dict[str, list]:
     """Every family's cases as (distances, label or None, either, the
     dimensions check-embed runs at)."""
@@ -112,9 +138,11 @@ def families() -> dict[str, list]:
     near = [near_euclidean(r, lam, seed) for r in NEAR_RANKS for lam in NEAR_LAMBDAS for seed in SEEDS]
     star = np.array([[0, 1, 1, 1], [1, 0, 2, 2], [1, 2, 0, 2], [1, 2, 2, 0]], dtype=float)
     four_cycle = np.array([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]], dtype=float)
+    snow = [snowflake(n, dim, alpha) for n in SNOW_SIZES for dim in SNOW_DIMS for alpha in SNOW_ALPHAS]
+    snow += [snowflake(200, dim, alpha) for alpha, dim in SNOW_LARGE]
     return {"gaussian": gaussian, "anisotropic": anisotropic,
             "star": [(star, None, False, (1, 2, 3))], "four-cycle": [(four_cycle, None, False, (1, 2, 3))],
-            "near-euclidean": [case for case in near if case is not None]}
+            "near-euclidean": [case for case in near if case is not None], "snowflake": snow}
 
 
 def cli_result(argv: list[str]) -> dict:
