@@ -22,8 +22,10 @@ Each command imports only the layers it runs. Every command loads
 functions of those layers are bound here as stand-ins that import their
 module on first call and look the function up there on every call.
 
-Each command returns its payload, a dict that holds its ``exit_code``, or
-raises the one refusal type, whose payload carries the ``error``.
+``cli`` builds every payload, each ``result`` from the fields of the plain
+records the layers return. Each command returns its payload, a dict that
+holds its ``exit_code``, or raises the one refusal type, whose payload
+carries the ``error``.
 :func:`main` alone adds ``"command"``, writes the payload once, to stdout
 or to the one file ``--out`` names, and returns its ``exit_code``; a
 failed ``--out`` write of any payload gives the ``cannot write output``
@@ -47,6 +49,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields, is_dataclass
 from functools import cache, partial
 from pathlib import Path
 from typing import NoReturn
@@ -169,7 +172,13 @@ def cmd_check_embed(args) -> dict:
         checks = {"menger": [menger_check], "schoenberg": [schoenberg_check],
                   "all": [menger_check, schoenberg_check]}[args.criterion]
         verdicts = [check(space, args.dim, tol_det=args.tol_det) for check in checks]
-        result = next((v for v in verdicts if v.embeddable == "no"), verdicts[0]).to_json_dict()
+        v = next((v for v in verdicts if v.embeddable == "no"), verdicts[0])
+        w = v.witness
+        result = {"criterion": v.criterion, "n": v.dim_tested, "verdict": v.embeddable,
+                  "witness_tuple": list(w.indices) if w else None, "witness_value": w.value if w else None,
+                  "witness_kind": w and (f"vanishing(order {w.k})" if w.kind == "vanishing" else f"sign(k={w.k})"),
+                  # the witness whose height fell inside the zero band
+                  "borderline_count": int(v.embeddable == "undetermined"), "residual": None}
     code = _EXIT_CODES[result["verdict"]]
     if args.realize and code == EXIT_YES:
         result["achieved_dim"] = _realize(result, space, args.dim, args.tol_det).m
@@ -202,8 +211,28 @@ def cmd_scan(args) -> dict:
     except _BAD_INPUT as exc:
         # a sampler that cannot serve the ladder, or a scale that overflows it
         raise _Refused(EXIT_IO, f"cannot scan: {exc}", config=config)
-    return {"config": config, "result": report.to_json_dict(space.point_repr),
+    return {"config": config, "result": _report_json(report, space.point_repr),
             "exit_code": _EXIT_CODES[report.verdict]}
+
+
+def _report_json(report, point_repr) -> dict:
+    """A scan's report (``TransferReport``, ``ScanReport`` or ``ScanWitness``)
+    as JSON values, one per field: a nested report rendered in turn, a tuple
+    as a list, an infinite ``trend`` as ``"inf"`` and each witness point
+    through ``point_repr``."""
+    out = {}
+    for f in fields(report):
+        value = getattr(report, f.name)
+        if f.name == "points":
+            value = [point_repr(x) for x in value]
+        elif f.name == "scans":
+            value = [_report_json(scan, point_repr) for scan in value]
+        elif f.name == "trend" and not math.isfinite(value):
+            value = "inf"
+        elif is_dataclass(value):
+            value = _report_json(value, point_repr)
+        out[f.name] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 #: the option behind each field of a payload's ``config``; a command

@@ -43,6 +43,7 @@ from .determinants import (
     DEFAULT_TOL_DET,
     PsdReport,
     _check_target,
+    _checked_tol_det,
     psd_check,
     tuple_heights,
     within_band,
@@ -74,20 +75,6 @@ class EmbedVerdict:
     dim_tested: int
     criterion: str
     witness: Witness | None = None
-
-    def to_json_dict(self) -> dict:
-        w = self.witness
-        return {
-            "criterion": self.criterion,
-            "n": self.dim_tested,
-            "verdict": self.embeddable,
-            "witness_tuple": list(w.indices) if w else None,
-            "witness_value": w.value if w else None,
-            "witness_kind": w and (f"vanishing(order {w.k})" if w.kind == "vanishing" else f"sign(k={w.k})"),
-            # the witness whose height fell inside the zero band
-            "borderline_count": int(self.embeddable == "undetermined"),
-            "residual": None,
-        }
 
 
 @dataclass(frozen=True)
@@ -246,12 +233,19 @@ class _Decision:
         return Realization(coords=coords, m=coords.shape[1], max_residual=float(residual))
 
 
-@lru_cache(maxsize=1)
 def _decide(space: FiniteMetricSpace, tol_det: float, /) -> _Decision:
     """The decision for ``space``, factored once while it is the last one
-    asked, on the space scaled by the power of two :func:`_shift` names
-    (the space itself when every distance is in :data:`CERTIFIABLE_RANGE`);
-    refuses a space that no power of two brings into the range.
+    asked (:func:`_cached_decision`); ``tol_det`` is judged before the cache
+    hashes it, so a list or an array is refused in the rule's words."""
+    return _cached_decision(space, _checked_tol_det(tol_det))
+
+
+@lru_cache(maxsize=1)
+def _cached_decision(space: FiniteMetricSpace, tol_det: float, /) -> _Decision:
+    """The decision for ``space``, on the space scaled by the power of two
+    :func:`_shift` names (the space itself when every distance is in
+    :data:`CERTIFIABLE_RANGE`); refuses a space that no power of two brings
+    into the range.
 
     ``FiniteMetricSpace`` is frozen, hashes by identity and keeps ``dist``
     read-only, so a decision cached on the space object cannot go stale.

@@ -71,6 +71,13 @@ def _checked_tol(tol: float) -> float:
     return tol
 
 
+def _checked_seed(seed):
+    """``seed``, refused with ValueError unless it is a count: an integer (:func:`is_integer`) >= 0."""
+    if not is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    return seed
+
+
 def check_finite(d: np.ndarray, what: str) -> None:
     """Refuse a nonempty square ``d`` with a NaN or infinite entry, naming the first
     as ``non-finite {what} at (i,j)``; reduces first and scans blocks of
@@ -248,8 +255,15 @@ def euclidean_matrix(points, others=None) -> np.ndarray:
 
 
 def is_number(value) -> bool:
-    """Whether ``value`` is a real number, Python's or numpy's; a bool, a string or None is not."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """Whether ``value`` is a real number that a float holds, Python's or numpy's; a bool, a
+    string, None or an integer past the largest float is not."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def is_integer(value) -> bool:
@@ -396,7 +410,7 @@ def _json_payload(fh) -> tuple:
     error stands. Any value but a matrix is returned as decoded, for
     :func:`_validated` to refuse."""
     try:
-        fields = _json_fields(_JsonText(fh))
+        fields = _json_object(_JsonText(fh))
     except (ValueError, TypeError, OverflowError, RecursionError):
         fields = None
     if fields is None:
@@ -408,7 +422,7 @@ def _json_payload(fh) -> tuple:
     return _document(fields)
 
 
-def _json_fields(doc: "_JsonText") -> dict:
+def _json_object(doc: "_JsonText") -> dict:
     """The document's object, or ``{"distances": document}``, with
     ``distances`` read by :func:`_json_matrix`."""
     if doc.peek() != "{":

@@ -25,7 +25,7 @@ fixed seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
@@ -39,7 +39,7 @@ from .errors import (
     SamplerScaleMismatchError,
     TupleTooShortError,
 )
-from .metric import is_integer, is_number, row_blocks
+from .metric import _checked_seed, is_integer, is_number, row_blocks
 from .spaces import MarkedSpace
 
 #: Scan verdict thresholds. A delta-normalized Theta/S value within the
@@ -158,16 +158,6 @@ def scale_ladder(r0: float = 0.5, q: float = 0.5, rungs: int = 12) -> list[float
     return checked_scales([r0 * q**j for j in range(rungs)])
 
 
-def _json_fields(report, **special) -> dict:
-    """A report's dataclass fields as JSON values, ``special`` in place of
-    the fields it names; tuples become lists."""
-    out = {}
-    for f in fields(report):
-        value = special[f.name] if f.name in special else getattr(report, f.name)
-        out[f.name] = list(value) if isinstance(value, tuple) else value
-    return out
-
-
 @dataclass(frozen=True)
 class ScanWitness:
     """Extreme sample seen by a scan: rung, value and the tuple itself."""
@@ -197,13 +187,6 @@ class ScanReport:
     tol_det: float
     witness_inf: ScanWitness | None = None
     witness_sup: ScanWitness | None = None
-
-    def to_json_dict(self, point_repr=lambda x: x) -> dict:
-        def wit(w: ScanWitness | None):
-            return None if w is None else _json_fields(w, points=[point_repr(x) for x in w.points])
-
-        return _json_fields(self, trend=self.trend if math.isfinite(self.trend) else "inf",
-                            witness_inf=wit(self.witness_inf), witness_sup=wit(self.witness_sup))
 
 
 def _fit_trend(scales: np.ndarray, magnitudes: np.ndarray, floor: float) -> float:
@@ -259,6 +242,7 @@ def _scan_pass(space: MarkedSpace, jobs: Sequence[tuple[int, str]], scales, samp
     if not is_integer(samples_per_scale) or samples_per_scale < 1:
         raise EmptySampleError(f"samples_per_scale must be an integer >= 1, got {samples_per_scale!r}")
     floor = NOISE_FLOOR_FACTOR * _checked_tol_det(tol_det)
+    _checked_seed(seed)
     size = min(2 * samples_per_scale, CLOUD_CAP) + max(k for k, _ in jobs) + 1
     cloud_seed = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
     tuple_seed = np.random.SeedSequence(entropy=seed, spawn_key=(1,))
@@ -386,9 +370,6 @@ class TransferReport:
     #: largest |Theta - S| / max(|Theta|, |S|, 1) over every evaluated
     #: tuple: Sch = (-1)^(k+1) D_k, so this reads rounding only
     max_mode_discrepancy: float = 0.0
-
-    def to_json_dict(self, point_repr=lambda x: x) -> dict:
-        return _json_fields(self, scans=[s.to_json_dict(point_repr) for s in self.scans])
 
 
 def transfer_check(

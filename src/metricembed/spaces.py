@@ -28,7 +28,8 @@ from .errors import (
     MarkedPointOutsideRegionError,
     MetricViolationError,
 )
-from .metric import FiniteMetricSpace, euclidean_matrix, is_integer, is_number, point_index, submatrix, validate_metric
+from .metric import (FiniteMetricSpace, _checked_seed, euclidean_matrix, is_integer, is_number, point_index,
+                     submatrix, validate_metric)
 
 _MAX_TRIES = 500
 
@@ -135,13 +136,10 @@ def _coordinates(name: str, coords, dim: int, finite: bool = True) -> np.ndarray
 
 
 def _positive(name: str, value) -> float:
-    """``value`` as a float, refused unless it is a positive finite number a float holds."""
+    """``value`` as a float, refused unless it is a positive finite number (:func:`is_number`)."""
     if not is_number(value) or not 0 < value < math.inf:
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an integer past the largest float
-        raise ValueError(f"{name} is too large for a float") from None
+    return float(value)
 
 
 def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
@@ -267,10 +265,20 @@ def make_snowflake(alpha: float, base_dim: int, p, region=None) -> MarkedSpace:
     def pairwise(points) -> np.ndarray:
         return euclidean_matrix(points) ** alpha
 
-    # Euclidean delta in [t/2, t] with t = scale^(1/alpha) gives a
-    # snowflake delta in [scale/2^alpha, scale], inside the contract.
-    return replace(base, metric=_pair_metric(pairwise),
-                   sampler=lambda scale, k, seed=0: base.sample(scale ** (1.0 / alpha), k, seed),
+    def sample(scale, k, seed=0):
+        # Euclidean delta in [t/2, t] with t = scale^(1/alpha) gives a
+        # snowflake delta in [scale/2^alpha, scale], inside the contract. A t
+        # of 0 would draw p alone, every tuple at delta 0
+        try:
+            t = float(scale) ** (1.0 / alpha)
+        except OverflowError:
+            t = math.inf
+        if not 0 < t < math.inf:
+            raise ValueError(f"a snowflake of alpha {alpha!r} cannot sample scale {scale!r}: "
+                             f"its Euclidean scale, scale ** (1 / alpha), is {t!r}")
+        return base.sample(t, k, seed)
+
+    return replace(base, metric=_pair_metric(pairwise), sampler=sample,
                    description={**base.description, "type": "snowflake", "alpha": alpha},
                    pairwise=pairwise)
 
@@ -348,7 +356,7 @@ def freeze(space: MarkedSpace, scale: float, count: int, seed=0) -> tuple[Finite
     """
     if not is_integer(count) or count < 1:
         raise ValueError(f"count must be an integer >= 1, got {count!r}")
-    base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(_checked_seed(seed))
     labels = ["p"] + [f"s{i}" for i in range(1, count + 1)]
     for attempt in range(100):
         rng_seed = np.random.SeedSequence(entropy=base.entropy, spawn_key=base.spawn_key + (attempt,))
@@ -394,7 +402,7 @@ def perturbed_euclidean_space(
     below ``min_distance`` or an axiom fails (:class:`MetricViolationError`)."""
     if not is_integer(n_points) or n_points < 1 or not (dim is None or is_integer(dim) and dim >= 1):
         raise ValueError(f"n_points and dim must be integers >= 1 (dim may be None), got {n_points!r}, {dim!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked_seed(seed))
     for _ in range(_MAX_TRIES):
         d = dim if dim is not None else int(rng.integers(1, 5))
         pts = rng.uniform(0.0, 1.0, size=(n_points, d))

@@ -134,6 +134,17 @@ class TestCheckEmbed:
         out = json.loads(capsys.readouterr().out)["result"]
         assert "coordinates" not in out and out["residual"] is None
 
+    @pytest.mark.parametrize("criterion", ["menger", "schoenberg", "all"])
+    def test_engine_result_fields(self, criterion, eq_file, star_file, capsys):
+        # cli renders an engine verdict's result from its fields: no
+        # witness, an order n+1 witness that fails to vanish, a sign witness
+        keys = {"criterion", "n", "verdict", "witness_tuple", "witness_value", "witness_kind", "borderline_count",
+                "residual"}
+        for path, dim, kind in ((eq_file, 2, None), (eq_file, 1, "vanishing(order 2)"), (star_file, 3, "sign(k=3)")):
+            main(["check-embed", path, "--dim", str(dim), "--criterion", criterion])
+            result = json.loads(capsys.readouterr().out)["result"]
+            assert set(result) == keys and result["n"] == dim and result["witness_kind"] == kind, (path, dim)
+
     def test_text_format(self, eq_file, capsys):
         assert main(["check-embed", eq_file, "--dim", "2", "--format", "text"]) == 0
         text = capsys.readouterr().out
@@ -545,9 +556,9 @@ class TestScan:
 
     @pytest.mark.parametrize("cfg,error", [
         ('{"type": "euclidean", "dim": 2, "p": [%s, 0], "region": {"kind": "cube"}}' % HUGE,
-         "marked point has a coordinate too large for a float"),
+         "marked point has a coordinate that is not a number: [999"),
         ('{"type": "euclidean", "dim": 2, "p": [0, 0], "region": {"kind": "cube", "pitch": %s}}' % HUGE,
-         "pitch is too large for a float"),
+         "pitch must be a positive finite number, got 999"),
         ('{"type": "euclidean", "dim": 1e400, "p": [0, 0], "region": {"kind": "cube"}}',
          "dimension must be an integer >= 1, got inf"),
         ('{"type": "ultrametric", "depth": 1e400, "arity": 3}', "depth and arity must both be integers >= 2"),
@@ -665,15 +676,21 @@ class TestScan:
         out = json.loads(capsys.readouterr().out)
         assert out["exit_code"] == 3 and out["error"].startswith("cannot build space: maximum recursion depth")
 
-    def test_overflowing_snowflake_scale_exit_3(self, tmp_path, capsys):
-        # scale ** (1 / alpha) overflows at 1e300; the OverflowError escaped
-        # the scan's handler: a traceback with exit 1
+    @pytest.mark.parametrize("alpha,scales,error", [
+        (0.5, "1e300:0.5:3", "alpha 0.5 cannot sample scale 1e+300: its Euclidean scale, scale ** (1 / alpha), is inf"),
+        (0.0005, "0.5:0.5:12",
+         "alpha 0.0005 cannot sample scale 0.5: its Euclidean scale, scale ** (1 / alpha), is 0.0"),
+    ], ids=["overflow", "underflow"])
+    def test_snowflake_scale_it_cannot_sample_exit_3(self, alpha, scales, error, tmp_path, capsys):
+        # scale ** (1 / alpha) overflows at 1e300, and the OverflowError
+        # escaped the scan's handler: a traceback with exit 1. At alpha 5e-4
+        # it underflows to 0: every cloud was p, and the scan read consistent
         path = tmp_path / "snowflake.json"
-        path.write_text(json.dumps({"type": "snowflake", "alpha": 0.5, "dim": 1, "p": [0.5],
+        path.write_text(json.dumps({"type": "snowflake", "alpha": alpha, "dim": 1, "p": [0.5],
                                     "region": {"kind": "cube", "low": [0], "high": [1e308]}}))
-        assert main(["scan", str(path), "--dim", "1", "--samples", "4", "--scales", "1e300:0.5:3"]) == 3
+        assert main(["scan", str(path), "--dim", "1", "--samples", "4", "--scales", scales]) == 3
         out = json.loads(capsys.readouterr().out)
-        assert out["exit_code"] == 3 and out["error"].startswith("cannot scan: ")
+        assert out["exit_code"] == 3 and out["error"] == f"cannot scan: a snowflake of {error}"
 
     def test_samples_run_as_given(self, circle_cfg, capsys):
         main(["scan", circle_cfg, "--dim", "1", "--samples", "3"])
@@ -1242,6 +1259,34 @@ def test_process_out_file(argv, fmt, parity_files, tmp_path, capsysbinary):
         assert run(argv + ["--out", str(tmp_path / side)]) == 0
         assert (tmp_path / side).read_bytes() == printed.stdout, side
     assert capsysbinary.readouterr().out == b""
+
+
+#: every command, and check-embed with each criterion, with and without
+#: --realize, on a yes and a no
+TEXT_OPS = [
+    *[["check-embed", "{%s}" % space, "--dim", "2", "--criterion", criterion, *realize]
+      for space in ("eq", "star") for criterion in ("menger", "schoenberg", "blumenthal", "all")
+      for realize in ([], ["--realize"])],
+    ["min-dim", "{eq}", "--realize"],
+    ["min-dim", "{star}"],
+    ["validate", "{eq}"],
+    ["scan", "{circle}", "--dim", "1", "--samples", "8", "--scales", "0.5:0.5:4"],
+]
+
+
+@pytest.mark.parametrize("argv", TEXT_OPS, ids=" ".join)
+def test_text_output_renders_the_json_payload(argv, parity_files, capsys):
+    # --format text prints the payload that --format json prints: a tuple
+    # left in a result prints in parentheses, and a tuple of scans on one line
+    from metricembed import cli
+
+    argv = [arg.format(**parity_files) for arg in argv]
+    code = main(argv)
+    payload = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--format", "text"]) == code
+    if "config" in payload:
+        payload["config"]["format"] = "text"
+    assert capsys.readouterr().out == cli._render_text(payload)
 
 
 def _into_closed_pipe(argv: list[str], **kwargs) -> subprocess.CompletedProcess:

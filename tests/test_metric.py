@@ -272,6 +272,18 @@ def test_scale_metric(equilateral):
         scale_metric(pair, 0)
 
 
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: scale_metric(validate_metric([[0, 1], [1, 0]]), 10**400), NonpositiveScaleError,
+     f"scale factor must be finite and > 0, got {10**400!r}"),
+    (lambda: validate_metric([[0, 1], [1, 0]], tol=10**400), ValueError, "tolerance must be nonnegative"),
+])
+def test_metric_layer_refusals(call, error, message):
+    # an integer past the largest float passed the number rule and ended in a bare OverflowError
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_scale_metric_composes_multiplicatively(equilateral):
     twice = scale_metric(scale_metric(equilateral, 2.0), 3.0)
     direct = scale_metric(equilateral, 6.0)

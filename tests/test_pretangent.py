@@ -67,6 +67,9 @@ E1, E2 = np.eye(2)
 #: tolerances of the zero rule that every function taking one refuses
 BAD_TOL_DET = (math.nan, math.inf, -1.0, 0.0, 1.0, 10.0)
 
+#: the refusal of every scale ladder that breaks the ladder rule
+SCALES_RULE = "scales must be at least two finite positive values, strictly decreasing"
+
 
 def plane(p=(0.0, 0.0)):
     return make_euclidean_subset(2, {"kind": "cube", "low": [0, 0], "high": [1, 1]}, list(p))
@@ -449,16 +452,15 @@ class TestLiminfScan:
         assert rep.verdict == "supports"
         assert rep.trend == pytest.approx(2.0, abs=0.3)
 
-    def test_report_invariants_and_json(self):
+    def test_report_invariants(self):
         rep = liminf_scan(circle(), 2, samples_per_scale=32, condition="vanishing", seed=9)
         assert len(rep.per_scale_inf) == len(rep.scales)
         assert len(rep.per_scale_sup) == len(rep.scales)
         tail = len(rep.scales) // 2
         assert rep.running_liminf == min(rep.per_scale_inf[tail:])
         assert rep.running_limsup == max(rep.per_scale_sup[tail:])
-        d = rep.to_json_dict()
-        assert d["k"] == 2 and len(d["scales"]) == 12
-        assert d["witness_sup"] is not None
+        assert rep.k == 2 and len(rep.scales) == 12
+        assert rep.witness_sup is not None
 
     def test_determinism(self):
         a = liminf_scan(circle(), 2, samples_per_scale=16, seed=3)
@@ -814,6 +816,17 @@ class TestSequenceDistances:
     # the noise floor 10 * tol_det read NaN, inf or <= 0, and the scans decided on it
     *[(lambda t=t: transfer_check(plane(), 1, samples_per_scale=4, tol_det=t), ValueError,
        f"tol_det must be in (0, 1), got {t!r}") for t in BAD_TOL_DET],
+    # an integer past the largest float passed the number rule and ended in a bare OverflowError
+    (lambda: pretangent.checked_scales([10**400, 1.0]), ValueError, SCALES_RULE),
+    (lambda: liminf_scan(plane(), 1, scales=[10**400, 1.0]), ValueError, SCALES_RULE),
+    (lambda: scale_ladder(10**400, 0.5, 3), ValueError,
+     f"need a finite r0 > 0 and 0 < q < 1 and an integer rungs, got {10**400!r}, 0.5, 3"),
+    (lambda: epsilon_scale(plane(), (np.ones(2),), 10**400), NonpositiveExponentError,
+     f"exponent must be a number > 0, got {10**400!r}"),
+    # a seed is a count: 1.5 and "1" met numpy's TypeError, -1 its ValueError, and True ran as 1
+    *[(lambda scan=scan, seed=seed: scan(plane(), 1, samples_per_scale=4, seed=seed), ValueError,
+       f"seed must be an integer >= 0, got {seed!r}") for scan in (liminf_scan, transfer_check)
+      for seed in (1.5, "1", -1, True)],
 ])
 def test_scan_layer_refusals(call, error, message):
     with pytest.raises(error) as exc:
@@ -842,6 +855,12 @@ def test_scan_layer_refusals(call, error, message):
       for t in (-1.0, math.nan)],
     *[(lambda t=t: blumenthal_sequence_scan(plane(), [constant_sequence(plane().p)] * 2, tol_det=t), ValueError,
        f"tol_det must be in (0, 1), got {t!r}") for t in BAD_TOL_DET],
+    # an integer past the largest float passed the number rule and ended in a bare OverflowError
+    (lambda: metric_identification(PseudometricMatrix(((StabilityVerdict("stable", 0.0, 64, 0.0),),)),
+                                   merge_tol=10**400), ValueError, "tolerance must be nonnegative"),
+    (lambda: NormalizingSequence.geometric(10**400), ValueError,
+     f"need a finite r0 > 0 and 0 < q < 1 and an integer rungs, got {10**400!r}, 0.5, 2"),
+    (lambda: NormalizingSequence(lambda m: 10**400)(0), DegenerateNormalizerError, f"r_0 = {10**400!r} degenerate"),
 ])
 def test_sequence_layer_refusals(call, error, message):
     with pytest.raises(error) as exc:

@@ -412,6 +412,23 @@ def _away_from_curve():
     (lambda: as_marked(validate_metric([[0, 1], [1, 0]]), 2), IndexOutOfRangeError, "2 is not an index of the 2 points"),
     (lambda: as_marked(validate_metric([[0, 1], [1, 0]]), 1.0), IndexOutOfRangeError,
      "1.0 is not an index of the 2 points"),
+    # an integer past the largest float passed the number rule and ended in a bare OverflowError
+    (lambda: segment().sample(10**400, 2), ValueError,
+     f"a sample needs a number scale and an integer k, got {10**400!r}, 2"),
+    (lambda: freeze(segment(), 10**400, 2), ValueError,
+     f"a sample needs a number scale and an integer k, got {10**400!r}, 1"),
+    # a seed is a count: 1.5 met numpy's TypeError, -1 its ValueError, and True ran as 1
+    *[(lambda seed=seed: freeze(segment(), 0.5, 2, seed=seed), ValueError,
+       f"seed must be an integer >= 0, got {seed!r}") for seed in (1.5, -1, True)],
+    *[(lambda seed=seed: perturbed_euclidean_space(4, seed=seed), ValueError,
+       f"seed must be an integer >= 0, got {seed!r}") for seed in (1.5, -1, True)],
+    # a Euclidean scale that underflowed to 0 drew p alone, and one that
+    # overflowed ended in "(34, 'Numerical result out of range')"
+    (lambda: make_snowflake(5e-4, 1, [0.5]).sample(0.5, 2), ValueError,
+     "a snowflake of alpha 0.0005 cannot sample scale 0.5: its Euclidean scale, scale ** (1 / alpha), is 0.0"),
+    (lambda: make_snowflake(1e-300, 1, [0.5]).sample(1e10, 2), ValueError,
+     "a snowflake of alpha 1e-300 cannot sample scale 10000000000.0: its Euclidean scale, scale ** (1 / alpha), "
+     "is inf"),
 ])
 def test_construction_refusals(call, error, message):
     with pytest.raises(error) as exc:
