@@ -29,8 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionOutOfRangeError, NonzeroDiagonalError, NotSymmetricError, TupleTooShortError
-from .metric import (FiniteMetricSpace, as_matrix, check_finite, first_worst, is_integer, is_number, point_index,
-                     readonly, row_blocks, submatrix)
+from .metric import (FiniteMetricSpace, _checked_count, as_matrix, check_finite, first_worst, is_number,
+                     point_index, readonly, row_blocks, submatrix)
 
 #: Tolerance of the zero rule: a step of a tuple is flat when its relative
 #: squared height, the Schur pivot of tau that adds its last point over the
@@ -53,9 +53,8 @@ def _checked_tol_det(tol_det: float) -> float:
 
 
 def _check_target(n: int) -> None:
-    """Refuse a target dimension that is not an integer (:func:`is_integer`) >= 1."""
-    if not is_integer(n) or n < 1:
-        raise DimensionOutOfRangeError(f"target dimension must be an integer >= 1, got {n!r}")
+    """Refuse a target dimension that is not an integer >= 1."""
+    _checked_count(n, "target dimension", error=DimensionOutOfRangeError)
 
 
 def within_band(value, sq_max, tol_det: float = DEFAULT_TOL_DET):
@@ -225,10 +224,8 @@ def psd_check(sq: np.ndarray, base: int, tol_det: float = DEFAULT_TOL_DET) -> Ps
     if np.diag(sq).any():
         i = int(np.flatnonzero(np.diag(sq))[0])
         raise NonzeroDiagonalError(f"squared distance of point {i} to itself is not 0", (i, i))
-    scale = float(np.maximum(np.max(sq, initial=0.0), -np.min(sq, initial=0.0)))
-    if scale == 0.0:
-        return PsdReport(psd=True, rank=0, factor=np.zeros((n, 0)), leftover=np.zeros((n, n)))
-    # work relative to the largest distance, so that no step depends on the unit
+    # work relative to the largest distance (1 when all are 0), so that no step depends on the unit
+    scale = float(np.maximum(np.max(sq, initial=0.0), -np.min(sq, initial=0.0))) or 1.0
     s = tau_about(sq, base)
     s /= scale
 

@@ -53,7 +53,7 @@ from .errors import (
     NotEmbeddableError,
     RankExceedsRequestedError,
 )
-from .metric import FiniteMetricSpace, euclidean_matrix, readonly, row_blocks, scale_metric, submatrix
+from .metric import FiniteMetricSpace, _checked_space, euclidean_matrix, readonly, row_blocks, scale_metric, submatrix
 
 
 @dataclass(frozen=True)
@@ -235,9 +235,9 @@ class _Decision:
 
 def _decide(space: FiniteMetricSpace, tol_det: float, /) -> _Decision:
     """The decision for ``space``, factored once while it is the last one
-    asked (:func:`_cached_decision`); ``tol_det`` is judged before the cache
-    hashes it, so a list or an array is refused in the rule's words."""
-    return _cached_decision(space, _checked_tol_det(tol_det))
+    asked (:func:`_cached_decision`); ``space`` and ``tol_det`` are judged
+    before the cache hashes them, so a list or an array is refused in the rule's words."""
+    return _cached_decision(_checked_space(space, FiniteMetricSpace, "validate_metric"), _checked_tol_det(tol_det))
 
 
 @lru_cache(maxsize=1)

@@ -76,7 +76,8 @@ class NonpositiveExponentError(ValueError):
 
 
 class ArityMismatchError(ValueError):
-    """A sampler returned a cloud of the wrong size."""
+    """A sampler asked for a sample of order k returned other than k + 1 points
+    (:meth:`~metricembed.spaces.MarkedSpace.sample`)."""
 
 
 class DegenerateNormalizerError(ArithmeticError):

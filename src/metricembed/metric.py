@@ -64,18 +64,32 @@ def readonly(a) -> np.ndarray:
     return a
 
 
-def _checked_tol(tol: float) -> float:
-    """``tol``, refused with ValueError unless it is a nonnegative number (:func:`is_number`; NaN is not)."""
+def _checked_tol(tol: float, name: str) -> float:
+    """``tol``, refused with ValueError naming it ``name`` unless it is a number (:func:`is_number`) >= 0."""
     if not is_number(tol) or not tol >= 0:
-        raise ValueError("tolerance must be nonnegative")
+        raise ValueError(f"{name} must be a number >= 0, got {tol!r}")
     return tol
 
 
-def _checked_seed(seed):
-    """``seed``, refused with ValueError unless it is a count: an integer (:func:`is_integer`) >= 0."""
-    if not is_integer(seed) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    return seed
+def _checked_count(value, name: str, least: int = 1, error: type = ValueError):
+    """``value``, refused with ``error`` naming it ``name`` unless it is an integer (:func:`is_integer`) >= least."""
+    if not is_integer(value) or value < least:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def _checked_positive(value, name: str, error: type = ValueError) -> float:
+    """``value`` as a float, refused with ``error`` naming it ``name`` unless it is a positive finite number."""
+    if not is_number(value) or not 0 < value < np.inf:
+        raise error(f"{name} must be a positive finite number, got {value!r}")
+    return float(value)
+
+
+def _checked_space(space, kind: type, builder: str):
+    """``space``, refused with TypeError unless it is a ``kind``, naming what it is and ``builder``."""
+    if not isinstance(space, kind):
+        raise TypeError(f"expected a {kind.__name__}, built by {builder}, got {type(space).__name__}")
+    return space
 
 
 def check_finite(d: np.ndarray, what: str) -> None:
@@ -157,7 +171,7 @@ def _validated(d, labels, tol: float | None, certificate) -> FiniteMetricSpace:
     check_finite(d, "distance")
     if tol is None:
         tol = DEFAULT_REL_TOL * float(np.max(d)) if np.max(d) > 0 else DEFAULT_REL_TOL
-    _checked_tol(tol)
+    _checked_tol(tol, "tol")
 
     diag = np.abs(np.diag(d))
     if np.max(diag) > 0:
@@ -288,15 +302,14 @@ def submatrix(space: FiniteMetricSpace, t: Sequence[int]) -> np.ndarray:
 def scale_metric(space: FiniteMetricSpace, lam: float) -> FiniteMetricSpace:
     """Multiply every distance by a finite number ``lam`` > 0 (:func:`is_number`); a factor
     that takes a distance past the largest float or a positive one to 0 is refused."""
-    if not is_number(lam) or not 0 < lam < np.inf:
-        raise NonpositiveScaleError(f"scale factor must be finite and > 0, got {lam!r}")
+    factor = _checked_positive(lam, "scale factor", NonpositiveScaleError)
     with np.errstate(over="ignore"):
-        dist = space.dist * float(lam)
+        dist = space.dist * factor
     if not np.isfinite(np.max(dist)):
         raise DistanceOutOfRangeError(f"scaling by {lam!r} takes the largest distance past the largest float")
     if np.count_nonzero(dist) < np.count_nonzero(space.dist):
         raise DistanceOutOfRangeError(f"scaling by {lam!r} takes a positive distance to 0")
-    return FiniteMetricSpace(labels=space.labels, dist=dist, tol=space.tol * float(lam))
+    return FiniteMetricSpace(labels=space.labels, dist=dist, tol=space.tol * factor)
 
 
 def load_space(path: str, tol: float | None = None, certificate=None) -> FiniteMetricSpace:

@@ -32,14 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from .determinants import DEFAULT_TOL_DET, _check_target, _checked_tol_det, tuple_determinants
-from .errors import (
-    ArityMismatchError,
-    EmptySampleError,
-    NonpositiveExponentError,
-    SamplerScaleMismatchError,
-    TupleTooShortError,
-)
-from .metric import _checked_seed, is_integer, is_number, row_blocks
+from .errors import EmptySampleError, NonpositiveExponentError, SamplerScaleMismatchError, TupleTooShortError
+from .metric import _checked_count, _checked_space, is_integer, is_number, row_blocks
 from .spaces import MarkedSpace
 
 #: Scan verdict thresholds. A delta-normalized Theta/S value within the
@@ -77,7 +71,7 @@ def _with_p(space: MarkedSpace, t: Sequence) -> np.ndarray:
     """Distance matrix of (p,) + t: row 0 holds the distances to p."""
     if len(t) == 0:
         raise ValueError("a scale needs a nonempty tuple")
-    return space.matrix((space.p,) + tuple(t))
+    return _checked_space(space, MarkedSpace, "the make_* makers").matrix((space.p,) + tuple(t))
 
 
 def delta_scale(space: MarkedSpace, t: Sequence) -> float:
@@ -238,11 +232,11 @@ def _scan_pass(space: MarkedSpace, jobs: Sequence[tuple[int, str]], scales, samp
     Returns, per mode of MODES, one report per job, and the largest
     ``|Theta - S| / max(|Theta|, |S|, 1)`` over every tuple.
     """
+    _checked_space(space, MarkedSpace, "the make_* makers")
     scales = scale_ladder() if scales is None else checked_scales(scales)
-    if not is_integer(samples_per_scale) or samples_per_scale < 1:
-        raise EmptySampleError(f"samples_per_scale must be an integer >= 1, got {samples_per_scale!r}")
+    _checked_count(samples_per_scale, "samples_per_scale", error=EmptySampleError)
     floor = NOISE_FLOOR_FACTOR * _checked_tol_det(tol_det)
-    _checked_seed(seed)
+    _checked_count(seed, "seed", 0)
     size = min(2 * samples_per_scale, CLOUD_CAP) + max(k for k, _ in jobs) + 1
     cloud_seed = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
     tuple_seed = np.random.SeedSequence(entropy=seed, spawn_key=(1,))
@@ -250,9 +244,7 @@ def _scan_pass(space: MarkedSpace, jobs: Sequence[tuple[int, str]], scales, samp
     witnesses: dict[tuple[int, int, int], ScanWitness] = {}
     discrepancy = 0.0
     for j, s in enumerate(scales):
-        cloud = tuple(space.sample(s, size - 1, cloud_seed))
-        if len(cloud) != size:
-            raise ArityMismatchError(f"sampler returned {len(cloud)} points for a cloud of {size}")
+        cloud = space.sample(s, size - 1, cloud_seed)
         dm = space.matrix((space.p,) + cloud)
         to_p, dm = dm[0, 1:], dm[1:, 1:]
         delta = float(np.max(to_p))
@@ -350,8 +342,7 @@ def liminf_scan(
       exponent > 0.5 and a 10x tail drop; refutes when tail magnitudes
       exceed 1e-3 with a flat trend (exponent <= 0.1).
     """
-    if not is_integer(k) or k < 1:
-        raise TupleTooShortError(f"scan needs an integer k >= 1, got {k!r}")
+    _checked_count(k, "k", error=TupleTooShortError)
     if condition not in ("sign", "vanishing"):
         raise ValueError(f"unknown condition {condition!r}")
     if mode not in MODES:

@@ -30,7 +30,7 @@ from .errors import (
     NonconvergentSequenceError,
     UnstableInputError,
 )
-from .metric import FiniteMetricSpace, _checked_tol, is_integer, is_number, validate_metric
+from .metric import FiniteMetricSpace, _checked_count, _checked_space, _checked_tol, is_number, validate_metric
 from .pretangent import NOISE_FLOOR_FACTOR, _functionals, scale_ladder
 from .spaces import MarkedSpace
 
@@ -64,8 +64,7 @@ class NormalizingSequence:
         return float(r)
 
     def values(self, depth: int) -> np.ndarray:
-        if not is_integer(depth):
-            raise ValueError(f"depth must be an integer, got {depth!r}")
+        _checked_count(depth, "depth", 0)
         vals = np.array([self(m) for m in range(depth)])
         if np.any(np.diff(vals) >= 0):
             m = int(np.argmax(np.diff(vals) >= 0))
@@ -88,9 +87,10 @@ def marked_family(space: MarkedSpace, *seqs: PointSequence) -> tuple[PointSequen
 def _sequence_stack(space: MarkedSpace, family: Sequence[PointSequence], depth: int) -> np.ndarray:
     """Distances within a family at every index: a (depth, F, F) stack, one
     ``space.matrix`` call per index, so each sequence is evaluated once per
-    index. A depth that is not an integer (:func:`is_integer`) >= 16 is refused."""
-    if not is_integer(depth) or depth < 16:
-        raise ValueError(f"depth must be an integer >= 16, got {depth!r}")
+    index. A space that is not a :class:`MarkedSpace`, or a depth that is not
+    an integer >= 16, is refused."""
+    _checked_space(space, MarkedSpace, "the make_* makers")
+    _checked_count(depth, "depth", 16)
     return np.stack([space.matrix([seq(m) for seq in family]) for m in range(depth)])
 
 
@@ -182,7 +182,7 @@ def pseudometric_matrix(
     A negative or NaN ``tol`` is refused as :func:`validate_metric` does."""
     if not family:
         raise ValueError("family must be nonempty")
-    _checked_tol(tol)
+    _checked_tol(tol, "tol")
     n = len(family)
     ratios = _sequence_stack(space, family, depth) / r.values(depth)[:, None, None]
     grid: list[list[StabilityVerdict]] = [[None] * n for _ in range(n)]  # type: ignore[list-item]
@@ -211,7 +211,7 @@ def metric_identification(pm: PseudometricMatrix, merge_tol: float = 1e-9) -> Qu
     distances are validated as they stand, so a hand-built grid that is no
     pseudometric is refused, and so is a negative or NaN ``merge_tol``.
     """
-    _checked_tol(merge_tol)
+    _checked_tol(merge_tol, "merge_tol")
     limits = pm.limits  # raises UnstableInputError when not all stable
     n = limits.shape[0]
     near = limits <= merge_tol

@@ -24,12 +24,13 @@ import numpy as np
 
 from .errors import (
     AlphaOutOfRangeError,
+    ArityMismatchError,
     CoincidentPointsError,
     MarkedPointOutsideRegionError,
     MetricViolationError,
 )
-from .metric import (FiniteMetricSpace, _checked_seed, euclidean_matrix, is_integer, is_number, point_index,
-                     submatrix, validate_metric)
+from .metric import (FiniteMetricSpace, _checked_count, _checked_positive, _checked_tol, euclidean_matrix,
+                     is_integer, is_number, point_index, submatrix, validate_metric)
 
 _MAX_TRIES = 500
 
@@ -54,10 +55,18 @@ class MarkedSpace:
     pairwise: Callable[[Sequence], np.ndarray] | None = None
 
     def sample(self, scale: float, k: int, seed=0) -> tuple:
-        """A (k+1)-tuple of points with delta in [scale/2, scale], for a number scale and an integer k."""
-        if not is_number(scale) or not is_integer(k):
-            raise ValueError(f"a sample needs a number scale and an integer k, got {scale!r}, {k!r}")
-        return self.sampler(scale, k, seed)
+        """A (k+1)-tuple of points with delta in [scale/2, scale], the one door of every draw. It
+        refuses with ValueError a scale that is not a positive finite number, and a k or a seed
+        that is not an integer >= 0 (a seed may be a ``SeedSequence``), and with
+        ArityMismatchError a sampler that returns other than k + 1 points."""
+        _checked_positive(scale, "scale")
+        _checked_count(k, "k", 0)
+        if not isinstance(seed, np.random.SeedSequence):
+            _checked_count(seed, "seed", 0)
+        points = tuple(self.sampler(scale, k, seed))
+        if len(points) != k + 1:
+            raise ArityMismatchError(f"sampler returned {len(points)} points where k = {k} asks for {k + 1}")
+        return points
 
     def matrix(self, points: Sequence) -> np.ndarray:
         """Pairwise distance matrix of a sequence of carrier points."""
@@ -116,30 +125,20 @@ class CurveSpec:
 
 
 def _coordinates(name: str, coords, dim: int, finite: bool = True) -> np.ndarray:
-    """``dim`` coordinates as floats, refused when one is not a number or too large
-    for a float, when there are not ``dim`` of them, when one is NaN (every
-    comparison with NaN is false, so it would pass the region checks) or, when
-    ``finite``, one is infinite."""
-    if np.ndim(coords) == 1 and not all(map(is_number, coords)):
-        raise ValueError(f"{name} has a coordinate that is not a number: {list(coords)!r}")
-    try:
-        x = np.asarray(coords, dtype=float)
-    except OverflowError:  # an integer past the largest float
-        raise ValueError(f"{name} has a coordinate too large for a float") from None
-    if x.shape != (dim,):
+    """``dim`` coordinates as floats, refused when there are not ``dim`` of them in
+    one list, when one is not a number (:func:`is_number`: a string, a bool, None or
+    an integer too large for a float is not), when one is NaN (every comparison with
+    NaN is false, so it would pass the region checks) or, when ``finite``, one is infinite."""
+    if np.shape(coords) != (dim,):
         raise ValueError(f"{name} must have {dim} coordinates")
+    if not all(map(is_number, coords)):
+        raise ValueError(f"{name} has a coordinate that is not a number: {list(coords)!r}")
+    x = np.asarray(coords, dtype=float)
     if np.isnan(x).any():
         raise ValueError(f"{name} has a NaN coordinate: {x.tolist()}")
     if finite and np.isinf(x).any():
         raise ValueError(f"{name} has an infinite coordinate: {x.tolist()}")
     return x
-
-
-def _positive(name: str, value) -> float:
-    """``value`` as a float, refused unless it is a positive finite number (:func:`is_number`)."""
-    if not is_number(value) or not 0 < value < math.inf:
-        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-    return float(value)
 
 
 def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
@@ -158,8 +157,7 @@ def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
     for a cube before or after snapping to the pitch, raises
     MarkedPointOutsideRegionError. Infinite cube bounds without a pitch are allowed.
     """
-    if not is_integer(dim) or dim < 1:
-        raise ValueError(f"dimension must be an integer >= 1, got {dim!r}")
+    _checked_count(dim, "dimension")
     p = _coordinates("marked point", p, dim)
     kind = _region_kind(region)
 
@@ -186,7 +184,7 @@ def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
 
         inside(p, "p")
         if pitch is not None:
-            pitch = _positive("pitch", pitch)
+            pitch = _checked_positive(pitch, "pitch")
             if np.isinf(low).any():
                 raise ValueError(f"a pitch needs finite low bounds, got {low.tolist()}")
             p = low + np.round((p - low) / pitch) * pitch
@@ -211,7 +209,7 @@ def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
 
     if kind == "sphere-surface":
         center = _coordinates("center", region.get("center", np.zeros(dim)), dim)
-        radius = _positive("radius", region.get("radius", 1.0))
+        radius = _checked_positive(region.get("radius", 1.0), "radius")
         if dim < 2:
             raise ValueError("sphere-surface region needs dim >= 2")
         if abs(euclidean_matrix([p], [center])[0, 0] - radius) > 1e-9 * max(radius, 1.0):
@@ -291,8 +289,8 @@ def make_ultrametric(depth: int, arity: int, p=None) -> MarkedSpace:
     the sampler's int64 sum of two digits cannot wrap); the ultra-triangle
     inequality holds exactly by construction.
     """
-    if not (is_integer(depth) and is_integer(arity)) or depth < 2 or arity < 2:
-        raise ValueError("depth and arity must both be integers >= 2")
+    _checked_count(depth, "depth", 2)
+    _checked_count(arity, "arity", 2)
     if depth > 1075:
         raise ValueError(f"depth {depth} > 1075: distinct leaves would sit at distance 0.0")
     if arity > 2**62:
@@ -350,13 +348,13 @@ def freeze(space: MarkedSpace, scale: float, count: int, seed=0) -> tuple[Finite
     """Materialize ``count`` sampled points plus ``p`` as a finite space.
 
     Returns the validated space and the index of the marked point (always
-    0). Resamples on coincident points; deterministic for a fixed seed.
-    Attempt ``a`` extends the seed's spawn key by ``(a,)``, so children of
-    one ``SeedSequence`` freeze distinct spaces.
+    0). Resamples on coincident points; deterministic for a fixed seed, an
+    integer >= 0 or a ``SeedSequence``. Attempt ``a`` extends the seed's
+    spawn key by ``(a,)``, so children of one ``SeedSequence`` freeze
+    distinct spaces.
     """
-    if not is_integer(count) or count < 1:
-        raise ValueError(f"count must be an integer >= 1, got {count!r}")
-    base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(_checked_seed(seed))
+    _checked_count(count, "count")
+    base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(_checked_count(seed, "seed", 0))
     labels = ["p"] + [f"s{i}" for i in range(1, count + 1)]
     for attempt in range(100):
         rng_seed = np.random.SeedSequence(entropy=base.entropy, spawn_key=base.spawn_key + (attempt,))
@@ -399,10 +397,16 @@ def perturbed_euclidean_space(
 ) -> FiniteMetricSpace:
     """Random valid metric space: a Euclidean cloud with multiplicatively
     perturbed distances, drawn again (at most 500 times) while a distance is
-    below ``min_distance`` or an axiom fails (:class:`MetricViolationError`)."""
-    if not is_integer(n_points) or n_points < 1 or not (dim is None or is_integer(dim) and dim >= 1):
-        raise ValueError(f"n_points and dim must be integers >= 1 (dim may be None), got {n_points!r}, {dim!r}")
-    rng = np.random.default_rng(_checked_seed(seed))
+    below ``min_distance`` or an axiom fails (:class:`MetricViolationError`).
+    ``n_points``, ``dim`` (None: 1 to 4 per try) and ``seed`` are counts, ``perturbation`` a finite
+    number >= 0 and ``min_distance`` a number >= 0; anything else raises ValueError."""
+    _checked_count(n_points, "n_points")
+    if dim is not None:
+        _checked_count(dim, "dim")
+    if not is_number(perturbation) or not 0 <= perturbation < math.inf:
+        raise ValueError(f"perturbation must be a finite number >= 0, got {perturbation!r}")
+    _checked_tol(min_distance, "min_distance")
+    rng = np.random.default_rng(_checked_count(seed, "seed", 0))
     for _ in range(_MAX_TRIES):
         d = dim if dim is not None else int(rng.integers(1, 5))
         pts = rng.uniform(0.0, 1.0, size=(n_points, d))

@@ -561,8 +561,8 @@ class TestScan:
          "pitch must be a positive finite number, got 999"),
         ('{"type": "euclidean", "dim": 1e400, "p": [0, 0], "region": {"kind": "cube"}}',
          "dimension must be an integer >= 1, got inf"),
-        ('{"type": "ultrametric", "depth": 1e400, "arity": 3}', "depth and arity must both be integers >= 2"),
-        ('{"type": "ultrametric", "depth": 4, "arity": 1e400}', "depth and arity must both be integers >= 2"),
+        ('{"type": "ultrametric", "depth": 1e400, "arity": 3}', "depth must be an integer >= 2, got inf"),
+        ('{"type": "ultrametric", "depth": 4, "arity": 1e400}', "arity must be an integer >= 2, got inf"),
         ('{"type": "ultrametric", "depth": 4, "arity": %d}' % 2**63, f"arity {2**63} > 2^62"),
         ('{"type": "ultrametric", "depth": 4, "arity": %d}' % 10**30, f"arity {10**30} > 2^62"),
         ('{"type": "euclidean", "dim": 2.7, "p": [0, 0], "region": {"kind": "cube"}}',

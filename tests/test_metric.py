@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metricembed import cm_value, psd_check, scale_metric, sch_value, submatrix, validate_metric
+from metricembed import (cm_value, menger_check, min_embedding_dimension, psd_check, scale_metric, sch_value,
+                         submatrix, validate_metric)
 from metricembed.errors import (
     AsymmetricError,
     CoincidentPointsError,
@@ -273,12 +274,17 @@ def test_scale_metric(equilateral):
 
 
 @pytest.mark.parametrize("call,error,message", [
+    # an integer past the largest float passed the number rule and ended in a bare OverflowError
     (lambda: scale_metric(validate_metric([[0, 1], [1, 0]]), 10**400), NonpositiveScaleError,
-     f"scale factor must be finite and > 0, got {10**400!r}"),
-    (lambda: validate_metric([[0, 1], [1, 0]], tol=10**400), ValueError, "tolerance must be nonnegative"),
+     f"scale factor must be a positive finite number, got {10**400!r}"),
+    (lambda: validate_metric([[0, 1], [1, 0]], tol=10**400), ValueError, f"tol must be a number >= 0, got {10**400!r}"),
+    # a matrix met the decision cache's "unhashable type: 'numpy.ndarray'", a list "unhashable type: 'list'"
+    (lambda: menger_check(np.array([[0.0, 1.0], [1.0, 0.0]]), 2), TypeError,
+     "expected a FiniteMetricSpace, built by validate_metric, got ndarray"),
+    (lambda: min_embedding_dimension([[0, 1], [1, 0]]), TypeError,
+     "expected a FiniteMetricSpace, built by validate_metric, got list"),
 ])
 def test_metric_layer_refusals(call, error, message):
-    # an integer past the largest float passed the number rule and ended in a bare OverflowError
     with pytest.raises(error) as exc:
         call()
     assert str(exc.value) == message
@@ -593,7 +599,7 @@ def test_csv_byte_order_mark_is_no_label(tmp_path):
 def test_negative_tolerance_refused():
     with pytest.raises(ValueError) as exc:
         validate_metric([[0, 1], [1, 0]], tol=-1.0)
-    assert str(exc.value) == "tolerance must be nonnegative"
+    assert str(exc.value) == "tol must be a number >= 0, got -1.0"
 
 
 @pytest.mark.parametrize("matrix", [[[0, 1, 5], [1, 0, 1], [5, 1, 0]], [[0, 1, 1], [2, 0, 1], [1, 1, 0]]],
@@ -603,14 +609,14 @@ def test_nan_tolerance_refused(matrix):
     # the asymmetric entry averaged to 1.5
     with pytest.raises(ValueError) as exc:
         validate_metric(matrix, tol=math.nan)
-    assert str(exc.value) == "tolerance must be nonnegative"
+    assert str(exc.value) == "tol must be a number >= 0, got nan"
 
 
 def test_tolerance_and_factor_must_be_numbers(equilateral):
     # True passed both bounds as the number 1
-    with pytest.raises(ValueError, match="^tolerance must be nonnegative$"):
+    with pytest.raises(ValueError, match="^tol must be a number >= 0, got True$"):
         validate_metric([[0, 1], [1, 0]], tol=True)
-    with pytest.raises(NonpositiveScaleError, match=r"^scale factor must be finite and > 0, got True$"):
+    with pytest.raises(NonpositiveScaleError, match=r"^scale factor must be a positive finite number, got True$"):
         scale_metric(equilateral, True)
-    with pytest.raises(NonpositiveScaleError, match=r"^scale factor must be finite and > 0, got '2'$"):
+    with pytest.raises(NonpositiveScaleError, match=r"^scale factor must be a positive finite number, got '2'$"):
         scale_metric(equilateral, "2")

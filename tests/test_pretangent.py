@@ -809,7 +809,7 @@ class TestSequenceDistances:
 
 
 @pytest.mark.parametrize("call,error,message", [
-    (lambda: liminf_scan(plane(), 0), TupleTooShortError, "scan needs an integer k >= 1, got 0"),
+    (lambda: liminf_scan(plane(), 0), TupleTooShortError, "k must be an integer >= 1, got 0"),
     (lambda: liminf_scan(plane(), 1, condition="limit"), ValueError, "unknown condition 'limit'"),
     (lambda: liminf_scan(plane(), 1, mode="sch"), ValueError, "unknown mode 'sch'"),
     (lambda: delta_scale(plane(), ()), ValueError, "a scale needs a nonempty tuple"),
@@ -827,6 +827,9 @@ class TestSequenceDistances:
     *[(lambda scan=scan, seed=seed: scan(plane(), 1, samples_per_scale=4, seed=seed), ValueError,
        f"seed must be an integer >= 0, got {seed!r}") for scan in (liminf_scan, transfer_check)
       for seed in (1.5, "1", -1, True)],
+    # a matrix has no sampler: AttributeError: 'numpy.ndarray' object has no attribute 'sample'
+    (lambda: transfer_check(np.array([[0.0, 1.0], [1.0, 0.0]]), 1), TypeError,
+     "expected a MarkedSpace, built by the make_* makers, got ndarray"),
 ])
 def test_scan_layer_refusals(call, error, message):
     with pytest.raises(error) as exc:
@@ -837,6 +840,8 @@ def test_scan_layer_refusals(call, error, message):
 @pytest.mark.parametrize("call,error,message", [
     (lambda: NormalizingSequence(lambda m: 1.0).values(16), ValueError,
      "normalizing sequence not strictly decreasing at m=0"),
+    # a negative depth gave an empty array
+    (lambda: NormalizingSequence.geometric().values(-3), ValueError, "depth must be an integer >= 0, got -3"),
     (lambda: pseudometric_matrix(plane(), (), NormalizingSequence.geometric()), ValueError,
      "family must be nonempty"),
     (lambda: blumenthal_sequence_scan(plane(), [constant_sequence(plane().p)]), DimensionOutOfRangeError,
@@ -847,17 +852,18 @@ def test_scan_layer_refusals(call, error, message):
     # undetermined; a negative or NaN merge_tol ended in CoincidentPointsError
     *[(lambda t=t: mutual_stability(plane(), constant_sequence(plane().p), constant_sequence(plane().p),
                                     NormalizingSequence.geometric(), tol=t), ValueError,
-       "tolerance must be nonnegative") for t in (-1.0, math.nan)],
+       f"tol must be a number >= 0, got {t!r}") for t in (-1.0, math.nan)],
     *[(lambda t=t: pseudometric_matrix(plane(), (constant_sequence(plane().p),), NormalizingSequence.geometric(),
-                                       tol=t), ValueError, "tolerance must be nonnegative") for t in (-1.0, math.nan)],
+                                       tol=t), ValueError, f"tol must be a number >= 0, got {t!r}")
+      for t in (-1.0, math.nan)],
     *[(lambda t=t: metric_identification(PseudometricMatrix(((StabilityVerdict("stable", 0.0, 64, 0.0),),)),
-                                         merge_tol=t), ValueError, "tolerance must be nonnegative")
+                                         merge_tol=t), ValueError, f"merge_tol must be a number >= 0, got {t!r}")
       for t in (-1.0, math.nan)],
     *[(lambda t=t: blumenthal_sequence_scan(plane(), [constant_sequence(plane().p)] * 2, tol_det=t), ValueError,
        f"tol_det must be in (0, 1), got {t!r}") for t in BAD_TOL_DET],
     # an integer past the largest float passed the number rule and ended in a bare OverflowError
     (lambda: metric_identification(PseudometricMatrix(((StabilityVerdict("stable", 0.0, 64, 0.0),),)),
-                                   merge_tol=10**400), ValueError, "tolerance must be nonnegative"),
+                                   merge_tol=10**400), ValueError, f"merge_tol must be a number >= 0, got {10**400!r}"),
     (lambda: NormalizingSequence.geometric(10**400), ValueError,
      f"need a finite r0 > 0 and 0 < q < 1 and an integer rungs, got {10**400!r}, 0.5, 2"),
     (lambda: NormalizingSequence(lambda m: 10**400)(0), DegenerateNormalizerError, f"r_0 = {10**400!r} degenerate"),

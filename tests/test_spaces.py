@@ -1,6 +1,7 @@
 """Marked spaces: sampler contracts, freezing, construction errors."""
 
 import dataclasses
+import math
 import time
 import tracemalloc
 import warnings
@@ -19,7 +20,8 @@ from metricembed import (
     schoenberg_check,
     validate_metric,
 )
-from metricembed.errors import AlphaOutOfRangeError, IndexOutOfRangeError, MarkedPointOutsideRegionError
+from metricembed.errors import (AlphaOutOfRangeError, ArityMismatchError, IndexOutOfRangeError,
+                               MarkedPointOutsideRegionError)
 from metricembed.pretangent import delta_scale
 from metricembed.spaces import perturbed_euclidean_space
 
@@ -355,6 +357,11 @@ class TestGenerators:
             marked_space_from_config({"type": "hyperbolic"})
 
 
+def _one_too_many():
+    space = plane()
+    return dataclasses.replace(space, sampler=lambda scale, k, seed: space.sample(scale, k + 1, seed))
+
+
 def _away_from_curve():
     spec = CurveSpec(fn=lambda t: np.array([t, 0.0]), t0=0.0, t_min=-1.0, t_max=1.0)
     return make_euclidean_subset(2, {"kind": "curve", "spec": spec}, [0.0, 1.0])
@@ -399,8 +406,8 @@ def _away_from_curve():
     (lambda: make_snowflake(0.5, 1, [0.0], ["cube"]), ValueError, "the region must be a JSON object, got list"),
     (lambda: make_snowflake(0.5, 2, [0.0, 1.0], {"kind": "sphere-surface", "center": [0, 0], "radius": 1.0}),
      ValueError, "snowflake spaces support cube regions only"),
-    (lambda: make_ultrametric(1, 3), ValueError, "depth and arity must both be integers >= 2"),
-    (lambda: make_ultrametric(4, 1), ValueError, "depth and arity must both be integers >= 2"),
+    (lambda: make_ultrametric(1, 3), ValueError, "depth must be an integer >= 2, got 1"),
+    (lambda: make_ultrametric(4, 1), ValueError, "arity must be an integer >= 2, got 1"),
     (lambda: make_ultrametric(3, 2, [0, 2, 1]), MarkedPointOutsideRegionError, "marked leaf (0, 2, 1) not in the tree"),
     (lambda: freeze(segment(), 0.5, count=0), ValueError, "count must be an integer >= 1, got 0"),
     # every draw of a one-point cube coincides with p
@@ -413,15 +420,31 @@ def _away_from_curve():
     (lambda: as_marked(validate_metric([[0, 1], [1, 0]]), 1.0), IndexOutOfRangeError,
      "1.0 is not an index of the 2 points"),
     # an integer past the largest float passed the number rule and ended in a bare OverflowError
-    (lambda: segment().sample(10**400, 2), ValueError,
-     f"a sample needs a number scale and an integer k, got {10**400!r}, 2"),
-    (lambda: freeze(segment(), 10**400, 2), ValueError,
-     f"a sample needs a number scale and an integer k, got {10**400!r}, 1"),
+    (lambda: segment().sample(10**400, 2), ValueError, f"scale must be a positive finite number, got {10**400!r}"),
+    (lambda: freeze(segment(), 10**400, 2), ValueError, f"scale must be a positive finite number, got {10**400!r}"),
+    # NaN, -1 and inf spun 500 rejection batches into "sampler failed to draw 1 points"
+    *[(lambda scale=scale: plane().sample(scale, 2), ValueError,
+       f"scale must be a positive finite number, got {scale!r}") for scale in (math.nan, -1, math.inf)],
+    # k = -1 drew 6 points on the cube, and met numpy's "negative dimensions are not allowed" on the others
+    *[(lambda make=make: make().sample(0.5, -1), ValueError, "k must be an integer >= 0, got -1")
+      for make in (plane, lambda: make_ultrametric(4, 2), lambda: as_marked(validate_metric([[0, 1], [1, 0]]), 0))],
+    # 1.5 and "1" met numpy's TypeError, -1 its ValueError, and True drew as 1
+    *[(lambda seed=seed: plane().sample(0.5, 2, seed=seed), ValueError, f"seed must be an integer >= 0, got {seed!r}")
+      for seed in (1.5, -1, True, "1")],
+    # one point too many was drawn as it came, and freeze reported "4 labels for 5 points"
+    (lambda: _one_too_many().sample(0.5, 2), ArityMismatchError, "sampler returned 4 points where k = 2 asks for 3"),
+    (lambda: freeze(_one_too_many(), 0.5, 3), ArityMismatchError, "sampler returned 4 points where k = 2 asks for 3"),
     # a seed is a count: 1.5 met numpy's TypeError, -1 its ValueError, and True ran as 1
     *[(lambda seed=seed: freeze(segment(), 0.5, 2, seed=seed), ValueError,
        f"seed must be an integer >= 0, got {seed!r}") for seed in (1.5, -1, True)],
     *[(lambda seed=seed: perturbed_euclidean_space(4, seed=seed), ValueError,
        f"seed must be an integer >= 0, got {seed!r}") for seed in (1.5, -1, True)],
+    # "a" met a unary minus, NaN numpy's "high - low range exceeds valid bounds", None a comparison, and
+    # a negative or NaN bound was taken as it came
+    *[(lambda v=v: perturbed_euclidean_space(4, perturbation=v), ValueError,
+       f"perturbation must be a finite number >= 0, got {v!r}") for v in ("a", math.nan, math.inf, -0.1)],
+    *[(lambda v=v: perturbed_euclidean_space(4, min_distance=v), ValueError,
+       f"min_distance must be a number >= 0, got {v!r}") for v in (None, math.nan, -1.0)],
     # a Euclidean scale that underflowed to 0 drew p alone, and one that
     # overflowed ended in "(34, 'Numerical result out of range')"
     (lambda: make_snowflake(5e-4, 1, [0.5]).sample(0.5, 2), ValueError,
@@ -439,9 +462,13 @@ def test_construction_refusals(call, error, message):
 def test_sample_refuses_what_is_not_a_number_or_a_count():
     # sample cast its arguments: k = 2.7 drew 3 points and the scale "0.25"
     # was read as a number
-    for scale, k in ((0.25, 2.7), ("0.25", 2), (0.25, True), (None, 2)):
-        with pytest.raises(ValueError, match=r"^a sample needs a number scale and an integer k, got "):
+    for scale, k, message in ((0.25, 2.7, "k must be an integer >= 0, got 2.7"),
+                              ("0.25", 2, "scale must be a positive finite number, got '0.25'"),
+                              (0.25, True, "k must be an integer >= 0, got True"),
+                              (None, 2, "scale must be a positive finite number, got None")):
+        with pytest.raises(ValueError) as exc:
             segment().sample(scale, k)
+        assert str(exc.value) == message
     assert len(segment().sample(0.25, 2)) == len(segment().sample(np.float64(0.25), np.int64(2))) == 3
 
 
