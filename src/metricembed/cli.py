@@ -16,11 +16,14 @@ space. Its realization also certifies the triangle inequality in
 O(N^2 m); the O(N^3) triangle check runs only where it cannot
 (``embeddability.triangles_certified``).
 
-Each command imports only the layers it runs. Every command loads
-``errors``, ``metric`` and ``determinants``; the finite commands add
-``embeddability``, and ``scan`` adds ``spaces`` and ``pretangent``. The
-functions of those layers are bound here as stand-ins that import their
-module on first call and look the function up there on every call.
+Each command imports only the layers it runs, and the front end loads no
+layer: parsing the arguments reads only ``errors``, whose input rules need
+no numpy, so ``--version``, ``--help`` and every usage refusal exit before
+numpy loads. The finite commands load ``metric``, ``determinants`` and
+``embeddability``; ``scan`` loads ``metric``, ``determinants``, ``spaces``
+and ``pretangent``. The functions of those layers are bound here as
+stand-ins that import their module on first call and look the function up
+there on every call.
 
 ``cli`` builds every payload, each ``result`` from the fields of the plain
 records the layers return. Each command returns its payload, a dict that
@@ -49,14 +52,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields, is_dataclass
 from functools import cache, partial
 from pathlib import Path
 from typing import NoReturn
 
 from . import __version__
-from .determinants import DEFAULT_TOL_DET, _checked_tol_det
-from .errors import DistanceOutOfRangeError, MetricViolationError
+from .errors import DEFAULT_TOL_DET, DistanceOutOfRangeError, MetricViolationError, _checked_tol_det
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -220,6 +221,8 @@ def _report_json(report, point_repr) -> dict:
     as JSON values, one per field: a nested report rendered in turn, a tuple
     as a list, an infinite ``trend`` as ``"inf"`` and each witness point
     through ``point_repr``."""
+    from dataclasses import fields, is_dataclass
+
     out = {}
     for f in fields(report):
         value = getattr(report, f.name)

@@ -28,28 +28,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionOutOfRangeError, NonzeroDiagonalError, NotSymmetricError, TupleTooShortError
-from .metric import (FiniteMetricSpace, _checked_count, as_matrix, check_finite, first_worst, is_number,
-                     point_index, readonly, row_blocks, submatrix)
-
-#: Tolerance of the zero rule: a step of a tuple is flat when its relative
-#: squared height, the Schur pivot of tau that adds its last point over the
-#: tuple's largest squared distance, lies within ``tol_det``
-#: (:func:`within_band`). That is degree 1 and unit-free: no verdict depends
-#: on the unit of distance, and a well-spread simplex reads no flatter as it
-#: grows. The scans judge the delta-normalized Theta and S against one noise
-#: floor, ``10 * tol_det``. Every function taking a ``tol_det`` refuses one
-#: outside (0, 1): a relative squared height never exceeds 2, and a band of
-#: 1 or more takes in steps whose point lies D / sqrt(2) or more off the span
-#: of a tuple of diameter D.
-DEFAULT_TOL_DET = 1e-8
-
-
-def _checked_tol_det(tol_det: float) -> float:
-    """``tol_det``, refused with ValueError unless it is a number (:func:`is_number`) in (0, 1)."""
-    if not is_number(tol_det) or not 0 < tol_det < 1:
-        raise ValueError(f"tol_det must be in (0, 1), got {tol_det!r}")
-    return tol_det
+from .errors import (DEFAULT_TOL_DET, DimensionOutOfRangeError, NonzeroDiagonalError, NotSymmetricError,
+                     TupleTooShortError, _checked_count, _checked_tol_det)
+from .metric import FiniteMetricSpace, as_matrix, check_finite, first_worst, point_index, readonly, row_blocks, submatrix
 
 
 def _check_target(n: int) -> None:

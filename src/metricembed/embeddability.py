@@ -39,21 +39,16 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .determinants import (
-    DEFAULT_TOL_DET,
-    PsdReport,
-    _check_target,
-    _checked_tol_det,
-    psd_check,
-    tuple_heights,
-    within_band,
-)
+from .determinants import PsdReport, _check_target, psd_check, tuple_heights, within_band
 from .errors import (
+    DEFAULT_TOL_DET,
     DistanceOutOfRangeError,
     NotEmbeddableError,
     RankExceedsRequestedError,
+    _checked_space,
+    _checked_tol_det,
 )
-from .metric import FiniteMetricSpace, _checked_space, euclidean_matrix, readonly, row_blocks, scale_metric, submatrix
+from .metric import FiniteMetricSpace, euclidean_matrix, readonly, row_blocks, scale_metric, submatrix
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,19 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, and the input rules that need
+no numpy.
 
 Metric-axiom violations all derive from :class:`MetricViolationError` and
 carry the offending indices, so callers (and the CLI) can report exactly
 which entries broke which axiom.
+
+What a number, a count, a tolerance and a positive finite number are is
+said once here, for every layer: the CLI front end reads ``tol_det``'s
+rule and default here too, so parsing its arguments loads no numpy.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
 
 
 class MetricViolationError(ValueError):
@@ -111,3 +119,68 @@ class MarkedPointOutsideRegionError(ValueError):
 
 class AlphaOutOfRangeError(ValueError):
     """Snowflake exponent must lie strictly between 0 and 1."""
+
+
+#: Tolerance of the zero rule: a step of a tuple is flat when its relative
+#: squared height, the Schur pivot of tau that adds its last point over the
+#: tuple's largest squared distance, lies within ``tol_det``
+#: (:func:`~metricembed.determinants.within_band`). That is degree 1 and
+#: unit-free: no verdict depends on the unit of distance, and a well-spread
+#: simplex reads no flatter as it grows. The scans judge the delta-normalized
+#: Theta and S against one noise floor, ``10 * tol_det``. Every function
+#: taking a ``tol_det`` refuses one outside (0, 1): a relative squared height
+#: never exceeds 2, and a band of 1 or more takes in steps whose point lies
+#: D / sqrt(2) or more off the span of a tuple of diameter D.
+DEFAULT_TOL_DET = 1e-8
+
+
+def is_number(value) -> bool:
+    """Whether ``value`` is a real number that a float holds, Python's or numpy's; a bool, a
+    string, None or an integer past the largest float is not."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer: a Python or numpy integer, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _checked_tol(tol: float, name: str) -> float:
+    """``tol``, refused with ValueError naming it ``name`` unless it is a number (:func:`is_number`) >= 0."""
+    if not is_number(tol) or not tol >= 0:
+        raise ValueError(f"{name} must be a number >= 0, got {tol!r}")
+    return tol
+
+
+def _checked_tol_det(tol_det: float) -> float:
+    """``tol_det``, refused with ValueError unless it is a number (:func:`is_number`) in (0, 1)."""
+    if not is_number(tol_det) or not 0 < tol_det < 1:
+        raise ValueError(f"tol_det must be in (0, 1), got {tol_det!r}")
+    return tol_det
+
+
+def _checked_count(value, name: str, least: int = 1, error: type = ValueError):
+    """``value``, refused with ``error`` naming it ``name`` unless it is an integer (:func:`is_integer`) >= least."""
+    if not is_integer(value) or value < least:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def _checked_positive(value, name: str, error: type = ValueError) -> float:
+    """``value`` as a float, refused with ``error`` naming it ``name`` unless it is a positive finite number."""
+    if not is_number(value) or not 0 < value < math.inf:
+        raise error(f"{name} must be a positive finite number, got {value!r}")
+    return float(value)
+
+
+def _checked_space(space, kind: type, builder: str):
+    """``space``, refused with TypeError unless it is a ``kind``, naming what it is and ``builder``."""
+    if not isinstance(space, kind):
+        raise TypeError(f"expected a {kind.__name__}, built by {builder}, got {type(space).__name__}")
+    return space

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import io
 import json
-import numbers
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Sequence
@@ -26,6 +25,10 @@ from .errors import (
     NonzeroDiagonalError,
     NotSymmetricError,
     TriangleViolationError,
+    _checked_positive,
+    _checked_tol,
+    is_integer,
+    is_number,
 )
 
 #: Relative tolerance (w.r.t. the largest entry) used when none is given.
@@ -62,34 +65,6 @@ def readonly(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     a.flags.writeable = False
     return a
-
-
-def _checked_tol(tol: float, name: str) -> float:
-    """``tol``, refused with ValueError naming it ``name`` unless it is a number (:func:`is_number`) >= 0."""
-    if not is_number(tol) or not tol >= 0:
-        raise ValueError(f"{name} must be a number >= 0, got {tol!r}")
-    return tol
-
-
-def _checked_count(value, name: str, least: int = 1, error: type = ValueError):
-    """``value``, refused with ``error`` naming it ``name`` unless it is an integer (:func:`is_integer`) >= least."""
-    if not is_integer(value) or value < least:
-        raise error(f"{name} must be an integer >= {least}, got {value!r}")
-    return value
-
-
-def _checked_positive(value, name: str, error: type = ValueError) -> float:
-    """``value`` as a float, refused with ``error`` naming it ``name`` unless it is a positive finite number."""
-    if not is_number(value) or not 0 < value < np.inf:
-        raise error(f"{name} must be a positive finite number, got {value!r}")
-    return float(value)
-
-
-def _checked_space(space, kind: type, builder: str):
-    """``space``, refused with TypeError unless it is a ``kind``, naming what it is and ``builder``."""
-    if not isinstance(space, kind):
-        raise TypeError(f"expected a {kind.__name__}, built by {builder}, got {type(space).__name__}")
-    return space
 
 
 def check_finite(d: np.ndarray, what: str) -> None:
@@ -266,23 +241,6 @@ def euclidean_matrix(points, others=None) -> np.ndarray:
         np.multiply(diff, diff, out=diff)
         out += diff
     return np.sqrt(out, out=out)
-
-
-def is_number(value) -> bool:
-    """Whether ``value`` is a real number that a float holds, Python's or numpy's; a bool, a
-    string, None or an integer past the largest float is not."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        return False
-    try:
-        float(value)
-    except OverflowError:
-        return False
-    return True
-
-
-def is_integer(value) -> bool:
-    """Whether ``value`` is an integer: a Python or numpy integer, not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def point_index(i, n: int) -> int:

@@ -31,9 +31,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .determinants import DEFAULT_TOL_DET, _check_target, _checked_tol_det, tuple_determinants
-from .errors import EmptySampleError, NonpositiveExponentError, SamplerScaleMismatchError, TupleTooShortError
-from .metric import _checked_count, _checked_space, is_integer, is_number, row_blocks
+from .determinants import _check_target, tuple_determinants
+from .errors import (DEFAULT_TOL_DET, EmptySampleError, NonpositiveExponentError, SamplerScaleMismatchError,
+                     TupleTooShortError, _checked_count, _checked_space, _checked_tol_det, is_integer, is_number)
+from .metric import row_blocks
 from .spaces import MarkedSpace
 
 #: Scan verdict thresholds. A delta-normalized Theta/S value within the

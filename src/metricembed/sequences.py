@@ -22,15 +22,20 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .determinants import DEFAULT_TOL_DET, _checked_tol_det
 from .errors import (
+    DEFAULT_TOL_DET,
     DegenerateNormalizerError,
     DimensionOutOfRangeError,
     MergeInconsistencyError,
     NonconvergentSequenceError,
     UnstableInputError,
+    _checked_count,
+    _checked_space,
+    _checked_tol,
+    _checked_tol_det,
+    is_number,
 )
-from .metric import FiniteMetricSpace, _checked_count, _checked_space, _checked_tol, is_number, validate_metric
+from .metric import FiniteMetricSpace, validate_metric
 from .pretangent import NOISE_FLOOR_FACTOR, _functionals, scale_ladder
 from .spaces import MarkedSpace
 
@@ -303,6 +308,7 @@ def blumenthal_sequence_scan(
     ``tangent_assumed``, never verified. Convergence (row 0) and both
     conditions read one distance stack over (p, x_0..x_n, probes).
     """
+    _checked_space(space, MarkedSpace, "the make_* makers")
     n = len(x_seqs) - 1
     if n < 1:
         raise DimensionOutOfRangeError("need at least two sequences (n >= 1)")

@@ -28,9 +28,13 @@ from .errors import (
     CoincidentPointsError,
     MarkedPointOutsideRegionError,
     MetricViolationError,
+    _checked_count,
+    _checked_positive,
+    _checked_tol,
+    is_integer,
+    is_number,
 )
-from .metric import (FiniteMetricSpace, _checked_count, _checked_positive, _checked_tol, euclidean_matrix,
-                     is_integer, is_number, point_index, submatrix, validate_metric)
+from .metric import FiniteMetricSpace, euclidean_matrix, point_index, submatrix, validate_metric
 
 _MAX_TRIES = 500
 

@@ -1012,14 +1012,19 @@ def test_reader_edge_cases(name, text, code, error, tmp_path, capsys):
 
 
 def _modules_left_unloaded(argvs, modules) -> subprocess.CompletedProcess:
-    """Run ``cli.main`` on each argv in a fresh interpreter; it exits 1 and
-    names them on stderr if any of ``modules`` was loaded."""
+    """Run ``cli.main`` on each argv in a fresh interpreter; it exits 1 if
+    any of ``modules`` was loaded. Its last line on stderr holds the exit
+    code of each argv, argparse's included, and the modules loaded."""
     code = ("import sys\n"
             "from metricembed import cli\n"
+            "codes = []\n"
             f"for argv in {argvs!r}:\n"
-            "    cli.main(argv)\n"
+            "    try:\n"
+            "        codes.append(cli.main(argv))\n"
+            "    except SystemExit as exc:  # argparse: --version, --help, a usage error\n"
+            "        codes.append(exc.code)\n"
             f"leaked = [m for m in {modules!r} if m in sys.modules]\n"
-            "print(leaked, file=sys.stderr)\n"
+            "print(codes, leaked, file=sys.stderr)\n"
             "sys.exit(bool(leaked))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
@@ -1047,6 +1052,16 @@ def test_finite_commands_leave_scan_layer_unloaded(eq_file, star_file):
          ["check-embed", eq_file, "--dim", "2", "--criterion", "all", "--realize"]],
         ("metricembed.pretangent", "metricembed.spaces", "metricembed.sequences"))
     assert done.returncode == 0, done.stderr
+
+
+def test_front_end_leaves_numpy_unloaded(eq_file):
+    # cli imported determinants for tol_det's rule and default, and with it
+    # numpy: about 97 ms of a 108 ms --version
+    argvs = [["--version"], ["--help"], ["check-embed", "--help"], ["scan", "--help"], ["min-dim"],
+             ["check-embed", eq_file, "--dim", "0"], ["check-embed", eq_file, "--dim", "1", "--tol-det", "2"]]
+    done = _modules_left_unloaded(argvs, ("numpy", "metricembed.metric", "metricembed.determinants"))
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines()[-1] == "[0, 0, 0, 0, 2, 2, 2] []"
 
 
 def test_scan_leaves_finite_decider_unloaded(circle_cfg):

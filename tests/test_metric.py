@@ -21,6 +21,8 @@ from metricembed.errors import (
     NonpositiveScaleError,
     NonzeroDiagonalError,
     TriangleViolationError,
+    is_integer,
+    is_number,
 )
 from metricembed.metric import load_space, parse_csv_space
 
@@ -288,6 +290,24 @@ def test_metric_layer_refusals(call, error, message):
     with pytest.raises(error) as exc:
         call()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("value,integer,number", [
+    # the rules read the numbers ABCs, which numpy's integers and floats join and np.bool_ does not
+    (1, True, True),
+    (True, False, False),
+    (np.bool_(True), False, False),
+    (np.int8(1), True, True),
+    (np.uint64(2**64 - 1), True, True),
+    (1.0, False, True),
+    (np.float32(1), False, True),
+    (10**400, True, False),
+    ("1", False, False),
+    (None, False, False),
+], ids=repr)
+def test_number_rules(value, integer, number):
+    assert is_integer(value) is integer
+    assert is_number(value) is number
 
 
 def test_scale_metric_composes_multiplicatively(equilateral):

@@ -848,6 +848,11 @@ def test_scan_layer_refusals(call, error, message):
      "need at least two sequences (n >= 1)"),
     (lambda: blumenthal_sequence_scan(plane(), [constant_sequence(plane().p)] * 2, depth=15), ValueError,
      "depth must be an integer >= 16, got 15"),
+    # the probe battery, or with no probes the family, read the space first:
+    # AttributeError: 'numpy.ndarray' object has no attribute 'description' (or 'p')
+    *[(lambda probes=probes: blumenthal_sequence_scan(np.zeros((3, 3)), [constant_sequence(plane().p)] * 2,
+                                                      probes=probes), TypeError,
+       "expected a MarkedSpace, built by the make_* makers, got ndarray") for probes in (None, [])],
     # a negative tol read an oscillation of 0.0 as unstable, a NaN one as
     # undetermined; a negative or NaN merge_tol ended in CoincidentPointsError
     *[(lambda t=t: mutual_stability(plane(), constant_sequence(plane().p), constant_sequence(plane().p),
