@@ -26,6 +26,7 @@ _LAZY = {
         "realize_coordinates",
         "schoenberg_check",
     ), "embeddability"),
+    "scale_ladder": "errors",
     **dict.fromkeys((
         "FiniteMetricSpace",
         "load_space",
@@ -40,7 +41,6 @@ _LAZY = {
         "epsilon_scale",
         "liminf_scan",
         "s_functional",
-        "scale_ladder",
         "theta",
         "transfer_check",
     ), "pretangent"),

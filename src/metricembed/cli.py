@@ -17,13 +17,13 @@ O(N^2 m); the O(N^3) triangle check runs only where it cannot
 (``embeddability.triangles_certified``).
 
 Each command imports only the layers it runs, and the front end loads no
-layer: parsing the arguments reads only ``errors``, whose input rules need
-no numpy, so ``--version``, ``--help`` and every usage refusal exit before
-numpy loads. The finite commands load ``metric``, ``determinants`` and
-``embeddability``; ``scan`` loads ``metric``, ``determinants``, ``spaces``
-and ``pretangent``. The functions of those layers are bound here as
-stand-ins that import their module on first call and look the function up
-there on every call.
+layer: each option reads only its rule in ``errors`` (a count, a positive
+number, ``tol_det``, the target dimension, the scale ladder), which needs
+no numpy, so ``--version``, ``--help`` and every usage refusal, ``--scales``
+included, exit before numpy loads. The finite commands load ``metric``,
+``determinants`` and ``embeddability``, ``scan`` ``metric``, ``determinants``,
+``spaces`` and ``pretangent``; each function of theirs is a stand-in here
+that imports its module on first call and looks it up there on every call.
 
 ``cli`` builds every payload, each ``result`` from the fields of the plain
 records the layers return. Each command returns its payload, a dict that
@@ -57,7 +57,8 @@ from pathlib import Path
 from typing import NoReturn
 
 from . import __version__
-from .errors import DEFAULT_TOL_DET, DistanceOutOfRangeError, MetricViolationError, _checked_tol_det
+from .errors import (DEFAULT_TOL_DET, DistanceOutOfRangeError, MetricViolationError, _check_target, _checked_count,
+                     _checked_positive, _checked_tol_det, scale_ladder)
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -118,8 +119,6 @@ def _render_text(payload: dict, indent: str = "") -> str:
 
 
 def _parse_scales(text: str) -> list[float]:
-    from .pretangent import scale_ladder
-
     try:
         r0, q, count = text.split(":")
         numbers = float(r0), float(q), int(count)
@@ -256,24 +255,24 @@ def _config_dict(args, space=None) -> dict:
     return cfg
 
 
-def _option_type(parse, admits, rule: str):
-    """An option's argparse type: ``parse`` of its text, refused as ``must be
-    {rule}, got {text}`` when ``parse`` cannot read it or ``admits`` refuses it."""
+def _option_type(parse, rule, words: str):
+    """An option's argparse type: ``rule``, an input rule of :mod:`errors`, of ``parse`` of
+    its text, refused as ``must be {words}, got {text}`` when either raises ValueError."""
 
     def read(text: str):
         try:
-            if admits(value := parse(text)):
-                return value
+            return rule(parse(text))
         except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+            raise argparse.ArgumentTypeError(f"must be {words}, got {text}") from None
 
     return read
 
 
-_positive_float = _option_type(float, lambda x: 0 < x < math.inf, "finite and > 0")
-_positive_int = _option_type(int, lambda n: n >= 1, "an integer >= 1")
-_nonnegative_int = _option_type(int, lambda n: n >= 0, "an integer >= 0")
+_dim = _option_type(int, _check_target, "an integer >= 1")
+_samples = _option_type(int, partial(_checked_count, name="samples"), "an integer >= 1")
+_seed = _option_type(int, partial(_checked_count, name="seed", least=0), "an integer >= 0")
+_tol_metric = _option_type(float, partial(_checked_positive, name="tol_metric"), "finite and > 0")
+_tol_det = _option_type(float, _checked_tol_det, "in (0, 1)")
 
 
 def _scales_arg(text: str) -> str:
@@ -299,14 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, scan=False):
         p.add_argument("--format", choices=["text", "json"], default="json")
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--tol-det", dest="tol_det", type=_option_type(float, _checked_tol_det, "in (0, 1)"),
-                       default=DEFAULT_TOL_DET)
+        p.add_argument("--tol-det", dest="tol_det", type=_tol_det, default=DEFAULT_TOL_DET)
         if scan:
-            p.add_argument("--seed", type=_nonnegative_int, default=0)
+            p.add_argument("--seed", type=_seed, default=0)
             p.add_argument("--scales", type=_scales_arg, default="0.5:0.5:12", help="ladder as r0:q:count")
-            p.add_argument("--samples", type=_positive_int, default=128, help="samples per scale rung")
+            p.add_argument("--samples", type=_samples, default=128, help="samples per scale rung")
         else:
-            p.add_argument("--tol-metric", dest="tol_metric", type=_positive_float, default=None)
+            p.add_argument("--tol-metric", dest="tol_metric", type=_tol_metric, default=None)
 
     p = sub.add_parser("validate", help="validate a distance matrix file")
     p.add_argument("input")
@@ -315,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-embed", help="decide isometric embeddability into E^n")
     p.add_argument("input")
-    p.add_argument("--dim", type=_positive_int, required=True)
+    p.add_argument("--dim", type=_dim, required=True)
     p.add_argument("--criterion", choices=["menger", "schoenberg", "blumenthal", "all"], default="all")
     p.add_argument("--realize", action="store_true", help="emit coordinates on a yes verdict")
     common(p)
@@ -329,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="transfer-principle scans on a configured marked space")
     p.add_argument("space", help="space config JSON file")
-    p.add_argument("--dim", type=_positive_int, required=True)
+    p.add_argument("--dim", type=_dim, required=True)
     common(p, scan=True)
     p.set_defaults(func=cmd_scan)
 

@@ -28,14 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (DEFAULT_TOL_DET, DimensionOutOfRangeError, NonzeroDiagonalError, NotSymmetricError,
-                     TupleTooShortError, _checked_count, _checked_tol_det)
+from .errors import DEFAULT_TOL_DET, NonzeroDiagonalError, NotSymmetricError, TupleTooShortError, _checked_tol_det
 from .metric import FiniteMetricSpace, as_matrix, check_finite, first_worst, point_index, readonly, row_blocks, submatrix
-
-
-def _check_target(n: int) -> None:
-    """Refuse a target dimension that is not an integer >= 1."""
-    _checked_count(n, "target dimension", error=DimensionOutOfRangeError)
 
 
 def within_band(value, sq_max, tol_det: float = DEFAULT_TOL_DET):

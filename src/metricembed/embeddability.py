@@ -39,12 +39,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .determinants import PsdReport, _check_target, psd_check, tuple_heights, within_band
+from .determinants import PsdReport, psd_check, tuple_heights, within_band
 from .errors import (
     DEFAULT_TOL_DET,
     DistanceOutOfRangeError,
     NotEmbeddableError,
     RankExceedsRequestedError,
+    _check_target,
     _checked_space,
     _checked_tol_det,
 )

@@ -5,9 +5,9 @@ Metric-axiom violations all derive from :class:`MetricViolationError` and
 carry the offending indices, so callers (and the CLI) can report exactly
 which entries broke which axiom.
 
-What a number, a count, a tolerance and a positive finite number are is
-said once here, for every layer: the CLI front end reads ``tol_det``'s
-rule and default here too, so parsing its arguments loads no numpy.
+What a number, a count, a tolerance, a positive finite number, a target
+dimension and a scale ladder are is said once here, for every layer and
+every option of the CLI, so parsing its arguments loads no numpy.
 """
 
 from __future__ import annotations
@@ -172,6 +172,11 @@ def _checked_count(value, name: str, least: int = 1, error: type = ValueError):
     return value
 
 
+def _check_target(n: int) -> int:
+    """``n``, refused with DimensionOutOfRangeError unless it is a target dimension, an integer >= 1."""
+    return _checked_count(n, "target dimension", error=DimensionOutOfRangeError)
+
+
 def _checked_positive(value, name: str, error: type = ValueError) -> float:
     """``value`` as a float, refused with ``error`` naming it ``name`` unless it is a positive finite number."""
     if not is_number(value) or not 0 < value < math.inf:
@@ -184,3 +189,26 @@ def _checked_space(space, kind: type, builder: str):
     if not isinstance(space, kind):
         raise TypeError(f"expected a {kind.__name__}, built by {builder}, got {type(space).__name__}")
     return space
+
+
+def checked_scales(scales) -> list[float]:
+    """The ladder rule of every scan: at least two scales, each a finite
+    positive number (:func:`is_number`), strictly decreasing. Returns them
+    as floats; raises ValueError otherwise."""
+    scales = list(scales)
+    if (len(scales) < 2 or not all(is_number(s) and 0 < s < math.inf for s in scales)
+            or any(b >= a for a, b in zip(scales, scales[1:]))):
+        raise ValueError("scales must be at least two finite positive values, strictly decreasing")
+    return [float(s) for s in scales]
+
+
+def scale_ladder(r0: float = 0.5, q: float = 0.5, rungs: int = 12) -> list[float]:
+    """Geometric scale ladder r0 * q^j, j = 0..rungs-1, of numbers r0 and q and an integer
+    ``rungs``, under the rule of :func:`checked_scales`. A last rung that underflows to 0
+    is refused before the ladder is built, however many rungs it asks for."""
+    if not (is_number(r0) and is_number(q) and is_integer(rungs) and 0 < r0 < math.inf and 0 < q < 1):
+        raise ValueError(f"need a finite r0 > 0 and 0 < q < 1 and an integer rungs, got {r0!r}, {q!r}, {rungs!r}")
+    # an exponent past 2^1023 is no float, and q to that power is 0 anyway
+    if rungs >= 2 and not r0 * q ** min(rungs - 1, 2**1023) > 0:
+        raise ValueError("the last rung r0 * q^(rungs - 1) underflows to 0")
+    return checked_scales([r0 * q**j for j in range(rungs)])

@@ -31,9 +31,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .determinants import _check_target, tuple_determinants
+from .determinants import tuple_determinants
 from .errors import (DEFAULT_TOL_DET, EmptySampleError, NonpositiveExponentError, SamplerScaleMismatchError,
-                     TupleTooShortError, _checked_count, _checked_space, _checked_tol_det, is_integer, is_number)
+                     TupleTooShortError, _check_target, _checked_count, _checked_space, _checked_tol_det,
+                     checked_scales, is_number, scale_ladder)
 from .metric import row_blocks
 from .spaces import MarkedSpace
 
@@ -128,29 +129,6 @@ def s_functional(space: MarkedSpace, t: Sequence) -> float:
 
 # ---------------------------------------------------------------------------
 # Sampled scanners
-
-
-def checked_scales(scales: Sequence[float]) -> list[float]:
-    """The ladder rule of every scan: at least two scales, each a finite
-    positive number (:func:`is_number`), strictly decreasing. Returns them
-    as floats; raises ValueError otherwise."""
-    scales = list(scales)
-    if (len(scales) < 2 or not all(is_number(s) and 0 < s < math.inf for s in scales)
-            or any(b >= a for a, b in zip(scales, scales[1:]))):
-        raise ValueError("scales must be at least two finite positive values, strictly decreasing")
-    return [float(s) for s in scales]
-
-
-def scale_ladder(r0: float = 0.5, q: float = 0.5, rungs: int = 12) -> list[float]:
-    """Geometric scale ladder r0 * q^j, j = 0..rungs-1, of numbers r0 and q and an integer
-    ``rungs``, under the rule of :func:`checked_scales`. A last rung that underflows to 0
-    is refused before the ladder is built, however many rungs it asks for."""
-    if not (is_number(r0) and is_number(q) and is_integer(rungs) and 0 < r0 < math.inf and 0 < q < 1):
-        raise ValueError(f"need a finite r0 > 0 and 0 < q < 1 and an integer rungs, got {r0!r}, {q!r}, {rungs!r}")
-    # an exponent past 2^1023 is no float, and q to that power is 0 anyway
-    if rungs >= 2 and not r0 * q ** min(rungs - 1, 2**1023) > 0:
-        raise ValueError("the last rung r0 * q^(rungs - 1) underflows to 0")
-    return checked_scales([r0 * q**j for j in range(rungs)])
 
 
 @dataclass(frozen=True)

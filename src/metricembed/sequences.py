@@ -34,9 +34,10 @@ from .errors import (
     _checked_tol,
     _checked_tol_det,
     is_number,
+    scale_ladder,
 )
 from .metric import FiniteMetricSpace, validate_metric
-from .pretangent import NOISE_FLOOR_FACTOR, _functionals, scale_ladder
+from .pretangent import NOISE_FLOOR_FACTOR, _functionals
 from .spaces import MarkedSpace
 
 #: Stability window: verdicts are read off the last half of the depth;

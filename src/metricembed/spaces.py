@@ -112,7 +112,12 @@ def _accepted(rng, p: np.ndarray, count: int, propose, scale: float, inner: floa
 
 def _cloud(rng, p: np.ndarray, k: int, propose, scale: float) -> tuple:
     """k+1 points within ``scale`` of p; the first, the anchor, lies at
-    distance >= scale/2, so delta lands in [scale/2, scale]."""
+    distance >= scale/2, so delta lands in [scale/2, scale]. A scale below
+    the float resolution at p, where in every coordinate p's nearest float
+    lies farther than the scale, is refused: no point but p lies within it."""
+    if np.all(np.minimum(np.nextafter(p, np.inf) - p, p - np.nextafter(p, -np.inf)) > scale):
+        raise ValueError(f"cannot sample scale {scale!r} at p = {p.tolist()}: it lies below the float "
+                         "resolution there, so no point but p is within it")
     anchor = _accepted(rng, p, 1, propose, scale, scale / 2)
     return tuple(np.concatenate([anchor, _accepted(rng, p, k, propose, scale)]))
 

@@ -1054,14 +1054,31 @@ def test_finite_commands_leave_scan_layer_unloaded(eq_file, star_file):
     assert done.returncode == 0, done.stderr
 
 
-def test_front_end_leaves_numpy_unloaded(eq_file):
+def test_front_end_leaves_numpy_unloaded(eq_file, circle_cfg):
     # cli imported determinants for tol_det's rule and default, and with it
-    # numpy: about 97 ms of a 108 ms --version
+    # numpy: about 97 ms of a 108 ms --version. --scales read the ladder
+    # rule from pretangent, and loaded numpy to refuse a ladder
     argvs = [["--version"], ["--help"], ["check-embed", "--help"], ["scan", "--help"], ["min-dim"],
-             ["check-embed", eq_file, "--dim", "0"], ["check-embed", eq_file, "--dim", "1", "--tol-det", "2"]]
-    done = _modules_left_unloaded(argvs, ("numpy", "metricembed.metric", "metricembed.determinants"))
+             ["check-embed", eq_file, "--dim", "0"], ["check-embed", eq_file, "--dim", "1", "--tol-det", "2"],
+             ["scan", circle_cfg, "--dim", "1", "--scales", "junk"],
+             ["scan", circle_cfg, "--dim", "1", "--scales", "0.5:2:3"],
+             ["scan", circle_cfg, "--dim", "1", "--samples", "0"], ["scan", circle_cfg, "--dim", "1", "--seed", "-1"],
+             ["validate", eq_file, "--tol-metric", "0"]]
+    done = _modules_left_unloaded(argvs, ("numpy", "metricembed.metric", "metricembed.determinants",
+                                          "metricembed.pretangent"))
     assert done.returncode == 0, done.stderr
-    assert done.stderr.splitlines()[-1] == "[0, 0, 0, 0, 2, 2, 2] []"
+    assert done.stderr.splitlines()[-1] == "[0, 0, 0, 0, 2, 2, 2, 2, 2, 2, 2, 2] []"
+
+
+def test_scale_ladder_leaves_numpy_unloaded():
+    # the package's scale_ladder lived in pretangent, which imports numpy
+    code = ("import sys\n"
+            "import metricembed\n"
+            "assert metricembed.scale_ladder(0.5, 0.5, 3) == [0.5, 0.25, 0.125]\n"
+            "sys.exit('numpy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
 
 
 def test_scan_leaves_finite_decider_unloaded(circle_cfg):
@@ -1163,12 +1180,12 @@ def test_option_refused_in_our_words(argv, error, eq_file, capsys):
 def test_ladder_that_does_not_fit_in_memory_refused_at_parse(eq_file, monkeypatch, capsys):
     # the ladder is built at parse time; a MemoryError there is an option
     # refusal with exit 2. No real ladder is drawn: the builder raises at once
-    from metricembed import pretangent
+    from metricembed import cli
 
     def out_of_memory(r0, q, rungs):
         raise MemoryError
 
-    monkeypatch.setattr(pretangent, "scale_ladder", out_of_memory)
+    monkeypatch.setattr(cli, "scale_ladder", out_of_memory)
     with pytest.raises(SystemExit) as exc:
         main(["scan", eq_file, "--dim", "1", "--scales", "0.5:0.5:3"])
     assert exc.value.code == 2
@@ -1212,6 +1229,18 @@ def test_sampler_giving_up_cannot_scan_exit_3(tmp_path, capsys):
     assert out["exit_code"] == 3
     assert out["error"] == ("cannot scan: sampler failed to draw 1 points at distance in [0.0625, 0.125] "
                             "after 500 batches")
+
+
+def test_scale_below_float_resolution_cannot_scan_exit_3(tmp_path, capsys):
+    # no float point but p lies within 1e-300 of [0.5, 0.5]: the sampler
+    # spun 500 rejection batches into "sampler failed to draw 1 points"
+    cfg = tmp_path / "plane.json"
+    cfg.write_text(json.dumps({"type": "euclidean", "dim": 2, "p": [0.5, 0.5], "region": {"kind": "cube"}}))
+    assert main(["scan", str(cfg), "--dim", "1", "--samples", "8", "--scales", "1e-300:0.5:2"]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out["exit_code"] == 3
+    assert out["error"] == ("cannot scan: cannot sample scale 1e-300 at p = [0.5, 0.5]: it lies below the float "
+                            "resolution there, so no point but p is within it")
 
 
 #: one op per exit code, plus --version and --help; "{name}" stands for a

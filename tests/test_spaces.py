@@ -425,6 +425,10 @@ def _away_from_curve():
     # NaN, -1 and inf spun 500 rejection batches into "sampler failed to draw 1 points"
     *[(lambda scale=scale: plane().sample(scale, 2), ValueError,
        f"scale must be a positive finite number, got {scale!r}") for scale in (math.nan, -1, math.inf)],
+    # a scale below the float resolution at p spun 500 rejection batches into "sampler failed to draw 1 points"
+    *[(lambda scale=scale: make_euclidean_subset(2, {"kind": "cube"}, [0.5, 0.5]).sample(scale, 2), ValueError,
+       f"cannot sample scale {scale!r} at p = [0.5, 0.5]: it lies below the float resolution there, "
+       "so no point but p is within it") for scale in (1e-300, 4e-17)],
     # k = -1 drew 6 points on the cube, and met numpy's "negative dimensions are not allowed" on the others
     *[(lambda make=make: make().sample(0.5, -1), ValueError, "k must be an integer >= 0, got -1")
       for make in (plane, lambda: make_ultrametric(4, 2), lambda: as_marked(validate_metric([[0, 1], [1, 0]]), 0))],
