@@ -1,13 +1,13 @@
 """Isometric embeddability of finite metric spaces into E^n.
 
 Every finite decision reads one diagonal-pivoted factorization of the
-base-point form tau (``psd_check``) on each part of the space
-(:func:`_parts`). By Schoenberg's theorem a space embeds in E^n iff tau is
-PSD of rank <= n, so the minimal dimension m is the largest rank of a
-part, and there is none when a part is not PSD. One ``_Decision`` per
-space reads the parts in turn, stops at the first that is not PSD, and
-answers every question from the part that decides, that one or else the
-first of largest rank:
+base-point form tau (``psd_check``) on each part of the space: the whole,
+then, under a PSD whole, each ball of :func:`_neighbourhoods`. By
+Schoenberg's theorem a space embeds in E^n iff tau is PSD of rank <= n, so
+the minimal dimension m is the largest rank of a part, and there is none
+when a part is not PSD. One ``_Decision`` per space reads the parts in one
+loop, stops at the first that is not PSD, and answers every question from
+the part that decides, that one or else the first of largest rank:
 
 * ``menger_check`` / ``schoenberg_check``: ``yes`` iff m <= n. Otherwise
   the deciding part names one tuple of at most n+3 points that breaks a
@@ -151,22 +151,6 @@ def _neighbourhoods(dist: np.ndarray, leftover: np.ndarray, tol_det: float):
         r2 /= 4.0
 
 
-def _parts(space: FiniteMetricSpace, tol_det: float):
-    """The factorizations a decision reads, as (report, base) in point
-    indices, each made only when it is read: first the one over all points,
-    then, when it is PSD, one of each ball of :func:`_neighbourhoods` on its
-    own, its pivots, witness and base mapped to the space and its factor and
-    leftover dropped."""
-    report, base = _factorization(space.dist, tol_det)
-    yield report, base
-    if report.psd:
-        for ball in _neighbourhoods(space.dist, report.leftover, tol_det):
-            part, base = _factorization(space.dist[np.ix_(ball, ball)], tol_det)
-            rows = part.witness_subset
-            yield (replace(part, pivots=tuple(ball[list(part.pivots)].tolist()), factor=None, leftover=None,
-                           witness_subset=None if rows is None else tuple(ball[list(rows)].tolist())), int(ball[base]))
-
-
 def _continued(report: PsdReport, m: int) -> np.ndarray:
     """The factor of a PSD report continued to m columns past its band by
     diagonal-pivoted Cholesky steps on its leftover, a column at a time,
@@ -251,17 +235,23 @@ def _cached_decision(space: FiniteMetricSpace, tol_det: float, /) -> _Decision:
         raise DistanceOutOfRangeError("the distances span more than [%.4g, %.4g] holds at any power of two"
                                       % CERTIFIABLE_RANGE)
     decided = scale_metric(space, math.ldexp(1.0, shift)) if shift else space
-    parts = _parts(decided, tol_det)
-    report, base = next(parts)
-    whole = report
-    # the first part that is not PSD decides, and ends the reading; else the first of largest rank
-    for part in parts:
-        if part[0].rank > report.rank or not part[0].psd:
-            report, base = part
-            if not report.psd:
+    whole, base = _factorization(decided.dist, tol_det)
+    report, ball = whole, None
+    # the first ball that is not PSD decides, and ends the reading; else the first of largest rank
+    for part in _neighbourhoods(decided.dist, whole.leftover, tol_det) if whole.psd else ():
+        found, at = _factorization(decided.dist[np.ix_(part, part)], tol_det)
+        if found.rank > report.rank or not found.psd:
+            report, base, ball = found, at, part
+            if not found.psd:
                 break
     psd = replace(report, leftover=None)
-    if shift and psd.factor is not None:
+    if ball is not None:
+        # only the deciding ball is read in point indices, and its factor is dropped
+        rows = report.witness_subset
+        psd = replace(psd, pivots=tuple(ball[list(report.pivots)].tolist()), factor=None,
+                      witness_subset=None if rows is None else tuple(ball[list(rows)].tolist()))
+        base = int(ball[base])
+    elif shift:
         psd = replace(psd, factor=psd.factor * math.ldexp(1.0, -shift))
     result = MinDimResult(report.psd, report.rank if report.psd else None, psd, base)
     # the leftover has served the ball search, and the factor is continued

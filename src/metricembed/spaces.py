@@ -110,14 +110,19 @@ def _accepted(rng, p: np.ndarray, count: int, propose, scale: float, inner: floa
                        f"after {_MAX_TRIES} batches")
 
 
-def _cloud(rng, p: np.ndarray, k: int, propose, scale: float) -> tuple:
+def _cloud(rng, p: np.ndarray, k: int, propose, scale: float, reach: float) -> tuple:
     """k+1 points within ``scale`` of p; the first, the anchor, lies at
-    distance >= scale/2, so delta lands in [scale/2, scale]. A scale below
-    the float resolution at p, where in every coordinate p's nearest float
-    lies farther than the scale, is refused: no point but p lies within it."""
+    distance >= scale/2, so delta lands in [scale/2, scale]. Two scales are
+    refused before any draw: one below the float resolution at p, where in
+    every coordinate p's nearest float lies farther than the scale, so no
+    point but p lies within it; and one whose half exceeds ``reach``, the
+    region's farthest distance from p, so no anchor lies in the region."""
     if np.all(np.minimum(np.nextafter(p, np.inf) - p, p - np.nextafter(p, -np.inf)) > scale):
         raise ValueError(f"cannot sample scale {scale!r} at p = {p.tolist()}: it lies below the float "
                          "resolution there, so no point but p is within it")
+    if scale / 2 > reach:
+        raise ValueError(f"cannot sample scale {scale!r} at p = {p.tolist()}: its half exceeds {reach!r}, "
+                         "the region's reach from p")
     anchor = _accepted(rng, p, 1, propose, scale, scale / 2)
     return tuple(np.concatenate([anchor, _accepted(rng, p, k, propose, scale)]))
 
@@ -163,19 +168,21 @@ def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
     an infinite one in ``p``, ``center`` or ``fn(t0)``, a radius or pitch that is
     not a positive finite number, a pitch on a cube with an infinite ``low``, or
     a region that is not a dict naming its ``kind``. A ``p`` outside the region,
-    for a cube before or after snapping to the pitch, raises
-    MarkedPointOutsideRegionError. Infinite cube bounds without a pitch are allowed.
+    judged relative to its size, for a cube before or after snapping to the
+    pitch, raises MarkedPointOutsideRegionError. Infinite cube bounds without a
+    pitch are allowed, and a cube draws in its affine hull, its zero-width sides pinned.
     """
     _checked_count(dim, "dimension")
     p = _coordinates("marked point", p, dim)
     kind = _region_kind(region)
 
-    def space(region_desc: dict, propose=None) -> MarkedSpace:
-        """The space over the region, its clouds drawn by ``propose``; all p without one."""
+    def space(region_desc: dict, propose=None, reach: float = math.inf) -> MarkedSpace:
+        """The space over the region, its clouds drawn by ``propose`` within
+        ``reach`` of p; all p without one."""
         def sample(scale, k, seed=0):
             if propose is None:
                 return (p.copy(),) * (k + 1)
-            return _cloud(np.random.default_rng(seed), p, k, propose, scale)
+            return _cloud(np.random.default_rng(seed), p, k, propose, scale, reach)
 
         desc = {"type": "euclidean", "dim": dim, "region": region_desc, "p": p.tolist()}
         return MarkedSpace(metric=_pair_metric(euclidean_matrix), p=p, sampler=sample, description=desc,
@@ -185,9 +192,14 @@ def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
         low = _coordinates("low", region.get("low", np.zeros(dim)), dim, finite=False)
         high = _coordinates("high", region.get("high", np.ones(dim)), dim, finite=False)
         pitch = region.get("pitch")
+        # a bound is judged with a slack relative to the box's largest finite width
+        slack = 1e-12 * max(filter(math.isfinite, (b - a for a, b in zip(low.tolist(), high.tolist()))), default=0.0)
+        flat = low == high
+        # the sides of positive width span the box's affine hull, where it draws
+        h = dim - int(np.count_nonzero(flat))
 
         def inside(x: np.ndarray, what: str) -> None:
-            if np.any(x < low - 1e-12) or np.any(x > high + 1e-12):
+            if np.any(x < low - slack) or np.any(x > high + slack):
                 cube = f"[{low.tolist()}, {high.tolist()}]"
                 raise MarkedPointOutsideRegionError(f"{what}={x.tolist()} outside cube {cube}")
 
@@ -201,27 +213,30 @@ def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
             inside(p, "p snapped to the pitch")
 
         def propose(rng, size, attempt, scale):
-            # uniform in the ball B(p, scale), kept inside the cube, then
-            # snapped to the grid (which may carry a point past scale)
+            # uniform in the ball B(p, scale) of the affine hull, its
+            # zero-width sides pinned, kept inside the cube, then snapped to
+            # the grid (which may carry a point past scale)
             v = rng.normal(size=(size, dim))
-            r = scale * rng.uniform(size=size) ** (1.0 / dim)
+            v[:, flat] = 0.0
+            r = scale * rng.uniform(size=size) ** (1.0 / h)
             norm = np.linalg.norm(v, axis=1)
             live = norm > 0
             x = p + v[live] * (r[live] / norm[live])[:, None]
+            x[:, flat] = low[flat]
             x = x[np.all((x >= low) & (x <= high), axis=1)]
             if pitch is not None:
                 x = low + np.round((x - low) / pitch) * pitch
             return x
 
         desc = {"kind": kind, "low": low.tolist(), "high": high.tolist(), "pitch": pitch}
-        return space(desc, None if np.all(high - low == 0) else propose)
+        return space(desc, propose if h else None, math.hypot(*np.maximum(p - low, high - p)))
 
     if kind == "sphere-surface":
         center = _coordinates("center", region.get("center", np.zeros(dim)), dim)
         radius = _checked_positive(region.get("radius", 1.0), "radius")
         if dim < 2:
             raise ValueError("sphere-surface region needs dim >= 2")
-        if abs(euclidean_matrix([p], [center])[0, 0] - radius) > 1e-9 * max(radius, 1.0):
+        if abs(math.hypot(*(p - center)) - radius) > 1e-9 * radius:
             raise MarkedPointOutsideRegionError(f"p={p.tolist()} not on the sphere surface")
         u = (p - center) / radius
 
@@ -236,7 +251,7 @@ def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
             w, phi = w[live] / norm[live, None], phi[live]
             return center + radius * (np.outer(np.cos(phi), u) + np.sin(phi)[:, None] * w)
 
-        return space({"kind": kind, "center": center.tolist(), "radius": radius}, propose)
+        return space({"kind": kind, "center": center.tolist(), "radius": radius}, propose, 2.0 * radius)
 
     if kind == "curve":
         spec: CurveSpec = region["spec"]

@@ -306,3 +306,14 @@ def enumerated_verdict(space, n: int, engine: str, tol_det: float = DEFAULT_TOL_
         else:
             borderline = borderline or bool(np.any(values < 0))
     return "undetermined" if borderline else "yes"
+
+
+def part_psd_flags(space, tol_det: float = DEFAULT_TOL_DET) -> list[bool]:
+    """Whether each part a finite decision may read is PSD, in its reading
+    order: the factorization over all points, then, when that is PSD, the
+    factorization of each ball of ``embeddability._neighbourhoods``."""
+    from metricembed.embeddability import _factorization, _neighbourhoods
+
+    whole, _ = _factorization(space.dist, tol_det)
+    balls = _neighbourhoods(space.dist, whole.leftover, tol_det) if whole.psd else ()
+    return [whole.psd] + [_factorization(space.dist[np.ix_(ball, ball)], tol_det)[0].psd for ball in balls]

@@ -19,7 +19,7 @@ from metricembed.cli import main
 from metricembed.determinants import DEFAULT_TOL_DET
 from metricembed.errors import TriangleViolationError
 
-from conftest import line_with_triangle, plane_with_star, square_with_star, square_with_tetrahedron
+from conftest import line_with_triangle, part_psd_flags, plane_with_star, square_with_star, square_with_tetrahedron
 
 EQ = {"labels": ["a", "b", "c"], "distances": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}
 STAR = [[0, 1, 1, 1], [1, 0, 2, 2], [1, 2, 0, 2], [1, 2, 2, 0]]
@@ -308,7 +308,7 @@ class TestOneDecision:
         space = build()
         path = tmp_path / "space.json"
         path.write_text(json.dumps({"labels": list(space.labels), "distances": space.dist.tolist()}))
-        psd = [report.psd for report, _ in embeddability._parts(space, DEFAULT_TOL_DET)]
+        psd = part_psd_flags(space)
         parts = psd.index(False) + 1 if False in psd else len(psd)
         calls = []
         factor = embeddability.psd_check
@@ -1241,6 +1241,18 @@ def test_scale_below_float_resolution_cannot_scan_exit_3(tmp_path, capsys):
     assert out["exit_code"] == 3
     assert out["error"] == ("cannot scan: cannot sample scale 1e-300 at p = [0.5, 0.5]: it lies below the float "
                             "resolution there, so no point but p is within it")
+
+
+def test_scale_past_the_reach_cannot_scan_exit_3(tmp_path, capsys):
+    # no point of the unit square lies 2 from its centre: the first rung
+    # spun 500 rejection batches into "sampler failed to draw 1 points"
+    cfg = tmp_path / "plane.json"
+    cfg.write_text(json.dumps({"type": "euclidean", "dim": 2, "p": [0.5, 0.5], "region": {"kind": "cube"}}))
+    assert main(["scan", str(cfg), "--dim", "1", "--samples", "8", "--scales", "4:0.5:3"]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out["exit_code"] == 3
+    assert out["error"] == ("cannot scan: cannot sample scale 4.0 at p = [0.5, 0.5]: its half exceeds "
+                            "0.7071067811865476, the region's reach from p")
 
 
 #: one op per exit code, plus --version and --help; "{name}" stands for a

@@ -36,6 +36,7 @@ from conftest import (
     enumerated_verdict,
     exact_psd_rank,
     line_with_triangle,
+    part_psd_flags,
     plane_with_star,
     random_cloud,
     square_with_star,
@@ -729,7 +730,7 @@ def test_decision_stops_at_the_first_part_not_psd(monkeypatch):
     # the plane's parts are the whole, then five balls, and the star's ball
     # is the fourth part: nothing after it is factored
     sp = plane_with_star(300)
-    assert [report.psd for report, _ in embeddability._parts(sp, DEFAULT_TOL_DET)] == [True] * 3 + [False, True, False]
+    assert part_psd_flags(sp) == [True] * 3 + [False, True, False]
     calls = []
     factor = embeddability.psd_check
     monkeypatch.setattr(embeddability, "psd_check", lambda *a, **k: calls.append(1) or factor(*a, **k))

@@ -164,10 +164,21 @@ def test_scan_verdicts_kept(case, seed):
     region, p, n = SCANS[case]
     base = _scan_verdicts(region, p, n, seed)
     assert base[0] == ("refuted" if case == "corner-n1" else "consistent-with-embeddable")
-    for factor in (1e-3, 3.0, 1e3):
+    for factor in (1e-150, 1e-3, 3.0, 1e3, 1e150):
         assert _scan_verdicts(region, p, n, seed, factor=factor) == base, factor
     for shift in ((3.0, -7.0), (1e3, 0.25)):
         assert _scan_verdicts(region, p, n, seed, shift=shift) == base, shift
+
+
+@pytest.mark.xfail(strict=True, raises=(RuntimeError, RuntimeWarning),
+                   reason="euclidean_matrix squares coordinate differences, so a distance below about 1.5e-162 "
+                          "reads 0 and one above about 1.3e154 inf, and every proposal is rejected (the FOUND on "
+                          "euclidean_matrix in CHANGES.md; ROADMAP item 32, the kernel half)")
+@pytest.mark.parametrize("factor", [1e-200, 1e200])
+@pytest.mark.parametrize("case", list(SCANS))
+def test_scan_verdicts_kept_past_the_kernel(case, factor):
+    region, p, n = SCANS[case]
+    assert _scan_verdicts(region, p, n, 0, factor=factor) == _scan_verdicts(region, p, n, 0)
 
 
 @pytest.mark.parametrize("drop", [14, 26])

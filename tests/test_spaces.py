@@ -22,7 +22,7 @@ from metricembed import (
 )
 from metricembed.errors import (AlphaOutOfRangeError, ArityMismatchError, IndexOutOfRangeError,
                                MarkedPointOutsideRegionError)
-from metricembed.pretangent import delta_scale
+from metricembed.pretangent import delta_scale, transfer_check
 from metricembed.spaces import perturbed_euclidean_space
 
 
@@ -170,6 +170,20 @@ def test_curve_region():
     sp = make_euclidean_subset(2, {"kind": "curve", "spec": spec}, [1.0, 0.0])
     t = sp.sample(0.05, 2, 1)
     assert 0.025 <= delta_scale(sp, t) <= 0.05
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_flat_box_draws_in_its_affine_hull(seed):
+    # a normal draw in the whole space left every point off a zero-width
+    # side, and the first rung spun 500 rejection batches into "sampler
+    # failed to draw 1 points"; a segment's tangent is a line, a flat
+    # square's a plane
+    seg = make_euclidean_subset(2, {"kind": "cube", "low": [-3e-134, 0], "high": [3, 0]}, [0, 0])
+    assert {float(x[1]) for x in seg.sample(0.5, 8, seed)} == {0.0}
+    flat = make_euclidean_subset(3, {"kind": "cube", "low": [0, 0, 0], "high": [1, 1, 0]}, [0, 0, 0])
+    consistent = "consistent-with-embeddable"
+    assert [transfer_check(seg, n, seed=seed).verdict for n in (1, 2)] == [consistent, consistent]
+    assert [transfer_check(flat, n, seed=seed).verdict for n in (1, 2)] == ["refuted", consistent]
 
 
 def test_degenerate_cube_is_one_point_space():
@@ -449,6 +463,19 @@ def _away_from_curve():
        f"perturbation must be a finite number >= 0, got {v!r}") for v in ("a", math.nan, math.inf, -0.1)],
     *[(lambda v=v: perturbed_euclidean_space(4, min_distance=v), ValueError,
        f"min_distance must be a number >= 0, got {v!r}") for v in (None, math.nan, -1.0)],
+    # a scale whose half lies past every point of the region spun 500
+    # rejection batches into "sampler failed to draw 1 points"
+    (lambda: make_euclidean_subset(2, {"kind": "cube"}, [0.5, 0.5]).sample(4.0, 2), ValueError,
+     "cannot sample scale 4.0 at p = [0.5, 0.5]: its half exceeds 0.7071067811865476, the region's reach from p"),
+    (lambda: make_euclidean_subset(2, {"kind": "sphere-surface", "center": [0, 0], "radius": 1.0}, [1, 0]).sample(
+        5.0, 2), ValueError, "cannot sample scale 5.0 at p = [1.0, 0.0]: its half exceeds 2.0, the region's reach from p"),
+    # the marked point was judged at an absolute slack: the centre of a
+    # sphere of radius 1e-12 was on its surface, and a point five widths
+    # outside a box of width 1e-13 inside it
+    (lambda: make_euclidean_subset(2, {"kind": "sphere-surface", "center": [0, 0], "radius": 1e-12}, [0, 0]),
+     MarkedPointOutsideRegionError, "p=[0.0, 0.0] not on the sphere surface"),
+    (lambda: make_euclidean_subset(2, {"kind": "cube", "low": [0, 0], "high": [1e-13, 1e-13]}, [-5e-13, 0]),
+     MarkedPointOutsideRegionError, "p=[-5e-13, 0.0] outside cube [[0.0, 0.0], [1e-13, 1e-13]]"),
     # a Euclidean scale that underflowed to 0 drew p alone, and one that
     # overflowed ended in "(34, 'Numerical result out of range')"
     (lambda: make_snowflake(5e-4, 1, [0.5]).sample(0.5, 2), ValueError,
