@@ -219,21 +219,19 @@ def _report_json(report, point_repr) -> dict:
     """A scan's report (``TransferReport``, ``ScanReport`` or ``ScanWitness``)
     as JSON values, one per field: a nested report rendered in turn, a tuple
     as a list, an infinite ``trend`` as ``"inf"`` and each witness point
-    through ``point_repr``."""
-    from dataclasses import fields, is_dataclass
-
+    through ``point_repr``. A nested report, a tuple itself, is rendered
+    before tuples become lists."""
     out = {}
-    for f in fields(report):
-        value = getattr(report, f.name)
-        if f.name == "points":
+    for name, value in zip(report._fields, report):
+        if name == "points":
             value = [point_repr(x) for x in value]
-        elif f.name == "scans":
+        elif name == "scans":
             value = [_report_json(scan, point_repr) for scan in value]
-        elif f.name == "trend" and not math.isfinite(value):
+        elif name == "trend" and not math.isfinite(value):
             value = "inf"
-        elif is_dataclass(value):
+        elif hasattr(value, "_fields"):
             value = _report_json(value, point_repr)
-        out[f.name] = list(value) if isinstance(value, tuple) else value
+        out[name] = list(value) if isinstance(value, tuple) else value
     return out
 
 

@@ -23,8 +23,7 @@ pivoted factorization, the engines of each witness (:func:`tuple_heights`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,8 +40,7 @@ def within_band(value, sq_max, tol_det: float = DEFAULT_TOL_DET):
     return np.abs(value) <= _checked_tol_det(tol_det) * sq_max
 
 
-@dataclass(frozen=True)
-class CMValue:
+class CMValue(NamedTuple):
     """A Cayley-Menger determinant with its embeddability-signed variant."""
 
     k: int
@@ -136,8 +134,7 @@ def sch_determinant(space: FiniteMetricSpace, t: Sequence[int]) -> float:
     return sch_value(submatrix(space, t))
 
 
-@dataclass(frozen=True)
-class PsdReport:
+class PsdReport(NamedTuple):
     """Outcome of the pivoted factorization of a symmetric matrix."""
 
     psd: bool
@@ -152,17 +149,12 @@ class PsdReport:
     witness_value: float | None = None
     #: accepted pivot rows in the order taken
     pivots: tuple[int, ...] = ()
-    #: (order x rank) factor F over the accepted pivots; the matrix is
-    #: F F^T up to the zero rule when ``psd``
+    #: (order x rank) factor F over the accepted pivots, read-only; the
+    #: matrix is F F^T up to the zero rule when ``psd``
     factor: np.ndarray | None = None
     #: what F leaves of the matrix, its Schur complement on the pivots
-    #: (order x order), when ``psd``; else None
+    #: (order x order), read-only, when ``psd``; else None
     leftover: np.ndarray | None = None
-
-    def __post_init__(self):
-        for name in ("factor", "leftover"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, readonly(getattr(self, name)))
 
 
 def psd_check(sq: np.ndarray, base: int, tol_det: float = DEFAULT_TOL_DET) -> PsdReport:
@@ -215,10 +207,10 @@ def psd_check(sq: np.ndarray, base: int, tol_det: float = DEFAULT_TOL_DET) -> Ps
     taken = 0.0  # largest squared distance within (base, B)
 
     def finish(rows=None, value=None) -> PsdReport:
-        factor = np.stack(cols, axis=1) * math.sqrt(scale) if cols else np.zeros((n, 0))
+        factor = readonly(np.stack(cols, axis=1) * math.sqrt(scale) if cols else np.zeros((n, 0)))
         if rows is None:
             np.multiply(s, scale, out=s)
-            return PsdReport(psd=True, rank=len(pivots), pivots=tuple(pivots), factor=factor, leftover=s)
+            return PsdReport(psd=True, rank=len(pivots), pivots=tuple(pivots), factor=factor, leftover=readonly(s))
         return PsdReport(psd=False, rank=len(pivots), witness_subset=tuple(sorted(int(r) for r in [base, *rows])),
                          witness_value=float(value), pivots=tuple(pivots), factor=factor)
 

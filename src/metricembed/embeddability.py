@@ -34,8 +34,8 @@ power of two that brings every distance into it, which is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +52,7 @@ from .errors import (
 from .metric import FiniteMetricSpace, euclidean_matrix, readonly, row_blocks, scale_metric, submatrix
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A tuple of point indices violating (or grazing) a criterion."""
 
     indices: tuple[int, ...]
@@ -63,8 +62,7 @@ class Witness:
     kind: str
 
 
-@dataclass(frozen=True)
-class EmbedVerdict:
+class EmbedVerdict(NamedTuple):
     """Outcome of an embeddability check against a target dimension."""
 
     embeddable: str  # "yes" | "no" | "undetermined"
@@ -73,20 +71,16 @@ class EmbedVerdict:
     witness: Witness | None = None
 
 
-@dataclass(frozen=True)
-class Realization:
+class Realization(NamedTuple):
     """Coordinates realizing a space in R^m, with the worst distance error."""
 
+    #: (points x m), read-only
     coords: np.ndarray
     m: int
     max_residual: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", readonly(self.coords))
 
-
-@dataclass(frozen=True)
-class MinDimResult:
+class MinDimResult(NamedTuple):
     """Minimal embedding dimension, or infeasibility with a PSD witness:
     the report of the part that decided, in point indices, with its base
     point ``base`` (also in ``witness_subset``); its factor has a row per
@@ -168,10 +162,10 @@ def _continued(report: PsdReport, m: int) -> np.ndarray:
     return factor
 
 
-@dataclass(frozen=True)
 class _Decision:
     """Every finite answer for one space at one ``tol_det``, read off the
-    part that decided (:func:`_decide`)."""
+    part that decided (:func:`_decide`). It refuses attribute assignment;
+    its realization is computed on first read."""
 
     #: the space decided: the one asked about, or that space's distances
     #: times 2^shift, all in :data:`CERTIFIABLE_RANGE`
@@ -185,6 +179,12 @@ class _Decision:
     #: the power of two, 2^shift, the decided space's distances are the
     #: asked space's times: 0 unless a distance lies outside the range
     shift: int
+
+    def __init__(self, space: FiniteMetricSpace, result: MinDimResult, factor: np.ndarray, shift: int):
+        self.__dict__.update(space=space, result=result, factor=factor, shift=shift)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def witness(self, n: int) -> tuple[int, ...] | None:
         """A tuple of at most n+3 points on which E^n fails, or None, named
@@ -210,7 +210,7 @@ class _Decision:
             error = euclidean_matrix(coords[rows], coords)
             np.subtract(error, dist[rows], out=error)
             residual = np.maximum(residual, np.max(np.abs(error, out=error)))
-        return Realization(coords=coords, m=coords.shape[1], max_residual=float(residual))
+        return Realization(coords=readonly(coords), m=coords.shape[1], max_residual=float(residual))
 
 
 def _decide(space: FiniteMetricSpace, tol_det: float, /) -> _Decision:
@@ -227,8 +227,9 @@ def _cached_decision(space: FiniteMetricSpace, tol_det: float, /) -> _Decision:
     :data:`CERTIFIABLE_RANGE`); refuses a space that no power of two brings
     into the range.
 
-    ``FiniteMetricSpace`` is frozen, hashes by identity and keeps ``dist``
-    read-only, so a decision cached on the space object cannot go stale.
+    ``FiniteMetricSpace`` is a plain class that refuses attribute
+    assignment, hashes by identity and keeps ``dist`` read-only, so a
+    decision cached on the space object cannot go stale.
     """
     shift = _shift(space)
     if shift is None:
@@ -244,19 +245,19 @@ def _cached_decision(space: FiniteMetricSpace, tol_det: float, /) -> _Decision:
             report, base, ball = found, at, part
             if not found.psd:
                 break
-    psd = replace(report, leftover=None)
+    psd = report._replace(leftover=None)
     if ball is not None:
         # only the deciding ball is read in point indices, and its factor is dropped
         rows = report.witness_subset
-        psd = replace(psd, pivots=tuple(ball[list(report.pivots)].tolist()), factor=None,
-                      witness_subset=None if rows is None else tuple(ball[list(rows)].tolist()))
+        psd = psd._replace(pivots=tuple(ball[list(report.pivots)].tolist()), factor=None,
+                           witness_subset=None if rows is None else tuple(ball[list(rows)].tolist()))
         base = int(ball[base])
     elif shift:
-        psd = replace(psd, factor=psd.factor * math.ldexp(1.0, -shift))
+        psd = psd._replace(factor=readonly(psd.factor * math.ldexp(1.0, -shift)))
     result = MinDimResult(report.psd, report.rank if report.psd else None, psd, base)
     # the leftover has served the ball search, and the factor is continued
     # on it only past a ball's larger rank: else the result holds the same factor
-    factor = _continued(whole, result.dim) if result.feasible and result.dim > whole.rank else whole.factor
+    factor = readonly(_continued(whole, result.dim)) if result.feasible and result.dim > whole.rank else whole.factor
     return _Decision(decided, result, factor, shift)
 
 
@@ -361,7 +362,7 @@ def realize_coordinates(space: FiniteMetricSpace, n: int, tol_det: float = DEFAU
     real = decision.realization
     if decision.shift:
         unit = math.ldexp(1.0, -decision.shift)
-        real = Realization(coords=real.coords * unit, m=real.m, max_residual=real.max_residual * unit)
+        real = Realization(coords=readonly(real.coords * unit), m=real.m, max_residual=real.max_residual * unit)
     return real
 
 

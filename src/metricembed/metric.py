@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import Sequence
 
@@ -77,21 +76,27 @@ def check_finite(d: np.ndarray, what: str) -> None:
         raise ValueError(f"non-finite {what} at ({at // n},{at % n})")
 
 
-@dataclass(frozen=True, eq=False)
 class FiniteMetricSpace:
     """A finite metric space: labels plus a validated distance matrix.
 
     Construct through :func:`validate_metric`; the constructor itself does
     not re-check the axioms. ``tol`` is the absolute tolerance that the
-    matrix was validated against. Spaces compare and hash by identity.
+    matrix was validated against. A space is frozen, its ``dist`` read-only,
+    and spaces compare and hash by identity.
     """
 
     labels: tuple[str, ...]
-    dist: np.ndarray = field(repr=False)
-    tol: float = 0.0
+    dist: np.ndarray
+    tol: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "dist", readonly(self.dist))
+    def __init__(self, labels: tuple[str, ...], dist: np.ndarray, tol: float = 0.0):
+        self.__dict__.update(labels=labels, dist=readonly(dist), tol=tol)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"FiniteMetricSpace(labels={self.labels!r}, tol={self.tol!r})"
 
     def __len__(self) -> int:
         return len(self.labels)

@@ -25,9 +25,8 @@ fixed seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -131,8 +130,7 @@ def s_functional(space: MarkedSpace, t: Sequence) -> float:
 # Sampled scanners
 
 
-@dataclass(frozen=True)
-class ScanWitness:
+class ScanWitness(NamedTuple):
     """Extreme sample seen by a scan: rung, value and the tuple itself."""
 
     rung: int
@@ -141,8 +139,7 @@ class ScanWitness:
     points: tuple
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     """Per-scale infima/suprema of a normalized functional near p."""
 
     k: int
@@ -329,8 +326,7 @@ def liminf_scan(
     return _scan_pass(space, [(k, condition)], scales, samples_per_scale, seed, tol_det)[0][MODES.index(mode)][0]
 
 
-@dataclass(frozen=True)
-class TransferReport:
+class TransferReport(NamedTuple):
     """Aggregate of the scans behind the transfer-principle conditions."""
 
     n: int

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -127,9 +127,12 @@ def _cloud(rng, p: np.ndarray, k: int, propose, scale: float, reach: float) -> t
     return tuple(np.concatenate([anchor, _accepted(rng, p, k, propose, scale)]))
 
 
-@dataclass(frozen=True)
-class CurveSpec:
-    """Parametric curve with a Lipschitz parameterization."""
+class CurveSpec(NamedTuple):
+    """Parametric curve with a Lipschitz parameterization: no point lies
+    farther than ``lipschitz * |t - t0|`` from ``fn(t0)``, so the region's
+    reach from p is ``lipschitz`` times the parameter's farthest end from
+    ``t0``, plus p's distance to ``fn(t0)``, and a scale whose half exceeds
+    it is refused."""
 
     fn: Callable[[float], np.ndarray]
     t0: float
@@ -256,7 +259,8 @@ def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
     if kind == "curve":
         spec: CurveSpec = region["spec"]
         p_curve = _coordinates("fn(t0)", spec.fn(spec.t0), dim)
-        if euclidean_matrix([p], [p_curve])[0, 0] > 1e-9:
+        off = euclidean_matrix([p], [p_curve])[0, 0]
+        if off > 1e-9:
             raise MarkedPointOutsideRegionError("p must equal fn(t0)")
 
         def propose(rng, size, attempt, scale):
@@ -266,7 +270,9 @@ def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
             ts = np.clip(spec.t0 + rng.uniform(-width, width, size=size), spec.t_min, spec.t_max)
             return np.array([np.asarray(spec.fn(t), dtype=float) for t in ts]).reshape(size, dim)
 
-        return space({"kind": kind}, propose)
+        # proposals are clipped to [t_min, t_max], so none lies farther from fn(t0), itself off from p
+        reach = float(off + spec.lipschitz * max(abs(spec.t0 - spec.t_min), abs(spec.t_max - spec.t0)))
+        return space({"kind": kind}, propose, reach)
 
     raise ValueError(f"unknown region kind {kind!r}")
 
@@ -298,7 +304,11 @@ def make_snowflake(alpha: float, base_dim: int, p, region=None) -> MarkedSpace:
         if not 0 < t < math.inf:
             raise ValueError(f"a snowflake of alpha {alpha!r} cannot sample scale {scale!r}: "
                              f"its Euclidean scale, scale ** (1 / alpha), is {t!r}")
-        return base.sample(t, k, seed)
+        try:
+            return base.sample(t, k, seed)
+        except ValueError as exc:
+            raise ValueError(f"a snowflake of alpha {alpha!r} cannot sample scale {scale!r}: its Euclidean scale, "
+                             f"scale ** (1 / alpha), is {t!r}, and the cube {exc}") from None
 
     return replace(base, metric=_pair_metric(pairwise), sampler=sample,
                    description={**base.description, "type": "snowflake", "alpha": alpha},

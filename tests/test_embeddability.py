@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from metricembed import (
+    CurveSpec,
+    FiniteMetricSpace,
     blumenthal_basis_search,
     cm_value,
     embeddability,
@@ -18,6 +20,7 @@ from metricembed import (
     scale_metric,
     schoenberg_check,
     submatrix,
+    transfer_check,
     validate_metric,
 )
 from metricembed.determinants import DEFAULT_TOL_DET, PsdReport, psd_check, within_band
@@ -27,7 +30,7 @@ from metricembed.errors import (
     NotEmbeddableError,
     RankExceedsRequestedError,
 )
-from metricembed.spaces import perturbed_euclidean_space
+from metricembed.spaces import make_euclidean_subset, perturbed_euclidean_space
 
 from conftest import (
     _signed_cm_stack,
@@ -737,3 +740,55 @@ def test_decision_stops_at_the_first_part_not_psd(monkeypatch):
     res = min_embedding_dimension(sp)
     assert not res.feasible and res.psd.witness_subset == (0, 116, 130, 228, 300)
     assert len(calls) == 4
+
+
+def _shifted():
+    """A small cloud scaled by 1e-200: decided and realized on the space
+    scaled back into range by a power of two."""
+    return scale_metric(cloud_space(random_cloud(np.random.default_rng(5), 6, 2)), 1e-200)
+
+
+def _scan():
+    return transfer_check(make_euclidean_subset(2, {"kind": "cube"}, [0.5, 0.5]), 1, samples_per_scale=4,
+                          scales=[0.25, 0.125])
+
+
+_RECORDS = {
+    "space": lambda: cloud_space(random_cloud(np.random.default_rng(5), 6, 2)),
+    "space-scaled": lambda: scale_metric(cloud_space(random_cloud(np.random.default_rng(5), 6, 2)), 3.0),
+    "space-from-a-writable-array": lambda: FiniteMetricSpace(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]])),
+    "cm-value": lambda: cm_value([[0, 1], [1, 0]]),
+    "psd-report": lambda: psd_check(np.array([[0.0, 1.0], [1.0, 0.0]]), 0),
+    "psd-report-not-psd": lambda: psd_check(np.array([[0.0, 1.0, 9.0], [1.0, 0.0, 1.0], [9.0, 1.0, 0.0]]), 0),
+    "min-dim-whole": lambda: min_embedding_dimension(cloud_space(random_cloud(np.random.default_rng(5), 6, 2))),
+    "min-dim-ball": lambda: min_embedding_dimension(square_with_tetrahedron(1e-5)),
+    "min-dim-shifted": lambda: min_embedding_dimension(_shifted()),
+    "witness-verdict": lambda: menger_check(square_with_star(0.1), 1),
+    "witness": lambda: menger_check(square_with_star(0.1), 1).witness,
+    "realization": lambda: realize_coordinates(cloud_space(random_cloud(np.random.default_rng(5), 6, 2)), 2),
+    "realization-shifted": lambda: realize_coordinates(_shifted(), 2),
+    "decision": lambda: embeddability._decide(square_with_tetrahedron(1e-5), DEFAULT_TOL_DET),
+    "transfer-report": _scan,
+    "scan-report": lambda: _scan().scans[0],
+    "scan-witness": lambda: _scan().scans[0].witness_inf,
+    "curve-spec": lambda: CurveSpec(fn=abs, t0=0.0, t_min=-1.0, t_max=1.0),
+}
+
+
+@pytest.mark.parametrize("build", list(_RECORDS.values()), ids=list(_RECORDS))
+def test_records_stay_frozen_and_read_only(build):
+    # no decorator freezes a record or its arrays, so every construction
+    # path must
+    record = build()
+    names = getattr(record, "_fields", None) or list(vars(record))
+    values = [getattr(record, name) for name in names]
+    assert values
+    for name, value in zip(names, values):
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+    held = values + [v for nested in values if hasattr(nested, "_fields") for v in nested]
+    assert all(not v.flags.writeable for v in held if isinstance(v, np.ndarray))
+    if isinstance(record, FiniteMetricSpace):
+        # spaces compare and hash by identity, which the decision cache keys on
+        twin = FiniteMetricSpace(record.labels, np.array(record.dist), record.tol)
+        assert np.array_equal(twin.dist, record.dist) and twin != record and hash(twin) != hash(record)

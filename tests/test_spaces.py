@@ -469,6 +469,14 @@ def _away_from_curve():
      "cannot sample scale 4.0 at p = [0.5, 0.5]: its half exceeds 0.7071067811865476, the region's reach from p"),
     (lambda: make_euclidean_subset(2, {"kind": "sphere-surface", "center": [0, 0], "radius": 1.0}, [1, 0]).sample(
         5.0, 2), ValueError, "cannot sample scale 5.0 at p = [1.0, 0.0]: its half exceeds 2.0, the region's reach from p"),
+    # a curve had no reach, so this one spun 500 batches into "sampler failed to draw 1 points"
+    (lambda: make_euclidean_subset(2, {"kind": "curve", "spec": CurveSpec(fn=lambda t: np.array([t, 0.0]), t0=0.0,
+                                                                            t_min=-0.1, t_max=0.1)}, [0, 0]).sample(
+        1.0, 2), ValueError, "cannot sample scale 1.0 at p = [0.0, 0.0]: its half exceeds 0.1, the region's reach from p"),
+    # the snowflake's reach refusal named its Euclidean scale 4.0 as the scale asked
+    (lambda: make_snowflake(0.5, 1, [0.5]).sample(2.0, 2), ValueError,
+     "a snowflake of alpha 0.5 cannot sample scale 2.0: its Euclidean scale, scale ** (1 / alpha), is 4.0, and the "
+     "cube cannot sample scale 4.0 at p = [0.5]: its half exceeds 0.5, the region's reach from p"),
     # the marked point was judged at an absolute slack: the centre of a
     # sphere of radius 1e-12 was on its surface, and a point five widths
     # outside a box of width 1e-13 inside it
