@@ -16,9 +16,8 @@ per index; verdicts are read off the tail of that stack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,8 +51,7 @@ INSTABILITY_FACTOR = 10.0
 # Normalizing and point sequences
 
 
-@dataclass(frozen=True)
-class NormalizingSequence:
+class NormalizingSequence(NamedTuple):
     """Positive reals strictly decreasing to zero, indexed from 0."""
 
     fn: Callable[[int], float]
@@ -104,8 +102,7 @@ def _sequence_stack(space: MarkedSpace, family: Sequence[PointSequence], depth: 
 # Mutual stability and metric identification
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(NamedTuple):
     """Convergence verdict for rescaled distances of a sequence pair."""
 
     status: str  # "stable" | "unstable" | "undetermined"
@@ -159,8 +156,7 @@ def mutual_stability(
     return pseudometric_matrix(space, (x, y), r, depth, tol).verdicts[0][1]
 
 
-@dataclass(frozen=True)
-class PseudometricMatrix:
+class PseudometricMatrix(NamedTuple):
     """Pairwise stability verdicts for a family of sequences (p-first)."""
 
     verdicts: tuple[tuple[StabilityVerdict, ...], ...]
@@ -199,26 +195,29 @@ def pseudometric_matrix(
     return PseudometricMatrix(tuple(tuple(row) for row in grid))
 
 
-@dataclass(frozen=True)
-class QuotientSpace:
+class QuotientSpace(NamedTuple):
     """Metric identification: zero-distance classes and the quotient metric."""
 
     classes: tuple[tuple[int, ...], ...]
     rho: FiniteMetricSpace
 
 
-def metric_identification(pm: PseudometricMatrix, merge_tol: float = 1e-9) -> QuotientSpace:
+def metric_identification(pm: PseudometricMatrix, merge_tol: float | None = None) -> QuotientSpace:
     """Quotient a stable pseudometric matrix by its near-zero relation.
 
     Classes are connected components of { (i,j) : limit <= merge_tol },
     ordered by their least index; a component whose internal distance
     exceeds 10x merge_tol means a near-zero chain linked genuinely
-    distant points and raises MergeInconsistencyError. Representative
+    distant points and raises MergeInconsistencyError. ``merge_tol``
+    defaults to 1e-9 times the largest finite limit, so a factor on every
+    limit keeps the classes and scales the quotient metric. Representative
     distances are validated as they stand, so a hand-built grid that is no
     pseudometric is refused, and so is a negative or NaN ``merge_tol``.
     """
-    _checked_tol(merge_tol, "merge_tol")
     limits = pm.limits  # raises UnstableInputError when not all stable
+    if merge_tol is None:
+        merge_tol = 1e-9 * float(np.max(limits, where=np.isfinite(limits), initial=0.0))
+    _checked_tol(merge_tol, "merge_tol")
     n = limits.shape[0]
     near = limits <= merge_tol
     # each index takes the least label among itself and its near
@@ -272,8 +271,7 @@ def build_probe_battery(space: MarkedSpace, r: NormalizingSequence) -> list[Poin
     return battery
 
 
-@dataclass(frozen=True)
-class BlumenthalReport:
+class BlumenthalReport(NamedTuple):
     """Tail values of the sequence-wise conditions for exact dimension n."""
 
     n: int

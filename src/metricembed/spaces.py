@@ -169,10 +169,13 @@ def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
     ``center``, a curve's ``fn(t0)``) with an entry that is not a number (a
     string, a bool or None is not) or without ``dim`` entries, a NaN coordinate,
     an infinite one in ``p``, ``center`` or ``fn(t0)``, a radius or pitch that is
-    not a positive finite number, a pitch on a cube with an infinite ``low``, or
-    a region that is not a dict naming its ``kind``. A ``p`` outside the region,
-    judged relative to its size, for a cube before or after snapping to the
-    pitch, raises MarkedPointOutsideRegionError. Infinite cube bounds without a
+    not a positive finite number, a pitch on a cube with an infinite ``low``, a
+    region that is not a dict naming its ``kind``, or a curve region whose
+    ``spec`` is missing or no :class:`CurveSpec`, or whose ``t_min <= t0 <= t_max``
+    are not finite numbers, or whose ``lipschitz`` is not a positive finite
+    number. A ``p`` outside the region, judged relative to its size (a curve's
+    at most ``lipschitz * (t_max - t_min)``), for a cube before or after
+    snapping to the pitch, raises MarkedPointOutsideRegionError. Infinite cube bounds without a
     pitch are allowed, and a cube draws in its affine hull, its zero-width sides pinned.
     """
     _checked_count(dim, "dimension")
@@ -257,21 +260,27 @@ def make_euclidean_subset(dim: int, region, p) -> MarkedSpace:
         return space({"kind": kind, "center": center.tolist(), "radius": radius}, propose, 2.0 * radius)
 
     if kind == "curve":
-        spec: CurveSpec = region["spec"]
-        p_curve = _coordinates("fn(t0)", spec.fn(spec.t0), dim)
-        off = euclidean_matrix([p], [p_curve])[0, 0]
-        if off > 1e-9:
+        spec = _field(region, "spec", "region")
+        if not isinstance(spec, CurveSpec):
+            raise ValueError(f"a curve region's spec must be a CurveSpec, got {type(spec).__name__}")
+        fn, t0, t_min, t_max, lipschitz = spec
+        if not (all(map(is_number, (t_min, t0, t_max))) and -math.inf < t_min <= t0 <= t_max < math.inf):
+            raise ValueError(f"a curve needs finite numbers t_min <= t0 <= t_max, got {t_min!r}, {t0!r}, {t_max!r}")
+        lipschitz = _checked_positive(lipschitz, "lipschitz")
+        # p is judged relative to the curve's extent, at most lipschitz * (t_max - t_min)
+        off = math.hypot(*(p - _coordinates("fn(t0)", fn(t0), dim)))
+        if off > 1e-9 * lipschitz * (t_max - t_min):
             raise MarkedPointOutsideRegionError("p must equal fn(t0)")
 
         def propose(rng, size, attempt, scale):
             # parameters within scale / lipschitz of t0 stay within scale;
             # each batch that falls short doubles the window
-            width = min(scale / spec.lipschitz * 2.0**attempt, spec.t_max - spec.t_min)
-            ts = np.clip(spec.t0 + rng.uniform(-width, width, size=size), spec.t_min, spec.t_max)
-            return np.array([np.asarray(spec.fn(t), dtype=float) for t in ts]).reshape(size, dim)
+            width = min(scale / lipschitz * 2.0**attempt, t_max - t_min)
+            ts = np.clip(t0 + rng.uniform(-width, width, size=size), t_min, t_max)
+            return np.array([np.asarray(fn(t), dtype=float) for t in ts]).reshape(size, dim)
 
         # proposals are clipped to [t_min, t_max], so none lies farther from fn(t0), itself off from p
-        reach = float(off + spec.lipschitz * max(abs(spec.t0 - spec.t_min), abs(spec.t_max - spec.t0)))
+        reach = float(off + lipschitz * max(t0 - t_min, t_max - t0))
         return space({"kind": kind}, propose, reach)
 
     raise ValueError(f"unknown region kind {kind!r}")

@@ -11,11 +11,16 @@ import pytest
 from metricembed import (
     CurveSpec,
     FiniteMetricSpace,
+    NormalizingSequence,
     blumenthal_basis_search,
+    blumenthal_sequence_scan,
     cm_value,
     embeddability,
+    marked_family,
     menger_check,
+    metric_identification,
     min_embedding_dimension,
+    pseudometric_matrix,
     realize_coordinates,
     scale_metric,
     schoenberg_check,
@@ -753,6 +758,15 @@ def _scan():
                           scales=[0.25, 0.125])
 
 
+def _pseudometric():
+    """The orthogonal-axes family at the centre of the unit square."""
+    sp = make_euclidean_subset(2, {"kind": "cube"}, [0.5, 0.5])
+    r = NormalizingSequence.geometric()
+    family = marked_family(sp, lambda m: sp.p + r(m) * np.array([1.0, 0.0]),
+                           lambda m: sp.p + r(m) * np.array([0.0, 1.0]))
+    return pseudometric_matrix(sp, family, r, depth=40)
+
+
 _RECORDS = {
     "space": lambda: cloud_space(random_cloud(np.random.default_rng(5), 6, 2)),
     "space-scaled": lambda: scale_metric(cloud_space(random_cloud(np.random.default_rng(5), 6, 2)), 3.0),
@@ -772,6 +786,14 @@ _RECORDS = {
     "scan-report": lambda: _scan().scans[0],
     "scan-witness": lambda: _scan().scans[0].witness_inf,
     "curve-spec": lambda: CurveSpec(fn=abs, t0=0.0, t_min=-1.0, t_max=1.0),
+    "normalizing-sequence": NormalizingSequence.geometric,
+    "stability-verdict": lambda: _pseudometric().verdicts[0][1],
+    "pseudometric-matrix": _pseudometric,
+    "quotient-space": lambda: metric_identification(_pseudometric()),
+    "blumenthal-report": lambda: blumenthal_sequence_scan(
+        make_euclidean_subset(2, {"kind": "cube"}, [0.5, 0.5]),
+        [lambda m: np.array([0.5, 0.5]), lambda m: np.array([0.5 + 0.5**m, 0.5]), lambda m: np.array([0.5, 0.5 + 0.5**m])],
+        depth=40),
 }
 
 
@@ -792,3 +814,13 @@ def test_records_stay_frozen_and_read_only(build):
         # spaces compare and hash by identity, which the decision cache keys on
         twin = FiniteMetricSpace(record.labels, np.array(record.dist), record.tol)
         assert np.array_equal(twin.dist, record.dist) and twin != record and hash(twin) != hash(record)
+
+
+def test_every_public_record_is_a_named_tuple():
+    # values are NamedTuples; the two spaces are objects, compared by identity
+    # or swapped field by field with dataclasses.replace
+    import metricembed
+
+    classes = {name: getattr(metricembed, name) for name in metricembed.__all__}
+    objects = {name for name, value in classes.items() if isinstance(value, type) and not issubclass(value, tuple)}
+    assert objects == {"FiniteMetricSpace", "MarkedSpace"}

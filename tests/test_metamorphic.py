@@ -15,7 +15,9 @@ outside it, where a squared distance leaves the normal floats: the space
 is decided scaled back into the range by a power of two.
 Likewise a scan of a Euclidean region must not see a joint rescaling of
 the region, the marked point and the ladder, nor a translation of the
-region and the marked point.
+region and the marked point, and the metric identification of rescaled
+limits must not see a factor on every limit: it keeps the classes and
+scales the quotient metric.
 
 A subspace reads no larger m and no ``no`` where the space reads
 ``yes``, and the l2 product with a segment adds one to m (cloud30 with
@@ -28,9 +30,14 @@ import numpy as np
 import pytest
 
 from metricembed import (
+    NormalizingSequence,
+    PseudometricMatrix,
+    marked_family,
     marked_space_from_config,
     menger_check,
+    metric_identification,
     min_embedding_dimension,
+    pseudometric_matrix,
     realize_coordinates,
     scale_ladder,
     scale_metric,
@@ -179,6 +186,25 @@ def test_scan_verdicts_kept(case, seed):
 def test_scan_verdicts_kept_past_the_kernel(case, factor):
     region, p, n = SCANS[case]
     assert _scan_verdicts(region, p, n, 0, factor=factor) == _scan_verdicts(region, p, n, 0)
+
+
+def _corner_pseudometric():
+    """The limits at the corner of the unit square of p, r e1, (1 + 1e-12) r e1
+    and r e2; the middle two lie 1e-12 apart in the limit."""
+    space = marked_space_from_config({"type": "euclidean", "dim": 2, "region": {"kind": "cube"}, "p": [0, 0]})
+    r = NormalizingSequence.geometric(0.5, 0.5)
+    offsets = (np.array([1.0, 0.0]), np.array([1.0 + 1e-12, 0.0]), np.array([0.0, 1.0]))
+    return pseudometric_matrix(space, marked_family(space, *(lambda m, e=e: r(m) * e for e in offsets)), r, depth=40)
+
+
+@pytest.mark.parametrize("factor", [1e-200, 1e-60, 1e-3, 1e3, 1e60, 1e200])
+def test_quotient_kept_under_a_factor_on_the_limits(factor):
+    pm = _corner_pseudometric()
+    scaled = PseudometricMatrix(tuple(tuple(v._replace(limit=factor * v.limit, oscillation=factor * v.oscillation)
+                                            for v in row) for row in pm.verdicts))
+    unit, quotient = metric_identification(pm), metric_identification(scaled)
+    assert quotient.classes == unit.classes == ((0,), (1, 2), (3,))
+    assert np.array_equal(quotient.rho.dist, factor * unit.rho.dist)
 
 
 @pytest.mark.parametrize("drop", [14, 26])

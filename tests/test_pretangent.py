@@ -333,6 +333,16 @@ class TestMetricIdentification:
         q = metric_identification(self._pm([[0, 1e-15], [1e-15, 0]]), merge_tol=1e-9)
         assert q.classes == ((0, 1),)
 
+    @pytest.mark.parametrize("factor", [1e-200, 1e-100, 1e-10, 1e10, 1e100, 1e200])
+    def test_default_merge_tol_is_relative(self, factor):
+        # merge_tol was an absolute 1e-9: from 1e-10 down the three distinct
+        # points merged into one class, and from 1e10 up indices 1 and 3 stayed apart
+        limits = np.array([[0, 1, 2, 1], [1, 0, 1, 1e-12], [2, 1, 0, 1], [1, 1e-12, 1, 0]])
+        unit = metric_identification(self._pm(limits))
+        q = metric_identification(self._pm(factor * limits))
+        assert q.classes == unit.classes == ((0,), (1, 3), (2,))
+        assert np.array_equal(q.rho.dist, factor * unit.rho.dist)
+
     def test_merge_inconsistency(self):
         # a near-zero chain 0~1, 1~2 linking 0 and 2 at distance 1
         limits = [[0, 1e-12, 1.0], [1e-12, 0, 1e-12], [1.0, 1e-12, 0]]
@@ -869,6 +879,10 @@ def test_scan_layer_refusals(call, error, message):
     # an integer past the largest float passed the number rule and ended in a bare OverflowError
     (lambda: metric_identification(PseudometricMatrix(((StabilityVerdict("stable", 0.0, 64, 0.0),),)),
                                    merge_tol=10**400), ValueError, f"merge_tol must be a number >= 0, got {10**400!r}"),
+    # the default merge_tol reads only finite limits: one of inf would merge every index
+    *[(lambda v=v: metric_identification(PseudometricMatrix(tuple(
+        tuple(StabilityVerdict("stable", x, 64, 0.0) for x in row) for row in ((0.0, v), (v, 0.0))))), ValueError,
+       "non-finite distance at (0,1)") for v in (math.inf, math.nan)],
     (lambda: NormalizingSequence.geometric(10**400), ValueError,
      f"need a finite r0 > 0 and 0 < q < 1 and an integer rungs, got {10**400!r}, 0.5, 2"),
     (lambda: NormalizingSequence(lambda m: 10**400)(0), DegenerateNormalizerError, f"r_0 = {10**400!r} degenerate"),

@@ -376,6 +376,12 @@ def _one_too_many():
     return dataclasses.replace(space, sampler=lambda scale, k, seed: space.sample(scale, k + 1, seed))
 
 
+def _curve_with(**fields):
+    """The segment t -> (t, 0) on [-1, 1], marked at fn(t0), with ``fields`` swapped into its spec."""
+    spec = CurveSpec(fn=lambda t: np.array([t, 0.0]), t0=0.0, t_min=-1.0, t_max=1.0)._replace(**fields)
+    return make_euclidean_subset(2, {"kind": "curve", "spec": spec}, [float(spec.t0), 0.0])
+
+
 def _away_from_curve():
     spec = CurveSpec(fn=lambda t: np.array([t, 0.0]), t0=0.0, t_min=-1.0, t_max=1.0)
     return make_euclidean_subset(2, {"kind": "curve", "spec": spec}, [0.0, 1.0])
@@ -484,6 +490,24 @@ def _away_from_curve():
      MarkedPointOutsideRegionError, "p=[0.0, 0.0] not on the sphere surface"),
     (lambda: make_euclidean_subset(2, {"kind": "cube", "low": [0, 0], "high": [1e-13, 1e-13]}, [-5e-13, 0]),
      MarkedPointOutsideRegionError, "p=[-5e-13, 0.0] outside cube [[0.0, 0.0], [1e-13, 1e-13]]"),
+    # a curve was judged at its first draw: a lipschitz of -1.0 or 0.0 gave a reach that
+    # refused every scale, NaN met numpy's OverflowError, and inf, like a NaN t_min or a t0
+    # outside [t_min, t_max], spun 500 rejection batches; t_min > t_max met numpy's
+    # "high - low < 0", a missing spec a KeyError and a dict spec an AttributeError
+    *[(lambda v=v: _curve_with(lipschitz=v), ValueError, f"lipschitz must be a positive finite number, got {v!r}")
+      for v in (-1.0, 0.0, math.nan, math.inf)],
+    *[(lambda kw=kw: _curve_with(**kw), ValueError,
+       "a curve needs finite numbers t_min <= t0 <= t_max, got " + ", ".join(map(repr, got)))
+      for kw, got in (({"t_min": 1.0, "t_max": -1.0}, (1.0, 0.0, -1.0)), ({"t_min": math.nan}, (math.nan, 0.0, 1.0)),
+                      ({"t0": 2.0}, (-1.0, 2.0, 1.0)))],
+    (lambda: make_euclidean_subset(2, {"kind": "curve"}, [0, 0]), ValueError, 'the region has no "spec" key'),
+    (lambda: make_euclidean_subset(2, {"kind": "curve", "spec": {}}, [0, 0]), ValueError,
+     "a curve region's spec must be a CurveSpec, got dict"),
+    # the curve judged p at an absolute 1e-9: this one, of extent 2e-12,
+    # accepted a p 250 extents away
+    (lambda: make_euclidean_subset(2, {"kind": "curve", "spec": CurveSpec(
+        fn=lambda t: 1e-12 * np.array([t, 0.0]), t0=0.0, t_min=-1.0, t_max=1.0, lipschitz=1e-12)}, [5e-10, 0]),
+     MarkedPointOutsideRegionError, "p must equal fn(t0)"),
     # a Euclidean scale that underflowed to 0 drew p alone, and one that
     # overflowed ended in "(34, 'Numerical result out of range')"
     (lambda: make_snowflake(5e-4, 1, [0.5]).sample(0.5, 2), ValueError,
