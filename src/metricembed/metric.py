@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from itertools import chain
 from typing import Sequence
 
@@ -32,6 +33,11 @@ from .errors import (
 
 #: Relative tolerance (w.r.t. the largest entry) used when none is given.
 DEFAULT_REL_TOL = 1e-9
+
+#: The band of :func:`euclidean_matrix`, [2^-500, 2^500]: a largest
+#: coordinate difference outside it, whose square would leave the normal
+#: floats, is scaled by its power of two before it is squared.
+KERNEL_BAND = (math.ldexp(1.0, -500), math.ldexp(1.0, 500))
 
 #: Rows per block of every O(N^2) scan and update of an N x N matrix on the
 #: finite path (validation, factorization, neighbourhoods, residual), so
@@ -236,16 +242,31 @@ def euclidean_matrix(points, others=None) -> np.ndarray:
     coordinates this adds in the order ``np.sum`` over the last axis does,
     so it equals the (N, M, d) broadcast formula bit for bit; from 8 up
     they differ by at most one ulp per sum.
+
+    When the largest coordinate difference lies outside
+    :data:`KERNEL_BAND`, every difference is scaled by that difference's
+    power of two before it is squared and the result is scaled back, both
+    exactly, so a factor 2^k on coordinates that stay normal floats gives
+    the matrix times 2^k. Inside the band the arithmetic is the plain one
+    above, unscaled. The band costs one max pass over the coordinates per
+    call.
     """
     x = np.asarray(points, dtype=float)
     y = x if others is None else np.asarray(others, dtype=float)
     out = np.zeros((x.shape[0], y.shape[0]))
     diff = np.empty_like(out)
+    span = 0.0
+    if out.size:  # the largest |x[i, c] - y[j, c]|
+        span = float(np.max(np.maximum(x.max(axis=0) - y.min(axis=0), y.max(axis=0) - x.min(axis=0)), initial=0.0))
+    shift = math.frexp(span)[1] if 0 < span < math.inf and not KERNEL_BAND[0] <= span <= KERNEL_BAND[1] else 0
     for a, b in zip(x.T, y.T):
         np.subtract(a[:, None], b[None, :], out=diff)
+        if shift:
+            np.ldexp(diff, -shift, out=diff)
         np.multiply(diff, diff, out=diff)
         out += diff
-    return np.sqrt(out, out=out)
+    np.sqrt(out, out=out)
+    return np.ldexp(out, shift, out=out) if shift else out
 
 
 def point_index(i, n: int) -> int:

@@ -90,15 +90,19 @@ def epsilon_scale(space: MarkedSpace, t: Sequence, s: float) -> float:
     return delta * float(np.sum((d / delta) ** s) ** (1.0 / s)) if delta > 0 else 0.0
 
 
-def _functionals(sub: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Theta and S of a stack of (k+1)-tuples: both determinants of each
-    tuple (:func:`tuple_determinants`) divided by its delta^(2k).
+def _functionals(dm: np.ndarray, idx) -> np.ndarray:
+    """Theta and S of (k+1)-tuples at p: both determinants of each tuple
+    (:func:`tuple_determinants`) divided by its delta^(2k).
 
-    ``sub`` holds the tuples' distance matrices and ``delta`` their largest
-    distances to p; each matrix is divided by its own delta, and a tuple at
-    p gives 0. Returns an array of shape (len(MODES), len(sub)), rows in
-    MODES order.
+    ``dm`` is a distance matrix whose row 0 holds the distances to p and
+    ``idx`` a (count, k+1) array of index tuples into it, or ``dm`` is a
+    stack of such matrices and ``idx`` one tuple for all of them. Each
+    tuple's matrix and delta, its largest distance to p, are gathered
+    here, and a tuple at p gives 0. Returns shape (len(MODES), count),
+    rows in MODES order, one column per tuple or per matrix of the stack.
     """
+    idx = np.asarray(idx)
+    sub, delta = dm[..., idx[..., :, None], idx[..., None, :]], dm[..., 0, idx].max(axis=-1)
     at_p = delta == 0
     out = tuple_determinants(sub / np.where(at_p, 1.0, delta)[:, None, None])
     out[:, at_p] = 0.0
@@ -106,12 +110,11 @@ def _functionals(sub: np.ndarray, delta: np.ndarray) -> np.ndarray:
 
 
 def _tuple_functional(space: MarkedSpace, t: Sequence, mode: str) -> float:
-    """The scan's evaluator on a stack of one tuple of >= 2 points: one
-    distance matrix over (p,) + t, delta read off its row 0."""
+    """The scan's evaluator on a stack of one matrix, over (p,) + t for
+    one tuple t of >= 2 points."""
     if len(t) < 2:
         raise TupleTooShortError(f"the {mode} functional needs >= 2 points, got {len(t)}")
-    dm = _with_p(space, t)[None]
-    return float(_functionals(dm[:, 1:, 1:], dm[:, 0, 1:].max(axis=1))[MODES.index(mode), 0])
+    return float(_functionals(_with_p(space, t)[None], range(1, len(t) + 1))[MODES.index(mode), 0])
 
 
 def theta(space: MarkedSpace, t: Sequence) -> float:
@@ -222,7 +225,7 @@ def _scan_pass(space: MarkedSpace, jobs: Sequence[tuple[int, str]], scales, samp
     for j, s in enumerate(scales):
         cloud = space.sample(s, size - 1, cloud_seed)
         dm = space.matrix((space.p,) + cloud)
-        to_p, dm = dm[0, 1:], dm[1:, 1:]
+        to_p = dm[0, 1:]
         delta = float(np.max(to_p))
         if delta > 0 and not s / 4 <= delta <= 2 * s:
             raise SamplerScaleMismatchError(f"sampler delta {delta!r} off requested scale {s!r} by more than 2x")
@@ -230,7 +233,7 @@ def _scan_pass(space: MarkedSpace, jobs: Sequence[tuple[int, str]], scales, samp
         rng = np.random.default_rng(tuple_seed)
         for q, (k, _) in enumerate(jobs):
             idx = _index_tuples(rng, anchors, size, k, samples_per_scale)
-            v = _functionals(dm[idx[:, :, None], idx[:, None, :]], to_p[idx].max(axis=1))
+            v = _functionals(dm, idx + 1)
             spread = np.maximum(np.maximum(np.abs(v[0]), np.abs(v[1])), 1.0)
             discrepancy = max(discrepancy, float(np.max(np.abs(v[0] - v[1]) / spread)))
             for side, best in enumerate((v.argmin(axis=1), v.argmax(axis=1))):

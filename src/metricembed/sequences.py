@@ -140,20 +140,22 @@ def mutual_stability(
     """Judge convergence of d(x_m, y_m) / r_m over a tail window.
 
     Stable when the tail oscillation (max - min over the last half) stays
-    within ``tol``; the limit is then the last ratio, which carries none of
-    the early terms a window mean would. Unstable needs the oscillation to
-    exceed 10x ``tol`` *persistently*: the last-quarter window must also
-    exceed it without shrinking below half of the last-half amplitude
-    (slowly convergent ratios shrink on deeper windows, genuine
+    within ``tol`` times the scale of the family (p, x, y), its largest
+    finite tail ratio; the limit is then the last ratio, which carries none
+    of the early terms a window mean would. Unstable needs the oscillation
+    to exceed 10x that tolerance *persistently*: the last-quarter window
+    must also exceed it without shrinking below half of the last-half
+    amplitude (slowly convergent ratios shrink on deeper windows, genuine
     oscillation does not).
-    Everything else is undetermined. This is the two-sequence case of
-    :func:`pseudometric_matrix`.
+    Everything else is undetermined. This is the pair (x, y) of
+    :func:`pseudometric_matrix` on ``marked_family(space, x, y)``.
 
     Depth is limited by double precision: points at index m must stay
     resolvable against p (with q = 0.5 and p away from the origin, prefer
     depth <= 40 or a slower normalizer).
     """
-    return pseudometric_matrix(space, (x, y), r, depth, tol).verdicts[0][1]
+    _checked_space(space, MarkedSpace, "the make_* makers")
+    return pseudometric_matrix(space, marked_family(space, x, y), r, depth, tol).verdicts[1][2]
 
 
 class PseudometricMatrix(NamedTuple):
@@ -180,13 +182,18 @@ def pseudometric_matrix(
     tol: float = 1e-3,
 ) -> PseudometricMatrix:
     """Pairwise mutual-stability verdicts; family[0] is the constant-p
-    sequence by convention. Every pair is judged off one distance stack.
-    A negative or NaN ``tol`` is refused as :func:`validate_metric` does."""
+    sequence by convention. Every pair is judged off one distance stack,
+    against ``tol`` times the family's largest finite tail ratio, which
+    with p first is the scale of the distances to p, so no verdict sees
+    the unit. A negative or NaN ``tol`` is refused as
+    :func:`validate_metric` does."""
     if not family:
         raise ValueError("family must be nonempty")
     _checked_tol(tol, "tol")
     n = len(family)
     ratios = _sequence_stack(space, family, depth) / r.values(depth)[:, None, None]
+    tail = ratios[int(depth * STABILITY_WINDOW):]
+    tol = tol * float(np.max(tail, where=np.isfinite(tail), initial=0.0))
     grid: list[list[StabilityVerdict]] = [[None] * n for _ in range(n)]  # type: ignore[list-item]
     for i in range(n):
         grid[i][i] = StabilityVerdict("stable", 0.0, depth, 0.0)
@@ -330,20 +337,16 @@ def blumenthal_sequence_scan(
     mats = stack[int(depth * STABILITY_WINDOW):]
     xs = list(range(1, n + 2))
 
-    def tail_theta(cols: list[int]) -> np.ndarray:
-        ix = np.asarray(cols)
-        return _functionals(mats[:, ix[:, None], ix[None, :]], mats[:, 0, ix].max(axis=1))[0]
-
     cond_i: list[tuple[int, float, float]] = []
     for k in range(1, n + 1):
-        vals = tail_theta(xs[:k + 1])
+        vals = _functionals(mats, xs[:k + 1])[0]
         cond_i.append((k, float(np.min(vals)), float(np.max(vals))))
 
     # each probe alone (order n+1), then each pair (order n+2)
     groups = [(g,) for g in probe_index.values()] + [(probe_index[y], probe_index[u]) for y, u in probes]
     cond_ii: list[tuple[int, str, float, float]] = []
     for group in groups:
-        vals = np.abs(tail_theta(xs + [n + 2 + g for g in group]))
+        vals = np.abs(_functionals(mats, xs + [n + 2 + g for g in group])[0])
         label = "+".join(f"probe{g}" for g in group)
         cond_ii.append((n + len(group), label, float(np.min(vals)), float(np.max(vals))))
 

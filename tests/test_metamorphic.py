@@ -14,8 +14,10 @@ them sees the unit. The factors 1e-200 and 1e200 take the distances
 outside it, where a squared distance leaves the normal floats: the space
 is decided scaled back into the range by a power of two.
 Likewise a scan of a Euclidean region must not see a joint rescaling of
-the region, the marked point and the ladder, nor a translation of the
-region and the marked point, and the metric identification of rescaled
+the region, the marked point and the ladder, out to factors 1e-300 and
+1e300, nor a translation of the region and the marked point; the
+stability of a sequence's rescaled distances to p must not see a factor
+on the space and the sequence, and the metric identification of rescaled
 limits must not see a factor on every limit: it keeps the classes and
 scales the quotient metric.
 
@@ -32,11 +34,13 @@ import pytest
 from metricembed import (
     NormalizingSequence,
     PseudometricMatrix,
+    constant_sequence,
     marked_family,
     marked_space_from_config,
     menger_check,
     metric_identification,
     min_embedding_dimension,
+    mutual_stability,
     pseudometric_matrix,
     realize_coordinates,
     scale_ladder,
@@ -171,21 +175,38 @@ def test_scan_verdicts_kept(case, seed):
     region, p, n = SCANS[case]
     base = _scan_verdicts(region, p, n, seed)
     assert base[0] == ("refuted" if case == "corner-n1" else "consistent-with-embeddable")
-    for factor in (1e-150, 1e-3, 3.0, 1e3, 1e150):
+    for factor in (1e-300, 1e-200, 1e-150, 1e-3, 3.0, 1e3, 1e150, 1e200, 1e300):
         assert _scan_verdicts(region, p, n, seed, factor=factor) == base, factor
     for shift in ((3.0, -7.0), (1e3, 0.25)):
         assert _scan_verdicts(region, p, n, seed, shift=shift) == base, shift
 
 
-@pytest.mark.xfail(strict=True, raises=(RuntimeError, RuntimeWarning),
-                   reason="euclidean_matrix squares coordinate differences, so a distance below about 1.5e-162 "
-                          "reads 0 and one above about 1.3e154 inf, and every proposal is rejected (the FOUND on "
-                          "euclidean_matrix in CHANGES.md; ROADMAP item 32, the kernel half)")
-@pytest.mark.parametrize("factor", [1e-200, 1e200])
-@pytest.mark.parametrize("case", list(SCANS))
-def test_scan_verdicts_kept_past_the_kernel(case, factor):
-    region, p, n = SCANS[case]
-    assert _scan_verdicts(region, p, n, 0, factor=factor) == _scan_verdicts(region, p, n, 0)
+_R = NormalizingSequence.geometric(0.5, 0.5)
+
+
+def _stability_at(ratio, factor: float):
+    """mutual_stability of x_m = factor * ratio(m) * r_m e1 against p = 0,
+    the corner of the square [0, factor]^2, at depth 40."""
+    space = marked_space_from_config({"type": "euclidean", "dim": 2, "p": [0, 0],
+                                      "region": {"kind": "cube", "low": [0, 0], "high": [factor, factor]}})
+    e1 = np.array([factor, 0.0])
+    return mutual_stability(space, lambda m: ratio(m) * _R(m) * e1, constant_sequence(space.p), _R, depth=40)
+
+
+@pytest.mark.parametrize("factor", [1e-200, 1e-6, 1e-3, 1e3, 1e6, 1e200])
+def test_stable_limit_kept_under_a_factor(factor):
+    # the ratio 1 + r_m converges; an absolute tol read it undetermined
+    # from 1e6 up
+    unit, scaled = _stability_at(lambda m: 1.0 + _R(m), 1.0), _stability_at(lambda m: 1.0 + _R(m), factor)
+    assert unit.status == scaled.status == "stable"
+    assert scaled.limit == pytest.approx(factor * unit.limit, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("factor", [1e-200, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e200])
+def test_oscillation_kept_under_a_factor(factor):
+    # the ratio alternates between 2 and 1; an absolute tol read it stable
+    # at 1e-3 and below
+    assert _stability_at(lambda m: 2.0 - m % 2, factor).status == "unstable"
 
 
 def _corner_pseudometric():

@@ -139,6 +139,18 @@ def test_euclidean_matrix_matches_broadcast_formula():
                 assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(ref), (dim, seed)
 
 
+@pytest.mark.parametrize("k", [-990, -600, 600, 990])
+def test_euclidean_matrix_keeps_a_power_of_two(k):
+    # the squares of these differences leave the normal floats, so they
+    # are scaled before squaring: the unit matrix times the same factor
+    from metricembed.metric import euclidean_matrix
+
+    x = np.random.default_rng(0).uniform(size=(50, 3))
+    factor = math.ldexp(1.0, k)
+    assert np.array_equal(euclidean_matrix(factor * x), factor * euclidean_matrix(x))
+    assert np.array_equal(euclidean_matrix(factor * x, factor * x[:7]), factor * euclidean_matrix(x, x[:7]))
+
+
 def test_asymmetry_detected():
     with pytest.raises(AsymmetricError) as err:
         validate_metric([[0, 1], [1.1, 0]], tol=1e-12)

@@ -863,6 +863,10 @@ def test_scan_layer_refusals(call, error, message):
     *[(lambda probes=probes: blumenthal_sequence_scan(np.zeros((3, 3)), [constant_sequence(plane().p)] * 2,
                                                       probes=probes), TypeError,
        "expected a MarkedSpace, built by the make_* makers, got ndarray") for probes in (None, [])],
+    # the space is judged before its marked point heads the pair's family
+    (lambda: mutual_stability(np.zeros((3, 3)), constant_sequence(plane().p), constant_sequence(plane().p),
+                              NormalizingSequence.geometric()), TypeError,
+     "expected a MarkedSpace, built by the make_* makers, got ndarray"),
     # a negative tol read an oscillation of 0.0 as unstable, a NaN one as
     # undetermined; a negative or NaN merge_tol ended in CoincidentPointsError
     *[(lambda t=t: mutual_stability(plane(), constant_sequence(plane().p), constant_sequence(plane().p),
