@@ -34,11 +34,6 @@ from .errors import (
 #: Relative tolerance (w.r.t. the largest entry) used when none is given.
 DEFAULT_REL_TOL = 1e-9
 
-#: The band of :func:`euclidean_matrix`, [2^-500, 2^500]: a largest
-#: coordinate difference outside it, whose square would leave the normal
-#: floats, is scaled by its power of two before it is squared.
-KERNEL_BAND = (math.ldexp(1.0, -500), math.ldexp(1.0, 500))
-
 #: Rows per block of every O(N^2) scan and update of an N x N matrix on the
 #: finite path (validation, factorization, neighbourhoods, residual), so
 #: that their scratch is O(ROW_BLOCK * N) rather than N x N.
@@ -243,22 +238,41 @@ def euclidean_matrix(points, others=None) -> np.ndarray:
     so it equals the (N, M, d) broadcast formula bit for bit; from 8 up
     they differ by at most one ulp per sum.
 
-    When the largest coordinate difference lies outside
-    :data:`KERNEL_BAND`, every difference is scaled by that difference's
-    power of two before it is squared and the result is scaled back, both
-    exactly, so a factor 2^k on coordinates that stay normal floats gives
-    the matrix times 2^k. Inside the band the arithmetic is the plain one
-    above, unscaled. The band costs one max pass over the coordinates per
-    call.
+    Squares leave the normal floats when the largest coordinate
+    difference, span, lies outside the band [sqrt(tiny), sqrt(max / d)],
+    about [2^-511, 2^511 / sqrt(d)] for d coordinates. Outside it every
+    difference is scaled by span's power of two before squaring and the
+    result is scaled back, both exactly, so a factor 2^k on coordinates
+    that stay normal floats gives the matrix times 2^k. Below the band
+    that is the whole result; scaling up keeps every entry whose squares
+    stayed normal bit for bit. Above it only the entries whose unscaled
+    sums overflow to inf take the scaled value, so every finite distance
+    of the plain arithmetic is kept. Inside the band the arithmetic is the
+    plain one. The band costs one max pass over the coordinates per call,
+    and a call above it a second pass over the differences.
     """
     x = np.asarray(points, dtype=float)
     y = x if others is None else np.asarray(others, dtype=float)
+    span = 0.0
+    if x.size and y.size:  # the largest |x[i, c] - y[j, c]|
+        span = float(np.max(np.maximum(x.max(axis=0) - y.min(axis=0), y.max(axis=0) - x.min(axis=0))))
+    finfo = np.finfo(float)
+    if not 0 < span < math.inf or math.sqrt(finfo.tiny) <= span <= math.sqrt(finfo.max / x.shape[1]):
+        return _root_sum_squares(x, y, 0)
+    shift = math.frexp(span)[1]
+    if shift < 0:
+        return _root_sum_squares(x, y, shift)
+    with np.errstate(over="ignore"):  # those sums read inf and take the scaled value
+        out = _root_sum_squares(x, y, 0)
+    np.copyto(out, _root_sum_squares(x, y, shift), where=np.isinf(out))
+    return out
+
+
+def _root_sum_squares(x: np.ndarray, y: np.ndarray, shift: int) -> np.ndarray:
+    """The distances of :func:`euclidean_matrix`, each difference scaled by
+    2^-shift before squaring and the result by 2^shift after."""
     out = np.zeros((x.shape[0], y.shape[0]))
     diff = np.empty_like(out)
-    span = 0.0
-    if out.size:  # the largest |x[i, c] - y[j, c]|
-        span = float(np.max(np.maximum(x.max(axis=0) - y.min(axis=0), y.max(axis=0) - x.min(axis=0)), initial=0.0))
-    shift = math.frexp(span)[1] if 0 < span < math.inf and not KERNEL_BAND[0] <= span <= KERNEL_BAND[1] else 0
     for a, b in zip(x.T, y.T):
         np.subtract(a[:, None], b[None, :], out=diff)
         if shift:

@@ -52,7 +52,7 @@ INSTABILITY_FACTOR = 10.0
 
 
 class NormalizingSequence(NamedTuple):
-    """Positive reals strictly decreasing to zero, indexed from 0."""
+    """Positive reals strictly decreasing to zero, indexed from 0, in the space's unit."""
 
     fn: Callable[[int], float]
 
@@ -140,22 +140,20 @@ def mutual_stability(
     """Judge convergence of d(x_m, y_m) / r_m over a tail window.
 
     Stable when the tail oscillation (max - min over the last half) stays
-    within ``tol`` times the scale of the family (p, x, y), its largest
-    finite tail ratio; the limit is then the last ratio, which carries none
-    of the early terms a window mean would. Unstable needs the oscillation
-    to exceed 10x that tolerance *persistently*: the last-quarter window
-    must also exceed it without shrinking below half of the last-half
-    amplitude (slowly convergent ratios shrink on deeper windows, genuine
+    within ``tol``; the limit is then the last ratio, which carries none of
+    the early terms a window mean would. Unstable needs the oscillation to
+    exceed 10x ``tol`` *persistently*: the last-quarter window must also
+    exceed it without shrinking below half of the last-half amplitude
+    (slowly convergent ratios shrink on deeper windows, genuine
     oscillation does not).
-    Everything else is undetermined. This is the pair (x, y) of
-    :func:`pseudometric_matrix` on ``marked_family(space, x, y)``.
+    Everything else is undetermined. This is the two-sequence case of
+    :func:`pseudometric_matrix`.
 
     Depth is limited by double precision: points at index m must stay
     resolvable against p (with q = 0.5 and p away from the origin, prefer
     depth <= 40 or a slower normalizer).
     """
-    _checked_space(space, MarkedSpace, "the make_* makers")
-    return pseudometric_matrix(space, marked_family(space, x, y), r, depth, tol).verdicts[1][2]
+    return pseudometric_matrix(space, (x, y), r, depth, tol).verdicts[0][1]
 
 
 class PseudometricMatrix(NamedTuple):
@@ -182,18 +180,13 @@ def pseudometric_matrix(
     tol: float = 1e-3,
 ) -> PseudometricMatrix:
     """Pairwise mutual-stability verdicts; family[0] is the constant-p
-    sequence by convention. Every pair is judged off one distance stack,
-    against ``tol`` times the family's largest finite tail ratio, which
-    with p first is the scale of the distances to p, so no verdict sees
-    the unit. A negative or NaN ``tol`` is refused as
-    :func:`validate_metric` does."""
+    sequence by convention. Every pair is judged off one distance stack.
+    A negative or NaN ``tol`` is refused as :func:`validate_metric` does."""
     if not family:
         raise ValueError("family must be nonempty")
     _checked_tol(tol, "tol")
     n = len(family)
     ratios = _sequence_stack(space, family, depth) / r.values(depth)[:, None, None]
-    tail = ratios[int(depth * STABILITY_WINDOW):]
-    tol = tol * float(np.max(tail, where=np.isfinite(tail), initial=0.0))
     grid: list[list[StabilityVerdict]] = [[None] * n for _ in range(n)]  # type: ignore[list-item]
     for i in range(n):
         grid[i][i] = StabilityVerdict("stable", 0.0, depth, 0.0)

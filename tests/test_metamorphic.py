@@ -17,9 +17,10 @@ Likewise a scan of a Euclidean region must not see a joint rescaling of
 the region, the marked point and the ladder, out to factors 1e-300 and
 1e300, nor a translation of the region and the marked point; the
 stability of a sequence's rescaled distances to p must not see a factor
-on the space and the sequence, and the metric identification of rescaled
-limits must not see a factor on every limit: it keeps the classes and
-scales the quotient metric.
+on the space, the sequence and the normalizer, which carries the space's
+unit; and the metric identification of rescaled limits must not see a
+factor on every limit: it keeps the classes and scales the quotient
+metric.
 
 A subspace reads no larger m and no ``no`` where the space reads
 ``yes``, and the l2 product with a segment adds one to m (cloud30 with
@@ -181,31 +182,30 @@ def test_scan_verdicts_kept(case, seed):
         assert _scan_verdicts(region, p, n, seed, shift=shift) == base, shift
 
 
-_R = NormalizingSequence.geometric(0.5, 0.5)
-
-
 def _stability_at(ratio, factor: float):
-    """mutual_stability of x_m = factor * ratio(m) * r_m e1 against p = 0,
-    the corner of the square [0, factor]^2, at depth 40."""
+    """mutual_stability of x_m = ratio(m) * r_m e1 against p = 0, the
+    corner of the square [0, factor]^2, on r_m = 0.5 * factor * 0.5^m,
+    the normalizer in the space's unit, at depth 40."""
     space = marked_space_from_config({"type": "euclidean", "dim": 2, "p": [0, 0],
                                       "region": {"kind": "cube", "low": [0, 0], "high": [factor, factor]}})
-    e1 = np.array([factor, 0.0])
-    return mutual_stability(space, lambda m: ratio(m) * _R(m) * e1, constant_sequence(space.p), _R, depth=40)
+    r = NormalizingSequence.geometric(0.5 * factor, 0.5)
+    return mutual_stability(space, lambda m: ratio(m) * r(m) * np.array([1.0, 0.0]), constant_sequence(space.p), r,
+                            depth=40)
 
 
 @pytest.mark.parametrize("factor", [1e-200, 1e-6, 1e-3, 1e3, 1e6, 1e200])
 def test_stable_limit_kept_under_a_factor(factor):
-    # the ratio 1 + r_m converges; an absolute tol read it undetermined
-    # from 1e6 up
-    unit, scaled = _stability_at(lambda m: 1.0 + _R(m), 1.0), _stability_at(lambda m: 1.0 + _R(m), factor)
+    # the ratio 1 + 0.5^(m+1) converges; past 1e±162 the squared
+    # distances left the normal floats and read 0 or inf
+    converging = lambda m: 1.0 + 0.5 ** (m + 1)
+    unit, scaled = _stability_at(converging, 1.0), _stability_at(converging, factor)
     assert unit.status == scaled.status == "stable"
-    assert scaled.limit == pytest.approx(factor * unit.limit, rel=1e-12, abs=0.0)
+    assert scaled.limit == pytest.approx(unit.limit, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("factor", [1e-200, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e200])
 def test_oscillation_kept_under_a_factor(factor):
-    # the ratio alternates between 2 and 1; an absolute tol read it stable
-    # at 1e-3 and below
+    # the ratio alternates between 2 and 1
     assert _stability_at(lambda m: 2.0 - m % 2, factor).status == "unstable"
 
 

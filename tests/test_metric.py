@@ -151,6 +151,18 @@ def test_euclidean_matrix_keeps_a_power_of_two(k):
     assert np.array_equal(euclidean_matrix(factor * x, factor * x[:7]), factor * euclidean_matrix(x, x[:7]))
 
 
+@pytest.mark.parametrize("far", [2.0**505, 2.0**511.8])
+def test_euclidean_matrix_keeps_a_small_distance_beside_a_large_one(far):
+    # 2^505 squares inside the floats and 2^511.8 in two coordinates sums
+    # past them: either way only an entry that reads inf unscaled is
+    # scaled, so 1e-10 is not lost beside it
+    from metricembed.metric import euclidean_matrix
+
+    got = euclidean_matrix([[0.0, 0.0], [1e-10, 0.0], [far, far]])
+    assert got[0, 1] == got[1, 0] == 1e-10
+    assert got[0, 2] == pytest.approx(math.sqrt(2.0) * far, rel=1e-15)
+
+
 def test_asymmetry_detected():
     with pytest.raises(AsymmetricError) as err:
         validate_metric([[0, 1], [1.1, 0]], tol=1e-12)

@@ -253,6 +253,27 @@ class TestMutualStability:
         assert v.status == "unstable"
         assert v.oscillation == pytest.approx(1.0)
 
+    def test_pair_judged_apart_from_a_diverging_member(self):
+        # y is the super-slow probe, d(y_m, p) / r_m -> inf; x rides on
+        # it, so d(x_m, y_m) / r_m alternates 2, 1 whatever else the
+        # family holds
+        sp = plane()
+        r = NormalizingSequence.geometric(0.5, 0.5)
+        y = lambda m: math.sqrt(r(m)) * np.array([0.0, 1.0])
+        x = lambda m: y(m) + (2.0 - m % 2) * r(m) * np.array([1.0, 0.0])
+        assert mutual_stability(sp, x, y, r, depth=40).status == "unstable"
+        pm = pseudometric_matrix(sp, (constant_sequence(sp.p), x, y), r, depth=40)
+        assert pm.verdicts[1][2].status == "unstable"
+
+    def test_ratio_tending_to_zero_stable(self):
+        # d(x_m, p) / r_m = r_m: stable with a limit near 0 although no
+        # member's ratio to p stays away from 0
+        sp = plane()
+        r = NormalizingSequence.geometric(0.5, 0.5)
+        v = mutual_stability(sp, lambda m: r(m) ** 2 * np.array([1.0, 0.0]), constant_sequence(sp.p), r, depth=40)
+        assert v.status == "stable"
+        assert 0.0 < v.limit < 1e-11
+
     def test_slow_convergence_undetermined_not_unstable(self):
         sp = segment()
         r = NormalizingSequence.geometric(1.0, 0.5)
@@ -863,7 +884,7 @@ def test_scan_layer_refusals(call, error, message):
     *[(lambda probes=probes: blumenthal_sequence_scan(np.zeros((3, 3)), [constant_sequence(plane().p)] * 2,
                                                       probes=probes), TypeError,
        "expected a MarkedSpace, built by the make_* makers, got ndarray") for probes in (None, [])],
-    # the space is judged before its marked point heads the pair's family
+    # a matrix is no space: the stability path refuses it as the scans do
     (lambda: mutual_stability(np.zeros((3, 3)), constant_sequence(plane().p), constant_sequence(plane().p),
                               NormalizingSequence.geometric()), TypeError,
      "expected a MarkedSpace, built by the make_* makers, got ndarray"),
